@@ -319,7 +319,11 @@ impl LustreFile {
                 r.map_err(LustreError::from)
             });
         }
-        let results = join_all(&sim, futs).await;
+        let mut results = join_all(&sim, futs).await;
+        if results.len() == 1 {
+            // one extent: the stripe reply is the answer, no gather copy
+            return results.remove(0);
+        }
         let mut buf = BytesMut::with_capacity(len as usize);
         for r in results {
             buf.extend_from_slice(&r?);

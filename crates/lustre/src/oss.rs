@@ -12,17 +12,12 @@ use storesim::{Disk, DiskParams, ObjectStore, StoreError};
 use crate::LustreConfig;
 
 /// Checksum an OSS computes over the bytes it actually commits and returns
-/// in the write ack (FNV-1a 32). Clients compare it against the checksum of
-/// the bytes they sent: a mismatch means the committed extent differs from
-/// the submitted one (corruption between wire and media), detected at 1×
-/// device cost — no read-back required.
+/// in the write ack (CRC32C, the workspace's one checksum kernel). Clients
+/// compare it against the checksum of the bytes they sent: a mismatch means
+/// the committed extent differs from the submitted one (corruption between
+/// wire and media), detected at 1× device cost — no read-back required.
 pub fn commit_crc(data: &[u8]) -> u32 {
-    let mut h: u32 = 0x811c_9dc5;
-    for &b in data {
-        h ^= b as u32;
-        h = h.wrapping_mul(0x0100_0193);
-    }
-    h
+    simkit::crc32c::crc32c(data)
 }
 
 /// OSS data-path RPCs. `ost_slot` addresses an OST local to the receiving
@@ -225,5 +220,29 @@ impl Oss {
                 reply.send(freed, 64);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::commit_crc;
+
+    #[test]
+    fn commit_crc_catches_a_single_bit_flip_anywhere_in_a_stripe() {
+        let mut stripe: Vec<u8> = (0..1usize << 20).map(|i| (i % 241) as u8).collect();
+        let clean = commit_crc(&stripe);
+        // every bit of the first and last bytes and of bytes a prime stride
+        // apart, so every lane and block position of the kernel is hit
+        let bytes = (0..stripe.len())
+            .step_by(16_411)
+            .chain([1, 7, 8, stripe.len() - 1]);
+        for at in bytes {
+            for bit in 0..8 {
+                stripe[at] ^= 1 << bit;
+                assert_ne!(commit_crc(&stripe), clean, "flip of bit {bit} at {at}");
+                stripe[at] ^= 1 << bit;
+            }
+        }
+        assert_eq!(commit_crc(&stripe), clean);
     }
 }

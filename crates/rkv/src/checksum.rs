@@ -1,10 +1,10 @@
 //! CRC32C (Castagnoli) — the end-to-end chunk digest.
 //!
-//! A small, dependency-free, table-driven implementation (slice-by-8, the
-//! classic software technique hardware-less memcached/iSCSI stacks use).
-//! It is deliberately independent of `simkit`: checksums describe *data*,
-//! not simulated time, and the same digests must be computable from test
-//! code, the wire layer, and the burst-buffer core alike.
+//! The kernel is [`simkit::crc32c`] (the CPU's CRC32C instruction where the
+//! running CPU has one, table-driven slice-by-8 elsewhere; same digests
+//! either way), shared with Lustre's commit check. This module re-exports
+//! it under the names the KV layer, the wire layer, the burst-buffer core
+//! and test code have always used.
 //!
 //! The burst buffer computes `crc32c_pair(key, data)` when a chunk is
 //! sealed and carries it in the KV value's `flags` word and the file's
@@ -12,137 +12,19 @@
 //! value that lands under the wrong key (e.g. a corrupted key byte in
 //! transit) also fails verification instead of reading back "cleanly".
 
-/// The Castagnoli generator polynomial, reflected.
-const POLY: u32 = 0x82f6_3b78;
-
-/// 8 × 256 lookup tables for slice-by-8.
-static TABLES: [[u32; 256]; 8] = build_tables();
-
-const fn build_tables() -> [[u32; 256]; 8] {
-    let mut t = [[0u32; 256]; 8];
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            crc = if crc & 1 != 0 {
-                (crc >> 1) ^ POLY
-            } else {
-                crc >> 1
-            };
-            k += 1;
-        }
-        t[0][i] = crc;
-        i += 1;
-    }
-    let mut j = 1;
-    while j < 8 {
-        let mut i = 0;
-        while i < 256 {
-            let prev = t[j - 1][i];
-            t[j][i] = (prev >> 8) ^ t[0][(prev & 0xff) as usize];
-            i += 1;
-        }
-        j += 1;
-    }
-    t
-}
-
-/// Incremental CRC32C state for digesting discontiguous input.
-#[derive(Debug, Clone, Copy)]
-pub struct Crc32c {
-    state: u32,
-}
-
-impl Default for Crc32c {
-    fn default() -> Self {
-        Crc32c::new()
-    }
-}
-
-impl Crc32c {
-    /// Fresh digest state.
-    pub fn new() -> Crc32c {
-        Crc32c { state: !0 }
-    }
-
-    /// Fold `data` into the digest.
-    pub fn update(&mut self, data: &[u8]) {
-        let mut crc = self.state;
-        let mut chunks = data.chunks_exact(8);
-        for w in &mut chunks {
-            let lo = u32::from_le_bytes([w[0], w[1], w[2], w[3]]) ^ crc;
-            let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
-            crc = TABLES[7][(lo & 0xff) as usize]
-                ^ TABLES[6][((lo >> 8) & 0xff) as usize]
-                ^ TABLES[5][((lo >> 16) & 0xff) as usize]
-                ^ TABLES[4][(lo >> 24) as usize]
-                ^ TABLES[3][(hi & 0xff) as usize]
-                ^ TABLES[2][((hi >> 8) & 0xff) as usize]
-                ^ TABLES[1][((hi >> 16) & 0xff) as usize]
-                ^ TABLES[0][(hi >> 24) as usize];
-        }
-        for &b in chunks.remainder() {
-            crc = (crc >> 8) ^ TABLES[0][((crc ^ b as u32) & 0xff) as usize];
-        }
-        self.state = crc;
-    }
-
-    /// Finish and return the digest.
-    pub fn finalize(self) -> u32 {
-        !self.state
-    }
-}
-
-/// CRC32C of a single buffer.
-pub fn crc32c(data: &[u8]) -> u32 {
-    let mut c = Crc32c::new();
-    c.update(data);
-    c.finalize()
-}
-
-/// CRC32C of the logical concatenation `a || b` without concatenating.
-pub fn crc32c_pair(a: &[u8], b: &[u8]) -> u32 {
-    let mut c = Crc32c::new();
-    c.update(a);
-    c.update(b);
-    c.finalize()
-}
+pub use simkit::crc32c::{crc32c, crc32c_pair, Crc32c};
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn known_vectors() {
-        // RFC 3720 appendix B.4 test vectors.
-        assert_eq!(crc32c(b""), 0);
-        assert_eq!(crc32c(&[0u8; 32]), 0x8a91_36aa);
-        assert_eq!(crc32c(&[0xffu8; 32]), 0x62a8_ab43);
-        let ascending: Vec<u8> = (0u8..32).collect();
-        assert_eq!(crc32c(&ascending), 0x46dd_794e);
+    fn digests_are_the_rfc3720_ones() {
         assert_eq!(crc32c(b"123456789"), 0xe306_9283);
-    }
-
-    #[test]
-    fn pair_equals_concatenation() {
-        let a = b"chunk-key:f1:0";
-        let b: Vec<u8> = (0..10_000).map(|i| (i * 31 % 251) as u8).collect();
-        let mut whole = a.to_vec();
-        whole.extend_from_slice(&b);
-        assert_eq!(crc32c_pair(a, &b), crc32c(&whole));
-    }
-
-    #[test]
-    fn single_bit_flip_changes_digest() {
-        let mut data: Vec<u8> = (0..4096).map(|i| (i % 255) as u8).collect();
-        let clean = crc32c(&data);
-        for at in [0usize, 1, 7, 8, 9, 4095] {
-            data[at] ^= 0x10;
-            assert_ne!(crc32c(&data), clean, "flip at {at} undetected");
-            data[at] ^= 0x10;
-        }
-        assert_eq!(crc32c(&data), clean);
+        assert_eq!(crc32c_pair(b"1234", b"56789"), 0xe306_9283);
+        let mut c = Crc32c::new();
+        c.update(&[0u8; 32]);
+        assert_eq!(c.finalize(), 0x8a91_36aa);
     }
 
     #[test]

@@ -311,7 +311,33 @@ const RTAG_THROTTLED: u8 = 16;
 const CARRIER_INLINE: u8 = 0;
 const CARRIER_REMOTE: u8 = 1;
 
-fn put_bytes(buf: &mut BytesMut, b: &[u8]) {
+/// A [`BufMut`] that only counts: running an encoder over it yields the
+/// frame's exact length, so the real pass can allocate once with no slack
+/// (a frozen frame pins its whole allocation for as long as any decoded
+/// value sliced out of it lives).
+struct FrameLen(usize);
+
+impl BufMut for FrameLen {
+    fn put_slice(&mut self, src: &[u8]) {
+        self.0 += src.len();
+    }
+}
+
+/// A message with a wire encoding.
+trait Frame {
+    fn write_to<B: BufMut>(&self, buf: &mut B);
+}
+
+/// Encode `frame` into a buffer of exactly its encoded length.
+fn encode_exact(frame: &impl Frame) -> Bytes {
+    let mut len = FrameLen(0);
+    frame.write_to(&mut len);
+    let mut buf = BytesMut::with_capacity(len.0);
+    frame.write_to(&mut buf);
+    buf.freeze()
+}
+
+fn put_bytes<B: BufMut>(buf: &mut B, b: &[u8]) {
     buf.put_u32_le(b.len() as u32);
     buf.put_slice(b);
 }
@@ -327,7 +353,7 @@ fn get_bytes(buf: &mut Bytes) -> Result<Bytes, ProtoError> {
     Ok(buf.copy_to_bytes(len))
 }
 
-fn put_wirebuf(buf: &mut BytesMut, w: &WireBuf) {
+fn put_wirebuf<B: BufMut>(buf: &mut B, w: &WireBuf) {
     buf.put_u32_le(w.node);
     buf.put_u32_le(w.rkey);
     buf.put_u64_le(w.len);
@@ -344,7 +370,7 @@ fn get_wirebuf(buf: &mut Bytes) -> Result<WireBuf, ProtoError> {
     })
 }
 
-fn put_carrier(buf: &mut BytesMut, c: &Carrier) {
+fn put_carrier<B: BufMut>(buf: &mut B, c: &Carrier) {
     match c {
         Carrier::Inline(b) => {
             buf.put_u8(CARRIER_INLINE);
@@ -378,7 +404,13 @@ fn get_carrier(buf: &mut Bytes) -> Result<Carrier, ProtoError> {
     }
 }
 
-fn put_store_fields(buf: &mut BytesMut, key: &Bytes, flags: u32, expire_at: u64, value: &Carrier) {
+fn put_store_fields<B: BufMut>(
+    buf: &mut B,
+    key: &Bytes,
+    flags: u32,
+    expire_at: u64,
+    value: &Carrier,
+) {
     put_bytes(buf, key);
     buf.put_u32_le(flags);
     buf.put_u64_le(expire_at);
@@ -398,19 +430,17 @@ fn get_store_fields(buf: &mut Bytes) -> Result<StoreFields, ProtoError> {
     Ok((key, flags, expire_at, value))
 }
 
-impl Request {
-    /// Encode to a wire frame.
-    pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(64);
+impl Frame for Request {
+    fn write_to<B: BufMut>(&self, buf: &mut B) {
         match self {
             Request::Get { key, dst } => {
                 buf.put_u8(TAG_GET);
-                put_bytes(&mut buf, key);
+                put_bytes(buf, key);
                 match dst {
                     None => buf.put_u8(0),
                     Some(w) => {
                         buf.put_u8(1);
-                        put_wirebuf(&mut buf, w);
+                        put_wirebuf(buf, w);
                     }
                 }
             }
@@ -421,7 +451,7 @@ impl Request {
                 value,
             } => {
                 buf.put_u8(TAG_SET);
-                put_store_fields(&mut buf, key, *flags, *expire_at, value);
+                put_store_fields(buf, key, *flags, *expire_at, value);
             }
             Request::Add {
                 key,
@@ -430,7 +460,7 @@ impl Request {
                 value,
             } => {
                 buf.put_u8(TAG_ADD);
-                put_store_fields(&mut buf, key, *flags, *expire_at, value);
+                put_store_fields(buf, key, *flags, *expire_at, value);
             }
             Request::Replace {
                 key,
@@ -439,7 +469,7 @@ impl Request {
                 value,
             } => {
                 buf.put_u8(TAG_REPLACE);
-                put_store_fields(&mut buf, key, *flags, *expire_at, value);
+                put_store_fields(buf, key, *flags, *expire_at, value);
             }
             Request::Cas {
                 key,
@@ -449,63 +479,69 @@ impl Request {
                 value,
             } => {
                 buf.put_u8(TAG_CAS);
-                put_bytes(&mut buf, key);
+                put_bytes(buf, key);
                 buf.put_u32_le(*flags);
                 buf.put_u64_le(*expire_at);
                 buf.put_u64_le(*cas);
-                put_carrier(&mut buf, value);
+                put_carrier(buf, value);
             }
             Request::Delete { key } => {
                 buf.put_u8(TAG_DELETE);
-                put_bytes(&mut buf, key);
+                put_bytes(buf, key);
             }
             Request::Touch { key, expire_at } => {
                 buf.put_u8(TAG_TOUCH);
-                put_bytes(&mut buf, key);
+                put_bytes(buf, key);
                 buf.put_u64_le(*expire_at);
             }
             Request::Stats => buf.put_u8(TAG_STATS),
             Request::Incr { key, delta } => {
                 buf.put_u8(TAG_INCR);
-                put_bytes(&mut buf, key);
+                put_bytes(buf, key);
                 buf.put_u64_le(*delta);
             }
             Request::Decr { key, delta } => {
                 buf.put_u8(TAG_DECR);
-                put_bytes(&mut buf, key);
+                put_bytes(buf, key);
                 buf.put_u64_le(*delta);
             }
             Request::Append { key, data } => {
                 buf.put_u8(TAG_APPEND);
-                put_bytes(&mut buf, key);
-                put_bytes(&mut buf, data);
+                put_bytes(buf, key);
+                put_bytes(buf, data);
             }
             Request::Prepend { key, data } => {
                 buf.put_u8(TAG_PREPEND);
-                put_bytes(&mut buf, key);
-                put_bytes(&mut buf, data);
+                put_bytes(buf, key);
+                put_bytes(buf, data);
             }
             Request::MultiGet { keys } => {
                 buf.put_u8(TAG_MULTI_GET);
                 buf.put_u32_le(keys.len() as u32);
                 for k in keys {
-                    put_bytes(&mut buf, k);
+                    put_bytes(buf, k);
                 }
             }
             Request::Pin { key } => {
                 buf.put_u8(TAG_PIN);
-                put_bytes(&mut buf, key);
+                put_bytes(buf, key);
             }
             Request::Unpin { key } => {
                 buf.put_u8(TAG_UNPIN);
-                put_bytes(&mut buf, key);
+                put_bytes(buf, key);
             }
             Request::SetTenant { tenant } => {
                 buf.put_u8(TAG_SET_TENANT);
                 buf.put_u32_le(*tenant);
             }
         }
-        buf.freeze()
+    }
+}
+
+impl Request {
+    /// Encode to a wire frame (allocated at exactly its length).
+    pub fn encode(&self) -> Bytes {
+        encode_exact(self)
     }
 
     /// Decode a wire frame.
@@ -639,14 +675,12 @@ impl Request {
     }
 }
 
-impl Response {
-    /// Encode to a wire frame.
-    pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(32);
+impl Frame for Response {
+    fn write_to<B: BufMut>(&self, buf: &mut B) {
         match self {
             Response::Value { data, flags, cas } => {
                 buf.put_u8(RTAG_VALUE);
-                put_bytes(&mut buf, data);
+                put_bytes(buf, data);
                 buf.put_u32_le(*flags);
                 buf.put_u64_le(*cas);
             }
@@ -700,7 +734,7 @@ impl Response {
                         None => buf.put_u8(0),
                         Some((data, flags, cas)) => {
                             buf.put_u8(1);
-                            put_bytes(&mut buf, data);
+                            put_bytes(buf, data);
                             buf.put_u32_le(*flags);
                             buf.put_u64_le(*cas);
                         }
@@ -708,7 +742,13 @@ impl Response {
                 }
             }
         }
-        buf.freeze()
+    }
+}
+
+impl Response {
+    /// Encode to a wire frame (allocated at exactly its length).
+    pub fn encode(&self) -> Bytes {
+        encode_exact(self)
     }
 
     /// Decode a wire frame.
@@ -987,6 +1027,37 @@ mod tests {
         let w: WireBuf = r.into();
         let back: RemoteBuf = w.into();
         assert_eq!(back, r);
+    }
+
+    #[test]
+    fn frames_are_allocated_at_exactly_their_length() {
+        // the sole handle on a frame gives its Vec back, so capacity shows
+        let slack = |frame: Bytes| {
+            let v = Vec::from(frame);
+            v.capacity() - v.len()
+        };
+        for n in [1usize, 2, 8] {
+            let value = Bytes::from(vec![0x5au8; 512 << 10]);
+            let reply = Response::MultiValues {
+                values: vec![Some((value.clone(), 7, 9)); n],
+            };
+            assert!(reply.encode().len() > n * (512 << 10));
+            assert_eq!(slack(reply.encode()), 0, "MultiValues x{n}");
+            let set = Request::Set {
+                key: Bytes::from_static(b"f1:0"),
+                flags: 1,
+                expire_at: 0,
+                value: Carrier::Inline(Bytes::from(vec![0x5au8; n * (512 << 10)])),
+            };
+            assert_eq!(slack(set.encode()), 0, "inline Set {n}x512 KiB");
+        }
+        let hit = Response::Value {
+            data: Bytes::from(vec![1u8; 512 << 10]),
+            flags: 0,
+            cas: 1,
+        };
+        assert_eq!(slack(hit.encode()), 0);
+        assert_eq!(slack(Request::Stats.encode()), 0);
     }
 
     #[test]

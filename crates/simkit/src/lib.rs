@@ -31,6 +31,7 @@
 
 #![warn(missing_docs)]
 
+pub mod crc32c;
 pub mod executor;
 pub mod faultplan;
 pub mod flight;

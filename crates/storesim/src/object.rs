@@ -78,16 +78,19 @@ impl Object {
         added - removed
     }
 
-    /// Copy `[offset, offset+len)` into a fresh buffer (gaps are zeros).
+    /// The bytes of `[offset, offset+len)` (gaps are zeros): a zero-copy
+    /// view when one stored segment covers the range, else assembled into
+    /// a fresh buffer.
     fn read(&self, offset: u64, len: u64) -> Bytes {
-        let mut out = BytesMut::zeroed(len as usize);
         let end = offset + len;
-        let start_key = self
-            .segments
-            .range(..offset)
-            .next_back()
-            .map(|(k, _)| *k)
-            .unwrap_or(0);
+        let below = self.segments.range(..=offset).next_back();
+        if let Some((&k, seg)) = below {
+            if end <= k + seg.len() as u64 {
+                return seg.slice((offset - k) as usize..(end - k) as usize);
+            }
+        }
+        let mut out = BytesMut::zeroed(len as usize);
+        let start_key = below.map(|(k, _)| *k).unwrap_or(0);
         for (&k, seg) in self.segments.range(start_key..end) {
             let seg_end = k + seg.len() as u64;
             if seg_end <= offset || k >= end {

@@ -1,6 +1,9 @@
 //! Offline shim for the `bytes` crate: the API subset this workspace uses,
-//! implemented over `Arc<[u8]>`. Cheap clones and zero-copy `slice`/`split_to`
-//! are preserved; the rest favours simplicity over micro-optimisation.
+//! implemented over `Arc<Vec<u8>>`. Cheap clones, zero-copy `slice`/`split_to`
+//! and an O(1), pointer-preserving `From<Vec<u8>>`/`BytesMut::freeze` are
+//! preserved (the `Vec` is moved behind the `Arc`, spare capacity and all —
+//! builders that care size their buffer exactly); the rest favours
+//! simplicity over micro-optimisation.
 //!
 //! Build containers for this repo have no crates.io access, so the real
 //! `bytes` cannot be fetched; this path crate stands in for it (see
@@ -15,7 +18,7 @@ use std::sync::Arc;
 /// Cheaply cloneable, immutable, contiguous byte buffer.
 #[derive(Clone, Default)]
 pub struct Bytes {
-    data: Arc<[u8]>,
+    data: Arc<Vec<u8>>,
     start: usize,
     end: usize,
 }
@@ -101,12 +104,26 @@ impl Borrow<[u8]> for Bytes {
 
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Self {
-        let data: Arc<[u8]> = v.into();
-        let end = data.len();
+        let end = v.len();
         Bytes {
-            data,
+            data: Arc::new(v),
             start: 0,
             end,
+        }
+    }
+}
+
+impl From<Bytes> for Vec<u8> {
+    /// Take the bytes back out: the original `Vec` (capacity and all) when
+    /// `b` is the only handle on it, a copy otherwise.
+    fn from(b: Bytes) -> Vec<u8> {
+        match Arc::try_unwrap(b.data) {
+            Ok(mut v) => {
+                v.truncate(b.end);
+                v.drain(..b.start);
+                v
+            }
+            Err(shared) => shared[b.start..b.end].to_vec(),
         }
     }
 }
@@ -427,6 +444,41 @@ mod tests {
         let front = rest.split_to(2);
         assert_eq!(front, [1, 2]);
         assert_eq!(rest, [3, 4, 5]);
+    }
+
+    #[test]
+    fn from_vec_and_freeze_do_not_copy() {
+        let v = vec![7u8; 4096];
+        let p = v.as_ptr();
+        assert_eq!(Bytes::from(v).as_ptr(), p);
+
+        let mut m = BytesMut::with_capacity(4096);
+        m.extend_from_slice(&[9u8; 1000]);
+        let p = m.as_ptr();
+        let frozen = m.freeze();
+        assert_eq!(frozen.as_ptr(), p);
+        // the sole handle gives the very same Vec back, slack included
+        let back = Vec::from(frozen);
+        assert_eq!(
+            (back.as_ptr(), back.len(), back.capacity()),
+            (p, 1000, 4096)
+        );
+    }
+
+    #[test]
+    fn views_share_the_allocation() {
+        let mut b = Bytes::from(vec![0u8; 64]);
+        let base = b.as_ptr();
+        assert_eq!(b.slice(8..24).as_ptr(), base.wrapping_add(8));
+        assert_eq!(b.clone().as_ptr(), base);
+        assert_eq!(b.split_to(16).as_ptr(), base);
+        assert_eq!(b.as_ptr(), base.wrapping_add(16));
+        assert_eq!(b.copy_to_bytes(8).as_ptr(), base.wrapping_add(16));
+        assert_eq!(b.as_ptr(), base.wrapping_add(24));
+        // a shared handle converts by copy and leaves the others intact
+        let other = b.clone();
+        assert_eq!(Vec::from(other), vec![0u8; 40]);
+        assert_eq!(b.len(), 40);
     }
 
     #[test]

@@ -12,7 +12,7 @@ use workloads::{SystemKind, TestbedConfig};
 use crate::experiments::dfsio::dfsio_cell_telemetry;
 use crate::experiments::ExpReport;
 use crate::table::{mbps, ratio, secs, Table};
-use crate::telemetry::{attach, capture_cell, CellTelemetry};
+use crate::telemetry::{capture_cell, CellTelemetry};
 
 fn base_dfsio(quick: bool) -> DfsioConfig {
     DfsioConfig {
@@ -96,15 +96,7 @@ pub fn ab1_transport(quick: bool, trace: bool) -> ExpReport {
         "RDMA verbs reads beat IPoIB by {} — the paper's core premise",
         ratio(verbs_r / ipoib_r)
     ));
-    let mut report = ExpReport {
-        id: "AB1",
-        table: t,
-        shape_holds: verbs_r > ipoib_r * 1.5,
-        metrics: None,
-        trace: None,
-    };
-    attach(&mut report, telemetry);
-    report
+    ExpReport::new("AB1", t, verbs_r > ipoib_r * 1.5, telemetry)
 }
 
 /// AB2: chunk-size sweep for the block→KV key schema.
@@ -162,15 +154,7 @@ pub fn ab2_chunk_size(quick: bool, trace: bool) -> ExpReport {
     // shape: the largest chunk should beat the smallest on writes
     let smallest = results.first().unwrap().1;
     let largest = results.last().unwrap().1;
-    let mut report = ExpReport {
-        id: "AB2",
-        table: t,
-        shape_holds: largest > smallest,
-        metrics: None,
-        trace: None,
-    };
-    attach(&mut report, telemetry);
-    report
+    ExpReport::new("AB2", t, largest > smallest, telemetry)
 }
 
 /// AB3: persistence-manager flush parallelism vs time-to-durable.
@@ -240,15 +224,7 @@ pub fn ab3_flushers(quick: bool, trace: bool) -> ExpReport {
     }
     t.note("more flush streams drain the buffer faster until Lustre saturates");
     let last = results.last().unwrap().1;
-    let mut report = ExpReport {
-        id: "AB3",
-        table: t,
-        shape_holds: last <= base * 1.01,
-        metrics: None,
-        trace: None,
-    };
-    attach(&mut report, telemetry);
-    report
+    ExpReport::new("AB3", t, last <= base * 1.01, telemetry)
 }
 
 /// AB5: read-window sweep on the E4 workload — how deep the pipelined
@@ -332,19 +308,11 @@ pub fn ab5_read_window(quick: bool, trace: bool) -> ExpReport {
         ratio(w8 / base),
         TestbedConfig::default().bb.kv_servers
     ));
-    let mut report = ExpReport {
-        id: "AB5",
-        table: t,
-        shape_holds: monotone && w8 > base * 1.3,
-        metrics: None,
-        trace: None,
-    };
-    attach(&mut report, telemetry);
-    report
+    ExpReport::new("AB5", t, monotone && w8 > base * 1.3, telemetry)
 }
 
 /// AB4: ketama consistent hashing vs modulo placement on membership change.
-pub fn ab4_placement() -> ExpReport {
+pub fn ab4_placement(_quick: bool, _trace: bool) -> ExpReport {
     let keys: Vec<String> = (0..60_000)
         .map(|i| format!("blk_{i}_c{}", i % 13))
         .collect();
@@ -394,13 +362,7 @@ pub fn ab4_placement() -> ExpReport {
     }
     t.note("consistent hashing moves ~1/n of keys; modulo reshuffles most of the keyspace");
     // AB4 is a pure hashing study: no simulation, so no telemetry.
-    ExpReport {
-        id: "AB4",
-        table: t,
-        shape_holds: shape,
-        metrics: None,
-        trace: None,
-    }
+    ExpReport::new("AB4", t, shape, None)
 }
 
 /// One AB6 cell: write the E4-style dataset, then run the read phase
@@ -463,9 +425,9 @@ fn traced_read_cell(read_window: usize, quick: bool) -> (f64, usize, u64, u64, C
 
 /// AB6: the tracer demonstration — span-level evidence that the
 /// pipelined read path actually overlaps chunk fetches. The pipelined
-/// run's Chrome trace rides on the report (`repro_ab6 --trace out.json`
+/// run's Chrome trace rides on the report (`repro AB6 --trace out.json`
 /// then load in Perfetto).
-pub fn ab6_readahead_trace(quick: bool) -> ExpReport {
+pub fn ab6_readahead_trace(quick: bool, _trace: bool) -> ExpReport {
     let variants: [(&str, usize); 2] = [("serial (window 1)", 1), ("pipelined (window 8)", 8)];
     let results: Vec<(&str, f64, usize, u64, u64, CellTelemetry)> = variants
         .par_iter()
@@ -506,13 +468,10 @@ pub fn ab6_readahead_trace(quick: bool) -> ExpReport {
     ));
     // the traced pipelined run is the representative cell
     let telemetry = results.into_iter().nth(1).map(|(_, _, _, _, _, c)| c);
-    let mut report = ExpReport {
-        id: "AB6",
-        table: t,
-        shape_holds: pipe_overlap > serial_overlap * 1.1 && pipe_overlap > 1.2 && pipe_r > serial_r,
-        metrics: None,
-        trace: None,
-    };
-    attach(&mut report, telemetry);
-    report
+    ExpReport::new(
+        "AB6",
+        t,
+        pipe_overlap > serial_overlap * 1.1 && pipe_overlap > 1.2 && pipe_r > serial_r,
+        telemetry,
+    )
 }

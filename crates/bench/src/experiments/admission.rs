@@ -28,7 +28,7 @@ use workloads::{PayloadPool, SystemKind, Testbed, TestbedConfig};
 
 use crate::experiments::ExpReport;
 use crate::table::Table;
-use crate::telemetry::{attach, capture_cell, CellTelemetry};
+use crate::telemetry::{capture_cell, CellTelemetry};
 
 /// Everything one admission cell reports.
 pub struct AdmissionCell {
@@ -233,9 +233,10 @@ pub fn run_admission_cell(quick: bool, admit: bool, capture: bool) -> AdmissionC
     }
 }
 
-/// AB12 with the timeline artifact: the experiment report plus a text
-/// timeline of both cells for CI upload.
-pub fn ab12_with_artifacts(quick: bool) -> (ExpReport, String) {
+/// AB12: mixed burst+stream workload over a small buffer, always-admit
+/// vs classifier-on. The report carries a text timeline of both cells
+/// (`repro AB12 --timeline`).
+pub fn ab12_admission(quick: bool, _trace: bool) -> ExpReport {
     let mut timeline = String::new();
     let mut line = |s: String| {
         timeline.push_str(&s);
@@ -308,19 +309,6 @@ pub fn ab12_with_artifacts(quick: bool) -> (ExpReport, String) {
         && off.stream_detected == 0
         && off.flushed_files == 4
         && on.flushed_files == 4;
-    let mut report = ExpReport {
-        id: "AB12",
-        table: t,
-        shape_holds,
-        metrics: None,
-        trace: None,
-    };
     let telemetry = cells.pop().and_then(|c| c.telemetry);
-    attach(&mut report, telemetry);
-    (report, timeline)
-}
-
-/// AB12 without the artifact (registry entry point).
-pub fn ab12_admission(quick: bool) -> ExpReport {
-    ab12_with_artifacts(quick).0
+    ExpReport::new("AB12", t, shape_holds, telemetry).with_timeline(timeline)
 }

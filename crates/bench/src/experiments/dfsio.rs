@@ -8,7 +8,7 @@ use workloads::{PayloadPool, SystemKind, Testbed, TestbedConfig};
 
 use crate::experiments::ExpReport;
 use crate::table::{mbps, ratio, Table};
-use crate::telemetry::{attach, capture_cell, CellTelemetry};
+use crate::telemetry::{capture_cell, CellTelemetry};
 
 /// One DFSIO cell: (write MB/s, read MB/s) for a system at a total size.
 pub fn dfsio_cell(kind: SystemKind, config: TestbedConfig, cfg: DfsioConfig) -> (f64, f64) {
@@ -179,15 +179,12 @@ pub fn e3_write(quick: bool, trace: bool) -> ExpReport {
         ratio(worst_vs_hdfs),
         ratio(worst_vs_lustre)
     ));
-    let mut report = ExpReport {
-        id: "E3",
-        table: t,
-        shape_holds: worst_vs_hdfs > 2.0 && worst_vs_lustre > 1.3,
-        metrics: None,
-        trace: None,
-    };
-    attach(&mut report, telemetry);
-    report
+    ExpReport::new(
+        "E3",
+        t,
+        worst_vs_hdfs > 2.0 && worst_vs_lustre > 1.3,
+        telemetry,
+    )
 }
 
 /// E4: TestDFSIO read throughput vs data size, five systems.
@@ -252,15 +249,7 @@ pub fn e4_read(quick: bool, trace: bool) -> ExpReport {
         "paper: read gain up to 8x; measured best gain {}",
         ratio(best_gain)
     ));
-    let mut report = ExpReport {
-        id: "E4",
-        table: t,
-        shape_holds: best_gain > 4.0 && tiers_account,
-        metrics: None,
-        trace: None,
-    };
-    attach(&mut report, telemetry);
-    report
+    ExpReport::new("E4", t, best_gain > 4.0 && tiers_account, telemetry)
 }
 
 /// E5: write/read throughput vs cluster size.
@@ -336,15 +325,7 @@ pub fn e5_cluster_scaling(quick: bool, trace: bool) -> ExpReport {
         ]);
     }
     t.note("HDFS scales with spindles; Lustre is fixed infrastructure; the buffer's advantage widens with cluster size");
-    let mut report = ExpReport {
-        id: "E5",
-        table: t,
-        shape_holds: bb_wins_at_largest,
-        metrics: None,
-        trace: None,
-    };
-    attach(&mut report, telemetry);
-    report
+    ExpReport::new("E5", t, bb_wins_at_largest, telemetry)
 }
 
 /// E11: write throughput vs number of KV (burst-buffer) servers.
@@ -397,13 +378,5 @@ pub fn e11_kv_scaling(quick: bool, trace: bool) -> ExpReport {
     let last = results.last().unwrap();
     let shape_holds = last.1 / base > (last.0 as f64) * 0.4;
     t.note("throughput scales with buffer servers until the fabric/flush path binds");
-    let mut report = ExpReport {
-        id: "E11",
-        table: t,
-        shape_holds,
-        metrics: None,
-        trace: None,
-    };
-    attach(&mut report, telemetry);
-    report
+    ExpReport::new("E11", t, shape_holds, telemetry)
 }

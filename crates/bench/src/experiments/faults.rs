@@ -17,10 +17,10 @@ use workloads::{PayloadPool, SystemKind, Testbed, TestbedConfig};
 
 use crate::experiments::ExpReport;
 use crate::table::Table;
-use crate::telemetry::{attach, capture_cell, CellTelemetry};
+use crate::telemetry::{capture_cell, CellTelemetry};
 
 /// E9: node-local storage consumed per system for the same dataset.
-pub fn e9_local_storage(trace: bool) -> ExpReport {
+pub fn e9_local_storage(_quick: bool, trace: bool) -> ExpReport {
     let data: u64 = 512 << 20;
     let mut t = Table::new(
         "E9: node-local storage consumed for a 512 MiB dataset",
@@ -70,15 +70,7 @@ pub fn e9_local_storage(trace: bool) -> ExpReport {
         ]);
     }
     t.note("paper: the buffered schemes eliminate (or reduce to one replica) the local storage HDFS demands");
-    let mut report = ExpReport {
-        id: "E9",
-        table: t,
-        shape_holds: shape,
-        metrics: None,
-        trace: None,
-    };
-    attach(&mut report, telemetry);
-    report
+    ExpReport::new("E9", t, shape, telemetry)
 }
 
 /// The four injected-fault shapes of the E12 matrix.
@@ -596,8 +588,7 @@ pub fn run_fault_scenario_telemetry(
     // manifest dir — test binaries run with CWD = crate root) so a
     // failing CI run can upload them as artifacts
     if !outcome.flight_dumps.is_empty() {
-        let dir =
-            std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/flight-recorder");
+        let dir = crate::telemetry::repo_root().join("target/flight-recorder");
         if std::fs::create_dir_all(&dir).is_ok() {
             for (i, dump) in outcome.flight_dumps.iter().enumerate() {
                 let name = format!(
@@ -616,14 +607,10 @@ pub fn run_fault_scenario_telemetry(
 }
 
 /// E12: scripted fault plans against every scheme — availability,
-/// recovery time, and the size of the data-loss window.
+/// recovery time, and the size of the data-loss window. The report
+/// carries the representative cell's recovery-trace timeline
+/// (`repro E12 --timeline`).
 pub fn e12_fault_tolerance(quick: bool, trace: bool) -> ExpReport {
-    e12_with_artifacts(quick, trace).0
-}
-
-/// [`e12_fault_tolerance`] plus the representative cell's recovery-trace
-/// timeline (the `--timeline` artifact of `repro_e12`).
-pub fn e12_with_artifacts(quick: bool, trace: bool) -> (ExpReport, String) {
     let mut t = Table::new(
         "E12: fault injection — availability and recovery",
         &["scenario", "outcome", "detail"],
@@ -780,13 +767,5 @@ pub fn e12_with_artifacts(quick: bool, trace: bool) -> (ExpReport, String) {
 
     t.note("paper: the sync scheme trades write speed for a closed fault window; async risks only not-yet-flushed data");
     t.note("replication r=2 closes the async window too, at the cost of double buffer traffic");
-    let mut report = ExpReport {
-        id: "E12",
-        table: t,
-        shape_holds: shape,
-        metrics: None,
-        trace: None,
-    };
-    attach(&mut report, telemetry);
-    (report, timeline)
+    ExpReport::new("E12", t, shape, telemetry).with_timeline(timeline)
 }

@@ -17,7 +17,7 @@ use workloads::{PayloadPool, SystemKind, Testbed, TestbedConfig};
 
 use crate::experiments::ExpReport;
 use crate::table::Table;
-use crate::telemetry::{attach, capture_cell};
+use crate::telemetry::capture_cell;
 
 /// Advance the simulation to exactly `horizon`. `run_until` alone stops
 /// early when the next timer lies beyond the horizon without moving the
@@ -29,14 +29,9 @@ pub fn step_to(sim: &Sim, horizon: Time) {
     sim.run_until(horizon);
 }
 
-/// AB7 report only (timeline artifact discarded).
+/// AB7: corrupt at rest, scrub-repair, verified read-back. The report
+/// carries the applied fault timeline (`repro AB7 --timeline`).
 pub fn ab7_integrity(quick: bool, trace: bool) -> ExpReport {
-    ab7_with_artifacts(quick, trace).0
-}
-
-/// [`ab7_integrity`] plus the applied fault timeline (the `--timeline`
-/// artifact of `repro_ab7`).
-pub fn ab7_with_artifacts(quick: bool, trace: bool) -> (ExpReport, String) {
     let chunk_size: u64 = 512 << 10;
     let data: u64 = if quick { 16 << 20 } else { 64 << 20 };
     let chunks_total = data / chunk_size;
@@ -195,13 +190,5 @@ pub fn ab7_with_artifacts(quick: bool, trace: bool) -> (ExpReport, String) {
         && unrepairable == 0
         && scrub_done.is_some()
         && reads_ok == chunks_total;
-    let mut report = ExpReport {
-        id: "AB7",
-        table: t,
-        shape_holds: shape,
-        metrics: None,
-        trace: None,
-    };
-    attach(&mut report, Some(cell));
-    (report, timeline)
+    ExpReport::new("AB7", t, shape, Some(cell)).with_timeline(timeline)
 }

@@ -12,7 +12,7 @@ use workloads::{PayloadPool, SystemKind, Testbed, TestbedConfig};
 
 use crate::experiments::ExpReport;
 use crate::table::{mbps, ratio, secs, Table};
-use crate::telemetry::{attach, capture_cell, CellTelemetry};
+use crate::telemetry::{capture_cell, CellTelemetry};
 
 fn run_randomwriter(
     kind: SystemKind,
@@ -107,15 +107,7 @@ pub fn e6_randomwriter(quick: bool, trace: bool) -> ExpReport {
         ]);
     }
     t.note("paper: the buffered design ingests bulk writes fastest");
-    let mut report = ExpReport {
-        id: "E6",
-        table: t,
-        shape_holds: shape,
-        metrics: None,
-        trace: None,
-    };
-    attach(&mut report, telemetry);
-    report
+    ExpReport::new("E6", t, shape, telemetry)
 }
 
 fn run_sort(kind: SystemKind, data_size: u64) -> (f64, usize, usize) {
@@ -237,15 +229,12 @@ pub fn e7_sort(quick: bool, trace: bool) -> ExpReport {
         best_vs_lustre * 100.0,
         best_vs_hdfs * 100.0
     ));
-    let mut report = ExpReport {
-        id: "E7",
-        table: t,
-        shape_holds: best_vs_hdfs > 0.05 && best_vs_lustre > 0.05,
-        metrics: None,
-        trace: None,
-    };
-    attach(&mut report, telemetry);
-    report
+    ExpReport::new(
+        "E7",
+        t,
+        best_vs_hdfs > 0.05 && best_vs_lustre > 0.05,
+        telemetry,
+    )
 }
 
 /// E8: the three schemes side by side on write, read, and sort.
@@ -340,15 +329,7 @@ pub fn e8_schemes(quick: bool, trace: bool) -> ExpReport {
     if let Some(cell) = &telemetry {
         t.note(buffer_hit_ratio_note(&cell.snapshot));
     }
-    let mut report = ExpReport {
-        id: "E8",
-        table: t,
-        shape_holds: aw > sw,
-        metrics: None,
-        trace: None,
-    };
-    attach(&mut report, telemetry);
-    report
+    ExpReport::new("E8", t, aw > sw, telemetry)
 }
 
 /// Satellite footer: buffer-tier hit ratio across every KV server,
@@ -408,15 +389,7 @@ pub fn e10_io_intensive(quick: bool, trace: bool) -> ExpReport {
     let hdfs = rows.iter().find(|r| r.0 == SystemKind::Hdfs).unwrap();
     let shape = bb.3 < hdfs.3 && bb.1 <= hdfs.1 * 1.05;
     t.note("paper: the buffered design significantly benefits I/O-intensive workloads vs both baselines");
-    let mut report = ExpReport {
-        id: "E10",
-        table: t,
-        shape_holds: shape,
-        metrics: None,
-        trace: None,
-    };
-    attach(&mut report, telemetry);
-    report
+    ExpReport::new("E10", t, shape, telemetry)
 }
 
 fn run_text_jobs(kind: SystemKind, text_size: u64) -> (f64, f64) {

@@ -15,7 +15,7 @@ use simkit::Sim;
 
 use crate::experiments::ExpReport;
 use crate::table::Table;
-use crate::telemetry::{attach, capture_cell, CellTelemetry};
+use crate::telemetry::{capture_cell, CellTelemetry};
 
 /// One throughput cell: a single server under `config`, `clients`
 /// closed-loop clients doing a set phase then a get phase of
@@ -202,13 +202,5 @@ pub fn ab9_core_scaling(quick: bool, trace: bool) -> ExpReport {
          ({no_reclaim_pages} pages moved)",
         reclaim_frac * 100.0
     ));
-    let mut report = ExpReport {
-        id: "AB9",
-        table: t,
-        shape_holds: scaling >= 3.2 && reclaim_frac >= 0.9,
-        metrics: None,
-        trace: None,
-    };
-    attach(&mut report, telemetry);
-    report
+    ExpReport::new("AB9", t, scaling >= 3.2 && reclaim_frac >= 0.9, telemetry)
 }

@@ -12,7 +12,7 @@ use simkit::Sim;
 
 use crate::experiments::ExpReport;
 use crate::table::Table;
-use crate::telemetry::{attach, capture_cell, CellTelemetry};
+use crate::telemetry::{capture_cell, CellTelemetry};
 
 fn transports() -> [TransportProfile; 3] {
     [
@@ -73,7 +73,7 @@ fn latency_cell(
 }
 
 /// E1: set/get latency vs value size across transports.
-pub fn e1_kv_latency(trace: bool) -> ExpReport {
+pub fn e1_kv_latency(_quick: bool, trace: bool) -> ExpReport {
     // the largest value stays under memcached's 1 MiB item limit
     // (key + header + value must fit the top slab class)
     let sizes = [
@@ -126,15 +126,7 @@ pub fn e1_kv_latency(trace: bool) -> ExpReport {
         "verbs beats IPoIB by {speedup:.1}x on 4 KiB gets (paper: RDMA-Memcached ≫ IPoIB-memcached)"
     ));
     let shape_holds = speedup > 2.0;
-    let mut report = ExpReport {
-        id: "E1",
-        table: t,
-        shape_holds,
-        metrics: None,
-        trace: None,
-    };
-    attach(&mut report, telemetry);
-    report
+    ExpReport::new("E1", t, shape_holds, telemetry)
 }
 
 /// E2: aggregate throughput vs concurrent clients.
@@ -175,15 +167,12 @@ pub fn e2_kv_throughput(quick: bool, trace: bool) -> ExpReport {
         client_counts[0],
         client_counts[client_counts.len() - 1]
     ));
-    let mut report = ExpReport {
-        id: "E2",
-        table: t,
-        shape_holds: scaling > client_counts.len() as f64 / 2.0,
-        metrics: None,
-        trace: None,
-    };
-    attach(&mut report, telemetry);
-    report
+    ExpReport::new(
+        "E2",
+        t,
+        scaling > client_counts.len() as f64 / 2.0,
+        telemetry,
+    )
 }
 
 fn throughput_cell(

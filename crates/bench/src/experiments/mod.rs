@@ -18,6 +18,7 @@ pub mod tracing;
 pub mod traffic;
 
 use crate::table::Table;
+use crate::telemetry::CellTelemetry;
 
 /// An experiment's rendered output plus its paper-shape verdict and the
 /// telemetry of its representative cell.
@@ -34,61 +35,196 @@ pub struct ExpReport {
     /// Chrome trace-event JSON of the representative cell, when it ran
     /// with tracing requested.
     pub trace: Option<String>,
+    /// Text timeline of what the run applied and observed (fault,
+    /// membership, traffic, admission or placement events), for the
+    /// experiments that keep one.
+    pub timeline: Option<String>,
 }
 
-/// Run every experiment in order (untraced; each report still carries
-/// its representative cell's metrics snapshot).
-pub fn run_all(quick: bool) -> Vec<ExpReport> {
-    let mut out = Vec::new();
-    println!(">>> E1: KV latency microbenchmark");
-    out.push(micro::e1_kv_latency(false));
-    println!(">>> E2: KV throughput scaling");
-    out.push(micro::e2_kv_throughput(quick, false));
-    println!(">>> E3: TestDFSIO write");
-    out.push(dfsio::e3_write(quick, false));
-    println!(">>> E4: TestDFSIO read");
-    out.push(dfsio::e4_read(quick, false));
-    println!(">>> E5: cluster-size scaling");
-    out.push(dfsio::e5_cluster_scaling(quick, false));
-    println!(">>> E6: RandomWriter");
-    out.push(jobs::e6_randomwriter(quick, false));
-    println!(">>> E7: Sort");
-    out.push(jobs::e7_sort(quick, false));
-    println!(">>> E8: scheme comparison");
-    out.push(jobs::e8_schemes(quick, false));
-    println!(">>> E9: local storage requirement");
-    out.push(faults::e9_local_storage(false));
-    println!(">>> E10: I/O-intensive workloads");
-    out.push(jobs::e10_io_intensive(quick, false));
-    println!(">>> E11: buffer-layer scaling");
-    out.push(dfsio::e11_kv_scaling(quick, false));
-    println!(">>> E12: fault tolerance");
-    out.push(faults::e12_fault_tolerance(quick, false));
-    println!(">>> AB1: transport ablation");
-    out.push(ablations::ab1_transport(quick, false));
-    println!(">>> AB2: chunk-size ablation");
-    out.push(ablations::ab2_chunk_size(quick, false));
-    println!(">>> AB3: flusher-parallelism ablation");
-    out.push(ablations::ab3_flushers(quick, false));
-    println!(">>> AB4: placement ablation");
-    out.push(ablations::ab4_placement());
-    println!(">>> AB5: read-window ablation");
-    out.push(ablations::ab5_read_window(quick, false));
-    println!(">>> AB6: readahead-overlap trace");
-    out.push(ablations::ab6_readahead_trace(quick));
-    println!(">>> AB7: integrity scrub-repair");
-    out.push(integrity::ab7_integrity(quick, false));
-    println!(">>> AB8: elastic membership scale-out/in");
-    out.push(rebalance::ab8_elastic(quick, false));
-    println!(">>> AB9: shard-per-core server scaling");
-    out.push(kvserver::ab9_core_scaling(quick, false));
-    println!(">>> AB10: tail-latency decomposition");
-    out.push(tracing::ab10_latency_decomposition(quick));
-    println!(">>> AB11: open-loop traffic (hot-key fan-out, tenant isolation)");
-    out.push(traffic::ab11_traffic(quick));
-    println!(">>> AB12: traffic-aware burst-buffer admission");
-    out.push(admission::ab12_admission(quick));
-    println!(">>> AB13: topology-aware placement with live migration");
-    out.push(placement::ab13_placement(quick, false));
-    out
+impl ExpReport {
+    /// A report over `table`, carrying the representative cell's
+    /// snapshot (and trace, when the cell ran traced).
+    pub fn new(
+        id: &'static str,
+        table: Table,
+        shape_holds: bool,
+        cell: Option<CellTelemetry>,
+    ) -> ExpReport {
+        let (metrics, trace) = cell.map_or((None, None), |c| (Some(c.snapshot), c.trace));
+        ExpReport {
+            id,
+            table,
+            shape_holds,
+            metrics,
+            trace,
+            timeline: None,
+        }
+    }
+
+    /// Attach the run's timeline artifact.
+    pub fn with_timeline(mut self, timeline: String) -> ExpReport {
+        self.timeline = Some(timeline);
+        self
+    }
 }
+
+/// One row of [`REGISTRY`]: how to run an experiment, what `repro`
+/// prints around its table, and what `--check` demands of its snapshot.
+pub struct Experiment {
+    /// Experiment id, as in EXPERIMENTS.md and `snapshots/metrics_<id>.json`.
+    pub id: &'static str,
+    /// One-line title (`repro all` progress lines).
+    pub title: &'static str,
+    /// Run it: `quick` shrinks the sweep, `trace` runs the representative
+    /// cell with the span tracer on.
+    pub run: fn(quick: bool, trace: bool) -> ExpReport,
+    /// The representative cell is a bare KV deployment: no burst-buffer
+    /// or Lustre metric families are owed.
+    pub kv_only: bool,
+    /// Metric-name prefixes the snapshot must carry beyond the standard
+    /// families — evidence the run exercised the path it is about.
+    pub require: &'static [&'static str],
+    /// Latency budget file (`rdma-bb.slo.v1`), relative to the repo root.
+    pub slo: Option<&'static str>,
+    /// Chunks the `--quick` representative cell's read tiers must sum to.
+    pub quick_chunks: Option<u64>,
+    /// Print the buffer hit-ratio line between the table and the shape.
+    pub hit_ratio_note: bool,
+    /// Print per-shard service times after the shape.
+    pub shard_footer: bool,
+}
+
+/// A registry row with no extra checks or console lines.
+const fn exp(
+    id: &'static str,
+    title: &'static str,
+    run: fn(bool, bool) -> ExpReport,
+) -> Experiment {
+    Experiment {
+        id,
+        title,
+        run,
+        kv_only: false,
+        require: &[],
+        slo: None,
+        quick_chunks: None,
+        hit_ratio_note: false,
+        shard_footer: false,
+    }
+}
+
+impl Experiment {
+    /// Look an id up in [`REGISTRY`].
+    pub fn find(id: &str) -> Option<&'static Experiment> {
+        REGISTRY.iter().find(|e| e.id == id)
+    }
+}
+
+/// Every experiment, in EXPERIMENTS.md order. The `repro` binary, the
+/// regenerated EXPERIMENTS.md and CI's smoke loop are all driven by this
+/// table; adding an experiment is adding a row.
+pub static REGISTRY: &[Experiment] = &[
+    Experiment {
+        kv_only: true,
+        ..exp("E1", "KV latency microbenchmark", micro::e1_kv_latency)
+    },
+    Experiment {
+        kv_only: true,
+        shard_footer: true,
+        ..exp("E2", "KV throughput scaling", micro::e2_kv_throughput)
+    },
+    exp("E3", "TestDFSIO write", dfsio::e3_write),
+    Experiment {
+        // quick E4's largest cell reads a 2 GiB dataset spread over 16
+        // tasks: 16 * ceil((2 GiB / 16) / 512 KiB) = 4096 chunks, each
+        // served by exactly one tier
+        quick_chunks: Some(4096),
+        hit_ratio_note: true,
+        ..exp("E4", "TestDFSIO read", dfsio::e4_read)
+    },
+    exp("E5", "cluster-size scaling", dfsio::e5_cluster_scaling),
+    exp("E6", "RandomWriter", jobs::e6_randomwriter),
+    exp("E7", "Sort", jobs::e7_sort),
+    Experiment {
+        hit_ratio_note: true,
+        ..exp("E8", "scheme comparison", jobs::e8_schemes)
+    },
+    exp("E9", "local storage requirement", faults::e9_local_storage),
+    exp("E10", "I/O-intensive workloads", jobs::e10_io_intensive),
+    exp("E11", "buffer-layer scaling", dfsio::e11_kv_scaling),
+    Experiment {
+        // the representative crash/restart cell must have exercised the
+        // client retry path
+        require: &["kv.retry."],
+        ..exp("E12", "fault tolerance", faults::e12_fault_tolerance)
+    },
+    exp("AB1", "transport ablation", ablations::ab1_transport),
+    exp("AB2", "chunk-size ablation", ablations::ab2_chunk_size),
+    exp(
+        "AB3",
+        "flusher-parallelism ablation",
+        ablations::ab3_flushers,
+    ),
+    exp("AB4", "placement ablation", ablations::ab4_placement),
+    exp("AB5", "read-window ablation", ablations::ab5_read_window),
+    exp(
+        "AB6",
+        "readahead-overlap trace",
+        ablations::ab6_readahead_trace,
+    ),
+    exp("AB7", "integrity scrub-repair", integrity::ab7_integrity),
+    exp(
+        "AB8",
+        "elastic membership scale-out/in",
+        rebalance::ab8_elastic,
+    ),
+    Experiment {
+        kv_only: true,
+        require: &["rdma.cq."],
+        shard_footer: true,
+        ..exp(
+            "AB9",
+            "shard-per-core server scaling",
+            kvserver::ab9_core_scaling,
+        )
+    },
+    Experiment {
+        kv_only: true,
+        require: &["rkv.lat."],
+        slo: Some("slo/ab10.json"),
+        ..exp(
+            "AB10",
+            "tail-latency decomposition",
+            tracing::ab10_latency_decomposition,
+        )
+    },
+    Experiment {
+        kv_only: true,
+        // the representative cell runs with fan-out and tenant budgets armed
+        require: &["rkv.hot.", "rkv.tenant."],
+        ..exp(
+            "AB11",
+            "open-loop traffic (hot-key fan-out, tenant isolation)",
+            traffic::ab11_traffic,
+        )
+    },
+    Experiment {
+        // the representative cell runs admission on with local_only acks
+        require: &["bb.admit.", "bb.ack."],
+        slo: Some("slo/ab12.json"),
+        ..exp(
+            "AB12",
+            "traffic-aware burst-buffer admission",
+            admission::ab12_admission,
+        )
+    },
+    Experiment {
+        require: &["bb.place."],
+        slo: Some("slo/ab13.json"),
+        ..exp(
+            "AB13",
+            "topology-aware placement with live migration",
+            placement::ab13_placement,
+        )
+    },
+];

@@ -30,7 +30,7 @@ use crate::consistency::{Checker, History};
 use crate::experiments::integrity::step_to;
 use crate::experiments::ExpReport;
 use crate::table::Table;
-use crate::telemetry::{attach, capture_cell, CellTelemetry};
+use crate::telemetry::{capture_cell, CellTelemetry};
 
 /// One placement cell: the geo-stretched rig and its read schedule.
 #[derive(Debug, Clone, Copy)]
@@ -802,8 +802,7 @@ pub fn run_placement_property(case: &PlacementPropCase) -> PlacementPropOutcome 
     // persist dumps under the workspace-root target/ so a failing CI run
     // can upload them as artifacts
     if !outcome.flight_dumps.is_empty() {
-        let dir =
-            std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/flight-recorder");
+        let dir = crate::telemetry::repo_root().join("target/flight-recorder");
         if std::fs::create_dir_all(&dir).is_ok() {
             for (i, dump) in outcome.flight_dumps.iter().enumerate() {
                 let name = format!(
@@ -819,14 +818,10 @@ pub fn run_placement_property(case: &PlacementPropCase) -> PlacementPropOutcome 
     outcome
 }
 
-/// AB13 report only (timeline artifact discarded).
+/// AB13: telemetry-driven live migration on a geo-stretched cluster.
+/// The report carries the round-by-round convergence timeline
+/// (`repro AB13 --timeline`).
 pub fn ab13_placement(quick: bool, trace: bool) -> ExpReport {
-    ab13_with_artifacts(quick, trace).0
-}
-
-/// [`ab13_placement`] plus the convergence timeline (the `--timeline`
-/// artifact of `repro_ab13`).
-pub fn ab13_with_artifacts(quick: bool, trace: bool) -> (ExpReport, String) {
     let case = PlacementCase::ab13(quick);
     let (o, cell) = run_placement_telemetry(&case, trace);
 
@@ -908,13 +903,5 @@ pub fn ab13_with_artifacts(quick: bool, trace: bool) -> (ExpReport, String) {
         && o.chunks_lost == 0
         && o.files_ok
         && o.consistency_ok;
-    let mut report = ExpReport {
-        id: "AB13",
-        table: t,
-        shape_holds: shape,
-        metrics: None,
-        trace: None,
-    };
-    attach(&mut report, Some(cell));
-    (report, o.timeline)
+    ExpReport::new("AB13", t, shape, Some(cell)).with_timeline(o.timeline)
 }

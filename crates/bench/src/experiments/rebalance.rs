@@ -26,7 +26,7 @@ use crate::consistency::{Checker, History};
 use crate::experiments::integrity::step_to;
 use crate::experiments::ExpReport;
 use crate::table::Table;
-use crate::telemetry::{attach, capture_cell, CellTelemetry};
+use crate::telemetry::{capture_cell, CellTelemetry};
 
 /// A scripted membership change.
 #[derive(Debug, Clone, Copy)]
@@ -549,14 +549,9 @@ async fn read_back_ok(
     }
 }
 
-/// AB8 report only (timeline artifact discarded).
+/// AB8: scale the KV tier out and in under write load. The report
+/// carries the applied membership timeline (`repro AB8 --timeline`).
 pub fn ab8_elastic(quick: bool, trace: bool) -> ExpReport {
-    ab8_with_artifacts(quick, trace).0
-}
-
-/// [`ab8_elastic`] plus the applied membership timeline (the
-/// `--timeline` artifact of `repro_ab8`).
-pub fn ab8_with_artifacts(quick: bool, trace: bool) -> (ExpReport, String) {
     let case = RebalanceCase::ab8(quick);
     let (o, cell) = run_rebalance_telemetry(&case, trace);
 
@@ -639,13 +634,5 @@ pub fn ab8_with_artifacts(quick: bool, trace: bool) -> (ExpReport, String) {
         && o.checksum_fails == 0
         && o.chunks_lost == 0
         && o.consistency_ok;
-    let mut report = ExpReport {
-        id: "AB8",
-        table: t,
-        shape_holds: shape,
-        metrics: None,
-        trace: None,
-    };
-    attach(&mut report, Some(cell));
-    (report, o.timeline)
+    ExpReport::new("AB8", t, shape, Some(cell)).with_timeline(o.timeline)
 }

@@ -16,7 +16,7 @@ use simkit::Sim;
 
 use crate::experiments::ExpReport;
 use crate::table::Table;
-use crate::telemetry::{attach, capture_cell, CellTelemetry};
+use crate::telemetry::{capture_cell, CellTelemetry};
 
 /// The traced get-phase percentiles of one cell, in nanoseconds, plus
 /// the telescoping-identity audit of its finished ops.
@@ -111,7 +111,7 @@ pub fn traced_cell(
     }
     let telemetry = capture.then(|| {
         // mirror the traced series into the registry so the snapshot
-        // (and any `metrics_check --slo` gate on it) carries `rkv.lat.*`
+        // (and the `repro --check` SLO gate on it) carries `rkv.lat.*`
         tracer.publish(sim.metrics());
         capture_cell(&sim)
     });
@@ -131,7 +131,7 @@ pub fn traced_cell(
 /// pull the end-to-end p99 below the 1-core p99 — the tail is queueing,
 /// not service time. Every cell must also pass the telescoping audit
 /// (per-op stage sums equal end-to-end latency to the nanosecond).
-pub fn ab10_latency_decomposition(quick: bool) -> ExpReport {
+pub fn ab10_latency_decomposition(quick: bool, _trace: bool) -> ExpReport {
     let clients = if quick { 16 } else { 32 };
     let ops = if quick { 120 } else { 400 };
     let mut t = Table::new(
@@ -182,13 +182,5 @@ pub fn ab10_latency_decomposition(quick: bool) -> ExpReport {
         if exact { "exact" } else { "MISMATCH" },
     ));
     let shape_holds = one.queue_p99 > one.service_p99 && four.e2e.1 < one.e2e.1 && exact;
-    let mut report = ExpReport {
-        id: "AB10",
-        table: t,
-        shape_holds,
-        metrics: None,
-        trace: None,
-    };
-    attach(&mut report, cells.pop().unwrap().telemetry);
-    report
+    ExpReport::new("AB10", t, shape_holds, cells.pop().unwrap().telemetry)
 }

@@ -38,7 +38,7 @@ use workloads::traffic::{
 
 use crate::experiments::ExpReport;
 use crate::table::Table;
-use crate::telemetry::{attach, capture_cell, CellTelemetry};
+use crate::telemetry::{capture_cell, CellTelemetry};
 
 /// Per-tenant outcome counts of one open-loop cell.
 #[derive(Debug, Default, Clone, Copy)]
@@ -290,10 +290,10 @@ fn burst_mix(horizon_ns: u64) -> TrafficSpec {
     spec
 }
 
-/// AB11 with the timeline artifact: the experiment report plus a text
-/// timeline of every cell (skew sweep and isolation phases) for CI
-/// upload.
-pub fn ab11_with_artifacts(quick: bool) -> (ExpReport, String) {
+/// AB11: open-loop traffic — skew sweep with hot-key fan-out on/off,
+/// then tenant isolation under a bursting neighbour. The report carries
+/// a text timeline of every cell (`repro AB11 --timeline`).
+pub fn ab11_traffic(quick: bool, _trace: bool) -> ExpReport {
     let mut timeline = String::new();
     let mut line = |s: String| {
         timeline.push_str(&s);
@@ -400,18 +400,5 @@ pub fn ab11_with_artifacts(quick: bool) -> (ExpReport, String) {
         && degrade_unmanaged > degrade_managed
         && a_throttled > 0
         && managed.outcomes[&2].throttled == 0;
-    let mut report = ExpReport {
-        id: "AB11",
-        table: t,
-        shape_holds,
-        metrics: None,
-        trace: None,
-    };
-    attach(&mut report, managed.telemetry);
-    (report, timeline)
-}
-
-/// AB11 without the artifact (registry entry point).
-pub fn ab11_traffic(quick: bool) -> ExpReport {
-    ab11_with_artifacts(quick).0
+    ExpReport::new("AB11", t, shape_holds, managed.telemetry).with_timeline(timeline)
 }

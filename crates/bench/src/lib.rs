@@ -1,9 +1,10 @@
 //! # bench — the experiment harness
 //!
-//! One function per experiment in DESIGN.md §4 (E1–E12 plus the four
-//! ablations), each returning a printable [`table::Table`]. The
-//! `repro_*` binaries are thin wrappers; `repro_all` runs the full suite
-//! and regenerates `EXPERIMENTS.md`.
+//! One function per experiment in DESIGN.md §4 (E1–E12 plus the
+//! ablations AB1–AB13), each returning an [`experiments::ExpReport`]
+//! around a printable [`table::Table`]. [`experiments::REGISTRY`] lists
+//! them; the `repro` binary runs one row by id, or `all` of them and
+//! regenerates `EXPERIMENTS.md`.
 //!
 //! Parameter sweeps fan out with rayon — every cell builds its own
 //! deterministic simulation, so cells are embarrassingly parallel across

@@ -1,20 +1,20 @@
-//! Harness-side telemetry plumbing: the `--metrics-json` / `--trace`
-//! flags shared by every `repro_*` binary, representative-cell capture,
-//! and the tiny JSON reader `metrics_check` and the tests use to
+//! Harness-side telemetry plumbing: the `repro` command line,
+//! representative-cell capture, the structural snapshot check behind
+//! `repro --check`, and the tiny JSON reader it and the tests use to
 //! validate snapshots without a JSON dependency.
 //!
 //! Experiment sweeps run one [`Sim`] per cell, so a suite-wide registry
 //! cannot exist; instead each experiment captures the snapshot (and,
 //! when asked, the Chrome trace) of its *representative* cell — the one
 //! its headline claim is about (e.g. BB-Async at the largest size for
-//! E4) — and attaches it to the [`ExpReport`].
+//! E4) — and hands it to [`ExpReport::new`].
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use simkit::telemetry::Snapshot;
 use simkit::Sim;
 
-use crate::experiments::ExpReport;
+use crate::experiments::{ExpReport, Experiment};
 
 /// Telemetry captured from one experiment cell.
 pub struct CellTelemetry {
@@ -34,14 +34,6 @@ pub fn capture_cell(sim: &Sim) -> CellTelemetry {
         None
     };
     CellTelemetry { snapshot, trace }
-}
-
-/// Attach `cell` to a report (the last step of each experiment fn).
-pub fn attach(report: &mut ExpReport, cell: Option<CellTelemetry>) {
-    if let Some(c) = cell {
-        report.metrics = Some(c.snapshot);
-        report.trace = c.trace;
-    }
 }
 
 /// Print a per-shard service-time footer from the representative cell's
@@ -77,68 +69,194 @@ pub fn print_shard_footer(report: &ExpReport) {
     }
 }
 
-/// Command-line options every `repro_*` binary understands.
+/// The repository root (where `slo/` and `snapshots/` live).
+pub fn repo_root() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
+}
+
+/// The `repro` command line.
+pub const USAGE: &str = "usage: repro <ID>|all|--list [--quick] [--check] \
+[--metrics-json PATH] [--trace PATH] [--timeline PATH] [--out EXPERIMENTS.md]
+  --list prints the ids; --check exits 1 unless the paper shape holds and the
+  metrics snapshot passes the experiment's structural checks; the artifact
+  PATHs go with one <ID>, --out (EXPERIMENTS.md plus snapshots/) with `all`";
+
+/// What a `repro` invocation runs.
+pub enum Target {
+    /// `--list`: print the registry's ids.
+    List,
+    /// `all`: the whole registry, in order.
+    All,
+    /// One experiment.
+    One(&'static Experiment),
+}
+
+/// Parsed `repro` options.
 pub struct RunOpts {
+    /// What to run.
+    pub target: Target,
     /// Shrink sweeps for CI-speed runs (`--quick`).
     pub quick: bool,
+    /// Gate the exit code on shape and snapshot structure (`--check`).
+    pub check: bool,
     /// Write the representative cell's metrics snapshot here
     /// (`--metrics-json PATH`).
     pub metrics_json: Option<PathBuf>,
     /// Trace the representative cell and write Chrome trace-event JSON
     /// here (`--trace PATH`).
     pub trace: Option<PathBuf>,
+    /// Write the run's timeline artifact here (`--timeline PATH`).
+    pub timeline: Option<PathBuf>,
+    /// Write the regenerated EXPERIMENTS.md here (`--out PATH`).
+    pub out: Option<PathBuf>,
 }
 
 impl RunOpts {
-    /// Parse from the process arguments. Unknown flags are ignored so
-    /// binaries with extra options can layer on top.
-    pub fn parse() -> RunOpts {
-        Self::from_args(std::env::args().skip(1).collect())
-    }
-
-    /// Parse from an explicit argument list (tests).
-    pub fn from_args(args: Vec<String>) -> RunOpts {
-        let value_of = |flag: &str| {
-            args.iter()
-                .position(|a| a == flag)
-                .and_then(|i| args.get(i + 1))
-                .map(PathBuf::from)
-        };
-        RunOpts {
-            quick: args.iter().any(|a| a == "--quick"),
-            metrics_json: value_of("--metrics-json"),
-            trace: value_of("--trace"),
-        }
-    }
-
-    /// Whether the experiment should run its representative cell traced.
-    pub fn trace_enabled(&self) -> bool {
-        self.trace.is_some()
-    }
-
-    /// Write the report's telemetry to the requested paths.
-    pub fn write(&self, report: &ExpReport) {
-        if let Some(path) = &self.metrics_json {
-            match &report.metrics {
-                Some(snap) => {
-                    std::fs::write(path, snap.to_json()).expect("write metrics json");
-                    println!("wrote metrics snapshot: {}", path.display());
+    /// Parse an argument list (without the program name). Anything not
+    /// understood is an error, never ignored: a typo'd `--quick` must
+    /// not silently run the full sweep.
+    pub fn from_args(args: Vec<String>) -> Result<RunOpts, String> {
+        let mut target = None;
+        let (mut quick, mut check) = (false, false);
+        let (mut metrics_json, mut trace, mut timeline, mut out) = (None, None, None, None);
+        let mut args = args.into_iter().peekable();
+        while let Some(arg) = args.next() {
+            let mut value = || {
+                args.next_if(|v| !v.starts_with('-'))
+                    .map(PathBuf::from)
+                    .ok_or_else(|| format!("{arg} needs a value"))
+            };
+            match arg.as_str() {
+                "--quick" => quick = true,
+                "--check" => check = true,
+                "--metrics-json" => metrics_json = Some(value()?),
+                "--trace" => trace = Some(value()?),
+                "--timeline" => timeline = Some(value()?),
+                "--out" => out = Some(value()?),
+                what => {
+                    let named = match what {
+                        "--list" => Target::List,
+                        "all" => Target::All,
+                        flag if flag.starts_with('-') => {
+                            return Err(format!("unknown flag {flag}"));
+                        }
+                        id => Target::One(
+                            Experiment::find(id)
+                                .ok_or_else(|| format!("unknown experiment {id}"))?,
+                        ),
+                    };
+                    if target.replace(named).is_some() {
+                        return Err(format!("{what}: only one of <ID>, all, --list"));
+                    }
                 }
-                None => println!(
-                    "note: {} captures no metrics snapshot (no simulation cell)",
-                    report.id
-                ),
             }
         }
-        if let Some(path) = &self.trace {
-            match &report.trace {
-                Some(json) => {
-                    std::fs::write(path, json).expect("write trace json");
-                    println!("wrote Chrome trace: {}", path.display());
-                }
-                None => println!("note: {} produced no trace (no simulation cell)", report.id),
+        let target = target.ok_or("nothing to run")?;
+        if !matches!(target, Target::One(_))
+            && (metrics_json.is_some() || trace.is_some() || timeline.is_some())
+        {
+            return Err("--metrics-json, --trace and --timeline need a single <ID>".into());
+        }
+        if out.is_some() && !matches!(target, Target::All) {
+            return Err("--out needs `all`".into());
+        }
+        Ok(RunOpts {
+            target,
+            quick,
+            check,
+            metrics_json,
+            trace,
+            timeline,
+            out,
+        })
+    }
+}
+
+/// The structural gate behind `repro --check`: the schema marker, every
+/// instrumented subsystem's metric family, the row's required prefixes,
+/// its expected read-tier chunk count (`--quick` cells only) and its SLO
+/// budget file. `Ok` carries a one-line summary, `Err` every violation.
+pub fn check_snapshot(exp: &Experiment, json: &str, quick: bool) -> Result<String, Vec<String>> {
+    let mut failures = Vec::new();
+    // v1 snapshots (pre-percentile histograms) stay valid; v2 adds
+    // p50/p99/p999 fields to every histogram
+    if !json.contains("\"schema\": \"rdma-bb.metrics.v1\"")
+        && !json.contains("\"schema\": \"rdma-bb.metrics.v2\"")
+    {
+        failures.push("missing schema marker rdma-bb.metrics.v1/v2".to_string());
+    }
+    // every instrumented subsystem must show up in a burst-buffer cell;
+    // a KV-only cell has no buffer or Lustre layer but still owes the KV
+    // server, shard, reclamation, and fabric families
+    let bb_families: &[&str] = &[
+        "bb.read.",
+        "bb.mgr.",
+        "bb.integrity.",
+        "bb.scrub.",
+        "bb.pressure.",
+        "bb.rebalance.",
+        "lustre.",
+    ];
+    let kv_families: &[&str] = &[
+        "rkv.server",
+        "rkv.shard.",
+        "rkv.slab.reclaim.",
+        "rdma.",
+        "netsim.",
+    ];
+    let bb_families = if exp.kv_only { &[] } else { bb_families };
+    for prefix in bb_families.iter().chain(kv_families).chain(exp.require) {
+        if !has_metric_prefix(json, prefix) {
+            failures.push(format!("no metric under prefix {prefix:?}"));
+        }
+    }
+    let sum: u64 = [
+        "bb.read.tier_local",
+        "bb.read.tier_buffer",
+        "bb.read.tier_lustre",
+    ]
+    .iter()
+    .map(|n| counter_in_json(json, n).unwrap_or(0))
+    .sum();
+    if let Some(expect) = exp.quick_chunks.filter(|_| quick) {
+        if sum != expect {
+            failures.push(format!(
+                "read-tier counters sum to {sum}, expected {expect} dataset chunks"
+            ));
+        }
+    }
+    let mut slo_note = String::new();
+    if let Some(slo_path) = exp.slo {
+        let slo = std::fs::read_to_string(repo_root().join(slo_path)).unwrap_or_else(|e| {
+            failures.push(format!("{slo_path}: {e}"));
+            String::new()
+        });
+        if !slo.contains("\"schema\": \"rdma-bb.slo.v1\"") {
+            failures.push(format!("{slo_path}: missing schema marker rdma-bb.slo.v1"));
+        }
+        let budgets = parse_slo_budgets(&slo);
+        if budgets.is_empty() {
+            failures.push(format!("{slo_path}: no budgets parsed"));
+        }
+        slo_note = format!(", {} SLO budgets honoured", budgets.len());
+        for (metric, field, budget) in budgets {
+            match histogram_field_in_json(json, &metric, &field) {
+                Some(v) if v <= budget => {}
+                Some(v) => failures.push(format!(
+                    "SLO violation: {metric} {field} = {v} ns exceeds budget {budget} ns"
+                )),
+                None => failures.push(format!(
+                    "SLO budget for {metric} but the snapshot has no such histogram"
+                )),
             }
         }
+    }
+    if failures.is_empty() {
+        Ok(format!(
+            "schema valid, all subsystem families present, tier sum {sum}{slo_note}"
+        ))
+    } else {
+        Err(failures)
     }
 }
 
@@ -215,22 +333,46 @@ pub fn parse_slo_budgets(slo: &str) -> Vec<(String, String, u64)> {
 mod tests {
     use super::*;
 
+    fn parse(args: &[&str]) -> Result<RunOpts, String> {
+        RunOpts::from_args(args.iter().map(|s| s.to_string()).collect())
+    }
+
     #[test]
     fn flags_parse() {
-        let o = RunOpts::from_args(
-            ["--quick", "--metrics-json", "m.json", "--trace", "t.json"]
-                .iter()
-                .map(|s| s.to_string())
-                .collect(),
-        );
-        assert!(o.quick);
+        let o = parse(&[
+            "E4",
+            "--quick",
+            "--metrics-json",
+            "m.json",
+            "--trace",
+            "t.json",
+            "--check",
+        ])
+        .unwrap();
+        assert!(matches!(o.target, Target::One(e) if e.id == "E4"));
+        assert!(o.quick && o.check);
+        assert_eq!(o.metrics_json.as_deref(), Some(Path::new("m.json")));
+        assert_eq!(o.trace.as_deref(), Some(Path::new("t.json")));
+        let o = parse(&["all", "--out", "x/EXPERIMENTS.md"]).unwrap();
+        assert!(matches!(o.target, Target::All) && !o.quick && !o.check);
+        assert!(matches!(parse(&["--list"]).unwrap().target, Target::List));
+    }
+
+    #[test]
+    fn bad_command_lines_are_rejected_not_ignored() {
+        let err = |args: &[&str]| parse(args).err().expect("must be rejected");
+        assert_eq!(err(&["E99", "--quick"]), "unknown experiment E99");
+        // the typo that used to run the full sweep
+        assert_eq!(err(&["E4", "--quik"]), "unknown flag --quik");
         assert_eq!(
-            o.metrics_json.as_deref(),
-            Some(std::path::Path::new("m.json"))
+            err(&["E4", "--metrics-json"]),
+            "--metrics-json needs a value"
         );
-        assert!(o.trace_enabled());
-        let o = RunOpts::from_args(vec![]);
-        assert!(!o.quick && o.metrics_json.is_none() && !o.trace_enabled());
+        assert_eq!(err(&["E4", "--trace", "--quick"]), "--trace needs a value");
+        assert_eq!(err(&["--quick"]), "nothing to run");
+        assert!(err(&["E3", "E4"]).contains("only one of"));
+        assert!(err(&["all", "--timeline", "t.txt"]).contains("single <ID>"));
+        assert!(err(&["E4", "--out", "EXPERIMENTS.md"]).contains("needs `all`"));
     }
 
     #[test]

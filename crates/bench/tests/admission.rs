@@ -14,7 +14,7 @@ use bench::experiments::admission::{ab12_admission, run_admission_cell};
 
 #[test]
 fn ab12_admission_beats_always_admit_on_p99_and_runtime() {
-    let rep = ab12_admission(true);
+    let rep = ab12_admission(true, false);
     assert!(
         rep.shape_holds,
         "AB12 quick shape diverged:\n{}",

@@ -139,36 +139,6 @@ pub struct BbConfig {
     pub kv_servers: usize,
     /// Memory budget per KV server.
     pub kv_mem_per_server: u64,
-    /// Modeled cores per KV server. `1` (default) reproduces the
-    /// single-context server exactly; ≥ 2 activates the shard-per-core
-    /// engine (one store stripe per core, requests routed by key hash).
-    pub kv_cores: usize,
-    /// Max completions a KV server drains per poll of its completion
-    /// ring. `1` (default) keeps the single-context model.
-    pub kv_cq_batch: usize,
-    /// Idle window before a KV server's slab classes become eligible for
-    /// page reclamation under pressure. `Duration::ZERO` (default)
-    /// disables reclamation (classic memcached calcification).
-    pub kv_reclaim_idle: std::time::Duration,
-    /// Hot-key replica fan-out on each KV server (engine model only):
-    /// reads of keys the per-shard frequency sketch flags hot spread
-    /// across this many extra cores beyond the home core, served from a
-    /// write-invalidated server-side copy. `0` (default) disables
-    /// detection and fan-out (seed behaviour).
-    pub kv_hot_replicas: usize,
-    /// Per-tenant resident-byte floor on each KV server, as a fraction
-    /// of each shard's memory budget: other tenants' eviction pressure
-    /// cannot push a tenant below its floor. `0.0` (default) disables
-    /// tenant budgeting.
-    pub kv_tenant_floor: f64,
-    /// Per-tenant token-bucket admission rate on each KV server
-    /// (ops/sec); requests over budget are rejected with `Throttled`
-    /// before touching a core. `0.0` (default) disables admission;
-    /// tenant 0 is always exempt.
-    pub kv_tenant_rate: f64,
-    /// Token-bucket depth (burst allowance, ops) when
-    /// [`BbConfig::kv_tenant_rate`] is active.
-    pub kv_tenant_burst: f64,
     /// Concurrent file flush streams in the persistence manager.
     pub flusher_threads: usize,
     /// Writers stall when unflushed buffered bytes exceed this fraction of
@@ -197,7 +167,7 @@ pub struct BbConfig {
     /// writes per byte.
     pub client_read_rate: f64,
     /// Transport the KV layer runs on (native verbs by default; the
-    /// `repro_ab1` ablation swaps in IPoIB/Ethernet to isolate the RDMA
+    /// `repro AB1` ablation swaps in IPoIB/Ethernet to isolate the RDMA
     /// contribution).
     pub transport: netsim::TransportProfile,
     /// Use the hybrid one-sided protocol (RDMA READ/WRITE for payloads).
@@ -309,13 +279,6 @@ impl Default for BbConfig {
             chunk_size: 512 << 10,
             kv_servers: 4,
             kv_mem_per_server: 512 << 20,
-            kv_cores: 1,
-            kv_cq_batch: 1,
-            kv_reclaim_idle: std::time::Duration::ZERO,
-            kv_hot_replicas: 0,
-            kv_tenant_floor: 0.0,
-            kv_tenant_rate: 0.0,
-            kv_tenant_burst: 64.0,
             flusher_threads: 4,
             flush_watermark: 0.6,
             write_window: 4,
@@ -388,6 +351,22 @@ pub struct BbDeployment {
     ack: std::cell::RefCell<Option<Rc<client::AckCounters>>>,
 }
 
+/// The configuration every KV server of a deployment runs with, members
+/// and standbys alike.
+fn kv_server_config(config: &BbConfig) -> KvServerConfig {
+    KvServerConfig {
+        slab: SlabConfig {
+            mem_limit: config.kv_mem_per_server,
+            ..SlabConfig::default()
+        },
+        // chunks arrive with their CRC32C in `flags`; the server rejects
+        // transfers whose payload no longer matches (BadDigest → client
+        // re-sends)
+        verify_set_crc: true,
+        ..KvServerConfig::default()
+    }
+}
+
 impl BbDeployment {
     /// Deploy a burst buffer on `fabric`, backed by `lustre`. KV servers
     /// and the manager get fresh fabric nodes; `compute_nodes` are the
@@ -416,28 +395,7 @@ impl BbDeployment {
         let kv_servers: Vec<Rc<KvServer>> = (0..config.kv_servers)
             .map(|_| {
                 let node = fabric.add_node();
-                KvServer::new(
-                    Rc::clone(&stack),
-                    node,
-                    KvServerConfig {
-                        slab: SlabConfig {
-                            mem_limit: config.kv_mem_per_server,
-                            ..SlabConfig::default()
-                        },
-                        cores: config.kv_cores,
-                        cq_batch: config.kv_cq_batch,
-                        reclaim_idle: config.kv_reclaim_idle,
-                        hot_replicas: config.kv_hot_replicas,
-                        tenant_floor_frac: config.kv_tenant_floor,
-                        tenant_rate: config.kv_tenant_rate,
-                        tenant_burst: config.kv_tenant_burst,
-                        // chunks arrive with their CRC32C in `flags`; the
-                        // server rejects transfers whose payload no longer
-                        // matches (BadDigest → client re-sends)
-                        verify_set_crc: true,
-                        ..KvServerConfig::default()
-                    },
-                )
+                KvServer::new(Rc::clone(&stack), node, kv_server_config(&config))
             })
             .collect();
         let hdfs_local = match config.scheme {
@@ -516,25 +474,7 @@ impl BbDeployment {
     pub fn standby_kv_server(&self) -> Rc<KvServer> {
         let fabric = self.stack.fabric();
         let node = fabric.add_node();
-        let server = KvServer::new(
-            Rc::clone(&self.stack),
-            node,
-            KvServerConfig {
-                slab: SlabConfig {
-                    mem_limit: self.config.kv_mem_per_server,
-                    ..SlabConfig::default()
-                },
-                cores: self.config.kv_cores,
-                cq_batch: self.config.kv_cq_batch,
-                reclaim_idle: self.config.kv_reclaim_idle,
-                hot_replicas: self.config.kv_hot_replicas,
-                tenant_floor_frac: self.config.kv_tenant_floor,
-                tenant_rate: self.config.kv_tenant_rate,
-                tenant_burst: self.config.kv_tenant_burst,
-                verify_set_crc: true,
-                ..KvServerConfig::default()
-            },
-        );
+        let server = KvServer::new(Rc::clone(&self.stack), node, kv_server_config(&self.config));
         self.standby.borrow_mut().insert(node.0, Rc::clone(&server));
         server
     }

@@ -431,6 +431,31 @@ enum MigrateOutcome {
     },
 }
 
+/// A chunk's membership in the `migrating` set for the length of one
+/// move: released on drop, so no exit from [`BbManager::migrate_to`] can
+/// leak the chunk (a leaked entry hides it from the scrubber for good
+/// and keeps `rebalance_backlog()` above zero).
+struct MigratingGuard<'a> {
+    set: &'a RefCell<BTreeSet<(u64, u64)>>,
+    chunk: (u64, u64),
+}
+
+impl<'a> MigratingGuard<'a> {
+    /// Enter `chunk` into `set`; `None` when another move already holds it.
+    fn acquire(set: &'a RefCell<BTreeSet<(u64, u64)>>, chunk: (u64, u64)) -> Option<Self> {
+        // built only on success: a refused guard must not exist, or its
+        // drop would release the holder's entry
+        let entered = set.borrow_mut().insert(chunk);
+        entered.then(|| MigratingGuard { set, chunk })
+    }
+}
+
+impl Drop for MigratingGuard<'_> {
+    fn drop(&mut self) {
+        self.set.borrow_mut().remove(&self.chunk);
+    }
+}
+
 /// The manager process.
 pub struct BbManager {
     node: NodeId,
@@ -1584,9 +1609,9 @@ impl BbManager {
             return MigrateOutcome::Gone;
         }
         let key = chunk_key(file_id, seq);
-        if !self.migrating.borrow_mut().insert((file_id, seq)) {
+        let Some(_moving) = MigratingGuard::acquire(&self.migrating, (file_id, seq)) else {
             return MigrateOutcome::Busy;
-        }
+        };
         // Which desired owners already hold a good copy?
         let mut have: Vec<usize> = Vec::new();
         let mut source: Option<Bytes> = None;
@@ -1622,7 +1647,6 @@ impl BbManager {
         let Some(data) = source else {
             // No authoritative copy reachable right now: leave the old
             // layout alone and let the scrubber/flusher sort it out.
-            self.migrating.borrow_mut().remove(&(file_id, seq));
             return MigrateOutcome::NoSource;
         };
         let mut wrote = false;
@@ -1651,7 +1675,6 @@ impl BbManager {
             }
         }
         if !verified {
-            self.migrating.borrow_mut().remove(&(file_id, seq));
             return MigrateOutcome::Failed;
         }
         if self.pinned.borrow().contains(&(file_id, seq)) {
@@ -1674,7 +1697,6 @@ impl BbManager {
             let _ = self.kv.delete_from(idx, &key).await;
         }
         let bytes = data.len() as u64;
-        self.migrating.borrow_mut().remove(&(file_id, seq));
         MigrateOutcome::Done { wrote, bytes }
     }
 
@@ -1842,5 +1864,28 @@ impl BbManager {
         let data = f.read_at(seq * chunk_size, len).await.ok()?;
         let _ = f.close().await;
         (integrity::chunk_crc(&chunk_key(file_id, seq), &data) == crc).then_some(data)
+    }
+}
+
+#[cfg(test)]
+mod guard_tests {
+    use super::*;
+
+    #[test]
+    fn migrating_guard_excludes_a_second_mover_and_releases_on_every_exit() {
+        let set = RefCell::new(BTreeSet::new());
+        let early_return = |fail: bool| -> Option<()> {
+            let _g = MigratingGuard::acquire(&set, (7, 3))?;
+            assert!(MigratingGuard::acquire(&set, (7, 3)).is_none());
+            assert!(MigratingGuard::acquire(&set, (7, 4)).is_some());
+            if fail {
+                return None;
+            }
+            Some(())
+        };
+        assert_eq!(early_return(true), None);
+        assert!(set.borrow().is_empty(), "early return leaked the chunk");
+        assert_eq!(early_return(false), Some(()));
+        assert!(set.borrow().is_empty());
     }
 }

@@ -2,7 +2,7 @@
 //! ring for client-side server selection.
 //!
 //! Consistent hashing is what lets the burst buffer add/remove KV servers
-//! with minimal key movement — the `repro_ab4` ablation quantifies the
+//! with minimal key movement — the `repro AB4` ablation quantifies the
 //! remap fraction against round-robin.
 
 /// 64-bit FNV-1a.

@@ -18,16 +18,15 @@ use lustre::{LustreClient, LustreError, LustreFile};
 
 use crate::integrity;
 pub use crate::manager::BbError;
-use crate::manager::{chunk_key, lustre_path, BbFileMeta, FileState, MgrMsg, MGR_SERVICE};
-use crate::{AckMode, BbConfig, BbDeployment, Scheme};
+use crate::manager::{chunk_key, lustre_path, BbFileMeta, Dropped, FileState, MgrMsg, MGR_SERVICE};
+use crate::{AckMode, BbConfig, BbDeployment, Scheme, KV_BACKOFF, KV_RETRIES, WRITE_WINDOW};
 
 /// KV client settings derived from the burst-buffer configuration.
 pub(crate) fn kv_client_config(cfg: &BbConfig) -> KvClientConfig {
     let resilience = KvClientConfig {
         replication: cfg.kv_replication.max(1),
-        op_timeout: cfg.kv_op_timeout,
-        max_retries: cfg.kv_retries,
-        backoff_base: cfg.kv_backoff,
+        max_retries: KV_RETRIES,
+        backoff_base: KV_BACKOFF,
         ..KvClientConfig::default()
     };
     if cfg.one_sided {
@@ -239,7 +238,6 @@ impl BbClient {
         op: Option<simkit::OpId>,
         make: impl Fn(netsim::ReplyHandle<R>) -> MgrMsg,
     ) -> Result<R, BbError> {
-        let cfg = &self.dep.config;
         let sim = self.dep.stack.sim();
         let mut attempt = 0u32;
         loop {
@@ -258,12 +256,11 @@ impl BbClient {
                 .await;
             match r {
                 Ok(v) => return Ok(v),
-                Err(netsim::RpcError::Net(_)) if attempt < cfg.kv_retries => {
+                Err(netsim::RpcError::Net(_)) if attempt < KV_RETRIES => {
                     sim.flight_record("bb.client", "mgr_retry", || {
                         format!("node={} attempt={attempt}", self.node.0)
                     });
-                    let delay = cfg
-                        .kv_backoff
+                    let delay = KV_BACKOFF
                         .saturating_mul(1 << attempt.min(20))
                         .min(Duration::from_millis(5));
                     attempt += 1;
@@ -313,7 +310,7 @@ impl BbClient {
             staged: RefCell::new(BytesMut::new()),
             seq: Cell::new(0),
             size: Cell::new(0),
-            window: Rc::new(Semaphore::new(self.dep.config.write_window.max(1))),
+            window: Rc::new(Semaphore::new(WRITE_WINDOW)),
             pending: RefCell::new(Vec::new()),
             closed: Cell::new(false),
             crcs: RefCell::new(Vec::new()),
@@ -366,7 +363,7 @@ impl BbClient {
     /// backing file, and the scheme-C local replica.
     pub async fn delete(&self, path: &str) -> Result<(), BbError> {
         let p = path.to_owned();
-        let meta = self
+        let Dropped { meta, mut placed } = self
             .mgr_call(128 + path.len() as u64, None, |reply| MgrMsg::Delete {
                 path: p.clone(),
                 reply,
@@ -382,9 +379,21 @@ impl BbClient {
             let gate = gate.clone();
             let kv = Rc::clone(&self.kv);
             let key = chunk_key(meta.file_id, seq);
+            let servers = placed.remove(&seq);
             pending.push(sim.spawn(async move {
                 let _permit = gate.acquire().await;
-                let _ = kv.delete(&key).await;
+                match servers {
+                    // the copies sat on a placement override's servers; with
+                    // the override swept the key routes elsewhere
+                    Some(servers) => {
+                        for idx in servers {
+                            let _ = kv.delete_from(idx, &key).await;
+                        }
+                    }
+                    None => {
+                        let _ = kv.delete(&key).await;
+                    }
+                }
             }));
         }
         for h in pending {
@@ -755,8 +764,6 @@ async fn put_quorum(
             }
         };
         let kv = Rc::clone(&client.kv);
-        let retries = client.dep.config.kv_retries;
-        let backoff = client.dep.config.kv_backoff;
         let key = key.to_vec();
         let data = chunk.clone();
         let counters = Rc::clone(&ack);
@@ -765,12 +772,12 @@ async fn put_quorum(
             let _permit = permit;
             for idx in tail {
                 let mut done = false;
-                for attempt in 0..=retries {
+                for attempt in 0..=KV_RETRIES {
                     if kv.set_to(idx, &key, data.clone(), crc, 0).await.is_ok() {
                         done = true;
                         break;
                     }
-                    let delay = backoff
+                    let delay = KV_BACKOFF
                         .saturating_mul(1 << attempt.min(20))
                         .min(Duration::from_millis(5));
                     sim2.sleep(delay).await;
@@ -952,9 +959,8 @@ impl ReadCore {
         let chunk_len = chunk_size.min(size - seq * chunk_size);
         let sim = self.client.dep.stack.sim().clone();
         let _sp = sim.span("bb.fetch_chunk", "bb", self.client.node.0, seq);
-        if let Some(t) = self.client.dep.manager.access_tracker() {
-            t.record(file_id, seq, self.client.node.0);
-        }
+        let mgr = &self.client.dep.manager;
+        mgr.record_read(file_id, seq, self.client.node);
         let read_cpu = simkit::dur::transfer(chunk_len, self.config().client_read_rate);
         // tier 0 (scheme C): node-local replica
         if self.has_local_replica(seq * chunk_size) {
@@ -1155,10 +1161,9 @@ impl ReadCore {
         };
         let rate = self.config().client_read_rate;
         let sim = self.client.dep.stack.sim().clone();
-        if let Some(t) = self.client.dep.manager.access_tracker() {
-            for &s in seqs {
-                t.record(file_id, s, self.client.node.0);
-            }
+        let mgr = &self.client.dep.manager;
+        for &s in seqs {
+            mgr.record_read(file_id, s, self.client.node);
         }
         let clen = |seq: u64| chunk_size.min(size - seq * chunk_size);
         let mut out: BTreeMap<u64, Result<Bytes, BbError>> = BTreeMap::new();

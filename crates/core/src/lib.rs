@@ -25,10 +25,13 @@
 
 #![warn(missing_docs)]
 
+mod chunks;
 pub mod client;
+mod flusher;
 pub mod fs;
 pub mod integrity;
 pub mod manager;
+mod movers;
 pub mod placement;
 
 use std::rc::Rc;
@@ -127,6 +130,16 @@ impl AckMode {
     }
 }
 
+/// Chunks a writer pushes concurrently.
+pub(crate) const WRITE_WINDOW: usize = 4;
+/// RAM-disk capacity per node for the locality replica (scheme C).
+const LOCAL_RAMDISK: u64 = 8 << 30;
+/// Bounded retries on transport errors: per KV replica and op, per
+/// manager RPC, and (plus three) per flusher read-back.
+pub(crate) const KV_RETRIES: u32 = 3;
+/// First retry backoff (doubles per retry).
+pub(crate) const KV_BACKOFF: std::time::Duration = std::time::Duration::from_micros(100);
+
 /// Burst-buffer deployment configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct BbConfig {
@@ -144,8 +157,6 @@ pub struct BbConfig {
     /// Writers stall when unflushed buffered bytes exceed this fraction of
     /// the aggregate KV memory (protects unflushed data from LRU pressure).
     pub flush_watermark: f64,
-    /// Chunks a writer pushes concurrently.
-    pub write_window: usize,
     /// Chunks a reader fetches concurrently (pipelined tiered read path).
     /// `1` reproduces the serial chunk-at-a-time behaviour exactly.
     pub read_window: usize,
@@ -153,8 +164,6 @@ pub struct BbConfig {
     /// sequential reads (readahead); the bytes returned are identical
     /// either way.
     pub readahead: bool,
-    /// RAM-disk capacity per node for the locality replica (scheme C).
-    pub local_ramdisk: u64,
     /// Populate the buffer on Lustre-fallback reads (read-through cache).
     pub populate_on_read: bool,
     /// Client-side serialization rate on the write path (bytes/s): the
@@ -177,29 +186,13 @@ pub struct BbConfig {
     /// distinct servers on the ring and reads fail over between them.
     /// `1` reproduces the paper's single-copy buffer.
     pub kv_replication: usize,
-    /// Per-attempt deadline on every KV operation.
-    pub kv_op_timeout: std::time::Duration,
-    /// Bounded retries per KV replica on transport errors/timeouts.
-    pub kv_retries: u32,
-    /// First retry backoff (doubles per retry, seeded jitter).
-    pub kv_backoff: std::time::Duration,
-    /// Background scrubber tick period (virtual time). Each tick verifies
-    /// checksums on up to [`BbConfig::scrub_batch`] resident chunks across
-    /// all replicas and repairs divergent copies. `Duration::ZERO`
-    /// disables the scrubber.
-    pub scrub_interval: std::time::Duration,
-    /// Chunks verified per scrubber tick.
-    pub scrub_batch: usize,
     /// Background rebalancer tick period (virtual time). Each tick reacts
     /// to membership-epoch bumps by queueing resident chunks whose ring
-    /// owners changed, then migrates up to [`BbConfig::rebalance_batch`]
-    /// of them (copy to the new owners, verify CRC by read-back, delete
-    /// from the old). `Duration::ZERO` disables the rebalancer (a
-    /// membership change then relies on the epoch-fallback read path
-    /// alone).
+    /// owners changed, then migrates up to 64 of them (copy to the new
+    /// owners, verify CRC by read-back, delete from the old).
+    /// `Duration::ZERO` disables the rebalancer (a membership change then
+    /// relies on the epoch-fallback read path alone).
     pub rebalance_interval: std::time::Duration,
-    /// Chunks migrated per rebalancer tick.
-    pub rebalance_batch: usize,
     /// Overload high watermark: when unflushed buffered bytes exceed this
     /// fraction of aggregate KV memory, write acks carry a pressure signal
     /// and writers degrade to write-through-to-Lustre (per scheme, no
@@ -215,12 +208,6 @@ pub struct BbConfig {
     /// decompositions (`rkv.lat.*`, `bb.lat.*`). `false` (default) keeps
     /// tracing fully disabled — outputs are byte-identical either way.
     pub trace_ops: bool,
-    /// Ring capacity of the per-component crash flight recorder
-    /// ([`simkit::flight`]). `0` (default) disables it; when enabled,
-    /// fault applications, pressure transitions, lost files, and
-    /// unrepairable scrub verdicts land in bounded rings that assertion
-    /// failures dump deterministically to JSON.
-    pub flight_recorder_len: usize,
     /// Default durability ack mode for buffered writes ([`AckMode`]).
     /// [`AckMode::FullR`] (default) reproduces the seed exactly: the ack
     /// waits for all `r` replicas. Relaxed modes ack at the mode's quorum
@@ -281,27 +268,18 @@ impl Default for BbConfig {
             kv_mem_per_server: 512 << 20,
             flusher_threads: 4,
             flush_watermark: 0.6,
-            write_window: 4,
             read_window: 8,
             readahead: true,
-            local_ramdisk: 8 << 30,
             populate_on_read: false,
             client_write_rate: 55e6,
             client_read_rate: 1.0e9,
             transport: netsim::TransportProfile::verbs_qdr(),
             one_sided: true,
             kv_replication: 1,
-            kv_op_timeout: std::time::Duration::from_secs(1),
-            kv_retries: 3,
-            kv_backoff: std::time::Duration::from_micros(100),
-            scrub_interval: std::time::Duration::from_secs(1),
-            scrub_batch: 32,
             rebalance_interval: std::time::Duration::from_millis(200),
-            rebalance_batch: 64,
             bb_high_watermark: 0.75,
             bb_low_watermark: 0.5,
             trace_ops: false,
-            flight_recorder_len: 0,
             bb_ack_mode: AckMode::FullR,
             bb_ack_ahead: 8,
             bb_admit_stream_bytes: 0,
@@ -388,9 +366,6 @@ impl BbDeployment {
         if config.trace_ops {
             fabric.sim().optrace().enable();
         }
-        if config.flight_recorder_len > 0 {
-            fabric.sim().flight().enable(config.flight_recorder_len);
-        }
         let stack = RdmaStack::with_profile(Rc::clone(fabric), config.transport);
         let kv_servers: Vec<Rc<KvServer>> = (0..config.kv_servers)
             .map(|_| {
@@ -410,7 +385,7 @@ impl BbDeployment {
                     HdfsConfig {
                         replication: 1,
                         dn_disk: DiskKind::RamDisk,
-                        dn_capacity: config.local_ramdisk,
+                        dn_capacity: LOCAL_RAMDISK,
                         ..HdfsConfig::default()
                     },
                 ))
@@ -588,9 +563,7 @@ impl BbDeployment {
         if let Some(h) = &self.hdfs_local {
             h.shutdown();
         }
-        self.manager.stop_scrub();
-        self.manager.stop_rebalance();
-        self.manager.stop_place();
+        self.manager.stop_background();
     }
 }
 

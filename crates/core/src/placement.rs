@@ -1,15 +1,12 @@
-//! Topology-aware chunk placement: policy knob, per-chunk reader
-//! telemetry, and the latency cost model the background optimizer in
-//! [`crate::BbManager`] minimizes.
+//! Topology-aware chunk placement: policy knob and the latency cost
+//! model the background optimizer in [`crate::movers`] minimizes (the
+//! per-chunk reader telemetry it feeds on lives in the chunk table).
 //!
 //! Everything here is defaults-off: with [`crate::BbConfig::bb_place_policy`]
 //! at [`PlacementPolicy::Hash`] and [`crate::BbConfig::bb_place_interval`]
-//! at zero, no tracker exists, no `bb.place.*` metric is registered, and
-//! chunk routing is the seed consistent-hash ring bit-for-bit.
-
-use std::cell::{Cell, RefCell};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::rc::Rc;
+//! at zero, no reader telemetry is kept, no `bb.place.*` metric is
+//! registered, and chunk routing is the seed consistent-hash ring
+//! bit-for-bit.
 
 use netsim::{Fabric, NodeId};
 use rkv::Membership;
@@ -39,52 +36,6 @@ impl PlacementPolicy {
     }
 }
 
-/// Per-chunk reader telemetry: how many chunk fetches each compute node
-/// issued against each `(file_id, seq)`. Recorded by the tiered read
-/// path, consumed by the placement optimizer's cost model. BTreeMaps
-/// keep iteration deterministic.
-pub(crate) struct AccessTracker {
-    counts: RefCell<BTreeMap<(u64, u64), BTreeMap<u32, u64>>>,
-}
-
-impl AccessTracker {
-    pub(crate) fn new() -> Rc<AccessTracker> {
-        Rc::new(AccessTracker {
-            counts: RefCell::new(BTreeMap::new()),
-        })
-    }
-
-    /// One chunk fetch of `(file_id, seq)` issued from `node`.
-    pub(crate) fn record(&self, file_id: u64, seq: u64, node: u32) {
-        *self
-            .counts
-            .borrow_mut()
-            .entry((file_id, seq))
-            .or_default()
-            .entry(node)
-            .or_insert(0) += 1;
-    }
-
-    /// The chunk's per-reader counts, `(node, fetches)`.
-    pub(crate) fn readers_of(&self, file_id: u64, seq: u64) -> Vec<(u32, u64)> {
-        self.counts
-            .borrow()
-            .get(&(file_id, seq))
-            .map(|m| m.iter().map(|(&n, &c)| (n, c)).collect())
-            .unwrap_or_default()
-    }
-
-    /// Chunks with at least one recorded fetch.
-    pub(crate) fn tracked(&self) -> Vec<(u64, u64)> {
-        self.counts.borrow().keys().copied().collect()
-    }
-
-    /// Drop a deleted file's telemetry.
-    pub(crate) fn forget_file(&self, file_id: u64) {
-        self.counts.borrow_mut().retain(|(f, _), _| *f != file_id);
-    }
-}
-
 /// Placement-engine counters (`bb.place.*`) — registered only when
 /// placement is enabled, so the names stay out of default snapshots.
 pub(crate) struct PlaceCounters {
@@ -102,44 +53,13 @@ pub(crate) struct PlaceCounters {
 }
 
 impl PlaceCounters {
-    fn register(m: &simkit::telemetry::Registry) -> PlaceCounters {
+    pub(crate) fn register(m: &simkit::telemetry::Registry) -> PlaceCounters {
         PlaceCounters {
             decisions: m.counter("bb.place.decisions"),
             migrations: m.counter("bb.place.migrations"),
             bytes: m.counter("bb.place.bytes"),
             cost_before: m.counter("bb.place.cost_before"),
             cost_after: m.counter("bb.place.cost_after"),
-        }
-    }
-}
-
-/// One queued placement move: a chunk, the replica set to establish, and
-/// whether a routing override should be installed once the data is in
-/// place (`false` for moves back to the chunk's plain hash owners).
-pub(crate) type PlaceMove = ((u64, u64), Vec<usize>, bool);
-
-/// Live state of the placement engine, owned by the manager. Exists only
-/// when placement is enabled ([`crate::BbConfig::placement_enabled`]).
-pub(crate) struct PlaceState {
-    pub(crate) tracker: Rc<AccessTracker>,
-    pub(crate) counters: PlaceCounters,
-    /// Moves awaiting migration bandwidth, drained per tick under
-    /// [`crate::BbConfig::bb_migrate_budget`].
-    pub(crate) pending: RefCell<VecDeque<PlaceMove>>,
-    /// Chunks currently queued (or being moved), to keep one decision per
-    /// chunk in flight.
-    pub(crate) queued: RefCell<BTreeSet<(u64, u64)>>,
-    pub(crate) stop: Cell<bool>,
-}
-
-impl PlaceState {
-    pub(crate) fn new(m: &simkit::telemetry::Registry) -> PlaceState {
-        PlaceState {
-            tracker: AccessTracker::new(),
-            counters: PlaceCounters::register(m),
-            pending: RefCell::new(VecDeque::new()),
-            queued: RefCell::new(BTreeSet::new()),
-            stop: Cell::new(false),
         }
     }
 }

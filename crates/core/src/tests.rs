@@ -1034,3 +1034,156 @@ fn placement_off_registers_no_metrics_and_installs_no_overrides() {
         dep.shutdown();
     });
 }
+
+/// Keys of file 1 (`f1:*`) still held anywhere on the roster.
+fn f1_copies(dep: &BbDeployment) -> usize {
+    let view = dep.membership();
+    (0..view.roster_len())
+        .map(|i| {
+            let store = view.server(i);
+            (0..64u64)
+                .filter(|&s| store.store().contains(&crate::manager::chunk_key(1, s), 0))
+                .count()
+        })
+        .sum()
+}
+
+#[test]
+fn delete_after_locality_placement_reaps_the_placed_copies() {
+    // Two KV servers straddling a rack boundary (rack size 4, servers on
+    // nodes 3 and 4), writer on node 0: locality placement overrides every
+    // chunk onto the rack-0 server, hash routing would split them. At
+    // epoch 0 a key-routed delete only reaches the hash owners, so the
+    // delete must go where the manager says the copies are.
+    let sim = Sim::new();
+    let net = NetConfig {
+        nodes_per_rack: 4,
+        rack_latency: std::time::Duration::from_micros(5),
+        ..NetConfig::default()
+    };
+    let fabric = Fabric::new(sim.clone(), 1, net);
+    let lustre = LustreCluster::deploy(
+        &fabric,
+        LustreConfig {
+            oss_count: 1,
+            osts_per_oss: 1,
+            ..LustreConfig::default()
+        },
+    );
+    let dep = BbDeployment::deploy(
+        &fabric,
+        lustre,
+        &[NodeId(0)],
+        BbConfig {
+            kv_servers: 2,
+            bb_place_policy: crate::PlacementPolicy::Locality,
+            ..BbConfig::default()
+        },
+    );
+    assert_eq!(dep.kv_servers[0].node(), NodeId(3), "rack 0");
+    assert_eq!(dep.kv_servers[1].node(), NodeId(4), "rack 1");
+    let dep2 = Rc::clone(&dep);
+    sim.block_on(async move {
+        let client = dep2.client(NodeId(0));
+        let w = client.create("/placed").await.unwrap();
+        w.append(pattern(8 << 20)).await.unwrap();
+        w.close().await.unwrap();
+        client.wait_flushed("/placed").await.unwrap();
+        assert_eq!(
+            dep2.kv_servers[0].store().len(),
+            16,
+            "all chunks rack-local"
+        );
+        client.delete("/placed").await.unwrap();
+        assert_eq!(dep2.membership().epoch(), 0);
+        assert_eq!(dep2.membership().overrides_len(), 0);
+        assert_eq!(dep2.kv_servers[0].store().len(), 0, "placed copies leaked");
+        assert_eq!(dep2.kv_servers[1].store().len(), 0);
+        dep2.shutdown();
+    });
+}
+
+#[test]
+fn delete_during_an_inflight_move_leaves_no_override_or_copy() {
+    // The `placement_engine_moves_hot_chunks_toward_remote_readers`
+    // topology: one remote read makes the optimizer start moving `/hot`
+    // across the 2 ms geo boundary; the file is deleted while a move holds
+    // its lease. The mover must notice the record is gone at commit
+    // instead of installing an override for (and leaving a copy of) a
+    // chunk that no longer exists.
+    let sim = Sim::new();
+    let net = NetConfig {
+        nodes_per_rack: 2,
+        racks_per_zone: 2,
+        zones_per_geo: 2,
+        rack_latency: std::time::Duration::from_micros(5),
+        zone_latency: std::time::Duration::from_micros(20),
+        geo_latency: std::time::Duration::from_millis(2),
+        ..NetConfig::default()
+    };
+    let fabric = Fabric::new(sim.clone(), 2, net);
+    let lustre = LustreCluster::deploy(
+        &fabric,
+        LustreConfig {
+            oss_count: 1,
+            osts_per_oss: 1,
+            ..LustreConfig::default()
+        },
+    );
+    let nodes: Vec<NodeId> = (0..2).map(NodeId).collect();
+    let dep = BbDeployment::deploy(
+        &fabric,
+        lustre,
+        &nodes,
+        BbConfig {
+            kv_servers: 1,
+            bb_place_policy: crate::PlacementPolicy::Locality,
+            bb_place_interval: std::time::Duration::from_millis(50),
+            ..BbConfig::default()
+        },
+    );
+    while fabric.len() < 8 {
+        fabric.add_node();
+    }
+    let standby = dep.standby_kv_server();
+    let reader_node = fabric.add_node();
+    let dep2 = Rc::clone(&dep);
+    let sim2 = sim.clone();
+    sim.block_on(async move {
+        assert!(dep2.admit_kv_server(standby.node()));
+        let wclient = dep2.client(NodeId(0));
+        let w = wclient.create("/hot").await.unwrap();
+        w.append(pattern(2 << 20)).await.unwrap();
+        w.close().await.unwrap();
+        wclient.wait_flushed("/hot").await.unwrap();
+        // let the rebalancer settle the join first, so the next lease
+        // taken is a placement move
+        while dep2.manager.rebalance_epoch() != dep2.membership().epoch()
+            || dep2.manager.rebalance_backlog() > 0
+        {
+            sim2.sleep(std::time::Duration::from_millis(10)).await;
+        }
+        let rclient = dep2.client(reader_node);
+        let rd = rclient.open("/hot").await.unwrap();
+        rd.read_all().await.unwrap();
+        let deadline = sim2.now() + std::time::Duration::from_secs(2);
+        // mid-copy: a lease is held and the fresh copy has landed on the
+        // geo-1 server, but its read-back (one more geo round trip) has not
+        // returned, so the move has not committed
+        let landed = |s: u64| {
+            standby
+                .store()
+                .contains(&crate::manager::chunk_key(1, s), 0)
+        };
+        while dep2.manager.rebalance_backlog() == 0 || !(0..4).any(landed) {
+            assert!(sim2.now() < deadline, "no move ever started");
+            sim2.sleep(std::time::Duration::from_micros(100)).await;
+        }
+        wclient.delete("/hot").await.unwrap();
+        sim2.sleep(std::time::Duration::from_secs(2)).await;
+        assert_eq!(dep2.membership().overrides_len(), 0, "override leaked");
+        assert_eq!(f1_copies(&dep2), 0, "a deleted chunk's copy survived");
+        assert_eq!(dep2.manager.rebalance_backlog(), 0);
+        dep2.shutdown();
+    });
+}

@@ -3,8 +3,8 @@
 //! 1/2/4/8 modeled cores (and the single-context reference). This
 //! measures the harness — what the engine's poller/core/replier tasks
 //! cost per simulated op — not the simulated throughput (that is AB9).
-//! CI runs it with `CRITERION_JSON=BENCH_kvserver.json` to keep a
-//! committable baseline.
+//! Run by hand (`cargo bench -p bench --bench kvserver`); the gated
+//! number is `host_cpu_s` on `kv_openloop` in `benchmark/`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 

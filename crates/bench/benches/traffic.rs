@@ -2,8 +2,8 @@
 //! `Zipf::new` (a repeat construction over a million-key CDF must be a
 //! cache lookup, not an O(n) rebuild — the guard for the AB11 hot-path
 //! fix), Zipf sampling, and end-to-end arrival-event generation.
-//! CI runs it with `CRITERION_JSON=BENCH_traffic.json` to keep a
-//! committable baseline.
+//! Run by hand (`cargo bench -p bench --bench traffic`); the gated
+//! numbers are `workloads.probe.*` in `benchmark/`.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 

@@ -173,8 +173,7 @@ pub fn ab3_flushers(quick: bool, trace: bool) -> ExpReport {
                 tb.sim.tracer().enable();
             }
             let pool = PayloadPool::standard();
-            let sim = tb.sim.clone();
-            let (t, cell) = sim.block_on(async move {
+            let (t, cell) = tb.block_on(|tb| async move {
                 let bb = tb.bb.as_ref().unwrap();
                 let client = bb.client(tb.nodes[0]);
                 // 16 files burst, then measure time until all durable
@@ -377,8 +376,7 @@ fn traced_read_cell(read_window: usize, quick: bool) -> (f64, usize, u64, u64, C
     cfg.bb.read_window = read_window;
     let dfsio = base_dfsio(quick);
     let tb = Testbed::build(SystemKind::Bb(bb_core::Scheme::AsyncLustre), cfg);
-    let sim = tb.sim.clone();
-    sim.block_on(async move {
+    tb.block_on(|tb| async move {
         let fs_for = tb.fs_for();
         let pool = PayloadPool::standard();
         workloads::testdfsio::write(&tb.sim, &tb.nodes, &fs_for, &pool, &dfsio)

@@ -122,10 +122,7 @@ pub fn run_admission_cell(quick: bool, admit: bool, capture: bool) -> AdmissionC
                     .create(&format!("/ab12/stream{i}"))
                     .await
                     .expect("create stream");
-                for (n, piece) in pieces.into_iter().enumerate() {
-                    if std::env::var_os("AB12_DEBUG").is_some() {
-                        eprintln!("[ab12] stream{i} append {n}");
-                    }
+                for piece in pieces {
                     w.append(piece).await.expect("append stream");
                 }
                 w.close().await.expect("close stream");
@@ -147,9 +144,6 @@ pub fn run_admission_cell(quick: bool, admit: bool, capture: bool) -> AdmissionC
                     .await
                     .expect("create burst");
                 for (sp, pieces) in spurt_pieces.into_iter().enumerate() {
-                    if std::env::var_os("AB12_DEBUG").is_some() {
-                        eprintln!("[ab12] burst{b} spurt {sp} at {:?}", s2.now());
-                    }
                     let at = first_spurt + spurt_every * sp as u32 + dur::ms(350) * b as u32;
                     let now = s2.now() - simkit::Time::ZERO;
                     if at > now {
@@ -178,9 +172,6 @@ pub fn run_admission_cell(quick: bool, admit: bool, capture: bool) -> AdmissionC
             "/ab12/burst0",
             "/ab12/burst1",
         ] {
-            if std::env::var_os("AB12_DEBUG").is_some() {
-                eprintln!("[ab12] wait_flushed {path} at {:?}", s.now());
-            }
             if matches!(client.wait_flushed(path).await, Ok(FileState::Flushed)) {
                 flushed += 1;
             }
@@ -193,14 +184,6 @@ pub fn run_admission_cell(quick: bool, admit: bool, capture: bool) -> AdmissionC
     while !driver.is_finished() && sim.now() < deadline {
         let step = (sim.now() + dur::secs(1)).min(deadline);
         crate::experiments::integrity::step_to(&sim, step);
-    }
-    if std::env::var_os("AB12_DEBUG").is_some() && !driver.is_finished() {
-        let dep = tb.bb.as_ref().expect("bb testbed");
-        eprintln!(
-            "[ab12] DEADLINE admit={admit}: stats={:?} unflushed={}",
-            dep.manager.stats(),
-            dep.manager.unflushed_bytes()
-        );
     }
     let (end_ns, mut lats, flushed_files) =
         driver

@@ -42,8 +42,7 @@ pub fn dfsio_cell_telemetry(
         tb.sim.tracer().enable();
     }
     let pool = PayloadPool::standard();
-    let sim = tb.sim.clone();
-    sim.block_on(async move {
+    tb.block_on(|tb| async move {
         let fs_for = tb.fs_for();
         let w = testdfsio::write(&tb.sim, &tb.nodes, &fs_for, &pool, &cfg)
             .await

@@ -35,8 +35,7 @@ pub fn e9_local_storage(_quick: bool, trace: bool) -> ExpReport {
             tb.sim.tracer().enable();
         }
         let pool = PayloadPool::standard();
-        let sim = tb.sim.clone();
-        let (used, cell) = sim.block_on(async move {
+        let (used, cell) = tb.block_on(|tb| async move {
             let fs_for = tb.fs_for();
             let w = fs_for(tb.nodes[0])
                 .create("/e9/data")
@@ -621,8 +620,7 @@ pub fn e12_fault_tolerance(quick: bool, trace: bool) -> ExpReport {
     {
         let tb = Testbed::build(SystemKind::Hdfs, TestbedConfig::default());
         let pool = PayloadPool::standard();
-        let sim = tb.sim.clone();
-        let (recovered, repl_cmds, dt) = sim.block_on(async move {
+        let (recovered, repl_cmds, dt) = tb.block_on(|tb| async move {
             let fs_for = tb.fs_for();
             let w = fs_for(tb.nodes[0]).create("/e12/h").await.unwrap();
             for piece in pool.stream(1, 256 << 20, 1 << 20) {

@@ -29,8 +29,7 @@ fn run_randomwriter(
         bytes_per_node,
         ..RandomWriterConfig::default()
     };
-    let sim = tb.sim.clone();
-    sim.block_on(async move {
+    tb.block_on(|tb| async move {
         let fs_for = tb.fs_for();
         let r = randomwriter::run(&tb.sim, &tb.nodes, &fs_for, &pool, &cfg)
             .await
@@ -132,8 +131,7 @@ fn run_sort_telemetry(
         reducers: 16,
         ..SortConfig::default()
     };
-    let sim = tb.sim.clone();
-    sim.block_on(async move {
+    tb.block_on(|tb| async move {
         let fs_for = tb.fs_for();
         let r = sortbench::generate_and_sort(&tb.engine, &tb.nodes, &fs_for, &pool, &cfg)
             .await
@@ -398,8 +396,7 @@ fn run_text_jobs(kind: SystemKind, text_size: u64) -> (f64, f64) {
     use std::rc::Rc;
 
     let tb = Testbed::build(kind, TestbedConfig::default());
-    let sim = tb.sim.clone();
-    sim.block_on(async move {
+    tb.block_on(|tb| async move {
         let fs_for = tb.fs_for();
         swim::stage_text(&fs_for(tb.nodes[0]), "/e10/text", text_size)
             .await
@@ -458,8 +455,7 @@ fn run_swim(
         max_input: 256 << 20,
         ..SwimConfig::default()
     };
-    let sim = tb.sim.clone();
-    sim.block_on(async move {
+    tb.block_on(|tb| async move {
         let fs_for = tb.fs_for();
         let r = swim::run(&tb.engine, &tb.nodes, &fs_for, &pool, &cfg)
             .await

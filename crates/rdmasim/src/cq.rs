@@ -64,8 +64,10 @@ impl<T> Cq<T> {
         let Ok(first) = rx.recv().await else {
             return Vec::new();
         };
-        let mut batch = vec![first];
-        while batch.len() < max.max(1) {
+        let max = max.max(1);
+        let mut batch = Vec::with_capacity(max.min(rx.len() + 1));
+        batch.push(first);
+        while batch.len() < max {
             match rx.try_recv() {
                 Some(entry) => batch.push(entry),
                 None => break,

@@ -7,109 +7,202 @@
 //! clock to the earliest pending timer, which is the discrete-event step.
 //!
 //! Determinism: execution is single-threaded, ready tasks run in FIFO wake
-//! order, and simultaneous timers fire in registration order, so a run is a
-//! pure function of the program and the RNG seed.
+//! order (a task woken twice is polled twice), and simultaneous timers fire
+//! in registration order, so a run is a pure function of the program and
+//! the RNG seed.
 
 use std::cell::{Cell, RefCell};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::BinaryHeap;
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
-use std::sync::{Arc, Mutex};
-use std::task::{Context, Poll, Wake, Waker};
+use std::task::{Context, Poll, Waker};
 use std::time::Duration;
 
 use crate::faultplan::{FaultInjector, FaultPlan};
 use crate::telemetry::{Registry, Span, SpanInner, Telemetry, Tracer};
 use crate::time::Time;
 
-type LocalFuture = Pin<Box<dyn Future<Output = ()> + 'static>>;
+mod waker;
+use waker::{ReadyQueue, Task};
 
-/// FIFO queue of runnable task ids, shared with wakers.
-///
-/// Wakers must be `Send + Sync` by API contract even though this executor is
-/// single-threaded, so the queue sits behind a `Mutex`; it is never
-/// contended.
+/// Owner of every unfinished task (`Vec` + free list): a task parked with
+/// no waker left anywhere stays alive here until it finishes or the
+/// simulation is reset.
 #[derive(Default)]
-struct ReadyQueue {
-    queue: Mutex<VecDeque<usize>>,
+struct TaskSlab {
+    slots: Vec<Option<Rc<Task>>>,
+    free: Vec<usize>,
 }
 
-impl ReadyQueue {
-    fn push(&self, id: usize) {
-        self.queue
-            .lock()
-            .expect("ready queue poisoned")
-            .push_back(id);
+impl TaskSlab {
+    fn live(&self) -> usize {
+        self.slots.len() - self.free.len()
     }
-    fn pop(&self) -> Option<usize> {
-        self.queue.lock().expect("ready queue poisoned").pop_front()
-    }
-}
 
-struct TaskWaker {
-    id: usize,
-    ready: Arc<ReadyQueue>,
-}
-
-impl Wake for TaskWaker {
-    fn wake(self: Arc<Self>) {
-        self.ready.push(self.id);
+    fn insert(&mut self, make: impl FnOnce(usize) -> Rc<Task>) -> Rc<Task> {
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.slots.push(None);
+            self.slots.len() - 1
+        });
+        let task = make(slot);
+        self.slots[slot] = Some(Rc::clone(&task));
+        task
     }
-    fn wake_by_ref(self: &Arc<Self>) {
-        self.ready.push(self.id);
+
+    fn remove(&mut self, slot: usize) {
+        self.slots[slot] = None;
+        self.free.push(slot);
     }
 }
 
-/// State shared between a pending timer in the heap and the [`Sleep`]
-/// future that created it.
-struct TimerState {
-    fired: Cell<bool>,
-    cancelled: Cell<bool>,
-    waker: RefCell<Option<Waker>>,
-}
-
-struct TimerEntry {
-    deadline: Time,
+/// One pooled timer. `seq` is the registration that owns the slot, so a
+/// heap entry or a [`Sleep`] carrying another `seq` is stale.
+struct TimerSlot {
     seq: u64,
-    state: Rc<TimerState>,
+    fired: bool,
+    waker: Option<Waker>,
 }
 
-impl PartialEq for TimerEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.deadline == other.deadline && self.seq == other.seq
-    }
+/// `seq` of a slot on the free list; no registration ever carries it.
+const VACANT: u64 = u64::MAX;
+/// Dead heap entries tolerated before a rebuild, however few are live.
+const COMPACT_FLOOR: usize = 256;
+
+/// Pending timers: a min-heap of `(deadline, registration seq, slot)` over
+/// a pool of slots, so a `sleep` allocates nothing once the pool is warm.
+#[derive(Default)]
+struct Timers {
+    heap: BinaryHeap<Reverse<(Time, u64, u32)>>,
+    slots: Vec<TimerSlot>,
+    free: Vec<u32>,
+    /// Entries in `heap` whose `Sleep` was dropped before they fired.
+    dead: usize,
 }
-impl Eq for TimerEntry {}
-impl PartialOrd for TimerEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
+
+impl Timers {
+    fn register(&mut self, deadline: Time, seq: u64) -> u32 {
+        let fresh = TimerSlot {
+            seq,
+            fired: false,
+            waker: None,
+        };
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = fresh;
+                slot
+            }
+            None => {
+                self.slots.push(fresh);
+                u32::try_from(self.slots.len() - 1).expect("over 2^32 concurrent timers")
+            }
+        };
+        self.heap.push(Reverse((deadline, seq, slot)));
+        slot
     }
-}
-impl Ord for TimerEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.deadline, self.seq).cmp(&(other.deadline, other.seq))
+
+    /// The slot, if registration `seq` still owns it.
+    fn slot(&mut self, slot: u32, seq: u64) -> Option<&mut TimerSlot> {
+        self.slots.get_mut(slot as usize).filter(|s| s.seq == seq)
+    }
+
+    /// Pop the earliest live timer due by `horizon` and mark it fired.
+    fn pop_due(&mut self, horizon: Time) -> Option<(Time, Option<Waker>)> {
+        loop {
+            let &Reverse((deadline, seq, slot)) = self.heap.peek()?;
+            if deadline > horizon {
+                return None;
+            }
+            self.heap.pop();
+            match self.slot(slot, seq) {
+                Some(s) => {
+                    s.fired = true;
+                    return Some((deadline, s.waker.take()));
+                }
+                None => self.dead -= 1, // its Sleep was dropped
+            }
+        }
+    }
+
+    /// Return a dropped [`Sleep`]'s slot to the pool. An unfired one leaves
+    /// a dead entry in the heap; once those outnumber the live entries the
+    /// heap is rebuilt from the live ones. Entries are totally ordered by
+    /// the unique `(deadline, seq)`, so which of them are present never
+    /// changes the order in which the live ones pop.
+    fn release(&mut self, slot: u32, seq: u64) {
+        let Some(s) = self.slot(slot, seq) else {
+            return; // torn down by `reset`
+        };
+        let fired = s.fired;
+        s.seq = VACANT;
+        s.waker = None;
+        self.free.push(slot);
+        if fired {
+            return;
+        }
+        self.dead += 1;
+        if self.dead > (self.heap.len() - self.dead).max(COMPACT_FLOOR) {
+            let slots = &self.slots;
+            self.heap
+                .retain(|&Reverse((_, seq, slot))| slots[slot as usize].seq == seq);
+            self.dead = 0;
+        }
     }
 }
 
 struct Inner {
     now: Cell<Time>,
     seq: Cell<u64>,
-    ready: Arc<ReadyQueue>,
-    tasks: RefCell<HashMap<usize, LocalFuture>>,
-    next_task_id: Cell<usize>,
-    timers: RefCell<BinaryHeap<Reverse<TimerEntry>>>,
-    live_tasks: Cell<usize>,
+    ready: Rc<ReadyQueue>,
+    tasks: RefCell<TaskSlab>,
+    timers: RefCell<Timers>,
     events: Cell<u64>,
     telemetry: Telemetry,
     faults: FaultInjector,
 }
 
+impl Inner {
+    /// Drop every task's future, then every timer and queued handle. Wakers
+    /// that survive elsewhere are left pointing at dead tasks.
+    fn teardown(&self) {
+        // in passes: dropping a future can spawn-on-drop in principle
+        loop {
+            let tasks = std::mem::take(&mut *self.tasks.borrow_mut());
+            if tasks.live() == 0 {
+                break;
+            }
+            for task in tasks.slots.into_iter().flatten() {
+                let future = task.future.borrow_mut().take();
+                drop(future);
+            }
+        }
+        // taken out first: nothing is borrowed while the parked wakers drop
+        let timers = std::mem::take(&mut *self.timers.borrow_mut());
+        drop(timers);
+        let ready = std::mem::take(&mut *self.ready.borrow_mut());
+        drop(ready);
+    }
+}
+
+impl Drop for Inner {
+    fn drop(&mut self) {
+        // queued handles and parked wakers hold task headers, and headers
+        // hold the queue: without this the futures would outlive the Sim
+        self.teardown();
+    }
+}
+
 /// Handle to a simulation. Cheap to clone; all clones refer to the same
 /// clock and task set. Not `Send` — a simulation lives on one thread
 /// (parameter sweeps parallelize across *whole simulations*, e.g. with
-/// rayon in the benchmark harness).
+/// rayon in the benchmark harness). The task wakers rely on this (see
+/// `executor/waker.rs`), so it is pinned:
+///
+/// ```compile_fail
+/// fn assert_send<T: Send>() {}
+/// assert_send::<simkit::Sim>();
+/// ```
 #[derive(Clone)]
 pub struct Sim {
     inner: Rc<Inner>,
@@ -128,11 +221,9 @@ impl Sim {
             inner: Rc::new(Inner {
                 now: Cell::new(Time::ZERO),
                 seq: Cell::new(0),
-                ready: Arc::new(ReadyQueue::default()),
-                tasks: RefCell::new(HashMap::new()),
-                next_task_id: Cell::new(0),
-                timers: RefCell::new(BinaryHeap::new()),
-                live_tasks: Cell::new(0),
+                ready: Rc::default(),
+                tasks: RefCell::default(),
+                timers: RefCell::default(),
                 events: Cell::new(0),
                 telemetry: Telemetry::default(),
                 faults: FaultInjector::default(),
@@ -155,7 +246,7 @@ impl Sim {
     /// Number of tasks that have been spawned and have not yet completed.
     #[inline]
     pub fn live_tasks(&self) -> usize {
-        self.inner.live_tasks.get()
+        self.inner.tasks.borrow().live()
     }
 
     /// The simulation's metrics registry. Components register named
@@ -305,25 +396,26 @@ impl Sim {
     {
         let state = Rc::new(RefCell::new(JoinState {
             result: None,
+            done: false,
             waker: None,
         }));
         let task_state = Rc::clone(&state);
-        let inner = Rc::clone(&self.inner);
         let wrapped = async move {
             let out = fut.await;
             let mut st = task_state.borrow_mut();
             st.result = Some(out);
+            st.done = true;
             if let Some(w) = st.waker.take() {
                 w.wake();
             }
-            drop(st);
-            inner.live_tasks.set(inner.live_tasks.get() - 1);
         };
-        let id = self.inner.next_task_id.get();
-        self.inner.next_task_id.set(id + 1);
-        self.inner.live_tasks.set(self.inner.live_tasks.get() + 1);
-        self.inner.tasks.borrow_mut().insert(id, Box::pin(wrapped));
-        self.inner.ready.push(id);
+        let ready = &self.inner.ready;
+        let task = self
+            .inner
+            .tasks
+            .borrow_mut()
+            .insert(|slot| Task::new(Box::pin(wrapped), slot, ready));
+        ready.borrow_mut().push_back(task);
         JoinHandle { state }
     }
 
@@ -334,44 +426,35 @@ impl Sim {
 
     /// Suspend the calling task until the absolute instant `deadline`.
     pub fn sleep_until(&self, deadline: Time) -> Sleep {
-        let state = Rc::new(TimerState {
-            fired: Cell::new(false),
-            cancelled: Cell::new(false),
-            waker: RefCell::new(None),
+        let timer = (deadline > self.now()).then(|| {
+            let seq = self.next_seq();
+            let slot = self.inner.timers.borrow_mut().register(deadline, seq);
+            (self.clone(), slot, seq)
         });
-        if deadline <= self.now() {
-            state.fired.set(true);
-        } else {
-            self.inner.timers.borrow_mut().push(Reverse(TimerEntry {
-                deadline,
-                seq: self.next_seq(),
-                state: Rc::clone(&state),
-            }));
-        }
-        Sleep { state }
+        Sleep { timer }
     }
 
     /// Poll one runnable task; returns false if none are runnable.
     fn step_task(&self) -> bool {
-        let Some(id) = self.inner.ready.pop() else {
+        let Some(task) = self.inner.ready.borrow_mut().pop_front() else {
             return false;
         };
-        // A task can be enqueued more than once (multiple wakes) or have
-        // completed since being enqueued; a missing entry is skipped.
-        let Some(mut task) = self.inner.tasks.borrow_mut().remove(&id) else {
+        // A task is queued once per wake, so a handle can be stale: the
+        // task finished on an earlier handle, or (nested `run`) is being
+        // polled further up the stack. Stale handles are skipped uncounted.
+        let Ok(mut slot) = task.future.try_borrow_mut() else {
+            return true;
+        };
+        let Some(future) = slot.as_mut() else {
             return true;
         };
         self.inner.events.set(self.inner.events.get() + 1);
-        let waker = Waker::from(Arc::new(TaskWaker {
-            id,
-            ready: Arc::clone(&self.inner.ready),
-        }));
-        let mut cx = Context::from_waker(&waker);
-        match task.as_mut().poll(&mut cx) {
-            Poll::Ready(()) => {}
-            Poll::Pending => {
-                self.inner.tasks.borrow_mut().insert(id, task);
-            }
+        let poll = Task::with_waker(&task, |w| future.as_mut().poll(&mut Context::from_waker(w)));
+        if poll.is_ready() {
+            let finished = slot.take();
+            drop(slot);
+            self.inner.tasks.borrow_mut().remove(task.slot);
+            drop(finished);
         }
         true
     }
@@ -379,31 +462,15 @@ impl Sim {
     /// Pop the earliest timer and advance the clock to it. Returns false if
     /// no timers are pending.
     fn step_time(&self, horizon: Time) -> bool {
-        loop {
-            let entry = {
-                let mut timers = self.inner.timers.borrow_mut();
-                match timers.peek() {
-                    Some(Reverse(e)) if e.deadline <= horizon => {
-                        let Reverse(e) = timers.pop().expect("peeked");
-                        e
-                    }
-                    _ => return false,
-                }
-            };
-            if entry.state.cancelled.get() {
-                continue; // dead timer from a dropped Sleep
-            }
-            debug_assert!(
-                entry.deadline >= self.inner.now.get(),
-                "time went backwards"
-            );
-            self.inner.now.set(entry.deadline);
-            entry.state.fired.set(true);
-            if let Some(w) = entry.state.waker.borrow_mut().take() {
-                w.wake();
-            }
-            return true;
+        let Some((deadline, waker)) = self.inner.timers.borrow_mut().pop_due(horizon) else {
+            return false;
+        };
+        debug_assert!(deadline >= self.inner.now.get(), "time went backwards");
+        self.inner.now.set(deadline);
+        if let Some(w) = waker {
+            w.wake();
         }
+        true
     }
 
     /// Run until no task is runnable and no timer is pending (quiescence).
@@ -440,6 +507,13 @@ impl Sim {
             .expect("simulation quiesced before block_on future completed (deadlock)")
     }
 
+    /// `(heap entries, live timers)` of the timer pool.
+    #[cfg(test)]
+    fn timer_load(&self) -> (usize, usize) {
+        let t = self.inner.timers.borrow();
+        (t.heap.len(), t.heap.len() - t.dead)
+    }
+
     /// Cooperatively yield: reschedule the current task behind all currently
     /// runnable tasks without advancing time.
     pub fn yield_now(&self) -> YieldNow {
@@ -449,53 +523,64 @@ impl Sim {
     /// Tear the simulation down: drop every pending task and timer.
     ///
     /// Long-lived server loops capture `Sim` clones inside futures that the
-    /// executor's task map owns — an intentional reference cycle while the
+    /// executor owns — an intentional reference cycle while the
     /// simulation runs, but a leak once it is abandoned. Call this when a
     /// finished simulation goes out of scope (the workload `Testbed` does it
-    /// on drop). Must not be called from inside a running task.
+    /// on drop). Wakers and [`Sleep`]s that outlive the reset are inert.
+    ///
+    /// Panics if called from inside a running task: the caller's own future
+    /// cannot be dropped while it is being polled.
     pub fn reset(&self) {
-        // drain tasks in passes: dropping a future can spawn-on-drop in
-        // principle, so repeat until stable
-        loop {
-            let tasks: Vec<LocalFuture> = {
-                let mut map = self.inner.tasks.borrow_mut();
-                if map.is_empty() {
-                    break;
-                }
-                map.drain().map(|(_, t)| t).collect()
-            };
-            drop(tasks);
-        }
-        self.inner.timers.borrow_mut().clear();
-        while self.inner.ready.pop().is_some() {}
+        let tasks = self.inner.tasks.borrow();
+        let running = |t: &Rc<Task>| t.future.try_borrow_mut().is_err();
+        assert!(
+            !tasks.slots.iter().flatten().any(running),
+            "Sim::reset() called from inside a running task"
+        );
+        drop(tasks);
+        self.inner.teardown();
     }
 }
 
 /// Future returned by [`Sim::sleep`] / [`Sim::sleep_until`].
 pub struct Sleep {
-    state: Rc<TimerState>,
+    /// `(sim, slot, registration seq)` of the pooled timer; `None` when the
+    /// deadline had already passed.
+    timer: Option<(Sim, u32, u64)>,
 }
 
 impl Future for Sleep {
     type Output = ();
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
-        if self.state.fired.get() {
-            Poll::Ready(())
-        } else {
-            *self.state.waker.borrow_mut() = Some(cx.waker().clone());
-            Poll::Pending
+        let Some((sim, slot, seq)) = &self.timer else {
+            return Poll::Ready(());
+        };
+        match sim.inner.timers.borrow_mut().slot(*slot, *seq) {
+            Some(s) if s.fired => Poll::Ready(()),
+            Some(s) => {
+                match &mut s.waker {
+                    Some(w) => w.clone_from(cx.waker()),
+                    None => s.waker = Some(cx.waker().clone()),
+                }
+                Poll::Pending
+            }
+            None => Poll::Pending, // torn down by `reset`: never fires
         }
     }
 }
 
 impl Drop for Sleep {
     fn drop(&mut self) {
-        self.state.cancelled.set(true);
+        if let Some((sim, slot, seq)) = &self.timer {
+            sim.inner.timers.borrow_mut().release(*slot, *seq);
+        }
     }
 }
 
 struct JoinState<T> {
     result: Option<T>,
+    /// Stays set once the task has completed, whoever took `result`.
+    done: bool,
     waker: Option<Waker>,
 }
 
@@ -512,8 +597,7 @@ impl<T> JoinHandle<T> {
 
     /// Whether the task has completed (result may already be taken).
     pub fn is_finished(&self) -> bool {
-        let st = self.state.borrow();
-        st.result.is_some()
+        self.state.borrow().done
     }
 }
 
@@ -748,5 +832,164 @@ mod tests {
         }
         sim.run();
         assert_eq!(sim.now(), Time::from_micros(999));
+    }
+
+    #[test]
+    fn is_finished_stays_true_once_the_result_is_taken() {
+        let sim = Sim::new();
+        let h = sim.spawn(async { 7u32 });
+        assert!(!h.is_finished());
+        sim.run();
+        assert!(h.is_finished());
+        assert_eq!(h.try_take(), Some(7));
+        assert!(h.is_finished(), "completion is not undone by taking");
+        assert_eq!(h.try_take(), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "Sim::reset() called from inside a running task")]
+    fn reset_from_inside_a_task_panics() {
+        let sim = Sim::new();
+        let s = sim.clone();
+        sim.spawn(async move { s.reset() });
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sim.run()));
+        // the refused reset tore nothing down, and the task still holds a
+        // `Sim`: break that cycle before re-raising (the miri job counts leaks)
+        assert_eq!(sim.live_tasks(), 1);
+        sim.reset();
+        std::panic::resume_unwind(outcome.expect_err("reset inside a task returned"));
+    }
+
+    /// A future that parks its waker in `parked` and stays pending, holding
+    /// `alive` so the test can see when it is dropped.
+    fn park(parked: &Rc<RefCell<Option<Waker>>>, alive: &Rc<()>) -> impl Future<Output = ()> {
+        let (parked, alive) = (Rc::clone(parked), Rc::clone(alive));
+        std::future::poll_fn(move |cx| {
+            let _held = &alive;
+            *parked.borrow_mut() = Some(cx.waker().clone());
+            Poll::Pending
+        })
+    }
+
+    #[test]
+    fn waker_held_across_reset_is_inert() {
+        let sim = Sim::new();
+        let (parked, alive) = (Rc::new(RefCell::new(None)), Rc::new(()));
+        sim.spawn(park(&parked, &alive));
+        sim.run();
+        assert_eq!((sim.events_processed(), sim.live_tasks()), (1, 1));
+        sim.reset();
+        assert_eq!(Rc::strong_count(&alive), 1, "reset drops the future");
+        assert_eq!(sim.live_tasks(), 0);
+        let waker = parked.borrow_mut().take().expect("parked");
+        waker.wake_by_ref();
+        let owned = waker.clone();
+        owned.wake(); // by value: the vtable's other wake entry
+        assert!(sim.inner.ready.borrow().is_empty(), "nothing is queued");
+        sim.run();
+        assert_eq!(sim.events_processed(), 1, "a dead task is never polled");
+    }
+
+    #[test]
+    fn waker_of_a_finished_task_is_inert() {
+        let sim = Sim::new();
+        let (parked, alive) = (Rc::new(RefCell::new(None)), Rc::new(()));
+        let mut parking = Box::pin(park(&parked, &alive));
+        // parks on the first poll, finishes on the second
+        let mut polls = 0;
+        sim.spawn(std::future::poll_fn(move |cx| {
+            polls += 1;
+            if polls == 1 {
+                parking.as_mut().poll(cx)
+            } else {
+                Poll::Ready(())
+            }
+        }));
+        sim.run();
+        let waker = parked.borrow_mut().take().expect("parked");
+        // woken twice while alive: polled on the first handle, the second
+        // handle is stale by then and skipped without counting
+        waker.wake_by_ref();
+        waker.wake_by_ref();
+        sim.run();
+        assert_eq!((sim.events_processed(), sim.live_tasks()), (2, 0));
+        assert_eq!(Rc::strong_count(&alive), 1, "finishing drops the future");
+        waker.wake();
+        assert!(sim.inner.ready.borrow().is_empty(), "nothing is queued");
+        sim.run();
+        assert_eq!(sim.events_processed(), 2);
+    }
+
+    #[test]
+    fn sleep_held_across_reset_never_fires() {
+        let sim = Sim::new();
+        let stale = sim.sleep(dur::ms(1));
+        sim.reset();
+        let fired = Rc::new(Cell::new(false));
+        let f = Rc::clone(&fired);
+        let s = sim.clone();
+        sim.spawn(async move {
+            // takes over the stale sleep's pool slot under a new registration
+            let _fresh = s.sleep(dur::ms(5));
+            stale.await;
+            f.set(true);
+        });
+        sim.run();
+        // the new registration fired; the stale sleep did not take it for its own
+        assert_eq!(sim.now(), Time::from_millis(5));
+        assert!(!fired.get());
+        sim.reset();
+    }
+
+    #[test]
+    fn dropping_the_last_sim_drops_queued_tasks() {
+        let alive = Rc::new(());
+        let sim = Sim::new();
+        let held = Rc::clone(&alive);
+        sim.spawn(async move { drop(held) });
+        drop(sim); // never run: the task's handle is still in the ready queue
+        assert_eq!(Rc::strong_count(&alive), 1);
+    }
+
+    #[test]
+    fn cancelled_timers_are_compacted_without_reordering() {
+        let sim = Sim::new();
+        let rng = crate::rng::SimRng::seed_from(7);
+        // 10 k registrations over 500 distinct deadlines: heavy collisions
+        let mut sleeps: Vec<Option<(u64, Sleep)>> = (0..10_000)
+            .map(|_| {
+                let us = rng.range(1, 501);
+                Some((us, sim.sleep(dur::us(us))))
+            })
+            .collect();
+        let bounded = |sim: &Sim| {
+            let (heap, live) = sim.timer_load();
+            assert!(heap <= 2 * live + 256, "heap {heap} for {live} live timers");
+        };
+        // drop a random 70 %, in random order
+        let mut order: Vec<usize> = (0..sleeps.len()).collect();
+        rng.shuffle(&mut order);
+        for &i in &order[..7_000] {
+            sleeps[i] = None;
+            bounded(&sim);
+        }
+        assert_eq!(sim.timer_load().1, 3_000);
+        let fired = Rc::new(RefCell::new(Vec::new()));
+        let mut expect = Vec::new();
+        for (reg, slot) in sleeps.into_iter().enumerate() {
+            let Some((us, sleep)) = slot else { continue };
+            expect.push((us, reg));
+            let (fired, s) = (Rc::clone(&fired), sim.clone());
+            sim.spawn(async move {
+                sleep.await;
+                assert_eq!(s.now(), Time::from_micros(us));
+                fired.borrow_mut().push((us, reg));
+                bounded(&s);
+            });
+        }
+        sim.run();
+        expect.sort_unstable();
+        assert_eq!(*fired.borrow(), expect);
+        assert_eq!(sim.timer_load(), (0, 0));
     }
 }

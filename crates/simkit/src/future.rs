@@ -1,9 +1,9 @@
 //! Small future combinators used by the simulation code: racing two
 //! futures, timeouts against virtual time, and joining handles.
 
-use std::future::Future;
-use std::pin::Pin;
-use std::task::{Context, Poll};
+use std::future::{poll_fn, Future};
+use std::pin::pin;
+use std::task::Poll;
 use std::time::Duration;
 
 use crate::executor::Sim;
@@ -18,35 +18,28 @@ pub enum Either<A, B> {
 }
 
 /// Run two futures concurrently; resolve with whichever finishes first and
-/// drop the loser. Ties go to the left future (polled first).
-pub fn race<A, B>(a: A, b: B) -> Race<A, B>
+/// drop the loser. Ties go to the left future (polled first). Both futures
+/// are pinned in the caller's frame: nothing is boxed.
+pub async fn race<A, B>(a: A, b: B) -> Either<A::Output, B::Output>
 where
     A: Future,
     B: Future,
 {
-    Race {
-        a: Box::pin(a),
-        b: Box::pin(b),
-    }
-}
-
-/// Future returned by [`race`].
-pub struct Race<A: Future, B: Future> {
-    a: Pin<Box<A>>,
-    b: Pin<Box<B>>,
-}
-
-impl<A: Future, B: Future> Future for Race<A, B> {
-    type Output = Either<A::Output, B::Output>;
-    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        if let Poll::Ready(v) = self.a.as_mut().poll(cx) {
+    // `b` is declared first so that `a` is dropped first: dropping a future
+    // can wake other tasks, and that order (left, then right) is part of the
+    // determinism contract
+    let mut b = pin!(b);
+    let mut a = pin!(a);
+    poll_fn(|cx| {
+        if let Poll::Ready(v) = a.as_mut().poll(cx) {
             return Poll::Ready(Either::Left(v));
         }
-        if let Poll::Ready(v) = self.b.as_mut().poll(cx) {
+        if let Poll::Ready(v) = b.as_mut().poll(cx) {
             return Poll::Ready(Either::Right(v));
         }
         Poll::Pending
-    }
+    })
+    .await
 }
 
 /// Run `fut` with a virtual-time deadline. Returns `None` on timeout (the

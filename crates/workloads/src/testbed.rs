@@ -184,6 +184,19 @@ impl Testbed {
         }
     }
 
+    /// Run the future `f` builds from this testbed to completion on its
+    /// simulation, then tear the simulation down. The future gets a shared
+    /// handle, so the testbed itself is dropped here, outside any task —
+    /// [`Sim::reset`] (which [`Drop`] calls) refuses to run inside one.
+    pub fn block_on<Fut>(self, f: impl FnOnce(Rc<Testbed>) -> Fut) -> Fut::Output
+    where
+        Fut: std::future::Future + 'static,
+        Fut::Output: 'static,
+    {
+        let tb = Rc::new(self);
+        tb.sim.block_on(f(Rc::clone(&tb)))
+    }
+
     /// Stop background loops so the simulation can quiesce.
     pub fn shutdown(&self) {
         if let Some(h) = &self.hdfs {
@@ -199,7 +212,11 @@ impl Drop for Testbed {
     fn drop(&mut self) {
         // break the executor↔task reference cycles so an abandoned
         // simulation releases its memory (server loops never complete on
-        // their own — their mailboxes outlive the run by design)
-        self.sim.reset();
+        // their own — their mailboxes outlive the run by design). Not while
+        // unwinding: a testbed dropped by a panicking task would turn the
+        // panic into an abort, and the memory no longer matters.
+        if !std::thread::panicking() {
+            self.sim.reset();
+        }
     }
 }

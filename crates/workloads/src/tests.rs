@@ -38,8 +38,7 @@ fn dfsio_roundtrip_verifies_on_all_five_systems() {
             file_size: 8 << 20,
             ..DfsioConfig::default()
         };
-        let sim = tb.sim.clone();
-        sim.block_on(async move {
+        tb.block_on(|tb| async move {
             let fs_for = tb.fs_for();
             let w = testdfsio::write(&tb.sim, &tb.nodes, &fs_for, &pool, &cfg)
                 .await
@@ -59,8 +58,7 @@ fn run_dfsio(kind: SystemKind, cfg: &DfsioConfig) -> (f64, f64) {
     let tb = Testbed::build(kind, small_config());
     let pool = PayloadPool::standard();
     let cfg = cfg.clone();
-    let sim = tb.sim.clone();
-    sim.block_on(async move {
+    tb.block_on(|tb| async move {
         let fs_for = tb.fs_for();
         let w = testdfsio::write(&tb.sim, &tb.nodes, &fs_for, &pool, &cfg)
             .await
@@ -141,8 +139,7 @@ fn e7_shape_sort_ordering() {
             reducers: 8,
             ..SortConfig::default()
         };
-        let sim = tb.sim.clone();
-        sim.block_on(async move {
+        tb.block_on(|tb| async move {
             let fs_for = tb.fs_for();
             let r = sortbench::generate_and_sort(&tb.engine, &tb.nodes, &fs_for, &pool, &cfg)
                 .await
@@ -178,8 +175,7 @@ fn e9_local_storage_by_system() {
     ] {
         let tb = Testbed::build(kind, small_config());
         let pool = PayloadPool::standard();
-        let sim = tb.sim.clone();
-        let used = sim.block_on(async move {
+        let used = tb.block_on(|tb| async move {
             let fs_for = tb.fs_for();
             let w = fs_for(tb.nodes[0]).create("/e9/file").await.unwrap();
             for piece in pool.stream(0, data, 1 << 20) {
@@ -204,8 +200,7 @@ fn randomwriter_runs_and_orders() {
             bytes_per_node: 64 << 20,
             ..RandomWriterConfig::default()
         };
-        let sim = tb.sim.clone();
-        sim.block_on(async move {
+        tb.block_on(|tb| async move {
             let fs_for = tb.fs_for();
             let r = randomwriter::run(&tb.sim, &tb.nodes, &fs_for, &pool, &cfg)
                 .await
@@ -231,7 +226,7 @@ fn swim_trace_completes_with_sane_stats() {
         ..SwimConfig::default()
     };
     let sim = tb.sim.clone();
-    sim.block_on(async move {
+    tb.block_on(|tb| async move {
         let fs_for = tb.fs_for();
         let r = swim::run(&tb.engine, &tb.nodes, &fs_for, &pool, &cfg)
             .await
@@ -257,8 +252,7 @@ fn real_record_sort_small_scale_via_bench_path() {
     };
     let records_per_file = (cfg.data_size / cfg.input_files as u64 / 100) as usize;
     let expected_total = (records_per_file * cfg.input_files * 100) as u64;
-    let sim = tb.sim.clone();
-    sim.block_on(async move {
+    tb.block_on(|tb| async move {
         let fs_for = tb.fs_for();
         // real record input so the real sort has structure to sort
         for i in 0..cfg.input_files {
@@ -302,8 +296,7 @@ fn e11_more_kv_servers_scale_write_throughput() {
             file_size: 128 << 20,
             ..DfsioConfig::default()
         };
-        let sim = tb.sim.clone();
-        sim.block_on(async move {
+        tb.block_on(|tb| async move {
             let fs_for = tb.fs_for();
             let w = testdfsio::write(&tb.sim, &tb.nodes, &fs_for, &pool, &dfsio)
                 .await

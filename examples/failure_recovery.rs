@@ -19,9 +19,8 @@ fn scenario(scheme: Scheme, slow_lustre: bool) {
         cfg.lustre.ost_rate = 10e6;
     }
     let tb = Testbed::build(SystemKind::Bb(scheme), cfg);
-    let sim = tb.sim.clone();
     let pool = PayloadPool::standard();
-    sim.block_on(async move {
+    tb.block_on(|tb| async move {
         let bb = tb.bb.as_ref().unwrap();
         let client = bb.client(tb.nodes[0]);
         println!(

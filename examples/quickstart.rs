@@ -21,7 +21,7 @@ fn main() {
     let sim = tb.sim.clone();
     let pool = PayloadPool::standard();
 
-    sim.block_on(async move {
+    tb.block_on(|tb| async move {
         let fs = tb.fs_for()(tb.nodes[0]);
         println!("system under test : {}", tb.kind.label());
         println!("compute nodes     : {}", tb.nodes.len());

@@ -25,8 +25,7 @@ fn main() {
         real_sort: true,
         ..SortConfig::default()
     };
-    let sim = tb.sim.clone();
-    sim.block_on(async move {
+    tb.block_on(|tb| async move {
         let fs_for = tb.fs_for();
         // TeraGen: real 100-byte records with pseudorandom keys
         let records_per_file = (cfg.data_size / cfg.input_files as u64) as usize / SORT_RECORD_LEN;

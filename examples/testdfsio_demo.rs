@@ -28,8 +28,7 @@ fn main() {
         let tb = Testbed::build(kind, TestbedConfig::default());
         let pool = PayloadPool::standard();
         let cfg = cfg.clone();
-        let sim = tb.sim.clone();
-        let (w, r, local) = sim.block_on(async move {
+        let (w, r, local) = tb.block_on(|tb| async move {
             let fs_for = tb.fs_for();
             let w = testdfsio::write(&tb.sim, &tb.nodes, &fs_for, &pool, &cfg)
                 .await

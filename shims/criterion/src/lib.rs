@@ -2,8 +2,7 @@
 //! benches use, over a simple wall-clock loop. No statistics beyond the
 //! mean; good enough to rank configurations and spot regressions by eye.
 //!
-//! Set `CRITERION_JSON=<path>` to also dump `[{id, mean_ns, iters, ...}]`
-//! for committing a baseline (used by `BENCH_readpath.json`).
+//! Set `CRITERION_JSON=<path>` to also dump `[{id, mean_ns, iters, ...}]`.
 
 use std::fmt::Display;
 use std::time::{Duration, Instant};

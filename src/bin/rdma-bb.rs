@@ -92,8 +92,7 @@ fn cmd_dfsio(args: &Args) {
         ..DfsioConfig::default()
     };
     let pool = PayloadPool::standard();
-    let sim = tb.sim.clone();
-    sim.block_on(async move {
+    tb.block_on(|tb| async move {
         let fs_for = tb.fs_for();
         let w = testdfsio::write(&tb.sim, &tb.nodes, &fs_for, &pool, &cfg)
             .await
@@ -126,8 +125,7 @@ fn cmd_randomwriter(args: &Args) {
         ..RandomWriterConfig::default()
     };
     let pool = PayloadPool::standard();
-    let sim = tb.sim.clone();
-    sim.block_on(async move {
+    tb.block_on(|tb| async move {
         let fs_for = tb.fs_for();
         let r = randomwriter::run(&tb.sim, &tb.nodes, &fs_for, &pool, &cfg)
             .await
@@ -152,8 +150,7 @@ fn cmd_sort(args: &Args) {
         ..SortConfig::default()
     };
     let pool = PayloadPool::standard();
-    let sim = tb.sim.clone();
-    sim.block_on(async move {
+    tb.block_on(|tb| async move {
         let fs_for = tb.fs_for();
         let r = sortbench::generate_and_sort(&tb.engine, &tb.nodes, &fs_for, &pool, &cfg)
             .await
@@ -178,8 +175,7 @@ fn cmd_swim(args: &Args) {
         ..SwimConfig::default()
     };
     let pool = PayloadPool::standard();
-    let sim = tb.sim.clone();
-    sim.block_on(async move {
+    tb.block_on(|tb| async move {
         let fs_for = tb.fs_for();
         let r = swim::run(&tb.engine, &tb.nodes, &fs_for, &pool, &cfg)
             .await
@@ -200,8 +196,7 @@ fn cmd_crash(args: &Args) {
     }
     let pool = PayloadPool::standard();
     let size = args.num("size-mb", 256) << 20;
-    let sim = tb.sim.clone();
-    sim.block_on(async move {
+    tb.block_on(|tb| async move {
         let bb = tb.bb.as_ref().unwrap();
         let client = bb.client(tb.nodes[0]);
         let w = client.create("/cli/crash").await.unwrap();

@@ -31,8 +31,7 @@
 //!     SystemKind::Bb(Scheme::AsyncLustre),
 //!     TestbedConfig { compute_nodes: 4, ..TestbedConfig::default() },
 //! );
-//! let sim = tb.sim.clone();
-//! sim.block_on(async move {
+//! tb.block_on(|tb| async move {
 //!     let fs = tb.fs_for()(tb.nodes[0]);
 //!     let w = fs.create("/demo").await.unwrap();
 //!     w.append(bytes::Bytes::from_static(b"hello burst buffer")).await.unwrap();

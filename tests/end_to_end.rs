@@ -27,8 +27,7 @@ fn every_system_round_trips_the_same_dataset() {
     for kind in SystemKind::all_five() {
         let tb = small(kind);
         let pool = pool.clone();
-        let sim = tb.sim.clone();
-        sim.block_on(async move {
+        tb.block_on(|tb| async move {
             let fs = tb.fs_for()(tb.nodes[1]);
             let w = fs.create("/it/ds").await.unwrap();
             let pieces = pool.stream(42, 24 << 20, 1 << 20);
@@ -62,8 +61,7 @@ fn wordcount_results_identical_across_backends() {
     ] {
         let tb = small(kind);
         let text = text.clone();
-        let sim = tb.sim.clone();
-        let out = sim.block_on(async move {
+        let out = tb.block_on(|tb| async move {
             let fs_for = tb.fs_for();
             let w = fs_for(tb.nodes[0]).create("/wc/in").await.unwrap();
             w.append(Bytes::from(text)).await.unwrap();
@@ -112,8 +110,7 @@ fn wordcount_results_identical_across_backends() {
 fn burst_buffer_survives_full_kv_loss_after_flush() {
     let tb = small(SystemKind::Bb(Scheme::AsyncLustre));
     let pool = PayloadPool::standard();
-    let sim = tb.sim.clone();
-    sim.block_on(async move {
+    tb.block_on(|tb| async move {
         let bb = Rc::clone(tb.bb.as_ref().unwrap());
         let client = bb.client(tb.nodes[0]);
         let w = client.create("/it/safe").await.unwrap();
@@ -153,7 +150,7 @@ fn dfsio_deterministic_across_runs() {
             ..DfsioConfig::default()
         };
         let sim = tb.sim.clone();
-        let elapsed = sim.block_on(async move {
+        let elapsed = tb.block_on(|tb| async move {
             let fs_for = tb.fs_for();
             let w = testdfsio::write(&tb.sim, &tb.nodes, &fs_for, &pool, &cfg)
                 .await
@@ -178,8 +175,7 @@ fn hybrid_scheme_sort_exploits_locality() {
         reducers: 6,
         ..sortbench::SortConfig::default()
     };
-    let sim = tb.sim.clone();
-    sim.block_on(async move {
+    tb.block_on(|tb| async move {
         let fs_for = tb.fs_for();
         let r = sortbench::generate_and_sort(&tb.engine, &tb.nodes, &fs_for, &pool, &cfg)
             .await

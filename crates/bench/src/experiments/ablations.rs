@@ -2,8 +2,6 @@
 //! transport, chunk size, flusher parallelism, placement strategy, and
 //! the read-path pipeline window.
 
-use rayon::prelude::*;
-
 use netsim::TransportProfile;
 use rkv::HashRing;
 use workloads::testdfsio::DfsioConfig;
@@ -54,7 +52,6 @@ pub fn ab1_transport(quick: bool, trace: bool) -> ExpReport {
     ];
     let dfsio = base_dfsio(quick);
     let raw: Vec<(usize, f64, f64, Option<CellTelemetry>)> = (0..variants.len())
-        .into_par_iter()
         .map(|i| {
             let v = &variants[i];
             let mut cfg = TestbedConfig::default();
@@ -110,7 +107,7 @@ pub fn ab2_chunk_size(quick: bool, trace: bool) -> ExpReport {
     };
     let dfsio = base_dfsio(quick);
     let raw: Vec<(u64, f64, f64, Option<CellTelemetry>)> = sizes
-        .par_iter()
+        .iter()
         .map(|&chunk| {
             let mut cfg = TestbedConfig::default();
             cfg.bb.chunk_size = chunk;
@@ -163,7 +160,7 @@ pub fn ab3_flushers(quick: bool, trace: bool) -> ExpReport {
     let counts: &[usize] = if quick { &[1, 4] } else { &[1, 2, 4, 8, 16] };
     let largest = *counts.last().unwrap();
     let raw: Vec<(usize, f64, Option<CellTelemetry>)> = counts
-        .par_iter()
+        .iter()
         .map(|&n| {
             let rep = n == largest;
             let mut cfg = TestbedConfig::default();
@@ -241,7 +238,7 @@ pub fn ab5_read_window(quick: bool, trace: bool) -> ExpReport {
         Option<bb_core::ReadStats>,
         Option<CellTelemetry>,
     )> = windows
-        .par_iter()
+        .iter()
         .map(|&w| {
             let mut cfg = TestbedConfig::default();
             cfg.bb.read_window = w;
@@ -428,7 +425,7 @@ fn traced_read_cell(read_window: usize, quick: bool) -> (f64, usize, u64, u64, C
 pub fn ab6_readahead_trace(quick: bool, _trace: bool) -> ExpReport {
     let variants: [(&str, usize); 2] = [("serial (window 1)", 1), ("pipelined (window 8)", 8)];
     let results: Vec<(&str, f64, usize, u64, u64, CellTelemetry)> = variants
-        .par_iter()
+        .iter()
         .map(|&(label, w)| {
             let (r, spans, busy, wall, cell) = traced_read_cell(w, quick);
             (label, r, spans, busy, wall, cell)

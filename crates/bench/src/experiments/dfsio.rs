@@ -1,8 +1,6 @@
 //! E3/E4/E5/E11: the TestDFSIO family — write throughput vs data size,
 //! read throughput, cluster-size scaling, and buffer-layer scaling.
 
-use rayon::prelude::*;
-
 use workloads::testdfsio::{self, DfsioConfig};
 use workloads::{PayloadPool, SystemKind, Testbed, TestbedConfig};
 
@@ -102,7 +100,7 @@ fn sweep(
     let mut rows = Vec::new();
     let mut telemetry = None;
     for (sz, kind, w, r, stats, cell) in cells
-        .into_par_iter()
+        .into_iter()
         .map(|(sz, kind)| {
             let rep = sz == largest && kind == SystemKind::Bb(bb_core::Scheme::AsyncLustre);
             let (w, r, stats, cell) = dfsio_cell_telemetry(
@@ -265,7 +263,7 @@ pub fn e5_cluster_scaling(quick: bool, trace: bool) -> ExpReport {
         .flat_map(|&n| systems.into_iter().map(move |k| (n, k)))
         .collect();
     let raw: Vec<(usize, SystemKind, f64, f64, Option<CellTelemetry>)> = cells
-        .into_par_iter()
+        .into_iter()
         .map(|(nodes, kind)| {
             let cfg = TestbedConfig {
                 compute_nodes: nodes,
@@ -332,7 +330,7 @@ pub fn e11_kv_scaling(quick: bool, trace: bool) -> ExpReport {
     let counts: &[usize] = if quick { &[1, 2, 4] } else { &[1, 2, 4, 8] };
     let largest = *counts.last().unwrap();
     let raw: Vec<(usize, f64, Option<CellTelemetry>)> = counts
-        .par_iter()
+        .iter()
         .map(|&servers| {
             let mut cfg = TestbedConfig::default();
             cfg.bb.kv_servers = servers;

@@ -1,8 +1,6 @@
 //! E6/E7/E8/E10: the MapReduce-level experiments — RandomWriter, Sort,
 //! the scheme comparison, and the I/O-intensive mixed workloads.
 
-use rayon::prelude::*;
-
 use bb_core::Scheme;
 use workloads::randomwriter::{self, RandomWriterConfig};
 use workloads::sortbench::{self, SortConfig};
@@ -53,7 +51,7 @@ pub fn e6_randomwriter(quick: bool, trace: bool) -> ExpReport {
         .collect();
     let largest = *sizes.last().unwrap();
     let raw: Vec<(u64, SystemKind, f64, Option<CellTelemetry>)> = cells
-        .into_par_iter()
+        .into_iter()
         .map(|(sz, kind)| {
             let rep = sz == largest && kind == SystemKind::Bb(Scheme::AsyncLustre);
             let (dt, cell) = run_randomwriter(kind, sz, rep, rep && trace);
@@ -164,7 +162,7 @@ pub fn e7_sort(quick: bool, trace: bool) -> ExpReport {
         .collect();
     let largest = *sizes.last().unwrap();
     let raw: Vec<(u64, SystemKind, f64, Option<CellTelemetry>)> = cells
-        .into_par_iter()
+        .into_iter()
         .map(|(sz, kind)| {
             let rep = sz == largest && kind == SystemKind::Bb(Scheme::AsyncLustre);
             let ((dt, _, _), cell) = run_sort_telemetry(kind, sz, rep, rep && trace);
@@ -252,7 +250,7 @@ pub fn e8_schemes(quick: bool, trace: bool) -> ExpReport {
         Option<CellTelemetry>,
     );
     let raw: Vec<SchemeCell> = schemes
-        .into_par_iter()
+        .into_iter()
         .map(|s| {
             let rep = s == Scheme::AsyncLustre;
             let (w, r, stats, cell) = crate::experiments::dfsio::dfsio_cell_telemetry(
@@ -275,7 +273,7 @@ pub fn e8_schemes(quick: bool, trace: bool) -> ExpReport {
         })
         .collect();
     let sorts: Vec<(Scheme, f64)> = schemes
-        .into_par_iter()
+        .into_iter()
         .map(|s| (s, run_sort(SystemKind::Bb(s), total / 2).0))
         .collect();
     let mut t = Table::new(
@@ -350,7 +348,7 @@ pub fn e10_io_intensive(quick: bool, trace: bool) -> ExpReport {
         SystemKind::Bb(Scheme::AsyncLustre),
     ];
     let raw: Vec<(SystemKind, f64, f64, f64, Option<CellTelemetry>)> = systems
-        .into_par_iter()
+        .into_iter()
         .map(|kind| {
             let rep = matches!(kind, SystemKind::Bb(_));
             let (wc, grep) = run_text_jobs(kind, if quick { 256 << 20 } else { 512 << 20 });

@@ -6,9 +6,8 @@
 //! them; the `repro` binary runs one row by id, or `all` of them and
 //! regenerates `EXPERIMENTS.md`.
 //!
-//! Parameter sweeps fan out with rayon — every cell builds its own
-//! deterministic simulation, so cells are embarrassingly parallel across
-//! host cores.
+//! Every cell of a parameter sweep builds its own deterministic
+//! simulation; cells run one after another, in declaration order.
 
 pub mod consistency;
 pub mod experiments;

@@ -54,7 +54,7 @@ use rdmasim::{Mr, Qp, RdmaError, RdmaStack};
 use crate::membership::Membership;
 use crate::proto::{Carrier, ProtoError, Request, Response};
 use crate::server::KvServer;
-use crate::store::{KvError, KvStats, Value};
+use crate::store::{KvError, Value};
 
 /// Client-side failure modes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -612,17 +612,10 @@ impl KvClient {
         }
     }
 
-    /// Exchange with the key's primary server (retrying), used by the
-    /// single-copy ops that have no replicated semantics.
-    async fn exchange(&self, key: &[u8], req: Request) -> Result<Response, ClientError> {
-        let idx = self.route(key)?;
-        self.exchange_retry(idx, &req).await
-    }
-
-    /// Exchange a store-family request, re-sending (bounded) when the
-    /// server rejects the payload with [`Response::BadDigest`] — the
-    /// payload was damaged in flight and the client still holds the good
-    /// copy, so a re-send is the repair.
+    /// Exchange a SET, re-sending (bounded) when the server rejects the
+    /// payload with [`Response::BadDigest`] — the payload was damaged in
+    /// flight and the client still holds the good copy, so a re-send is
+    /// the repair.
     async fn store_exchange(
         &self,
         server_idx: usize,
@@ -646,6 +639,41 @@ impl KvClient {
             && (len as u64) <= self.config.buf_size
     }
 
+    /// Stage a SET once: a payload over `inline_max` goes into a pooled
+    /// registered buffer for the server to RDMA-READ, anything else rides
+    /// inline. The request is the same for every server it is sent to (and
+    /// every epoch-retry round): writes go out one at a time, and a server
+    /// only READs during its own exchange. The buffer must be held until
+    /// the last exchange carrying the request has returned.
+    async fn stage_set(
+        &self,
+        key: &[u8],
+        value: &Bytes,
+        flags: u32,
+        expire_at: u64,
+    ) -> Result<(Request, Option<PooledBuf>), ClientError> {
+        let buf = if self.use_one_sided(value.len()) {
+            let buf = self.pool.acquire().await;
+            buf.write_local(0, value)?;
+            Some(buf)
+        } else {
+            None
+        };
+        let req = Request::Set {
+            key: Bytes::copy_from_slice(key),
+            flags,
+            expire_at,
+            value: match &buf {
+                Some(b) => Carrier::Remote {
+                    src: b.remote().into(),
+                    len: value.len() as u32,
+                },
+                None => Carrier::Inline(value.clone()),
+            },
+        };
+        Ok((req, buf))
+    }
+
     /// Store `value` under `key` on every replica. Returns the primary's
     /// CAS token. Succeeds only if *all* `replication` replicas stored the
     /// value — a partial write surfaces the first failure so the caller
@@ -667,16 +695,7 @@ impl KvClient {
             .borrow()
             .is_some()
             .then(|| crate::hash::fnv1a(&value));
-        // one staged buffer serves every replica (and every epoch-retry
-        // round): writes go out one at a time, and the server only READs
-        // during its own exchange
-        let buf = if self.use_one_sided(value.len()) {
-            let buf = self.pool.acquire().await;
-            buf.write_local(0, &value)?;
-            Some(buf)
-        } else {
-            None
-        };
+        let (req, buf) = self.stage_set(key, &value, flags, expire_at).await?;
         let mut epoch = self.view.epoch();
         let mut epoch_retried = false;
         let cas_out = loop {
@@ -684,18 +703,6 @@ impl KvClient {
             let mut cas_out = None;
             let mut first_err = None;
             for idx in replicas {
-                let req = Request::Set {
-                    key: Bytes::copy_from_slice(key),
-                    flags,
-                    expire_at,
-                    value: match &buf {
-                        Some(b) => Carrier::Remote {
-                            src: b.remote().into(),
-                            len: value.len() as u32,
-                        },
-                        None => Carrier::Inline(value.clone()),
-                    },
-                };
                 match self.store_exchange(idx, &req).await {
                     Ok(Response::Stored { cas }) => {
                         cas_out.get_or_insert(cas);
@@ -876,25 +883,7 @@ impl KvClient {
             .borrow()
             .is_some()
             .then(|| crate::hash::fnv1a(&value));
-        let buf = if self.use_one_sided(value.len()) {
-            let buf = self.pool.acquire().await;
-            buf.write_local(0, &value)?;
-            Some(buf)
-        } else {
-            None
-        };
-        let req = Request::Set {
-            key: Bytes::copy_from_slice(key),
-            flags,
-            expire_at,
-            value: match &buf {
-                Some(b) => Carrier::Remote {
-                    src: b.remote().into(),
-                    len: value.len() as u32,
-                },
-                None => Carrier::Inline(value.clone()),
-            },
-        };
+        let (req, buf) = self.stage_set(key, &value, flags, expire_at).await?;
         let resp = self.store_exchange(server_idx, &req).await;
         drop(buf);
         let out = match resp {
@@ -1029,118 +1018,6 @@ impl KvClient {
             (true, _) => Ok(existed),
             (false, Some(e)) => Err(e),
             (false, None) => unreachable!("replicas is never empty"),
-        }
-    }
-
-    /// Store only if absent.
-    pub async fn add(
-        &self,
-        key: &[u8],
-        value: Bytes,
-        flags: u32,
-        expire_at: u64,
-    ) -> Result<u64, ClientError> {
-        let req = Request::Add {
-            key: Bytes::copy_from_slice(key),
-            flags,
-            expire_at,
-            value: Carrier::Inline(value),
-        };
-        match self.exchange(key, req).await? {
-            Response::Stored { cas } => Ok(cas),
-            other => Err(Self::unexpected(other)),
-        }
-    }
-
-    /// Compare-and-swap.
-    pub async fn cas(
-        &self,
-        key: &[u8],
-        value: Bytes,
-        flags: u32,
-        expire_at: u64,
-        cas: u64,
-    ) -> Result<u64, ClientError> {
-        let req = Request::Cas {
-            key: Bytes::copy_from_slice(key),
-            flags,
-            expire_at,
-            cas,
-            value: Carrier::Inline(value),
-        };
-        match self.exchange(key, req).await? {
-            Response::Stored { cas } => Ok(cas),
-            other => Err(Self::unexpected(other)),
-        }
-    }
-
-    /// Atomically add `delta` to a numeric value; returns the new value.
-    pub async fn incr(&self, key: &[u8], delta: u64) -> Result<u64, ClientError> {
-        match self
-            .exchange(
-                key,
-                Request::Incr {
-                    key: Bytes::copy_from_slice(key),
-                    delta,
-                },
-            )
-            .await?
-        {
-            Response::Counter { value } => Ok(value),
-            Response::NonNumeric => Err(KvError::NonNumeric.into()),
-            other => Err(Self::unexpected(other)),
-        }
-    }
-
-    /// Atomically subtract `delta` (floored at zero); returns the new value.
-    pub async fn decr(&self, key: &[u8], delta: u64) -> Result<u64, ClientError> {
-        match self
-            .exchange(
-                key,
-                Request::Decr {
-                    key: Bytes::copy_from_slice(key),
-                    delta,
-                },
-            )
-            .await?
-        {
-            Response::Counter { value } => Ok(value),
-            Response::NonNumeric => Err(KvError::NonNumeric.into()),
-            other => Err(Self::unexpected(other)),
-        }
-    }
-
-    /// Concatenate `data` after the live value.
-    pub async fn append_value(&self, key: &[u8], data: Bytes) -> Result<u64, ClientError> {
-        match self
-            .exchange(
-                key,
-                Request::Append {
-                    key: Bytes::copy_from_slice(key),
-                    data,
-                },
-            )
-            .await?
-        {
-            Response::Stored { cas } => Ok(cas),
-            other => Err(Self::unexpected(other)),
-        }
-    }
-
-    /// Concatenate `data` before the live value.
-    pub async fn prepend_value(&self, key: &[u8], data: Bytes) -> Result<u64, ClientError> {
-        match self
-            .exchange(
-                key,
-                Request::Prepend {
-                    key: Bytes::copy_from_slice(key),
-                    data,
-                },
-            )
-            .await?
-        {
-            Response::Stored { cas } => Ok(cas),
-            other => Err(Self::unexpected(other)),
         }
     }
 
@@ -1297,49 +1174,9 @@ impl KvClient {
         Ok(out)
     }
 
-    /// Update expiry of a live item.
-    pub async fn touch(&self, key: &[u8], expire_at: u64) -> Result<(), ClientError> {
-        match self
-            .exchange(
-                key,
-                Request::Touch {
-                    key: Bytes::copy_from_slice(key),
-                    expire_at,
-                },
-            )
-            .await?
-        {
-            Response::Ok => Ok(()),
-            Response::NotFound => Err(KvError::NotFound.into()),
-            other => Err(Self::unexpected(other)),
-        }
-    }
-
-    /// Fetch counters from every admitted server (drained ones included).
-    pub async fn stats_all(&self) -> Result<Vec<KvStats>, ClientError> {
-        let n = self.view.roster_len();
-        let mut out = Vec::with_capacity(n);
-        for idx in 0..n {
-            let conn = self.conn(idx).await?;
-            let _serial = conn.lock.acquire().await;
-            conn.qp
-                .send(Request::Stats.encode())
-                .await
-                .map_err(ClientError::from)?;
-            let frame = conn.qp.recv().await.map_err(ClientError::from)?;
-            match Response::decode(frame)? {
-                Response::Stats(s) => out.push(s),
-                other => return Err(Self::unexpected(other)),
-            }
-        }
-        Ok(out)
-    }
-
     fn unexpected(resp: Response) -> ClientError {
         match resp {
             Response::NotFound => KvError::NotFound.into(),
-            Response::Exists => KvError::Exists.into(),
-            Response::CasMismatch => KvError::CasMismatch.into(),
             Response::TooLarge => KvError::TooLarge.into(),
             Response::OutOfMemory => KvError::OutOfMemory.into(),
             Response::TransferFailed => ClientError::TransferFailed,
@@ -1455,40 +1292,13 @@ mod tests {
     }
 
     #[test]
-    fn delete_and_cas_through_the_wire() {
+    fn delete_through_the_wire() {
         let c = cluster(2, 1);
         let cl = client(&c, 2);
         c.sim.block_on(async move {
-            let cas = cl.set(b"k", Bytes::from_static(b"v1"), 0, 0).await.unwrap();
-            let cas2 = cl
-                .cas(b"k", Bytes::from_static(b"v2"), 0, 0, cas)
-                .await
-                .unwrap();
-            assert!(cas2 > cas);
-            let err = cl
-                .cas(b"k", Bytes::from_static(b"v3"), 0, 0, cas)
-                .await
-                .unwrap_err();
-            assert_eq!(err, ClientError::Kv(KvError::CasMismatch));
+            cl.set(b"k", Bytes::from_static(b"v1"), 0, 0).await.unwrap();
             assert!(cl.delete(b"k").await.unwrap());
             assert!(!cl.delete(b"k").await.unwrap());
-        });
-    }
-
-    #[test]
-    fn add_conflict_and_touch() {
-        let c = cluster(1, 1);
-        let cl = client(&c, 1);
-        c.sim.block_on(async move {
-            cl.add(b"a", Bytes::from_static(b"1"), 0, 0).await.unwrap();
-            let err = cl
-                .add(b"a", Bytes::from_static(b"2"), 0, 0)
-                .await
-                .unwrap_err();
-            assert_eq!(err, ClientError::Kv(KvError::Exists));
-            cl.touch(b"a", 1_000_000).await.unwrap();
-            let err = cl.touch(b"zzz", 1).await.unwrap_err();
-            assert_eq!(err, ClientError::Kv(KvError::NotFound));
         });
     }
 
@@ -1554,11 +1364,9 @@ mod tests {
         c.sim.block_on(async move {
             cl2.set(b"x", Bytes::from_static(b"1"), 0, 0).await.unwrap();
             cl2.get(b"x").await.unwrap();
-            let stats = cl2.stats_all().await.unwrap();
-            assert_eq!(stats.len(), 2);
-            let total_sets: u64 = stats.iter().map(|s| s.sets).sum();
-            assert_eq!(total_sets, 1);
         });
+        let total_sets: u64 = c.servers.iter().map(|s| s.store().stats().sets).sum();
+        assert_eq!(total_sets, 1);
         cl_stats_check(&cl);
     }
 
@@ -1569,36 +1377,6 @@ mod tests {
             assert_eq!(st.hits, 1);
             assert!(st.get_lat.count() == 1);
             assert!(st.get_lat.mean() > dur::us(1));
-        });
-    }
-
-    #[test]
-    fn counters_and_concat_over_the_wire() {
-        let c = cluster(2, 1);
-        let cl = client(&c, 2);
-        c.sim.block_on(async move {
-            cl.set(b"hits", Bytes::from_static(b"10"), 0, 0)
-                .await
-                .unwrap();
-            assert_eq!(cl.incr(b"hits", 5).await.unwrap(), 15);
-            assert_eq!(cl.decr(b"hits", 20).await.unwrap(), 0);
-            let err = cl.incr(b"missing", 1).await.unwrap_err();
-            assert_eq!(err, ClientError::Kv(KvError::NotFound));
-            cl.set(b"log", Bytes::from_static(b"b"), 0, 0)
-                .await
-                .unwrap();
-            cl.append_value(b"log", Bytes::from_static(b"c"))
-                .await
-                .unwrap();
-            cl.prepend_value(b"log", Bytes::from_static(b"a"))
-                .await
-                .unwrap();
-            assert_eq!(&cl.get(b"log").await.unwrap().unwrap().data[..], b"abc");
-            cl.set(b"txt", Bytes::from_static(b"not-a-number"), 0, 0)
-                .await
-                .unwrap();
-            let err = cl.incr(b"txt", 1).await.unwrap_err();
-            assert_eq!(err, ClientError::Kv(KvError::NonNumeric));
         });
     }
 

@@ -2,12 +2,12 @@
 //!
 //! A reimplementation of the paper's key-value substrate: a
 //! memcached-semantics store (slab allocation, per-class LRU, lazy expiry,
-//! CAS) served over a hybrid RDMA transport and addressed by clients
+//! CAS tokens) served over a hybrid RDMA transport and addressed by clients
 //! through ketama consistent hashing.
 //!
 //! Layering:
 //! * [`slab`] / [`store`] — the storage engine (real data structures,
-//!   host-thread-safe via [`sharded`]);
+//!   striped by [`sharded`]);
 //! * [`hash`] — FNV-1a and the consistent-hash ring;
 //! * [`proto`] — the binary wire protocol;
 //! * [`server`] — a per-node KV server process on the simulated fabric;

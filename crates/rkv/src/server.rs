@@ -14,12 +14,12 @@
 //!   drains up to `cq_batch` completions per wakeup (io_uring idiom) and
 //!   routes each request to the core that owns its key
 //!   (`ShardedKv::shard_index` — the same hash the store stripes by, so
-//!   every key is served by exactly one shard with no cross-shard locks
-//!   on the hot path). Each modeled core charges its own `proc_time`
-//!   serially, so per-server throughput scales near-linearly with
-//!   `cores`. A `multi_get` is split into per-shard parts that pipeline
-//!   within the batch window and are joined before replying. Responses
-//!   are posted per connection in request order (memcached semantics).
+//!   every key is served by exactly one shard). Each modeled core charges
+//!   its own `proc_time` serially, so per-server throughput scales
+//!   near-linearly with `cores`. A `multi_get` is split into per-shard
+//!   parts that pipeline within the batch window and are joined before
+//!   replying. Responses are posted per connection in request order
+//!   (memcached semantics).
 
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, HashMap};
@@ -44,7 +44,7 @@ use crate::store::KvError;
 /// Server tuning knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct KvServerConfig {
-    /// Lock stripes in the store (single-context model only; the per-core
+    /// Stripes in the store (single-context model only; the per-core
     /// engine always runs one stripe per core).
     pub shards: usize,
     /// Modeled cores. 1 (default) keeps the single-context model; ≥ 2
@@ -304,8 +304,8 @@ impl KvServer {
         assert!(config.cores >= 1, "cores must be at least 1");
         let engine_on = config.engine_enabled();
         // the engine runs one store stripe per modeled core so a shard is
-        // only ever touched from its owning core (no cross-shard locks);
-        // the single-context model keeps the configured stripe count
+        // only ever touched from its owning core; the single-context model
+        // keeps the configured stripe count
         let stripes = if engine_on {
             config.cores
         } else {
@@ -706,8 +706,7 @@ impl KvServer {
 
     /// Hand one decoded request to its owning core. Key-bearing verbs go
     /// to `shard_index(key)`; a `multi_get` is split into per-shard parts
-    /// joined by an aggregation cell; keyless control verbs (`stats`) run
-    /// on core 0.
+    /// joined by an aggregation cell.
     fn dispatch(&self, req: Request, sub: Submission) {
         let engine = self.engine.as_ref().expect("engine dispatch");
         if let Request::MultiGet { keys } = req {
@@ -1030,9 +1029,6 @@ impl KvServer {
             Err(KvError::TooLarge) => Response::TooLarge,
             Err(KvError::OutOfMemory) => Response::OutOfMemory,
             Err(KvError::NotFound) => Response::NotFound,
-            Err(KvError::Exists) => Response::Exists,
-            Err(KvError::CasMismatch) => Response::CasMismatch,
-            Err(KvError::NonNumeric) => Response::NonNumeric,
         }
     }
 
@@ -1075,72 +1071,12 @@ impl KvServer {
                 ),
                 Err(_) => Response::TransferFailed,
             },
-            Request::Add {
-                key,
-                flags,
-                expire_at,
-                value,
-            } => match self.fetch_payload(qp, value).await {
-                Ok(data) if !self.digest_ok(&key, flags, &data) => Response::BadDigest,
-                Ok(data) => {
-                    Self::map_store_result(self.store.add(&key, data, flags, expire_at, now))
-                }
-                Err(_) => Response::TransferFailed,
-            },
-            Request::Replace {
-                key,
-                flags,
-                expire_at,
-                value,
-            } => match self.fetch_payload(qp, value).await {
-                Ok(data) if !self.digest_ok(&key, flags, &data) => Response::BadDigest,
-                Ok(data) => {
-                    Self::map_store_result(self.store.replace(&key, data, flags, expire_at, now))
-                }
-                Err(_) => Response::TransferFailed,
-            },
-            Request::Cas {
-                key,
-                flags,
-                expire_at,
-                cas,
-                value,
-            } => match self.fetch_payload(qp, value).await {
-                Ok(data) if !self.digest_ok(&key, flags, &data) => Response::BadDigest,
-                Ok(data) => {
-                    Self::map_store_result(self.store.cas(&key, data, flags, expire_at, cas, now))
-                }
-                Err(_) => Response::TransferFailed,
-            },
             Request::Delete { key } => {
                 if self.store.delete(&key) {
                     Response::Ok
                 } else {
                     Response::NotFound
                 }
-            }
-            Request::Touch { key, expire_at } => match self.store.touch(&key, expire_at, now) {
-                Ok(()) => Response::Ok,
-                Err(_) => Response::NotFound,
-            },
-            Request::Stats => Response::Stats(self.store.stats()),
-            Request::Incr { key, delta } => match self.store.incr(&key, delta, now) {
-                Ok(value) => Response::Counter { value },
-                Err(KvError::NotFound) => Response::NotFound,
-                Err(KvError::NonNumeric) => Response::NonNumeric,
-                Err(e) => Self::map_store_result(Err(e)),
-            },
-            Request::Decr { key, delta } => match self.store.decr(&key, delta, now) {
-                Ok(value) => Response::Counter { value },
-                Err(KvError::NotFound) => Response::NotFound,
-                Err(KvError::NonNumeric) => Response::NonNumeric,
-                Err(e) => Self::map_store_result(Err(e)),
-            },
-            Request::Append { key, data } => {
-                Self::map_store_result(self.store.append(&key, &data, now))
-            }
-            Request::Prepend { key, data } => {
-                Self::map_store_result(self.store.prepend(&key, &data, now))
             }
             Request::MultiGet { keys } => {
                 let values = keys
@@ -1171,23 +1107,15 @@ fn keys_total(parts: &[Vec<(usize, Bytes)>]) -> usize {
 }
 
 /// The routing key of a request, if it carries one. `multi_get` is
-/// handled separately (split per shard); keyless control verbs return
-/// `None` and run on core 0.
+/// handled separately (split per shard) and `set_tenant` is answered
+/// before routing, so neither reaches a core through this.
 fn request_key(req: &Request) -> Option<&[u8]> {
     match req {
         Request::Get { key, .. }
         | Request::Set { key, .. }
-        | Request::Add { key, .. }
-        | Request::Replace { key, .. }
-        | Request::Cas { key, .. }
         | Request::Delete { key }
-        | Request::Touch { key, .. }
-        | Request::Incr { key, .. }
-        | Request::Decr { key, .. }
-        | Request::Append { key, .. }
-        | Request::Prepend { key, .. }
         | Request::Pin { key }
         | Request::Unpin { key } => Some(key),
-        Request::Stats | Request::MultiGet { .. } | Request::SetTenant { .. } => None,
+        Request::MultiGet { .. } | Request::SetTenant { .. } => None,
     }
 }

@@ -1,18 +1,19 @@
-//! Lock-striped concurrent facade over [`KvStore`] — the shape of
-//! memcached's threaded engine. Inside the single-threaded simulation the
-//! locks are uncontended; the criterion benches drive this type from real
-//! host threads to measure the engine under contention.
+//! Striped facade over [`KvStore`] — the shape of memcached's threaded
+//! engine: keys hash to one of `N` stripes, each with its own slab budget
+//! and LRU. The simulation is single-threaded (`Sim: !Send`), so a stripe
+//! is a `RefCell`, borrowed for the length of one store call.
+
+use std::cell::RefCell;
 
 use bytes::Bytes;
-use parking_lot::Mutex;
 
 use crate::hash::fnv1a;
 use crate::slab::SlabConfig;
 use crate::store::{KvError, KvStats, KvStore, Value};
 
-/// `N`-way lock-striped store. Keys map to shards by FNV-1a.
+/// `N`-way striped store. Keys map to shards by FNV-1a.
 pub struct ShardedKv {
-    shards: Vec<Mutex<KvStore>>,
+    shards: Vec<RefCell<KvStore>>,
 }
 
 impl ShardedKv {
@@ -56,7 +57,7 @@ impl ShardedKv {
                     };
                     let mut store = KvStore::new(per_shard);
                     store.set_reclaim_idle(reclaim_idle_ns);
-                    Mutex::new(store)
+                    RefCell::new(store)
                 })
                 .collect(),
         }
@@ -68,7 +69,7 @@ impl ShardedKv {
     }
 
     /// The stripe that owns `key` — the single routing function shared by
-    /// the lock-striped facade and the per-core server engine, so "every
+    /// the striped facade and the per-core server engine, so "every
     /// key is served by exactly one shard" holds by construction.
     #[inline]
     pub fn shard_index(&self, key: &[u8]) -> usize {
@@ -76,7 +77,7 @@ impl ShardedKv {
     }
 
     #[inline]
-    fn shard(&self, key: &[u8]) -> &Mutex<KvStore> {
+    fn shard(&self, key: &[u8]) -> &RefCell<KvStore> {
         &self.shards[self.shard_index(key)]
     }
 
@@ -90,7 +91,7 @@ impl ShardedKv {
         now: u64,
     ) -> Result<u64, KvError> {
         self.shard(key)
-            .lock()
+            .borrow_mut()
             .set(key, value, flags, expire_at, now)
     }
 
@@ -106,7 +107,7 @@ impl ShardedKv {
         now: u64,
     ) -> Result<u64, KvError> {
         self.shard(key)
-            .lock()
+            .borrow_mut()
             .set_as(tenant, key, value, flags, expire_at, now)
     }
 
@@ -115,7 +116,7 @@ impl ShardedKv {
     /// 0.0 disables (seed behaviour).
     pub fn set_tenant_floor_frac(&self, frac: f64) {
         for s in &self.shards {
-            let mut store = s.lock();
+            let mut store = s.borrow_mut();
             let floor = (store.mem_limit() as f64 * frac) as u64;
             store.set_tenant_floor(floor);
         }
@@ -125,111 +126,43 @@ impl ShardedKv {
     pub fn tenant_bytes(&self, tenant: u32) -> u64 {
         self.shards
             .iter()
-            .map(|s| s.lock().tenant_bytes(tenant))
+            .map(|s| s.borrow().tenant_bytes(tenant))
             .sum()
     }
 
     /// Cross-tenant evictions denied by the floor, summed over shards.
     pub fn floor_denied(&self) -> u64 {
-        self.shards.iter().map(|s| s.lock().floor_denied()).sum()
-    }
-
-    /// See [`KvStore::add`].
-    pub fn add(
-        &self,
-        key: &[u8],
-        value: Bytes,
-        flags: u32,
-        expire_at: u64,
-        now: u64,
-    ) -> Result<u64, KvError> {
-        self.shard(key)
-            .lock()
-            .add(key, value, flags, expire_at, now)
-    }
-
-    /// See [`KvStore::replace`].
-    pub fn replace(
-        &self,
-        key: &[u8],
-        value: Bytes,
-        flags: u32,
-        expire_at: u64,
-        now: u64,
-    ) -> Result<u64, KvError> {
-        self.shard(key)
-            .lock()
-            .replace(key, value, flags, expire_at, now)
-    }
-
-    /// See [`KvStore::cas`].
-    pub fn cas(
-        &self,
-        key: &[u8],
-        value: Bytes,
-        flags: u32,
-        expire_at: u64,
-        expected_cas: u64,
-        now: u64,
-    ) -> Result<u64, KvError> {
-        self.shard(key)
-            .lock()
-            .cas(key, value, flags, expire_at, expected_cas, now)
+        self.shards.iter().map(|s| s.borrow().floor_denied()).sum()
     }
 
     /// See [`KvStore::get`].
     pub fn get(&self, key: &[u8], now: u64) -> Option<Value> {
-        self.shard(key).lock().get(key, now)
+        self.shard(key).borrow_mut().get(key, now)
     }
 
     /// See [`KvStore::delete`].
     pub fn delete(&self, key: &[u8]) -> bool {
-        self.shard(key).lock().delete(key)
-    }
-
-    /// See [`KvStore::incr`].
-    pub fn incr(&self, key: &[u8], delta: u64, now: u64) -> Result<u64, KvError> {
-        self.shard(key).lock().incr(key, delta, now)
-    }
-
-    /// See [`KvStore::decr`].
-    pub fn decr(&self, key: &[u8], delta: u64, now: u64) -> Result<u64, KvError> {
-        self.shard(key).lock().decr(key, delta, now)
-    }
-
-    /// See [`KvStore::append`].
-    pub fn append(&self, key: &[u8], suffix: &[u8], now: u64) -> Result<u64, KvError> {
-        self.shard(key).lock().append(key, suffix, now)
-    }
-
-    /// See [`KvStore::prepend`].
-    pub fn prepend(&self, key: &[u8], prefix: &[u8], now: u64) -> Result<u64, KvError> {
-        self.shard(key).lock().prepend(key, prefix, now)
-    }
-
-    /// See [`KvStore::touch`].
-    pub fn touch(&self, key: &[u8], expire_at: u64, now: u64) -> Result<(), KvError> {
-        self.shard(key).lock().touch(key, expire_at, now)
+        self.shard(key).borrow_mut().delete(key)
     }
 
     /// See [`KvStore::contains`].
     pub fn contains(&self, key: &[u8], now: u64) -> bool {
-        self.shard(key).lock().contains(key, now)
+        self.shard(key).borrow_mut().contains(key, now)
     }
 
     /// See [`KvStore::peek`].
     pub fn peek(&self, key: &[u8], now: u64) -> Option<(Value, u64)> {
-        self.shard(key).lock().peek(key, now)
+        self.shard(key).borrow_mut().peek(key, now)
     }
 
     /// See [`KvStore::pin`].
     pub fn pin(&self, key: &[u8], now: u64) -> Result<(), KvError> {
-        self.shard(key).lock().pin(key, now)
+        self.shard(key).borrow_mut().pin(key, now)
     }
 
     /// See [`KvStore::unpin`].
     pub fn unpin(&self, key: &[u8]) -> Result<(), KvError> {
-        self.shard(key).lock().unpin(key)
+        self.shard(key).borrow_mut().unpin(key)
     }
 
     /// See [`KvStore::corrupt_resident`]. Shards are visited in index
@@ -238,16 +171,15 @@ impl ShardedKv {
     pub fn corrupt_resident(&self, mut select: impl FnMut(usize) -> Option<(usize, u8)>) -> u64 {
         let mut corrupted = 0;
         for s in &self.shards {
-            corrupted += s.lock().corrupt_resident(&mut select);
+            corrupted += s.borrow_mut().corrupt_resident(&mut select);
         }
         corrupted
     }
 
-    /// See [`KvStore::clear`]. Shards are cleared one at a time (the whole
-    /// store is never locked at once, matching the per-shard locking rule).
+    /// See [`KvStore::clear`].
     pub fn clear(&self) {
         for s in &self.shards {
-            s.lock().clear();
+            s.borrow_mut().clear();
         }
     }
 
@@ -255,7 +187,7 @@ impl ShardedKv {
     pub fn stats(&self) -> KvStats {
         let mut out = KvStats::default();
         for s in &self.shards {
-            let st = s.lock().stats();
+            let st = s.borrow().stats();
             out.gets += st.gets;
             out.hits += st.hits;
             out.sets += st.sets;
@@ -274,7 +206,7 @@ impl ShardedKv {
     /// Counters of a single stripe (per-shard telemetry and balance
     /// reporting).
     pub fn shard_stats(&self, shard: usize) -> KvStats {
-        self.shards[shard].lock().stats()
+        self.shards[shard].borrow().stats()
     }
 
     /// Run the zero-risk reclamation sweep on every shard (see
@@ -282,13 +214,13 @@ impl ShardedKv {
     pub fn reclaim_idle_pages(&self, now: u64) -> u64 {
         self.shards
             .iter()
-            .map(|s| s.lock().reclaim_idle_pages(now))
+            .map(|s| s.borrow_mut().reclaim_idle_pages(now))
             .sum()
     }
 
     /// Total live items.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().len()).sum()
+        self.shards.iter().map(|s| s.borrow().len()).sum()
     }
 
     /// Whether every shard is empty.
@@ -298,24 +230,23 @@ impl ShardedKv {
 
     /// Total slab memory claimed.
     pub fn memory_used(&self) -> u64 {
-        self.shards.iter().map(|s| s.lock().memory_used()).sum()
+        self.shards.iter().map(|s| s.borrow().memory_used()).sum()
     }
 
     /// Largest storable item.
     pub fn item_max(&self) -> usize {
-        self.shards[0].lock().item_max()
+        self.shards[0].borrow().item_max()
     }
 
     /// Aggregate configured memory budget across shards.
     pub fn mem_limit(&self) -> u64 {
-        self.shards.iter().map(|s| s.lock().mem_limit()).sum()
+        self.shards.iter().map(|s| s.borrow().mem_limit()).sum()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     fn kv(shards: usize) -> ShardedKv {
         ShardedKv::new(
@@ -373,38 +304,6 @@ mod tests {
         assert_eq!(st.gets, 101);
         assert_eq!(st.hits, 100);
         assert_eq!(st.items, 100);
-    }
-
-    #[test]
-    fn concurrent_access_from_real_threads() {
-        let s = Arc::new(kv(8));
-        let threads = 8;
-        let per = 500;
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                let s = Arc::clone(&s);
-                std::thread::spawn(move || {
-                    for i in 0..per {
-                        let k = format!("t{t}-k{i}");
-                        s.set(
-                            k.as_bytes(),
-                            Bytes::from(k.clone().into_bytes()),
-                            t as u32,
-                            0,
-                            0,
-                        )
-                        .unwrap();
-                        let v = s.get(k.as_bytes(), 0).unwrap();
-                        assert_eq!(&v.data[..], k.as_bytes());
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(s.len(), threads * per);
-        assert_eq!(s.stats().hits, (threads * per) as u64);
     }
 
     #[test]

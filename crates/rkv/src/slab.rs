@@ -27,10 +27,10 @@ pub struct SlabConfig {
     /// Geometric growth factor between classes (memcached `-f`).
     pub growth: f64,
     /// Whether pages allocate backing host memory. `true` gives the real
-    /// memcpy data path (criterion microbenches); `false` keeps exact
-    /// allocation/eviction semantics while item payloads live elsewhere as
-    /// zero-copy handles (the simulation store), so multi-GiB simulated
-    /// buffers do not consume multi-GiB of host RAM.
+    /// memcpy data path (unit tests, the benchmark's slab probe);
+    /// `false` keeps exact allocation/eviction semantics while item
+    /// payloads live elsewhere as zero-copy handles (the simulation store),
+    /// so multi-GiB simulated buffers do not consume multi-GiB of host RAM.
     pub materialize: bool,
 }
 

@@ -1,5 +1,5 @@
 //! The single-shard key-value store: slab-accounted items, per-class LRU
-//! eviction, lazy expiry, and CAS — the memcached storage engine.
+//! eviction, lazy expiry, and CAS tokens — the memcached storage engine.
 //!
 //! Capacity, class selection, and eviction behave exactly as in memcached:
 //! every item claims a chunk of the smallest slab class that fits
@@ -8,7 +8,7 @@
 //! rather than being copied into page memory, so simulating a multi-GiB
 //! buffer does not consume multi-GiB of host RAM (the materialized memcpy
 //! path of the allocator itself is exercised directly by its unit tests
-//! and criterion benches).
+//! and the benchmark's slab probe).
 
 use std::collections::HashMap;
 use std::fmt;
@@ -26,14 +26,8 @@ pub enum KvError {
     /// cannot grow. (With LRU enabled this only happens when a single item
     /// is larger than all existing items of its class combined budget.)
     OutOfMemory,
-    /// Key absent (`replace`, `cas`, `touch`).
+    /// Key absent (`pin`, `unpin`).
     NotFound,
-    /// Key already present (`add`).
-    Exists,
-    /// CAS token did not match.
-    CasMismatch,
-    /// incr/decr on a value that is not an unsigned decimal number.
-    NonNumeric,
 }
 
 impl fmt::Display for KvError {
@@ -42,9 +36,6 @@ impl fmt::Display for KvError {
             KvError::TooLarge => "item exceeds size limit",
             KvError::OutOfMemory => "out of memory (nothing evictable)",
             KvError::NotFound => "key not found",
-            KvError::Exists => "key already exists",
-            KvError::CasMismatch => "cas mismatch",
-            KvError::NonNumeric => "value is not a number",
         };
         f.write_str(s)
     }
@@ -69,7 +60,7 @@ pub struct KvStats {
     pub gets: u64,
     /// GET requests that found a live item.
     pub hits: u64,
-    /// Successful stores (set/add/replace/cas).
+    /// Successful stores.
     pub sets: u64,
     /// Items evicted by LRU pressure.
     pub evictions: u64,
@@ -115,8 +106,7 @@ struct Meta {
     /// expiry still remove them.
     pinned: bool,
     /// Owning tenant (0 = untenanted). Set by [`KvStore::set_as`];
-    /// ownership survives in-place rewrites (append/incr/touch) issued
-    /// without a tenant context.
+    /// ownership survives overwrites issued without a tenant context.
     tenant: u32,
 }
 
@@ -193,8 +183,8 @@ impl ClassLru {
     }
 }
 
-/// Single-shard store. Not internally synchronized; see
-/// [`crate::sharded::ShardedKv`] for the concurrent facade.
+/// Single-shard store; [`crate::sharded::ShardedKv`] stripes several
+/// behind one key-routed facade.
 pub struct KvStore {
     slab: SlabAllocator,
     map: HashMap<Box<[u8]>, Meta>,
@@ -503,8 +493,8 @@ impl KvStore {
         // drop any previous version first so its chunk is reusable; an
         // overwrite inherits the old version's pin (a repair write to a
         // still-unflushed chunk must not quietly unprotect it) and — when
-        // issued without a tenant context — its owner (append/incr/touch
-        // rewrites must not silently strip a tenant's floor protection)
+        // issued without a tenant context — its owner (an untenanted
+        // rewrite must not silently strip a tenant's floor protection)
         let prev = self.remove_entry(key);
         let pinned = prev.as_ref().is_some_and(|m| m.pinned);
         let tenant = if self.ctx_tenant != 0 {
@@ -597,53 +587,6 @@ impl KvStore {
         self.floor_denied
     }
 
-    /// Store only if absent (live).
-    pub fn add(
-        &mut self,
-        key: &[u8],
-        value: Bytes,
-        flags: u32,
-        expire_at: u64,
-        now: u64,
-    ) -> Result<u64, KvError> {
-        if self.peek_live(key, now).is_some() {
-            return Err(KvError::Exists);
-        }
-        self.insert(key, &value, flags, expire_at, now)
-    }
-
-    /// Store only if present (live).
-    pub fn replace(
-        &mut self,
-        key: &[u8],
-        value: Bytes,
-        flags: u32,
-        expire_at: u64,
-        now: u64,
-    ) -> Result<u64, KvError> {
-        if self.peek_live(key, now).is_none() {
-            return Err(KvError::NotFound);
-        }
-        self.insert(key, &value, flags, expire_at, now)
-    }
-
-    /// Compare-and-swap: store only if the live item's CAS matches.
-    pub fn cas(
-        &mut self,
-        key: &[u8],
-        value: Bytes,
-        flags: u32,
-        expire_at: u64,
-        expected_cas: u64,
-        now: u64,
-    ) -> Result<u64, KvError> {
-        match self.peek_live(key, now) {
-            None => Err(KvError::NotFound),
-            Some(m) if m.cas != expected_cas => Err(KvError::CasMismatch),
-            Some(_) => self.insert(key, &value, flags, expire_at, now),
-        }
-    }
-
     fn peek_live(&mut self, key: &[u8], now: u64) -> Option<Meta> {
         let meta = self.map.get(key)?.clone();
         if Self::is_expired(&meta, now) {
@@ -691,68 +634,6 @@ impl KvStore {
     /// Remove an item. Returns true if it existed.
     pub fn delete(&mut self, key: &[u8]) -> bool {
         self.remove_entry(key).is_some()
-    }
-
-    /// memcached `incr`: parse the live value as ASCII decimal, add
-    /// `delta` (wrapping at u64), store the new textual value, and return
-    /// the new number. Flags and expiry are preserved.
-    pub fn incr(&mut self, key: &[u8], delta: u64, now: u64) -> Result<u64, KvError> {
-        self.incr_decr(key, delta, true, now)
-    }
-
-    /// memcached `decr`: like [`KvStore::incr`] but subtracting, floored
-    /// at zero (memcached semantics).
-    pub fn decr(&mut self, key: &[u8], delta: u64, now: u64) -> Result<u64, KvError> {
-        self.incr_decr(key, delta, false, now)
-    }
-
-    fn incr_decr(&mut self, key: &[u8], delta: u64, up: bool, now: u64) -> Result<u64, KvError> {
-        let meta = self.peek_live(key, now).ok_or(KvError::NotFound)?;
-        let text = std::str::from_utf8(&meta.value).map_err(|_| KvError::NonNumeric)?;
-        let cur: u64 = text.trim().parse().map_err(|_| KvError::NonNumeric)?;
-        let next = if up {
-            cur.wrapping_add(delta)
-        } else {
-            cur.saturating_sub(delta)
-        };
-        let (flags, expire_at) = (meta.flags, meta.expire_at);
-        self.insert(
-            key,
-            &Bytes::from(next.to_string().into_bytes()),
-            flags,
-            expire_at,
-            now,
-        )?;
-        Ok(next)
-    }
-
-    /// memcached `append`: concatenate `suffix` after the live value.
-    pub fn append(&mut self, key: &[u8], suffix: &[u8], now: u64) -> Result<u64, KvError> {
-        let meta = self.peek_live(key, now).ok_or(KvError::NotFound)?;
-        let mut v = Vec::with_capacity(meta.value.len() + suffix.len());
-        v.extend_from_slice(&meta.value);
-        v.extend_from_slice(suffix);
-        let (flags, expire_at) = (meta.flags, meta.expire_at);
-        self.insert(key, &Bytes::from(v), flags, expire_at, now)
-    }
-
-    /// memcached `prepend`: concatenate `prefix` before the live value.
-    pub fn prepend(&mut self, key: &[u8], prefix: &[u8], now: u64) -> Result<u64, KvError> {
-        let meta = self.peek_live(key, now).ok_or(KvError::NotFound)?;
-        let mut v = Vec::with_capacity(meta.value.len() + prefix.len());
-        v.extend_from_slice(prefix);
-        v.extend_from_slice(&meta.value);
-        let (flags, expire_at) = (meta.flags, meta.expire_at);
-        self.insert(key, &Bytes::from(v), flags, expire_at, now)
-    }
-
-    /// Update the expiry of a live item.
-    pub fn touch(&mut self, key: &[u8], expire_at: u64, now: u64) -> Result<(), KvError> {
-        if self.peek_live(key, now).is_none() {
-            return Err(KvError::NotFound);
-        }
-        self.map.get_mut(key).expect("checked live above").expire_at = expire_at;
-        Ok(())
     }
 
     /// Pin a live item against LRU eviction. Idempotent; the pin survives
@@ -886,41 +767,6 @@ mod tests {
     }
 
     #[test]
-    fn add_and_replace_semantics() {
-        let mut s = store_mb(4);
-        s.add(b"k", Bytes::from_static(b"v1"), 0, 0, 0).unwrap();
-        assert_eq!(
-            s.add(b"k", Bytes::from_static(b"v2"), 0, 0, 0).unwrap_err(),
-            KvError::Exists
-        );
-        s.replace(b"k", Bytes::from_static(b"v3"), 0, 0, 0).unwrap();
-        assert_eq!(&s.get(b"k", 0).unwrap().data[..], b"v3");
-        assert_eq!(
-            s.replace(b"missing", Bytes::from_static(b"v"), 0, 0, 0)
-                .unwrap_err(),
-            KvError::NotFound
-        );
-    }
-
-    #[test]
-    fn cas_success_and_mismatch() {
-        let mut s = store_mb(4);
-        let c1 = s.set(b"k", Bytes::from_static(b"v1"), 0, 0, 0).unwrap();
-        let c2 = s.cas(b"k", Bytes::from_static(b"v2"), 0, 0, c1, 0).unwrap();
-        assert_eq!(
-            s.cas(b"k", Bytes::from_static(b"v3"), 0, 0, c1, 0)
-                .unwrap_err(),
-            KvError::CasMismatch
-        );
-        assert!(s.cas(b"k", Bytes::from_static(b"v3"), 0, 0, c2, 0).is_ok());
-        assert_eq!(
-            s.cas(b"missing", Bytes::from_static(b"v"), 0, 0, 1, 0)
-                .unwrap_err(),
-            KvError::NotFound
-        );
-    }
-
-    #[test]
     fn expiry_is_lazy_and_counted() {
         let mut s = store_mb(4);
         s.set(b"k", Bytes::from_static(b"v"), 0, 1_000, 0).unwrap();
@@ -928,15 +774,6 @@ mod tests {
         assert!(s.get(b"k", 1_000).is_none());
         assert_eq!(s.stats().expired, 1);
         assert_eq!(s.len(), 0);
-    }
-
-    #[test]
-    fn touch_extends_expiry() {
-        let mut s = store_mb(4);
-        s.set(b"k", Bytes::from_static(b"v"), 0, 1_000, 0).unwrap();
-        s.touch(b"k", 5_000, 500).unwrap();
-        assert!(s.get(b"k", 2_000).is_some());
-        assert_eq!(s.touch(b"gone", 1, 0).unwrap_err(), KvError::NotFound);
     }
 
     #[test]
@@ -1045,33 +882,6 @@ mod tests {
         assert_eq!(s.stats().bytes, 5);
         s.delete(b"abc");
         assert_eq!(s.stats().bytes, 0);
-    }
-
-    #[test]
-    fn incr_decr_semantics() {
-        let mut s = store_mb(4);
-        s.set(b"n", Bytes::from_static(b"41"), 5, 0, 0).unwrap();
-        assert_eq!(s.incr(b"n", 1, 0).unwrap(), 42);
-        assert_eq!(s.decr(b"n", 40, 0).unwrap(), 2);
-        // floor at zero, memcached-style
-        assert_eq!(s.decr(b"n", 10, 0).unwrap(), 0);
-        // flags preserved through the rewrite
-        assert_eq!(s.get(b"n", 0).unwrap().flags, 5);
-        assert_eq!(s.incr(b"missing", 1, 0).unwrap_err(), KvError::NotFound);
-        s.set(b"text", Bytes::from_static(b"abc"), 0, 0, 0).unwrap();
-        assert_eq!(s.incr(b"text", 1, 0).unwrap_err(), KvError::NonNumeric);
-    }
-
-    #[test]
-    fn append_prepend_semantics() {
-        let mut s = store_mb(4);
-        s.set(b"k", Bytes::from_static(b"mid"), 3, 0, 0).unwrap();
-        s.append(b"k", b"-end", 0).unwrap();
-        s.prepend(b"k", b"start-", 0).unwrap();
-        let v = s.get(b"k", 0).unwrap();
-        assert_eq!(&v.data[..], b"start-mid-end");
-        assert_eq!(v.flags, 3);
-        assert_eq!(s.append(b"nope", b"x", 0).unwrap_err(), KvError::NotFound);
     }
 
     #[test]
@@ -1225,8 +1035,9 @@ mod tests {
         s.set_as(7, b"k1", Bytes::from_static(b"0123456789"), 0, 0, 0)
             .unwrap();
         assert_eq!(s.tenant_bytes(7), 12);
-        // untenanted rewrite preserves ownership (append/incr path)
-        s.append(b"k1", b"xy", 0).unwrap();
+        // untenanted rewrite preserves ownership
+        s.set(b"k1", Bytes::from_static(b"0123456789xy"), 0, 0, 0)
+            .unwrap();
         assert_eq!(s.tenant_bytes(7), 14);
         // a different tenant's overwrite transfers ownership
         s.set_as(8, b"k1", Bytes::from_static(b"ab"), 0, 0, 0)

@@ -16,7 +16,6 @@ enum Op {
     Set { key: u8, len: usize },
     Get { key: u8 },
     Delete { key: u8 },
-    Add { key: u8, len: usize },
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -24,7 +23,6 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         (any::<u8>(), 1usize..4096).prop_map(|(key, len)| Op::Set { key, len }),
         any::<u8>().prop_map(|key| Op::Get { key }),
         any::<u8>().prop_map(|key| Op::Delete { key }),
-        (any::<u8>(), 1usize..2048).prop_map(|(key, len)| Op::Add { key, len }),
     ]
 }
 
@@ -58,20 +56,6 @@ proptest! {
                     let v = value_for(key, len, version);
                     store.set(&[key], v.clone(), 0, 0, 0).unwrap();
                     model.insert(key, v);
-                }
-                Op::Add { key, len } => {
-                    version += 1;
-                    let v = value_for(key, len, version);
-                    let r = store.add(&[key], v.clone(), 0, 0, 0);
-                    match model.entry(key) {
-                        std::collections::hash_map::Entry::Occupied(_) => {
-                            prop_assert!(r.is_err());
-                        }
-                        std::collections::hash_map::Entry::Vacant(e) => {
-                            prop_assert!(r.is_ok());
-                            e.insert(v);
-                        }
-                    }
                 }
                 Op::Get { key } => {
                     let got = store.get(&[key], 0);
@@ -164,26 +148,41 @@ proptest! {
         prop_assert_eq!(allocated, live.len());
     }
 
-    /// Wire protocol: arbitrary requests roundtrip exactly.
+    /// Wire protocol: arbitrary requests of every verb (both `Get` and
+    /// both `Set` carriers) roundtrip exactly.
     #[test]
     fn proto_request_roundtrip(
         key in proptest::collection::vec(any::<u8>(), 0..64),
         payload in proptest::collection::vec(any::<u8>(), 0..2048),
+        keys in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..24), 0..12),
         flags in any::<u32>(),
         expire in any::<u64>(),
-        variant in 0u8..6,
+        variant in 0u8..9,
         node in any::<u32>(),
         rkey in any::<u32>(),
     ) {
         let key = Bytes::from(key);
-        let val = Carrier::Inline(Bytes::from(payload));
+        let src = WireBuf { node, rkey, len: 1 << 20 };
         let req = match variant {
-            0 => Request::Get { key, dst: Some(WireBuf { node, rkey, len: 1 << 20 }) },
-            1 => Request::Set { key, flags, expire_at: expire, value: val },
-            2 => Request::Add { key, flags, expire_at: expire, value: val },
-            3 => Request::Replace { key, flags, expire_at: expire, value: val },
+            0 => Request::Get { key, dst: None },
+            1 => Request::Get { key, dst: Some(src) },
+            2 => Request::Set {
+                key,
+                flags,
+                expire_at: expire,
+                value: Carrier::Inline(Bytes::from(payload)),
+            },
+            3 => Request::Set {
+                key,
+                flags,
+                expire_at: expire,
+                value: Carrier::Remote { src, len: payload.len() as u32 },
+            },
             4 => Request::Delete { key },
-            _ => Request::Touch { key, expire_at: expire },
+            5 => Request::MultiGet { keys: keys.into_iter().map(Bytes::from).collect() },
+            6 => Request::Pin { key },
+            7 => Request::Unpin { key },
+            _ => Request::SetTenant { tenant: flags },
         };
         let decoded = Request::decode(req.encode()).unwrap();
         prop_assert_eq!(decoded, req);
@@ -519,16 +518,22 @@ proptest! {
     }
 
     /// The shard-per-core engine is observably equivalent to the
-    /// single-context model: an identical client script gets identical
-    /// answers at every (cores, cq_batch), including split `multi_get`s.
+    /// single-context model: an identical client script over every keyed
+    /// verb gets identical answers at every (cores, cq_batch), including
+    /// split `multi_get`s.
     #[test]
     fn engine_answers_match_single_context(
         cores in 1usize..5,
         cq_batch in 1usize..9,
-        script in proptest::collection::vec((any::<u8>(), 1usize..512, any::<bool>()), 1..40),
+        script in proptest::collection::vec((any::<u8>(), 1usize..512, 0u8..6), 1..40),
     ) {
         use std::rc::Rc;
-        let run = |cfg: rkv::KvServerConfig| -> Vec<Option<Bytes>> {
+        #[derive(Debug, PartialEq)]
+        enum Answer {
+            Value(Option<Bytes>),
+            Found(bool),
+        }
+        let run = |cfg: rkv::KvServerConfig| -> Vec<Answer> {
             let sim = simkit::Sim::new();
             let fabric = netsim::Fabric::new(sim.clone(), 2, netsim::NetConfig::default());
             let stack = rdmasim::RdmaStack::new(fabric);
@@ -546,18 +551,27 @@ proptest! {
             let script = script.clone();
             let out = sim.block_on(async move {
                 let mut out = Vec::new();
-                for (key, len, is_get) in script {
-                    if is_get {
-                        out.push(cl.get(&[key]).await.unwrap().map(|v| v.data));
-                    } else {
-                        cl.set(&[key], Bytes::from(vec![key; len]), 0, 0).await.unwrap();
+                for (key, len, verb) in script {
+                    // a narrow key space so deletes and pins hit live keys
+                    let key = [key % 32];
+                    match verb {
+                        0 | 1 => out.push(Answer::Value(
+                            cl.get(&key).await.unwrap().map(|v| v.data),
+                        )),
+                        2 => out.push(Answer::Found(cl.delete(&key).await.unwrap())),
+                        3 => out.push(Answer::Found(cl.pin(&key).await.unwrap())),
+                        4 => cl.unpin(&key).await,
+                        _ => {
+                            let value = Bytes::from(vec![key[0]; len]);
+                            cl.set(&key, value, 0, 0).await.unwrap();
+                        }
                     }
                 }
                 // a wide multi_get exercises the per-shard split/join path
-                let keys: Vec<Vec<u8>> = (0..16u8).map(|k| vec![k * 16]).collect();
+                let keys: Vec<Vec<u8>> = (0..32u8).map(|k| vec![k]).collect();
                 let refs: Vec<&[u8]> = keys.iter().map(|k| k.as_slice()).collect();
                 for v in cl.multi_get(&refs).await.unwrap() {
-                    out.push(v.map(|v| v.data));
+                    out.push(Answer::Value(v.map(|v| v.data)));
                 }
                 out
             });

@@ -194,9 +194,9 @@ impl Drop for Inner {
 }
 
 /// Handle to a simulation. Cheap to clone; all clones refer to the same
-/// clock and task set. Not `Send` — a simulation lives on one thread
-/// (parameter sweeps parallelize across *whole simulations*, e.g. with
-/// rayon in the benchmark harness). The task wakers rely on this (see
+/// clock and task set. Not `Send` — a simulation lives on one thread (a
+/// parameter sweep is a sequence of *whole simulations*, one per cell).
+/// The task wakers rely on this (see
 /// `executor/waker.rs`), so it is pinned:
 ///
 /// ```compile_fail

@@ -13,7 +13,7 @@ use rdma_bb::rdmasim::RdmaStack;
 use rdma_bb::rkv::server::KvServerConfig;
 use rdma_bb::rkv::{KvClient, KvClientConfig, KvServer};
 
-fn run(profile: TransportProfile) -> (f64, f64, f64) {
+fn run(profile: TransportProfile) -> (f64, f64) {
     let sim = Sim::new();
     let fabric = Fabric::new(sim.clone(), 2, NetConfig::default());
     let stack = RdmaStack::with_profile(fabric, profile);
@@ -46,18 +46,7 @@ fn run(profile: TransportProfile) -> (f64, f64, f64) {
                 .unwrap();
         }
         let set_mbps = 50.0 * 0.5 * 1.048_576 / (s.now() - t1).as_secs_f64();
-        // counters round-trip
-        client
-            .set(b"ctr", Bytes::from_static(b"0"), 0, 0)
-            .await
-            .unwrap();
-        let t2 = s.now();
-        for _ in 0..100 {
-            client.incr(b"ctr", 1).await.unwrap();
-        }
-        let incr_us = (s.now() - t2).as_secs_f64() * 1e6 / 100.0;
-        assert_eq!(client.incr(b"ctr", 0).await.unwrap(), 100);
-        (get_us, set_mbps, incr_us)
+        (get_us, set_mbps)
     });
     sim.reset();
     out
@@ -66,8 +55,8 @@ fn run(profile: TransportProfile) -> (f64, f64, f64) {
 fn main() {
     println!("RDMA-Memcached microbenchmark (1 server, 1 client)\n");
     println!(
-        "{:<12} {:>14} {:>16} {:>14}",
-        "transport", "get 4KiB (µs)", "set 512KiB MB/s", "incr (µs)"
+        "{:<12} {:>14} {:>16}",
+        "transport", "get 4KiB (µs)", "set 512KiB MB/s"
     );
     for profile in [
         TransportProfile::verbs_qdr(),
@@ -75,11 +64,8 @@ fn main() {
         TransportProfile::ten_gige(),
         TransportProfile::one_gige(),
     ] {
-        let (get_us, set_mbps, incr_us) = run(profile);
-        println!(
-            "{:<12} {:>14.1} {:>16.0} {:>14.1}",
-            profile.name, get_us, set_mbps, incr_us
-        );
+        let (get_us, set_mbps) = run(profile);
+        println!("{:<12} {:>14.1} {:>16.0}", profile.name, get_us, set_mbps);
     }
     println!("\n(the verbs row is why the paper builds its burst buffer on RDMA)");
 }

@@ -77,9 +77,11 @@ pub fn repo_root() -> PathBuf {
 /// The `repro` command line.
 pub const USAGE: &str = "usage: repro <ID>|all|--list [--quick] [--check] \
 [--metrics-json PATH] [--trace PATH] [--timeline PATH] [--out EXPERIMENTS.md]
-  --list prints the ids; --check exits 1 unless the paper shape holds and the
-  metrics snapshot passes the experiment's structural checks; the artifact
-  PATHs go with one <ID>, --out (EXPERIMENTS.md plus snapshots/) with `all`";
+  --list prints the ids; --check exits 1 unless the paper shape holds, the
+  metrics snapshot passes the experiment's structural checks and, with --quick
+  and no --trace, it equals the committed snapshots/metrics_<ID>.json byte for
+  byte; the artifact PATHs go with one <ID>, --out (EXPERIMENTS.md plus
+  snapshots/) with `all`";
 
 /// What a `repro` invocation runs.
 pub enum Target {
@@ -97,7 +99,8 @@ pub struct RunOpts {
     pub target: Target,
     /// Shrink sweeps for CI-speed runs (`--quick`).
     pub quick: bool,
-    /// Gate the exit code on shape and snapshot structure (`--check`).
+    /// Gate the exit code on shape, snapshot structure and — for an
+    /// untraced `--quick` run — byte identity with `snapshots/` (`--check`).
     pub check: bool,
     /// Write the representative cell's metrics snapshot here
     /// (`--metrics-json PATH`).
@@ -174,9 +177,16 @@ impl RunOpts {
 
 /// The structural gate behind `repro --check`: the schema marker, every
 /// instrumented subsystem's metric family, the row's required prefixes,
-/// its expected read-tier chunk count (`--quick` cells only) and its SLO
-/// budget file. `Ok` carries a one-line summary, `Err` every violation.
-pub fn check_snapshot(exp: &Experiment, json: &str, quick: bool) -> Result<String, Vec<String>> {
+/// its expected read-tier chunk count (`--quick` cells only), its SLO
+/// budget file and, when the text of `snapshots/metrics_<ID>.json` is
+/// passed as `committed`, byte identity with it. `Ok` carries a one-line
+/// summary, `Err` every violation.
+pub fn check_snapshot(
+    exp: &Experiment,
+    json: &str,
+    quick: bool,
+    committed: Option<&str>,
+) -> Result<String, Vec<String>> {
     let mut failures = Vec::new();
     // v1 snapshots (pre-percentile histograms) stay valid; v2 adds
     // p50/p99/p999 fields to every histogram
@@ -251,13 +261,46 @@ pub fn check_snapshot(exp: &Experiment, json: &str, quick: bool) -> Result<Strin
             }
         }
     }
+    let mut same_note = "";
+    if let Some(committed) = committed {
+        match snapshot_drift(json, committed) {
+            Ok(()) => same_note = ", byte-identical to snapshots/",
+            Err(drift) => failures.push(format!("snapshots/metrics_{}.json: {drift}", exp.id)),
+        }
+    }
     if failures.is_empty() {
         Ok(format!(
-            "schema valid, all subsystem families present, tier sum {sum}{slo_note}"
+            "schema valid, all subsystem families present, tier sum {sum}{slo_note}{same_note}"
         ))
     } else {
         Err(failures)
     }
+}
+
+/// Byte-compare a fresh snapshot with the committed one. A snapshot is
+/// one metric per line, so on a mismatch `Err` counts the metrics whose
+/// lines differ (or exist on one side only) and names the first few.
+pub fn snapshot_drift(fresh: &str, committed: &str) -> Result<(), String> {
+    if fresh == committed {
+        return Ok(());
+    }
+    fn by_name(json: &str) -> std::collections::BTreeMap<&str, &str> {
+        json.lines()
+            .filter_map(|line| Some((line.split('"').nth(1)?, line)))
+            .collect()
+    }
+    let (fresh, committed) = (by_name(fresh), by_name(committed));
+    let moved: Vec<&str> = fresh
+        .keys()
+        .chain(committed.keys().filter(|k| !fresh.contains_key(*k)))
+        .filter(|k| fresh.get(*k) != committed.get(*k))
+        .copied()
+        .collect();
+    Err(format!(
+        "the fresh --quick snapshot differs in {} metric(s), first: {}",
+        moved.len(),
+        moved[..moved.len().min(5)].join(", ")
+    ))
 }
 
 /// Read a counter's value out of a snapshot JSON file produced by
@@ -386,6 +429,33 @@ mod tests {
         assert_eq!(counter_in_json(&json, "missing"), None);
         assert!(has_metric_prefix(&json, "bb.read."));
         assert!(!has_metric_prefix(&json, "lustre."));
+    }
+
+    #[test]
+    fn snapshot_drift_names_the_metrics_that_moved() {
+        let snap = |hits: u64, extra: bool| {
+            let r = simkit::telemetry::Registry::default();
+            r.counter("rkv.server0.hits").add(hits);
+            r.counter("rkv.server0.sets").add(3);
+            if extra {
+                r.counter("kv.retry.timeouts").add(1);
+            }
+            r.snapshot().to_json()
+        };
+        assert_eq!(snapshot_drift(&snap(7, false), &snap(7, false)), Ok(()));
+        let drift = snapshot_drift(&snap(8, true), &snap(7, false)).unwrap_err();
+        assert_eq!(
+            drift,
+            "the fresh --quick snapshot differs in 2 metric(s), \
+             first: kv.retry.timeouts, rkv.server0.hits"
+        );
+        // the gate reports it against the row's committed file
+        let e1 = Experiment::find("E1").unwrap();
+        let failures = check_snapshot(e1, &snap(8, true), true, Some(&snap(7, false))).unwrap_err();
+        assert!(
+            failures.contains(&format!("snapshots/metrics_E1.json: {drift}")),
+            "{failures:?}"
+        );
     }
 
     #[test]

@@ -28,7 +28,6 @@ fn default_config_is_byte_identical_to_explicit_single_context() {
     let b = cell(KvServerConfig {
         cores: 1,
         cq_batch: 1,
-        reclaim_idle: std::time::Duration::ZERO,
         ..KvServerConfig::default()
     });
     assert_eq!(a.0, b.0);

@@ -48,7 +48,7 @@ fn every_simulated_experiment_has_a_committed_snapshot_that_passes_its_checks() 
     for exp in REGISTRY.iter().filter(|e| e.id != "AB4") {
         let path = repo_root().join(format!("snapshots/metrics_{}.json", exp.id));
         let json = std::fs::read_to_string(path).unwrap();
-        if let Err(failures) = check_snapshot(exp, &json, true) {
+        if let Err(failures) = check_snapshot(exp, &json, true, None) {
             panic!("{}: {failures:?}", exp.id);
         }
     }
@@ -72,7 +72,7 @@ fn every_slo_file_belongs_to_exactly_one_experiment() {
 #[test]
 fn check_reports_every_violation_of_a_row() {
     let ab10 = Experiment::find("AB10").unwrap();
-    let failures = check_snapshot(ab10, "{}", true).unwrap_err();
+    let failures = check_snapshot(ab10, "{}", true, None).unwrap_err();
     for expect in [
         "schema marker",
         "\"rkv.server\"",

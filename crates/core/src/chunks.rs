@@ -381,7 +381,7 @@ mod tests {
         let servers = (0..SERVERS as u32)
             .map(|i| KvServer::new(Rc::clone(&stack), NodeId(i), KvServerConfig::default()))
             .collect();
-        Membership::new(servers, 16)
+        Membership::new(servers)
     }
 
     /// What the table must agree with: which chunks exist and which of

@@ -19,27 +19,25 @@ use lustre::{LustreClient, LustreError, LustreFile};
 use crate::integrity;
 pub use crate::manager::BbError;
 use crate::manager::{chunk_key, lustre_path, BbFileMeta, Dropped, FileState, MgrMsg, MGR_SERVICE};
-use crate::{AckMode, BbConfig, BbDeployment, Scheme, KV_BACKOFF, KV_RETRIES, WRITE_WINDOW};
+use crate::{BbConfig, BbDeployment, Scheme, KV_BACKOFF, KV_RETRIES, WRITE_WINDOW};
 
 /// KV client settings derived from the burst-buffer configuration.
 pub(crate) fn kv_client_config(cfg: &BbConfig) -> KvClientConfig {
-    let resilience = KvClientConfig {
+    let base = KvClientConfig {
         replication: cfg.kv_replication.max(1),
-        max_retries: KV_RETRIES,
-        backoff_base: KV_BACKOFF,
         ..KvClientConfig::default()
     };
     if cfg.one_sided {
         KvClientConfig {
             buf_size: cfg.chunk_size.max(1 << 20),
-            ..resilience
+            ..base
         }
     } else {
         // ablation: SEND-only protocol, everything inline
         KvClientConfig {
             pool_bufs: 0,
             inline_max: 4 << 20,
-            ..resilience
+            ..base
         }
     }
 }
@@ -166,14 +164,6 @@ impl AckCounters {
     }
 }
 
-/// Per-file write options ([`BbClient::create_with`]).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct WriteOptions {
-    /// Durability ack mode for this file; `None` (default) inherits
-    /// [`BbConfig::bb_ack_mode`].
-    pub ack_mode: Option<AckMode>,
-}
-
 /// A burst-buffer client bound to one compute node.
 pub struct BbClient {
     dep: Rc<BbDeployment>,
@@ -271,19 +261,8 @@ impl BbClient {
         }
     }
 
-    /// Create a file for writing through the buffer, with the
-    /// deployment-default write options.
+    /// Create a file for writing through the buffer.
     pub async fn create(self: &Rc<Self>, path: &str) -> Result<BbWriter, BbError> {
-        self.create_with(path, WriteOptions::default()).await
-    }
-
-    /// Create a file for writing through the buffer with per-file
-    /// options (durability ack mode).
-    pub async fn create_with(
-        self: &Rc<Self>,
-        path: &str,
-        opts: WriteOptions,
-    ) -> Result<BbWriter, BbError> {
         let p = path.to_owned();
         let file_id = self
             .mgr_call(128 + path.len() as u64, None, |reply| MgrMsg::Create {
@@ -299,8 +278,8 @@ impl BbClient {
             Some(h) => Some(h.create_with_replication(path, 1).await?),
             None => None,
         };
-        let mode = opts.ack_mode.unwrap_or(self.dep.config.bb_ack_mode);
-        let ack_quorum = mode.quorum(self.dep.config.kv_replication);
+        let config = &self.dep.config;
+        let ack_quorum = config.bb_ack_mode.quorum(config.kv_replication);
         Ok(BbWriter {
             client: Rc::clone(self),
             path: path.to_owned(),
@@ -1052,11 +1031,8 @@ impl ReadCore {
         let first = offset / chunk_size;
         let last = (offset + len - 1) / chunk_size;
         let max_seq = (size - 1) / chunk_size;
-        let horizon = if self.config().readahead {
-            (last + window as u64).min(max_seq)
-        } else {
-            last
-        };
+        // readahead: prefetch up to a window of chunks past the request
+        let horizon = (last + window as u64).min(max_seq);
         // bound the ready map under random access: keep only the planned
         // range once it outgrows a few windows of chunks
         {

@@ -47,7 +47,7 @@ use lustre::LustreCluster;
 use hdfs::{HdfsCluster, HdfsConfig};
 use storesim::DiskKind;
 
-pub use client::{BbClient, BbError, BbReader, BbWriter, ReadStats, WriteOptions};
+pub use client::{BbClient, BbError, BbReader, BbWriter, ReadStats};
 pub use manager::{BbManager, FileState};
 pub use placement::PlacementPolicy;
 
@@ -134,11 +134,11 @@ impl AckMode {
 pub(crate) const WRITE_WINDOW: usize = 4;
 /// RAM-disk capacity per node for the locality replica (scheme C).
 const LOCAL_RAMDISK: u64 = 8 << 30;
-/// Bounded retries on transport errors: per KV replica and op, per
-/// manager RPC, and (plus three) per flusher read-back.
-pub(crate) const KV_RETRIES: u32 = 3;
-/// First retry backoff (doubles per retry).
-pub(crate) const KV_BACKOFF: std::time::Duration = std::time::Duration::from_micros(100);
+/// The KV client's retry budget and first backoff (doubles per retry),
+/// shared by everything here that retries on a transport error: each
+/// manager RPC, each async replica tail and (plus three) each flusher
+/// read-back.
+pub(crate) use rkv::client::{BACKOFF_BASE as KV_BACKOFF, MAX_RETRIES as KV_RETRIES};
 
 /// Burst-buffer deployment configuration.
 #[derive(Debug, Clone, Copy)]
@@ -157,13 +157,11 @@ pub struct BbConfig {
     /// Writers stall when unflushed buffered bytes exceed this fraction of
     /// the aggregate KV memory (protects unflushed data from LRU pressure).
     pub flush_watermark: f64,
-    /// Chunks a reader fetches concurrently (pipelined tiered read path).
-    /// `1` reproduces the serial chunk-at-a-time behaviour exactly.
+    /// Chunks a reader fetches concurrently (pipelined tiered read path),
+    /// and how far past each request it prefetches (readahead; the bytes
+    /// returned are identical either way). `1` reproduces the serial
+    /// chunk-at-a-time behaviour exactly.
     pub read_window: usize,
-    /// Prefetch up to `read_window` chunks past the current request on
-    /// sequential reads (readahead); the bytes returned are identical
-    /// either way.
-    pub readahead: bool,
     /// Populate the buffer on Lustre-fallback reads (read-through cache).
     pub populate_on_read: bool,
     /// Client-side serialization rate on the write path (bytes/s): the
@@ -211,8 +209,7 @@ pub struct BbConfig {
     /// Default durability ack mode for buffered writes ([`AckMode`]).
     /// [`AckMode::FullR`] (default) reproduces the seed exactly: the ack
     /// waits for all `r` replicas. Relaxed modes ack at the mode's quorum
-    /// and complete the remaining replicas asynchronously. Overridable
-    /// per file via [`client::WriteOptions`].
+    /// and complete the remaining replicas asynchronously.
     pub bb_ack_mode: AckMode,
     /// Bound on chunks per writer whose async replica tails are still
     /// outstanding under a relaxed ack mode. When the window is full the
@@ -269,7 +266,6 @@ impl Default for BbConfig {
             flusher_threads: 4,
             flush_watermark: 0.6,
             read_window: 8,
-            readahead: true,
             populate_on_read: false,
             client_write_rate: 55e6,
             client_read_rate: 1.0e9,
@@ -392,8 +388,7 @@ impl BbDeployment {
             }
             _ => None,
         };
-        let vnodes = client::kv_client_config(&config).vnodes.max(1);
-        let membership = rkv::Membership::new(kv_servers.clone(), vnodes);
+        let membership = rkv::Membership::new(kv_servers.clone());
         let manager_node = fabric.add_node();
         let manager = BbManager::spawn(
             Rc::clone(&stack),

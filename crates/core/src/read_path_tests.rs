@@ -33,7 +33,6 @@ struct Scenario {
     evict_stride: u64,
     /// Raw (offset, len) seeds, reduced modulo the file size at runtime.
     reads: Vec<(u64, u64)>,
-    readahead: bool,
 }
 
 fn scenario_strategy() -> impl Strategy<Value = Scenario> {
@@ -44,17 +43,15 @@ fn scenario_strategy() -> impl Strategy<Value = Scenario> {
         any::<bool>(),
         0u64..4,
         proptest::collection::vec((any::<u64>(), any::<u64>()), 1..4),
-        any::<bool>(),
     )
         .prop_map(
-            |(scheme_idx, chunk_size, total, cold, evict_stride, reads, readahead)| Scenario {
+            |(scheme_idx, chunk_size, total, cold, evict_stride, reads)| Scenario {
                 scheme_idx,
                 chunk_size,
                 total,
                 cold,
                 evict_stride,
                 reads,
-                readahead,
             },
         )
 }
@@ -72,7 +69,6 @@ fn run_scenario(sc: &Scenario, read_window: usize) -> (Vec<Bytes>, Vec<Duration>
         scheme,
         chunk_size: sc.chunk_size,
         read_window,
-        readahead: sc.readahead,
         ..BbConfig::default()
     };
     let dep = BbDeployment::deploy(&fabric, lustre, &nodes, cfg);
@@ -174,7 +170,6 @@ fn pipelined_warm_read_beats_serial() {
         cold: false,
         evict_stride: 0,
         reads: vec![(0, u64::MAX)], // whole file
-        readahead: true,
     };
     let (_, lats8, stats8) = run_scenario(&sc, 8);
     let (_, lats1, stats1) = run_scenario(&sc, 1);
@@ -202,7 +197,6 @@ fn pipelined_cold_read_coalesces_lustre_runs() {
         cold: true,
         evict_stride: 0,
         reads: vec![(0, u64::MAX)],
-        readahead: true,
     };
     let (_, lats8, stats8) = run_scenario(&sc, 8);
     let (_, lats1, stats1) = run_scenario(&sc, 1);

@@ -719,58 +719,45 @@ fn ack_mode_quorum_contract() {
 }
 
 #[test]
-fn per_file_ack_mode_overrides_config_default() {
-    use crate::client::WriteOptions;
+fn relaxed_ack_mode_takes_the_quorum_path_and_full_r_does_not() {
     use crate::AckMode;
-    // config default is full_r (seed path); one file opts into local_only
-    let bcfg = BbConfig {
-        kv_replication: 2,
-        kv_servers: 3,
-        ..BbConfig::default()
+    // the same write under each mode; returns the relaxed-path ack count
+    let run = |bb_ack_mode: AckMode| -> u64 {
+        let bcfg = BbConfig {
+            kv_replication: 2,
+            kv_servers: 3,
+            bb_ack_mode,
+            ..BbConfig::default()
+        };
+        let r = rig_with(2, Scheme::AsyncLustre, LustreConfig::default(), bcfg);
+        let client = r.dep.client(NodeId(0));
+        let dep = Rc::clone(&r.dep);
+        let sim = r.sim.clone();
+        let data = pattern(2 << 20);
+        let expect = data.clone();
+        r.sim.block_on(async move {
+            let w = client.create("/f").await.unwrap();
+            w.append(data).await.unwrap();
+            w.close().await.unwrap();
+            let m = sim.metrics().snapshot();
+            assert_eq!(m.counter("bb.ack.downgrade"), 0);
+            // relaxed acks cost no durability once replication catches up
+            let st = client.wait_flushed("/f").await.unwrap();
+            assert_eq!(st, FileState::Flushed);
+            let rd = client.open("/f").await.unwrap();
+            assert_eq!(rd.read_all().await.unwrap(), expect);
+            dep.shutdown();
+            m.counter("bb.ack.quorum_acks")
+        })
     };
-    let r = rig_with(2, Scheme::AsyncLustre, LustreConfig::default(), bcfg);
-    let client = r.dep.client(NodeId(0));
-    let dep = Rc::clone(&r.dep);
-    let sim = r.sim.clone();
-    let data = pattern(2 << 20);
-    let expect = data.clone();
-    r.sim.block_on(async move {
-        let w = client
-            .create_with(
-                "/relaxed",
-                WriteOptions {
-                    ack_mode: Some(AckMode::LocalOnly),
-                },
-            )
-            .await
-            .unwrap();
-        w.append(data.clone()).await.unwrap();
-        w.close().await.unwrap();
-        // the relaxed quorum path acked before all replicas were durable
-        let m = sim.metrics().snapshot();
-        assert!(
-            m.counter("bb.ack.quorum_acks") > 0,
-            "relaxed path not taken"
-        );
-        assert_eq!(m.counter("bb.ack.downgrade"), 0);
-        // a default-mode file on the same deployment rides the seed path
-        let acks_before = m.counter("bb.ack.quorum_acks");
-        let w2 = client.create("/strict").await.unwrap();
-        w2.append(data).await.unwrap();
-        w2.close().await.unwrap();
-        let m = sim.metrics().snapshot();
-        assert_eq!(
-            m.counter("bb.ack.quorum_acks"),
-            acks_before,
-            "full_r files must not take the relaxed ack path"
-        );
-        // relaxed acks cost no durability once replication catches up
-        let st = client.wait_flushed("/relaxed").await.unwrap();
-        assert_eq!(st, FileState::Flushed);
-        let rd = client.open("/relaxed").await.unwrap();
-        assert_eq!(rd.read_all().await.unwrap(), expect);
-        dep.shutdown();
-    });
+    // local_only acks before all replicas are durable; full_r (the config
+    // default) rides the seed path
+    assert!(run(AckMode::LocalOnly) > 0, "relaxed path not taken");
+    assert_eq!(
+        run(AckMode::FullR),
+        0,
+        "full_r files must not take the relaxed ack path"
+    );
 }
 
 #[test]

@@ -17,8 +17,9 @@
 //! definitive once every reachable replica has missed (a crashed-and-
 //! restarted primary comes back empty, so its miss proves nothing).
 //!
-//! Every exchange is bounded by [`KvClientConfig::op_timeout`] and retried
-//! up to [`KvClientConfig::max_retries`] times with exponential backoff.
+//! Every exchange — a `multi_get` fan-out leg included — is one attempt
+//! bounded by [`OP_TIMEOUT`]; every verb but the leg retries it up to
+//! [`MAX_RETRIES`] times with exponential backoff.
 //! Backoff jitter is drawn from a [`SimRng`] seeded by the client's node id
 //! — never from wall clock — so runs are reproducible. Retries and
 //! failovers are counted in the `kv.retry.*` / `kv.failover.*` metric
@@ -41,9 +42,10 @@ use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::fmt;
 use std::rc::Rc;
+use std::time::Duration;
 
 use bytes::Bytes;
-use simkit::stats::Histogram;
+use simkit::optrace::FinishedOp;
 use simkit::sync::semaphore::Semaphore;
 use simkit::telemetry::Counter;
 use simkit::SimRng;
@@ -69,7 +71,7 @@ pub enum ClientError {
     NoServers,
     /// The server reported a failed one-sided transfer.
     TransferFailed,
-    /// The operation exceeded [`KvClientConfig::op_timeout`].
+    /// The operation exceeded [`OP_TIMEOUT`].
     Timeout,
     /// The server rejected the op under per-tenant admission control.
     /// Never retried at the transport layer — the offered load is the
@@ -108,6 +110,19 @@ impl From<ProtoError> for ClientError {
     }
 }
 
+/// Virtual nodes per server on the hash ring.
+pub const VNODES: u32 = 160;
+/// Per-attempt deadline; a timed-out exchange poisons the connection it
+/// was sent on (the abandoned response could desync the queue pair).
+pub const OP_TIMEOUT: Duration = Duration::from_secs(1);
+/// Retries per replica after the first attempt (transport errors and
+/// timeouts only — store-level errors are never retried).
+pub const MAX_RETRIES: u32 = 3;
+/// First backoff delay; doubles per retry.
+pub const BACKOFF_BASE: Duration = Duration::from_micros(100);
+/// Backoff ceiling.
+pub const BACKOFF_MAX: Duration = Duration::from_millis(5);
+
 /// Client tuning knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct KvClientConfig {
@@ -117,22 +132,10 @@ pub struct KvClientConfig {
     pub pool_bufs: usize,
     /// Size of each pooled buffer; also the largest one-sided payload.
     pub buf_size: u64,
-    /// Virtual nodes per server on the hash ring.
-    pub vnodes: u32,
     /// Replicas per key (`r`): SETs go to the first `r` distinct servers
     /// clockwise on the ring, GETs fail over across them. `1` = no
     /// replication (capped at the server count).
     pub replication: usize,
-    /// Per-attempt deadline; a timed-out exchange poisons its connection
-    /// (the abandoned response could desync the queue pair) and retries.
-    pub op_timeout: std::time::Duration,
-    /// Retries per replica after the first attempt (transport errors and
-    /// timeouts only — store-level errors are never retried).
-    pub max_retries: u32,
-    /// First backoff delay; doubles per retry.
-    pub backoff_base: std::time::Duration,
-    /// Backoff ceiling.
-    pub backoff_max: std::time::Duration,
     /// Tenant tag carried on every traced op (0 = untagged). Only
     /// consumed by the request tracer — per-tenant latency series appear
     /// under `rkv.lat.{class}.tenant{T}.e2e` when tracing is enabled.
@@ -145,30 +148,10 @@ impl Default for KvClientConfig {
             inline_max: 8 << 10,
             pool_bufs: 4,
             buf_size: 1 << 20,
-            vnodes: 160,
             replication: 1,
-            op_timeout: std::time::Duration::from_secs(1),
-            max_retries: 3,
-            backoff_base: std::time::Duration::from_micros(100),
-            backoff_max: std::time::Duration::from_millis(5),
             tenant: 0,
         }
     }
-}
-
-/// Cumulative client-side metrics.
-#[derive(Default)]
-pub struct ClientStats {
-    /// SET operations issued.
-    pub sets: u64,
-    /// GET operations issued.
-    pub gets: u64,
-    /// GETs that returned a value.
-    pub hits: u64,
-    /// SET latency distribution.
-    pub set_lat: Histogram,
-    /// GET latency distribution.
-    pub get_lat: Histogram,
 }
 
 struct BufPool {
@@ -230,7 +213,6 @@ pub struct KvClient {
     view: Rc<Membership>,
     conns: RefCell<HashMap<usize, Rc<Conn>>>,
     pool: Rc<BufPool>,
-    stats: RefCell<ClientStats>,
     jitter: SimRng,
     res: ResCounters,
     observer: RefCell<Option<ObserverFn>>,
@@ -313,7 +295,7 @@ impl KvClient {
         servers: Vec<Rc<KvServer>>,
         config: KvClientConfig,
     ) -> Rc<KvClient> {
-        let view = Membership::new(servers, config.vnodes.max(1));
+        let view = Membership::new(servers);
         Self::with_view(stack, node, view, config)
     }
 
@@ -350,7 +332,6 @@ impl KvClient {
                 created: Cell::new(0),
                 gate: Semaphore::new(config.pool_bufs.max(1)),
             }),
-            stats: RefCell::new(ClientStats::default()),
             // backoff jitter: seeded by node id, never wall clock, so a
             // run is reproducible from (program, seeds) alone
             jitter: SimRng::seed_from(0x6b76_7274 ^ u64::from(node.0)),
@@ -385,11 +366,6 @@ impl KvClient {
         self.node
     }
 
-    /// Number of servers currently active on the ring.
-    pub fn server_count(&self) -> usize {
-        self.view.active_len()
-    }
-
     /// The shared membership view this client routes through.
     pub fn view(&self) -> &Rc<Membership> {
         &self.view
@@ -398,11 +374,6 @@ impl KvClient {
     /// Which server (roster index) owns `key` on the live ring.
     pub fn route(&self, key: &[u8]) -> Result<usize, ClientError> {
         self.view.route(key).ok_or(ClientError::NoServers)
-    }
-
-    /// Fabric node of the server owning `key`.
-    pub fn route_node(&self, key: &[u8]) -> Result<NodeId, ClientError> {
-        Ok(self.view.server(self.route(key)?).node())
     }
 
     /// The key's replica set: first `replication` distinct active servers
@@ -415,11 +386,6 @@ impl KvClient {
             return Err(ClientError::NoServers);
         }
         Ok(reps)
-    }
-
-    /// Snapshot client metrics (by reference to avoid a histogram copy).
-    pub fn with_stats<R>(&self, f: impl FnOnce(&ClientStats) -> R) -> R {
-        f(&self.stats.borrow())
     }
 
     async fn conn(&self, server_idx: usize) -> Result<Rc<Conn>, ClientError> {
@@ -464,41 +430,73 @@ impl KvClient {
         }
     }
 
-    /// One request/response exchange on the connection to `server_idx`.
-    /// `op` (when tracing) gets `client_queue` stamped once the
-    /// connection is acquired and `net_back` when the response frame
-    /// lands; the request rides the queue pair tagged so the server can
-    /// stamp its internal stages onto the same op.
-    async fn exchange_at(
+    /// One deadline-bounded attempt at a request/response exchange with
+    /// `server_idx` — the only code that puts a request on the wire. Each
+    /// attempt is its own traced op (a retry is a new op; one that errors
+    /// or times out is aborted so half-stamped records never pollute the
+    /// latency series): `client_queue` is stamped once the connection is
+    /// acquired, the request rides the queue pair tagged so the server
+    /// stamps its stages onto the same op, and `net_back` marks the
+    /// response frame landing. Returns the finished op beside the response
+    /// so a `multi_get` join can attribute its slowest leg.
+    async fn attempt(
         &self,
         server_idx: usize,
-        req: Request,
-        op: Option<simkit::OpId>,
-    ) -> Result<Response, ClientError> {
-        let conn = self.conn(server_idx).await?;
-        let _serial = conn.lock.acquire().await;
-        if conn.poisoned.get() {
-            // an earlier op timed out mid-exchange on this qp; a stale
-            // response may be in flight, so the channel can't be trusted
-            self.drop_conn(server_idx, &conn);
-            return Err(ClientError::Rdma(RdmaError::Disconnected));
-        }
-        self.stack.sim().op_stamp(op, "client_queue");
-        let r = async {
-            conn.qp.send_tagged(req.encode(), op).await?;
-            let frame = conn.qp.recv().await?;
-            Ok::<_, RdmaError>(frame)
-        }
-        .await;
-        match r {
-            Ok(frame) => {
-                self.stack.sim().op_stamp(op, "net_back");
-                Ok(Response::decode(frame)?)
-            }
-            Err(e) => {
-                // connection is broken: drop it so the next op reconnects
+        req: &Request,
+    ) -> Result<(Response, Option<FinishedOp>), ClientError> {
+        let sim = self.stack.sim().clone();
+        let op = sim.op_begin("rkv", Self::op_class(req), self.config.tenant);
+        sim.optrace().annotate_server(op, server_idx as u32);
+        // the connection the request went out on, once it did
+        let sent_on = Cell::new(None);
+        let exchange = async {
+            let conn = self.conn(server_idx).await?;
+            let _serial = conn.lock.acquire().await;
+            if conn.poisoned.get() {
+                // an earlier op timed out mid-exchange on this qp; a stale
+                // response may be in flight, so the channel can't be trusted
                 self.drop_conn(server_idx, &conn);
-                Err(e.into())
+                return Err(ClientError::Rdma(RdmaError::Disconnected));
+            }
+            sim.op_stamp(op, "client_queue");
+            sent_on.set(Some(Rc::clone(&conn)));
+            let r = async {
+                conn.qp.send_tagged(req.encode(), op).await?;
+                conn.qp.recv().await
+            }
+            .await;
+            match r {
+                Ok(frame) => {
+                    sim.op_stamp(op, "net_back");
+                    Ok(Response::decode(frame)?)
+                }
+                Err(e) => {
+                    // connection is broken: drop it so the next op reconnects
+                    self.drop_conn(server_idx, &conn);
+                    Err(e.into())
+                }
+            }
+        };
+        match simkit::future::timeout(&sim, OP_TIMEOUT, exchange).await {
+            Some(Ok(resp)) => Ok((resp, sim.op_finish(op))),
+            Some(Err(e)) => {
+                sim.optrace().abort(op);
+                Err(e)
+            }
+            None => {
+                sim.optrace().abort(op);
+                self.res.retry_timeouts.inc();
+                // the deadline also covers connecting and queueing: only a
+                // request that was sent leaves a response to go stale, and
+                // only on the connection that carried it
+                if let Some(conn) = sent_on.take() {
+                    sim.flight_record("rkv.client", "poison", || {
+                        format!("node={} server={server_idx} op timeout", self.node.0)
+                    });
+                    conn.poisoned.set(true);
+                    self.drop_conn(server_idx, &conn);
+                }
+                Err(ClientError::Timeout)
             }
         }
     }
@@ -509,49 +507,6 @@ impl KvClient {
         let mut conns = self.conns.borrow_mut();
         if conns.get(&server_idx).is_some_and(|c| Rc::ptr_eq(c, conn)) {
             conns.remove(&server_idx);
-        }
-    }
-
-    /// One deadline-bounded attempt. A timeout abandons the exchange
-    /// mid-flight, so the connection is poisoned and dropped.
-    async fn exchange_once(
-        &self,
-        server_idx: usize,
-        req: Request,
-    ) -> Result<Response, ClientError> {
-        let sim = self.stack.sim().clone();
-        // one traced op per attempt: a retry is a new op, and an attempt
-        // that errors or times out is aborted so half-stamped records
-        // never pollute the latency series
-        let op = sim.op_begin("rkv", Self::op_class(&req), self.config.tenant);
-        sim.optrace().annotate_server(op, server_idx as u32);
-        match simkit::future::timeout(
-            &sim,
-            self.config.op_timeout,
-            self.exchange_at(server_idx, req, op),
-        )
-        .await
-        {
-            Some(r) => {
-                if r.is_ok() {
-                    sim.op_finish(op);
-                } else {
-                    sim.optrace().abort(op);
-                }
-                r
-            }
-            None => {
-                sim.optrace().abort(op);
-                self.res.retry_timeouts.inc();
-                sim.flight_record("rkv.client", "poison", || {
-                    format!("node={} server={server_idx} op timeout", self.node.0)
-                });
-                if let Some(c) = self.conns.borrow().get(&server_idx) {
-                    c.poisoned.set(true);
-                }
-                self.conns.borrow_mut().remove(&server_idx);
-                Err(ClientError::Timeout)
-            }
         }
     }
 
@@ -569,66 +524,50 @@ impl KvClient {
         )
     }
 
-    /// Exchange with bounded exponential backoff: up to `max_retries`
-    /// re-attempts on retryable errors, delay doubling from `backoff_base`
-    /// to `backoff_max`, jittered from the client's seeded RNG.
-    async fn exchange_retry(
-        &self,
-        server_idx: usize,
-        req: &Request,
-    ) -> Result<Response, ClientError> {
+    /// The exchange every verb goes through: [`KvClient::attempt`] under
+    /// two bounded repairs. A retryable error is re-attempted up to
+    /// [`MAX_RETRIES`] times, the delay doubling from [`BACKOFF_BASE`] to
+    /// [`BACKOFF_MAX`] and jittered from the client's seeded RNG. A SET
+    /// the server rejects with [`Response::BadDigest`] — the payload was
+    /// damaged in flight and the client still holds the good copy — is
+    /// re-sent up to `MAX_RETRIES` times, each re-send with a fresh
+    /// transport-retry budget.
+    async fn exchange(&self, server_idx: usize, req: &Request) -> Result<Response, ClientError> {
+        let sim = self.stack.sim();
         let mut attempt = 0u32;
+        let mut resends = 0u32;
         loop {
-            match self.exchange_once(server_idx, req.clone()).await {
-                Err(e) if Self::retryable(&e) => {
-                    if attempt >= self.config.max_retries {
-                        self.res.retry_exhausted.inc();
-                        self.stack
-                            .sim()
-                            .flight_record("rkv.client", "retry_exhausted", || {
-                                format!("node={} server={server_idx} err={e:?}", self.node.0)
-                            });
-                        return Err(e);
-                    }
-                    self.stack.sim().flight_record("rkv.client", "retry", || {
+            match self.attempt(server_idx, req).await {
+                Ok((Response::BadDigest, _)) if resends < MAX_RETRIES => {
+                    resends += 1;
+                    attempt = 0;
+                    self.res.retry_attempts.inc();
+                }
+                Ok((resp, _)) => return Ok(resp),
+                Err(e) if !Self::retryable(&e) => return Err(e),
+                Err(e) if attempt >= MAX_RETRIES => {
+                    self.res.retry_exhausted.inc();
+                    sim.flight_record("rkv.client", "retry_exhausted", || {
+                        format!("node={} server={server_idx} err={e:?}", self.node.0)
+                    });
+                    return Err(e);
+                }
+                Err(e) => {
+                    sim.flight_record("rkv.client", "retry", || {
                         format!(
                             "node={} server={server_idx} attempt={attempt} err={e:?}",
                             self.node.0
                         )
                     });
-                    let exp = self
-                        .config
-                        .backoff_base
-                        .saturating_mul(1u32 << attempt.min(20));
-                    let delay = exp.min(self.config.backoff_max);
+                    let delay = BACKOFF_BASE
+                        .saturating_mul(1u32 << attempt.min(20))
+                        .min(BACKOFF_MAX);
                     // jitter in [0.5, 1.0) of the nominal delay
                     let jittered = delay.mul_f64(0.5 + 0.5 * self.jitter.f64());
                     attempt += 1;
                     self.res.retry_attempts.inc();
-                    self.stack.sim().sleep(jittered).await;
+                    sim.sleep(jittered).await;
                 }
-                other => return other,
-            }
-        }
-    }
-
-    /// Exchange a SET, re-sending (bounded) when the server rejects the
-    /// payload with [`Response::BadDigest`] — the payload was damaged in
-    /// flight and the client still holds the good copy, so a re-send is
-    /// the repair.
-    async fn store_exchange(
-        &self,
-        server_idx: usize,
-        req: &Request,
-    ) -> Result<Response, ClientError> {
-        let mut tries = 0u32;
-        loop {
-            match self.exchange_retry(server_idx, req).await {
-                Ok(Response::BadDigest) if tries < self.config.max_retries => {
-                    tries += 1;
-                    self.res.retry_attempts.inc();
-                }
-                r => return r,
             }
         }
     }
@@ -703,7 +642,7 @@ impl KvClient {
             let mut cas_out = None;
             let mut first_err = None;
             for idx in replicas {
-                match self.store_exchange(idx, &req).await {
+                match self.exchange(idx, &req).await {
                     Ok(Response::Stored { cas }) => {
                         cas_out.get_or_insert(cas);
                     }
@@ -734,10 +673,6 @@ impl KvClient {
             }
         };
         drop(buf);
-        let mut st = self.stats.borrow_mut();
-        st.sets += 1;
-        st.set_lat.record(self.stack.sim().now() - t0);
-        drop(st);
         if let Some(h) = obs_hash {
             self.observe(key, OpKind::Set { hash: h }, t0, true);
         }
@@ -752,32 +687,25 @@ impl KvClient {
         server_idx: usize,
         key: &[u8],
     ) -> Result<Option<Value>, ClientError> {
-        if self.config.pool_bufs > 0 {
-            let buf = self.pool.acquire().await;
-            let req = Request::Get {
-                key: Bytes::copy_from_slice(key),
-                dst: Some(buf.remote().into()),
-            };
-            match self.exchange_retry(server_idx, &req).await? {
-                Response::ValueWritten { len, flags, cas } => Ok(Some(Value {
-                    data: buf.read_local(0, len as u64)?,
-                    flags,
-                    cas,
-                })),
-                Response::Value { data, flags, cas } => Ok(Some(Value { data, flags, cas })),
-                Response::NotFound => Ok(None),
-                other => Err(Self::unexpected(other)),
-            }
-        } else {
-            let req = Request::Get {
-                key: Bytes::copy_from_slice(key),
-                dst: None,
-            };
-            match self.exchange_retry(server_idx, &req).await? {
-                Response::Value { data, flags, cas } => Ok(Some(Value { data, flags, cas })),
-                Response::NotFound => Ok(None),
-                other => Err(Self::unexpected(other)),
-            }
+        // with a pool, hand the server a registered buffer to RDMA-WRITE a
+        // large value into; without one every value comes back inline
+        let buf = match self.config.pool_bufs {
+            0 => None,
+            _ => Some(self.pool.acquire().await),
+        };
+        let req = Request::Get {
+            key: Bytes::copy_from_slice(key),
+            dst: buf.as_ref().map(|b| b.remote().into()),
+        };
+        match (self.exchange(server_idx, &req).await?, &buf) {
+            (Response::ValueWritten { len, flags, cas }, Some(buf)) => Ok(Some(Value {
+                data: buf.read_local(0, len as u64)?,
+                flags,
+                cas,
+            })),
+            (Response::Value { data, flags, cas }, _) => Ok(Some(Value { data, flags, cas })),
+            (Response::NotFound, _) => Ok(None),
+            (other, _) => Err(Self::unexpected(other)),
         }
     }
 
@@ -849,13 +777,6 @@ impl KvClient {
                 return Err(e);
             }
         };
-        let mut st = self.stats.borrow_mut();
-        st.gets += 1;
-        if result.is_some() {
-            st.hits += 1;
-        }
-        st.get_lat.record(self.stack.sim().now() - t0);
-        drop(st);
         if self.observer.borrow().is_some() {
             let hash = result.as_ref().map(|v| crate::hash::fnv1a(&v.data));
             self.observe(key, OpKind::Get { hash }, t0, true);
@@ -884,7 +805,7 @@ impl KvClient {
             .is_some()
             .then(|| crate::hash::fnv1a(&value));
         let (req, buf) = self.stage_set(key, &value, flags, expire_at).await?;
-        let resp = self.store_exchange(server_idx, &req).await;
+        let resp = self.exchange(server_idx, &req).await;
         drop(buf);
         let out = match resp {
             Ok(Response::Stored { cas }) => Ok(cas),
@@ -897,127 +818,105 @@ impl KvClient {
         out
     }
 
-    /// Remove `key` from one specific server, bypassing ring routing —
-    /// the rebalancer's delete-from-old step after a verified migration.
-    /// `Ok(true)` if the server held the key.
-    pub async fn delete_from(&self, server_idx: usize, key: &[u8]) -> Result<bool, ClientError> {
-        let req = Request::Delete {
-            key: Bytes::copy_from_slice(key),
-        };
-        match self.exchange_retry(server_idx, &req).await? {
+    /// Send a key-only verb (`delete`, `pin`, `unpin`) to one server:
+    /// `Ok(true)` iff the server held the key and applied it.
+    async fn keyed(&self, server_idx: usize, req: &Request) -> Result<bool, ClientError> {
+        match self.exchange(server_idx, req).await? {
             Response::Ok => Ok(true),
             Response::NotFound => Ok(false),
             other => Err(Self::unexpected(other)),
         }
+    }
+
+    /// Every server that may hold a copy of `key`: its replica set, or —
+    /// once membership has ever changed (epoch > 0) — the whole roster,
+    /// since a not-yet-migrated copy still sits on an old owner.
+    fn holders(&self, key: &[u8]) -> Result<Vec<usize>, ClientError> {
+        if self.view.epoch() > 0 {
+            Ok((0..self.view.roster_len()).collect())
+        } else {
+            self.replicas(key)
+        }
+    }
+
+    /// Remove `key` from one specific server, bypassing ring routing —
+    /// the rebalancer's delete-from-old step after a verified migration.
+    /// `Ok(true)` if the server held the key.
+    pub async fn delete_from(&self, server_idx: usize, key: &[u8]) -> Result<bool, ClientError> {
+        let key = Bytes::copy_from_slice(key);
+        self.keyed(server_idx, &Request::Delete { key }).await
     }
 
     /// Pin `key` on one specific server, bypassing ring routing — used to
     /// carry a pin across a migration before the old owner's copy goes
     /// away. `Ok(true)` iff the server holds (and pinned) the key.
     pub async fn pin_to(&self, server_idx: usize, key: &[u8]) -> Result<bool, ClientError> {
-        let req = Request::Pin {
-            key: Bytes::copy_from_slice(key),
-        };
-        match self.exchange_retry(server_idx, &req).await? {
-            Response::Ok => Ok(true),
-            Response::NotFound => Ok(false),
-            other => Err(Self::unexpected(other)),
-        }
+        let key = Bytes::copy_from_slice(key);
+        self.keyed(server_idx, &Request::Pin { key }).await
     }
 
     /// Pin `key` against LRU eviction on every replica. `Ok(true)` iff
     /// every replica holds and pinned the key; `Ok(false)` if any replica
     /// no longer has it (the caller's durability expectation is not met).
+    /// Every replica is tried even after one fails; the first error wins.
     pub async fn pin(&self, key: &[u8]) -> Result<bool, ClientError> {
-        let replicas = self.replicas(key)?;
         let req = Request::Pin {
             key: Bytes::copy_from_slice(key),
         };
         let mut all = true;
         let mut first_err = None;
-        for idx in replicas {
-            match self.exchange_retry(idx, &req).await {
-                Ok(Response::Ok) => {}
-                Ok(Response::NotFound) => all = false,
-                Ok(other) => {
-                    first_err.get_or_insert(Self::unexpected(other));
-                }
+        for idx in self.replicas(key)? {
+            match self.keyed(idx, &req).await {
+                Ok(held) => all &= held,
                 Err(e) => {
                     first_err.get_or_insert(e);
                 }
             }
         }
-        if let Some(e) = first_err {
-            return Err(e);
-        }
-        Ok(all)
+        first_err.map_or(Ok(all), Err)
     }
 
-    /// Best-effort unpin of `key` on every replica. Errors and misses are
-    /// swallowed: the only purpose is to let the LRU reclaim the item, and
-    /// an unreachable replica will reap it by eviction anyway. Under
-    /// elastic membership (epoch > 0) the unpin goes to the whole roster:
-    /// a not-yet-migrated copy on an old owner holds its pin otherwise.
+    /// Best-effort unpin of `key` on every server that may hold it
+    /// ([`KvClient::holders`]). Errors and misses are swallowed: the only
+    /// purpose is to let the LRU reclaim the item, and an unreachable
+    /// replica will reap it by eviction anyway.
     pub async fn unpin(&self, key: &[u8]) {
-        let targets = if self.view.epoch() > 0 {
-            (0..self.view.roster_len()).collect()
-        } else {
-            match self.replicas(key) {
-                Ok(r) => r,
-                Err(_) => return,
-            }
-        };
         let req = Request::Unpin {
             key: Bytes::copy_from_slice(key),
         };
-        for idx in targets {
-            let _ = self.exchange_retry(idx, &req).await;
+        for idx in self.holders(key).unwrap_or_default() {
+            let _ = self.keyed(idx, &req).await;
         }
     }
 
-    /// Remove `key` from every replica; `Ok(true)` if any replica held it.
-    /// An unreachable replica may keep a stale copy (reaped by expiry or
-    /// eviction); the delete still succeeds if any replica answered.
-    /// Under elastic membership (epoch > 0) the delete goes to the whole
-    /// roster — otherwise a copy surviving on an old owner would be
-    /// resurrected by the epoch-fallback read path.
+    /// Remove `key` from every server that may hold it
+    /// ([`KvClient::holders`] — a copy surviving on an old owner would be
+    /// resurrected by the epoch-fallback read path); `Ok(true)` if any
+    /// held it. An unreachable replica may keep a stale copy (reaped by
+    /// expiry or eviction); the delete still succeeds if any answered.
     pub async fn delete(&self, key: &[u8]) -> Result<bool, ClientError> {
         let t0 = self.stack.sim().now();
-        let replicas = if self.view.epoch() > 0 {
-            let n = self.view.roster_len();
-            if n == 0 {
-                return Err(ClientError::NoServers);
-            }
-            (0..n).collect()
-        } else {
-            self.replicas(key)?
-        };
         let req = Request::Delete {
             key: Bytes::copy_from_slice(key),
         };
         let mut existed = false;
-        let mut any_ok = false;
         let mut first_err = None;
-        for idx in replicas {
-            match self.exchange_retry(idx, &req).await {
-                Ok(Response::Ok) => {
-                    any_ok = true;
-                    existed = true;
-                }
-                Ok(Response::NotFound) => any_ok = true,
-                Ok(other) => {
-                    first_err.get_or_insert(Self::unexpected(other));
+        let mut answered = false;
+        for idx in self.holders(key)? {
+            match self.keyed(idx, &req).await {
+                Ok(held) => {
+                    answered = true;
+                    existed |= held;
                 }
                 Err(e) => {
                     first_err.get_or_insert(e);
                 }
             }
         }
-        self.observe(key, OpKind::Delete { found: existed }, t0, any_ok);
-        match (any_ok, first_err) {
-            (true, _) => Ok(existed),
-            (false, Some(e)) => Err(e),
-            (false, None) => unreachable!("replicas is never empty"),
+        self.observe(key, OpKind::Delete { found: existed }, t0, answered);
+        match first_err {
+            Some(e) if !answered => Err(e),
+            _ => Ok(existed),
         }
     }
 
@@ -1052,44 +951,11 @@ impl KvClient {
                 let req = Request::MultiGet {
                     keys: batch.iter().map(|(_, k)| k.clone()).collect(),
                 };
-                // each fan-out leg is its own traced op so the join can
-                // attribute the dominant (slowest) leg afterwards
-                let sim = client.stack.sim().clone();
-                let op = sim.op_begin("rkv", "multi_get", client.config.tenant);
-                sim.optrace().annotate_server(op, idx as u32);
-                let conn = match client.conn(idx).await {
-                    Ok(c) => c,
-                    Err(e) => {
-                        sim.optrace().abort(op);
-                        return Err(e);
-                    }
-                };
-                let _serial = conn.lock.acquire().await;
-                sim.op_stamp(op, "client_queue");
-                let r = async {
-                    conn.qp.send_tagged(req.encode(), op).await?;
-                    conn.qp.recv().await
-                }
-                .await;
-                let frame = match r {
-                    Ok(f) => f,
-                    Err(e) => {
-                        sim.optrace().abort(op);
-                        client.conns.borrow_mut().remove(&idx);
-                        return Err(e.into());
-                    }
-                };
-                sim.op_stamp(op, "net_back");
-                let resp = match Response::decode(frame) {
-                    Ok(resp) => resp,
-                    Err(e) => {
-                        sim.optrace().abort(op);
-                        return Err(e.into());
-                    }
-                };
-                let finished = sim.op_finish(op);
-                match resp {
-                    Response::MultiValues { values } => {
+                // each fan-out leg is one attempt — its own traced op, so
+                // the join can attribute the dominant (slowest) leg — and
+                // is not retried: an unresolved key falls back below
+                match client.attempt(idx, &req).await? {
+                    (Response::MultiValues { values }, finished) => {
                         if values.len() != batch.len() {
                             return Err(ClientError::Proto(ProtoError("multiget arity")));
                         }
@@ -1102,13 +968,13 @@ impl KvClient {
                             .collect();
                         Ok((idx, pairs, finished))
                     }
-                    other => Err(Self::unexpected(other)),
+                    (other, _) => Err(Self::unexpected(other)),
                 }
             }));
         }
         // join in sorted-server order so the surfaced error is deterministic
         let mut first_err = None;
-        let mut legs: Vec<(usize, simkit::optrace::FinishedOp)> = Vec::new();
+        let mut legs: Vec<(usize, FinishedOp)> = Vec::new();
         for task in tasks {
             match task.await {
                 Ok((idx, pairs, finished)) => {
@@ -1127,13 +993,13 @@ impl KvClient {
         // client-side critical path: which server's leg bounded the join
         // (strict > over sorted-server order → ties go to the lower idx),
         // and which of its stages dominated
-        if let Some((idx, f)) = legs.iter().fold(
-            None::<&(usize, simkit::optrace::FinishedOp)>,
-            |best, leg| match best {
-                Some(b) if b.1.e2e_ns >= leg.1.e2e_ns => best,
-                _ => Some(leg),
-            },
-        ) {
+        if let Some((idx, f)) =
+            legs.iter()
+                .fold(None::<&(usize, FinishedOp)>, |best, leg| match best {
+                    Some(b) if b.1.e2e_ns >= leg.1.e2e_ns => best,
+                    _ => Some(leg),
+                })
+        {
             let tracer = self.stack.sim().optrace();
             tracer.note_critical(format!("rkv.critpath.multi_get.server{idx}"));
             if let Some((stage, _)) = f.dominant_stage() {
@@ -1165,13 +1031,7 @@ impl KvClient {
                 }
             }
         }
-        if let Some(e) = first_err {
-            return Err(e);
-        }
-        let mut st = self.stats.borrow_mut();
-        st.gets += keys.len() as u64;
-        st.hits += out.iter().filter(|v| v.is_some()).count() as u64;
-        Ok(out)
+        first_err.map_or(Ok(out), Err)
     }
 
     fn unexpected(resp: Response) -> ClientError {
@@ -1192,7 +1052,7 @@ mod tests {
     use super::*;
     use crate::server::KvServerConfig;
     use netsim::{Fabric, NetConfig};
-    use simkit::{dur, Sim};
+    use simkit::{dur, FaultEvent, FaultPlan, Sim};
 
     struct Cluster {
         sim: Sim,
@@ -1365,19 +1225,12 @@ mod tests {
             cl2.set(b"x", Bytes::from_static(b"1"), 0, 0).await.unwrap();
             cl2.get(b"x").await.unwrap();
         });
-        let total_sets: u64 = c.servers.iter().map(|s| s.store().stats().sets).sum();
-        assert_eq!(total_sets, 1);
-        cl_stats_check(&cl);
-    }
-
-    fn cl_stats_check(cl: &KvClient) {
-        cl.with_stats(|st| {
-            assert_eq!(st.sets, 1);
-            assert_eq!(st.gets, 1);
-            assert_eq!(st.hits, 1);
-            assert!(st.get_lat.count() == 1);
-            assert!(st.get_lat.mean() > dur::us(1));
-        });
+        let total = |f: fn(&crate::KvStats) -> u64| -> u64 {
+            c.servers.iter().map(|s| f(&s.store().stats())).sum()
+        };
+        assert_eq!(total(|s| s.sets), 1);
+        assert_eq!(total(|s| s.gets), 1);
+        assert_eq!(total(|s| s.hits), 1);
     }
 
     #[test]
@@ -1526,14 +1379,7 @@ mod tests {
     fn retry_exhaustion_is_counted_and_deterministic() {
         let run = || {
             let c = cluster(1, 1);
-            let cl = client_with(
-                &c,
-                1,
-                KvClientConfig {
-                    max_retries: 2,
-                    ..KvClientConfig::default()
-                },
-            );
+            let cl = client(&c, 1);
             let fabric = Rc::clone(c.stack.fabric());
             let sim = c.sim.clone();
             let end = c.sim.block_on(async move {
@@ -1552,12 +1398,133 @@ mod tests {
         let a = run();
         let b = run();
         assert_eq!(a, b, "retry timing/counters must be reproducible");
-        assert_eq!(a.1, 2, "two backoff retries configured");
+        assert_eq!(a.1, u64::from(MAX_RETRIES), "every backoff retry is spent");
         assert_eq!(a.2, 1);
         assert!(
             a.0 > simkit::Time::ZERO,
             "backoff must consume virtual time"
         );
+    }
+
+    /// Hold every `src → dst` transfer that starts inside
+    /// `[from_ms, until_ms)` for an extra 3 s (the delay is sampled when a
+    /// transfer starts, so one already under way keeps it).
+    fn delay_edge(c: &Cluster, src: Option<u32>, dst: Option<u32>, from_ms: u64, until_ms: u64) {
+        let extra = dur::secs(3);
+        c.sim.install_faults(
+            FaultPlan::new(1)
+                .at(dur::ms(from_ms), FaultEvent::Delay { src, dst, extra })
+                .at(dur::ms(until_ms), FaultEvent::ClearEdges),
+        );
+    }
+
+    #[test]
+    fn timeout_while_reconnecting_spares_another_tasks_connection() {
+        let c = cluster(1, 1);
+        let cl = client(&c, 1);
+        delay_edge(&c, Some(1), Some(0), 10, 110);
+        let sim = c.sim.clone();
+        let server = Rc::clone(&c.servers[0]);
+        c.sim.block_on(async move {
+            cl.set(b"k", Bytes::from_static(b"v"), 0, 0).await.unwrap();
+            // the first connection breaks under the client
+            cl.conns.borrow()[&0].qp.disconnect();
+            sim.sleep(dur::ms(20)).await;
+            // X reconnects under the delay: its first CM message alone
+            // outlasts the deadline, so it times out with nothing sent
+            let x = sim.spawn({
+                let cl = Rc::clone(&cl);
+                async move { cl.get(b"k").await }
+            });
+            sim.sleep(dur::ms(200)).await;
+            // the edge is clear again: Y connects and completes an op
+            assert!(cl.get(b"k").await.unwrap().is_some());
+            let ys = Rc::clone(&cl.conns.borrow()[&0]);
+            assert_eq!(server.connections(), 2);
+            // X's deadline passes and its retry is served on Y's connection
+            assert!(x.await.unwrap().is_some());
+            let snap = sim.metrics().snapshot();
+            assert_eq!(snap.counter("kv.retry.timeouts"), 1);
+            let cached = Rc::clone(&cl.conns.borrow()[&0]);
+            assert!(Rc::ptr_eq(&cached, &ys), "Y's connection was evicted");
+            assert!(!cached.poisoned.get(), "nothing was sent on it by X");
+            cl.get(b"k").await.unwrap();
+            assert_eq!(server.connections(), 2, "no third connect");
+        });
+    }
+
+    #[test]
+    fn multi_get_leg_behind_a_timed_out_op_reconnects_instead_of_reading_its_frame() {
+        let c = cluster(1, 1);
+        let cl = client(&c, 1);
+        // only the response to the `get` below is held back
+        delay_edge(&c, Some(0), Some(1), 10, 30);
+        let sim = c.sim.clone();
+        let server = Rc::clone(&c.servers[0]);
+        c.sim.block_on(async move {
+            cl.set(b"x", Bytes::from_static(b"X"), 0, 0).await.unwrap();
+            cl.set(b"y", Bytes::from_static(b"Y"), 0, 0).await.unwrap();
+            sim.sleep(dur::ms(20)).await;
+            // times out mid-exchange; its answer lands 3 s late
+            let slow = sim.spawn({
+                let cl = Rc::clone(&cl);
+                async move { cl.get(b"absent").await }
+            });
+            sim.sleep(dur::ms(20)).await;
+            // two legs queue on the same connection behind it
+            let legs: Vec<_> = [b"x", b"y"]
+                .into_iter()
+                .map(|k| {
+                    let cl = Rc::clone(&cl);
+                    sim.spawn(async move { cl.multi_get(&[k.as_slice()]).await })
+                })
+                .collect();
+            for leg in legs {
+                // at the parent the first leg read the get's late frame
+                // and the second was handed the first leg's value
+                assert_eq!(
+                    leg.await.unwrap_err(),
+                    ClientError::Rdma(RdmaError::Disconnected)
+                );
+            }
+            assert_eq!(slow.await.unwrap(), None);
+            let got = cl.multi_get(&[b"y".as_slice()]).await.unwrap();
+            assert_eq!(&got[0].as_ref().unwrap().data[..], b"Y");
+            assert_eq!(server.connections(), 2, "one reconnect, shared");
+        });
+    }
+
+    #[test]
+    fn multi_get_leg_is_bounded_by_the_op_deadline() {
+        let c = cluster(2, 1);
+        let r1 = client(&c, 2);
+        let r2 = client_with(
+            &c,
+            2,
+            KvClientConfig {
+                replication: 2,
+                ..KvClientConfig::default()
+            },
+        );
+        let primary = c.servers[r1.route(b"k").unwrap()].node().0;
+        delay_edge(&c, None, Some(primary), 10, 60_000);
+        let sim = c.sim.clone();
+        c.sim.block_on(async move {
+            r2.set(b"k", Bytes::from_static(b"v"), 0, 0).await.unwrap();
+            sim.sleep(dur::ms(20)).await;
+            // at the parent the leg sat out the delayed transfers and
+            // answered after 3 s
+            let t0 = sim.now();
+            let err = r1.multi_get(&[b"k".as_slice()]).await.unwrap_err();
+            assert_eq!(err, ClientError::Timeout);
+            assert_eq!(sim.now() - t0, OP_TIMEOUT);
+            // with a second replica the timed-out batch falls back to
+            // per-key failover reads
+            let got = r2.multi_get(&[b"k".as_slice()]).await.unwrap();
+            assert_eq!(&got[0].as_ref().unwrap().data[..], b"v");
+            let snap = sim.metrics().snapshot();
+            assert_eq!(snap.counter("kv.failover.reads"), 1);
+        });
     }
 
     #[test]
@@ -1610,7 +1577,7 @@ mod tests {
         // r=2 asked for with only one active server: the live view caps at
         // 1, and the cap grows (not stays frozen) when a server joins
         let c = cluster(2, 1);
-        let view = crate::Membership::new(vec![Rc::clone(&c.servers[0])], 160);
+        let view = crate::Membership::new(vec![Rc::clone(&c.servers[0])]);
         let cl = KvClient::with_view(
             Rc::clone(&c.stack),
             NodeId(2),
@@ -1634,7 +1601,7 @@ mod tests {
     #[test]
     fn reads_after_join_fall_back_to_old_owners() {
         let c = cluster(3, 1);
-        let view = crate::Membership::new(c.servers[..2].to_vec(), 160);
+        let view = crate::Membership::new(c.servers[..2].to_vec());
         let cl = KvClient::with_view(
             Rc::clone(&c.stack),
             NodeId(3),
@@ -1673,7 +1640,7 @@ mod tests {
     #[test]
     fn drained_server_gets_no_new_writes_but_old_data_stays_readable() {
         let c = cluster(3, 1);
-        let view = crate::Membership::new(c.servers.clone(), 160);
+        let view = crate::Membership::new(c.servers.clone());
         let cl = KvClient::with_view(
             Rc::clone(&c.stack),
             NodeId(3),

@@ -29,12 +29,12 @@ use std::rc::Rc;
 
 use netsim::NodeId;
 
+use crate::client::VNODES;
 use crate::hash::HashRing;
 use crate::server::KvServer;
 
 /// Shared, epoch-versioned view of the KV server ring.
 pub struct Membership {
-    vnodes: u32,
     epoch: Cell<u64>,
     roster: RefCell<Vec<Rc<KvServer>>>,
     active: RefCell<Vec<usize>>,
@@ -47,12 +47,11 @@ pub struct Membership {
 impl Membership {
     /// Build a view with every server active, at epoch 0. Placement is
     /// identical to a frozen [`crate::KvClient`] over the same servers.
-    pub fn new(servers: Vec<Rc<KvServer>>, vnodes: u32) -> Rc<Membership> {
+    pub fn new(servers: Vec<Rc<KvServer>>) -> Rc<Membership> {
         assert!(!servers.is_empty(), "membership needs at least one server");
         let active: Vec<usize> = (0..servers.len()).collect();
-        let ring = Self::build_ring(&servers, &active, vnodes.max(1));
+        let ring = Self::build_ring(&servers, &active);
         Rc::new(Membership {
-            vnodes: vnodes.max(1),
             epoch: Cell::new(0),
             roster: RefCell::new(servers),
             active: RefCell::new(active),
@@ -61,18 +60,18 @@ impl Membership {
         })
     }
 
-    fn build_ring(roster: &[Rc<KvServer>], active: &[usize], vnodes: u32) -> HashRing<usize> {
+    fn build_ring(roster: &[Rc<KvServer>], active: &[usize]) -> HashRing<usize> {
         let labels: Vec<String> = active
             .iter()
             .map(|&i| format!("kv-server-{}", roster[i].node().0))
             .collect();
-        HashRing::new(active.to_vec(), &labels, vnodes)
+        HashRing::new(active.to_vec(), &labels, VNODES)
     }
 
     fn rebuild(&self) {
         let roster = self.roster.borrow();
         let active = self.active.borrow();
-        *self.ring.borrow_mut() = Self::build_ring(&roster, &active, self.vnodes);
+        *self.ring.borrow_mut() = Self::build_ring(&roster, &active);
         drop(active);
         drop(roster);
         self.epoch.set(self.epoch.get() + 1);
@@ -81,11 +80,6 @@ impl Membership {
     /// Current epoch; bumped by every successful join or drain.
     pub fn epoch(&self) -> u64 {
         self.epoch.get()
-    }
-
-    /// Virtual points per server on the ring.
-    pub fn vnodes(&self) -> u32 {
-        self.vnodes
     }
 
     /// Every server ever admitted (drained ones included), by stable index.
@@ -101,11 +95,6 @@ impl Membership {
     /// The server at roster index `idx`.
     pub fn server(&self, idx: usize) -> Rc<KvServer> {
         Rc::clone(&self.roster.borrow()[idx])
-    }
-
-    /// Snapshot of the active roster indices, ascending.
-    pub fn active_indices(&self) -> Vec<usize> {
-        self.active.borrow().clone()
     }
 
     /// Whether roster index `idx` is on the ring.
@@ -270,12 +259,12 @@ mod tests {
     #[test]
     fn matches_frozen_placement_at_epoch_zero() {
         let srv = servers(4);
-        let view = Membership::new(srv.clone(), 160);
+        let view = Membership::new(srv.clone());
         let labels: Vec<String> = srv
             .iter()
             .map(|s| format!("kv-server-{}", s.node().0))
             .collect();
-        let frozen = HashRing::new((0..srv.len()).collect(), &labels, 160);
+        let frozen = HashRing::new((0..srv.len()).collect(), &labels, VNODES);
         for i in 0..500u32 {
             let k = format!("f1:{i}");
             assert_eq!(view.route(k.as_bytes()), Some(*frozen.route(k.as_bytes())));
@@ -287,7 +276,7 @@ mod tests {
     fn join_bumps_epoch_and_remaps_about_one_nth() {
         let mut srv = servers(9);
         let extra = srv.pop().unwrap();
-        let view = Membership::new(srv, 160);
+        let view = Membership::new(srv);
         let before: Vec<usize> = (0..4000u32)
             .map(|i| view.route(format!("k{i}").as_bytes()).unwrap())
             .collect();
@@ -306,7 +295,7 @@ mod tests {
     #[test]
     fn drain_keeps_roster_index_and_rejoin_restores_placement() {
         let srv = servers(4);
-        let view = Membership::new(srv, 160);
+        let view = Membership::new(srv);
         let before: Vec<usize> = (0..1000u32)
             .map(|i| view.route(format!("k{i}").as_bytes()).unwrap())
             .collect();
@@ -333,7 +322,7 @@ mod tests {
     #[test]
     fn drain_refuses_last_server_and_unknown_nodes() {
         let srv = servers(2);
-        let view = Membership::new(srv, 64);
+        let view = Membership::new(srv);
         assert!(!view.drain_server(NodeId(9)), "unknown node");
         assert!(view.drain_server(NodeId(0)));
         assert!(!view.drain_server(NodeId(1)), "last active server");
@@ -344,7 +333,7 @@ mod tests {
     #[test]
     fn overrides_win_over_the_ring_only_while_live() {
         let srv = servers(4);
-        let view = Membership::new(srv, 64);
+        let view = Membership::new(srv);
         let hash_owners = view.route_n(b"k", 2);
         let desired: Vec<usize> = (0..4).filter(|i| !hash_owners.contains(i)).collect();
         view.set_override(b"k", desired.clone());
@@ -372,7 +361,7 @@ mod tests {
     fn route_n_follows_the_live_active_count() {
         let mut srv = servers(4);
         let extra = srv.pop().unwrap();
-        let view = Membership::new(srv, 64);
+        let view = Membership::new(srv);
         assert_eq!(view.route_n(b"k", 4).len(), 3, "capped at active count");
         view.add_server(extra);
         assert_eq!(view.route_n(b"k", 4).len(), 4, "cap grows with a join");

@@ -2,7 +2,10 @@
 //! binary protocol against a sharded store, using one-sided RDMA for large
 //! payloads (READ for SET, WRITE for GET).
 //!
-//! Two execution models share the wire protocol:
+//! Two execution models share the wire protocol, one connection pump
+//! (`serve_connection`), one front door (decode, tenant handshake,
+//! admission) and one `execute` (charge `proc_time`, run the verb, record
+//! service time); they differ only in *where* `execute` runs:
 //!
 //! * **Single-context** (default, `cores = 1` and `cq_batch = 1`): each
 //!   connection's requests are processed inline in its own task —
@@ -36,17 +39,18 @@ use netsim::NodeId;
 use rdmasim::{Cq, Qp, QpConfig, RdmaError, RdmaStack};
 
 use crate::hotness::FreqSketch;
-use crate::proto::{Carrier, ProtoError, Request, Response};
+use crate::proto::{Carrier, ProtoError, Request, Response, WireBuf};
 use crate::sharded::ShardedKv;
 use crate::slab::SlabConfig;
 use crate::store::KvError;
 
+/// Stripes in the store under the single-context model (the per-core
+/// engine always runs one stripe per core).
+const SHARDS: usize = 4;
+
 /// Server tuning knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct KvServerConfig {
-    /// Stripes in the store (single-context model only; the per-core
-    /// engine always runs one stripe per core).
-    pub shards: usize,
     /// Modeled cores. 1 (default) keeps the single-context model; ≥ 2
     /// activates the shard-per-core engine.
     pub cores: usize,
@@ -54,11 +58,6 @@ pub struct KvServerConfig {
     /// 1 (default) keeps the single-context model; ≥ 2 activates the
     /// engine even at `cores = 1` (batched draining, serialized core).
     pub cq_batch: usize,
-    /// Idle window for slab page reclamation: a slab class with no
-    /// allocation for this long may have pages retired to the global
-    /// budget under allocation pressure. Zero (default) disables
-    /// reclamation — classic memcached calcification.
-    pub reclaim_idle: Duration,
     /// Slab/memory configuration (`mem_limit` is the `-m` budget).
     pub slab: SlabConfig,
     /// CPU time charged per request (parse + hash + store op).
@@ -102,10 +101,8 @@ pub struct KvServerConfig {
 impl Default for KvServerConfig {
     fn default() -> Self {
         KvServerConfig {
-            shards: 4,
             cores: 1,
             cq_batch: 1,
-            reclaim_idle: Duration::ZERO,
             slab: SlabConfig::default(),
             proc_time: dur::ns(1_500),
             qp: QpConfig::default(),
@@ -131,30 +128,45 @@ impl KvServerConfig {
 /// One reply queued to a connection's replier: `(seq, frame, traced op)`.
 type ReplyItem = (u64, Bytes, Option<OpId>);
 
+/// The right to answer one engine-model request: its place in the
+/// connection's reply order, its traced op, and the way to the replier.
+struct Ticket {
+    seq: u64,
+    op: Option<OpId>,
+    reply: mpsc::Sender<ReplyItem>,
+}
+
+impl Ticket {
+    /// Queue `resp` to the connection's replier. A closed channel means
+    /// the peer is gone and the answer has nowhere to go.
+    fn answer(&self, resp: Response) {
+        let _ = self.reply.try_send((self.seq, resp.encode(), self.op));
+    }
+}
+
 /// One completion-ring entry: a received frame plus everything needed to
 /// route and answer it.
 struct Submission {
-    seq: u64,
     frame: Bytes,
     qp: Rc<Qp>,
-    op: Option<OpId>,
-    reply: mpsc::Sender<ReplyItem>,
+    ticket: Ticket,
     /// The connection's declared tenant (0 = untenanted). Shared with the
     /// pump so a `set_tenant` handshake applies to every later frame.
     tenant: Rc<Cell<u32>>,
 }
 
+/// A stored value as the wire carries it: `(data, flags, cas)`.
+type WireValue = (Bytes, u32, u64);
+
 /// Join state for a `multi_get` split across shards.
 struct MultiAgg {
-    values: Vec<Option<(Bytes, u32, u64)>>,
+    values: Vec<Option<WireValue>>,
     remaining: usize,
-    seq: u64,
-    /// The client's traced op for the whole `multi_get`.
-    op: Option<OpId>,
+    /// Answers the client's whole `multi_get` (and carries its traced op).
+    ticket: Ticket,
     /// `(shard, dequeue ns, done ns)` per completed leg — the leg with
     /// the latest finish is the server-side critical path.
     legs: Vec<(usize, u64, u64)>,
-    reply: mpsc::Sender<ReplyItem>,
 }
 
 /// Work routed to one core.
@@ -162,30 +174,21 @@ enum CoreOp {
     Single {
         req: Request,
         qp: Rc<Qp>,
-        seq: u64,
-        op: Option<OpId>,
-        reply: mpsc::Sender<ReplyItem>,
+        ticket: Ticket,
         /// Tenant the request runs as (0 = untenanted).
         tenant: u32,
+        /// A read of a hot key served from the server-side cached copy on
+        /// a fan-out core: full `proc_time` is charged, the value was
+        /// captured at dispatch (the linearization point — the serial
+        /// poller invalidates the copy before queueing any write). The
+        /// request (always a get) is carried whole for the one-sided
+        /// `dst` landing buffer.
+        copy: Option<WireValue>,
         /// When the request is a get of a tracked hot key whose cached
         /// copy is absent, `(key, seq ticket)`: after the store read the
         /// core publishes the value into the hot entry iff the ticket
         /// still matches (no write dispatched since).
         publish: Option<(Bytes, u64)>,
-    },
-    /// A read of a hot key served from the server-side cached copy on a
-    /// fan-out core: full `proc_time` is charged, the value was captured
-    /// at dispatch (the linearization point — the serial poller
-    /// invalidates the copy before queueing any write).
-    HotGet {
-        /// The original request (always `Request::Get` — carried whole
-        /// for the one-sided `dst` landing buffer).
-        req: Request,
-        value: (Bytes, u32, u64),
-        qp: Rc<Qp>,
-        seq: u64,
-        op: Option<OpId>,
-        reply: mpsc::Sender<ReplyItem>,
     },
     MultiPart {
         /// (position in the client's key list, key) — all owned by this
@@ -217,9 +220,8 @@ struct HotEntry {
     seq: u64,
     /// Round-robin cursor over the fan-out core set.
     rr: u32,
-    /// Cached `(data, flags, cas)`, absent until published and after
-    /// every invalidation.
-    value: Option<(Bytes, u32, u64)>,
+    /// Cached copy, absent until published and after every invalidation.
+    value: Option<WireValue>,
 }
 
 /// Hot-key detection and replica fan-out state (engine model only;
@@ -306,16 +308,8 @@ impl KvServer {
         // the engine runs one store stripe per modeled core so a shard is
         // only ever touched from its owning core; the single-context model
         // keeps the configured stripe count
-        let stripes = if engine_on {
-            config.cores
-        } else {
-            config.shards
-        };
-        let store = Rc::new(ShardedKv::with_reclaim_idle(
-            stripes,
-            config.slab,
-            config.reclaim_idle.as_nanos() as u64,
-        ));
+        let stripes = if engine_on { config.cores } else { SHARDS };
+        let store = Rc::new(ShardedKv::new(stripes, config.slab));
         let m = stack.sim().metrics();
         let prefix = format!("rkv.server{}", node.0);
         // shard-per-core visibility: shard count, per-shard op totals and
@@ -535,92 +529,26 @@ impl KvServer {
             .await?;
         self.connections.set(self.connections.get() + 1);
         let this = Rc::clone(self);
-        if self.engine.is_some() {
-            self.stack.sim().spawn(async move {
-                this.serve_connection_engine(server_qp).await;
-            });
-        } else {
-            self.stack.sim().spawn(async move {
-                this.serve_connection(server_qp).await;
-            });
-        }
+        self.stack
+            .sim()
+            .spawn(async move { this.serve_connection(server_qp).await });
         Ok(client_qp)
     }
 
+    /// The connection pump, one task per accepted queue pair. Under the
+    /// single-context model each frame is answered inline, in arrival
+    /// order. Under the engine every frame is posted to the server's
+    /// completion ring tagged with a per-connection sequence number, and a
+    /// companion replier task sends responses back in that order
+    /// (memcached answers a connection's requests in order even when the
+    /// work fans out across cores).
     async fn serve_connection(self: Rc<Self>, qp: Qp) {
-        let tenant = Cell::new(0u32);
-        loop {
-            let (frame, op) = match qp.recv_tagged().await {
-                Ok(f) => f,
-                Err(_) => break, // peer gone
-            };
-            self.stack.sim().op_stamp(op, "net_in");
-            let resp = match Request::decode(frame) {
-                // connection-scoped control verb: tag every later request
-                // with the declared tenant (no proc_time — pure handshake)
-                Ok(Request::SetTenant { tenant: t }) => {
-                    self.requests.set(self.requests.get() + 1);
-                    tenant.set(t);
-                    self.stack.sim().op_stamp(op, "service");
-                    Response::Ok
-                }
-                Ok(_) if !self.admit(tenant.get()) => {
-                    self.requests.set(self.requests.get() + 1);
-                    self.stack.sim().op_stamp(op, "service");
-                    Response::Throttled
-                }
-                Ok(req) => {
-                    self.requests.set(self.requests.get() + 1);
-                    let (span_name, hist) = match &req {
-                        Request::Get { .. } => ("kv.get", &self.hists.get_ns),
-                        Request::Set { .. } => ("kv.set", &self.hists.set_ns),
-                        Request::MultiGet { .. } => ("kv.multi_get", &self.hists.multi_get_ns),
-                        _ => ("kv.other", &self.hists.other_ns),
-                    };
-                    let shard = request_key(&req).map(|key| self.store.shard_index(key));
-                    let sim = self.stack.sim();
-                    let _sp = sim.span(span_name, "rkv", self.node.0, 0);
-                    let t0 = sim.now();
-                    sim.sleep(self.config.proc_time).await;
-                    let resp = self.handle(&qp, req, tenant.get()).await;
-                    let svc = self
-                        .stack
-                        .sim()
-                        .now()
-                        .as_nanos()
-                        .saturating_sub(t0.as_nanos());
-                    hist.record_ns(svc);
-                    if let Some(shard) = shard {
-                        self.hists.shard_svc[shard].record_ns(svc);
-                        self.stack.sim().optrace().annotate_shard(op, shard as u32);
-                    }
-                    self.stack.sim().op_stamp(op, "service");
-                    resp
-                }
-                Err(ProtoError(_)) => {
-                    self.proto_errors.set(self.proto_errors.get() + 1);
-                    Response::TransferFailed
-                }
-            };
-            if qp.send(resp.encode()).await.is_err() {
-                break;
-            }
-        }
-    }
-
-    /// Engine-mode connection pump: every received frame is posted to the
-    /// server's completion ring tagged with a per-connection sequence
-    /// number; a companion replier task sends responses back in that
-    /// order (memcached answers a connection's requests in order even
-    /// when the work fans out across cores).
-    async fn serve_connection_engine(self: Rc<Self>, qp: Qp) {
-        let engine = self.engine.as_ref().expect("engine connection pump");
+        let sim = self.stack.sim();
         let qp = Rc::new(qp);
-        let (reply_tx, reply_rx) = mpsc::unbounded();
-        self.stack.sim().spawn({
-            let qp = Rc::clone(&qp);
-            let sim = self.stack.sim().clone();
-            async move { Self::run_replier(sim, qp, reply_rx).await }
+        let ring = self.engine.as_ref().map(|engine| {
+            let (reply_tx, reply_rx) = mpsc::unbounded();
+            sim.spawn(Self::run_replier(sim.clone(), Rc::clone(&qp), reply_rx));
+            (engine, reply_tx)
         });
         let tenant = Rc::new(Cell::new(0u32));
         let mut seq = 0u64;
@@ -629,16 +557,39 @@ impl KvServer {
                 Ok(f) => f,
                 Err(_) => break, // peer gone; dropping reply_tx stops the replier
             };
-            self.stack.sim().op_stamp(op, "net_in");
-            engine.cq.post(Submission {
-                seq,
-                frame,
-                qp: Rc::clone(&qp),
-                op,
-                reply: reply_tx.clone(),
-                tenant: Rc::clone(&tenant),
-            });
-            seq += 1;
+            sim.op_stamp(op, "net_in");
+            match &ring {
+                None => {
+                    let resp = match self.front_door(frame, &tenant) {
+                        Ok(req) => self.execute(None, &qp, req, tenant.get(), op, None).await,
+                        Err(early) => {
+                            // a handshake or a throttle is a served request
+                            // of zero service time; a malformed frame never
+                            // was a request
+                            if !matches!(early, Response::TransferFailed) {
+                                sim.op_stamp(op, "service");
+                            }
+                            early
+                        }
+                    };
+                    if qp.send(resp.encode()).await.is_err() {
+                        break;
+                    }
+                }
+                Some((engine, reply)) => {
+                    engine.cq.post(Submission {
+                        frame,
+                        qp: Rc::clone(&qp),
+                        ticket: Ticket {
+                            seq,
+                            op,
+                            reply: reply.clone(),
+                        },
+                        tenant: Rc::clone(&tenant),
+                    });
+                    seq += 1;
+                }
+            }
         }
     }
 
@@ -659,10 +610,37 @@ impl KvServer {
         }
     }
 
-    /// Drain the completion ring in batches of up to `cq_batch`, decode,
-    /// and route each request to the core owning its key. Routing is
-    /// cheap bookkeeping (no proc_time) — the modeled CPU cost is charged
-    /// on the owning core.
+    /// The front door both models share: decode one received frame, count
+    /// it, and settle what needs no execution. `Err` is the answer to send
+    /// as-is — `Ok` for the connection-scoped tenant handshake (tags every
+    /// later request on the connection; no `proc_time`), `Throttled` when
+    /// admission refuses the tenant, `TransferFailed` for a malformed
+    /// frame.
+    fn front_door(&self, frame: Bytes, tenant: &Cell<u32>) -> Result<Request, Response> {
+        let req = match Request::decode(frame) {
+            Ok(req) => req,
+            Err(ProtoError(_)) => {
+                self.proto_errors.set(self.proto_errors.get() + 1);
+                return Err(Response::TransferFailed);
+            }
+        };
+        self.requests.set(self.requests.get() + 1);
+        match req {
+            Request::SetTenant { tenant: t } => {
+                tenant.set(t);
+                Err(Response::Ok)
+            }
+            _ if !self.admit(tenant.get()) => Err(Response::Throttled),
+            req => Ok(req),
+        }
+    }
+
+    /// Drain the completion ring in batches of up to `cq_batch` and route
+    /// each request to the core owning its key. Routing is cheap
+    /// bookkeeping (no proc_time) — the modeled CPU cost is charged on the
+    /// owning core. Tenant handshake and admission both resolve here at
+    /// the ring, before any core is involved: a throttled request costs
+    /// routing bookkeeping only.
     async fn run_poller(self: Rc<Self>) {
         let engine = self.engine.as_ref().expect("engine poller");
         loop {
@@ -671,34 +649,10 @@ impl KvServer {
                 break; // ring closed
             }
             for sub in batch {
-                self.stack.sim().op_stamp(sub.op, "cq_wait");
-                match Request::decode(sub.frame.clone()) {
-                    // tenant handshake and admission both resolve at the
-                    // ring, before any core is involved: a throttled
-                    // request costs routing bookkeeping only
-                    Ok(Request::SetTenant { tenant }) => {
-                        self.requests.set(self.requests.get() + 1);
-                        sub.tenant.set(tenant);
-                        let _ = sub.reply.try_send((sub.seq, Response::Ok.encode(), sub.op));
-                    }
-                    Ok(_) if !self.admit(sub.tenant.get()) => {
-                        self.requests.set(self.requests.get() + 1);
-                        let _ = sub
-                            .reply
-                            .try_send((sub.seq, Response::Throttled.encode(), sub.op));
-                    }
-                    Ok(req) => {
-                        self.requests.set(self.requests.get() + 1);
-                        self.dispatch(req, sub);
-                    }
-                    Err(ProtoError(_)) => {
-                        self.proto_errors.set(self.proto_errors.get() + 1);
-                        let _ = sub.reply.try_send((
-                            sub.seq,
-                            Response::TransferFailed.encode(),
-                            sub.op,
-                        ));
-                    }
+                self.stack.sim().op_stamp(sub.ticket.op, "cq_wait");
+                match self.front_door(sub.frame, &sub.tenant) {
+                    Ok(req) => self.dispatch(req, sub.qp, sub.ticket, sub.tenant.get()),
+                    Err(early) => sub.ticket.answer(early),
                 }
             }
         }
@@ -707,12 +661,11 @@ impl KvServer {
     /// Hand one decoded request to its owning core. Key-bearing verbs go
     /// to `shard_index(key)`; a `multi_get` is split into per-shard parts
     /// joined by an aggregation cell.
-    fn dispatch(&self, req: Request, sub: Submission) {
+    fn dispatch(&self, req: Request, qp: Rc<Qp>, ticket: Ticket, tenant: u32) {
         let engine = self.engine.as_ref().expect("engine dispatch");
         if let Request::MultiGet { keys } = req {
             if keys.is_empty() {
-                let resp = Response::MultiValues { values: Vec::new() };
-                let _ = sub.reply.try_send((sub.seq, resp.encode(), sub.op));
+                ticket.answer(Response::MultiValues { values: Vec::new() });
                 return;
             }
             let mut parts: Vec<Vec<(usize, Bytes)>> = vec![Vec::new(); engine.cores.len()];
@@ -723,10 +676,8 @@ impl KvServer {
             let agg = Rc::new(RefCell::new(MultiAgg {
                 values: vec![None; total],
                 remaining: parts.iter().filter(|p| !p.is_empty()).count(),
-                seq: sub.seq,
-                op: sub.op,
+                ticket,
                 legs: Vec::new(),
-                reply: sub.reply,
             }));
             for (shard, part) in parts.into_iter().enumerate() {
                 if part.is_empty() {
@@ -749,6 +700,8 @@ impl KvServer {
         // writes invalidate it and retire the current publish ticket.
         // All of this happens here, in the serial poller, which makes
         // dispatch order the linearization order for the cached copy.
+        let mut target = shard;
+        let mut copy: Option<WireValue> = None;
         let mut publish: Option<(Bytes, u64)> = None;
         if let Some(hot) = &self.hot {
             match &req {
@@ -766,23 +719,15 @@ impl KvServer {
                         hot.tracked.add(entries.len() as i64 - before as i64);
                     }
                     if let Some(e) = entries.get_mut(key.as_ref() as &[u8]) {
-                        if let Some(v) = e.value.clone() {
+                        copy = e.value.clone();
+                        if copy.is_some() {
                             // replica hit: rotate over the fan-out set
-                            let t = (e.home + e.rr as usize % hot.fanout) % engine.cores.len();
+                            target = (e.home + e.rr as usize % hot.fanout) % engine.cores.len();
                             e.rr = e.rr.wrapping_add(1);
                             hot.replica_hits.inc();
-                            engine.cores[t].qdepth.add(1);
-                            let _ = engine.cores[t].tx.try_send(CoreOp::HotGet {
-                                req,
-                                value: v,
-                                qp: sub.qp,
-                                seq: sub.seq,
-                                op: sub.op,
-                                reply: sub.reply,
-                            });
-                            return;
+                        } else {
+                            publish = Some((key.clone(), e.seq));
                         }
-                        publish = Some((key.clone(), e.seq));
                     } else if est >= hot.min_count {
                         let seq = hot.next_seq();
                         entries.insert(
@@ -821,14 +766,13 @@ impl KvServer {
                 }
             }
         }
-        engine.cores[shard].qdepth.add(1);
-        let _ = engine.cores[shard].tx.try_send(CoreOp::Single {
+        engine.cores[target].qdepth.add(1);
+        let _ = engine.cores[target].tx.try_send(CoreOp::Single {
             req,
-            qp: sub.qp,
-            seq: sub.seq,
-            op: sub.op,
-            reply: sub.reply,
-            tenant: sub.tenant.get(),
+            qp,
+            ticket,
+            tenant,
+            copy,
             publish,
         });
     }
@@ -845,64 +789,19 @@ impl KvServer {
                 CoreOp::Single {
                     req,
                     qp,
-                    seq,
-                    op,
-                    reply,
+                    ticket,
                     tenant,
+                    copy,
                     publish,
                 } => {
-                    sim.op_stamp(op, "shard_queue");
-                    sim.optrace().annotate_shard(op, core as u32);
-                    let (span_name, hist) = match &req {
-                        Request::Get { .. } => ("kv.get", &self.hists.get_ns),
-                        Request::Set { .. } => ("kv.set", &self.hists.set_ns),
-                        _ => ("kv.other", &self.hists.other_ns),
-                    };
-                    let _sp = sim.span(span_name, "rkv", self.node.0, core as u64 + 1);
-                    let t0 = sim.now();
-                    sim.sleep(self.config.proc_time).await;
-                    let resp = self.handle(&qp, req, tenant).await;
-                    if let Some((key, ticket)) = publish {
-                        self.publish_hot(&key, ticket);
+                    sim.op_stamp(ticket.op, "shard_queue");
+                    let resp = self
+                        .execute(Some(core), &qp, req, tenant, ticket.op, copy)
+                        .await;
+                    if let Some((key, version)) = publish {
+                        self.publish_hot(&key, version);
                     }
-                    let svc = sim.now().as_nanos().saturating_sub(t0.as_nanos());
-                    hist.record_ns(svc);
-                    self.hists.shard_svc[core].record_ns(svc);
-                    sim.op_stamp(op, "service");
-                    let _ = reply.try_send((seq, resp.encode(), op));
-                }
-                CoreOp::HotGet {
-                    req,
-                    value,
-                    qp,
-                    seq,
-                    op,
-                    reply,
-                } => {
-                    sim.op_stamp(op, "shard_queue");
-                    sim.optrace().annotate_shard(op, core as u32);
-                    let _sp = sim.span("kv.get", "rkv", self.node.0, core as u64 + 1);
-                    let t0 = sim.now();
-                    sim.sleep(self.config.proc_time).await;
-                    let (data, flags, cas) = value;
-                    let resp = match req {
-                        Request::Get { dst: Some(dst), .. } if data.len() as u64 <= dst.len => {
-                            match qp.write(&dst.into(), 0, data.clone()).await {
-                                Ok(()) => Response::ValueWritten {
-                                    len: data.len() as u32,
-                                    flags,
-                                    cas,
-                                },
-                                Err(_) => Response::TransferFailed,
-                            }
-                        }
-                        _ => Response::Value { data, flags, cas },
-                    };
-                    let svc = sim.now().as_nanos().saturating_sub(t0.as_nanos());
-                    self.hists.get_ns.record_ns(svc);
-                    self.hists.shard_svc[core].record_ns(svc);
-                    sim.op_stamp(op, "service");
-                    let _ = reply.try_send((seq, resp.encode(), op));
+                    ticket.answer(resp);
                 }
                 CoreOp::MultiPart { keys, agg } => {
                     let _sp = sim.span("kv.multi_get", "rkv", self.node.0, core as u64 + 1);
@@ -916,7 +815,8 @@ impl KvServer {
                     let svc = sim.now().as_nanos().saturating_sub(t0.as_nanos());
                     self.hists.multi_get_ns.record_ns(svc);
                     self.hists.shard_svc[core].record_ns(svc);
-                    if a.op.is_some() {
+                    let op = a.ticket.op;
+                    if op.is_some() {
                         a.legs.push((core, t0.as_nanos(), now));
                     }
                     a.remaining -= 1;
@@ -926,28 +826,68 @@ impl KvServer {
                         // dequeue/done times become the op's shard_queue
                         // and service stamps, so the decomposition shows
                         // the dominant leg's timeline, not an average.
-                        if a.op.is_some() {
+                        if op.is_some() {
                             let tracer = sim.optrace();
                             if let Some(&(shard, start, end)) =
                                 a.legs.iter().max_by_key(|&&(s, _, e)| (e, usize::MAX - s))
                             {
-                                tracer.stamp(a.op, "shard_queue", start);
-                                tracer.annotate_shard(a.op, shard as u32);
-                                tracer.stamp(a.op, "service", end);
+                                tracer.stamp(op, "shard_queue", start);
+                                tracer.annotate_shard(op, shard as u32);
+                                tracer.stamp(op, "service", end);
                                 tracer.note_critical(format!(
                                     "rkv.critpath.multi_get.server{}.shard{shard}",
                                     self.node.0
                                 ));
                             }
                         }
-                        let resp = Response::MultiValues {
-                            values: std::mem::take(&mut a.values),
-                        };
-                        let _ = a.reply.try_send((a.seq, resp.encode(), a.op));
+                        let values = std::mem::take(&mut a.values);
+                        a.ticket.answer(Response::MultiValues { values });
                     }
                 }
             }
         }
+    }
+
+    /// Serve one admitted request, the same way in both models: charge
+    /// `proc_time`, run the verb against the store (a get that carries a
+    /// hot `copy` is answered from it instead), record the service time
+    /// and stamp `service`. `core` is the engine core this runs on —
+    /// `None` inline in the connection's own task, where the service time
+    /// is attributed to the stripe owning the request's key (a whole
+    /// `multi_get` has none).
+    async fn execute(
+        &self,
+        core: Option<usize>,
+        qp: &Qp,
+        req: Request,
+        tenant: u32,
+        op: Option<OpId>,
+        copy: Option<WireValue>,
+    ) -> Response {
+        let sim = self.stack.sim();
+        let (span_name, hist) = match &req {
+            Request::Get { .. } => ("kv.get", &self.hists.get_ns),
+            Request::Set { .. } => ("kv.set", &self.hists.set_ns),
+            Request::MultiGet { .. } => ("kv.multi_get", &self.hists.multi_get_ns),
+            _ => ("kv.other", &self.hists.other_ns),
+        };
+        let shard = core.or_else(|| request_key(&req).map(|key| self.store.shard_index(key)));
+        let tid = core.map_or(0, |c| c as u64 + 1);
+        let _sp = sim.span(span_name, "rkv", self.node.0, tid);
+        let t0 = sim.now();
+        sim.sleep(self.config.proc_time).await;
+        let resp = match (copy, req) {
+            (Some(value), Request::Get { dst, .. }) => Self::value_reply(qp, dst, value).await,
+            (_, req) => self.handle(qp, req, tenant).await,
+        };
+        let svc = sim.now().as_nanos().saturating_sub(t0.as_nanos());
+        hist.record_ns(svc);
+        if let Some(shard) = shard {
+            self.hists.shard_svc[shard].record_ns(svc);
+            sim.optrace().annotate_shard(op, shard as u32);
+        }
+        sim.op_stamp(op, "service");
+        resp
     }
 
     fn now(&self) -> u64 {
@@ -1032,32 +972,32 @@ impl KvServer {
         }
     }
 
+    /// Answer a get with `value`: landed one-sided in the client's
+    /// registered buffer when it offered one the payload fits, inline
+    /// otherwise.
+    async fn value_reply(qp: &Qp, dst: Option<WireBuf>, value: WireValue) -> Response {
+        let (data, flags, cas) = value;
+        match dst {
+            Some(dst) if data.len() as u64 <= dst.len => {
+                match qp.write(&dst.into(), 0, data.clone()).await {
+                    Ok(()) => Response::ValueWritten {
+                        len: data.len() as u32,
+                        flags,
+                        cas,
+                    },
+                    Err(_) => Response::TransferFailed,
+                }
+            }
+            _ => Response::Value { data, flags, cas },
+        }
+    }
+
     async fn handle(&self, qp: &Qp, req: Request, tenant: u32) -> Response {
         let now = self.now();
         match req {
             Request::Get { key, dst } => match self.store.get(&key, now) {
                 None => Response::NotFound,
-                Some(v) => {
-                    if let Some(dst) = dst {
-                        if v.data.len() as u64 <= dst.len {
-                            // one-sided path: land the payload in the
-                            // client's registered buffer
-                            return match qp.write(&dst.into(), 0, v.data.clone()).await {
-                                Ok(()) => Response::ValueWritten {
-                                    len: v.data.len() as u32,
-                                    flags: v.flags,
-                                    cas: v.cas,
-                                },
-                                Err(_) => Response::TransferFailed,
-                            };
-                        }
-                    }
-                    Response::Value {
-                        data: v.data,
-                        flags: v.flags,
-                        cas: v.cas,
-                    }
-                }
+                Some(v) => Self::value_reply(qp, dst, (v.data, v.flags, v.cas)).await,
             },
             Request::Set {
                 key,

@@ -27,12 +27,6 @@ impl ShardedKv {
     /// count is clamped down, and a budget below a single page runs one
     /// shard with the page size shrunk to the budget.
     pub fn new(shards: usize, config: SlabConfig) -> Self {
-        Self::with_reclaim_idle(shards, config, 0)
-    }
-
-    /// Like [`ShardedKv::new`], additionally enabling idle-page slab
-    /// reclamation on every shard (see [`KvStore::set_reclaim_idle`]).
-    pub fn with_reclaim_idle(shards: usize, config: SlabConfig, reclaim_idle_ns: u64) -> Self {
         assert!(shards > 0, "need at least one shard");
         assert!(config.mem_limit > 0, "memory budget must be positive");
         let (shards, config) = if config.mem_limit < config.page_size as u64 {
@@ -55,9 +49,7 @@ impl ShardedKv {
                         mem_limit: base + extra,
                         ..config
                     };
-                    let mut store = KvStore::new(per_shard);
-                    store.set_reclaim_idle(reclaim_idle_ns);
-                    RefCell::new(store)
+                    RefCell::new(KvStore::new(per_shard))
                 })
                 .collect(),
         }
@@ -207,15 +199,6 @@ impl ShardedKv {
     /// reporting).
     pub fn shard_stats(&self, shard: usize) -> KvStats {
         self.shards[shard].borrow().stats()
-    }
-
-    /// Run the zero-risk reclamation sweep on every shard (see
-    /// [`KvStore::reclaim_idle_pages`]); returns total pages retired.
-    pub fn reclaim_idle_pages(&self, now: u64) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.borrow_mut().reclaim_idle_pages(now))
-            .sum()
     }
 
     /// Total live items.

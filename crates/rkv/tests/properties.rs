@@ -520,7 +520,8 @@ proptest! {
     /// The shard-per-core engine is observably equivalent to the
     /// single-context model: an identical client script over every keyed
     /// verb gets identical answers at every (cores, cq_batch), including
-    /// split `multi_get`s.
+    /// split `multi_get`s, a tenanted connection's `set_tenant` hello and
+    /// a malformed frame — everything the shared front door settles.
     #[test]
     fn engine_answers_match_single_context(
         cores in 1usize..5,
@@ -532,6 +533,7 @@ proptest! {
         enum Answer {
             Value(Option<Bytes>),
             Found(bool),
+            Malformed { answer: Response, proto_errors: u64 },
         }
         let run = |cfg: rkv::KvServerConfig| -> Vec<Answer> {
             let sim = simkit::Sim::new();
@@ -542,12 +544,14 @@ proptest! {
                 netsim::NodeId(0),
                 cfg,
             )];
-            let cl = rkv::KvClient::new(
+            let client = |tenant| rkv::KvClient::new(
                 Rc::clone(&stack),
                 netsim::NodeId(1),
-                servers,
-                rkv::KvClientConfig::default(),
+                servers.clone(),
+                rkv::KvClientConfig { tenant, ..rkv::KvClientConfig::default() },
             );
+            let (cl, tenanted) = (client(0), client(7));
+            let server = Rc::clone(&servers[0]);
             let script = script.clone();
             let out = sim.block_on(async move {
                 let mut out = Vec::new();
@@ -573,6 +577,16 @@ proptest! {
                 for v in cl.multi_get(&refs).await.unwrap() {
                     out.push(Answer::Value(v.map(|v| v.data)));
                 }
+                // admission is off, so the tenant tag changes no answer —
+                // but its connection opens with the `set_tenant` hello
+                out.push(Answer::Value(tenanted.get(&[0]).await.unwrap().map(|v| v.data)));
+                // a frame no verb decodes from, on a raw queue pair
+                let qp = server.accept(netsim::NodeId(1)).await.unwrap();
+                qp.send(Bytes::from_static(&[0xff; 9])).await.unwrap();
+                out.push(Answer::Malformed {
+                    answer: Response::decode(qp.recv().await.unwrap()).unwrap(),
+                    proto_errors: server.proto_errors(),
+                });
                 out
             });
             sim.reset();
@@ -584,6 +598,10 @@ proptest! {
             cq_batch,
             ..rkv::KvServerConfig::default()
         });
+        prop_assert_eq!(
+            base.last(),
+            Some(&Answer::Malformed { answer: Response::TransferFailed, proto_errors: 1 })
+        );
         prop_assert_eq!(base, engine);
     }
 

@@ -26,7 +26,7 @@ use bb_core::{AckMode, FileState, Scheme};
 use simkit::dur;
 use workloads::{PayloadPool, SystemKind, Testbed, TestbedConfig};
 
-use crate::experiments::ExpReport;
+use crate::experiments::{pctl, ExpReport};
 use crate::table::Table;
 use crate::telemetry::{capture_cell, CellTelemetry};
 
@@ -53,14 +53,6 @@ pub struct AdmissionCell {
     pub metrics_json: String,
     /// The cell's full telemetry, when requested.
     pub telemetry: Option<CellTelemetry>,
-}
-
-fn pctl(sorted: &[u64], q: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() as f64) * q / 100.0).ceil() as usize;
-    sorted[idx.saturating_sub(1).min(sorted.len() - 1)]
 }
 
 /// Run one admission cell. `admit` arms the classifier; everything else

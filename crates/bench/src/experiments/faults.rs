@@ -15,7 +15,7 @@ use bb_core::{AckMode, FileState, Scheme};
 use simkit::{dur, FaultEvent, FaultPlan};
 use workloads::{PayloadPool, SystemKind, Testbed, TestbedConfig};
 
-use crate::experiments::ExpReport;
+use crate::experiments::{persist_flight_dumps, ExpReport};
 use crate::table::Table;
 use crate::telemetry::{capture_cell, CellTelemetry};
 
@@ -442,12 +442,7 @@ pub fn run_fault_scenario_telemetry(
     tb.sim.install_faults(plan);
 
     let pool = PayloadPool::standard();
-    let expected: Rc<Vec<u8>> = Rc::new(
-        pool.stream(9, data, 1 << 20)
-            .iter()
-            .flat_map(|b| b.iter().copied())
-            .collect(),
-    );
+    let expected = Rc::new(pool.stream(9, data, 1 << 20).concat());
     let sim = tb.sim.clone();
     let driver_client = Rc::clone(&client);
     let driver_expected = Rc::clone(&expected);
@@ -583,24 +578,14 @@ pub fn run_fault_scenario_telemetry(
         consistency_violations: verdict.violations,
         flight_dumps,
     };
-    // persist dumps under the workspace-root target/ (anchored via the
-    // manifest dir — test binaries run with CWD = crate root) so a
-    // failing CI run can upload them as artifacts
-    if !outcome.flight_dumps.is_empty() {
-        let dir = crate::telemetry::repo_root().join("target/flight-recorder");
-        if std::fs::create_dir_all(&dir).is_ok() {
-            for (i, dump) in outcome.flight_dumps.iter().enumerate() {
-                let name = format!(
-                    "{}-{}-r{}-seed{:x}-{i}.json",
-                    case.scheme.label().replace(' ', "_"),
-                    case.scenario.label().replace(' ', "_"),
-                    case.replication,
-                    case.seed
-                );
-                let _ = std::fs::write(dir.join(name), dump);
-            }
-        }
-    }
+    let stem = format!(
+        "{}-{}-r{}-seed{:x}",
+        case.scheme.label().replace(' ', "_"),
+        case.scenario.label().replace(' ', "_"),
+        case.replication,
+        case.seed
+    );
+    persist_flight_dumps(&outcome.flight_dumps, &stem);
     tb.shutdown();
     (outcome, Some(cell))
 }

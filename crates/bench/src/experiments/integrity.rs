@@ -113,7 +113,7 @@ pub fn ab7_integrity(quick: bool, trace: bool) -> ExpReport {
 
     // --- phase 4: verified read-back (background loops stopped so the
     // read phase runs to quiescence) ---
-    let expected: Rc<Vec<u8>> = Rc::new(pieces.iter().flat_map(|b| b.iter().copied()).collect());
+    let expected = Rc::new(pieces.concat());
     bb.reset_read_stats();
     tb.shutdown();
     let rclient = Rc::clone(&client);

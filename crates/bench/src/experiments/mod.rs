@@ -17,8 +17,54 @@ pub mod rebalance;
 pub mod tracing;
 pub mod traffic;
 
+use std::rc::Rc;
+
+use workloads::PayloadPool;
+
 use crate::table::Table;
 use crate::telemetry::CellTelemetry;
+
+/// Whether `path` opens and reads back byte-identical to the `len`-byte
+/// payload stream dealt from `seed`.
+pub(crate) async fn read_back_ok(
+    client: &Rc<bb_core::BbClient>,
+    pool: &PayloadPool,
+    path: &str,
+    seed: u64,
+    len: u64,
+) -> bool {
+    let expected = pool.stream(seed, len, 1 << 20).concat();
+    match client.open(path).await {
+        Ok(rd) => matches!(rd.read_all().await, Ok(b) if b[..] == expected[..]),
+        Err(_) => false,
+    }
+}
+
+/// Nearest-rank percentile `q` (0–100) of an ascending sample; 0 when
+/// empty.
+pub(crate) fn pctl(sorted: &[u64], q: f64) -> u64 {
+    if sorted.is_empty() {
+        return 0;
+    }
+    let idx = ((sorted.len() as f64) * q / 100.0).ceil() as usize;
+    sorted[idx.saturating_sub(1).min(sorted.len() - 1)]
+}
+
+/// Persist a cell's flight-recorder dumps as `<stem>-<i>.json` under the
+/// workspace-root `target/flight-recorder/` (anchored via the manifest
+/// dir — test binaries run with CWD = crate root) so a failing CI run
+/// can upload them as artifacts.
+pub(crate) fn persist_flight_dumps(dumps: &[String], stem: &str) {
+    if dumps.is_empty() {
+        return;
+    }
+    let dir = crate::telemetry::repo_root().join("target/flight-recorder");
+    if std::fs::create_dir_all(&dir).is_ok() {
+        for (i, dump) in dumps.iter().enumerate() {
+            let _ = std::fs::write(dir.join(format!("{stem}-{i}.json")), dump);
+        }
+    }
+}
 
 /// An experiment's rendered output plus its paper-shape verdict and the
 /// telemetry of its representative cell.

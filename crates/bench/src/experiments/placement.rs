@@ -28,7 +28,7 @@ use workloads::{PayloadPool, SystemKind, Testbed, TestbedConfig};
 
 use crate::consistency::{Checker, History};
 use crate::experiments::integrity::step_to;
-use crate::experiments::ExpReport;
+use crate::experiments::{pctl, persist_flight_dumps, read_back_ok, ExpReport};
 use crate::table::Table;
 use crate::telemetry::{capture_cell, CellTelemetry};
 
@@ -110,14 +110,6 @@ impl PlacementOutcome {
     pub fn converged_within(&self, factor: f64) -> bool {
         self.floor_p99_ns > 0 && self.final_p99_ns as f64 <= factor * self.floor_p99_ns as f64
     }
-}
-
-fn pctl(sorted: &[u64], q: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = ((q / 100.0) * (sorted.len() - 1) as f64).round() as usize;
-    sorted[rank.min(sorted.len() - 1)]
 }
 
 /// The geo-stretched AB13 rig: geo size 8 (2 nodes/rack x 2 racks/zone x
@@ -273,13 +265,7 @@ pub fn run_placement_telemetry(
             // byte-verify both acknowledged files end to end
             let mut ok = true;
             for (path, seed) in [("/ab13/hot", 7u64), ("/ab13/floor", 8u64)] {
-                let expected: Vec<u8> = pool
-                    .stream(seed, case.file_bytes, 1 << 20)
-                    .iter()
-                    .flat_map(|b| b.iter().copied())
-                    .collect();
-                let rd = rclient.open(path).await.ok()?;
-                ok &= matches!(rd.read_all().await, Ok(b) if b[..] == expected[..]);
+                ok &= read_back_ok(&rclient, &pool, path, seed, case.file_bytes).await;
             }
             Some((floor, rounds, fin, ok))
         })
@@ -712,17 +698,8 @@ pub fn run_placement_property(case: &PlacementPropCase) -> PlacementPropOutcome 
             let mut files_ok = 0u64;
             for (fi, &bytes) in case.files.iter().enumerate() {
                 let path = format!("/prop/f{fi}");
-                let expected: Vec<u8> = pool
-                    .stream(fi as u64 + 40, bytes, 1 << 20)
-                    .iter()
-                    .flat_map(|b| b.iter().copied())
-                    .collect();
                 for attempt in 0..3 {
-                    let ok = match rclients[0].open(&path).await {
-                        Ok(rd) => matches!(rd.read_all().await, Ok(b) if b[..] == expected[..]),
-                        Err(_) => false,
-                    };
-                    if ok {
+                    if read_back_ok(&rclients[0], &pool, &path, fi as u64 + 40, bytes).await {
                         files_ok += 1;
                         break;
                     }
@@ -799,21 +776,8 @@ pub fn run_placement_property(case: &PlacementPropCase) -> PlacementPropOutcome 
         flight_dumps,
         end: sim.now(),
     };
-    // persist dumps under the workspace-root target/ so a failing CI run
-    // can upload them as artifacts
-    if !outcome.flight_dumps.is_empty() {
-        let dir = crate::telemetry::repo_root().join("target/flight-recorder");
-        if std::fs::create_dir_all(&dir).is_ok() {
-            for (i, dump) in outcome.flight_dumps.iter().enumerate() {
-                let name = format!(
-                    "placement-{}-seed{:x}-{i}.json",
-                    case.fault.label(),
-                    case.seed
-                );
-                let _ = std::fs::write(dir.join(name), dump);
-            }
-        }
-    }
+    let stem = format!("placement-{}-seed{:x}", case.fault.label(), case.seed);
+    persist_flight_dumps(&outcome.flight_dumps, &stem);
     tb.shutdown();
     outcome
 }

@@ -19,12 +19,13 @@ use std::rc::Rc;
 use std::time::Duration;
 
 use bb_core::{FileState, Scheme};
+use lustre::LustreConfig;
 use simkit::{dur, FaultEvent, FaultPlan, Sim, Time};
 use workloads::{PayloadPool, SystemKind, Testbed, TestbedConfig};
 
 use crate::consistency::{Checker, History};
 use crate::experiments::integrity::step_to;
-use crate::experiments::ExpReport;
+use crate::experiments::{read_back_ok, ExpReport};
 use crate::table::Table;
 use crate::telemetry::{capture_cell, CellTelemetry};
 
@@ -62,6 +63,9 @@ pub struct RebalanceCase {
     pub replication: usize,
     /// Bytes per written file.
     pub file_bytes: u64,
+    /// The Lustre tier behind the flusher. Its width against the write
+    /// stream sets how deep the flush queue is when a change lands.
+    pub lustre: LustreConfig,
     /// The membership schedule.
     pub changes: Vec<ScheduledChange>,
     /// After each applied change, wait for the rebalancer to drain and
@@ -79,6 +83,17 @@ impl RebalanceCase {
             standbys: 4,
             replication: 2,
             file_bytes: if quick { 2 << 20 } else { 8 << 20 },
+            // 4 OSTs x 32 MB/s, over twice the one writer's ~55 MB/s: the
+            // flush queue is shallow when a change lands, so few remapped
+            // chunks are still unflushed. A cell that wants migrations to
+            // race a deep queue of live pins narrows this (one 16 MB/s
+            // OST in `tests/rebalance.rs`).
+            lustre: LustreConfig {
+                oss_count: 2,
+                osts_per_oss: 2,
+                ost_rate: 32e6,
+                ..TestbedConfig::default().lustre
+            },
             changes: vec![
                 ScheduledChange {
                     at: dur::ms(500),
@@ -220,11 +235,7 @@ pub fn run_rebalance_telemetry(
     cfg.bb.rebalance_interval = dur::ms(100);
     // ample KV memory: no eviction, so a definitive miss is always loss
     cfg.bb.kv_mem_per_server = 1 << 30;
-    // Lustre narrower than the write stream: the flush queue stays deep
-    // through the churn window, so migrations race live pins and flushes
-    cfg.lustre.oss_count = 2;
-    cfg.lustre.osts_per_oss = 2;
-    cfg.lustre.ost_rate = 32e6;
+    cfg.lustre = case.lustre;
     let tb = Testbed::build(SystemKind::Bb(Scheme::AsyncLustre), cfg);
     if trace {
         tb.sim.tracer().enable();
@@ -529,24 +540,6 @@ fn settle_and_verify(
         sampler.sample(windows);
     }
     task.try_take().unwrap_or(1)
-}
-
-async fn read_back_ok(
-    client: &Rc<bb_core::BbClient>,
-    pool: &PayloadPool,
-    path: &str,
-    seed: u64,
-    len: u64,
-) -> bool {
-    let expected: Vec<u8> = pool
-        .stream(seed, len, 1 << 20)
-        .iter()
-        .flat_map(|b| b.iter().copied())
-        .collect();
-    match client.open(path).await {
-        Ok(rd) => matches!(rd.read_all().await, Ok(b) if b[..] == expected[..]),
-        Err(_) => false,
-    }
 }
 
 /// AB8: scale the KV tier out and in under write load. The report

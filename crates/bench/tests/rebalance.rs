@@ -18,6 +18,7 @@ use std::time::Duration;
 use bench::experiments::rebalance::{
     run_rebalance_scenario, ChangeOp, RebalanceCase, RebalanceOutcome, ScheduledChange,
 };
+use lustre::LustreConfig;
 use proptest::prelude::*;
 
 /// Invariant floor shared by every cell: converged, nothing lost,
@@ -71,15 +72,15 @@ fn schedules() -> impl Strategy<Value = Vec<ScheduledChange>> {
     })
 }
 
-fn case(seed: u64, changes: Vec<ScheduledChange>) -> RebalanceCase {
+fn case(seed: u64, replication: usize, changes: Vec<ScheduledChange>) -> RebalanceCase {
     RebalanceCase {
         seed,
         initial_servers: 3,
         standbys: 3,
-        replication: 2,
+        replication,
         file_bytes: 1 << 20,
         changes,
-        verify_each_epoch: true,
+        ..RebalanceCase::ab8(true)
     }
 }
 
@@ -110,6 +111,31 @@ fn ab8_schedule_holds_invariants() {
     }
 }
 
+/// The same schedule where it used to lose data: a single replica, every
+/// change 37 ms off the rebalancer's 100 ms tick grid, and one 16 MB/s OST,
+/// so each join remaps a deep queue of pinned, unflushed chunks whose only
+/// copy stays on the old owner until the next tick. The flusher has to
+/// find them there (before the one lookup order: 10 chunks lost, 82/85
+/// files).
+#[test]
+fn ab8_single_replica_off_grid_over_one_slow_ost_loses_nothing() {
+    let mut case = RebalanceCase::ab8(true);
+    case.replication = 1;
+    for ch in &mut case.changes {
+        ch.at += Duration::from_millis(37);
+    }
+    case.lustre = LustreConfig {
+        stripe_count: 1,
+        oss_count: 1,
+        osts_per_oss: 1,
+        ost_rate: 16e6,
+        ..case.lustre
+    };
+    let o = run_rebalance_scenario(&case);
+    no_loss(&o, "ab8 r=1 off-grid narrow");
+    assert_eq!(o.epochs, 6, "all six scripted changes must apply");
+}
+
 // --- random schedules ------------------------------------------------
 
 proptest! {
@@ -122,9 +148,10 @@ proptest! {
     #[test]
     fn random_schedules_never_lose_acked_data(
         seed in any::<u64>(),
+        replication in 1usize..=2,
         changes in schedules(),
     ) {
-        let o = run_rebalance_scenario(&case(seed, changes.clone()));
+        let o = run_rebalance_scenario(&case(seed, replication, changes.clone()));
         no_loss(&o, "random-schedule");
         prop_assert!(
             o.remap_within(1.5),
@@ -147,9 +174,10 @@ proptest! {
     #[test]
     fn same_seed_rebalance_runs_are_byte_identical(
         seed in any::<u64>(),
+        replication in 1usize..=2,
         changes in schedules(),
     ) {
-        let c = case(seed, changes);
+        let c = case(seed, replication, changes);
         let a = run_rebalance_scenario(&c);
         let b = run_rebalance_scenario(&c);
         prop_assert!(a.converged && b.converged);

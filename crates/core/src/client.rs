@@ -19,7 +19,7 @@ use lustre::{LustreClient, LustreError, LustreFile};
 use crate::integrity;
 pub use crate::manager::BbError;
 use crate::manager::{chunk_key, lustre_path, BbFileMeta, Dropped, FileState, MgrMsg, MGR_SERVICE};
-use crate::{BbConfig, BbDeployment, Scheme, KV_BACKOFF, KV_RETRIES, WRITE_WINDOW};
+use crate::{kv_backoff, BbConfig, BbDeployment, Scheme, KV_RETRIES, WRITE_WINDOW};
 
 /// KV client settings derived from the burst-buffer configuration.
 pub(crate) fn kv_client_config(cfg: &BbConfig) -> KvClientConfig {
@@ -250,9 +250,7 @@ impl BbClient {
                     sim.flight_record("bb.client", "mgr_retry", || {
                         format!("node={} attempt={attempt}", self.node.0)
                     });
-                    let delay = KV_BACKOFF
-                        .saturating_mul(1 << attempt.min(20))
-                        .min(Duration::from_millis(5));
+                    let delay = kv_backoff(1, attempt, Duration::from_millis(5));
                     attempt += 1;
                     sim.sleep(delay).await;
                 }
@@ -756,10 +754,8 @@ async fn put_quorum(
                         done = true;
                         break;
                     }
-                    let delay = KV_BACKOFF
-                        .saturating_mul(1 << attempt.min(20))
-                        .min(Duration::from_millis(5));
-                    sim2.sleep(delay).await;
+                    sim2.sleep(kv_backoff(1, attempt, Duration::from_millis(5)))
+                        .await;
                 }
                 if done {
                     counters.async_replicas.inc();
@@ -862,6 +858,12 @@ impl ReadCore {
         &self.client.dep.config
     }
 
+    /// `(file_id, chunk_size, size)` of the file as last refreshed.
+    fn geometry(&self) -> (u64, u64, u64) {
+        let m = self.meta.borrow();
+        (m.file_id, m.chunk_size, m.size)
+    }
+
     /// Whether this node holds a scheme-C local replica covering `offset`.
     fn has_local_replica(&self, offset: u64) -> bool {
         match &self.hdfs_reader {
@@ -910,12 +912,26 @@ impl ReadCore {
         }
     }
 
+    /// The CRC chunk `seq` was sealed with, once the file has a manifest
+    /// (files still being written when opened have none yet).
+    fn sealed_crc(&self, seq: u64) -> Option<u32> {
+        self.meta.borrow().chunk_crcs.get(seq as usize).copied()
+    }
+
+    /// Tier 1 for one chunk: the checksum-verified buffer GET — a corrupt
+    /// copy fails over to the next server of the read order (and is
+    /// repaired in place), never reaches the caller.
+    async fn buffer_get(&self, file_id: u64, seq: u64) -> Option<Bytes> {
+        let key = chunk_key(file_id, seq);
+        let counters = self.client.dep.integrity_counters();
+        let got = integrity::get_verified(&self.client.kv, counters, &key, self.sealed_crc(seq));
+        got.await.ok().map(|v| v.data)
+    }
+
     /// Verify a Lustre-tier chunk against the file's CRC manifest. Files
-    /// closed before the manifest existed (or still being written) have
-    /// no entry and pass unverified — same behaviour as the seed.
+    /// with no manifest entry pass unverified — same behaviour as the seed.
     fn verify_lustre(&self, file_id: u64, seq: u64, data: &Bytes) -> Result<(), BbError> {
-        let crc = self.meta.borrow().chunk_crcs.get(seq as usize).copied();
-        if let Some(crc) = crc {
+        if let Some(crc) = self.sealed_crc(seq) {
             if integrity::chunk_crc(&chunk_key(file_id, seq), data) != crc {
                 self.client.dep.integrity_counters().checksum_fail.inc();
                 return Err(BbError::DataUnavailable {
@@ -927,14 +943,73 @@ impl ReadCore {
         Ok(())
     }
 
+    /// Tier 2 for the buffer misses `seqs` (ascending): Lustre, only sound
+    /// once the file is flushed. Contiguous runs coalesce into single
+    /// stripe-spanning reads, fetched concurrently (a serial miss is a run
+    /// of one); every chunk is verified against the manifest, offered to
+    /// the read-through fill and counted `tier_lustre`.
+    async fn lustre_tier(&self, seqs: &[u64]) -> Vec<(u64, Result<Bytes, BbError>)> {
+        let mut state = self.meta.borrow().state;
+        if state != FileState::Flushed {
+            // refresh: the flusher may have finished since open
+            if let Ok(m) = self.client.fetch_meta(&self.path).await {
+                state = m.state;
+                *self.meta.borrow_mut() = m;
+            }
+        }
+        if state != FileState::Flushed {
+            let unavailable = |&seq| {
+                let path = self.path.clone();
+                (seq, Err(BbError::DataUnavailable { path, seq }))
+            };
+            return seqs.iter().map(unavailable).collect();
+        }
+        let lf = match self.lustre_handle().await {
+            Ok(lf) => lf,
+            Err(e) => return seqs.iter().map(|&s| (s, Err(e.clone()))).collect(),
+        };
+        let (file_id, chunk_size, size) = self.geometry();
+        let clen = |seq: u64| chunk_size.min(size - seq * chunk_size);
+        let sim = self.client.dep.stack.sim();
+        type LustreRun = (u64, u64, JoinHandle<Result<Bytes, LustreError>>);
+        let mut runs: Vec<LustreRun> = Vec::new();
+        for (s0, s1) in coalesce_runs(seqs) {
+            let lf = Rc::clone(&lf);
+            let off = s0 * chunk_size;
+            let run_len = (s1 * chunk_size + clen(s1)) - off;
+            let h = sim.spawn(async move { lf.read_at(off, run_len).await });
+            runs.push((s0, s1, h));
+        }
+        let mut out = Vec::with_capacity(seqs.len());
+        for (s0, s1, h) in runs {
+            match h.await {
+                Ok(data) => {
+                    for s in s0..=s1 {
+                        let rel = ((s - s0) * chunk_size) as usize;
+                        let b = data.slice(rel..rel + clen(s) as usize);
+                        if let Err(e) = self.verify_lustre(file_id, s, &b) {
+                            out.push((s, Err(e)));
+                            continue;
+                        }
+                        self.maybe_fill(file_id, s, &b);
+                        self.client.dep.read_counters().tier_lustre.inc();
+                        out.push((s, Ok(b)));
+                    }
+                }
+                Err(e) => {
+                    let e: BbError = e.into();
+                    out.extend((s0..=s1).map(|s| (s, Err(e.clone()))));
+                }
+            }
+        }
+        out
+    }
+
     /// Fetch one whole chunk via the serial tiered read path (the
     /// `read_window = 1` behaviour, and the fallback for chunks the
     /// pipelined planner did not cover).
     async fn fetch_chunk(&self, seq: u64) -> Result<Bytes, BbError> {
-        let (file_id, chunk_size, size) = {
-            let m = self.meta.borrow();
-            (m.file_id, m.chunk_size, m.size)
-        };
+        let (file_id, chunk_size, size) = self.geometry();
         let chunk_len = chunk_size.min(size - seq * chunk_size);
         let sim = self.client.dep.stack.sim().clone();
         let _sp = sim.span("bb.fetch_chunk", "bb", self.client.node.0, seq);
@@ -951,41 +1026,15 @@ impl ReadCore {
                 }
             }
         }
-        // tier 1: the buffer (RDMA GET from server DRAM), checksum-
-        // verified — a corrupt copy fails over to the next replica (and
-        // is repaired in place), never reaches the caller
-        if let Ok(Some(v)) = integrity::get_verified(
-            &self.client.kv,
-            self.client.dep.integrity_counters(),
-            &chunk_key(file_id, seq),
-        )
-        .await
-        {
+        // tier 1: the buffer (RDMA GET from server DRAM)
+        if let Some(data) = self.buffer_get(file_id, seq).await {
             sim.sleep(read_cpu).await;
             self.client.dep.read_counters().tier_buffer.inc();
-            return Ok(v.data);
+            return Ok(data);
         }
-        // tier 2: Lustre — only sound once the file is flushed
-        let mut state = self.meta.borrow().state;
-        if state != FileState::Flushed {
-            // refresh: the flusher may have finished since open
-            if let Ok(m) = self.client.fetch_meta(&self.path).await {
-                state = m.state;
-                *self.meta.borrow_mut() = m;
-            }
-        }
-        if state != FileState::Flushed {
-            return Err(BbError::DataUnavailable {
-                path: self.path.clone(),
-                seq,
-            });
-        }
-        let lf = self.lustre_handle().await?;
-        let data = lf.read_at(seq * chunk_size, chunk_len).await?;
-        self.verify_lustre(file_id, seq, &data)?;
-        self.maybe_fill(file_id, seq, &data);
-        self.client.dep.read_counters().tier_lustre.inc();
-        Ok(data)
+        // tier 2: Lustre, as a miss run of one
+        let mut run = self.lustre_tier(&[seq]).await;
+        run.pop().expect("one result per seq").1
     }
 
     /// Read `len` bytes at `offset`.
@@ -1131,10 +1180,7 @@ impl ReadCore {
         seqs: &[u64],
         op: Option<simkit::OpId>,
     ) -> (Vec<(u64, Result<Bytes, BbError>)>, Duration) {
-        let (file_id, chunk_size, size) = {
-            let m = self.meta.borrow();
-            (m.file_id, m.chunk_size, m.size)
-        };
+        let (file_id, chunk_size, size) = self.geometry();
         let rate = self.config().client_read_rate;
         let sim = self.client.dep.stack.sim().clone();
         let mgr = &self.client.dep.manager;
@@ -1185,7 +1231,7 @@ impl ReadCore {
                 Ok(vals) => {
                     for ((&s, key), v) in rest.iter().zip(&keys).zip(vals) {
                         match v {
-                            Some(val) if integrity::chunk_crc(key, &val.data) == val.flags => {
+                            Some(val) if integrity::is_good(key, &val, self.sealed_crc(s)) => {
                                 cpu = cpu.max(simkit::dur::transfer(clen(s), rate));
                                 self.client.dep.read_counters().tier_buffer.inc();
                                 out.insert(s, Ok(val.data));
@@ -1206,19 +1252,13 @@ impl ReadCore {
             // path (replica failover + in-place repair) before degrading
             // to the Lustre tier
             for s in corrupt {
-                match integrity::get_verified(
-                    &self.client.kv,
-                    self.client.dep.integrity_counters(),
-                    &chunk_key(file_id, s),
-                )
-                .await
-                {
-                    Ok(Some(v)) => {
+                match self.buffer_get(file_id, s).await {
+                    Some(data) => {
                         cpu = cpu.max(simkit::dur::transfer(clen(s), rate));
                         self.client.dep.read_counters().tier_buffer.inc();
-                        out.insert(s, Ok(v.data));
+                        out.insert(s, Ok(data));
                     }
-                    _ => misses.push(s),
+                    None => misses.push(s),
                 }
             }
             misses.sort_unstable();
@@ -1244,73 +1284,9 @@ impl ReadCore {
             sim.op_stamp(op, "local_join");
         }
 
-        // tier 2: Lustre, only sound once the file is flushed
-        let had_misses = !misses.is_empty();
+        // tier 2: Lustre
         if !misses.is_empty() {
-            let mut state = self.meta.borrow().state;
-            if state != FileState::Flushed {
-                if let Ok(m) = self.client.fetch_meta(&self.path).await {
-                    state = m.state;
-                    *self.meta.borrow_mut() = m;
-                }
-            }
-            if state != FileState::Flushed {
-                for s in misses {
-                    out.insert(
-                        s,
-                        Err(BbError::DataUnavailable {
-                            path: self.path.clone(),
-                            seq: s,
-                        }),
-                    );
-                }
-            } else {
-                match self.lustre_handle().await {
-                    Err(e) => {
-                        for s in misses {
-                            out.insert(s, Err(e.clone()));
-                        }
-                    }
-                    Ok(lf) => {
-                        // coalesce contiguous miss runs into single
-                        // stripe-spanning reads, fetched concurrently
-                        type LustreRun = (u64, u64, JoinHandle<Result<Bytes, LustreError>>);
-                        let mut runs: Vec<LustreRun> = Vec::new();
-                        for (s0, s1) in coalesce_runs(&misses) {
-                            let lf = Rc::clone(&lf);
-                            let off = s0 * chunk_size;
-                            let run_len = (s1 * chunk_size + clen(s1)) - off;
-                            let h = sim.spawn(async move { lf.read_at(off, run_len).await });
-                            runs.push((s0, s1, h));
-                        }
-                        for (s0, s1, h) in runs {
-                            match h.await {
-                                Ok(data) => {
-                                    for s in s0..=s1 {
-                                        let rel = ((s - s0) * chunk_size) as usize;
-                                        let b = data.slice(rel..rel + clen(s) as usize);
-                                        if let Err(e) = self.verify_lustre(file_id, s, &b) {
-                                            out.insert(s, Err(e));
-                                            continue;
-                                        }
-                                        self.maybe_fill(file_id, s, &b);
-                                        self.client.dep.read_counters().tier_lustre.inc();
-                                        out.insert(s, Ok(b));
-                                    }
-                                }
-                                Err(e) => {
-                                    let e: BbError = e.into();
-                                    for s in s0..=s1 {
-                                        out.insert(s, Err(e.clone()));
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        if had_misses {
+            out.extend(self.lustre_tier(&misses).await);
             sim.op_stamp(op, "lustre_fetch");
         }
         (out.into_iter().collect(), cpu)

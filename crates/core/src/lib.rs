@@ -140,6 +140,16 @@ const LOCAL_RAMDISK: u64 = 8 << 30;
 /// read-back.
 pub(crate) use rkv::client::{BACKOFF_BASE as KV_BACKOFF, MAX_RETRIES as KV_RETRIES};
 
+/// Delay before retry number `attempt` (from 0): `scale` first backoffs,
+/// doubling per retry, capped at `cap`.
+pub(crate) fn kv_backoff(
+    scale: u32,
+    attempt: u32,
+    cap: std::time::Duration,
+) -> std::time::Duration {
+    KV_BACKOFF.saturating_mul(scale << attempt.min(20)).min(cap)
+}
+
 /// Burst-buffer deployment configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct BbConfig {
@@ -188,8 +198,11 @@ pub struct BbConfig {
     /// to membership-epoch bumps by queueing resident chunks whose ring
     /// owners changed, then migrates up to 64 of them (copy to the new
     /// owners, verify CRC by read-back, delete from the old).
-    /// `Duration::ZERO` disables the rebalancer (a membership change then
-    /// relies on the epoch-fallback read path alone).
+    /// `Duration::ZERO` disables the rebalancer: a membership change then
+    /// relies on the lookup order alone ([`rkv::KvClient::read_order`] —
+    /// past the replica set, the rest of the roster), which reads, the
+    /// flusher's read-back and the scrubber all walk, so unmigrated
+    /// chunks are still read, flushed and kept.
     pub rebalance_interval: std::time::Duration,
     /// Overload high watermark: when unflushed buffered bytes exceed this
     /// fraction of aggregate KV memory, write acks carry a pressure signal

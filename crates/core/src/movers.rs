@@ -12,7 +12,7 @@ use bytes::Bytes;
 use netsim::NodeId;
 
 use crate::chunks::{ChunkId, ChunkLease, Work};
-use crate::integrity;
+use crate::integrity::{self, Census};
 use crate::manager::{chunk_key, BbManager, FileState};
 use crate::placement;
 
@@ -81,26 +81,6 @@ enum Moved {
     Copied(u64),
 }
 
-/// What one pass over some servers found of a chunk.
-#[derive(Default)]
-struct Probed {
-    /// Servers holding a copy that matches the CRC.
-    good: Vec<usize>,
-    /// Servers holding a copy that does not.
-    bad: Vec<usize>,
-    /// Servers that could not be asked.
-    errors: usize,
-    /// The first good copy's payload.
-    data: Option<Bytes>,
-}
-
-impl Probed {
-    /// No server answered with a copy, good or bad.
-    fn absent(&self) -> bool {
-        self.good.is_empty() && self.bad.is_empty()
-    }
-}
-
 impl BbManager {
     /// Start the background loops (called once, from `spawn`).
     pub(crate) fn start_movers(self: &Rc<Self>) {
@@ -138,34 +118,17 @@ impl BbManager {
         self.stopped.set(true);
     }
 
-    /// Ask `servers`, in order, for their copy of `key` and sort the
-    /// answers by whether the copy matches `crc`. With `first_good` the
-    /// pass ends at the first matching copy (a search for a source);
-    /// without, every server is asked (a census of the replica set). A
-    /// missing copy is legal (LRU eviction) and lands in neither list.
-    async fn probe(
+    /// [`integrity::census`] as the background loops take it: against the
+    /// chunk's sealed CRC and without the re-read — to a mover a copy that
+    /// fails once is not a source this round, and the next round asks again.
+    async fn census(
         &self,
         key: &[u8],
         crc: u32,
         servers: impl IntoIterator<Item = usize>,
         first_good: bool,
-    ) -> Probed {
-        let mut p = Probed::default();
-        for idx in servers {
-            match self.kv.get_from(idx, key).await {
-                Ok(Some(v)) if integrity::chunk_crc(key, &v.data) == crc => {
-                    p.good.push(idx);
-                    p.data.get_or_insert(v.data);
-                    if first_good {
-                        break;
-                    }
-                }
-                Ok(Some(_)) => p.bad.push(idx),
-                Ok(None) => {}
-                Err(_) => p.errors += 1,
-            }
-        }
-        p
+    ) -> Census {
+        integrity::census(&self.kv, key, Some(crc), servers, first_good, false).await
     }
 
     /// Roster members outside `set`. Index-addressed ops stay valid for
@@ -217,12 +180,15 @@ impl BbManager {
         }
         let (file_id, seq) = id;
         let key = chunk_key(file_id, seq);
-        let Ok(replicas) = self.kv.replicas(&key) else {
+        let Ok((order, replicas)) = self.kv.read_order(&key) else {
             return;
         };
+        let (replicas, rest) = order.split_at(replicas);
         self.scrub.scanned.inc();
-        let found = self.probe(&key, crc, replicas.iter().copied(), false).await;
-        self.integrity.checksum_fail.add(found.bad.len() as u64);
+        let found = self
+            .census(&key, crc, replicas.iter().copied(), false)
+            .await;
+        self.integrity.checksum_fail.add(found.digest_fails);
         if found.absent() {
             // an unreachable replica means no verdict: revisit next round
             if found.errors == 0 {
@@ -230,12 +196,11 @@ impl BbManager {
                 // elastic membership that is not yet proof the chunk left
                 // the buffer: a not-yet-migrated copy may still sit on an
                 // old owner, and forgetting the key here would hide it
-                // from the rebalancer. Check the rest of the roster first.
-                if self.view.epoch() > 0 {
-                    let others = self.roster_except(&replicas);
-                    if !self.probe(&key, crc, others, true).await.absent() {
-                        return; // awaiting migration; rebalancer owns it
-                    }
+                // from the rebalancer. Walk the rest of the read order
+                // (empty until membership first changes) before believing it.
+                let rest = rest.iter().copied();
+                if !self.census(&key, crc, rest, true).await.absent() {
+                    return; // awaiting migration; rebalancer owns it
                 }
                 self.chunks.forget(id);
             }
@@ -247,8 +212,8 @@ impl BbManager {
         let Some(lease) = self.chunks.lease(id, Work::Repairing) else {
             return; // a mover got there first, or the file is gone
         };
-        let good = match found.data {
-            Some(g) => Some(g),
+        let good = match found.value {
+            Some(v) => Some(v.data),
             None => self.lustre_chunk(id, crc).await,
         };
         match good {
@@ -362,15 +327,17 @@ impl BbManager {
         let (key, crc) = (chunk_key(id.0, id.1), lease.crc);
         // Which desired owners already hold a good copy? Failing those,
         // an old owner; failing that, Lustre.
-        let mut found = self.probe(&key, crc, desired.iter().copied(), false).await;
-        if found.data.is_none() {
+        let found = self.census(&key, crc, desired.iter().copied(), false).await;
+        let mut data = found.value.map(|v| v.data);
+        if data.is_none() {
             let others = self.roster_except(desired);
-            found.data = self.probe(&key, crc, others, true).await.data;
+            let found = self.census(&key, crc, others, true).await;
+            data = found.value.map(|v| v.data);
         }
-        if found.data.is_none() {
-            found.data = self.lustre_chunk(id, crc).await;
+        if data.is_none() {
+            data = self.lustre_chunk(id, crc).await;
         }
-        let Some(data) = found.data else {
+        let Some(data) = data else {
             // No authoritative copy reachable right now: leave the old
             // layout alone and let the scrubber/flusher sort it out.
             return Moved::Settled;
@@ -392,12 +359,9 @@ impl BbManager {
             }
             fresh.push(idx);
             // read back what the server actually stored before trusting it
-            match self.kv.get_from(idx, &key).await {
-                Ok(Some(v)) if integrity::chunk_crc(&key, &v.data) == crc => {}
-                _ => {
-                    self.rebal.verify_fail.inc();
-                    verified = false;
-                }
+            if self.census(&key, crc, [idx], true).await.good.is_empty() {
+                self.rebal.verify_fail.inc();
+                verified = false;
             }
         }
         if !verified {

@@ -10,7 +10,7 @@ use simkit::Sim;
 use lustre::{LustreCluster, LustreConfig};
 
 use crate::manager::FileState;
-use crate::{BbConfig, BbDeployment, BbError, Scheme};
+use crate::{BbClient, BbConfig, BbDeployment, BbError, Scheme};
 
 struct Rig {
     sim: Sim,
@@ -1172,5 +1172,130 @@ fn delete_during_an_inflight_move_leaves_no_override_or_copy() {
         assert_eq!(f1_copies(&dep2), 0, "a deleted chunk's copy survived");
         assert_eq!(dep2.manager.rebalance_backlog(), 0);
         dep2.shutdown();
+    });
+}
+
+// --- one lookup order: joins under a backed-up flusher -----------------
+
+/// Single replica, two servers on the ring, two standbys and one OST of
+/// `ost_rate`: a join remaps chunks the narrow flusher has not reached
+/// yet, so until the rebalancer gets to them their only copy sits, pinned,
+/// on a server that is no longer their owner.
+fn join_rig(ost_rate: f64, bcfg: BbConfig) -> (Rig, [NodeId; 2]) {
+    let lcfg = LustreConfig {
+        oss_count: 1,
+        osts_per_oss: 1,
+        stripe_count: 1,
+        ost_rate,
+        ..LustreConfig::default()
+    };
+    let bcfg = BbConfig {
+        kv_servers: 2,
+        kv_replication: 1,
+        ..bcfg
+    };
+    let r = rig_with(2, Scheme::AsyncLustre, lcfg, bcfg);
+    let standbys = [0; 2].map(|_| r.dep.standby_kv_server().node());
+    (r, standbys)
+}
+
+#[test]
+fn join_under_a_backed_up_flusher_loses_nothing() {
+    let (r, standbys) = join_rig(32e6, BbConfig::default());
+    let client = r.dep.client(NodeId(0));
+    let dep = Rc::clone(&r.dep);
+    let data = pattern(48 << 20);
+    r.sim.block_on(async move {
+        let w = client.create("/join").await.unwrap();
+        let mut joins = standbys.iter();
+        for i in 0..48usize {
+            w.append(data.slice(i << 20..(i + 1) << 20)).await.unwrap();
+            if i + 1 == 17 || i + 1 == 33 {
+                assert!(dep.admit_kv_server(*joins.next().unwrap()));
+            }
+        }
+        w.close().await.unwrap();
+        let st = client.wait_flushed("/join").await.unwrap();
+        assert_eq!(dep.manager.stats().chunks_lost, 0, "acked chunks given up");
+        assert_eq!(st, FileState::Flushed);
+        let rd = client.open("/join").await.unwrap();
+        assert_eq!(rd.read_all().await.unwrap(), data);
+        dep.shutdown();
+    });
+}
+
+/// 8 MiB written and closed behind a 1 MB/s OST with the rebalancer off,
+/// then two joins: nothing migrates, so every remapped chunk has to be
+/// found through the lookup order alone. `then` runs on the joined rig.
+fn joined_with_the_rebalancer_off<F>(
+    read_window: usize,
+    then: impl FnOnce(Rc<BbClient>, Bytes) -> F,
+) where
+    F: std::future::Future<Output = ()> + 'static,
+{
+    let bcfg = BbConfig {
+        rebalance_interval: std::time::Duration::ZERO,
+        read_window,
+        ..BbConfig::default()
+    };
+    let (r, standbys) = join_rig(1e6, bcfg);
+    let client = r.dep.client(NodeId(0));
+    let dep = Rc::clone(&r.dep);
+    let data = pattern(8 << 20);
+    let then = then(Rc::clone(&client), data.clone());
+    r.sim.block_on(async move {
+        let w = client.create("/nomove").await.unwrap();
+        w.append(data).await.unwrap();
+        w.close().await.unwrap();
+        for node in standbys {
+            assert!(dep.admit_kv_server(node));
+        }
+        then.await;
+        dep.shutdown();
+    });
+}
+
+#[test]
+fn flusher_finds_unmigrated_chunks_with_the_rebalancer_off() {
+    joined_with_the_rebalancer_off(BbConfig::default().read_window, |client, _| async move {
+        let st = client.wait_flushed("/nomove").await.unwrap();
+        let lost = client.deployment().manager.stats().chunks_lost;
+        assert_eq!(lost, 0, "acked chunks given up");
+        assert_eq!(st, FileState::Flushed);
+    });
+}
+
+#[test]
+fn serial_read_after_a_join_finds_unmigrated_chunks() {
+    joined_with_the_rebalancer_off(1, |client, data| async move {
+        // the file is seconds from flushed: the buffer is the only tier
+        let rd = client.open("/nomove").await.unwrap();
+        assert_eq!(rd.read_all().await.unwrap(), data);
+    });
+}
+
+#[test]
+fn unreachable_replicas_make_a_miss_indeterminate_after_a_join() {
+    // The definitive-miss rule: once membership has changed, servers
+    // outside a key's replica set are asked too, but only a *replica's*
+    // "no copy" is a verdict — the others may never have owned the key,
+    // so with every replica down their misses must read as an outage (the
+    // flusher retries), never as loss.
+    let (r, standbys) = join_rig(32e6, BbConfig::default());
+    let client = r.dep.client(NodeId(0));
+    let dep = Rc::clone(&r.dep);
+    let fabric = Rc::clone(&r.fabric);
+    r.sim.block_on(async move {
+        assert!(dep.admit_kv_server(standbys[0]));
+        let (kv, key) = (client.kv(), b"nobody-has-this".as_slice());
+        let owner = dep.membership().server(kv.route(key).unwrap()).node();
+        let lookup = || crate::integrity::get_verified(kv, dep.integrity_counters(), key, None);
+        fabric.set_up(owner, false);
+        let census = lookup().await.unwrap_err();
+        assert_eq!((census.errors, census.misses.len()), (1, 2));
+        assert!(!census.definitive, "an outage read as a verdict");
+        fabric.set_up(owner, true);
+        assert!(lookup().await.unwrap_err().definitive);
+        dep.shutdown();
     });
 }

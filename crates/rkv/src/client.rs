@@ -709,23 +709,44 @@ impl KvClient {
         }
     }
 
-    /// Read-any with failover: try replicas in ring order, return the
-    /// first value found. A miss is only definitive once every replica has
-    /// been consulted (a crashed-and-restarted server reports misses for
-    /// keys it used to hold); `Err` only if every replica failed. Once
-    /// membership has ever changed (epoch > 0) a definitive miss widens to
-    /// the rest of the roster before being believed: a chunk written under
-    /// an old ring and not yet migrated still lives on its previous owner
-    /// (possibly a drained server), and the rebalancer deletes old copies
-    /// only after the new owners verify, so the widened scan cannot lose.
+    /// Where a read looks for `key`, in order, and how many leading
+    /// entries are its replica set: the replicas in ring order, then —
+    /// once membership has ever changed (epoch > 0) — the rest of the
+    /// roster in roster order. A chunk written under an old ring and not
+    /// yet migrated still lives on its previous owner (possibly a drained
+    /// server), and the rebalancer deletes old copies only after the new
+    /// owners verify, so a walk of this order cannot lose it. Every read
+    /// lookup — [`KvClient::get`] here, the burst buffer's verified GET and
+    /// its scrubber above — walks exactly this list.
+    pub fn read_order(&self, key: &[u8]) -> Result<(Vec<usize>, usize), ClientError> {
+        let mut order = self.replicas(key)?;
+        let replicas = order.len();
+        if self.view.epoch() > 0 {
+            for idx in 0..self.view.roster_len() {
+                if !order.contains(&idx) {
+                    order.push(idx);
+                }
+            }
+        }
+        Ok((order, replicas))
+    }
+
+    /// Read-any with failover: walk [`KvClient::read_order`], return the
+    /// first value found. A miss is only definitive once a *replica* has
+    /// answered it: a server outside the replica set may never have owned
+    /// the key, so its miss proves nothing (and a crashed-and-restarted
+    /// replica reports misses for keys it used to hold, so all of them are
+    /// consulted). `Err` if no replica answered and nobody had the value.
     async fn get_failover(&self, key: &[u8]) -> Result<Option<Value>, ClientError> {
-        let replicas = self.replicas(key)?;
+        let (order, replicas) = self.read_order(key)?;
         let mut first_err = None;
         let mut missed = false;
-        for (i, idx) in replicas.iter().enumerate() {
-            match self.get_from(*idx, key).await {
+        for (i, &idx) in order.iter().enumerate() {
+            match self.get_from(idx, key).await {
                 Ok(Some(v)) => {
-                    if i > 0 {
+                    if i >= replicas {
+                        self.res.epoch_fallback.inc();
+                    } else if i > 0 {
                         self.res.failover_reads.inc();
                         self.stack
                             .sim()
@@ -735,28 +756,9 @@ impl KvClient {
                     }
                     return Ok(Some(v));
                 }
-                Ok(None) => missed = true,
+                Ok(None) => missed |= i < replicas,
                 Err(e) => {
                     first_err.get_or_insert(e);
-                }
-            }
-        }
-        if self.view.epoch() > 0 {
-            for idx in 0..self.view.roster_len() {
-                if replicas.contains(&idx) {
-                    continue;
-                }
-                match self.get_from(idx, key).await {
-                    Ok(Some(v)) => {
-                        self.res.epoch_fallback.inc();
-                        return Ok(Some(v));
-                    }
-                    // a roster miss never makes a miss definitive on its
-                    // own — that still takes a replica answering
-                    Ok(None) => {}
-                    Err(e) => {
-                        first_err.get_or_insert(e);
-                    }
                 }
             }
         }

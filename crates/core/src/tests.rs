@@ -546,6 +546,51 @@ fn pressure_watermarks_degrade_to_writethrough_with_hysteresis() {
 }
 
 #[test]
+fn at_rest_corruption_of_one_replica_spares_the_other_and_the_ost() {
+    // The RDMA hops carry handles, so after a flush both replicas' values
+    // and the OST segment of a chunk are views of the writer's one
+    // allocation. Damaging a value at rest must replace that replica's
+    // handle, not write through it.
+    let bcfg = BbConfig {
+        kv_servers: 2,
+        kv_replication: 2,
+        ..BbConfig::default()
+    };
+    let r = rig_with(2, Scheme::AsyncLustre, LustreConfig::default(), bcfg);
+    let client = r.dep.client(NodeId(0));
+    let dep = Rc::clone(&r.dep);
+    let data = pattern(2 << 20); // 4 chunks
+    r.sim.block_on(async move {
+        let w = client.create("/alias").await.unwrap();
+        w.append(data.clone()).await.unwrap();
+        w.close().await.unwrap();
+        client.wait_flushed("/alias").await.unwrap();
+        let chunk = dep.config.chunk_size as usize;
+        let hit = dep.kv_servers[0]
+            .store()
+            .corrupt_resident(|len| Some((len / 2, 0x40)));
+        assert_eq!(hit, 4);
+        for seq in 0..4usize {
+            let key = crate::manager::chunk_key(1, seq as u64);
+            let want = &data[seq * chunk..(seq + 1) * chunk];
+            let (bad, _) = dep.kv_servers[0].store().peek(&key, 0).unwrap();
+            let (good, _) = dep.kv_servers[1].store().peek(&key, 0).unwrap();
+            assert_ne!(&bad.data[..], want, "chunk {seq} on the damaged server");
+            assert_eq!(&good.data[..], want, "chunk {seq} on the other replica");
+            // the premise: that replica holds the writer's bytes themselves
+            assert_eq!(good.data.as_ptr(), want.as_ptr());
+        }
+        let lustre = dep.lustre.client(NodeId(1));
+        let f = lustre
+            .open(&crate::manager::lustre_path("/alias"))
+            .await
+            .unwrap();
+        assert_eq!(f.read_all().await.unwrap(), data, "the flushed copy");
+        dep.shutdown();
+    });
+}
+
+#[test]
 fn scrubber_repairs_corrupted_replicas_in_place() {
     // Corrupt every buffered copy of a flushed file, then let the
     // background scrubber run: it must detect the damage via checksums

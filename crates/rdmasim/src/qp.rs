@@ -178,7 +178,8 @@ impl Qp {
     }
 
     /// One-sided RDMA WRITE of `data` into `dst` at `offset`: wire time plus
-    /// a DMA copy, no remote CPU involvement.
+    /// a DMA copy, no remote CPU involvement. (The DMA is the model's: on
+    /// the host the region keeps the `data` handle.)
     pub async fn write(&self, dst: &RemoteBuf, offset: u64, data: Bytes) -> Result<(), RdmaError> {
         self.check_connected()?;
         let end = offset + data.len() as u64;
@@ -201,16 +202,7 @@ impl Qp {
             )
             .await?;
         let data = self.corrupted(self.local, dst.node, data);
-        let region = self.stack.lookup(dst.node, dst.rkey)?;
-        let mut buf = region.buf.borrow_mut();
-        if end > buf.len() as u64 {
-            return Err(RdmaError::OutOfBounds {
-                end,
-                len: buf.len() as u64,
-            });
-        }
-        buf[offset as usize..end as usize].copy_from_slice(&data);
-        Ok(())
+        self.stack.lookup(dst.node, dst.rkey)?.put(offset, data)
     }
 
     /// One-sided RDMA READ of `len` bytes from `src` at `offset`.
@@ -236,17 +228,7 @@ impl Qp {
             .fabric()
             .transfer(src.node, self.local, len, self.stack.profile())
             .await?;
-        let region = self.stack.lookup(src.node, src.rkey)?;
-        let data = {
-            let buf = region.buf.borrow();
-            if end > buf.len() as u64 {
-                return Err(RdmaError::OutOfBounds {
-                    end,
-                    len: buf.len() as u64,
-                });
-            }
-            Bytes::copy_from_slice(&buf[offset as usize..end as usize])
-        };
+        let data = self.stack.lookup(src.node, src.rkey)?.view(offset, len)?;
         Ok(self.corrupted(src.node, self.local, data))
     }
 }

@@ -6,7 +6,6 @@ use std::collections::HashMap;
 use std::fmt;
 use std::rc::Rc;
 
-use bytes::BytesMut;
 use simkit::sync::mpsc;
 use simkit::telemetry::Counter;
 use simkit::{dur, Sim};
@@ -145,7 +144,8 @@ impl RdmaStack {
     }
 
     /// Register `bytes` of memory on `node`, charging registration time.
-    /// The returned [`Mr`] exposes the rkey for one-sided access.
+    /// The returned [`Mr`] exposes the rkey for one-sided access. The
+    /// pinning cost is virtual only: the host allocates nothing for it.
     pub async fn register(self: &Rc<Self>, node: NodeId, bytes: u64) -> Mr {
         self.counters.mr_registrations.inc();
         self.sim().sleep(registration_time(bytes)).await;
@@ -155,11 +155,7 @@ impl RdmaStack {
             *k += 1;
             v
         };
-        let inner = Rc::new(MrInner {
-            node,
-            rkey,
-            buf: RefCell::new(BytesMut::zeroed(bytes as usize)),
-        });
+        let inner = Rc::new(MrInner::new(node, rkey, bytes));
         self.regions
             .borrow_mut()
             .insert((node, rkey), Rc::clone(&inner));

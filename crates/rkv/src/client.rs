@@ -593,7 +593,7 @@ impl KvClient {
     ) -> Result<(Request, Option<PooledBuf>), ClientError> {
         let buf = if self.use_one_sided(value.len()) {
             let buf = self.pool.acquire().await;
-            buf.write_local(0, value)?;
+            buf.put_local(0, value.clone())?;
             Some(buf)
         } else {
             None
@@ -1559,6 +1559,94 @@ mod tests {
             assert_eq!(err, ClientError::TransferFailed);
             assert!(cl.get(b"k2").await.unwrap().is_none());
         });
+    }
+
+    /// Registered regions carry handles, so the writer's `Bytes`, both
+    /// replicas' stored values and the staging buffer are one allocation.
+    /// A byte flipped in transit on one replica's RDMA READ must damage
+    /// that replica's copy and nothing else (the flip is copy-then-flip,
+    /// never in place).
+    #[test]
+    fn transit_corruption_on_one_replicas_read_touches_no_other_holder() {
+        for verify_set_crc in [false, true] {
+            let sim = Sim::new();
+            let fabric = Fabric::new(sim.clone(), 3, NetConfig::default());
+            let stack = RdmaStack::new(fabric);
+            let servers: Vec<_> = (0..2)
+                .map(|i| {
+                    KvServer::new(
+                        Rc::clone(&stack),
+                        NodeId(i),
+                        KvServerConfig {
+                            verify_set_crc,
+                            ..KvServerConfig::default()
+                        },
+                    )
+                })
+                .collect();
+            let cl = KvClient::new(
+                Rc::clone(&stack),
+                NodeId(2),
+                servers,
+                KvClientConfig {
+                    replication: 2,
+                    ..KvClientConfig::default()
+                },
+            );
+            let key = b"f1:0";
+            let original: Vec<u8> = (0..512usize << 10).map(|i| (i * 31 + 7) as u8).collect();
+            let hit = cl.replicas(key).unwrap()[0];
+            let s = sim.clone();
+            sim.block_on(async move {
+                // connections first: the set below is frames and READs only
+                for server in 0..2 {
+                    assert!(cl.get_from(server, key).await.unwrap().is_none());
+                }
+                // arm the edge once the first replica has posted its READ
+                // (the request frame is through), disarm once it has fired
+                // (before the client sends anything else that way)
+                let reads = s.metrics().counter("rdma.read_posts");
+                let flipped = s.metrics().counter("rdma.corrupted");
+                let watcher = s.spawn({
+                    let s = s.clone();
+                    let (reads, flipped) = (reads.clone(), flipped.clone());
+                    async move {
+                        while reads.get() == 0 {
+                            s.sleep(dur::ns(100)).await;
+                        }
+                        s.install_faults(FaultPlan::new(7).at(
+                            dur::ns(0),
+                            FaultEvent::CorruptTransfer {
+                                src: Some(2),
+                                dst: Some(hit as u32),
+                                p: 1.0,
+                            },
+                        ));
+                        while flipped.get() == 0 {
+                            s.sleep(dur::ns(100)).await;
+                        }
+                        s.install_faults(FaultPlan::new(7));
+                    }
+                });
+                let value = Bytes::from(original.clone());
+                let digest = crate::checksum::crc32c_pair(key, &value);
+                cl.set(key, value.clone(), digest, 0).await.unwrap();
+                watcher.await;
+                assert_eq!(flipped.get(), 1);
+                assert_eq!(value, original, "the writer's handle");
+                let on_hit = cl.get_from(hit, key).await.unwrap().unwrap().data;
+                let on_other = cl.get_from(1 - hit, key).await.unwrap().unwrap().data;
+                assert_eq!(on_other, original, "the replica off the faulty edge");
+                let damaged = on_hit.iter().zip(&original).filter(|(a, b)| a != b).count();
+                if verify_set_crc {
+                    // refused with BadDigest, re-sent clean from the same buffer
+                    assert_eq!(s.metrics().snapshot().counter("kv.retry.attempts"), 1);
+                    assert_eq!(damaged, 0);
+                } else {
+                    assert_eq!(damaged, 1, "the hit server stores what it pulled");
+                }
+            });
+        }
     }
 
     #[test]

@@ -4,7 +4,9 @@
 //! single-threaded async executor driven by a virtual clock
 //! ([`executor::Sim`]), plus the primitives discrete-event models need —
 //! timers, channels ([`sync`]), queueing resources ([`resource`]), seeded
-//! randomness ([`rng`]), and metrics ([`stats`]).
+//! randomness ([`rng`]), metrics ([`stats`]), and the handle-keeping byte
+//! range simulated disks and registered memory park payloads in
+//! ([`segmap`]).
 //!
 //! ## Why virtual time
 //!
@@ -39,6 +41,7 @@ pub mod future;
 pub mod optrace;
 pub mod resource;
 pub mod rng;
+pub mod segmap;
 pub mod stats;
 pub mod telemetry;
 pub mod time;
@@ -56,4 +59,5 @@ pub use faultplan::{
 };
 pub use optrace::OpId;
 pub use rng::{SimRng, Zipf};
+pub use segmap::SegmentMap;
 pub use time::{dur, Time};

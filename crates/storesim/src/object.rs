@@ -2,19 +2,21 @@
 //! write-at/read-at semantics. DataNode block storage and Lustre OST
 //! objects are both instances of this.
 //!
-//! Storage is a *segment map*: each write stores the caller's [`Bytes`]
-//! handle (zero-copy) keyed by offset, with overlapping segments trimmed.
-//! This matters because the benchmark harness pushes tens of logical
-//! gigabytes through the filesystems — workload generators hand out slices
-//! of one shared pattern buffer, so resident memory stays proportional to
-//! the number of segments, not the logical bytes stored, while reads still
-//! reassemble the exact byte content.
+//! Storage is a [`SegmentMap`] (shared with `rdmasim`'s registered
+//! regions): each write stores the caller's [`Bytes`] handle (zero-copy)
+//! keyed by offset, with overlapping segments trimmed. This matters
+//! because the benchmark harness pushes tens of logical gigabytes through
+//! the filesystems — workload generators hand out slices of one shared
+//! pattern buffer, so resident memory stays proportional to the number of
+//! segments, not the logical bytes stored, while reads still reassemble
+//! the exact byte content.
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::rc::Rc;
 
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
+use simkit::SegmentMap;
 
 use crate::disk::{Disk, StoreError};
 
@@ -23,8 +25,8 @@ pub type ObjectId = u64;
 
 #[derive(Default)]
 struct Object {
-    /// offset → segment bytes; segments never overlap.
-    segments: BTreeMap<u64, Bytes>,
+    /// The bytes, as the handles they were written with.
+    segments: SegmentMap,
     /// Logical length (max written end; gaps read as zeros).
     len: u64,
     /// Sum of segment lengths (what capacity accounting charges).
@@ -32,76 +34,15 @@ struct Object {
 }
 
 impl Object {
-    /// Insert a segment, trimming any overlap. Returns the net change in
-    /// stored bytes (can be negative when overwriting).
-    fn insert(&mut self, offset: u64, data: Bytes) -> i64 {
-        let end = offset + data.len() as u64;
-        if data.is_empty() {
-            return 0;
+    /// Write `data` at `offset`. Returns by how much the stored bytes
+    /// grew (an overwrite grows by less than it writes).
+    fn insert(&mut self, offset: u64, data: Bytes) -> u64 {
+        if !data.is_empty() {
+            self.len = self.len.max(offset + data.len() as u64);
         }
-        let mut removed: i64 = 0;
-        // find segments intersecting [offset, end): candidates start below
-        // `end`; walk from the first segment that could overlap.
-        let start_key = self
-            .segments
-            .range(..offset)
-            .next_back()
-            .map(|(k, _)| *k)
-            .unwrap_or(0);
-        let overlapping: Vec<u64> = self
-            .segments
-            .range(start_key..end)
-            .filter(|(k, v)| **k < end && **k + v.len() as u64 > offset)
-            .map(|(k, _)| *k)
-            .collect();
-        for k in overlapping {
-            let seg = self.segments.remove(&k).expect("collected above");
-            let seg_end = k + seg.len() as u64;
-            removed += seg.len() as i64;
-            if k < offset {
-                // keep the left remainder
-                let keep = seg.slice(..(offset - k) as usize);
-                removed -= keep.len() as i64;
-                self.segments.insert(k, keep);
-            }
-            if seg_end > end {
-                // keep the right remainder
-                let keep = seg.slice((end - k) as usize..);
-                removed -= keep.len() as i64;
-                self.segments.insert(end, keep);
-            }
-        }
-        let added = data.len() as i64;
-        self.segments.insert(offset, data);
-        self.len = self.len.max(end);
-        self.stored = (self.stored as i64 + added - removed) as u64;
-        added - removed
-    }
-
-    /// The bytes of `[offset, offset+len)` (gaps are zeros): a zero-copy
-    /// view when one stored segment covers the range, else assembled into
-    /// a fresh buffer.
-    fn read(&self, offset: u64, len: u64) -> Bytes {
-        let end = offset + len;
-        let below = self.segments.range(..=offset).next_back();
-        if let Some((&k, seg)) = below {
-            if end <= k + seg.len() as u64 {
-                return seg.slice((offset - k) as usize..(end - k) as usize);
-            }
-        }
-        let mut out = BytesMut::zeroed(len as usize);
-        let start_key = below.map(|(k, _)| *k).unwrap_or(0);
-        for (&k, seg) in self.segments.range(start_key..end) {
-            let seg_end = k + seg.len() as u64;
-            if seg_end <= offset || k >= end {
-                continue;
-            }
-            let copy_start = k.max(offset);
-            let copy_end = seg_end.min(end);
-            let src = &seg[(copy_start - k) as usize..(copy_end - k) as usize];
-            out[(copy_start - offset) as usize..(copy_end - offset) as usize].copy_from_slice(src);
-        }
-        out.freeze()
+        let grew = self.segments.insert(offset, data);
+        self.stored += grew;
+        grew
     }
 }
 
@@ -181,15 +122,14 @@ impl ObjectStore {
         };
         match timed {
             Ok(()) => {
-                let delta = {
+                let len = data.len() as u64;
+                let grew = {
                     let mut objects = self.objects.borrow_mut();
-                    objects.entry(id).or_default().insert(offset, data.clone())
+                    objects.entry(id).or_default().insert(offset, data)
                 };
-                // settle: we reserved data.len() but the net growth is delta
-                let over = data.len() as i64 - delta;
-                debug_assert!(over >= 0, "segment insert grew more than written");
-                if over > 0 {
-                    self.disk.release(over as u64);
+                // settle: we reserved `len` but the net growth is `grew`
+                if grew < len {
+                    self.disk.release(len - grew);
                 }
                 Ok(())
             }
@@ -231,7 +171,7 @@ impl ObjectStore {
         if offset + len > obj.len {
             return Err(StoreError::OutOfRange);
         }
-        Ok(obj.read(offset, len))
+        Ok(obj.segments.read(offset, len))
     }
 
     /// Read the whole object.

@@ -1,8 +1,10 @@
 //! Zero-copy synthetic payloads.
 //!
 //! Workload generators hand out slices of one shared pseudorandom pattern
-//! buffer. Every storage layer in the workspace stores [`Bytes`] handles
-//! (`storesim` segment maps) or bounded copies (the KV slab), so a
+//! buffer. Every layer that parks a payload keeps the [`Bytes`] handle it
+//! was given — `storesim` objects and `rdmasim` registered regions (one
+//! `simkit::SegmentMap`), and the KV slab, which production deployments
+//! run non-materialised (`SlabConfig::materialize = false`) — so a
 //! multi-gigabyte logical dataset costs megabytes of host memory while
 //! remaining real, checkable byte content.
 

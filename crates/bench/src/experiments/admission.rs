@@ -23,41 +23,33 @@
 use std::rc::Rc;
 
 use bb_core::{AckMode, FileState, Scheme};
-use simkit::dur;
-use workloads::{PayloadPool, SystemKind, Testbed, TestbedConfig};
+use simkit::{dur, FaultPlan};
+use workloads::{PayloadPool, SystemKind, TestbedConfig};
 
 use crate::experiments::{pctl, ExpReport};
+use crate::scenario::{self, write_file, Outcome, Scenario};
 use crate::table::Table;
-use crate::telemetry::{capture_cell, CellTelemetry};
 
-/// Everything one admission cell reports.
-pub struct AdmissionCell {
+/// What an admission cell's driver measured.
+pub struct AdmissionRun {
     /// Virtual end time (ns): every file written, closed, and flushed.
     pub end_ns: u64,
-    /// Burst append latency percentiles (p50, p99), nanoseconds.
-    pub burst_p50: u64,
-    pub burst_p99: u64,
-    /// `bb.admit.stream_detected` (0 with the classifier off).
-    pub stream_detected: u64,
-    /// `bb.admit.writethrough_chunks` (0 with the classifier off).
-    pub writethrough_chunks: u64,
-    /// `bb.admit.window_resets` (0 with the classifier off).
-    pub window_resets: u64,
-    /// `bb.ack.quorum_acks` — relaxed-mode acks issued at quorum.
-    pub quorum_acks: u64,
-    /// `bb.mgr.watermark_stalls` — writer stalls at the flush watermark.
-    pub watermark_stalls: u64,
+    /// Burst append latencies, ascending, nanoseconds.
+    pub burst_lats: Vec<u64>,
     /// Files that ended [`FileState::Flushed`] (must be all 4).
     pub flushed_files: usize,
-    /// Metrics snapshot JSON (determinism probes).
-    pub metrics_json: String,
-    /// The cell's full telemetry, when requested.
-    pub telemetry: Option<CellTelemetry>,
+}
+
+impl AdmissionRun {
+    /// Burst append latency percentile `q`, nanoseconds.
+    pub fn burst(&self, q: f64) -> u64 {
+        pctl(&self.burst_lats, q)
+    }
 }
 
 /// Run one admission cell. `admit` arms the classifier; everything else
 /// is held identical so the two cells differ only in policy.
-pub fn run_admission_cell(quick: bool, admit: bool, capture: bool) -> AdmissionCell {
+pub fn admission_cell(quick: bool, admit: bool) -> Outcome<AdmissionRun> {
     let chunk: u64 = 512 << 10;
     let stream_bytes: u64 = if quick { 24 << 20 } else { 48 << 20 };
     let spurts: u64 = 4;
@@ -96,116 +88,108 @@ pub fn run_admission_cell(quick: bool, admit: bool, capture: bool) -> AdmissionC
     cfg.lustre.stripe_size = 4 << 20;
     cfg.lustre.ost_rate = 24e6;
     cfg.lustre.ost_access = dur::ms(2);
-    let tb = Testbed::build(SystemKind::Bb(Scheme::AsyncLustre), cfg);
-    let bb = Rc::clone(tb.bb.as_ref().expect("bb testbed"));
-    let sim = tb.sim.clone();
-    let pool = PayloadPool::standard();
-    let nodes = tb.nodes.clone();
-
-    let s = sim.clone();
-    let driver = sim.spawn(async move {
-        let mut handles = Vec::new();
-        // two long sequential streams, one per compute node
-        for i in 0..2u64 {
-            let client = bb.client(nodes[i as usize]);
-            let pieces = pool.stream(20 + i, stream_bytes, 1 << 20);
-            handles.push(s.spawn(async move {
-                let w = client
-                    .create(&format!("/ab12/stream{i}"))
-                    .await
-                    .expect("create stream");
-                for piece in pieces {
-                    w.append(piece).await.expect("append stream");
-                }
-                w.close().await.expect("close stream");
-                Vec::new()
-            }));
-        }
-        // two burst files written in spurts, staggered across the run so
-        // they land inside the always-admit saturation window
-        for b in 0..2u64 {
-            let client = bb.client(nodes[2 + b as usize]);
-            let s2 = s.clone();
-            let spurt_pieces: Vec<Vec<bytes::Bytes>> = (0..spurts)
-                .map(|sp| pool.stream(40 + b * 8 + sp, spurt_bytes, chunk as usize))
-                .collect();
-            handles.push(s.spawn(async move {
-                let mut lats = Vec::new();
-                let w = client
-                    .create(&format!("/ab12/burst{b}"))
-                    .await
-                    .expect("create burst");
-                for (sp, pieces) in spurt_pieces.into_iter().enumerate() {
-                    let at = first_spurt + spurt_every * sp as u32 + dur::ms(350) * b as u32;
-                    let now = s2.now() - simkit::Time::ZERO;
-                    if at > now {
-                        s2.sleep(at - now).await;
-                    }
-                    for piece in pieces {
-                        let t0 = s2.now();
-                        w.append(piece).await.expect("append burst");
-                        lats.push((s2.now() - t0).as_nanos() as u64);
-                    }
-                }
-                w.close().await.expect("close burst");
-                lats
-            }));
-        }
-        let mut lats = Vec::new();
-        for h in handles {
-            lats.extend(h.await);
-        }
-        // total runtime includes the drain: every file durable on Lustre
-        let client = bb.client(nodes[0]);
-        let mut flushed = 0;
-        for path in [
-            "/ab12/stream0",
-            "/ab12/stream1",
-            "/ab12/burst0",
-            "/ab12/burst1",
-        ] {
-            if matches!(client.wait_flushed(path).await, Ok(FileState::Flushed)) {
-                flushed += 1;
+    let sc = Scenario {
+        kind: SystemKind::Bb(Scheme::AsyncLustre),
+        cfg,
+        seed: 0xAB12,
+        // 1 s slices: a wedged cell surfaces as a bounded failure instead
+        // of hanging the harness behind background ticks
+        slice: dur::secs(1),
+        deadline: dur::secs(120),
+        // the small buffer evicts: a miss is legal
+        forbid_miss: false,
+        trace: false,
+        stem: format!("ab12-admit-{}-seedab12", if admit { "on" } else { "off" }),
+    };
+    scenario::run(
+        &sc,
+        |tb| {
+            let bb = tb.bb.as_ref().expect("bb testbed");
+            // one writer per compute node; the checker watches the first
+            let writers: Vec<_> = tb.nodes.iter().map(|&n| bb.client(n)).collect();
+            (
+                FaultPlan::new(sc.seed),
+                Rc::clone(&writers[0]),
+                (tb.sim.clone(), writers),
+            )
+        },
+        |(s, writers)| async move {
+            let pool = PayloadPool::standard();
+            let mut handles = Vec::new();
+            // two long sequential streams, one per compute node
+            for i in 0..2u64 {
+                let (client, pool) = (Rc::clone(&writers[i as usize]), pool.clone());
+                handles.push(s.spawn(async move {
+                    let path = format!("/ab12/stream{i}");
+                    write_file(&client, &pool, &path, 20 + i, stream_bytes).await?;
+                    Ok::<_, String>(Vec::new())
+                }));
             }
-        }
-        (s.now().as_nanos(), lats, flushed)
-    });
-    // step in 1 s slices so a wedged cell surfaces as a bounded failure
-    // instead of hanging the harness behind background ticks
-    let deadline = sim.now() + dur::secs(120);
-    while !driver.is_finished() && sim.now() < deadline {
-        let step = (sim.now() + dur::secs(1)).min(deadline);
-        crate::experiments::integrity::step_to(&sim, step);
-    }
-    let (end_ns, mut lats, flushed_files) =
-        driver
-            .try_take()
-            .unwrap_or((sim.now().as_nanos(), Vec::new(), 0));
-    lats.sort_unstable();
-    // harness-side measurement (bench namespace, not `bb.*`: the product
-    // must not appear to register admission metrics in the off cell)
-    let h = sim.metrics().histogram("ab12.burst_append_ns");
-    for &ns in &lats {
-        h.record_ns(ns);
-    }
-    let cell = capture_cell(&tb.sim);
-    let metrics_json = cell.snapshot.to_json();
-    let counter = |name: &str| cell.snapshot.counter(name);
-    // the gated families read 0 through the snapshot when unregistered,
-    // so the off cell never touches them
-    AdmissionCell {
-        end_ns,
-        burst_p50: pctl(&lats, 50.0),
-        burst_p99: pctl(&lats, 99.0),
-        stream_detected: counter("bb.admit.stream_detected"),
-        writethrough_chunks: counter("bb.admit.writethrough_chunks"),
-        window_resets: counter("bb.admit.window_resets"),
-        quorum_acks: counter("bb.ack.quorum_acks"),
-        watermark_stalls: counter("bb.mgr.watermark_stalls"),
-        flushed_files,
-        metrics_json,
-        telemetry: capture.then_some(cell),
-    }
+            // two burst files written in spurts, staggered across the run so
+            // they land inside the always-admit saturation window
+            for b in 0..2u64 {
+                let client = Rc::clone(&writers[2 + b as usize]);
+                let s2 = s.clone();
+                let spurt_pieces: Vec<Vec<bytes::Bytes>> = (0..spurts)
+                    .map(|sp| pool.stream(40 + b * 8 + sp, spurt_bytes, chunk as usize))
+                    .collect();
+                handles.push(s.spawn(async move {
+                    let mut lats = Vec::new();
+                    let w = client.create(&format!("/ab12/burst{b}")).await;
+                    let w = w.map_err(|e| format!("create burst{b}: {e}"))?;
+                    for (sp, pieces) in spurt_pieces.into_iter().enumerate() {
+                        let at = first_spurt + spurt_every * sp as u32 + dur::ms(350) * b as u32;
+                        let now = s2.now() - simkit::Time::ZERO;
+                        if at > now {
+                            s2.sleep(at - now).await;
+                        }
+                        for piece in pieces {
+                            let t0 = s2.now();
+                            w.append(piece)
+                                .await
+                                .map_err(|e| format!("append burst{b}: {e}"))?;
+                            lats.push((s2.now() - t0).as_nanos() as u64);
+                        }
+                    }
+                    w.close()
+                        .await
+                        .map_err(|e| format!("close burst{b}: {e}"))?;
+                    Ok(lats)
+                }));
+            }
+            let mut lats = Vec::new();
+            for h in handles {
+                lats.extend(h.await?);
+            }
+            // total runtime includes the drain: every file durable on Lustre
+            let client = &writers[0];
+            let mut flushed_files = 0;
+            for path in [
+                "/ab12/stream0",
+                "/ab12/stream1",
+                "/ab12/burst0",
+                "/ab12/burst1",
+            ] {
+                if matches!(client.wait_flushed(path).await, Ok(FileState::Flushed)) {
+                    flushed_files += 1;
+                }
+            }
+            let end_ns = s.now().as_nanos();
+            lats.sort_unstable();
+            // harness-side measurement (bench namespace, not `bb.*`: the
+            // product must not appear to register admission metrics in the
+            // off cell)
+            let h = s.metrics().histogram("ab12.burst_append_ns");
+            for &ns in &lats {
+                h.record_ns(ns);
+            }
+            Ok(AdmissionRun {
+                end_ns,
+                burst_lats: lats,
+                flushed_files,
+            })
+        },
+    )
 }
 
 /// AB12: mixed burst+stream workload over a small buffer, always-admit
@@ -233,57 +217,79 @@ pub fn ab12_admission(quick: bool, _trace: bool) -> ExpReport {
     );
     let mut cells = Vec::new();
     for &admit in &[false, true] {
-        let cell = run_admission_cell(quick, admit, admit);
+        let o = admission_cell(quick, admit);
         let label = if admit {
             "admission on"
         } else {
             "always admit"
         };
+        let Some(run) = &o.result else {
+            let ending = format!("{:?}", o.ending);
+            t.row(vec![
+                label.into(),
+                ending.clone(),
+                "-".into(),
+                "-".into(),
+                "-".into(),
+                "-".into(),
+                "-".into(),
+            ]);
+            line(format!("{label}: {ending}"));
+            cells.push(o);
+            continue;
+        };
+        let (p50, p99) = (run.burst(50.0), run.burst(99.0));
+        let (detected, writethrough, stalls) = (
+            o.counter("bb.admit.stream_detected"),
+            o.counter("bb.admit.writethrough_chunks"),
+            o.counter("bb.mgr.watermark_stalls"),
+        );
         t.row(vec![
             label.into(),
-            format!("{:.1}", ms(cell.burst_p50)),
-            format!("{:.1}", ms(cell.burst_p99)),
-            format!("{:.2}", cell.end_ns as f64 / 1e9),
-            format!("{}", cell.stream_detected),
-            format!("{}", cell.writethrough_chunks),
-            format!("{}", cell.watermark_stalls),
+            format!("{:.1}", ms(p50)),
+            format!("{:.1}", ms(p99)),
+            format!("{:.2}", run.end_ns as f64 / 1e9),
+            format!("{detected}"),
+            format!("{writethrough}"),
+            format!("{stalls}"),
         ]);
         line(format!(
-            "{label}: burst p50={} ns p99={} ns end={} ns flushed={}/4 \
-             stream_detected={} writethrough={} window_resets={} quorum_acks={} stalls={}",
-            cell.burst_p50,
-            cell.burst_p99,
-            cell.end_ns,
-            cell.flushed_files,
-            cell.stream_detected,
-            cell.writethrough_chunks,
-            cell.window_resets,
-            cell.quorum_acks,
-            cell.watermark_stalls,
+            "{label}: burst p50={p50} ns p99={p99} ns end={} ns flushed={}/4 \
+             stream_detected={detected} writethrough={writethrough} window_resets={} \
+             quorum_acks={} stalls={stalls}",
+            run.end_ns,
+            run.flushed_files,
+            o.counter("bb.admit.window_resets"),
+            o.counter("bb.ack.quorum_acks"),
         ));
-        cells.push(cell);
+        cells.push(o);
     }
     let (off, on) = (&cells[0], &cells[1]);
-    t.note(format!(
-        "admission cuts burst p99 {:.1} -> {:.1} ms and runtime {:.2} -> {:.2} s; \
-         both streams classified ({} write-through chunks), spurts kept buffered \
-         ({} window resets)",
-        ms(off.burst_p99),
-        ms(on.burst_p99),
-        off.end_ns as f64 / 1e9,
-        on.end_ns as f64 / 1e9,
-        on.stream_detected,
-        on.window_resets,
-    ));
-    let shape_holds = on.burst_p99 < off.burst_p99
-        && on.end_ns < off.end_ns
-        && on.stream_detected >= 2
-        && on.writethrough_chunks > 0
-        && on.window_resets > 0
-        && on.quorum_acks > 0
-        && off.stream_detected == 0
-        && off.flushed_files == 4
-        && on.flushed_files == 4;
-    let telemetry = cells.pop().and_then(|c| c.telemetry);
+    let shape_holds = match (&off.result, &on.result) {
+        (Some(roff), Some(ron)) => {
+            t.note(format!(
+                "admission cuts burst p99 {:.1} -> {:.1} ms and runtime {:.2} -> {:.2} s; \
+                 both streams classified ({} write-through chunks), spurts kept buffered \
+                 ({} window resets)",
+                ms(roff.burst(99.0)),
+                ms(ron.burst(99.0)),
+                roff.end_ns as f64 / 1e9,
+                ron.end_ns as f64 / 1e9,
+                on.counter("bb.admit.stream_detected"),
+                on.counter("bb.admit.window_resets"),
+            ));
+            ron.burst(99.0) < roff.burst(99.0)
+                && ron.end_ns < roff.end_ns
+                && on.counter("bb.admit.stream_detected") >= 2
+                && on.counter("bb.admit.writethrough_chunks") > 0
+                && on.counter("bb.admit.window_resets") > 0
+                && on.counter("bb.ack.quorum_acks") > 0
+                && off.counter("bb.admit.stream_detected") == 0
+                && roff.flushed_files == 4
+                && ron.flushed_files == 4
+        }
+        _ => false,
+    };
+    let telemetry = cells.pop().map(|o| o.cell);
     ExpReport::new("AB12", t, shape_holds, telemetry).with_timeline(timeline)
 }

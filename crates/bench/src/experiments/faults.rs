@@ -3,21 +3,23 @@
 //! E12 drives a scripted [`FaultPlan`] against live burst-buffer
 //! deployments: KV servers crash (losing their volatile contents),
 //! restart empty, flap their links, or drop a fraction of transfers.
-//! [`run_fault_scenario`] is the reusable cell runner — the fault-matrix
-//! integration suite (`crates/bench/tests/faults.rs`) sweeps it across
-//! {scheme} × {scenario} × {replication} with per-combination invariants.
+//! Each cell is a [`FaultCase`] run through the scenario runner — the
+//! fault-matrix integration suite (`crates/bench/tests/faults.rs`)
+//! sweeps it across {scheme} × {scenario} × {replication} and judges
+//! every cell by the runner's oracle plus per-combination asserts.
 
 use std::rc::Rc;
 use std::time::Duration;
 
 use bb_core::manager::chunk_key;
 use bb_core::{AckMode, FileState, Scheme};
-use simkit::{dur, FaultEvent, FaultPlan};
+use simkit::{dur, FaultEvent, FaultPlan, Time};
 use workloads::{PayloadPool, SystemKind, Testbed, TestbedConfig};
 
-use crate::experiments::{persist_flight_dumps, ExpReport};
+use crate::experiments::ExpReport;
+use crate::scenario::{self, Ending, Outcome, Scenario};
 use crate::table::Table;
-use crate::telemetry::{capture_cell, CellTelemetry};
+use crate::telemetry::capture_cell;
 
 /// E9: node-local storage consumed per system for the same dataset.
 pub fn e9_local_storage(_quick: bool, trace: bool) -> ExpReport {
@@ -150,9 +152,35 @@ pub struct FaultCase {
     pub quick: bool,
     /// Virtual-time convergence deadline in seconds. The default (120 s)
     /// out-waits every legitimate recovery; a deliberately tiny value
-    /// forces a non-convergence verdict, which is how tests exercise the
+    /// forces a [`Ending::Hung`] verdict, which is how tests exercise the
     /// crash flight-recorder dump path.
     pub deadline_secs: u64,
+}
+
+/// Bytes per chunk of the fault dataset.
+const CHUNK: u64 = 512 << 10;
+/// The dataset's one file.
+const PATH: &str = "/e12/f";
+
+/// What a fault-matrix driver observed once the dataset was written.
+#[derive(Debug, Clone, Copy)]
+pub struct FaultRun {
+    /// Final durability state.
+    pub state: FileState,
+    /// Chunks in the dataset.
+    pub chunks: u64,
+    /// Chunks that read back byte-identical.
+    pub reads_ok: u64,
+    /// Virtual time from the last scripted fault until the driver
+    /// finished (`None` without a scripted fault).
+    pub recovery: Option<Duration>,
+}
+
+impl FaultRun {
+    /// Every byte of the dataset was read back intact.
+    pub fn data_intact(&self) -> bool {
+        self.reads_ok == self.chunks
+    }
 }
 
 impl FaultCase {
@@ -169,425 +197,203 @@ impl FaultCase {
             deadline_secs: 120,
         }
     }
-}
 
-/// What one fault-matrix cell observed.
-#[derive(Debug, Clone)]
-pub struct FaultOutcome {
-    /// The workload driver finished before the virtual-time deadline
-    /// (the no-hang invariant).
-    pub converged: bool,
-    /// Final durability state (`None` when the driver did not converge).
-    pub state: Option<FileState>,
-    /// Chunks in the dataset.
-    pub chunks_total: u64,
-    /// Chunks the flusher declared lost (the data-loss window).
-    pub chunks_lost: u64,
-    /// Chunks persisted via the degraded direct path.
-    pub chunks_direct: u64,
-    /// Per-chunk read-back verifications attempted.
-    pub reads_total: u64,
-    /// Reads that returned the exact expected bytes.
-    pub reads_ok: u64,
-    /// `kv.retry.attempts` at end of run.
-    pub retry_attempts: u64,
-    /// `kv.failover.reads` at end of run.
-    pub failover_reads: u64,
-    /// Transfers dropped by the injected loss rules.
-    pub dropped_transfers: u64,
-    /// Transfers corrupted in flight by the injected corruption rules.
-    pub corrupted_transfers: u64,
-    /// Resident values damaged by at-rest corruption sweeps.
-    pub corrupted_values: u64,
-    /// Checksum verification failures observed (`bb.integrity.checksum_fail`).
-    pub checksum_fails: u64,
-    /// Bad copies the background scrubber rewrote (`bb.scrub.repaired`).
-    pub scrub_repaired: u64,
-    /// Bad copies with no good source left (`bb.scrub.unrepairable`).
-    pub scrub_unrepairable: u64,
-    /// Writes acked at a relaxed quorum (`bb.ack.quorum_acks`; 0 under
-    /// the default [`AckMode::FullR`], whose counters never register).
-    pub ack_quorum_acks: u64,
-    /// Acks that could not honor their mode — a replica target down or
-    /// an async tail exhausted its retries (`bb.ack.downgrade`).
-    pub ack_downgrades: u64,
-    /// Server crash events delivered.
-    pub crashes: u64,
-    /// Virtual time from the last scripted fault until the workload
-    /// converged (recovery time; `None` without a scripted fault or
-    /// convergence).
-    pub recovery: Option<Duration>,
-    /// Virtual end-of-run instant.
-    pub end: simkit::Time,
-    /// The applied fault timeline (`FaultInjector::timeline_text`) — the
-    /// recovery-trace artifact.
-    pub timeline: String,
-    /// Full metrics snapshot JSON at end of run (byte-identical across
-    /// same-seed runs — the determinism contract).
-    pub metrics_json: String,
-    /// The recorded per-key KV history is explainable by a sequential
-    /// order ([`crate::consistency`]); misses are excused (crashes and
-    /// eviction legally lose buffer copies — durability is judged by the
-    /// read-back, not the KV tier).
-    pub consistency_ok: bool,
-    /// Checker violation descriptions when `consistency_ok` is false.
-    pub consistency_violations: Vec<String>,
-    /// Frozen flight-recorder dumps (`rdma-bb.flight.v1` JSON), one per
-    /// trigger: non-convergence, a write failure, a consistency
-    /// violation, or an unrepairable scrub verdict during the run. Empty
-    /// on a clean cell. Byte-identical across same-seed runs.
-    pub flight_dumps: Vec<String>,
-}
-
-impl FaultOutcome {
-    /// Reads that failed or returned wrong bytes.
-    pub fn reads_failed(&self) -> u64 {
-        self.reads_total - self.reads_ok
-    }
-
-    /// Every byte of the dataset was read back intact.
-    pub fn data_intact(&self) -> bool {
-        self.converged && self.reads_ok == self.reads_total
-    }
-}
-
-struct ScenarioEnd {
-    state: FileState,
-    reads_ok: u64,
-    write_err: bool,
-    end: simkit::Time,
-}
-
-/// Run one fault-matrix cell: write a dataset through the buffer while
-/// the scripted fault plan fires, wait for the flusher's verdict, then
-/// read every chunk back and verify it byte-for-byte.
-pub fn run_fault_scenario(case: FaultCase) -> FaultOutcome {
-    run_fault_scenario_telemetry(case, false).0
-}
-
-/// [`run_fault_scenario`] plus the representative-cell telemetry capture
-/// (Chrome trace when `trace` is set).
-pub fn run_fault_scenario_telemetry(
-    case: FaultCase,
-    trace: bool,
-) -> (FaultOutcome, Option<CellTelemetry>) {
-    let chunk_size: u64 = 512 << 10;
-    let data: u64 = if case.quick { 16 << 20 } else { 48 << 20 };
-    let chunks_total = data / chunk_size;
-    // the write takes data / client_write_rate ≈ 0.3 s (quick) / 0.9 s;
-    // faults land mid-write so the flush queue is live when they hit
-    let fault_at = if case.quick {
-        dur::ms(150)
-    } else {
-        dur::ms(450)
-    };
-    let restart_at = fault_at + dur::ms(200);
-
-    let mut cfg = TestbedConfig {
-        compute_nodes: 4,
-        ..TestbedConfig::default()
-    };
-    cfg.bb.kv_replication = case.replication;
-    cfg.bb.bb_ack_mode = case.ack_mode;
-    cfg.bb.bb_ack_ahead = case.ack_ahead;
-    // slow, narrow Lustre: the flush drains over seconds, keeping the
-    // async fault window open across the injected faults
-    cfg.lustre.oss_count = 1;
-    cfg.lustre.osts_per_oss = 1;
-    cfg.lustre.stripe_count = 1;
-    cfg.lustre.ost_rate = 8e6;
-    let tb = Testbed::build(SystemKind::Bb(case.scheme), cfg);
-    if trace {
-        tb.sim.tracer().enable();
-    }
-    // fault cells always fly the recorder: retries, poisonings,
-    // failovers, pressure transitions, and every applied fault land in
-    // bounded rings, frozen to a dump if the cell ends badly
-    tb.sim.flight().enable(simkit::flight::DEFAULT_RING_LEN);
-    let bb = Rc::clone(tb.bb.as_ref().expect("bb testbed"));
-    let client = bb.client(tb.nodes[0]);
-    // record every logical KV op the client issues; checked at end of run
-    let history = crate::consistency::History::new();
-    history.attach(client.kv());
-
-    // Victim: the server owning the most chunk keys (ketama placement is
-    // uneven; crashing an unloaded server would exercise nothing). The
-    // first file created gets file_id 1.
-    let mut owned = vec![0u64; bb.kv_servers.len()];
-    for seq in 0..chunks_total {
-        if let Ok(idx) = client.kv().route(&chunk_key(1, seq)) {
-            owned[idx] += 1;
-        }
-    }
-    let victim_idx = (0..owned.len()).max_by_key(|&i| owned[i]).unwrap_or(0);
-    let victim = bb.kv_servers[victim_idx].node();
-
-    let mut plan = FaultPlan::new(case.seed);
-    let mut last_fault = Some(fault_at);
-    match case.scenario {
-        FaultScenario::CrashOne => {
-            plan = plan.at(fault_at, FaultEvent::Crash { node: victim.0 });
-        }
-        FaultScenario::CrashRestart => {
-            plan = plan
-                .at(fault_at, FaultEvent::Crash { node: victim.0 })
-                .at(restart_at, FaultEvent::Restart { node: victim.0 });
-            last_fault = Some(restart_at);
-        }
-        FaultScenario::LinkFlap => {
-            plan = plan.at(
-                fault_at,
-                FaultEvent::LinkFlap {
-                    node: victim.0,
-                    count: 3,
-                    down: dur::ms(20),
-                    period: dur::ms(50),
-                },
-            );
-            last_fault = Some(fault_at + dur::ms(50) * 3);
-        }
-        FaultScenario::RpcLoss => {
-            for s in &bb.kv_servers {
-                plan = plan
-                    .at(
-                        Duration::ZERO,
-                        FaultEvent::Loss {
-                            src: Some(s.node().0),
-                            dst: None,
-                            p: 0.01,
-                        },
-                    )
-                    .at(
-                        Duration::ZERO,
-                        FaultEvent::Loss {
-                            src: None,
-                            dst: Some(s.node().0),
-                            p: 0.01,
-                        },
-                    );
-            }
-            last_fault = None;
-        }
-        FaultScenario::CorruptValues => {
-            // 20 sweeps, 50 ms apart, per server: enough seeded 1% draws
-            // over the resident set that some values reliably flip, while
-            // the flush queue and the read phase are both still live
-            let mut at = fault_at;
-            for _ in 0..20 {
-                for s in &bb.kv_servers {
-                    plan = plan.at(
-                        at,
-                        FaultEvent::CorruptValue {
-                            node: s.node().0,
-                            p: 0.01,
-                        },
-                    );
+    /// Write a dataset through the buffer while the scripted fault plan
+    /// fires, wait for the flusher's verdict, then read every chunk back
+    /// and verify it byte-for-byte. A read that fails while no chunk is
+    /// accounted lost fails the driver: loss is never silent.
+    pub fn run(&self, trace: bool) -> Outcome<FaultRun> {
+        let case = *self;
+        let data: u64 = if case.quick { 16 << 20 } else { 48 << 20 };
+        let chunks = data / CHUNK;
+        let mut cfg = TestbedConfig {
+            compute_nodes: 4,
+            ..TestbedConfig::default()
+        };
+        cfg.bb.kv_replication = case.replication;
+        cfg.bb.bb_ack_mode = case.ack_mode;
+        cfg.bb.bb_ack_ahead = case.ack_ahead;
+        // slow, narrow Lustre: the flush drains over seconds, keeping the
+        // async fault window open across the injected faults
+        cfg.lustre.oss_count = 1;
+        cfg.lustre.osts_per_oss = 1;
+        cfg.lustre.stripe_count = 1;
+        cfg.lustre.ost_rate = 8e6;
+        let sc = Scenario {
+            kind: SystemKind::Bb(case.scheme),
+            cfg,
+            seed: case.seed,
+            // 1 s slices: the run stops soon after the driver finishes
+            // instead of idling the background scrubber to the deadline
+            slice: dur::secs(1),
+            deadline: dur::secs(case.deadline_secs),
+            // crashes and eviction legally lose buffer copies; durability
+            // is judged by the read-back, not the KV tier
+            forbid_miss: false,
+            trace,
+            stem: format!(
+                "{}-{}-r{}-seed{:x}",
+                case.scheme.label().replace(' ', "_"),
+                case.scenario.label().replace(' ', "_"),
+                case.replication,
+                case.seed
+            ),
+        };
+        scenario::run(
+            &sc,
+            |tb| {
+                let bb = Rc::clone(tb.bb.as_ref().expect("bb testbed"));
+                let client = bb.client(tb.nodes[0]);
+                let (plan, last_fault) = case.plan(tb, &client, chunks);
+                (
+                    plan,
+                    Rc::clone(&client),
+                    (tb.sim.clone(), bb, client, last_fault),
+                )
+            },
+            |(sim, bb, client, last_fault)| async move {
+                let pool = PayloadPool::standard();
+                scenario::write_file(&client, &pool, PATH, 9, data).await?;
+                let state = client.wait_flushed(PATH).await.unwrap_or(FileState::Lost);
+                let expected = pool.stream(9, data, 1 << 20).concat();
+                let reads_ok = scenario::chunks_read_ok(&client, PATH, &expected, CHUNK).await;
+                if reads_ok < chunks && bb.manager.stats().chunks_lost == 0 {
+                    return Err(format!(
+                        "{} of {chunks} reads failed but no chunk was accounted lost",
+                        chunks - reads_ok
+                    ));
                 }
-                at += dur::ms(50);
-                last_fault = Some(at);
+                Ok(FaultRun {
+                    state,
+                    chunks,
+                    reads_ok,
+                    recovery: last_fault.and_then(|at| (sim.now() - Time::ZERO).checked_sub(at)),
+                })
+            },
+        )
+    }
+
+    /// The cell's fault plan against the live deployment, and the offset
+    /// of its last scripted fault (recovery is measured from there).
+    fn plan(
+        &self,
+        tb: &Testbed,
+        client: &bb_core::BbClient,
+        chunks: u64,
+    ) -> (FaultPlan, Option<Duration>) {
+        let bb = tb.bb.as_ref().expect("bb testbed");
+        // the write takes data / client_write_rate ≈ 0.3 s (quick) / 0.9 s;
+        // faults land mid-write so the flush queue is live when they hit
+        let fault_at = if self.quick {
+            dur::ms(150)
+        } else {
+            dur::ms(450)
+        };
+        // Victim: the server owning the most chunk keys (ketama placement is
+        // uneven; crashing an unloaded server would exercise nothing). The
+        // first file created gets file_id 1.
+        let mut owned = vec![0u64; bb.kv_servers.len()];
+        for seq in 0..chunks {
+            if let Ok(idx) = client.kv().route(&chunk_key(1, seq)) {
+                owned[idx] += 1;
             }
         }
-        FaultScenario::CorruptTransfers => {
-            for s in &bb.kv_servers {
+        let victim_idx = (0..owned.len()).max_by_key(|&i| owned[i]).unwrap_or(0);
+        let victim = bb.kv_servers[victim_idx].node().0;
+        let servers: Vec<u32> = bb.kv_servers.iter().map(|s| s.node().0).collect();
+        // one standing edge rule each way between every KV server and the
+        // rest of the fabric, from t = 0
+        let both_ways = |mut plan: FaultPlan, rule: fn(Option<u32>, Option<u32>) -> FaultEvent| {
+            for &s in &servers {
                 plan = plan
-                    .at(
-                        Duration::ZERO,
-                        FaultEvent::CorruptTransfer {
-                            src: Some(s.node().0),
-                            dst: None,
-                            p: 0.01,
-                        },
-                    )
-                    .at(
-                        Duration::ZERO,
-                        FaultEvent::CorruptTransfer {
-                            src: None,
-                            dst: Some(s.node().0),
-                            p: 0.01,
-                        },
-                    );
+                    .at(Duration::ZERO, rule(Some(s), None))
+                    .at(Duration::ZERO, rule(None, Some(s)));
             }
-            last_fault = None;
-        }
-        FaultScenario::CrashAsyncReplica => {
-            // hold the writer's transfers into the non-victim servers so
-            // async replica tails are still in flight when the victim
-            // (holding the only durable copy of quorum-acked chunks)
-            // crashes. Only the writer's edges are delayed — the flusher
-            // reads from the manager node at full speed, so it probes the
-            // replicas inside the window where the tail has not landed
-            // yet. The delay stays well under `kv_op_timeout` so tails
-            // complete slowly rather than failing outright. The crash
-            // lands later than the other scenarios': the victim-primary
-            // chunks (the only ones acked fast, single-copy) must be
-            // mid-flight when it fires.
-            for s in &bb.kv_servers {
-                if s.node() == victim {
-                    continue;
-                }
-                plan = plan.at(
-                    Duration::ZERO,
-                    FaultEvent::Delay {
-                        src: Some(tb.nodes[0].0),
-                        dst: Some(s.node().0),
-                        extra: dur::ms(200),
+            plan
+        };
+        let plan = FaultPlan::new(self.seed);
+        match self.scenario {
+            FaultScenario::CrashOne => (
+                plan.at(fault_at, FaultEvent::Crash { node: victim }),
+                Some(fault_at),
+            ),
+            FaultScenario::CrashRestart => {
+                let restart_at = fault_at + dur::ms(200);
+                (
+                    plan.at(fault_at, FaultEvent::Crash { node: victim })
+                        .at(restart_at, FaultEvent::Restart { node: victim }),
+                    Some(restart_at),
+                )
+            }
+            FaultScenario::LinkFlap => (
+                plan.at(
+                    fault_at,
+                    FaultEvent::LinkFlap {
+                        node: victim,
+                        count: 3,
+                        down: dur::ms(20),
+                        period: dur::ms(50),
                     },
-                );
-            }
-            let crash_at = dur::secs(5);
-            plan = plan.at(crash_at, FaultEvent::Crash { node: victim.0 });
-            last_fault = Some(crash_at);
-        }
-    }
-    tb.sim.install_faults(plan);
-
-    let pool = PayloadPool::standard();
-    let expected = Rc::new(pool.stream(9, data, 1 << 20).concat());
-    let sim = tb.sim.clone();
-    let driver_client = Rc::clone(&client);
-    let driver_expected = Rc::clone(&expected);
-    let driver_sim = sim.clone();
-    let driver = sim.spawn(async move {
-        let sim = driver_sim;
-        let fail = |end| ScenarioEnd {
-            state: FileState::Lost,
-            reads_ok: 0,
-            write_err: true,
-            end,
-        };
-        let Ok(w) = driver_client.create("/e12/f").await else {
-            return fail(sim.now());
-        };
-        for piece in pool.stream(9, data, 1 << 20) {
-            if w.append(piece).await.is_err() {
-                return fail(sim.now());
-            }
-        }
-        if w.close().await.is_err() {
-            return fail(sim.now());
-        }
-        let state = driver_client
-            .wait_flushed("/e12/f")
-            .await
-            .unwrap_or(FileState::Lost);
-        let mut reads_ok = 0;
-        if let Ok(rd) = driver_client.open("/e12/f").await {
-            for seq in 0..chunks_total {
-                let off = seq * chunk_size;
-                let len = chunk_size.min(data - off);
-                if let Ok(b) = rd.read_at(off, len).await {
-                    if b[..] == driver_expected[off as usize..(off + len) as usize] {
-                        reads_ok += 1;
+                ),
+                Some(fault_at + dur::ms(50) * 3),
+            ),
+            FaultScenario::RpcLoss => (
+                both_ways(plan, |src, dst| FaultEvent::Loss { src, dst, p: 0.01 }),
+                None,
+            ),
+            FaultScenario::CorruptValues => {
+                // 20 sweeps, 50 ms apart, per server: enough seeded 1% draws
+                // over the resident set that some values reliably flip, while
+                // the flush queue and the read phase are both still live
+                let mut plan = plan;
+                let mut at = fault_at;
+                for _ in 0..20 {
+                    for &node in &servers {
+                        plan = plan.at(at, FaultEvent::CorruptValue { node, p: 0.01 });
                     }
+                    at += dur::ms(50);
                 }
+                (plan, Some(at))
+            }
+            FaultScenario::CorruptTransfers => (
+                both_ways(plan, |src, dst| FaultEvent::CorruptTransfer {
+                    src,
+                    dst,
+                    p: 0.01,
+                }),
+                None,
+            ),
+            FaultScenario::CrashAsyncReplica => {
+                // hold the writer's transfers into the non-victim servers so
+                // async replica tails are still in flight when the victim
+                // (holding the only durable copy of quorum-acked chunks)
+                // crashes. Only the writer's edges are delayed — the flusher
+                // reads from the manager node at full speed, so it probes the
+                // replicas inside the window where the tail has not landed
+                // yet. The delay stays well under `kv_op_timeout` so tails
+                // complete slowly rather than failing outright. The crash
+                // lands later than the other scenarios': the victim-primary
+                // chunks (the only ones acked fast, single-copy) must be
+                // mid-flight when it fires.
+                let mut plan = plan;
+                for &s in servers.iter().filter(|&&s| s != victim) {
+                    plan = plan.at(
+                        Duration::ZERO,
+                        FaultEvent::Delay {
+                            src: Some(tb.nodes[0].0),
+                            dst: Some(s),
+                            extra: dur::ms(200),
+                        },
+                    );
+                }
+                let crash_at = dur::secs(5);
+                (
+                    plan.at(crash_at, FaultEvent::Crash { node: victim }),
+                    Some(crash_at),
+                )
             }
         }
-        ScenarioEnd {
-            state,
-            reads_ok,
-            write_err: false,
-            end: sim.now(),
-        }
-    });
-    // step the clock in 1 s slices so the run stops as soon as the driver
-    // finishes instead of idling the background scrubber out to the full
-    // deadline (run-to-quiescence would never return with it ticking)
-    let deadline = tb.sim.now() + dur::secs(case.deadline_secs);
-    while !driver.is_finished() && tb.sim.now() < deadline {
-        let step = (tb.sim.now() + dur::secs(1)).min(deadline);
-        crate::experiments::integrity::step_to(&tb.sim, step);
     }
-    let converged = driver.is_finished();
-    let finish = driver.try_take();
-
-    let cell = capture_cell(&tb.sim);
-    let metrics_json = cell.snapshot.to_json();
-    let crashes: u64 = bb
-        .kv_servers
-        .iter()
-        .map(|s| {
-            cell.snapshot
-                .counter(&format!("rkv.server{}.crashes", s.node().0))
-        })
-        .sum();
-    let corrupted_values: u64 = bb
-        .kv_servers
-        .iter()
-        .map(|s| {
-            cell.snapshot
-                .counter(&format!("rkv.server{}.corrupted", s.node().0))
-        })
-        .sum();
-    let mgr = bb.manager.stats();
-    let timeline = tb.sim.faults().timeline_text();
-    let end = finish.as_ref().map(|f| f.end).unwrap_or(deadline);
-    let recovery = match (&finish, last_fault) {
-        (Some(f), Some(at)) if !f.write_err => (f.end - simkit::Time::ZERO).checked_sub(at),
-        _ => None,
-    };
-    let verdict = history.check(crate::consistency::Checker { forbid_miss: false });
-    // freeze the recorder on any bad ending (the unrepairable-scrub path
-    // triggers from inside the manager on its own), then collect every
-    // dump produced during the run
-    let now_ns = tb.sim.now().as_nanos();
-    if !converged {
-        tb.sim
-            .flight()
-            .trigger(now_ns, "fault cell hung past the deadline");
-    }
-    if finish.as_ref().is_some_and(|f| f.write_err) {
-        tb.sim.flight().trigger(now_ns, "fault cell write failed");
-    }
-    if !verdict.ok() {
-        tb.sim.flight().trigger(
-            now_ns,
-            &format!("consistency violation: {:?}", verdict.violations),
-        );
-    }
-    let flight_dumps: Vec<String> = tb
-        .sim
-        .flight()
-        .dumps()
-        .into_iter()
-        .map(|(_, json)| json)
-        .collect();
-    let outcome = FaultOutcome {
-        converged: converged && finish.as_ref().is_some_and(|f| !f.write_err),
-        state: finish.as_ref().map(|f| f.state),
-        chunks_total,
-        chunks_lost: mgr.chunks_lost,
-        chunks_direct: mgr.chunks_direct,
-        reads_total: chunks_total,
-        reads_ok: finish.as_ref().map(|f| f.reads_ok).unwrap_or(0),
-        retry_attempts: cell.snapshot.counter("kv.retry.attempts"),
-        failover_reads: cell.snapshot.counter("kv.failover.reads"),
-        dropped_transfers: cell.snapshot.counter("netsim.fabric.dropped"),
-        corrupted_transfers: cell.snapshot.counter("rdma.corrupted"),
-        corrupted_values,
-        checksum_fails: cell.snapshot.counter("bb.integrity.checksum_fail"),
-        scrub_repaired: cell.snapshot.counter("bb.scrub.repaired"),
-        scrub_unrepairable: cell.snapshot.counter("bb.scrub.unrepairable"),
-        ack_quorum_acks: cell.snapshot.counter("bb.ack.quorum_acks"),
-        ack_downgrades: cell.snapshot.counter("bb.ack.downgrade"),
-        crashes,
-        recovery,
-        end,
-        timeline,
-        metrics_json,
-        consistency_ok: verdict.ok(),
-        consistency_violations: verdict.violations,
-        flight_dumps,
-    };
-    let stem = format!(
-        "{}-{}-r{}-seed{:x}",
-        case.scheme.label().replace(' ', "_"),
-        case.scenario.label().replace(' ', "_"),
-        case.replication,
-        case.seed
-    );
-    persist_flight_dumps(&outcome.flight_dumps, &stem);
-    tb.shutdown();
-    (outcome, Some(cell))
 }
 
 /// E12: scripted fault plans against every scheme — availability,
@@ -641,111 +447,93 @@ pub fn e12_fault_tolerance(quick: bool, trace: bool) -> ExpReport {
         ]);
     }
 
-    let case = |scheme, scenario, replication| FaultCase {
-        quick,
-        ..FaultCase::quick(scheme, scenario, replication)
-    };
-    let row_label = |scheme: Scheme, scenario: FaultScenario, r: usize| {
-        format!("{}: {} (r={r})", scheme.label(), scenario.label())
-    };
-    let state_label = |o: &FaultOutcome| match o.state {
-        _ if !o.converged => "HUNG".to_string(),
-        Some(s) => format!("{s:?}"),
-        None => "write failed".to_string(),
-    };
-
-    // --- crash one server, r=1, all three schemes ---
-    for scheme in Scheme::all() {
-        let o = run_fault_scenario(case(scheme, FaultScenario::CrashOne, 1));
-        let ok = match scheme {
-            // async single-copy: losing the buffer node may lose exactly
-            // the unflushed window, never silently (failed reads are
-            // accounted by chunks_lost > 0)
-            Scheme::AsyncLustre => {
-                o.converged && (o.reads_failed() == 0 || o.chunks_lost > 0) && o.crashes == 1
+    // --- the burst-buffer cells; crash + restart is the representative
+    // one (the full fault lifecycle) ---
+    let mut timeline = String::new();
+    let mut telemetry = None;
+    for (scheme, scenario, r) in [
+        (Scheme::AsyncLustre, FaultScenario::CrashOne, 1),
+        (Scheme::SyncLustre, FaultScenario::CrashOne, 1),
+        (Scheme::HybridLocality, FaultScenario::CrashOne, 1),
+        (Scheme::AsyncLustre, FaultScenario::CrashOne, 2),
+        (Scheme::AsyncLustre, FaultScenario::CrashRestart, 1),
+        (Scheme::AsyncLustre, FaultScenario::LinkFlap, 1),
+        (Scheme::AsyncLustre, FaultScenario::RpcLoss, 1),
+    ] {
+        let representative = scenario == FaultScenario::CrashRestart;
+        let o = FaultCase {
+            quick,
+            ..FaultCase::quick(scheme, scenario, r)
+        }
+        .run(representative && trace);
+        let lost = o.counter("bb.mgr.chunks_lost");
+        let retries = o.counter("kv.retry.attempts");
+        let (outcome, ok, detail) = match (&o.ending, &o.result) {
+            (_, Some(f)) => {
+                let (n, read) = (f.chunks, f.reads_ok);
+                let (held, detail) = match (scheme, scenario) {
+                    // async single-copy: losing the buffer node may lose
+                    // exactly the unflushed window, never silently (the
+                    // driver fails a read no lost chunk accounts for)
+                    (Scheme::AsyncLustre, FaultScenario::CrashOne) if r == 1 => (
+                        o.per_server("crashes") == 1,
+                        format!("{lost} of {n} chunks lost; {read}/{n} reads ok; {retries} retries"),
+                    ),
+                    // write-through: zero loss, every read served; the
+                    // locality scheme's node-local replica covers every read
+                    (_, FaultScenario::CrashOne) if r == 1 => (
+                        (scheme == Scheme::HybridLocality || lost == 0) && f.data_intact(),
+                        format!("{lost} of {n} chunks lost; {read}/{n} reads ok; {retries} retries"),
+                    ),
+                    // replication closes the window
+                    (_, FaultScenario::CrashOne) => {
+                        let failovers = o.counter("kv.failover.reads");
+                        (
+                            lost == 0 && f.data_intact() && failovers > 0,
+                            format!("0 lost; {read}/{n} reads ok via {failovers} failovers"),
+                        )
+                    }
+                    (_, FaultScenario::CrashRestart) => {
+                        let rec = f.recovery.map_or(f64::NAN, |d| d.as_secs_f64());
+                        (
+                            o.per_server("crashes") == 1,
+                            format!(
+                                "{lost} lost; recovered {rec:.1}s after restart (restarted server is empty)"
+                            ),
+                        )
+                    }
+                    // retries absorb a flap: nothing is lost from the buffer
+                    (_, FaultScenario::LinkFlap) => (
+                        f.data_intact(),
+                        format!(
+                            "{read}/{n} reads ok; {retries} retries, {} direct writes rode out the flap",
+                            o.counter("bb.mgr.chunks_direct")
+                        ),
+                    ),
+                    // bounded backoff hides 1% transfer loss completely
+                    _ => (
+                        lost == 0 && f.data_intact(),
+                        format!(
+                            "{} transfers dropped, {retries} retries, zero loss",
+                            o.counter("netsim.fabric.dropped")
+                        ),
+                    ),
+                };
+                (format!("{:?}", f.state), held, detail)
             }
-            // write-through: zero loss, every read served
-            Scheme::SyncLustre => o.converged && o.chunks_lost == 0 && o.data_intact(),
-            // locality scheme: node-local replica covers every read
-            Scheme::HybridLocality => o.converged && o.data_intact(),
+            (Ending::Failed(why), None) => ("FAILED".into(), false, why.clone()),
+            (_, None) => ("HUNG".into(), false, "hung past the deadline".into()),
         };
         shape &= ok;
         t.row(vec![
-            row_label(scheme, FaultScenario::CrashOne, 1),
-            state_label(&o),
-            format!(
-                "{} of {} chunks lost; {}/{} reads ok; {} retries",
-                o.chunks_lost, o.chunks_total, o.reads_ok, o.reads_total, o.retry_attempts
-            ),
+            format!("{}: {} (r={r})", scheme.label(), scenario.label()),
+            outcome,
+            detail,
         ]);
-    }
-
-    // --- crash one server with r=2: replication closes the window ---
-    {
-        let o = run_fault_scenario(case(Scheme::AsyncLustre, FaultScenario::CrashOne, 2));
-        let ok = o.converged && o.chunks_lost == 0 && o.data_intact() && o.failover_reads > 0;
-        shape &= ok;
-        t.row(vec![
-            row_label(Scheme::AsyncLustre, FaultScenario::CrashOne, 2),
-            state_label(&o),
-            format!(
-                "0 lost; {}/{} reads ok via {} failovers",
-                o.reads_ok, o.reads_total, o.failover_reads
-            ),
-        ]);
-    }
-
-    // --- crash + restart (the representative cell: full fault lifecycle) ---
-    let timeline;
-    let telemetry;
-    {
-        let (o, cell) = run_fault_scenario_telemetry(
-            case(Scheme::AsyncLustre, FaultScenario::CrashRestart, 1),
-            trace,
-        );
-        timeline = o.timeline.clone();
-        telemetry = cell;
-        let ok = o.converged && (o.reads_failed() == 0 || o.chunks_lost > 0) && o.crashes == 1;
-        shape &= ok;
-        let rec = o.recovery.map(|d| d.as_secs_f64()).unwrap_or(f64::NAN);
-        t.row(vec![
-            row_label(Scheme::AsyncLustre, FaultScenario::CrashRestart, 1),
-            state_label(&o),
-            format!(
-                "{} lost; recovered {rec:.1}s after restart (restarted server is empty)",
-                o.chunks_lost
-            ),
-        ]);
-    }
-
-    // --- link flap: retries absorb it, nothing is lost from the buffer ---
-    {
-        let o = run_fault_scenario(case(Scheme::AsyncLustre, FaultScenario::LinkFlap, 1));
-        let ok = o.converged && o.data_intact();
-        shape &= ok;
-        t.row(vec![
-            row_label(Scheme::AsyncLustre, FaultScenario::LinkFlap, 1),
-            state_label(&o),
-            format!(
-                "{}/{} reads ok; {} retries, {} direct writes rode out the flap",
-                o.reads_ok, o.reads_total, o.retry_attempts, o.chunks_direct
-            ),
-        ]);
-    }
-
-    // --- 1% transfer loss: bounded backoff hides it completely ---
-    {
-        let o = run_fault_scenario(case(Scheme::AsyncLustre, FaultScenario::RpcLoss, 1));
-        let ok = o.converged && o.chunks_lost == 0 && o.data_intact();
-        shape &= ok;
-        t.row(vec![
-            row_label(Scheme::AsyncLustre, FaultScenario::RpcLoss, 1),
-            state_label(&o),
-            format!(
-                "{} transfers dropped, {} retries, zero loss",
-                o.dropped_transfers, o.retry_attempts
-            ),
-        ]);
+        if representative {
+            timeline = o.timeline;
+            telemetry = Some(o.cell);
+        }
     }
 
     t.note("paper: the sync scheme trades write speed for a closed fault window; async risks only not-yet-flushed data");

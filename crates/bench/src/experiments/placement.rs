@@ -14,23 +14,26 @@
 //! written from geo 1, so its replicas start reader-local) — with zero
 //! acknowledged-data loss and zero checksum failures.
 //!
-//! [`run_placement_scenario`] is the reusable cell runner; the placement
-//! property suite (`crates/bench/tests/placement.rs`) sweeps the same
-//! machinery across random topologies and access patterns.
+//! [`PlacementCase`] and [`PlacementPropCase`] run through the scenario
+//! runner; the placement property suite (`crates/bench/tests/placement.rs`)
+//! sweeps the same machinery across random topologies and access patterns.
 
+use std::cell::Cell;
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use bb_core::manager::chunk_key;
-use bb_core::{FileState, PlacementPolicy, Scheme};
-use netsim::NetConfig;
-use simkit::{dur, Time};
-use workloads::{PayloadPool, SystemKind, Testbed, TestbedConfig};
+use bb_core::{BbClient, BbDeployment, FileState, PlacementPolicy, Scheme};
+use netsim::{NetConfig, NodeId};
+use simkit::{dur, FaultEvent, FaultPlan, Sim};
+use workloads::{PayloadPool, SystemKind, TestbedConfig};
 
-use crate::consistency::{Checker, History};
-use crate::experiments::integrity::step_to;
-use crate::experiments::{pctl, persist_flight_dumps, read_back_ok, ExpReport};
+use crate::experiments::{consistency_row, pctl, ExpReport};
+use crate::scenario::{self, read_back_ok, Outcome, Scenario};
 use crate::table::Table;
-use crate::telemetry::{capture_cell, CellTelemetry};
+
+/// Whole-file reads per AB13 round (the floor and the settled round too).
+const READS_PER_ROUND: usize = 4;
 
 /// One placement cell: the geo-stretched rig and its read schedule.
 #[derive(Debug, Clone, Copy)]
@@ -41,8 +44,38 @@ pub struct PlacementCase {
     pub file_bytes: u64,
     /// Remote read rounds before the settle check.
     pub rounds: usize,
-    /// Whole-file reads per round.
-    pub reads_per_round: usize,
+}
+
+/// What the AB13 driver measured.
+#[derive(Debug, Clone)]
+pub struct PlacementRun {
+    /// Local-replica read latencies (geo-1 reader, geo-1 replicas),
+    /// ascending — the floor remote reads should converge toward.
+    pub floor: Vec<u64>,
+    /// Remote-read latencies per round, migration running in the
+    /// background, each ascending.
+    pub rounds: Vec<Vec<u64>>,
+    /// Remote-read latencies after the optimizer settled, ascending.
+    pub settled: Vec<u64>,
+    /// Primary owner of each hot chunk right after the write.
+    pub routes_before: Vec<Option<usize>>,
+    /// Both files read back byte-identical at end of run.
+    pub files_ok: bool,
+}
+
+impl PlacementRun {
+    /// Settled remote p99 within `factor` of the local-replica floor p99.
+    pub fn converged_within(&self, factor: f64) -> bool {
+        let floor = pctl(&self.floor, 99.0);
+        floor > 0 && pctl(&self.settled, 99.0) as f64 <= factor * floor as f64
+    }
+}
+
+/// Primary owner of each of `file_id`'s first `chunks` chunks.
+fn routes(bb: &BbDeployment, file_id: u64, chunks: u64) -> Vec<Option<usize>> {
+    (0..chunks)
+        .map(|seq| bb.membership().route(&chunk_key(file_id, seq)))
+        .collect()
 }
 
 impl PlacementCase {
@@ -52,305 +85,167 @@ impl PlacementCase {
             seed: 0xAB13,
             file_bytes: if quick { 2 << 20 } else { 8 << 20 },
             rounds: if quick { 4 } else { 6 },
-            reads_per_round: 4,
         }
     }
-}
 
-/// What one placement cell observed.
-#[derive(Debug, Clone)]
-pub struct PlacementOutcome {
-    /// Writes, reads, settle, and final verification all finished in time.
-    pub converged: bool,
-    /// p99 of local-replica reads (geo-1 reader, geo-1 replicas) — the
-    /// floor remote reads should converge toward.
-    pub floor_p99_ns: u64,
-    /// Remote-read p99 per round, migration running in the background.
-    pub round_p99_ns: Vec<u64>,
-    /// Remote-read p99 after the optimizer settled.
-    pub final_p99_ns: u64,
-    /// Primary owner of each hot chunk right after the write.
-    pub routes_before: Vec<Option<usize>>,
-    /// Primary owner of each hot chunk after settling.
-    pub routes_after: Vec<Option<usize>>,
-    /// `bb.place.decisions`.
-    pub decisions: u64,
-    /// `bb.place.migrations`.
-    pub migrations: u64,
-    /// `bb.place.bytes`.
-    pub moved_bytes: u64,
-    /// `bb.place.cost_before` (reader-weighted ns, summed over decisions).
-    pub cost_before: u64,
-    /// `bb.place.cost_after`.
-    pub cost_after: u64,
-    /// `bb.integrity.checksum_fail` at end of run.
-    pub checksum_fails: u64,
-    /// `bb.rebalance.verify_fail` (shared by placement moves).
-    pub verify_fails: u64,
-    /// Chunks the flusher declared lost.
-    pub chunks_lost: u64,
-    /// Placement moves still queued at end of run.
-    pub place_backlog: usize,
-    /// Both files read back byte-identical at end of run.
-    pub files_ok: bool,
-    /// Per-key KV history sequentially explainable, misses forbidden.
-    pub consistency_ok: bool,
-    /// Checker violations when `consistency_ok` is false.
-    pub consistency_violations: Vec<String>,
-    /// Full metrics snapshot JSON (same-seed determinism artifact).
-    pub metrics_json: String,
-    /// Round-by-round convergence timeline (the `--timeline` artifact).
-    pub timeline: String,
-    /// Virtual end-of-run instant.
-    pub end: Time,
-}
-
-impl PlacementOutcome {
-    /// Final remote p99 within `factor` of the local-replica floor.
-    pub fn converged_within(&self, factor: f64) -> bool {
-        self.floor_p99_ns > 0 && self.final_p99_ns as f64 <= factor * self.floor_p99_ns as f64
+    /// Chunks per file.
+    pub fn chunks(&self) -> u64 {
+        self.file_bytes.div_ceil(512 << 10)
     }
-}
 
-/// The geo-stretched AB13 rig: geo size 8 (2 nodes/rack x 2 racks/zone x
-/// 2 zones/geo), everything deployed up front in geo 0, one standby KV
-/// server and the reader in geo 1.
-fn ab13_testbed() -> Testbed {
-    let mut cfg = TestbedConfig {
-        compute_nodes: 2,
-        ..TestbedConfig::default()
-    };
-    cfg.net = NetConfig {
-        nodes_per_rack: 2,
-        racks_per_zone: 2,
-        zones_per_geo: 2,
-        rack_latency: dur::us(5),
-        zone_latency: dur::us(20),
-        geo_latency: dur::ms(2),
-        ..NetConfig::default()
-    };
-    cfg.lustre.oss_count = 1;
-    cfg.lustre.osts_per_oss = 1;
-    cfg.bb.kv_servers = 1;
-    cfg.bb.kv_replication = 1;
-    cfg.bb.kv_mem_per_server = 1 << 30;
-    cfg.bb.bb_place_policy = PlacementPolicy::Locality;
-    cfg.bb.bb_place_interval = dur::ms(50);
-    Testbed::build(SystemKind::Bb(Scheme::AsyncLustre), cfg)
-}
-
-/// Run one placement cell: geo-0 write, geo-1 floor file, rounds of
-/// remote reads while the optimizer migrates, settle, verify.
-pub fn run_placement_scenario(case: &PlacementCase) -> PlacementOutcome {
-    run_placement_telemetry(case, false).0
-}
-
-/// [`run_placement_scenario`] plus the cell telemetry capture (Chrome
-/// trace when `trace` is set).
-pub fn run_placement_telemetry(
-    case: &PlacementCase,
-    trace: bool,
-) -> (PlacementOutcome, CellTelemetry) {
-    let tb = ab13_testbed();
-    if trace {
-        tb.sim.tracer().enable();
-    }
-    let sim = tb.sim.clone();
-    let bb = Rc::clone(tb.bb.as_ref().expect("bb testbed"));
-    // geo membership must match the rig's story: compute nodes, Lustre,
-    // the seed server, and the manager all inside geo 0 (nodes 0..8);
-    // the standby opens geo 1, the reader joins it
-    assert!(bb.manager.node().0 < 8, "infra must fit in geo 0");
-    while tb.fabric.len() < 8 {
-        tb.fabric.add_node();
-    }
-    let standby = bb.standby_kv_server();
-    assert_eq!(standby.node().0, 8, "standby must open geo 1");
-    let reader_node = tb.fabric.add_node();
-    assert_eq!(reader_node.0, 9, "reader must sit in geo 1");
-
-    let chunks = case.file_bytes.div_ceil(512 << 10);
-    let payloads = PayloadPool::standard();
-    let rclient = bb.client(reader_node);
-    let wclient = bb.client(tb.nodes[0]);
-    let history = History::new();
-    history.attach(rclient.kv());
-
-    let mut timeline = String::new();
-    timeline.push_str(&format!(
-        "AB13 placement timeline (seed {:#x}): {} MiB/file, {} chunks, geo boundary 2 ms\n",
-        case.seed,
-        case.file_bytes >> 20,
-        chunks
-    ));
-
-    let routes_of = {
-        let bb = Rc::clone(&bb);
-        move |fid: u64| -> Vec<Option<usize>> {
-            (0..chunks)
-                .map(|seq| bb.membership().route(&chunk_key(fid, seq)))
-                .collect()
-        }
-    };
-
-    let driver = {
-        let spawner = sim.clone();
-        let sim = sim.clone();
-        let bb = Rc::clone(&bb);
-        let rclient = Rc::clone(&rclient);
-        let wclient = Rc::clone(&wclient);
-        let pool = payloads.clone();
-        let case = *case;
-        spawner.spawn(async move {
-            assert!(bb.admit_kv_server(standby.node()));
-            // hot file from geo 0: locality placement pins it writer-side
-            let w = wclient.create("/ab13/hot").await.ok()?;
-            for piece in pool.stream(7, case.file_bytes, 1 << 20) {
-                w.append(piece).await.ok()?;
-            }
-            w.close().await.ok()?;
-            if wclient.wait_flushed("/ab13/hot").await != Ok(FileState::Flushed) {
-                return None;
-            }
-            // floor file from geo 1: locality placement starts it
-            // reader-local, giving the convergence target
-            let w = rclient.create("/ab13/floor").await.ok()?;
-            for piece in pool.stream(8, case.file_bytes, 1 << 20) {
-                w.append(piece).await.ok()?;
-            }
-            w.close().await.ok()?;
-            if rclient.wait_flushed("/ab13/floor").await != Ok(FileState::Flushed) {
-                return None;
-            }
-            let timed_read = |path: &'static str| {
-                let sim = sim.clone();
-                let rclient = Rc::clone(&rclient);
-                async move {
-                    let t0 = sim.now();
-                    let rd = rclient.open(path).await.ok()?;
-                    let bytes = rd.read_all().await.ok()?;
-                    (bytes.len() as u64 == case.file_bytes)
-                        .then(|| (sim.now() - t0).as_nanos() as u64)
+    /// Geo-0 write, geo-1 floor file, rounds of remote reads while the
+    /// optimizer migrates, settle, verify — on the geo-stretched rig:
+    /// geo size 8 (2 nodes/rack x 2 racks/zone x 2 zones/geo), everything
+    /// deployed up front in geo 0, one standby KV server and the reader
+    /// in geo 1.
+    pub fn run(&self, trace: bool) -> Outcome<PlacementRun> {
+        let mut cfg = TestbedConfig {
+            compute_nodes: 2,
+            ..TestbedConfig::default()
+        };
+        cfg.net = NetConfig {
+            nodes_per_rack: 2,
+            racks_per_zone: 2,
+            zones_per_geo: 2,
+            rack_latency: dur::us(5),
+            zone_latency: dur::us(20),
+            geo_latency: dur::ms(2),
+            ..NetConfig::default()
+        };
+        cfg.lustre.oss_count = 1;
+        cfg.lustre.osts_per_oss = 1;
+        cfg.bb.kv_servers = 1;
+        cfg.bb.kv_replication = 1;
+        cfg.bb.kv_mem_per_server = 1 << 30;
+        cfg.bb.bb_place_policy = PlacementPolicy::Locality;
+        cfg.bb.bb_place_interval = dur::ms(50);
+        let sc = Scenario {
+            kind: SystemKind::Bb(Scheme::AsyncLustre),
+            cfg,
+            seed: self.seed,
+            slice: dur::ms(50),
+            deadline: dur::secs(120),
+            forbid_miss: true,
+            trace,
+            stem: format!("ab13-seed{:x}", self.seed),
+        };
+        let case = *self;
+        scenario::run(
+            &sc,
+            |tb| {
+                let bb = Rc::clone(tb.bb.as_ref().expect("bb testbed"));
+                // geo membership must match the rig's story: compute nodes,
+                // Lustre, the seed server, and the manager all inside geo 0
+                // (nodes 0..8); the standby opens geo 1, the reader joins it
+                assert!(bb.manager.node().0 < 8, "infra must fit in geo 0");
+                while tb.fabric.len() < 8 {
+                    tb.fabric.add_node();
                 }
-            };
-            // the local-replica floor
-            let mut floor: Vec<u64> = Vec::new();
-            for _ in 0..case.reads_per_round {
-                floor.push(timed_read("/ab13/floor").await?);
-            }
-            floor.sort_unstable();
-            // remote read rounds; the optimizer migrates in the background
-            let mut rounds: Vec<Vec<u64>> = Vec::new();
-            for _ in 0..case.rounds {
-                let mut lats = Vec::new();
-                for _ in 0..case.reads_per_round {
-                    lats.push(timed_read("/ab13/hot").await?);
+                let standby = bb.standby_kv_server().node();
+                assert_eq!(standby.0, 8, "standby must open geo 1");
+                let reader = tb.fabric.add_node();
+                assert_eq!(reader.0, 9, "reader must sit in geo 1");
+                let rclient = bb.client(reader);
+                let wclient = bb.client(tb.nodes[0]);
+                let state = (tb.sim.clone(), bb, standby, Rc::clone(&rclient), wclient);
+                (FaultPlan::new(sc.seed), rclient, state)
+            },
+            |(sim, bb, standby, rclient, wclient)| async move {
+                let bytes = case.file_bytes;
+                // the hot file's starting layout, sampled on the 50 ms grid
+                // as soon as every chunk routes
+                let routes_before = sim.spawn({
+                    let (sim, bb) = (sim.clone(), Rc::clone(&bb));
+                    async move {
+                        loop {
+                            sim.sleep(dur::ms(50)).await;
+                            let r = routes(&bb, 1, case.chunks());
+                            if r.iter().all(|o| o.is_some()) {
+                                return r;
+                            }
+                        }
+                    }
+                });
+                assert!(bb.admit_kv_server(standby));
+                let pool = PayloadPool::standard();
+                // hot file from geo 0: locality placement pins it
+                // writer-side; floor file from geo 1: locality placement
+                // starts it reader-local, giving the convergence target
+                for (client, path, seed) in
+                    [(&wclient, "/ab13/hot", 7), (&rclient, "/ab13/floor", 8)]
+                {
+                    scenario::write_file(client, &pool, path, seed, bytes).await?;
+                    let state = client.wait_flushed(path).await;
+                    if state != Ok(FileState::Flushed) {
+                        return Err(format!("{path} ended {state:?}"));
+                    }
                 }
-                lats.sort_unstable();
-                rounds.push(lats);
-                sim.sleep(dur::ms(100)).await;
-            }
-            // settle: every queued placement move executed
-            let deadline = sim.now() + dur::secs(20);
-            while bb.manager.place_backlog() > 0 && sim.now() < deadline {
-                sim.sleep(dur::ms(100)).await;
-            }
-            sim.sleep(dur::secs(1)).await;
-            // post-migration measurement round
-            let mut fin = Vec::new();
-            for _ in 0..case.reads_per_round {
-                fin.push(timed_read("/ab13/hot").await?);
-            }
-            fin.sort_unstable();
-            // byte-verify both acknowledged files end to end
-            let mut ok = true;
-            for (path, seed) in [("/ab13/hot", 7u64), ("/ab13/floor", 8u64)] {
-                ok &= read_back_ok(&rclient, &pool, path, seed, case.file_bytes).await;
-            }
-            Some((floor, rounds, fin, ok))
-        })
-    };
-
-    // capture the hot file's starting layout as soon as the write lands
-    let mut routes_before: Option<Vec<Option<usize>>> = None;
-    let deadline = sim.now() + dur::secs(120);
-    while !driver.is_finished() && sim.now() < deadline {
-        step_to(&sim, sim.now() + dur::ms(50));
-        if routes_before.is_none() {
-            let r = routes_of(1);
-            if r.iter().all(|o| o.is_some()) {
-                routes_before = Some(r);
-            }
-        }
+                let timed_reads = |path: &'static str| {
+                    let (sim, rclient) = (sim.clone(), Rc::clone(&rclient));
+                    async move {
+                        let mut lats = Vec::new();
+                        for _ in 0..READS_PER_ROUND {
+                            let t0 = sim.now();
+                            let rd = rclient
+                                .open(path)
+                                .await
+                                .map_err(|e| format!("open {path}: {e}"))?;
+                            let got = rd
+                                .read_all()
+                                .await
+                                .map_err(|e| format!("read {path}: {e}"))?;
+                            if got.len() as u64 != bytes {
+                                return Err(format!("{path} read {} of {bytes} bytes", got.len()));
+                            }
+                            lats.push((sim.now() - t0).as_nanos() as u64);
+                        }
+                        lats.sort_unstable();
+                        Ok(lats)
+                    }
+                };
+                // the local-replica floor
+                let floor = timed_reads("/ab13/floor").await?;
+                // remote read rounds; the optimizer migrates in the background
+                let mut rounds = Vec::new();
+                for _ in 0..case.rounds {
+                    rounds.push(timed_reads("/ab13/hot").await?);
+                    sim.sleep(dur::ms(100)).await;
+                }
+                // settle: every queued placement move executed
+                let deadline = sim.now() + dur::secs(20);
+                while bb.manager.place_backlog() > 0 && sim.now() < deadline {
+                    sim.sleep(dur::ms(100)).await;
+                }
+                sim.sleep(dur::secs(1)).await;
+                // post-migration measurement round
+                let settled = timed_reads("/ab13/hot").await?;
+                // byte-verify both acknowledged files end to end
+                let mut files_ok = true;
+                for (path, seed) in [("/ab13/hot", 7u64), ("/ab13/floor", 8u64)] {
+                    files_ok &= read_back_ok(&rclient, &pool, path, seed, bytes).await;
+                }
+                // harness-side latency histograms (bench namespace, not
+                // `bb.*`): the SLO file gates the post-migration remote
+                // reads and the floor
+                for (name, lats) in [
+                    ("ab13.remote_read_ns", &settled),
+                    ("ab13.floor_read_ns", &floor),
+                ] {
+                    let h = sim.metrics().histogram(name);
+                    for &ns in lats {
+                        h.record_ns(ns);
+                    }
+                }
+                Ok(PlacementRun {
+                    floor,
+                    rounds,
+                    settled,
+                    routes_before: routes_before.try_take().unwrap_or_default(),
+                    files_ok,
+                })
+            },
+        )
     }
-    let converged = driver.is_finished();
-    let (floor, rounds, fin, files_ok) =
-        driver
-            .try_take()
-            .flatten()
-            .unwrap_or((Vec::new(), Vec::new(), Vec::new(), false));
-    let routes_before = routes_before.unwrap_or_default();
-    let routes_after = routes_of(1);
-
-    // harness-side latency histograms (bench namespace, not `bb.*`): the
-    // SLO file gates the post-migration remote reads and the floor
-    let h = sim.metrics().histogram("ab13.remote_read_ns");
-    for &ns in &fin {
-        h.record_ns(ns);
-    }
-    let h = sim.metrics().histogram("ab13.floor_read_ns");
-    for &ns in &floor {
-        h.record_ns(ns);
-    }
-
-    let floor_p99 = pctl(&floor, 99.0);
-    let round_p99: Vec<u64> = rounds.iter().map(|r| pctl(r, 99.0)).collect();
-    let final_p99 = pctl(&fin, 99.0);
-    timeline.push_str(&format!(
-        "floor: p99 {:>9} ns (geo-1 reader -> geo-1 replica)\n",
-        floor_p99
-    ));
-    for (i, p) in round_p99.iter().enumerate() {
-        timeline.push_str(&format!("round {i}: remote p99 {:>9} ns\n", p));
-    }
-
-    let cell = capture_cell(&tb.sim);
-    let snap = &cell.snapshot;
-    let verdict = history.check(Checker { forbid_miss: true });
-    timeline.push_str(&format!(
-        "settled: remote p99 {:>9} ns, routes {:?} -> {:?}, {} decisions, {} migrations, {} bytes\n",
-        final_p99,
-        routes_before,
-        routes_after,
-        snap.counter("bb.place.decisions"),
-        snap.counter("bb.place.migrations"),
-        snap.counter("bb.place.bytes"),
-    ));
-    let outcome = PlacementOutcome {
-        converged,
-        floor_p99_ns: floor_p99,
-        round_p99_ns: round_p99,
-        final_p99_ns: final_p99,
-        routes_before,
-        routes_after,
-        decisions: snap.counter("bb.place.decisions"),
-        migrations: snap.counter("bb.place.migrations"),
-        moved_bytes: snap.counter("bb.place.bytes"),
-        cost_before: snap.counter("bb.place.cost_before"),
-        cost_after: snap.counter("bb.place.cost_after"),
-        checksum_fails: snap.counter("bb.integrity.checksum_fail"),
-        verify_fails: snap.counter("bb.rebalance.verify_fail"),
-        chunks_lost: bb.manager.stats().chunks_lost,
-        place_backlog: bb.manager.place_backlog(),
-        files_ok,
-        consistency_ok: verdict.ok(),
-        consistency_violations: verdict.violations,
-        metrics_json: snap.to_json(),
-        timeline,
-        end: sim.now(),
-    };
-    tb.shutdown();
-    (outcome, cell)
 }
 
 // --- property-suite runner: random topologies, patterns, faults ------
@@ -380,6 +275,12 @@ impl PlaceFault {
     }
 }
 
+/// Reader nodes a property cell adds beyond the deployment.
+const READERS: usize = 2;
+/// Identical access rounds per property cell; the optimizer settles
+/// after each.
+pub const ROUNDS: usize = 3;
+
 /// One property cell: a random topology, a fixed per-round access
 /// pattern, and an optional fault over the migration window.
 #[derive(Debug, Clone)]
@@ -396,16 +297,10 @@ pub struct PlacementPropCase {
     /// Fixed per-round access pattern: `(reader, file, whole-file
     /// reads)`, indices taken modulo the pool sizes.
     pub reads: Vec<(usize, usize, u32)>,
-    /// Reader nodes added beyond the deployment (>= 1).
-    pub readers: usize,
-    /// Identical access rounds; the optimizer settles after each.
-    pub rounds: usize,
     /// Placement on (locality + optimizer) or the hash default.
     pub policy_on: bool,
     /// Fault over the migration window.
     pub fault: PlaceFault,
-    /// Virtual-time budget; overruns freeze the flight recorder.
-    pub deadline_secs: u64,
     /// Wait for every file to reach `Flushed` before the read rounds
     /// (the durable regime: a mid-migration miss can fall back to
     /// Lustre). `false` starts reading while chunks are still pinned
@@ -429,357 +324,290 @@ pub struct PlacementPropCase {
     pub read_window: Option<usize>,
 }
 
-/// What one property cell observed.
+/// What a property cell's driver observed. Every acknowledged file read
+/// back byte-identical at the end (the driver fails otherwise).
 #[derive(Debug, Clone)]
-pub struct PlacementPropOutcome {
-    /// Writes, rounds, settling, and verification all finished in time.
-    pub converged: bool,
-    /// Files written and acknowledged.
-    pub files_total: u64,
-    /// Files byte-identical on final read-back.
-    pub files_ok: u64,
+pub struct PlacementPropRun {
     /// Layout cost under the cell's fixed access weights, sampled after
     /// the optimizer settled following each round.
     pub round_costs: Vec<u64>,
     /// Whole-file reads that errored during the rounds.
     pub read_errs: u64,
-    /// Chunks the flusher declared lost.
-    pub chunks_lost: u64,
-    /// `bb.integrity.checksum_fail` at end of run.
-    pub checksum_fails: u64,
-    /// `bb.rebalance.verify_fail` (shared by placement moves).
-    pub verify_fails: u64,
-    /// `bb.scrub.unrepairable` at end of run.
-    pub unrepairable: u64,
-    /// `bb.place.migrations` at end of run.
-    pub migrations: u64,
-    /// Placement moves still queued at end of run (0 required).
-    pub place_backlog: usize,
-    /// Any `bb.place.*` name present in the snapshot.
-    pub place_names_registered: bool,
-    /// Routing overrides installed at end of run.
-    pub overrides: usize,
-    /// Per-key KV history sequentially explainable.
-    pub consistency_ok: bool,
-    /// Checker violations when `consistency_ok` is false.
-    pub consistency_violations: Vec<String>,
-    /// Full metrics snapshot JSON (same-seed determinism artifact).
-    pub metrics_json: String,
-    /// Frozen flight-recorder dumps (non-convergence artifacts).
-    pub flight_dumps: Vec<String>,
-    /// Virtual end-of-run instant.
-    pub end: Time,
 }
 
-impl PlacementPropOutcome {
+impl PlacementPropRun {
     /// Cost samples never increase round over round.
     pub fn cost_monotone(&self) -> bool {
         self.round_costs.windows(2).all(|w| w[1] <= w[0])
     }
 }
 
-/// Run one property cell: write the files from node 0, run the fixed
-/// access rounds (optimizer settling after each), inject the scheduled
-/// fault, then byte-verify every acknowledged file.
-pub fn run_placement_property(case: &PlacementPropCase) -> PlacementPropOutcome {
-    let (npr, rpz, zpg) = case.topo;
-    let (rack_us, zone_us, geo_us) = case.tier_us;
-    let mut cfg = TestbedConfig {
-        compute_nodes: 2,
-        ..TestbedConfig::default()
-    };
-    cfg.net = NetConfig {
-        nodes_per_rack: npr.max(1),
-        racks_per_zone: rpz.max(1),
-        zones_per_geo: zpg.max(1),
-        rack_latency: dur::us(rack_us),
-        zone_latency: dur::us(zone_us),
-        geo_latency: dur::us(geo_us),
-        ..NetConfig::default()
-    };
-    cfg.lustre.oss_count = 1;
-    cfg.lustre.osts_per_oss = 1;
-    if let Some(rate) = case.lustre_ost_rate {
-        cfg.lustre.ost_rate = rate;
-    }
-    cfg.bb.kv_servers = if case.static_membership { 2 } else { 1 };
-    if let Some(w) = case.read_window {
-        cfg.bb.read_window = w;
-    }
-    cfg.bb.kv_replication = 1;
-    cfg.bb.kv_mem_per_server = 1 << 30;
-    if case.policy_on {
-        cfg.bb.bb_place_policy = PlacementPolicy::Locality;
-        cfg.bb.bb_place_interval = dur::ms(50);
-        // small budget: multi-chunk moves span ticks, exercising re-queue
-        cfg.bb.bb_migrate_budget = 512 << 10;
-    }
-    let tb = Testbed::build(SystemKind::Bb(Scheme::AsyncLustre), cfg);
-    let sim = tb.sim.clone();
-    sim.flight().enable(simkit::flight::DEFAULT_RING_LEN);
-    let bb = Rc::clone(tb.bb.as_ref().expect("bb testbed"));
-    let standby = bb.standby_kv_server();
-    let readers: Vec<netsim::NodeId> = (0..case.readers.max(1))
-        .map(|_| tb.fabric.add_node())
-        .collect();
-    let wclient = bb.client(tb.nodes[0]);
-    let rclient0 = bb.client(readers[0]);
-    let history = History::new();
-    history.attach(rclient0.kv());
+/// Fixed access weights: (reader node, file id) -> whole-file reads per
+/// round.
+type Weights = BTreeMap<(u32, u64), u64>;
 
-    // fault window: the schedule targets the standby — the likely
-    // migration destination — while round reads keep moves in flight
-    let target = standby.node().0;
-    let mut plan = simkit::FaultPlan::new(case.seed);
-    match case.fault {
-        PlaceFault::None => {}
-        PlaceFault::Crash => {
-            plan = plan
-                .at(dur::ms(400), simkit::FaultEvent::Crash { node: target })
-                .at(dur::ms(800), simkit::FaultEvent::Restart { node: target });
+/// Reader-weighted layout cost of `files` as routed now, nanoseconds.
+fn layout_cost(
+    bb: &BbDeployment,
+    fabric: &netsim::Fabric,
+    files: &[u64],
+    weights: &Weights,
+) -> u64 {
+    let view = bb.membership();
+    let mut total = 0u64;
+    for (fi, &bytes) in files.iter().enumerate() {
+        let fid = fi as u64 + 1;
+        for seq in 0..bytes.div_ceil(512 << 10) {
+            let Some(idx) = view.route(&chunk_key(fid, seq)) else {
+                continue;
+            };
+            let node = view.server(idx).node();
+            for ((rn, f), &w) in weights {
+                if *f == fid {
+                    let ns = fabric.topo_latency(NodeId(*rn), node).as_nanos() as u64;
+                    total = total.saturating_add(w.saturating_mul(ns));
+                }
+            }
         }
-        PlaceFault::Flap => {
-            plan = plan.at(
+    }
+    total
+}
+
+/// Reads `path` whole once; whether it failed.
+async fn read_fails(client: &Rc<BbClient>, path: &str) -> bool {
+    match client.open(path).await {
+        Ok(rd) => rd.read_all().await.is_err(),
+        Err(_) => true,
+    }
+}
+
+/// What the property driver works with.
+struct PropRig {
+    sim: Sim,
+    bb: Rc<BbDeployment>,
+    fabric: Rc<netsim::Fabric>,
+    standby: NodeId,
+    wclient: Rc<BbClient>,
+    rclients: Vec<Rc<BbClient>>,
+}
+
+impl PlacementPropCase {
+    /// Write the files from node 0, run the fixed access rounds (the
+    /// optimizer settling after each) through the scheduled fault, then
+    /// byte-verify every acknowledged file.
+    pub fn run(&self) -> Outcome<PlacementPropRun> {
+        let (npr, rpz, zpg) = self.topo;
+        let (rack_us, zone_us, geo_us) = self.tier_us;
+        let mut cfg = TestbedConfig {
+            compute_nodes: 2,
+            ..TestbedConfig::default()
+        };
+        cfg.net = NetConfig {
+            nodes_per_rack: npr.max(1),
+            racks_per_zone: rpz.max(1),
+            zones_per_geo: zpg.max(1),
+            rack_latency: dur::us(rack_us),
+            zone_latency: dur::us(zone_us),
+            geo_latency: dur::us(geo_us),
+            ..NetConfig::default()
+        };
+        cfg.lustre.oss_count = 1;
+        cfg.lustre.osts_per_oss = 1;
+        if let Some(rate) = self.lustre_ost_rate {
+            cfg.lustre.ost_rate = rate;
+        }
+        cfg.bb.kv_servers = if self.static_membership { 2 } else { 1 };
+        if let Some(w) = self.read_window {
+            cfg.bb.read_window = w;
+        }
+        cfg.bb.kv_replication = 1;
+        cfg.bb.kv_mem_per_server = 1 << 30;
+        if self.policy_on {
+            cfg.bb.bb_place_policy = PlacementPolicy::Locality;
+            cfg.bb.bb_place_interval = dur::ms(50);
+            // small budget: multi-chunk moves span ticks, exercising re-queue
+            cfg.bb.bb_migrate_budget = 512 << 10;
+        }
+        let sc = Scenario {
+            kind: SystemKind::Bb(Scheme::AsyncLustre),
+            cfg,
+            seed: self.seed,
+            slice: dur::ms(250),
+            deadline: dur::secs(120),
+            forbid_miss: matches!(self.fault, PlaceFault::None | PlaceFault::Drain),
+            trace: false,
+            stem: format!("placement-{}-seed{:x}", self.fault.label(), self.seed),
+        };
+        scenario::run(
+            &sc,
+            |tb| {
+                let bb = Rc::clone(tb.bb.as_ref().expect("bb testbed"));
+                let standby = bb.standby_kv_server().node();
+                let readers: Vec<NodeId> = (0..READERS).map(|_| tb.fabric.add_node()).collect();
+                let wclient = bb.client(tb.nodes[0]);
+                let rclients: Vec<Rc<BbClient>> = readers.iter().map(|&n| bb.client(n)).collect();
+                let watched = Rc::clone(&rclients[0]);
+                let rig = PropRig {
+                    sim: tb.sim.clone(),
+                    bb,
+                    fabric: Rc::clone(&tb.fabric),
+                    standby,
+                    wclient,
+                    rclients,
+                };
+                (self.plan(standby.0), watched, (rig, self.clone()))
+            },
+            |(rig, case)| case.drive(rig),
+        )
+    }
+
+    /// The fault window: the schedule targets the standby — the likely
+    /// migration destination — while round reads keep moves in flight.
+    fn plan(&self, target: u32) -> FaultPlan {
+        let plan = FaultPlan::new(self.seed);
+        match self.fault {
+            PlaceFault::None => plan,
+            PlaceFault::Crash => plan
+                .at(dur::ms(400), FaultEvent::Crash { node: target })
+                .at(dur::ms(800), FaultEvent::Restart { node: target }),
+            PlaceFault::Flap => plan.at(
                 dur::ms(400),
-                simkit::FaultEvent::LinkFlap {
+                FaultEvent::LinkFlap {
                     node: target,
                     count: 3,
                     down: dur::ms(50),
                     period: dur::ms(150),
                 },
-            );
-        }
-        PlaceFault::Drain => {
-            plan = plan.at(
-                dur::ms(400),
-                simkit::FaultEvent::DrainServer { node: target },
-            );
+            ),
+            PlaceFault::Drain => plan.at(dur::ms(400), FaultEvent::DrainServer { node: target }),
         }
     }
-    sim.install_faults(plan);
 
-    // fixed access weights: (reader node, file id) -> whole-file reads
-    // per round; the same pattern repeats each round, so cumulative
-    // telemetry stays proportional to these weights and layout cost is
-    // comparable across rounds
-    let files_n = case.files.len().max(1);
-    let mut weights: std::collections::BTreeMap<(u32, u64), u64> =
-        std::collections::BTreeMap::new();
-    for &(r, f, times) in &case.reads {
-        let node = readers[r % readers.len()].0;
-        let fid = (f % files_n) as u64 + 1;
-        *weights.entry((node, fid)).or_insert(0) += times as u64;
-    }
-
-    let layout_cost = {
-        let bb = Rc::clone(&bb);
-        let fabric = Rc::clone(&tb.fabric);
-        let files = case.files.clone();
-        let weights = weights.clone();
-        move || -> u64 {
-            let view = bb.membership();
-            let mut total = 0u64;
-            for (fi, &bytes) in files.iter().enumerate() {
-                let fid = fi as u64 + 1;
-                for seq in 0..bytes.div_ceil(512 << 10) {
-                    let Some(idx) = view.route(&chunk_key(fid, seq)) else {
-                        continue;
-                    };
-                    let node = view.server(idx).node();
-                    for ((rn, f), &w) in &weights {
-                        if *f == fid {
-                            let ns =
-                                fabric.topo_latency(netsim::NodeId(*rn), node).as_nanos() as u64;
-                            total = total.saturating_add(w.saturating_mul(ns));
-                        }
-                    }
-                }
-            }
-            total
+    async fn drive(self, rig: PropRig) -> Result<PlacementPropRun, String> {
+        let PropRig {
+            sim,
+            bb,
+            fabric,
+            standby,
+            wclient,
+            rclients,
+        } = rig;
+        // the same pattern repeats each round, so cumulative telemetry
+        // stays proportional to these weights and layout cost is
+        // comparable across rounds
+        let files_n = self.files.len().max(1);
+        let mut weights = Weights::new();
+        for &(r, f, times) in &self.reads {
+            let node = rclients[r % rclients.len()].node().0;
+            let fid = (f % files_n) as u64 + 1;
+            *weights.entry((node, fid)).or_insert(0) += times as u64;
         }
-    };
-
-    let driver = {
-        let spawner = sim.clone();
-        let sim = sim.clone();
-        let bb = Rc::clone(&bb);
-        let wclient = Rc::clone(&wclient);
         let pool = PayloadPool::standard();
-        let case = case.clone();
-        let readers = readers.clone();
-        let layout_cost = layout_cost.clone();
-        spawner.spawn(async move {
-            if !case.static_membership {
-                assert!(bb.admit_kv_server(standby.node()));
-            }
-            // write every file before the read rounds. In the durable
-            // regime we also wait for the flush: acked data is then
-            // Lustre-backed, so a mid-migration crash can delay reads
-            // but must never lose bytes. With `flush_before_reads`
-            // off the rounds start while chunks are still pinned and
-            // buffer-only — the only copies are the ones migration is
-            // shuffling around.
-            for (fi, &bytes) in case.files.iter().enumerate() {
-                let path = format!("/prop/f{fi}");
-                let w = wclient.create(&path).await.ok()?;
-                for piece in pool.stream(fi as u64 + 40, bytes, 1 << 20) {
-                    w.append(piece).await.ok()?;
-                }
-                w.close().await.ok()?;
-                if case.flush_before_reads
-                    && wclient.wait_flushed(&path).await != Ok(FileState::Flushed)
-                {
-                    return None;
+        if !self.static_membership {
+            assert!(bb.admit_kv_server(standby));
+        }
+        // write every file before the read rounds. In the durable regime
+        // we also wait for the flush: acked data is then Lustre-backed, so
+        // a mid-migration crash can delay reads but must never lose bytes.
+        // With `flush_before_reads` off the rounds start while chunks are
+        // still pinned and buffer-only — the only copies are the ones
+        // migration is shuffling around.
+        for (fi, &bytes) in self.files.iter().enumerate() {
+            let path = format!("/prop/f{fi}");
+            scenario::write_file(&wclient, &pool, &path, fi as u64 + 40, bytes).await?;
+            if self.flush_before_reads {
+                let state = wclient.wait_flushed(&path).await;
+                if state != Ok(FileState::Flushed) {
+                    return Err(format!("{path} ended {state:?}"));
                 }
             }
-            let rclients: Vec<Rc<bb_core::BbClient>> =
-                readers.iter().map(|&n| bb.client(n)).collect();
-            // hold the first reads until t ~ 300 ms: the first optimizer
-            // decisions and the budget-throttled moves then span the
-            // 400 ms fault window, so the scheduled fault hits moves
-            // that are genuinely in flight
-            sim.sleep(dur::ms(300)).await;
-            // undurable cells also hammer file 0 with back-to-back
-            // whole-file reads for the entire rounds-plus-settling
-            // span, so reads overlap every phase of in-flight moves
-            // (copy, verify, override install, old-copy delete) — the
-            // round reads alone leave the settle windows unobserved
-            let hammer_stop = Rc::new(std::cell::Cell::new(false));
-            let hammer = (!case.flush_before_reads).then(|| {
-                let stop = Rc::clone(&hammer_stop);
-                let rc = Rc::clone(&rclients[0]);
-                sim.spawn(async move {
-                    let mut errs = 0u64;
-                    while !stop.get() {
-                        match rc.open("/prop/f0").await {
-                            Ok(rd) => {
-                                if rd.read_all().await.is_err() {
-                                    errs += 1;
-                                }
-                            }
-                            Err(_) => errs += 1,
-                        }
-                    }
-                    errs
-                })
-            });
-            let mut read_errs = 0u64;
-            let mut costs: Vec<u64> = Vec::new();
-            for _ in 0..case.rounds {
-                for &(r, f, times) in &case.reads {
-                    let rc = &rclients[r % rclients.len()];
-                    let path = format!("/prop/f{}", f % case.files.len().max(1));
-                    for _ in 0..times {
-                        match rc.open(&path).await {
-                            Ok(rd) => {
-                                if rd.read_all().await.is_err() {
-                                    read_errs += 1;
-                                }
-                            }
-                            Err(_) => read_errs += 1,
-                        }
-                    }
+        }
+        // hold the first reads until t ~ 300 ms: the first optimizer
+        // decisions and the budget-throttled moves then span the 400 ms
+        // fault window, so the scheduled fault hits moves that are
+        // genuinely in flight
+        sim.sleep(dur::ms(300)).await;
+        // undurable cells also hammer file 0 with back-to-back whole-file
+        // reads for the entire rounds-plus-settling span, so reads overlap
+        // every phase of in-flight moves (copy, verify, override install,
+        // old-copy delete) — the round reads alone leave the settle
+        // windows unobserved
+        let hammer_stop = Rc::new(Cell::new(false));
+        let hammer = (!self.flush_before_reads).then(|| {
+            let (stop, rc) = (Rc::clone(&hammer_stop), Rc::clone(&rclients[0]));
+            sim.spawn(async move {
+                let mut errs = 0u64;
+                while !stop.get() {
+                    errs += u64::from(read_fails(&rc, "/prop/f0").await);
                 }
-                // settle: give the optimizer ticks until its queue drains
-                let deadline = sim.now() + dur::secs(30);
-                sim.sleep(dur::ms(200)).await;
-                while bb.manager.place_backlog() > 0 && sim.now() < deadline {
-                    sim.sleep(dur::ms(100)).await;
-                }
-                sim.sleep(dur::ms(200)).await;
-                costs.push(layout_cost());
-            }
-            hammer_stop.set(true);
-            if let Some(h) = hammer {
-                read_errs += h.await;
-            }
-            // final verification: every acknowledged file byte-identical
-            // (retried: a crash cell may still be re-replicating)
-            let mut files_ok = 0u64;
-            for (fi, &bytes) in case.files.iter().enumerate() {
-                let path = format!("/prop/f{fi}");
-                for attempt in 0..3 {
-                    if read_back_ok(&rclients[0], &pool, &path, fi as u64 + 40, bytes).await {
-                        files_ok += 1;
-                        break;
-                    }
-                    if attempt < 2 {
-                        sim.sleep(dur::ms(300)).await;
-                    }
+                errs
+            })
+        });
+        let mut read_errs = 0u64;
+        let mut round_costs = Vec::new();
+        for _ in 0..ROUNDS {
+            for &(r, f, times) in &self.reads {
+                let rc = &rclients[r % rclients.len()];
+                let path = format!("/prop/f{}", f % files_n);
+                for _ in 0..times {
+                    read_errs += u64::from(read_fails(rc, &path).await);
                 }
             }
-            // the verification reads are telemetry too: give the
-            // optimizer a chance to act on them, then drain the queue so
-            // the cell ends with no move in flight
+            // settle: give the optimizer ticks until its queue drains
             let deadline = sim.now() + dur::secs(30);
-            loop {
-                sim.sleep(dur::ms(200)).await;
-                while bb.manager.place_backlog() > 0 && sim.now() < deadline {
-                    sim.sleep(dur::ms(100)).await;
-                }
-                sim.sleep(dur::ms(200)).await;
-                if bb.manager.place_backlog() == 0 || sim.now() >= deadline {
+            sim.sleep(dur::ms(200)).await;
+            while bb.manager.place_backlog() > 0 && sim.now() < deadline {
+                sim.sleep(dur::ms(100)).await;
+            }
+            sim.sleep(dur::ms(200)).await;
+            round_costs.push(layout_cost(&bb, &fabric, &self.files, &weights));
+        }
+        hammer_stop.set(true);
+        if let Some(h) = hammer {
+            read_errs += h.await;
+        }
+        // final verification: every acknowledged file byte-identical
+        // (retried: a crash cell may still be re-replicating)
+        let mut files_bad = 0;
+        for (fi, &bytes) in self.files.iter().enumerate() {
+            let path = format!("/prop/f{fi}");
+            let mut ok = false;
+            for attempt in 0..3 {
+                ok = read_back_ok(&rclients[0], &pool, &path, fi as u64 + 40, bytes).await;
+                if ok {
                     break;
                 }
+                if attempt < 2 {
+                    sim.sleep(dur::ms(300)).await;
+                }
             }
-            Some((read_errs, costs, files_ok))
+            files_bad += usize::from(!ok);
+        }
+        // the verification reads are telemetry too: give the optimizer a
+        // chance to act on them, then drain the queue so the cell ends
+        // with no move in flight
+        let deadline = sim.now() + dur::secs(30);
+        loop {
+            sim.sleep(dur::ms(200)).await;
+            while bb.manager.place_backlog() > 0 && sim.now() < deadline {
+                sim.sleep(dur::ms(100)).await;
+            }
+            sim.sleep(dur::ms(200)).await;
+            if bb.manager.place_backlog() == 0 || sim.now() >= deadline {
+                break;
+            }
+        }
+        if files_bad > 0 {
+            return Err(format!(
+                "{files_bad} of {} acknowledged files failed the final read-back",
+                self.files.len()
+            ));
+        }
+        Ok(PlacementPropRun {
+            round_costs,
+            read_errs,
         })
-    };
-
-    let deadline = sim.now() + dur::secs(case.deadline_secs);
-    while !driver.is_finished() && sim.now() < deadline {
-        step_to(&sim, sim.now() + dur::ms(250));
     }
-    let converged = driver.is_finished();
-    if !converged {
-        sim.flight().trigger(
-            sim.now().as_nanos(),
-            "placement cell hung past the deadline",
-        );
-    }
-    let (read_errs, round_costs, files_ok) =
-        driver.try_take().flatten().unwrap_or((0, Vec::new(), 0));
-
-    let snap = sim.metrics().snapshot();
-    let verdict = history.check(Checker {
-        forbid_miss: matches!(case.fault, PlaceFault::None | PlaceFault::Drain),
-    });
-    if !verdict.ok() {
-        sim.flight().trigger(
-            sim.now().as_nanos(),
-            &format!("consistency violation: {:?}", verdict.violations),
-        );
-    }
-    let flight_dumps: Vec<String> = sim
-        .flight()
-        .dumps()
-        .into_iter()
-        .map(|(_, json)| json)
-        .collect();
-    let outcome = PlacementPropOutcome {
-        converged,
-        files_total: case.files.len() as u64,
-        files_ok,
-        round_costs,
-        read_errs,
-        chunks_lost: bb.manager.stats().chunks_lost,
-        checksum_fails: snap.counter("bb.integrity.checksum_fail"),
-        verify_fails: snap.counter("bb.rebalance.verify_fail"),
-        unrepairable: snap.counter("bb.scrub.unrepairable"),
-        migrations: snap.counter("bb.place.migrations"),
-        place_backlog: bb.manager.place_backlog(),
-        place_names_registered: snap.names().any(|n| n.starts_with("bb.place.")),
-        overrides: bb.membership().overrides_len(),
-        consistency_ok: verdict.ok(),
-        consistency_violations: verdict.violations,
-        metrics_json: snap.to_json(),
-        flight_dumps,
-        end: sim.now(),
-    };
-    let stem = format!("placement-{}-seed{:x}", case.fault.label(), case.seed);
-    persist_flight_dumps(&outcome.flight_dumps, &stem);
-    tb.shutdown();
-    outcome
 }
 
 /// AB13: telemetry-driven live migration on a geo-stretched cluster.
@@ -787,12 +615,50 @@ pub fn run_placement_property(case: &PlacementPropCase) -> PlacementPropOutcome 
 /// (`repro AB13 --timeline`).
 pub fn ab13_placement(quick: bool, trace: bool) -> ExpReport {
     let case = PlacementCase::ab13(quick);
-    let (o, cell) = run_placement_telemetry(&case, trace);
+    let o = case.run(trace);
+    let (decisions, migrations, moved_bytes) = (
+        o.counter("bb.place.decisions"),
+        o.counter("bb.place.migrations"),
+        o.counter("bb.place.bytes"),
+    );
+    let (cost_before, cost_after) = (
+        o.counter("bb.place.cost_before"),
+        o.counter("bb.place.cost_after"),
+    );
+    let routes_after = routes(o.testbed.bb.as_ref().expect("bb testbed"), 1, case.chunks());
 
     let mut t = Table::new(
         "AB13: topology-aware placement — remote reads converge to the local floor",
         &["stage", "result"],
     );
+    let Some(run) = &o.result else {
+        t.row(vec!["run".into(), format!("{:?}", o.ending)]);
+        return ExpReport::new("AB13", t, false, Some(o.cell)).with_timeline(o.timeline);
+    };
+    let floor_p99 = pctl(&run.floor, 99.0);
+    let round_p99: Vec<u64> = run.rounds.iter().map(|r| pctl(r, 99.0)).collect();
+    let final_p99 = pctl(&run.settled, 99.0);
+    let first_round = round_p99.first().copied().unwrap_or(0);
+    // the round-by-round convergence timeline (the `--timeline` artifact)
+    let mut timeline = format!(
+        "AB13 placement timeline (seed {:#x}): {} MiB/file, {} chunks, geo boundary 2 ms\n",
+        case.seed,
+        case.file_bytes >> 20,
+        case.chunks()
+    );
+    timeline.push_str(&format!(
+        "floor: p99 {:>9} ns (geo-1 reader -> geo-1 replica)\n",
+        floor_p99
+    ));
+    for (i, p) in round_p99.iter().enumerate() {
+        timeline.push_str(&format!("round {i}: remote p99 {:>9} ns\n", p));
+    }
+    timeline.push_str(&format!(
+        "settled: remote p99 {:>9} ns, routes {:?} -> {:?}, {decisions} decisions, \
+         {migrations} migrations, {moved_bytes} bytes\n",
+        final_p99, run.routes_before, routes_after,
+    ));
+
     t.row(vec![
         "rig".into(),
         format!(
@@ -802,70 +668,56 @@ pub fn ab13_placement(quick: bool, trace: bool) -> ExpReport {
     ]);
     t.row(vec![
         "floor".into(),
-        format!("local-replica read p99 {} us", o.floor_p99_ns / 1_000),
+        format!("local-replica read p99 {} us", floor_p99 / 1_000),
     ]);
     t.row(vec![
         "remote before".into(),
         format!(
             "round-0 p99 {} us ({:.1}x floor)",
-            o.round_p99_ns.first().copied().unwrap_or(0) / 1_000,
-            o.round_p99_ns.first().copied().unwrap_or(0) as f64 / o.floor_p99_ns.max(1) as f64
+            first_round / 1_000,
+            first_round as f64 / floor_p99.max(1) as f64
         ),
     ]);
     t.row(vec![
         "remote after".into(),
         format!(
             "settled p99 {} us ({:.2}x floor)",
-            o.final_p99_ns / 1_000,
-            o.final_p99_ns as f64 / o.floor_p99_ns.max(1) as f64
+            final_p99 / 1_000,
+            final_p99 as f64 / floor_p99.max(1) as f64
         ),
     ]);
     t.row(vec![
         "migration".into(),
         format!(
-            "{} decisions, {} chunks / {:.1} MiB moved, cost {} -> {} (reader-weighted ns)",
-            o.decisions,
-            o.migrations,
-            o.moved_bytes as f64 / (1 << 20) as f64,
-            o.cost_before,
-            o.cost_after
+            "{decisions} decisions, {migrations} chunks / {:.1} MiB moved, cost {cost_before} -> {cost_after} (reader-weighted ns)",
+            moved_bytes as f64 / (1 << 20) as f64,
         ),
     ]);
     t.row(vec![
         "layout".into(),
-        format!("primaries {:?} -> {:?}", o.routes_before, o.routes_after),
+        format!("primaries {:?} -> {:?}", run.routes_before, routes_after),
     ]);
     t.row(vec![
         "integrity".into(),
         format!(
             "{} checksum fails, {} verify fails, {} chunks lost, files byte-correct: {}",
-            o.checksum_fails, o.verify_fails, o.chunks_lost, o.files_ok
+            o.counter("bb.integrity.checksum_fail"),
+            o.counter("bb.rebalance.verify_fail"),
+            o.counter("bb.mgr.chunks_lost"),
+            run.files_ok
         ),
     ]);
-    t.row(vec![
-        "consistency".into(),
-        if o.consistency_ok {
-            "KV history sequentially explainable (misses forbidden)".into()
-        } else {
-            format!("{} violations", o.consistency_violations.len())
-        },
-    ]);
+    t.row(consistency_row(&o.consistency));
     t.note("hot chunks start writer-side (locality policy), then migrate toward the geo-1 reader");
     t.note("convergence gate: settled remote p99 <= 1.3x the local-replica floor, zero loss");
 
-    let first_round = o.round_p99_ns.first().copied().unwrap_or(0);
-    let shape = o.converged
-        && o.converged_within(1.3)
-        && first_round > 2 * o.floor_p99_ns
-        && o.decisions > 0
-        && o.migrations > 0
-        && o.moved_bytes >= case.file_bytes
-        && o.cost_after < o.cost_before
-        && o.place_backlog == 0
-        && o.checksum_fails == 0
-        && o.verify_fails == 0
-        && o.chunks_lost == 0
-        && o.files_ok
-        && o.consistency_ok;
-    ExpReport::new("AB13", t, shape, Some(cell)).with_timeline(o.timeline)
+    let shape = o.violations().is_empty()
+        && run.converged_within(1.3)
+        && first_round > 2 * floor_p99
+        && decisions > 0
+        && migrations > 0
+        && moved_bytes >= case.file_bytes
+        && cost_after < cost_before
+        && run.files_ok;
+    ExpReport::new("AB13", t, shape, Some(o.cell)).with_timeline(timeline)
 }

@@ -10,7 +10,7 @@
 //! the throughput dip the churn causes — all with zero acknowledged-data
 //! loss and zero checksum failures on post-epoch read-back.
 //!
-//! [`run_rebalance_scenario`] is the reusable cell runner; the
+//! A [`RebalanceCase`] runs through the scenario runner; the
 //! migration-invariant proptest suite (`crates/bench/tests/rebalance.rs`)
 //! sweeps it across random add/drain schedules.
 
@@ -18,16 +18,14 @@ use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 use std::time::Duration;
 
-use bb_core::{FileState, Scheme};
+use bb_core::{BbClient, BbDeployment, FileState, Scheme};
 use lustre::LustreConfig;
-use simkit::{dur, FaultEvent, FaultPlan, Sim, Time};
-use workloads::{PayloadPool, SystemKind, Testbed, TestbedConfig};
+use simkit::{dur, FaultEvent, FaultPlan, Sim};
+use workloads::{PayloadPool, SystemKind, TestbedConfig};
 
-use crate::consistency::{Checker, History};
-use crate::experiments::integrity::step_to;
-use crate::experiments::{read_back_ok, ExpReport};
+use crate::experiments::{consistency_row, ExpReport};
+use crate::scenario::{self, read_back_ok, Outcome, Scenario};
 use crate::table::Table;
-use crate::telemetry::{capture_cell, CellTelemetry};
 
 /// A scripted membership change.
 #[derive(Debug, Clone, Copy)]
@@ -66,12 +64,10 @@ pub struct RebalanceCase {
     /// The Lustre tier behind the flusher. Its width against the write
     /// stream sets how deep the flush queue is when a change lands.
     pub lustre: LustreConfig,
-    /// The membership schedule.
+    /// The membership schedule. After each applied change the cell
+    /// waits for the rebalancer to drain and byte-verifies every file
+    /// closed so far (the per-epoch read-back invariant).
     pub changes: Vec<ScheduledChange>,
-    /// After each applied change, wait for the rebalancer to drain and
-    /// byte-verify every file closed so far (the per-epoch read-back
-    /// invariant). Slower; the AB8 cell and the proptests enable it.
-    pub verify_each_epoch: bool,
 }
 
 impl RebalanceCase {
@@ -120,7 +116,6 @@ impl RebalanceCase {
                     op: ChangeOp::Drain(1),
                 },
             ],
-            verify_each_epoch: true,
         }
     }
 }
@@ -140,53 +135,27 @@ pub struct RemapSample {
     pub ideal: f64,
 }
 
-/// What one rebalance cell observed.
+/// What an elastic-membership driver observed.
 #[derive(Debug, Clone)]
-pub struct RebalanceOutcome {
-    /// Writer, flush wait, and final read-back all finished in time.
-    pub converged: bool,
+pub struct RebalanceRun {
     /// Final membership epoch (= applied changes).
     pub epochs: u64,
     /// Per-transition ownership shift.
     pub remaps: Vec<RemapSample>,
-    /// `bb.rebalance.moved` — chunks migrated.
-    pub moved: u64,
-    /// `bb.rebalance.bytes` — payload bytes migrated.
-    pub moved_bytes: u64,
-    /// `bb.rebalance.verify_fail` — migrated copies failing read-back.
-    pub verify_fails: u64,
-    /// `bb.integrity.checksum_fail` at end of run.
-    pub checksum_fails: u64,
-    /// Chunks the flusher declared lost.
-    pub chunks_lost: u64,
     /// Virtual time from the last applied change until the rebalance
     /// backlog drained at the final epoch.
     pub migration_done: Option<Duration>,
-    /// Files written and acknowledged.
+    /// Files written and acknowledged; every one flushed and read back
+    /// byte-identical at end of run, and every per-epoch sweep was clean
+    /// (the driver fails otherwise).
     pub files_total: u64,
-    /// Files that flushed and read back byte-identical at end of run.
-    pub files_ok: u64,
-    /// Files failing the per-epoch read-back sweeps (0 required).
-    pub epoch_readback_bad: u64,
     /// Acked bytes per ~250 ms slice during the write phase.
     pub windows: Vec<u64>,
     /// Index of the slice containing the first membership change.
     pub first_change_window: usize,
-    /// Per-key KV history explainable by a sequential order, with misses
-    /// forbidden (no crash loses memory in this cell, so an acknowledged
-    /// chunk must never vanish from the tier).
-    pub consistency_ok: bool,
-    /// Checker violations when `consistency_ok` is false.
-    pub consistency_violations: Vec<String>,
-    /// Full metrics snapshot JSON (same-seed determinism artifact).
-    pub metrics_json: String,
-    /// Applied membership/fault timeline.
-    pub timeline: String,
-    /// Virtual end-of-run instant.
-    pub end: Time,
 }
 
-impl RebalanceOutcome {
+impl RebalanceRun {
     /// Every transition's remap fraction within `factor` of its ideal.
     pub fn remap_within(&self, factor: f64) -> bool {
         self.remaps
@@ -213,94 +182,131 @@ impl RebalanceOutcome {
     }
 }
 
-/// Run one elastic-membership cell: sustained writes while the scripted
-/// schedule joins and drains servers, then verified read-back of every
-/// acknowledged file.
-pub fn run_rebalance_scenario(case: &RebalanceCase) -> RebalanceOutcome {
-    run_rebalance_telemetry(case, false).0
+/// A closed file: path, payload seed, length.
+type Closed = (String, u64, u64);
+
+impl RebalanceCase {
+    /// Sustained writes while the scripted schedule joins and drains
+    /// servers, a verified read-back of every closed file after each
+    /// epoch, then of every acknowledged file at the end. The driver
+    /// paces itself on 100 ms (settle) and 250 ms (load) steps; the
+    /// runner looks every millisecond, so the run ends on the instant the
+    /// final read-back's step does.
+    pub fn run(&self, trace: bool) -> Outcome<RebalanceRun> {
+        let mut cfg = TestbedConfig {
+            compute_nodes: 4,
+            ..TestbedConfig::default()
+        };
+        cfg.bb.kv_servers = self.initial_servers;
+        cfg.bb.kv_replication = self.replication;
+        cfg.bb.rebalance_interval = dur::ms(100);
+        // ample KV memory: no eviction, so a definitive miss is always loss
+        cfg.bb.kv_mem_per_server = 1 << 30;
+        cfg.lustre = self.lustre;
+        let sc = Scenario {
+            kind: SystemKind::Bb(Scheme::AsyncLustre),
+            cfg,
+            seed: self.seed,
+            slice: dur::ms(1),
+            // well past every phase's own bound
+            deadline: dur::secs(900),
+            // no crash loses memory: an acknowledged chunk must never
+            // vanish from the tier
+            forbid_miss: true,
+            trace,
+            stem: format!("rebalance-r{}-seed{:x}", self.replication, self.seed),
+        };
+        let file_bytes = self.file_bytes;
+        scenario::run(
+            &sc,
+            |tb| {
+                let bb = Rc::clone(tb.bb.as_ref().expect("bb testbed"));
+                let client = bb.client(tb.nodes[0]);
+                let (plan, change_times) = self.plan(&bb);
+                let remaps = record_remaps(&tb.sim, &bb);
+                let rig = Rig {
+                    sim: tb.sim.clone(),
+                    bb,
+                    client: Rc::clone(&client),
+                    remaps,
+                };
+                (plan, client, (rig, change_times))
+            },
+            |(rig, change_times)| drive(rig, file_bytes, change_times),
+        )
+    }
+
+    /// The schedule as a fault plan over concrete nodes (standbys are
+    /// created first so `Add` can name them), and the distinct offsets at
+    /// which it changes membership.
+    fn plan(&self, bb: &BbDeployment) -> (FaultPlan, Vec<Duration>) {
+        let standbys: Vec<u32> = (0..self.standbys)
+            .map(|_| bb.standby_kv_server().node().0)
+            .collect();
+        let pool: Vec<u32> = bb
+            .kv_servers
+            .iter()
+            .map(|s| s.node().0)
+            .chain(standbys.iter().copied())
+            .collect();
+        let mut plan = FaultPlan::new(self.seed);
+        let mut change_times = Vec::new();
+        let mut next_add = standbys.iter();
+        for ch in &self.changes {
+            let event = match ch.op {
+                ChangeOp::Add => match next_add.next() {
+                    Some(&node) => FaultEvent::AddServer { node },
+                    None => continue,
+                },
+                ChangeOp::Drain(sel) => FaultEvent::DrainServer {
+                    node: pool[sel % pool.len()],
+                },
+            };
+            plan = plan.at(ch.at, event);
+            change_times.push(ch.at);
+        }
+        change_times.sort_unstable();
+        change_times.dedup();
+        (plan, change_times)
+    }
 }
 
-/// [`run_rebalance_scenario`] plus the cell telemetry capture (Chrome
-/// trace when `trace` is set).
-pub fn run_rebalance_telemetry(
-    case: &RebalanceCase,
-    trace: bool,
-) -> (RebalanceOutcome, CellTelemetry) {
-    let mut cfg = TestbedConfig {
-        compute_nodes: 4,
-        ..TestbedConfig::default()
-    };
-    cfg.bb.kv_servers = case.initial_servers;
-    cfg.bb.kv_replication = case.replication;
-    cfg.bb.rebalance_interval = dur::ms(100);
-    // ample KV memory: no eviction, so a definitive miss is always loss
-    cfg.bb.kv_mem_per_server = 1 << 30;
-    cfg.lustre = case.lustre;
-    let tb = Testbed::build(SystemKind::Bb(Scheme::AsyncLustre), cfg);
-    if trace {
-        tb.sim.tracer().enable();
-    }
-    let bb = Rc::clone(tb.bb.as_ref().expect("bb testbed"));
-    let client = bb.client(tb.nodes[0]);
-    let history = History::new();
-    history.attach(client.kv());
-    let sim = tb.sim.clone();
+/// What the elastic-membership driver works with.
+struct Rig {
+    sim: Sim,
+    bb: Rc<BbDeployment>,
+    client: Rc<BbClient>,
+    remaps: Rc<RefCell<Vec<RemapSample>>>,
+}
+
+/// The elastic-membership driver: the writer, the schedule's settle
+/// and verify sweeps, the migration wait, and the final read-back.
+async fn drive(
+    rig: Rig,
+    file_bytes: u64,
+    change_times: Vec<Duration>,
+) -> Result<RebalanceRun, String> {
+    let Rig {
+        sim,
+        bb,
+        client,
+        remaps,
+    } = rig;
     let t0 = sim.now();
-
-    // standby pool first: the fault plan needs concrete node ids
-    let standbys: Vec<_> = (0..case.standbys).map(|_| bb.standby_kv_server()).collect();
-    let pool_nodes: Vec<u32> = bb
-        .kv_servers
-        .iter()
-        .map(|s| s.node().0)
-        .chain(standbys.iter().map(|s| s.node().0))
-        .collect();
-
-    let mut plan = FaultPlan::new(case.seed);
-    let mut next_add = 0usize;
-    let mut change_times: Vec<Duration> = Vec::new();
-    for ch in &case.changes {
-        match ch.op {
-            ChangeOp::Add => {
-                if next_add < standbys.len() {
-                    plan = plan.at(
-                        ch.at,
-                        FaultEvent::AddServer {
-                            node: standbys[next_add].node().0,
-                        },
-                    );
-                    next_add += 1;
-                    change_times.push(ch.at);
-                }
-            }
-            ChangeOp::Drain(sel) => {
-                plan = plan.at(
-                    ch.at,
-                    FaultEvent::DrainServer {
-                        node: pool_nodes[sel % pool_nodes.len()],
-                    },
-                );
-                change_times.push(ch.at);
-            }
-        }
-    }
-    change_times.sort_unstable();
-    change_times.dedup();
-    tb.sim.install_faults(plan);
-
-    // --- sustained writer: files back-to-back until told to stop ---
     let payloads = PayloadPool::standard();
+    let slice = dur::ms(250);
+    // --- sustained writer: files back-to-back until told to stop ---
     let stop = Rc::new(Cell::new(false));
-    let acked = Rc::new(Cell::new(0u64));
-    let files: Rc<RefCell<Vec<(String, u64, u64)>>> = Rc::new(RefCell::new(Vec::new()));
-    let writer = {
-        let client = Rc::clone(&client);
-        let stop = Rc::clone(&stop);
-        let acked = Rc::clone(&acked);
-        let files = Rc::clone(&files);
-        let pool = payloads.clone();
-        let file_bytes = case.file_bytes;
-        sim.spawn(async move {
+    let files: Rc<RefCell<Vec<Closed>>> = Rc::default();
+    let mut sampler = WindowSampler::default();
+    let writer = sim.spawn({
+        let (client, stop, acked) = (
+            Rc::clone(&client),
+            Rc::clone(&stop),
+            Rc::clone(&sampler.acked),
+        );
+        let (files, pool) = (Rc::clone(&files), payloads.clone());
+        async move {
             let mut i = 0u64;
             while !stop.get() {
                 let path = format!("/ab8/f{i}");
@@ -323,246 +329,239 @@ pub fn run_rebalance_telemetry(
                 files.borrow_mut().push((path, seed, file_bytes));
                 i += 1;
             }
-        })
-    };
+        }
+    });
 
-    let slice = dur::ms(250);
-    let mut windows: Vec<u64> = Vec::new();
-    let mut sampler = WindowSampler {
-        acked: Rc::clone(&acked),
-        last: 0,
-    };
+    // through the schedule; after each change (and any others that
+    // fired while a verify sweep was running), settle the
+    // rebalancer and byte-verify every file closed so far
     let mut first_change_window: Option<usize> = None;
     let mut epoch_readback_bad = 0u64;
-
-    // Remap samples are recorded from a membership hook — it fires at the
-    // exact virtual instant each change applies (after the deployment's
-    // own hook updated the view), so the before/after rings are exact no
-    // matter how coarsely the driving loop steps. Measured over a fixed
-    // synthetic key sample: ketama movement is key-set independent, and a
-    // fixed sample keeps cells comparable.
-    let remaps_cell: Rc<RefCell<Vec<RemapSample>>> = Rc::new(RefCell::new(Vec::new()));
-    {
-        let sample: Vec<Vec<u8>> = (0..2048).map(|i| format!("s{i:04}").into_bytes()).collect();
-        let prev = RefCell::new((
-            bb.membership().ring_snapshot(),
-            bb.membership().active_len(),
-        ));
-        let view = Rc::downgrade(bb.membership());
-        let remaps = Rc::clone(&remaps_cell);
-        sim.faults().on_membership(move |_ev| {
-            let Some(view) = view.upgrade() else { return };
-            let (new_ring, new_active) = (view.ring_snapshot(), view.active_len());
-            let (old_ring, old_active) = prev.replace((new_ring.clone(), new_active));
-            if old_active == new_active {
-                return; // refused drain / redundant add: no epoch bump
-            }
-            let moved = sample
-                .iter()
-                .filter(|k| old_ring.route(k) != new_ring.route(k))
-                .count();
-            remaps.borrow_mut().push(RemapSample {
-                epoch: view.epoch(),
-                from_active: old_active,
-                to_active: new_active,
-                moved_frac: moved as f64 / sample.len() as f64,
-                ideal: old_active.abs_diff(new_active) as f64 / old_active.max(new_active) as f64,
-            });
-        });
-    }
-
-    // drive virtual time through the schedule; after each change (and any
-    // others that fired while a verify sweep was running), settle the
-    // rebalancer and byte-verify every file closed so far
     let mut swept_epoch = 0u64;
     for &ct in &change_times {
         let change_abs = t0 + ct + dur::ms(1);
         if first_change_window.is_none() && sim.now() < change_abs {
-            first_change_window = Some(windows.len().max(1));
+            first_change_window = Some(sampler.windows.len().max(1));
         }
         while sim.now() < change_abs {
-            step_to(&sim, (sim.now() + slice).min(change_abs));
-            sampler.sample(&mut windows);
+            sim.sleep_until((sim.now() + slice).min(change_abs)).await;
+            sampler.sample();
         }
         let epoch = bb.membership().epoch();
-        if case.verify_each_epoch && epoch > swept_epoch {
+        if epoch > swept_epoch {
             swept_epoch = epoch;
-            // clone out of the RefCell *before* stepping the sim: the
-            // writer task pushes into `files` while we verify
-            let closed: Vec<(String, u64, u64)> = files.borrow().clone();
-            epoch_readback_bad += settle_and_verify(
+            // clone out of the RefCell: the writer pushes into `files`
+            // while we verify
+            let closed = files.borrow().clone();
+            let settle_deadline = sim.now() + dur::secs(20);
+            while !settled(&bb) && sim.now() < settle_deadline {
+                sim.sleep(dur::ms(100)).await;
+                sampler.sample();
+            }
+            let sweep = verify(
                 &sim,
-                &bb,
                 &client,
                 &payloads,
-                &closed,
-                &mut sampler,
-                &mut windows,
+                closed,
+                false,
+                dur::secs(60),
+                Some(&mut sampler),
             );
+            epoch_readback_bad += sweep.await.unwrap_or(1);
         }
     }
 
-    // let the load run on briefly past the last change, then stop writing
-    let stop_at = change_times
-        .last()
-        .map(|&d| t0 + d + dur::secs(1))
-        .unwrap_or(t0 + dur::secs(1));
+    // let the load run on briefly past the last change, then stop
+    let last_change_abs = t0 + change_times.last().copied().unwrap_or_default();
+    let stop_at = last_change_abs + dur::secs(1);
     while sim.now() < stop_at {
-        step_to(&sim, (sim.now() + slice).min(stop_at));
-        sampler.sample(&mut windows);
+        sim.sleep_until((sim.now() + slice).min(stop_at)).await;
+        sampler.sample();
     }
     stop.set(true);
 
     // migration completion: backlog drained at the final epoch
-    let last_change_abs = change_times.last().map(|&d| t0 + d).unwrap_or(t0);
     let mig_deadline = sim.now() + dur::secs(60);
-    let mut migration_done = None;
-    loop {
-        if bb.manager.rebalance_backlog() == 0
-            && bb.manager.rebalance_epoch() == bb.membership().epoch()
-        {
-            migration_done = Some(sim.now() - last_change_abs);
-            break;
+    let migration_done = loop {
+        if settled(&bb) {
+            break Some(sim.now() - last_change_abs);
         }
         if sim.now() >= mig_deadline {
-            break;
+            break None;
         }
-        step_to(&sim, sim.now() + dur::ms(100));
-    }
+        sim.sleep(dur::ms(100)).await;
+    };
 
-    // writer drains its current file, then flush + final verified read-back
+    // writer drains its current file, then flush + final verified
+    // read-back
     let wdeadline = sim.now() + dur::secs(30);
     while !writer.is_finished() && sim.now() < wdeadline {
-        step_to(&sim, sim.now() + slice);
+        sim.sleep(slice).await;
     }
-    let all_files: Vec<(String, u64, u64)> = files.borrow().clone();
+    let all_files = files.borrow().clone();
     let files_total = all_files.len() as u64;
-    let fin = {
-        let client = Rc::clone(&client);
-        let pool = payloads.clone();
-        sim.spawn(async move {
-            let mut ok = 0u64;
-            for (path, seed, len) in all_files {
-                if client.wait_flushed(&path).await != Ok(FileState::Flushed) {
-                    continue;
-                }
-                if read_back_ok(&client, &pool, &path, seed, len).await {
-                    ok += 1;
-                }
-            }
-            ok
-        })
-    };
-    let fdeadline = sim.now() + dur::secs(120);
-    while !fin.is_finished() && sim.now() < fdeadline {
-        step_to(&sim, sim.now() + slice);
+    let fin = verify(
+        &sim,
+        &client,
+        &payloads,
+        all_files,
+        true,
+        dur::secs(120),
+        None,
+    )
+    .await;
+    if !writer.is_finished() {
+        return Err("the writer never stopped".into());
     }
-    let converged = writer.is_finished() && fin.is_finished();
-    let files_ok = fin.try_take().unwrap_or(0);
-
-    let cell = capture_cell(&tb.sim);
-    let snap = &cell.snapshot;
-    let verdict = history.check(Checker { forbid_miss: true });
-    let outcome = RebalanceOutcome {
-        converged,
+    let Some(files_bad) = fin else {
+        return Err("the final read-back never finished".into());
+    };
+    if files_total == 0 {
+        return Err("the writer acknowledged no files".into());
+    }
+    if files_bad > 0 || epoch_readback_bad > 0 {
+        return Err(format!(
+            "{files_bad} of {files_total} files failed the final read-back; \
+             {epoch_readback_bad} failed per-epoch sweeps"
+        ));
+    }
+    let remaps = remaps.borrow().clone();
+    Ok(RebalanceRun {
         epochs: bb.membership().epoch(),
-        remaps: remaps_cell.borrow().clone(),
-        moved: snap.counter("bb.rebalance.moved"),
-        moved_bytes: snap.counter("bb.rebalance.bytes"),
-        verify_fails: snap.counter("bb.rebalance.verify_fail"),
-        checksum_fails: snap.counter("bb.integrity.checksum_fail"),
-        chunks_lost: bb.manager.stats().chunks_lost,
+        remaps,
         migration_done,
         files_total,
-        files_ok,
-        epoch_readback_bad,
-        first_change_window: first_change_window.unwrap_or_else(|| windows.len().max(1)),
-        windows,
-        consistency_ok: verdict.ok(),
-        consistency_violations: verdict.violations,
-        metrics_json: snap.to_json(),
-        timeline: tb.sim.faults().timeline_text(),
-        end: sim.now(),
-    };
-    tb.shutdown();
-    (outcome, cell)
+        first_change_window: first_change_window.unwrap_or_else(|| sampler.windows.len().max(1)),
+        windows: sampler.windows,
+    })
 }
 
-/// Tracks acked-byte deltas between sampling points.
+/// The rebalancer has processed the current epoch and moved everything
+/// it remapped.
+fn settled(bb: &BbDeployment) -> bool {
+    bb.manager.rebalance_backlog() == 0 && bb.manager.rebalance_epoch() == bb.membership().epoch()
+}
+
+/// Record every epoch transition's ownership shift from a membership
+/// hook. It fires at the exact virtual instant each change applies
+/// (after the deployment's own hook updated the view), so the
+/// before/after rings are exact however the driver steps. Measured over
+/// a fixed synthetic key sample: ketama movement is key-set independent,
+/// and a fixed sample keeps cells comparable.
+fn record_remaps(sim: &Sim, bb: &Rc<BbDeployment>) -> Rc<RefCell<Vec<RemapSample>>> {
+    let remaps: Rc<RefCell<Vec<RemapSample>>> = Rc::default();
+    let sample: Vec<Vec<u8>> = (0..2048).map(|i| format!("s{i:04}").into_bytes()).collect();
+    let prev = RefCell::new((
+        bb.membership().ring_snapshot(),
+        bb.membership().active_len(),
+    ));
+    let view = Rc::downgrade(bb.membership());
+    let out = Rc::clone(&remaps);
+    sim.faults().on_membership(move |_ev| {
+        let Some(view) = view.upgrade() else { return };
+        let (new_ring, new_active) = (view.ring_snapshot(), view.active_len());
+        let (old_ring, old_active) = prev.replace((new_ring.clone(), new_active));
+        if old_active == new_active {
+            return; // refused drain / redundant add: no epoch bump
+        }
+        let moved = sample
+            .iter()
+            .filter(|k| old_ring.route(k) != new_ring.route(k))
+            .count();
+        out.borrow_mut().push(RemapSample {
+            epoch: view.epoch(),
+            from_active: old_active,
+            to_active: new_active,
+            moved_frac: moved as f64 / sample.len() as f64,
+            ideal: old_active.abs_diff(new_active) as f64 / old_active.max(new_active) as f64,
+        });
+    });
+    remaps
+}
+
+/// Acked-byte deltas between sampling points.
+#[derive(Default)]
 struct WindowSampler {
     acked: Rc<Cell<u64>>,
     last: u64,
+    windows: Vec<u64>,
 }
 
 impl WindowSampler {
-    fn sample(&mut self, windows: &mut Vec<u64>) {
+    fn sample(&mut self) {
         let a = self.acked.get();
-        windows.push(a - self.last);
+        self.windows.push(a - self.last);
         self.last = a;
     }
 }
 
-/// Wait for the rebalancer to drain at the current epoch, then byte-
-/// verify every file closed so far. Returns the mismatch count.
-#[allow(clippy::too_many_arguments)]
-fn settle_and_verify(
+/// Byte-verify `files` (each once it is `Flushed`, with `flushed_first`)
+/// in a task of its own while the driver steps 250 ms at a time,
+/// sampling the write windows when given a sampler. The number of files
+/// that failed; `None` when the sweep outlasts `deadline`.
+async fn verify(
     sim: &Sim,
-    bb: &Rc<bb_core::BbDeployment>,
-    client: &Rc<bb_core::BbClient>,
+    client: &Rc<BbClient>,
     pool: &PayloadPool,
-    files: &[(String, u64, u64)],
-    sampler: &mut WindowSampler,
-    windows: &mut Vec<u64>,
-) -> u64 {
-    let settle_deadline = sim.now() + dur::secs(20);
-    while (bb.manager.rebalance_backlog() > 0
-        || bb.manager.rebalance_epoch() != bb.membership().epoch())
-        && sim.now() < settle_deadline
-    {
-        step_to(sim, sim.now() + dur::ms(100));
-        sampler.sample(windows);
-    }
-    let snapshot: Vec<(String, u64, u64)> = files.to_vec();
-    let vclient = Rc::clone(client);
-    let vpool = pool.clone();
-    let task = sim.spawn(async move {
-        let mut bad = 0u64;
-        for (path, seed, len) in snapshot {
-            if !read_back_ok(&vclient, &vpool, &path, seed, len).await {
-                bad += 1;
+    files: Vec<Closed>,
+    flushed_first: bool,
+    deadline: Duration,
+    mut sampler: Option<&mut WindowSampler>,
+) -> Option<u64> {
+    let task = sim.spawn({
+        let (client, pool) = (Rc::clone(client), pool.clone());
+        async move {
+            let mut bad = 0u64;
+            for (path, seed, len) in files {
+                let durable =
+                    !flushed_first || client.wait_flushed(&path).await == Ok(FileState::Flushed);
+                if !(durable && read_back_ok(&client, &pool, &path, seed, len).await) {
+                    bad += 1;
+                }
             }
+            bad
         }
-        bad
     });
-    let vdeadline = sim.now() + dur::secs(60);
-    while !task.is_finished() && sim.now() < vdeadline {
-        step_to(sim, sim.now() + dur::ms(250));
-        sampler.sample(windows);
+    let deadline = sim.now() + deadline;
+    while !task.is_finished() && sim.now() < deadline {
+        sim.sleep(dur::ms(250)).await;
+        if let Some(s) = sampler.as_mut() {
+            s.sample();
+        }
     }
-    task.try_take().unwrap_or(1)
+    task.try_take()
 }
 
 /// AB8: scale the KV tier out and in under write load. The report
 /// carries the applied membership timeline (`repro AB8 --timeline`).
 pub fn ab8_elastic(quick: bool, trace: bool) -> ExpReport {
     let case = RebalanceCase::ab8(quick);
-    let (o, cell) = run_rebalance_telemetry(&case, trace);
+    let o = case.run(trace);
+    let (moved, verify_fails, checksum_fails) = (
+        o.counter("bb.rebalance.moved"),
+        o.counter("bb.rebalance.verify_fail"),
+        o.counter("bb.integrity.checksum_fail"),
+    );
 
     let mut t = Table::new(
         "AB8: elastic membership — scale-out and scale-in under write load",
         &["stage", "result"],
     );
+    let Some(run) = &o.result else {
+        t.row(vec!["run".into(), format!("{:?}", o.ending)]);
+        return ExpReport::new("AB8", t, false, Some(o.cell)).with_timeline(o.timeline);
+    };
     t.row(vec![
         "load".into(),
         format!(
             "{} files x {} MiB acked (r={}), {} epochs applied",
-            o.files_total,
+            run.files_total,
             case.file_bytes >> 20,
             case.replication,
-            o.epochs
+            run.epochs
         ),
     ]);
-    for r in &o.remaps {
+    for r in &run.remaps {
         t.row(vec![
             format!(
                 "epoch {} ({}→{} servers)",
@@ -579,11 +578,9 @@ pub fn ab8_elastic(quick: bool, trace: bool) -> ExpReport {
     t.row(vec![
         "migration".into(),
         format!(
-            "{} chunks / {:.1} MiB moved, {} verify failures{}",
-            o.moved,
-            o.moved_bytes as f64 / (1 << 20) as f64,
-            o.verify_fails,
-            match o.migration_done {
+            "{moved} chunks / {:.1} MiB moved, {verify_fails} verify failures{}",
+            o.counter("bb.rebalance.bytes") as f64 / (1 << 20) as f64,
+            match run.migration_done {
                 Some(d) => format!(", drained {:.2}s after last change", d.as_secs_f64()),
                 None => ", DID NOT DRAIN within 60s".into(),
             }
@@ -591,7 +588,7 @@ pub fn ab8_elastic(quick: bool, trace: bool) -> ExpReport {
     ]);
     t.row(vec![
         "throughput dip".into(),
-        match o.throughput_dip() {
+        match run.throughput_dip() {
             Some(d) => format!("{:.0}% below pre-churn median at worst", d * 100.0),
             None => "n/a".into(),
         },
@@ -599,33 +596,19 @@ pub fn ab8_elastic(quick: bool, trace: bool) -> ExpReport {
     t.row(vec![
         "read-back".into(),
         format!(
-            "{}/{} files byte-correct at end; {} per-epoch sweep failures; {} checksum fails",
-            o.files_ok, o.files_total, o.epoch_readback_bad, o.checksum_fails
+            "{n}/{n} files byte-correct at end; 0 per-epoch sweep failures; {checksum_fails} checksum fails",
+            n = run.files_total
         ),
     ]);
-    t.row(vec![
-        "consistency".into(),
-        if o.consistency_ok {
-            "KV history sequentially explainable (misses forbidden)".into()
-        } else {
-            format!("{} violations", o.consistency_violations.len())
-        },
-    ]);
+    t.row(consistency_row(&o.consistency));
     t.note(
         "remap fraction per transition must track the consistent-hashing ideal k/n (within 1.5x)",
     );
     t.note("pinned unflushed chunks migrate first; old copies are deleted only after CRC-verified read-back");
 
-    let shape = o.converged
-        && o.epochs == 6
-        && o.remap_within(1.5)
-        && o.migration_done.is_some()
-        && o.files_total > 0
-        && o.files_ok == o.files_total
-        && o.epoch_readback_bad == 0
-        && o.verify_fails == 0
-        && o.checksum_fails == 0
-        && o.chunks_lost == 0
-        && o.consistency_ok;
-    ExpReport::new("AB8", t, shape, Some(cell)).with_timeline(o.timeline)
+    let shape = o.violations().is_empty()
+        && run.epochs == 6
+        && run.remap_within(1.5)
+        && run.migration_done.is_some();
+    ExpReport::new("AB8", t, shape, Some(o.cell)).with_timeline(o.timeline)
 }

@@ -11,6 +11,7 @@
 
 pub mod consistency;
 pub mod experiments;
+pub mod scenario;
 pub mod table;
 pub mod telemetry;
 

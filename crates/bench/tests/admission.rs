@@ -10,7 +10,7 @@
 //!   even register `bb.admit.*` metrics: off means byte-identical to
 //!   the seed telemetry stream, not merely zero-valued counters.
 
-use bench::experiments::admission::{ab12_admission, run_admission_cell};
+use bench::experiments::admission::{ab12_admission, admission_cell};
 
 #[test]
 fn ab12_admission_beats_always_admit_on_p99_and_runtime() {
@@ -24,31 +24,29 @@ fn ab12_admission_beats_always_admit_on_p99_and_runtime() {
 
 #[test]
 fn admission_cell_is_deterministic_across_replays() {
-    let a = run_admission_cell(true, true, false);
-    let b = run_admission_cell(true, true, false);
-    assert_eq!(a.end_ns, b.end_ns, "virtual end time must replay exactly");
-    assert_eq!(a.burst_p50, b.burst_p50);
-    assert_eq!(a.burst_p99, b.burst_p99);
-    assert_eq!(a.stream_detected, b.stream_detected);
-    assert_eq!(a.writethrough_chunks, b.writethrough_chunks);
-    assert_eq!(a.window_resets, b.window_resets);
-    assert_eq!(a.quorum_acks, b.quorum_acks);
+    let (a, b) = (admission_cell(true, true), admission_cell(true, true));
+    a.assert_clean("admission on");
     assert_eq!(
-        a.metrics_json, b.metrics_json,
-        "same-seed cells must produce byte-identical metric snapshots"
+        a.replay_diff(&b),
+        Ok(()),
+        "same-seed cells must end at the same instant with byte-identical snapshots"
     );
+    let (ra, rb) = (a.result.unwrap(), b.result.unwrap());
+    assert_eq!(ra.end_ns, rb.end_ns, "virtual end time must replay exactly");
+    assert_eq!(ra.burst_lats, rb.burst_lats);
 }
 
 #[test]
 fn always_admit_cell_registers_no_classifier_metrics() {
-    let off = run_admission_cell(true, false, false);
-    assert_eq!(off.stream_detected, 0);
-    assert_eq!(off.writethrough_chunks, 0);
-    assert_eq!(off.window_resets, 0);
+    let off = admission_cell(true, false);
+    let run = off.assert_clean("always admit");
     assert!(
-        !off.metrics_json.contains("bb.admit."),
+        !off.cell
+            .snapshot
+            .names()
+            .any(|n| n.starts_with("bb.admit.")),
         "classifier-off cell leaked bb.admit.* into the registry"
     );
     // all four files still flush — always-admit is slower, not lossy
-    assert_eq!(off.flushed_files, 4);
+    assert_eq!(run.flushed_files, 4);
 }

@@ -3,23 +3,23 @@
 //! only where the scheme's contract allows it, and behave exactly the
 //! same on every same-seed run.
 //!
-//! Invariants per combination:
+//! Every cell is judged by the scenario runner's oracle
+//! (`Outcome::assert_clean`), then by its own asserts:
 //! * **no hang** — the workload driver finishes before the deadline;
-//! * **sync = zero loss** — BB-Sync never loses a chunk and serves every
-//!   read, whatever the fault;
-//! * **r ≥ 2 closes the window** — replicated cells lose nothing across
-//!   a single-server crash;
-//! * **async loss is bounded and accounted** — a failed read implies
-//!   `chunks_lost > 0` (never silent);
+//! * **async loss is bounded and accounted** — a failed read with no
+//!   chunk accounted lost fails the driver (loss is never silent);
+//! * **sync = zero loss, r ≥ 2 closes the window** — acked loss fits the
+//!   ack mode's contract for the crashes the cell injected;
 //! * **link faults lose nothing** — flaps and 1 % transfer loss are
 //!   absorbed by retry/backoff.
 
 use bb_core::{AckMode, Scheme};
-use bench::experiments::faults::{run_fault_scenario, FaultCase, FaultOutcome, FaultScenario};
+use bench::experiments::faults::{FaultCase, FaultRun, FaultScenario};
+use bench::scenario::{Ending, Outcome};
 use proptest::prelude::*;
 
-fn run(scheme: Scheme, scenario: FaultScenario, replication: usize) -> FaultOutcome {
-    run_fault_scenario(FaultCase::quick(scheme, scenario, replication))
+fn run(scheme: Scheme, scenario: FaultScenario, replication: usize) -> Outcome<FaultRun> {
+    FaultCase::quick(scheme, scenario, replication).run(false)
 }
 
 /// Transfer-corruption cells pin a seed whose 1 % draws hit at least one
@@ -32,31 +32,12 @@ fn run_seeded(
     scenario: FaultScenario,
     replication: usize,
     seed: u64,
-) -> FaultOutcome {
-    run_fault_scenario(FaultCase {
+) -> Outcome<FaultRun> {
+    FaultCase {
         seed,
         ..FaultCase::quick(scheme, scenario, replication)
-    })
-}
-
-/// Matrix floor shared by every cell: the driver converged and the
-/// accounting is consistent.
-fn baseline(o: &FaultOutcome, label: &str) {
-    assert!(o.converged, "{label}: workload hung past the deadline");
-    assert!(
-        o.reads_ok <= o.reads_total,
-        "{label}: read accounting corrupt"
-    );
-    assert!(
-        o.reads_failed() == 0 || o.chunks_lost > 0,
-        "{label}: {} reads failed but no chunk was accounted lost",
-        o.reads_failed()
-    );
-    assert!(
-        o.consistency_ok,
-        "{label}: KV history not sequentially explainable: {:?}",
-        o.consistency_violations
-    );
+    }
+    .run(false)
 }
 
 // --- {A, B, C} × crash-one-server -----------------------------------
@@ -64,28 +45,28 @@ fn baseline(o: &FaultOutcome, label: &str) {
 #[test]
 fn matrix_async_crash_one() {
     let o = run(Scheme::AsyncLustre, FaultScenario::CrashOne, 1);
-    baseline(&o, "async/crash-one");
-    assert_eq!(o.crashes, 1, "exactly one server crash event");
+    let r = o.assert_clean("async/crash-one");
+    assert_eq!(o.per_server("crashes"), 1, "exactly one server crash event");
     // the crash mid-write with a deep flush queue must exhibit the
     // paper's async fault window — and account for it
-    assert!(o.chunks_lost > 0, "fault window never opened");
-    assert!(o.chunks_lost < o.chunks_total, "lost more than the window");
+    let lost = o.counter("bb.mgr.chunks_lost");
+    assert!(lost > 0, "fault window never opened");
+    assert!(lost < r.chunks, "lost more than the window");
 }
 
 #[test]
 fn matrix_sync_crash_one() {
     let o = run(Scheme::SyncLustre, FaultScenario::CrashOne, 1);
-    baseline(&o, "sync/crash-one");
-    assert_eq!(o.chunks_lost, 0, "write-through must not lose chunks");
-    assert!(o.data_intact(), "sync reads must all be served");
+    let r = o.assert_clean("sync/crash-one");
+    assert!(r.data_intact(), "sync reads must all be served");
 }
 
 #[test]
 fn matrix_hybrid_crash_one() {
     let o = run(Scheme::HybridLocality, FaultScenario::CrashOne, 1);
-    baseline(&o, "hybrid/crash-one");
+    let r = o.assert_clean("hybrid/crash-one");
     // the node-local replica covers every read even when buffer chunks died
-    assert!(o.data_intact(), "local replica must cover all reads");
+    assert!(r.data_intact(), "local replica must cover all reads");
 }
 
 // --- {A, B, C} × crash-then-restart ---------------------------------
@@ -93,11 +74,11 @@ fn matrix_hybrid_crash_one() {
 #[test]
 fn matrix_async_crash_restart() {
     let o = run(Scheme::AsyncLustre, FaultScenario::CrashRestart, 1);
-    baseline(&o, "async/crash-restart");
-    assert_eq!(o.crashes, 1);
+    let r = o.assert_clean("async/crash-restart");
+    assert_eq!(o.per_server("crashes"), 1);
     // the restarted server is empty: its unflushed chunks are the loss
     // window, and recovery completes in bounded virtual time
-    let rec = o.recovery.expect("converged run reports recovery time");
+    let rec = r.recovery.expect("converged run reports recovery time");
     assert!(
         rec.as_secs_f64() < 60.0,
         "recovery took {rec:?} — not bounded"
@@ -107,16 +88,15 @@ fn matrix_async_crash_restart() {
 #[test]
 fn matrix_sync_crash_restart() {
     let o = run(Scheme::SyncLustre, FaultScenario::CrashRestart, 1);
-    baseline(&o, "sync/crash-restart");
-    assert_eq!(o.chunks_lost, 0);
-    assert!(o.data_intact());
+    let r = o.assert_clean("sync/crash-restart");
+    assert!(r.data_intact());
 }
 
 #[test]
 fn matrix_hybrid_crash_restart() {
     let o = run(Scheme::HybridLocality, FaultScenario::CrashRestart, 1);
-    baseline(&o, "hybrid/crash-restart");
-    assert!(o.data_intact());
+    let r = o.assert_clean("hybrid/crash-restart");
+    assert!(r.data_intact());
 }
 
 // --- {A, B, C} × link flap ------------------------------------------
@@ -124,26 +104,28 @@ fn matrix_hybrid_crash_restart() {
 #[test]
 fn matrix_async_link_flap() {
     let o = run(Scheme::AsyncLustre, FaultScenario::LinkFlap, 1);
-    baseline(&o, "async/link-flap");
+    let r = o.assert_clean("async/link-flap");
     // a flap loses no state: buffer contents survive, so every read is
     // served even if some flush attempts had to wait out a down window
-    assert!(o.data_intact(), "link flap must not lose data");
-    assert!(o.retry_attempts > 0, "flap must exercise the retry path");
+    assert!(r.data_intact(), "link flap must not lose data");
+    assert!(
+        o.counter("kv.retry.attempts") > 0,
+        "flap must exercise the retry path"
+    );
 }
 
 #[test]
 fn matrix_sync_link_flap() {
     let o = run(Scheme::SyncLustre, FaultScenario::LinkFlap, 1);
-    baseline(&o, "sync/link-flap");
-    assert_eq!(o.chunks_lost, 0);
-    assert!(o.data_intact());
+    let r = o.assert_clean("sync/link-flap");
+    assert!(r.data_intact());
 }
 
 #[test]
 fn matrix_hybrid_link_flap() {
     let o = run(Scheme::HybridLocality, FaultScenario::LinkFlap, 1);
-    baseline(&o, "hybrid/link-flap");
-    assert!(o.data_intact());
+    let r = o.assert_clean("hybrid/link-flap");
+    assert!(r.data_intact());
 }
 
 // --- {A, B, C} × 1% transfer loss -----------------------------------
@@ -151,73 +133,89 @@ fn matrix_hybrid_link_flap() {
 #[test]
 fn matrix_async_rpc_loss() {
     let o = run(Scheme::AsyncLustre, FaultScenario::RpcLoss, 1);
-    baseline(&o, "async/rpc-loss");
-    assert_eq!(o.chunks_lost, 0, "1% loss must be absorbed by retries");
-    assert!(o.data_intact());
+    let r = o.assert_clean("async/rpc-loss");
+    assert!(r.data_intact());
 }
 
 #[test]
 fn matrix_sync_rpc_loss() {
     let o = run(Scheme::SyncLustre, FaultScenario::RpcLoss, 1);
-    baseline(&o, "sync/rpc-loss");
-    assert_eq!(o.chunks_lost, 0);
-    assert!(o.data_intact());
+    let r = o.assert_clean("sync/rpc-loss");
+    assert!(r.data_intact());
 }
 
 #[test]
 fn matrix_hybrid_rpc_loss() {
     let o = run(Scheme::HybridLocality, FaultScenario::RpcLoss, 1);
-    baseline(&o, "hybrid/rpc-loss");
-    assert_eq!(o.chunks_lost, 0);
-    assert!(o.data_intact());
+    let r = o.assert_clean("hybrid/rpc-loss");
+    assert!(r.data_intact());
 }
 
 // --- {A, B, C} × 1% at-rest value corruption ------------------------
 //
 // The end-to-end integrity contract: a completed read NEVER returns
 // wrong bytes. Corruption is either repaired (replica/Lustre), routed
-// around, or surfaces as accounted loss — `baseline` enforces the
+// around, or surfaces as accounted loss — the oracle enforces the
 // never-silent half, the per-cell asserts the detection half.
 
 #[test]
 fn matrix_async_corrupt_values() {
     let o = run(Scheme::AsyncLustre, FaultScenario::CorruptValues, 1);
-    baseline(&o, "async/corrupt-values");
-    assert!(o.corrupted_values > 0, "no sweep damaged a value");
-    assert!(o.checksum_fails > 0, "corruption was never detected");
+    o.assert_clean("async/corrupt-values");
+    assert!(o.per_server("corrupted") > 0, "no sweep damaged a value");
+    assert!(
+        o.counter("bb.integrity.checksum_fail") > 0,
+        "corruption was never detected"
+    );
 }
 
 #[test]
 fn matrix_sync_corrupt_values() {
     let o = run(Scheme::SyncLustre, FaultScenario::CorruptValues, 1);
-    baseline(&o, "sync/corrupt-values");
-    assert!(o.corrupted_values > 0, "no sweep damaged a value");
-    assert!(o.checksum_fails > 0, "corruption was never detected");
+    let r = o.assert_clean("sync/corrupt-values");
+    assert!(o.per_server("corrupted") > 0, "no sweep damaged a value");
+    assert!(
+        o.counter("bb.integrity.checksum_fail") > 0,
+        "corruption was never detected"
+    );
     // every byte is in Lustre before close: reads verify and fall back
-    assert_eq!(o.chunks_lost, 0);
-    assert!(o.data_intact(), "sync must serve correct bytes regardless");
+    assert!(r.data_intact(), "sync must serve correct bytes regardless");
 }
 
 #[test]
 fn matrix_hybrid_corrupt_values() {
     let o = run(Scheme::HybridLocality, FaultScenario::CorruptValues, 1);
-    baseline(&o, "hybrid/corrupt-values");
-    assert!(o.corrupted_values > 0, "no sweep damaged a value");
-    assert!(o.checksum_fails > 0, "corruption was never detected");
-    assert!(o.data_intact(), "local replica must cover corrupted chunks");
+    let r = o.assert_clean("hybrid/corrupt-values");
+    assert!(o.per_server("corrupted") > 0, "no sweep damaged a value");
+    assert!(
+        o.counter("bb.integrity.checksum_fail") > 0,
+        "corruption was never detected"
+    );
+    assert!(r.data_intact(), "local replica must cover corrupted chunks");
 }
 
 #[test]
 fn corrupt_values_with_replication_repair_to_zero() {
     let o = run(Scheme::AsyncLustre, FaultScenario::CorruptValues, 2);
-    baseline(&o, "async-r2/corrupt-values");
-    assert!(o.corrupted_values > 0, "no sweep damaged a value");
-    assert!(o.checksum_fails > 0, "corruption was never detected");
-    assert_eq!(o.chunks_lost, 0, "a good replica always survives p=1%");
-    assert!(o.data_intact());
-    assert!(o.scrub_repaired > 0, "scrubber never repaired a bad copy");
+    let r = o.assert_clean("async-r2/corrupt-values");
+    assert!(o.per_server("corrupted") > 0, "no sweep damaged a value");
+    assert!(
+        o.counter("bb.integrity.checksum_fail") > 0,
+        "corruption was never detected"
+    );
     assert_eq!(
-        o.scrub_unrepairable, 0,
+        o.counter("bb.mgr.chunks_lost"),
+        0,
+        "a good replica always survives p=1%"
+    );
+    assert!(r.data_intact());
+    assert!(
+        o.counter("bb.scrub.repaired") > 0,
+        "scrubber never repaired a bad copy"
+    );
+    assert_eq!(
+        o.counter("bb.scrub.unrepairable"),
+        0,
         "r=2 must leave nothing unrepairable"
     );
 }
@@ -227,19 +225,17 @@ fn corrupt_values_with_replication_repair_to_zero() {
 #[test]
 fn matrix_async_corrupt_transfers() {
     let o = run_seeded(Scheme::AsyncLustre, FaultScenario::CorruptTransfers, 1, 0x3);
-    baseline(&o, "async/corrupt-transfers");
-    assert!(o.corrupted_transfers > 0, "no transfer was corrupted");
-    assert_eq!(o.chunks_lost, 0, "in-flight corruption must be retried");
-    assert!(o.data_intact(), "every read must be byte-correct");
+    let r = o.assert_clean("async/corrupt-transfers");
+    assert!(o.counter("rdma.corrupted") > 0, "no transfer was corrupted");
+    assert!(r.data_intact(), "every read must be byte-correct");
 }
 
 #[test]
 fn matrix_sync_corrupt_transfers() {
     let o = run_seeded(Scheme::SyncLustre, FaultScenario::CorruptTransfers, 1, 0x3);
-    baseline(&o, "sync/corrupt-transfers");
-    assert!(o.corrupted_transfers > 0, "no transfer was corrupted");
-    assert_eq!(o.chunks_lost, 0);
-    assert!(o.data_intact());
+    let r = o.assert_clean("sync/corrupt-transfers");
+    assert!(o.counter("rdma.corrupted") > 0, "no transfer was corrupted");
+    assert!(r.data_intact());
 }
 
 #[test]
@@ -250,10 +246,9 @@ fn matrix_hybrid_corrupt_transfers() {
         1,
         0x3,
     );
-    baseline(&o, "hybrid/corrupt-transfers");
-    assert!(o.corrupted_transfers > 0, "no transfer was corrupted");
-    assert_eq!(o.chunks_lost, 0);
-    assert!(o.data_intact());
+    let r = o.assert_clean("hybrid/corrupt-transfers");
+    assert!(o.counter("rdma.corrupted") > 0, "no transfer was corrupted");
+    assert!(r.data_intact());
 }
 
 // --- replication closes the async window ----------------------------
@@ -261,18 +256,19 @@ fn matrix_hybrid_corrupt_transfers() {
 #[test]
 fn replication_survives_crash_without_loss() {
     let o = run(Scheme::AsyncLustre, FaultScenario::CrashOne, 2);
-    baseline(&o, "async-r2/crash-one");
-    assert_eq!(o.chunks_lost, 0, "r=2 must close the fault window");
-    assert!(o.data_intact());
-    assert!(o.failover_reads > 0, "reads must have failed over");
+    let r = o.assert_clean("async-r2/crash-one");
+    assert!(r.data_intact());
+    assert!(
+        o.counter("kv.failover.reads") > 0,
+        "reads must have failed over"
+    );
 }
 
 #[test]
 fn replication_survives_crash_restart_without_loss() {
     let o = run(Scheme::AsyncLustre, FaultScenario::CrashRestart, 2);
-    baseline(&o, "async-r2/crash-restart");
-    assert_eq!(o.chunks_lost, 0);
-    assert!(o.data_intact());
+    let r = o.assert_clean("async-r2/crash-restart");
+    assert!(r.data_intact());
 }
 
 // --- durability ack modes: the loss-window contracts ------------------
@@ -280,7 +276,7 @@ fn replication_survives_crash_restart_without_loss() {
 // `CrashAsyncReplica` stretches the async-replication window (the
 // writer's transfers to every non-victim server are delay-held) and then
 // crashes the server holding the only quorum copy. Each ack mode's
-// contract bounds what that crash may cost:
+// contract bounds what that crash may cost (the oracle's loss budget):
 // * `full_r` — every ack waited for all replicas: zero acked loss;
 // * `local_plus_one` — every ack has a second copy: one crash is free;
 // * `local_only` — acked chunks may live on the victim alone, but never
@@ -291,22 +287,26 @@ fn run_acked(
     replication: usize,
     ack_mode: AckMode,
     ack_ahead: usize,
-) -> FaultOutcome {
-    run_fault_scenario(FaultCase {
+) -> Outcome<FaultRun> {
+    FaultCase {
         ack_mode,
         ack_ahead,
         ..FaultCase::quick(Scheme::AsyncLustre, scenario, replication)
-    })
+    }
+    .run(false)
 }
 
 #[test]
 fn ack_full_r_has_zero_acked_loss_across_replica_crash() {
     let o = run_acked(FaultScenario::CrashAsyncReplica, 2, AckMode::FullR, 8);
-    baseline(&o, "ack-full-r/crash-async-replica");
-    assert_eq!(o.chunks_lost, 0, "full_r acked chunks must all survive");
-    assert!(o.data_intact(), "every read must be served");
+    let r = o.assert_clean("ack-full-r/crash-async-replica");
+    assert!(r.data_intact(), "every read must be served");
     // the seed path never registers the relaxed-ack counters
-    assert_eq!(o.ack_quorum_acks, 0, "full_r must ride the seed ack path");
+    assert_eq!(
+        o.counter("bb.ack.quorum_acks"),
+        0,
+        "full_r must ride the seed ack path"
+    );
 }
 
 #[test]
@@ -317,13 +317,12 @@ fn ack_local_plus_one_survives_one_crash() {
         AckMode::LocalPlusOne,
         8,
     );
-    baseline(&o, "ack-local-plus-one/crash-async-replica");
-    assert!(o.ack_quorum_acks > 0, "relaxed quorum path never exercised");
-    assert_eq!(
-        o.chunks_lost, 0,
-        "every ack carried a second copy — one crash must be free"
+    let r = o.assert_clean("ack-local-plus-one/crash-async-replica");
+    assert!(
+        o.counter("bb.ack.quorum_acks") > 0,
+        "relaxed quorum path never exercised"
     );
-    assert!(o.data_intact(), "every read must be served");
+    assert!(r.data_intact(), "every read must be served");
 }
 
 #[test]
@@ -335,17 +334,20 @@ fn ack_local_only_loss_is_bounded_by_ack_ahead_window() {
         AckMode::LocalOnly,
         ahead,
     );
-    baseline(&o, "ack-local-only/crash-async-replica");
-    assert!(o.ack_quorum_acks > 0, "relaxed quorum path never exercised");
+    o.assert_clean("ack-local-only/crash-async-replica");
     assert!(
-        o.chunks_lost > 0,
+        o.counter("bb.ack.quorum_acks") > 0,
+        "relaxed quorum path never exercised"
+    );
+    let lost = o.counter("bb.mgr.chunks_lost");
+    assert!(
+        lost > 0,
         "the single-copy ack window never opened — the cell proves nothing"
     );
     assert!(
-        o.chunks_lost <= ahead as u64,
-        "{} chunks lost but the ack-ahead window admits only {ahead} \
-         acked-under-replicated chunks at once",
-        o.chunks_lost
+        lost <= ahead as u64,
+        "{lost} chunks lost but the ack-ahead window admits only {ahead} \
+         acked-under-replicated chunks at once"
     );
 }
 
@@ -355,10 +357,13 @@ fn ack_downgrade_is_loud_when_a_replica_target_is_down() {
     // the dead victim exhaust their retries — that must surface as the
     // `bb.ack.downgrade` counter (and flight event), never silently
     let o = run_acked(FaultScenario::CrashOne, 2, AckMode::LocalOnly, 8);
-    baseline(&o, "ack-local-only/crash-one");
-    assert!(o.ack_quorum_acks > 0, "relaxed quorum path never exercised");
+    o.assert_clean("ack-local-only/crash-one");
     assert!(
-        o.ack_downgrades > 0,
+        o.counter("bb.ack.quorum_acks") > 0,
+        "relaxed quorum path never exercised"
+    );
+    assert!(
+        o.counter("bb.ack.downgrade") > 0,
         "tails to the crashed server must be accounted as downgrades"
     );
 }
@@ -378,13 +383,9 @@ proptest! {
             seed,
             ..FaultCase::quick(Scheme::AsyncLustre, FaultScenario::RpcLoss, 1)
         };
-        let a = run_fault_scenario(case);
-        let b = run_fault_scenario(case);
-        prop_assert!(a.converged && b.converged);
-        prop_assert_eq!(&a.metrics_json, &b.metrics_json, "metrics diverged for seed {}", seed);
-        prop_assert_eq!(&a.timeline, &b.timeline);
-        prop_assert_eq!(a.end, b.end);
-        prop_assert_eq!(a.dropped_transfers, b.dropped_transfers);
+        let (a, b) = (case.run(false), case.run(false));
+        prop_assert_eq!(&a.ending, &Ending::Finished);
+        prop_assert_eq!(a.replay_diff(&b), Ok(()));
     }
 
     /// `CorruptValue` expansion is a pure function of the plan seed: the
@@ -396,15 +397,9 @@ proptest! {
             seed,
             ..FaultCase::quick(Scheme::AsyncLustre, FaultScenario::CorruptValues, 2)
         };
-        let a = run_fault_scenario(case);
-        let b = run_fault_scenario(case);
-        prop_assert!(a.converged && b.converged);
-        prop_assert_eq!(a.corrupted_values, b.corrupted_values);
-        prop_assert_eq!(a.checksum_fails, b.checksum_fails);
-        prop_assert_eq!(a.scrub_repaired, b.scrub_repaired);
-        prop_assert_eq!(&a.metrics_json, &b.metrics_json, "metrics diverged for seed {}", seed);
-        prop_assert_eq!(&a.timeline, &b.timeline);
-        prop_assert_eq!(a.end, b.end);
+        let (a, b) = (case.run(false), case.run(false));
+        prop_assert_eq!(&a.ending, &Ending::Finished);
+        prop_assert_eq!(a.replay_diff(&b), Ok(()));
     }
 
     /// A deliberately impossible convergence deadline forces the
@@ -419,9 +414,8 @@ proptest! {
             deadline_secs: 1,
             ..FaultCase::quick(Scheme::AsyncLustre, FaultScenario::CrashOne, 1)
         };
-        let a = run_fault_scenario(case);
-        let b = run_fault_scenario(case);
-        prop_assert!(!a.converged, "1 s deadline cannot cover flush + read-back");
+        let (a, b) = (case.run(false), case.run(false));
+        prop_assert_eq!(&a.ending, &Ending::Hung, "1 s deadline cannot cover flush + read-back");
         prop_assert!(
             !a.flight_dumps.is_empty(),
             "forced failure produced no flight-recorder dump"
@@ -432,7 +426,7 @@ proptest! {
             a.flight_dumps[0].contains("faultplan"),
             "dump must carry the applied-fault ring"
         );
-        prop_assert_eq!(&a.flight_dumps, &b.flight_dumps, "dumps diverged for seed {}", seed);
+        prop_assert_eq!(a.replay_diff(&b), Ok(()));
     }
 
     /// The relaxed-ack loss window replays identically: which chunks were
@@ -447,15 +441,9 @@ proptest! {
             ack_ahead: 4,
             ..FaultCase::quick(Scheme::AsyncLustre, FaultScenario::CrashAsyncReplica, 2)
         };
-        let a = run_fault_scenario(case);
-        let b = run_fault_scenario(case);
-        prop_assert!(a.converged && b.converged);
-        prop_assert_eq!(a.chunks_lost, b.chunks_lost);
-        prop_assert_eq!(a.ack_quorum_acks, b.ack_quorum_acks);
-        prop_assert_eq!(a.ack_downgrades, b.ack_downgrades);
-        prop_assert_eq!(&a.metrics_json, &b.metrics_json, "metrics diverged for seed {}", seed);
-        prop_assert_eq!(&a.timeline, &b.timeline);
-        prop_assert_eq!(a.end, b.end);
+        let (a, b) = (case.run(false), case.run(false));
+        prop_assert_eq!(&a.ending, &Ending::Finished);
+        prop_assert_eq!(a.replay_diff(&b), Ok(()));
     }
 
     /// The full crash/restart lifecycle replays identically: recovery
@@ -466,13 +454,10 @@ proptest! {
             seed,
             ..FaultCase::quick(Scheme::AsyncLustre, FaultScenario::CrashRestart, 1)
         };
-        let a = run_fault_scenario(case);
-        let b = run_fault_scenario(case);
-        prop_assert!(a.converged && b.converged);
-        prop_assert_eq!(&a.timeline, &b.timeline);
-        prop_assert_eq!(a.chunks_lost, b.chunks_lost);
-        prop_assert_eq!(a.reads_ok, b.reads_ok);
-        prop_assert_eq!(a.recovery, b.recovery);
-        prop_assert_eq!(&a.metrics_json, &b.metrics_json);
+        let (a, b) = (case.run(false), case.run(false));
+        prop_assert_eq!(&a.ending, &Ending::Finished);
+        prop_assert_eq!(a.replay_diff(&b), Ok(()));
+        let (ra, rb) = (a.result.unwrap(), b.result.unwrap());
+        prop_assert_eq!((ra.reads_ok, ra.recovery), (rb.reads_ok, rb.recovery));
     }
 }

@@ -6,10 +6,12 @@
 //! crash/flap/drain faults during active placement moves leave the
 //! migrating-set guard intact.
 //!
-//! Invariants per cell:
+//! Invariants per cell, on top of the scenario runner's oracle
+//! (`Outcome::assert_clean`: the driver finished, zero acked loss, zero
+//! checksum, migration-verify and unrepairable-scrub failures, the KV
+//! history explainable, the placement queue drained):
 //! * **no loss** — every acknowledged file reads back byte-identical at
-//!   end of run; zero chunks lost, zero checksum failures, zero failed
-//!   migration read-backs;
+//!   end of run (the driver fails otherwise);
 //! * **cost monotone** — the layout cost under the cell's fixed access
 //!   weights never increases across settled optimizer rounds;
 //! * **determinism** — the same case reproduces the exact metrics
@@ -18,42 +20,14 @@
 //!   interval, no `bb.place.*` metric name is even registered and no
 //!   routing override is installed.
 
-use bench::experiments::placement::{
-    run_placement_property, run_placement_scenario, PlaceFault, PlacementCase, PlacementPropCase,
-    PlacementPropOutcome,
-};
+use bench::experiments::placement::{PlaceFault, PlacementCase, PlacementPropCase, ROUNDS};
+use bench::scenario::{Ending, Outcome};
 use proptest::prelude::*;
 
-/// Invariant floor shared by every cell: converged, nothing lost,
-/// nothing corrupted, the placement queue drained, and the KV history
-/// sequentially explainable.
-fn no_loss(o: &PlacementPropOutcome, label: &str) {
-    assert!(
-        o.converged,
-        "{label}: run hung past the deadline ({} flight dumps frozen)",
-        o.flight_dumps.len()
-    );
-    assert!(o.files_total > 0, "{label}: no files acknowledged");
-    assert_eq!(
-        o.files_ok, o.files_total,
-        "{label}: acknowledged files failed final read-back"
-    );
-    assert_eq!(o.chunks_lost, 0, "{label}: acknowledged chunks lost");
-    assert_eq!(o.checksum_fails, 0, "{label}: checksum failures");
-    assert_eq!(
-        o.verify_fails, 0,
-        "{label}: migrated copies failed CRC read-back"
-    );
-    assert_eq!(
-        o.unrepairable, 0,
-        "{label}: scrubber found unrepairable chunks"
-    );
-    assert_eq!(o.place_backlog, 0, "{label}: placement queue never drained");
-    assert!(
-        o.consistency_ok,
-        "{label}: KV history not sequentially explainable: {:?}",
-        o.consistency_violations
-    );
+/// Routing overrides installed at the end instant.
+fn overrides<T>(o: &Outcome<T>) -> usize {
+    let bb = o.testbed.bb.as_ref().expect("bb testbed");
+    bb.membership().overrides_len()
 }
 
 /// Random topology tier sizes and boundary latencies: flat single-rack
@@ -84,11 +58,8 @@ fn prop_case(
         tier_us,
         files,
         reads,
-        readers: 2,
-        rounds: 3,
         policy_on: true,
         fault,
-        deadline_secs: 120,
         flush_before_reads: true,
         lustre_ost_rate: None,
         static_membership: false,
@@ -114,42 +85,33 @@ fn fault_case(seed: u64, fault: PlaceFault) -> PlacementPropCase {
 /// The AB13 geo-convergence cell holds end to end at test scale.
 #[test]
 fn ab13_cell_converges_to_local_floor() {
-    let o = run_placement_scenario(&PlacementCase::ab13(true));
-    assert!(o.converged, "AB13 cell hung");
+    let o = PlacementCase::ab13(true).run(false);
+    let run = o.assert_clean("ab13");
     assert!(
-        o.converged_within(1.3),
-        "settled remote p99 {} ns not within 1.3x of floor {} ns",
-        o.final_p99_ns,
-        o.floor_p99_ns
+        run.converged_within(1.3),
+        "settled remote latencies {:?} not within 1.3x of the floor {:?}",
+        run.settled,
+        run.floor
     );
-    assert!(o.migrations > 0 && o.decisions > 0);
-    assert!(o.cost_after < o.cost_before);
-    assert_eq!(o.place_backlog, 0);
-    assert_eq!(o.checksum_fails, 0);
-    assert_eq!(o.verify_fails, 0);
-    assert_eq!(o.chunks_lost, 0);
-    assert!(o.files_ok, "acknowledged files failed read-back");
-    assert!(
-        o.consistency_ok,
-        "KV history not explainable: {:?}",
-        o.consistency_violations
-    );
+    assert!(o.counter("bb.place.migrations") > 0 && o.counter("bb.place.decisions") > 0);
+    assert!(o.counter("bb.place.cost_after") < o.counter("bb.place.cost_before"));
+    assert!(run.files_ok, "acknowledged files failed read-back");
 }
 
 /// Crash of the migration destination mid-move: the migrating-set guard
 /// and verified-copy protocol must keep every acknowledged byte.
 #[test]
 fn migration_survives_destination_crash() {
-    let o = run_placement_property(&fault_case(0xC0, PlaceFault::Crash));
-    no_loss(&o, "crash");
+    let o = fault_case(0xC0, PlaceFault::Crash).run();
+    o.assert_clean("crash");
 }
 
 /// Link flaps on the migration destination: failed moves re-queue and
 /// eventually complete; nothing is lost meanwhile.
 #[test]
 fn migration_survives_destination_flap() {
-    let o = run_placement_property(&fault_case(0xF1, PlaceFault::Flap));
-    no_loss(&o, "flap");
+    let o = fault_case(0xF1, PlaceFault::Flap).run();
+    o.assert_clean("flap");
 }
 
 /// Draining the migration destination mid-move: stale overrides pointing
@@ -157,12 +119,13 @@ fn migration_survives_destination_flap() {
 /// owners without loss.
 #[test]
 fn migration_survives_destination_drain() {
-    let o = run_placement_property(&fault_case(0xD0, PlaceFault::Drain));
-    no_loss(&o, "drain");
+    let o = fault_case(0xD0, PlaceFault::Drain).run();
+    o.assert_clean("drain");
     assert_eq!(
-        o.overrides, 0,
+        overrides(&o),
+        0,
         "drain left routing overrides behind: {}",
-        o.overrides
+        overrides(&o)
     );
 }
 
@@ -197,13 +160,16 @@ fn migration_of_unflushed_chunks_keeps_reads_available() {
     // (the pipelined path's group retry would paper over a one-shot
     // miss after the override lands)
     case.read_window = Some(1);
-    let o = run_placement_property(&case);
-    no_loss(&o, "unflushed");
+    let o = case.run();
+    let run = o.assert_clean("unflushed");
     assert_eq!(
-        o.read_errs, 0,
+        run.read_errs, 0,
         "read of a pinned buffer-only chunk failed during a placement move"
     );
-    assert!(o.migrations > 0, "cell never exercised a placement move");
+    assert!(
+        o.counter("bb.place.migrations") > 0,
+        "cell never exercised a placement move"
+    );
 }
 
 /// Defaults-off contract: the hash policy with a zero optimizer interval
@@ -213,20 +179,15 @@ fn migration_of_unflushed_chunks_keeps_reads_available() {
 fn defaults_off_is_seed_identical_and_unregistered() {
     let mut case = fault_case(0x0FF, PlaceFault::None);
     case.policy_on = false;
-    let a = run_placement_property(&case);
-    let b = run_placement_property(&case);
-    no_loss(&a, "defaults-off");
+    let (a, b) = (case.run(), case.run());
+    a.assert_clean("defaults-off");
     assert!(
-        !a.place_names_registered,
+        !a.cell.snapshot.names().any(|n| n.starts_with("bb.place.")),
         "defaults-off run registered a bb.place.* metric"
     );
-    assert_eq!(a.overrides, 0, "defaults-off run installed overrides");
-    assert_eq!(a.migrations, 0);
-    assert_eq!(
-        a.metrics_json, b.metrics_json,
-        "defaults-off replay diverged"
-    );
-    assert_eq!(a.end, b.end);
+    assert_eq!(overrides(&a), 0, "defaults-off run installed overrides");
+    assert_eq!(a.counter("bb.place.migrations"), 0);
+    assert_eq!(a.replay_diff(&b), Ok(()), "defaults-off replay diverged");
 }
 
 // --- random topologies and patterns ----------------------------------
@@ -246,14 +207,14 @@ proptest! {
         reads in patterns(),
     ) {
         let case = prop_case(seed, topo, tier_us, vec![f0, f1], reads, PlaceFault::None);
-        let o = run_placement_property(&case);
-        no_loss(&o, "random-cell");
-        prop_assert_eq!(o.read_errs, 0, "fault-free reads errored");
-        prop_assert_eq!(o.round_costs.len(), case.rounds);
+        let o = case.run();
+        let run = o.assert_clean("random-cell");
+        prop_assert_eq!(run.read_errs, 0, "fault-free reads errored");
+        prop_assert_eq!(run.round_costs.len(), ROUNDS);
         prop_assert!(
-            o.cost_monotone(),
+            run.cost_monotone(),
             "layout cost increased across rounds: {:?} (topo {:?}, tiers {:?})",
-            o.round_costs,
+            run.round_costs,
             topo,
             tier_us
         );
@@ -268,12 +229,9 @@ proptest! {
         reads in patterns(),
     ) {
         let case = prop_case(seed, topo, tier_us, vec![1 << 20], reads, PlaceFault::None);
-        let a = run_placement_property(&case);
-        let b = run_placement_property(&case);
-        prop_assert!(a.converged && b.converged);
-        prop_assert_eq!(&a.metrics_json, &b.metrics_json, "metrics diverged for seed {}", seed);
-        prop_assert_eq!(&a.round_costs, &b.round_costs);
-        prop_assert_eq!(a.end, b.end);
-        prop_assert_eq!(a.migrations, b.migrations);
+        let (a, b) = (case.run(), case.run());
+        prop_assert_eq!(&a.ending, &Ending::Finished);
+        prop_assert_eq!(a.replay_diff(&b), Ok(()));
+        prop_assert_eq!(a.result.unwrap().round_costs, b.result.unwrap().round_costs);
     }
 }

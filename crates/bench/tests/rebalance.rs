@@ -4,10 +4,13 @@
 //! near the consistent-hashing ideal, and must replay byte-identically
 //! from the same seed.
 //!
-//! Invariants per schedule:
+//! Invariants per schedule, on top of the scenario runner's oracle
+//! (`Outcome::assert_clean`: zero acked loss, zero checksum and migration
+//! verify failures, the KV history explainable with misses forbidden,
+//! the rebalance backlog drained):
 //! * **no loss** — every acknowledged file reads back byte-identical
-//!   after every epoch transition and at end of run; zero checksum
-//!   failures, zero chunks declared lost;
+//!   after every epoch transition and at end of run (the driver fails
+//!   otherwise);
 //! * **bounded remap** — each transition moves a key fraction within
 //!   1.5× of the ideal k/n;
 //! * **determinism** — the same seed and schedule reproduce the exact
@@ -15,40 +18,10 @@
 
 use std::time::Duration;
 
-use bench::experiments::rebalance::{
-    run_rebalance_scenario, ChangeOp, RebalanceCase, RebalanceOutcome, ScheduledChange,
-};
+use bench::experiments::rebalance::{ChangeOp, RebalanceCase, ScheduledChange};
+use bench::scenario::Ending;
 use lustre::LustreConfig;
 use proptest::prelude::*;
-
-/// Invariant floor shared by every cell: converged, nothing lost,
-/// nothing corrupted, and the KV history sequentially explainable.
-fn no_loss(o: &RebalanceOutcome, label: &str) {
-    assert!(o.converged, "{label}: run hung past the deadline");
-    assert!(o.files_total > 0, "{label}: writer acknowledged no files");
-    assert_eq!(
-        o.files_ok,
-        o.files_total,
-        "{label}: {}/{} files failed final read-back",
-        o.files_total - o.files_ok,
-        o.files_total
-    );
-    assert_eq!(
-        o.epoch_readback_bad, 0,
-        "{label}: per-epoch read-back sweep found bad bytes"
-    );
-    assert_eq!(o.chunks_lost, 0, "{label}: acknowledged chunks lost");
-    assert_eq!(o.checksum_fails, 0, "{label}: checksum failures");
-    assert_eq!(
-        o.verify_fails, 0,
-        "{label}: migrated copies failed CRC read-back"
-    );
-    assert!(
-        o.consistency_ok,
-        "{label}: KV history not sequentially explainable: {:?}",
-        o.consistency_violations
-    );
-}
 
 /// A random membership schedule: 1–4 changes at distinct offsets inside
 /// the write window. `Drain` picks an arbitrary pool slot — draining an
@@ -90,15 +63,18 @@ fn case(seed: u64, replication: usize, changes: Vec<ScheduledChange>) -> Rebalan
 /// migration invariant, including the remap bound per transition.
 #[test]
 fn ab8_schedule_holds_invariants() {
-    let o = run_rebalance_scenario(&RebalanceCase::ab8(true));
-    no_loss(&o, "ab8");
-    assert_eq!(o.epochs, 6, "all six scripted changes must apply");
+    let o = RebalanceCase::ab8(true).run(false);
+    let run = o.assert_clean("ab8");
+    assert_eq!(run.epochs, 6, "all six scripted changes must apply");
     assert!(
-        o.migration_done.is_some(),
+        run.migration_done.is_some(),
         "rebalance backlog never drained"
     );
-    assert!(o.moved > 0, "churn moved ownership but nothing migrated");
-    for r in &o.remaps {
+    assert!(
+        o.counter("bb.rebalance.moved") > 0,
+        "churn moved ownership but nothing migrated"
+    );
+    for r in &run.remaps {
         assert!(
             r.moved_frac > 0.0 && r.moved_frac <= 1.5 * r.ideal,
             "epoch {} ({}→{} servers): remap {:.3} outside 1.5x of ideal {:.3}",
@@ -131,9 +107,9 @@ fn ab8_single_replica_off_grid_over_one_slow_ost_loses_nothing() {
         ost_rate: 16e6,
         ..case.lustre
     };
-    let o = run_rebalance_scenario(&case);
-    no_loss(&o, "ab8 r=1 off-grid narrow");
-    assert_eq!(o.epochs, 6, "all six scripted changes must apply");
+    let o = case.run(false);
+    let run = o.assert_clean("ab8 r=1 off-grid narrow");
+    assert_eq!(run.epochs, 6, "all six scripted changes must apply");
 }
 
 // --- random schedules ------------------------------------------------
@@ -151,21 +127,21 @@ proptest! {
         replication in 1usize..=2,
         changes in schedules(),
     ) {
-        let o = run_rebalance_scenario(&case(seed, replication, changes.clone()));
-        no_loss(&o, "random-schedule");
+        let o = case(seed, replication, changes.clone()).run(false);
+        let run = o.assert_clean("random-schedule");
         prop_assert!(
-            o.remap_within(1.5),
+            run.remap_within(1.5),
             "remap outside 1.5x of ideal: {:?} (schedule {:?})",
-            o.remaps,
+            run.remaps,
             changes
         );
         prop_assert!(
-            o.migration_done.is_some(),
+            run.migration_done.is_some(),
             "rebalance backlog never drained (schedule {:?})",
             changes
         );
         // every applied epoch must be visible in the membership timeline
-        prop_assert_eq!(o.remaps.len() as u64, o.epochs);
+        prop_assert_eq!(run.remaps.len() as u64, run.epochs);
     }
 
     /// The same (seed, schedule) pair replays byte-identically: metrics
@@ -178,14 +154,9 @@ proptest! {
         changes in schedules(),
     ) {
         let c = case(seed, replication, changes);
-        let a = run_rebalance_scenario(&c);
-        let b = run_rebalance_scenario(&c);
-        prop_assert!(a.converged && b.converged);
-        prop_assert_eq!(&a.metrics_json, &b.metrics_json, "metrics diverged for seed {}", seed);
-        prop_assert_eq!(&a.timeline, &b.timeline);
-        prop_assert_eq!(a.end, b.end);
-        prop_assert_eq!(a.epochs, b.epochs);
-        prop_assert_eq!(a.moved, b.moved);
-        prop_assert_eq!(a.moved_bytes, b.moved_bytes);
+        let (a, b) = (c.run(false), c.run(false));
+        prop_assert_eq!(&a.ending, &Ending::Finished);
+        prop_assert_eq!(a.replay_diff(&b), Ok(()));
+        prop_assert_eq!(a.result.unwrap().epochs, b.result.unwrap().epochs);
     }
 }

@@ -8,6 +8,7 @@
 //! sweeps it across {scheme} × {scenario} × {replication} and judges
 //! every cell by the runner's oracle plus per-combination asserts.
 
+use std::cmp::Reverse;
 use std::rc::Rc;
 use std::time::Duration;
 
@@ -95,11 +96,13 @@ pub enum FaultScenario {
     /// Corrupt 1 % of every transfer to or from any KV server in flight
     /// for the whole run (seeded draws).
     CorruptTransfers,
-    /// The loss-window probe for relaxed ack modes: from t=0 every
-    /// transfer *into* a non-victim KV server is delayed (holding async
-    /// replica tails in flight), then the most-loaded server crashes
-    /// mid-write. Chunks acked below full replication whose tails were
-    /// still delay-held are recoverable only per the ack mode's contract.
+    /// The loss-window probe for relaxed ack modes: from t=0 the writer's
+    /// transfers into every KV server but the most-loaded one are delayed
+    /// (holding async replica tails in flight), then the server holding
+    /// the first quorum copy of a chunk parked at the ack-ahead window
+    /// crashes mid-wait. Chunks acked below full replication whose tails
+    /// were still delay-held are recoverable only per the ack mode's
+    /// contract.
     CrashAsyncReplica,
 }
 
@@ -239,12 +242,16 @@ impl FaultCase {
                 case.seed
             ),
         };
+        let parked = match case.scenario {
+            FaultScenario::CrashAsyncReplica => case.parked_chunk(&sc, data),
+            _ => None,
+        };
         scenario::run(
             &sc,
             |tb| {
                 let bb = Rc::clone(tb.bb.as_ref().expect("bb testbed"));
                 let client = bb.client(tb.nodes[0]);
-                let (plan, last_fault) = case.plan(tb, &client, chunks);
+                let (plan, last_fault) = case.plan(tb, &client, chunks, parked);
                 (
                     plan,
                     Rc::clone(&client),
@@ -275,11 +282,14 @@ impl FaultCase {
 
     /// The cell's fault plan against the live deployment, and the offset
     /// of its last scripted fault (recovery is measured from there).
+    /// `parked` is where a `CrashAsyncReplica` cell crashes
+    /// ([`FaultCase::parked_chunk`]).
     fn plan(
         &self,
         tb: &Testbed,
         client: &bb_core::BbClient,
         chunks: u64,
+        parked: Option<(u32, Duration)>,
     ) -> (FaultPlan, Option<Duration>) {
         let bb = tb.bb.as_ref().expect("bb testbed");
         // the write takes data / client_write_rate ≈ 0.3 s (quick) / 0.9 s;
@@ -289,17 +299,9 @@ impl FaultCase {
         } else {
             dur::ms(450)
         };
-        // Victim: the server owning the most chunk keys (ketama placement is
-        // uneven; crashing an unloaded server would exercise nothing). The
-        // first file created gets file_id 1.
-        let mut owned = vec![0u64; bb.kv_servers.len()];
-        for seq in 0..chunks {
-            if let Ok(idx) = client.kv().route(&chunk_key(1, seq)) {
-                owned[idx] += 1;
-            }
-        }
-        let victim_idx = (0..owned.len()).max_by_key(|&i| owned[i]).unwrap_or(0);
-        let victim = bb.kv_servers[victim_idx].node().0;
+        // Victim: the server owning the most chunk keys, so the crash
+        // destroys as much buffered data as any one server holds.
+        let victim = most_loaded(tb, client, chunks);
         let servers: Vec<u32> = bb.kv_servers.iter().map(|s| s.node().0).collect();
         // one standing edge rule each way between every KV server and the
         // rest of the fabric, from t = 0
@@ -364,29 +366,13 @@ impl FaultCase {
                 None,
             ),
             FaultScenario::CrashAsyncReplica => {
-                // hold the writer's transfers into the non-victim servers so
-                // async replica tails are still in flight when the victim
-                // (holding the only durable copy of quorum-acked chunks)
-                // crashes. Only the writer's edges are delayed — the flusher
-                // reads from the manager node at full speed, so it probes the
-                // replicas inside the window where the tail has not landed
-                // yet. The delay stays well under `kv_op_timeout` so tails
-                // complete slowly rather than failing outright. The crash
-                // lands later than the other scenarios': the victim-primary
-                // chunks (the only ones acked fast, single-copy) must be
-                // mid-flight when it fires.
-                let mut plan = plan;
-                for &s in servers.iter().filter(|&&s| s != victim) {
-                    plan = plan.at(
-                        Duration::ZERO,
-                        FaultEvent::Delay {
-                            src: Some(tb.nodes[0].0),
-                            dst: Some(s),
-                            extra: dur::ms(200),
-                        },
-                    );
-                }
-                let crash_at = dur::secs(5);
+                // The crash hits a chunk the writer holds synced but not yet
+                // acked: the server holding the first quorum copy of a chunk
+                // parked at the ack-ahead window, midway through the wait.
+                // When nothing parks (full-r acks never do) the most-loaded
+                // server crashes mid-write instead.
+                let plan = writer_delays(tb, plan, victim);
+                let (victim, crash_at) = parked.unwrap_or((victim, dur::secs(5)));
                 (
                     plan.at(crash_at, FaultEvent::Crash { node: victim }),
                     Some(crash_at),
@@ -394,6 +380,89 @@ impl FaultCase {
             }
         }
     }
+
+    /// Where a relaxed-ack `CrashAsyncReplica` cell's writer opens the loss
+    /// window: a traced dry run of the same scenario under the writer
+    /// delays alone finds the chunk that sat longest synced but unacked at
+    /// the ack-ahead window (its `bb.ack_wait` span). Returns the node
+    /// holding its first quorum copy and the offset midway through the
+    /// wait; the real run is the same run up to that instant. `None` when
+    /// no chunk waited — and without a dry run when acks wait for every
+    /// replica, since then none can.
+    fn parked_chunk(&self, sc: &Scenario, data: u64) -> Option<(u32, Duration)> {
+        if self.ack_mode.quorum(self.replication) >= self.replication {
+            return None;
+        }
+        let dry = scenario::run(
+            &Scenario {
+                trace: true,
+                stem: format!("{}-dry", sc.stem),
+                ..sc.clone()
+            },
+            |tb| {
+                let bb = tb.bb.as_ref().expect("bb testbed");
+                let client = bb.client(tb.nodes[0]);
+                let spared = most_loaded(tb, &client, data / CHUNK);
+                let delays = writer_delays(tb, FaultPlan::new(self.seed), spared);
+                (delays, Rc::clone(&client), (client, tb.sim.now()))
+            },
+            |(client, t0)| async move {
+                scenario::write_file(&client, &PayloadPool::standard(), PATH, 9, data).await?;
+                Ok((client, t0))
+            },
+        );
+        let (client, t0) = dry.result?;
+        // the longest wait; ties go to the earliest
+        let mut waits = Vec::new();
+        dry.testbed.sim.tracer().for_each_event(|e| {
+            if e.name == "bb.ack_wait" {
+                waits.push((e.dur_ns, Reverse(e.ts_ns), e.tid));
+            }
+        });
+        let (len, Reverse(ts), seq) = waits.into_iter().max()?;
+        let holder = client.kv().replicas(&chunk_key(1, seq)).ok()?[0];
+        let at = Duration::from_nanos(ts + len / 2) - (t0 - Time::ZERO);
+        let bb = dry.testbed.bb.as_ref().expect("bb testbed");
+        Some((bb.kv_servers[holder].node().0, at))
+    }
+}
+
+/// The KV server owning the most of the dataset's `chunks` chunk keys
+/// (the first file created gets file_id 1).
+fn most_loaded(tb: &Testbed, client: &bb_core::BbClient, chunks: u64) -> u32 {
+    let bb = tb.bb.as_ref().expect("bb testbed");
+    let mut owned = vec![0u64; bb.kv_servers.len()];
+    for seq in 0..chunks {
+        if let Ok(idx) = client.kv().route(&chunk_key(1, seq)) {
+            owned[idx] += 1;
+        }
+    }
+    let idx = (0..owned.len()).max_by_key(|&i| owned[i]).unwrap_or(0);
+    bb.kv_servers[idx].node().0
+}
+
+/// `plan` plus `CrashAsyncReplica`'s standing delays: the writer's
+/// transfers into every KV server but `spared` are held, so async replica
+/// tails stay in flight for hundreds of ms and fill the ack-ahead window.
+/// Only the writer's edges are delayed — the flusher reads from the
+/// manager node at full speed, so it probes the replicas inside the window
+/// where a tail has not landed yet. The delay stays well under
+/// `kv_op_timeout` so tails complete slowly rather than failing outright.
+fn writer_delays(tb: &Testbed, mut plan: FaultPlan, spared: u32) -> FaultPlan {
+    let bb = tb.bb.as_ref().expect("bb testbed");
+    for s in bb.kv_servers.iter().map(|s| s.node().0) {
+        if s != spared {
+            plan = plan.at(
+                Duration::ZERO,
+                FaultEvent::Delay {
+                    src: Some(tb.nodes[0].0),
+                    dst: Some(s),
+                    extra: dur::ms(200),
+                },
+            );
+        }
+    }
+    plan
 }
 
 /// E12: scripted fault plans against every scheme — availability,

@@ -277,30 +277,68 @@ pub fn check_snapshot(
     }
 }
 
-/// Byte-compare a fresh snapshot with the committed one. A snapshot is
-/// one metric per line, so on a mismatch `Err` counts the metrics whose
-/// lines differ (or exist on one side only) and names the first few.
+/// Byte-compare a fresh snapshot with the committed one. On a mismatch
+/// `Err` counts the values that moved and names the five that moved most
+/// relative to the committed value, as `name before → after` (`-` where
+/// the metric exists on one side only; those lead).
 pub fn snapshot_drift(fresh: &str, committed: &str) -> Result<(), String> {
     if fresh == committed {
         return Ok(());
     }
-    fn by_name(json: &str) -> std::collections::BTreeMap<&str, &str> {
-        json.lines()
-            .filter_map(|line| Some((line.split('"').nth(1)?, line)))
-            .collect()
-    }
-    let (fresh, committed) = (by_name(fresh), by_name(committed));
-    let moved: Vec<&str> = fresh
+    let (after, before) = (snapshot_values(fresh), snapshot_values(committed));
+    let mut moved: Vec<(f64, &str, &str, &str)> = after
         .keys()
-        .chain(committed.keys().filter(|k| !fresh.contains_key(*k)))
-        .filter(|k| fresh.get(*k) != committed.get(*k))
-        .copied()
+        .chain(before.keys().filter(|k| !after.contains_key(*k)))
+        .filter_map(|name| {
+            let (b, a) = (before.get(name).copied(), after.get(name).copied());
+            let rel = match (b.map(str::parse::<f64>), a.map(str::parse::<f64>)) {
+                _ if a == b => return None,
+                (Some(Ok(b)), Some(Ok(a))) if b != 0.0 => ((a - b) / b).abs(),
+                _ => f64::INFINITY,
+            };
+            Some((rel, name.as_str(), b.unwrap_or("-"), a.unwrap_or("-")))
+        })
+        .collect();
+    if moved.is_empty() {
+        return Err("the fresh --quick snapshot differs in layout, not in any value".into());
+    }
+    moved.sort_by(|x, y| y.0.total_cmp(&x.0).then(x.1.cmp(y.1)));
+    let top: Vec<String> = moved
+        .iter()
+        .take(5)
+        .map(|(_, name, b, a)| format!("{name} {b} → {a}"))
         .collect();
     Err(format!(
-        "the fresh --quick snapshot differs in {} metric(s), first: {}",
+        "the fresh --quick snapshot differs in {} value(s), largest moves: {}",
         moved.len(),
-        moved[..moved.len().min(5)].join(", ")
+        top.join(", ")
     ))
+}
+
+/// Every number of a snapshot JSON, keyed by series: a counter's or
+/// gauge's value under the metric's name, each histogram field under
+/// `name.field`. A snapshot is one metric per line.
+fn snapshot_values(json: &str) -> std::collections::BTreeMap<String, &str> {
+    let mut out = std::collections::BTreeMap::new();
+    for line in json.lines() {
+        let Some((name, body)) = line
+            .trim()
+            .strip_prefix('"')
+            .and_then(|l| l.split_once("\": {"))
+        else {
+            continue;
+        };
+        for field in body.trim_end_matches(',').trim_end_matches('}').split(", ") {
+            match field.split_once(": ") {
+                Some(("\"value\"", v)) => out.insert(name.to_string(), v),
+                Some((key, v)) if key != "\"type\"" => {
+                    out.insert(format!("{name}.{}", key.trim_matches('"')), v)
+                }
+                _ => None,
+            };
+        }
+    }
+    out
 }
 
 /// Read a counter's value out of a snapshot JSON file produced by
@@ -433,25 +471,35 @@ mod tests {
 
     #[test]
     fn snapshot_drift_names_the_metrics_that_moved() {
-        let snap = |hits: u64, extra: bool| {
+        let snap = |after: bool| {
             let r = simkit::telemetry::Registry::default();
-            r.counter("rkv.server0.hits").add(hits);
-            r.counter("rkv.server0.sets").add(3);
-            if extra {
-                r.counter("kv.retry.timeouts").add(1);
+            for (name, before, now) in [
+                ("a", 100, 101),
+                ("b", 10, 20),
+                ("c", 1, 4),
+                ("e", 50, 25),
+                ("f", 1000, 1001),
+                ("same", 3, 3),
+            ] {
+                r.counter(name).add(if after { now } else { before });
             }
+            if after {
+                r.counter("d").add(1);
+            }
+            r.histogram("h").record_ns(if after { 12 } else { 10 });
             r.snapshot().to_json()
         };
-        assert_eq!(snapshot_drift(&snap(7, false), &snap(7, false)), Ok(()));
-        let drift = snapshot_drift(&snap(8, true), &snap(7, false)).unwrap_err();
+        assert_eq!(snapshot_drift(&snap(true), &snap(true)), Ok(()));
+        let drift = snapshot_drift(&snap(true), &snap(false)).unwrap_err();
+        // one histogram sample moves all six of its fields by 20 %
         assert_eq!(
             drift,
-            "the fresh --quick snapshot differs in 2 metric(s), \
-             first: kv.retry.timeouts, rkv.server0.hits"
+            "the fresh --quick snapshot differs in 12 value(s), largest moves: \
+             d - → 1, c 1 → 4, b 10 → 20, e 50 → 25, h.max_ns 10 → 12"
         );
         // the gate reports it against the row's committed file
         let e1 = Experiment::find("E1").unwrap();
-        let failures = check_snapshot(e1, &snap(8, true), true, Some(&snap(7, false))).unwrap_err();
+        let failures = check_snapshot(e1, &snap(true), true, Some(&snap(false))).unwrap_err();
         assert!(
             failures.contains(&format!("snapshots/metrics_E1.json: {drift}")),
             "{failures:?}"

@@ -274,9 +274,10 @@ fn replication_survives_crash_restart_without_loss() {
 // --- durability ack modes: the loss-window contracts ------------------
 //
 // `CrashAsyncReplica` stretches the async-replication window (the
-// writer's transfers to every non-victim server are delay-held) and then
-// crashes the server holding the only quorum copy. Each ack mode's
-// contract bounds what that crash may cost (the oracle's loss budget):
+// writer's transfers to every server but one are delay-held) and then
+// crashes the server holding the first quorum copy of a chunk parked at
+// the ack-ahead window. Each ack mode's contract bounds what that crash
+// may cost (the oracle's loss budget):
 // * `full_r` — every ack waited for all replicas: zero acked loss;
 // * `local_plus_one` — every ack has a second copy: one crash is free;
 // * `local_only` — acked chunks may live on the victim alone, but never

@@ -571,8 +571,10 @@ impl BbWriter {
                                 Err(_) => false,
                             }
                         } else {
-                            put_quorum(&client, &sim, op, &key, &chunk, crc, ack_quorum, &ack_ahead)
-                                .await
+                            put_quorum(
+                                &client, &sim, op, seq, &key, &chunk, crc, ack_quorum, &ack_ahead,
+                            )
+                            .await
                         };
                         let ack = if buffered {
                             // notify the persistence manager; the ack is the
@@ -687,6 +689,7 @@ async fn put_quorum(
     client: &Rc<BbClient>,
     sim: &simkit::Sim,
     op: Option<simkit::OpId>,
+    seq: u64,
     key: &[u8],
     chunk: &Bytes,
     crc: u32,
@@ -735,8 +738,12 @@ async fn put_quorum(
         let permit = match ack_ahead.try_acquire() {
             Some(p) => p,
             None => {
-                // window full: backpressure the writer until a tail drains
+                // window full: backpressure the writer until a tail drains.
+                // Meanwhile the chunk is synced but unacked, held by its
+                // quorum copies alone; the span (lane: the chunk's seq) is
+                // how long
                 ack.ahead_waits.inc();
+                let _sp = sim.span("bb.ack_wait", "bb", client.node.0, seq);
                 ack_ahead.acquire().await
             }
         };

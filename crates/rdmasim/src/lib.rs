@@ -19,11 +19,13 @@
 #![warn(missing_docs)]
 
 pub mod cq;
+pub mod frame;
 pub mod mr;
 pub mod qp;
 pub mod stack;
 
 pub use cq::Cq;
+pub use frame::Frame;
 pub use mr::{Mr, RKey, RemoteBuf};
 pub use qp::{Qp, QpConfig};
 pub use stack::{RdmaError, RdmaStack};

@@ -10,6 +10,7 @@ use simkit::OpId;
 
 use netsim::NodeId;
 
+use crate::frame::Frame;
 use crate::mr::RemoteBuf;
 use crate::stack::{RdmaError, RdmaStack};
 
@@ -44,7 +45,7 @@ impl QpShared {
 /// tag. The tag is simulator metadata — it occupies no wire bytes and
 /// never influences transfer cost, so tagged and untagged runs are
 /// byte- and timing-identical.
-pub(crate) type SendPayload = (Bytes, Option<OpId>);
+pub(crate) type SendPayload = (Frame, Option<OpId>);
 
 /// One endpoint of a reliable-connected queue pair.
 pub struct Qp {
@@ -105,23 +106,19 @@ impl Qp {
     }
 
     /// Apply any active in-transit corruption rule for the `src → dst`
-    /// payload: returns `data` with one byte flipped when the injector
-    /// fires, untouched (and uncopied) otherwise.
-    fn corrupted(&self, src: NodeId, dst: NodeId, data: Bytes) -> Bytes {
-        match self
-            .stack
-            .sim()
+    /// payload: one draw over its whole length, and one byte flipped when
+    /// the injector fires (only the element holding it is copied); the
+    /// payload is untouched (and uncopied) otherwise.
+    fn corrupted(&self, src: NodeId, dst: NodeId, mut data: Frame) -> Frame {
+        let sim = self.stack.sim();
+        if let Some((offset, mask)) = sim
             .faults()
             .corrupt_transfer(src.0, dst.0, data.len() as u64)
         {
-            None => data,
-            Some((offset, mask)) => {
-                self.stack.sim().metrics().counter("rdma.corrupted").inc();
-                let mut v = data.to_vec();
-                v[offset as usize] ^= mask;
-                Bytes::from(v)
-            }
+            sim.metrics().counter("rdma.corrupted").inc();
+            data.flip(offset as usize, mask);
         }
+        data
     }
 
     /// Two-sided SEND: transfers `data` and consumes one of the peer's
@@ -130,10 +127,20 @@ impl Qp {
         self.send_tagged(data, None).await
     }
 
-    /// [`Qp::send`] carrying a traced-op tag alongside the payload. The
-    /// tag rides out-of-band (no wire bytes, no timing impact) and comes
-    /// back out of the peer's [`Qp::recv_tagged`].
-    pub async fn send_tagged(&self, data: Bytes, op: Option<OpId>) -> Result<(), RdmaError> {
+    /// [`Qp::send`] of a gather list (or one buffer) carrying a traced-op
+    /// tag alongside the payload. The fabric charges the summed length.
+    /// The tag rides out-of-band (no wire bytes, no timing impact) and
+    /// comes back out of the peer's [`Qp::recv_tagged`].
+    ///
+    /// One async body serves every payload shape: converting at the call,
+    /// rather than wrapping this in a second async fn, keeps each in-flight
+    /// send one future deep.
+    pub async fn send_tagged(
+        &self,
+        data: impl Into<Frame>,
+        op: Option<OpId>,
+    ) -> Result<(), RdmaError> {
+        let data = data.into();
         self.check_connected()?;
         let _sp = self
             .stack
@@ -157,17 +164,18 @@ impl Qp {
             .map_err(|_| RdmaError::Disconnected)
     }
 
-    /// Pop the next incoming SEND payload, waiting if none is queued.
+    /// Pop the next incoming SEND payload as one contiguous buffer,
+    /// waiting if none is queued (a gather list is joined by copy).
     pub async fn recv(&self) -> Result<Bytes, RdmaError> {
-        self.recv_tagged().await.map(|(data, _)| data)
+        self.recv_tagged().await.map(|(data, _)| data.concat())
     }
 
-    /// [`Qp::recv`] that also yields the sender's traced-op tag (`None`
-    /// for untagged sends).
+    /// [`Qp::recv`] as the sender posted it — a gather list stays one —
+    /// with the sender's traced-op tag (`None` for untagged sends).
     // single-threaded sim: the mailbox is only ever polled by this QP's
     // owner, so holding the borrow across the await cannot contend
     #[allow(clippy::await_holding_refcell_ref)]
-    pub async fn recv_tagged(&self) -> Result<(Bytes, Option<OpId>), RdmaError> {
+    pub async fn recv_tagged(&self) -> Result<(Frame, Option<OpId>), RdmaError> {
         let mut rx = self.rx.borrow_mut();
         let fut = rx.recv();
         let out = fut.await.map_err(|_| RdmaError::Disconnected);
@@ -201,8 +209,10 @@ impl Qp {
                 self.stack.profile(),
             )
             .await?;
-        let data = self.corrupted(self.local, dst.node, data);
-        self.stack.lookup(dst.node, dst.rkey)?.put(offset, data)
+        let data = self.corrupted(self.local, dst.node, data.into());
+        self.stack
+            .lookup(dst.node, dst.rkey)?
+            .put(offset, data.concat())
     }
 
     /// One-sided RDMA READ of `len` bytes from `src` at `offset`.
@@ -229,7 +239,7 @@ impl Qp {
             .transfer(src.node, self.local, len, self.stack.profile())
             .await?;
         let data = self.stack.lookup(src.node, src.rkey)?.view(offset, len)?;
-        Ok(self.corrupted(src.node, self.local, data))
+        Ok(self.corrupted(src.node, self.local, data.into()).concat())
     }
 }
 

@@ -405,8 +405,8 @@ impl KvClient {
                 tenant: self.config.tenant,
             };
             qp.send_tagged(hello.encode(), None).await?;
-            let frame = qp.recv().await?;
-            match Response::decode(frame)? {
+            let (frame, _) = qp.recv_tagged().await?;
+            match Response::decode_sg(frame)? {
                 Response::Ok => {}
                 other => return Err(Self::unexpected(other)),
             }
@@ -462,13 +462,13 @@ impl KvClient {
             sent_on.set(Some(Rc::clone(&conn)));
             let r = async {
                 conn.qp.send_tagged(req.encode(), op).await?;
-                conn.qp.recv().await
+                conn.qp.recv_tagged().await
             }
             .await;
             match r {
-                Ok(frame) => {
+                Ok((frame, _)) => {
                     sim.op_stamp(op, "net_back");
-                    Ok(Response::decode(frame)?)
+                    Ok(Response::decode_sg(frame)?)
                 }
                 Err(e) => {
                     // connection is broken: drop it so the next op reconnects
@@ -1561,11 +1561,40 @@ mod tests {
         });
     }
 
+    /// A multi-GET reply carries each hit as its own gather element, so a
+    /// reader decodes the server's stored handle itself, not a copy.
+    #[test]
+    fn multi_get_values_are_the_servers_stored_handles() {
+        let c = cluster(2, 1);
+        let cl = client(&c, 2);
+        let (sim, servers) = (c.sim.clone(), c.servers.clone());
+        c.sim.block_on(async move {
+            let keys: Vec<Vec<u8>> = (0..8).map(|i| format!("f1:{i}").into_bytes()).collect();
+            for (i, key) in keys.iter().enumerate() {
+                let value = Bytes::from(vec![i as u8; 512 << 10]);
+                cl.set(key, value, 0, 0).await.unwrap();
+            }
+            let mut asked: Vec<&[u8]> = keys.iter().map(Vec::as_slice).collect();
+            asked.insert(3, b"f1:absent");
+            let got = cl.multi_get(&asked).await.unwrap();
+            assert!(got[3].is_none());
+            let now = sim.now().as_nanos();
+            for (key, v) in asked.iter().zip(&got).filter(|(k, _)| **k != b"f1:absent") {
+                let server = &servers[cl.route(key).unwrap()];
+                let (stored, _) = server.store().peek(key, now).unwrap();
+                let data = &v.as_ref().unwrap().data;
+                assert_eq!(data.as_ptr(), stored.data.as_ptr(), "{key:?} was copied");
+                assert_eq!(data.len(), stored.data.len());
+            }
+        });
+    }
+
     /// Registered regions carry handles, so the writer's `Bytes`, both
-    /// replicas' stored values and the staging buffer are one allocation.
-    /// A byte flipped in transit on one replica's RDMA READ must damage
-    /// that replica's copy and nothing else (the flip is copy-then-flip,
-    /// never in place).
+    /// replicas' stored values and the staging buffer are one allocation,
+    /// and a multi-GET reply carries the stored handle back out. A byte
+    /// flipped in transit — on one replica's RDMA READ, or on a batched
+    /// read's reply — must damage that receiver's copy and nothing else
+    /// (the flip is copy-then-flip, never in place).
     #[test]
     fn transit_corruption_on_one_replicas_read_touches_no_other_holder() {
         for verify_set_crc in [false, true] {
@@ -1587,7 +1616,7 @@ mod tests {
             let cl = KvClient::new(
                 Rc::clone(&stack),
                 NodeId(2),
-                servers,
+                servers.clone(),
                 KvClientConfig {
                     replication: 2,
                     ..KvClientConfig::default()
@@ -1645,6 +1674,30 @@ mod tests {
                 } else {
                     assert_eq!(damaged, 1, "the hit server stores what it pulled");
                 }
+                // the batched path: the leg's reply carries the hit server's
+                // stored handle as its own element, and the flip on the way
+                // back must copy it, not write through it
+                let (stored, _) = servers[hit].store().peek(key, s.now().as_nanos()).unwrap();
+                let kept = stored.data.to_vec();
+                s.install_faults(FaultPlan::new(7).at(
+                    dur::ns(0),
+                    FaultEvent::CorruptTransfer {
+                        src: Some(hit as u32),
+                        dst: Some(2),
+                        p: 1.0,
+                    },
+                ));
+                s.sleep(dur::ns(1)).await;
+                let got = cl.multi_get(&[key.as_slice()]).await.unwrap();
+                s.install_faults(FaultPlan::new(7));
+                assert_eq!(flipped.get(), 2);
+                let read = &got[0].as_ref().unwrap().data;
+                let diff = read.iter().zip(&kept).filter(|(a, b)| a != b).count();
+                assert_eq!(diff, 1, "one byte, for this reader only");
+                assert_eq!(stored.data, kept, "the server's stored handle");
+                let again = cl.get_from(hit, key).await.unwrap().unwrap().data;
+                assert_eq!(again, kept, "the next reader");
+                assert_eq!(value, original, "the writer's handle");
             });
         }
     }

@@ -9,7 +9,7 @@
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use netsim::NodeId;
-use rdmasim::{RKey, RemoteBuf};
+use rdmasim::{Frame, RKey, RemoteBuf};
 
 /// Malformed frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -216,27 +216,96 @@ const CARRIER_REMOTE: u8 = 1;
 /// A [`BufMut`] that only counts: running an encoder over it yields the
 /// frame's exact length, so the real pass can allocate once with no slack
 /// (a frozen frame pins its whole allocation for as long as any decoded
-/// value sliced out of it lives).
-struct FrameLen(usize);
+/// value sliced out of it lives). `values` is the part of `total` that
+/// stored values make up — what a gather list sends as handles.
+#[derive(Default)]
+struct FrameLen {
+    total: usize,
+    values: usize,
+}
 
 impl BufMut for FrameLen {
     fn put_slice(&mut self, src: &[u8]) {
-        self.0 += src.len();
+        self.total += src.len();
+    }
+}
+
+/// Where an encoder writes. Header fields go through [`BufMut`]; a stored
+/// value goes through [`Sink::put_value`], which copies it into a
+/// contiguous frame by default.
+trait Sink: BufMut {
+    /// Append a value's bytes (its length prefix is already written).
+    fn put_value(&mut self, value: &Bytes) {
+        self.put_slice(value);
+    }
+}
+
+impl Sink for BytesMut {}
+
+impl Sink for FrameLen {
+    fn put_value(&mut self, value: &Bytes) {
+        self.total += value.len();
+        self.values += value.len();
+    }
+}
+
+/// The gather-list sink: header bytes in one buffer, each value kept as
+/// its handle with the header offset it follows.
+struct GatherSink {
+    head: BytesMut,
+    values: Vec<(usize, Bytes)>,
+}
+
+impl BufMut for GatherSink {
+    fn put_slice(&mut self, src: &[u8]) {
+        self.head.put_slice(src);
+    }
+}
+
+impl Sink for GatherSink {
+    fn put_value(&mut self, value: &Bytes) {
+        self.values.push((self.head.len(), value.clone()));
     }
 }
 
 /// A message with a wire encoding.
-trait Frame {
-    fn write_to<B: BufMut>(&self, buf: &mut B);
+trait Wire {
+    fn write_to<S: Sink>(&self, buf: &mut S);
 }
 
-/// Encode `frame` into a buffer of exactly its encoded length.
-fn encode_exact(frame: &impl Frame) -> Bytes {
-    let mut len = FrameLen(0);
-    frame.write_to(&mut len);
-    let mut buf = BytesMut::with_capacity(len.0);
-    frame.write_to(&mut buf);
+/// Encode `msg` into one buffer of exactly its encoded length.
+fn encode_exact(msg: &impl Wire) -> Bytes {
+    let mut len = FrameLen::default();
+    msg.write_to(&mut len);
+    let mut buf = BytesMut::with_capacity(len.total);
+    msg.write_to(&mut buf);
     buf.freeze()
+}
+
+/// Encode `msg` as a gather list: its header bytes in one buffer of
+/// exactly their length, cut where each stored value's handle goes. The
+/// elements, joined, are [`encode_exact`]'s bytes.
+fn encode_gather(msg: &impl Wire) -> Frame {
+    let mut len = FrameLen::default();
+    msg.write_to(&mut len);
+    let mut sink = GatherSink {
+        head: BytesMut::with_capacity(len.total - len.values),
+        values: Vec::new(),
+    };
+    msg.write_to(&mut sink);
+    let head = sink.head.freeze();
+    if sink.values.is_empty() {
+        return Frame::from(head);
+    }
+    let mut elems = Vec::with_capacity(2 * sink.values.len() + 1);
+    let mut from = 0;
+    for (at, value) in sink.values {
+        elems.push(head.slice(from..at));
+        elems.push(value);
+        from = at;
+    }
+    elems.push(head.slice(from..));
+    Frame::from(elems)
 }
 
 fn put_bytes<B: BufMut>(buf: &mut B, b: &[u8]) {
@@ -244,7 +313,13 @@ fn put_bytes<B: BufMut>(buf: &mut B, b: &[u8]) {
     buf.put_slice(b);
 }
 
-fn get_bytes(buf: &mut Bytes) -> Result<Bytes, ProtoError> {
+/// A stored value: its length prefix, then the value through the sink.
+fn put_value<S: Sink>(buf: &mut S, value: &Bytes) {
+    buf.put_u32_le(value.len() as u32);
+    buf.put_value(value);
+}
+
+fn get_bytes<B: Buf>(buf: &mut B) -> Result<Bytes, ProtoError> {
     if buf.remaining() < 4 {
         return Err(ProtoError("truncated length"));
     }
@@ -261,7 +336,7 @@ fn put_wirebuf<B: BufMut>(buf: &mut B, w: &WireBuf) {
     buf.put_u64_le(w.len);
 }
 
-fn get_wirebuf(buf: &mut Bytes) -> Result<WireBuf, ProtoError> {
+fn get_wirebuf<B: Buf>(buf: &mut B) -> Result<WireBuf, ProtoError> {
     if buf.remaining() < 16 {
         return Err(ProtoError("truncated wirebuf"));
     }
@@ -286,7 +361,7 @@ fn put_carrier<B: BufMut>(buf: &mut B, c: &Carrier) {
     }
 }
 
-fn get_carrier(buf: &mut Bytes) -> Result<Carrier, ProtoError> {
+fn get_carrier<B: Buf>(buf: &mut B) -> Result<Carrier, ProtoError> {
     if buf.remaining() < 1 {
         return Err(ProtoError("truncated carrier tag"));
     }
@@ -306,8 +381,8 @@ fn get_carrier(buf: &mut Bytes) -> Result<Carrier, ProtoError> {
     }
 }
 
-impl Frame for Request {
-    fn write_to<B: BufMut>(&self, buf: &mut B) {
+impl Wire for Request {
+    fn write_to<S: Sink>(&self, buf: &mut S) {
         match self {
             Request::Get { key, dst } => {
                 buf.put_u8(TAG_GET);
@@ -432,12 +507,12 @@ impl Request {
     }
 }
 
-impl Frame for Response {
-    fn write_to<B: BufMut>(&self, buf: &mut B) {
+impl Wire for Response {
+    fn write_to<S: Sink>(&self, buf: &mut S) {
         match self {
             Response::Value { data, flags, cas } => {
                 buf.put_u8(RTAG_VALUE);
-                put_bytes(buf, data);
+                put_value(buf, data);
                 buf.put_u32_le(*flags);
                 buf.put_u64_le(*cas);
             }
@@ -466,7 +541,7 @@ impl Frame for Response {
                         None => buf.put_u8(0),
                         Some((data, flags, cas)) => {
                             buf.put_u8(1);
-                            put_bytes(buf, data);
+                            put_value(buf, data);
                             buf.put_u32_le(*flags);
                             buf.put_u64_le(*cas);
                         }
@@ -478,20 +553,41 @@ impl Frame for Response {
 }
 
 impl Response {
-    /// Encode to a wire frame (allocated at exactly its length).
+    /// Encode to one contiguous wire frame (allocated at exactly its
+    /// length; stored values are copied in). The server and client speak
+    /// [`Response::encode_sg`]/[`Response::decode_sg`]; this pair is the
+    /// golden reference those are tested against.
     pub fn encode(&self) -> Bytes {
         encode_exact(self)
     }
 
+    /// Encode for a gather SEND: the same wire bytes as
+    /// [`Response::encode`], with every stored value carried as its own
+    /// handle between exact-size header pieces instead of copied.
+    pub fn encode_sg(&self) -> Frame {
+        encode_gather(self)
+    }
+
     /// Decode a wire frame.
     pub fn decode(mut frame: Bytes) -> Result<Response, ProtoError> {
+        Self::read_from(&mut frame)
+    }
+
+    /// Decode a received gather list as [`Response::decode`] decodes its
+    /// concatenation. A value that arrived as its own element comes back
+    /// as that very handle.
+    pub fn decode_sg(mut frame: Frame) -> Result<Response, ProtoError> {
+        Self::read_from(&mut frame)
+    }
+
+    fn read_from<B: Buf>(frame: &mut B) -> Result<Response, ProtoError> {
         if frame.remaining() < 1 {
             return Err(ProtoError("empty response"));
         }
         let tag = frame.get_u8();
         Ok(match tag {
             RTAG_VALUE => {
-                let data = get_bytes(&mut frame)?;
+                let data = get_bytes(frame)?;
                 if frame.remaining() < 12 {
                     return Err(ProtoError("truncated value meta"));
                 }
@@ -540,7 +636,7 @@ impl Response {
                     match frame.get_u8() {
                         0 => values.push(None),
                         1 => {
-                            let data = get_bytes(&mut frame)?;
+                            let data = get_bytes(frame)?;
                             if frame.remaining() < 12 {
                                 return Err(ProtoError("truncated multivalues meta"));
                             }

@@ -36,7 +36,7 @@ use simkit::telemetry::{Counter, Gauge, HistogramMetric, MetricValue};
 use simkit::{OpId, Sim};
 
 use netsim::NodeId;
-use rdmasim::{Cq, Qp, QpConfig, RdmaError, RdmaStack};
+use rdmasim::{Cq, Frame, Qp, QpConfig, RdmaError, RdmaStack};
 
 use crate::hotness::FreqSketch;
 use crate::proto::{Carrier, ProtoError, Request, Response, WireBuf};
@@ -126,7 +126,7 @@ impl KvServerConfig {
 }
 
 /// One reply queued to a connection's replier: `(seq, frame, traced op)`.
-type ReplyItem = (u64, Bytes, Option<OpId>);
+type ReplyItem = (u64, Frame, Option<OpId>);
 
 /// The right to answer one engine-model request: its place in the
 /// connection's reply order, its traced op, and the way to the replier.
@@ -140,7 +140,7 @@ impl Ticket {
     /// Queue `resp` to the connection's replier. A closed channel means
     /// the peer is gone and the answer has nowhere to go.
     fn answer(&self, resp: Response) {
-        let _ = self.reply.try_send((self.seq, resp.encode(), self.op));
+        let _ = self.reply.try_send((self.seq, resp.encode_sg(), self.op));
     }
 }
 
@@ -553,8 +553,9 @@ impl KvServer {
         let tenant = Rc::new(Cell::new(0u32));
         let mut seq = 0u64;
         loop {
+            // requests are single-buffer SENDs: concat hands the buffer over
             let (frame, op) = match qp.recv_tagged().await {
-                Ok(f) => f,
+                Ok((frame, op)) => (frame.concat(), op),
                 Err(_) => break, // peer gone; dropping reply_tx stops the replier
             };
             sim.op_stamp(op, "net_in");
@@ -572,7 +573,7 @@ impl KvServer {
                             early
                         }
                     };
-                    if qp.send(resp.encode()).await.is_err() {
+                    if qp.send_tagged(resp.encode_sg(), None).await.is_err() {
                         break;
                     }
                 }
@@ -597,12 +598,12 @@ impl KvServer {
     /// per-connection request order.
     async fn run_replier(sim: Sim, qp: Rc<Qp>, mut rx: mpsc::Receiver<ReplyItem>) {
         let mut next = 0u64;
-        let mut held: BTreeMap<u64, (Bytes, Option<OpId>)> = BTreeMap::new();
+        let mut held: BTreeMap<u64, (Frame, Option<OpId>)> = BTreeMap::new();
         while let Ok((seq, frame, op)) = rx.recv().await {
             held.insert(seq, (frame, op));
             while let Some((frame, op)) = held.remove(&next) {
                 sim.op_stamp(op, "reply_reorder");
-                if qp.send(frame).await.is_err() {
+                if qp.send_tagged(frame, None).await.is_err() {
                     return;
                 }
                 next += 1;

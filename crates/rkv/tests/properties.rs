@@ -3,8 +3,9 @@
 //! the slab against allocation invariants, and the codec against
 //! roundtripping.
 
-use bytes::Bytes;
+use bytes::{Buf, Bytes};
 use proptest::prelude::*;
+use rdmasim::Frame;
 use std::collections::HashMap;
 
 use rkv::proto::{Carrier, Request, Response, WireBuf};
@@ -194,6 +195,113 @@ proptest! {
         let _ = Request::decode(Bytes::from(bytes.clone()));
         let _ = Response::decode(Bytes::from(bytes));
         // reaching here without panic is the property
+    }
+
+    /// Gather replies: for every response — a `MultiValues` mixing misses
+    /// with values up to 600 KiB — `encode_sg`'s elements are header
+    /// pieces around the value handles themselves, joined they are
+    /// `encode()`'s golden bytes, and the gather list decodes as those
+    /// bytes do: whole, split into elements anywhere, cut short anywhere,
+    /// or with any header byte overwritten (the same `Response` or the
+    /// same `ProtoError`).
+    #[test]
+    fn proto_gather_replies_are_the_contiguous_frames(
+        // MultiValues, the reply with the most seams, takes 10..16
+        variant in 0u8..16,
+        slots in proptest::collection::vec(
+            (any::<bool>(), 0usize..=600 << 10, any::<u32>(), any::<u64>()),
+            0..5,
+        ),
+        edits in proptest::collection::vec((any::<u64>(), any::<u8>()), 6),
+        cuts in proptest::collection::vec(any::<u64>(), 6),
+    ) {
+        let values: Vec<Bytes> = slots
+            .iter()
+            .enumerate()
+            .map(|(i, s)| (0..s.1).map(|j| (j * 31 + i) as u8).collect())
+            .collect();
+        let (flags, cas) = slots.first().map_or((7, 9), |s| (s.2, s.3));
+        let resp = match variant {
+            0 => Response::Value {
+                data: values.first().cloned().unwrap_or_default(),
+                flags,
+                cas,
+            },
+            1 => Response::ValueWritten { len: flags, flags, cas },
+            2 => Response::Stored { cas },
+            3 => Response::Ok,
+            4 => Response::NotFound,
+            5 => Response::TooLarge,
+            6 => Response::OutOfMemory,
+            7 => Response::TransferFailed,
+            8 => Response::BadDigest,
+            9 => Response::Throttled,
+            _ => Response::MultiValues {
+                values: slots
+                    .iter()
+                    .zip(&values)
+                    .map(|(s, v)| s.0.then(|| (v.clone(), s.2, s.3)))
+                    .collect(),
+            },
+        };
+        let frame = resp.encode();
+        let sg = resp.encode_sg();
+        prop_assert_eq!(sg.clone().concat(), frame.clone());
+        prop_assert_eq!(Response::decode_sg(sg.clone()), Ok(resp.clone()));
+        // walk the elements: where each starts, and which bytes are header
+        let (mut seams, mut header, mut walk) = (Vec::new(), Vec::new(), sg);
+        let mut at = 0;
+        while walk.remaining() > 0 {
+            let elem = walk.copy_to_bytes(walk.chunk().len());
+            let is_value = values
+                .iter()
+                .any(|v| !v.is_empty() && v.as_ptr() == elem.as_ptr() && v.len() == elem.len());
+            if !is_value {
+                header.extend(at..at + elem.len());
+            }
+            seams.push(at);
+            at += elem.len();
+        }
+        // a hit's bytes never travel as header
+        let carried: usize = values.iter().map(Bytes::len).sum();
+        prop_assert!(header.len() + carried >= frame.len());
+        // `bytes` as a gather list cut at `seams` (those inside it)
+        let split = |bytes: &Bytes, seams: &[usize]| {
+            let mut ends: Vec<usize> = seams.iter().copied().filter(|&s| s < bytes.len()).collect();
+            ends.push(bytes.len());
+            let mut from = 0;
+            let elems: Vec<Bytes> = ends
+                .into_iter()
+                .map(|end| {
+                    let e = bytes.slice(from..end);
+                    from = end;
+                    e
+                })
+                .collect();
+            Frame::from(elems)
+        };
+        let regather = |bytes: &Bytes| split(bytes, &seams[1..]);
+        // any other cut of the same bytes decodes the same too: values and
+        // fields then straddle seams
+        let mut anywhere: Vec<usize> = cuts.iter().map(|&c| c as usize % frame.len()).collect();
+        anywhere.sort_unstable();
+        prop_assert_eq!(Response::decode_sg(split(&frame, &anywhere)), Ok(resp.clone()));
+        for (i, &cut) in cuts.iter().enumerate() {
+            // half anywhere, half inside a header piece
+            let t = if i % 2 == 0 {
+                cut as usize % frame.len()
+            } else {
+                header[cut as usize % header.len()]
+            };
+            let short = frame.slice(..t);
+            prop_assert_eq!(Response::decode_sg(regather(&short)), Response::decode(short));
+        }
+        for &(pos, byte) in &edits {
+            let mut bad = frame.to_vec();
+            bad[header[pos as usize % header.len()]] = byte;
+            let bad = Bytes::from(bad);
+            prop_assert_eq!(Response::decode_sg(regather(&bad)), Response::decode(bad));
+        }
     }
 
     /// Replication invariants on a live cluster: for arbitrary key sets

@@ -330,43 +330,62 @@ impl From<Vec<u8>> for BytesMut {
     }
 }
 
-/// Read cursor over a byte source (subset of `bytes::Buf`).
+/// Read cursor over a byte source (subset of `bytes::Buf`). A source may
+/// be non-contiguous: `chunk` is only the bytes up to the next seam, and
+/// every read below spans seams as `bytes::Buf`'s do.
 pub trait Buf {
     /// Bytes left to read.
     fn remaining(&self) -> usize;
-    /// The unread bytes.
+    /// The unread bytes up to the next seam (all of them when contiguous).
     fn chunk(&self) -> &[u8];
     /// Consume `cnt` bytes.
     fn advance(&mut self, cnt: usize);
 
+    /// Fill `dst` from the front of the source. Panics when fewer than
+    /// `dst.len()` bytes remain.
+    fn copy_to_slice(&mut self, dst: &mut [u8]) {
+        // the common case: the bytes lie before the next seam
+        if let Some(src) = self.chunk().get(..dst.len()) {
+            dst.copy_from_slice(src);
+            self.advance(dst.len());
+            return;
+        }
+        assert!(self.remaining() >= dst.len(), "copy past end");
+        let mut off = 0;
+        while off < dst.len() {
+            let n = self.chunk().len().min(dst.len() - off);
+            dst[off..off + n].copy_from_slice(&self.chunk()[..n]);
+            self.advance(n);
+            off += n;
+        }
+    }
+
     /// Read one byte.
     fn get_u8(&mut self) -> u8 {
-        let b = self.chunk()[0];
-        self.advance(1);
-        b
+        let mut raw = [0u8; 1];
+        self.copy_to_slice(&mut raw);
+        raw[0]
     }
 
     /// Read a little-endian `u32`.
     fn get_u32_le(&mut self) -> u32 {
         let mut raw = [0u8; 4];
-        raw.copy_from_slice(&self.chunk()[..4]);
-        self.advance(4);
+        self.copy_to_slice(&mut raw);
         u32::from_le_bytes(raw)
     }
 
     /// Read a little-endian `u64`.
     fn get_u64_le(&mut self) -> u64 {
         let mut raw = [0u8; 8];
-        raw.copy_from_slice(&self.chunk()[..8]);
-        self.advance(8);
+        self.copy_to_slice(&mut raw);
         u64::from_le_bytes(raw)
     }
 
     /// Read `len` bytes out as a `Bytes`.
     fn copy_to_bytes(&mut self, len: usize) -> Bytes {
-        let out = Bytes::from(self.chunk()[..len].to_vec());
-        self.advance(len);
-        out
+        let mut out = vec![0u8; len];
+        self.copy_to_slice(&mut out);
+        Bytes::from(out)
     }
 }
 

@@ -100,7 +100,7 @@ pub struct MrEngine {
     fabric: Rc<Fabric>,
     nodes: Vec<NodeId>,
     config: MrConfig,
-    spill: HashMap<NodeId, Rc<FifoServer>>,
+    spill: HashMap<NodeId, FifoServer>,
 }
 
 impl MrEngine {
@@ -110,12 +110,7 @@ impl MrEngine {
         let sim = fabric.sim().clone();
         let spill = nodes
             .iter()
-            .map(|&n| {
-                (
-                    n,
-                    Rc::new(FifoServer::new(sim.clone(), config.spill_rate, dur::us(20))),
-                )
-            })
+            .map(|&n| (n, FifoServer::new(sim.clone(), dur::us(20))))
             .collect();
         Rc::new(MrEngine {
             fabric,
@@ -311,7 +306,9 @@ impl MrEngine {
         // spill map output to the node-local spill device
         let out_bytes: u64 = pieces_vec.iter().map(|(_, b)| b.len() as u64).sum();
         if out_bytes > 0 {
-            self.spill[&node].serve_bytes(out_bytes).await;
+            self.spill[&node]
+                .serve_for(dur::transfer(out_bytes, self.config.spill_rate))
+                .await;
         }
         let mut pieces = HashMap::new();
         for (p, b) in pieces_vec {

@@ -85,8 +85,8 @@ impl std::error::Error for NetError {}
 
 struct NodeState {
     up: bool,
-    tx: Rc<FifoServer>,
-    rx: Rc<FifoServer>,
+    tx: FifoServer,
+    rx: FifoServer,
     tx_bytes: Counter,
     rx_bytes: Counter,
 }
@@ -182,16 +182,8 @@ impl Fabric {
         let id = NodeId(nodes.len() as u32);
         nodes.push(NodeState {
             up: true,
-            tx: Rc::new(FifoServer::new(
-                self.sim.clone(),
-                self.config.nic_bandwidth,
-                std::time::Duration::ZERO,
-            )),
-            rx: Rc::new(FifoServer::new(
-                self.sim.clone(),
-                self.config.nic_bandwidth,
-                std::time::Duration::ZERO,
-            )),
+            tx: FifoServer::new(self.sim.clone(), std::time::Duration::ZERO),
+            rx: FifoServer::new(self.sim.clone(), std::time::Duration::ZERO),
             tx_bytes: self
                 .sim
                 .metrics()
@@ -283,11 +275,7 @@ impl Fabric {
         nodes.get(node.0 as usize).map(|n| n.up).unwrap_or(false)
     }
 
-    fn endpoints(
-        &self,
-        src: NodeId,
-        dst: NodeId,
-    ) -> Result<(Rc<FifoServer>, Rc<FifoServer>), NetError> {
+    fn check_endpoints(&self, src: NodeId, dst: NodeId) -> Result<(), NetError> {
         let nodes = self.nodes.borrow();
         let s = nodes
             .get(src.0 as usize)
@@ -301,7 +289,7 @@ impl Fabric {
         if !d.up {
             return Err(NetError::DstDown(dst));
         }
-        Ok((Rc::clone(&s.tx), Rc::clone(&d.rx)))
+        Ok(())
     }
 
     /// Move `bytes` from `src` to `dst` using `profile`, waiting out the
@@ -326,13 +314,10 @@ impl Fabric {
             st.loopback_bytes += bytes;
             return Ok(());
         }
-        let (tx, rx) = match self.endpoints(src, dst) {
-            Ok(v) => v,
-            Err(e) => {
-                self.stats.borrow_mut().failed += 1;
-                return Err(e);
-            }
-        };
+        if let Err(e) = self.check_endpoints(src, dst) {
+            self.stats.borrow_mut().failed += 1;
+            return Err(e);
+        }
         let fault = self.sim.faults().transfer_fault(src.0, dst.0);
         // effective serialization rate: the slower of the transport's
         // payload bandwidth and the physical NIC, derated by any injected
@@ -349,17 +334,17 @@ impl Fabric {
             self.stats.borrow_mut().dropped += 1;
             return Err(NetError::Dropped);
         }
-        // TX and RX occupancy overlap (cut-through): run both concurrently.
-        let sim = self.sim.clone();
-        let rx_task = {
-            let sim = sim.clone();
-            self.sim.spawn(async move {
-                sim.sleep(latency).await;
-                rx.serve_for(ser).await;
-            })
-        };
-        tx.serve_for(overhead + ser).await;
-        rx_task.await;
+        // TX and RX occupancy overlap (cut-through). Both NICs serve in
+        // call order, so each leg is booked rather than queued for: TX at
+        // the call, RX when the first bit arrives. A caller dropped
+        // mid-transfer leaves what it booked in place (the bytes are on
+        // the wire); one dropped before arrival books no RX.
+        let tx_end = self.nodes.borrow()[src.0 as usize]
+            .tx
+            .reserve(overhead + ser);
+        self.sim.sleep(latency).await;
+        let rx_end = self.nodes.borrow()[dst.0 as usize].rx.reserve(ser);
+        self.sim.sleep_until(tx_end.max(rx_end)).await;
         // endpoint may have died mid-transfer
         if !self.is_up(dst) {
             self.stats.borrow_mut().failed += 1;
@@ -410,6 +395,55 @@ mod tests {
         let got = t - Time::ZERO;
         let diff = (got.as_secs_f64() - expect.as_secs_f64()).abs();
         assert!(diff < 1e-6, "got {got:?}, expected {expect:?}");
+    }
+
+    /// Pins a transfer's host cost: three polls of the caller (call,
+    /// arrival, end), alone or queued behind others on one TX. A change
+    /// that adds a task or a hand-off per transfer fails here and must
+    /// re-pin with its reason.
+    #[test]
+    fn a_transfer_costs_three_polls() {
+        let (sim, fabric) = setup(2);
+        let p = TransportProfile::verbs_qdr();
+        let f = Rc::clone(&fabric);
+        let before = sim.events_processed();
+        sim.block_on(async move { f.transfer(NodeId(0), NodeId(1), 4096, &p).await.unwrap() });
+        assert_eq!(sim.events_processed() - before, 3);
+
+        const N: u64 = 8;
+        let (before, start) = (sim.events_processed(), sim.now());
+        for _ in 0..N {
+            let f = Rc::clone(&fabric);
+            sim.spawn(async move { f.transfer(NodeId(0), NodeId(1), 4096, &p).await.unwrap() });
+        }
+        let end = sim.run();
+        assert_eq!(sim.events_processed() - before, 3 * N);
+        let one_tx = p.per_msg_overhead + dur::transfer(4096, p.bandwidth);
+        assert_eq!(
+            end,
+            start + one_tx * N as u32,
+            "the N transfers queued on TX"
+        );
+    }
+
+    /// A caller dropped mid-TX (a timeout shorter than the serialization)
+    /// keeps the NIC time it booked: the next transfer on the same TX
+    /// starts at the first one's booked end, not at the drop instant.
+    #[test]
+    fn a_dropped_transfer_keeps_its_booked_tx_time() {
+        let (sim, fabric) = setup(3);
+        let p = TransportProfile::verbs_qdr();
+        let bytes = 1 << 20;
+        let one_tx = p.per_msg_overhead + dur::transfer(bytes, p.bandwidth);
+        let (s, f) = (sim.clone(), Rc::clone(&fabric));
+        let end = sim.block_on(async move {
+            let first = f.transfer(NodeId(0), NodeId(1), bytes, &p);
+            let dropped = simkit::future::timeout(&s, dur::us(10), first).await;
+            assert!(dropped.is_none(), "the timeout fires mid-TX");
+            f.transfer(NodeId(0), NodeId(2), bytes, &p).await.unwrap();
+            s.now()
+        });
+        assert_eq!(end, Time::ZERO + one_tx + one_tx);
     }
 
     #[test]

@@ -1198,6 +1198,34 @@ mod tests {
         );
     }
 
+    /// Pins the host cost of one warm 128 B get round trip on the engine
+    /// server (4 cores, CQ batch 16): the task polls it takes, every task
+    /// counted. A change that adds polls on this path fails here and must
+    /// re-pin with its reason.
+    #[test]
+    fn engine_get_round_trip_costs_pinned_polls() {
+        let sim = Sim::new();
+        let stack = RdmaStack::new(Fabric::new(sim.clone(), 2, NetConfig::default()));
+        let engine = KvServerConfig {
+            cores: 4,
+            cq_batch: 16,
+            ..KvServerConfig::default()
+        };
+        let server = KvServer::new(Rc::clone(&stack), NodeId(0), engine);
+        let cl = KvClient::new(stack, NodeId(1), vec![server], KvClientConfig::default());
+        let s = sim.clone();
+        let polls = sim.block_on(async move {
+            cl.set(b"k", Bytes::from(vec![5u8; 128]), 0, 0)
+                .await
+                .unwrap();
+            cl.get(b"k").await.unwrap().unwrap();
+            let before = s.events_processed();
+            cl.get(b"k").await.unwrap().unwrap();
+            s.events_processed() - before
+        });
+        assert_eq!(polls, 12);
+    }
+
     #[test]
     fn server_death_surfaces_error_and_reconnect_after_recovery() {
         let c = cluster(1, 1);

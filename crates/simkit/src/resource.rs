@@ -1,27 +1,27 @@
-//! Queueing resources: the building blocks for device and link models.
+//! Queueing resources: the building block for device and link models.
 //!
-//! [`FifoServer`] is a single-server FIFO queue with a byte rate and a
-//! per-operation overhead — it models a disk spindle, an OST, a NIC TX
-//! engine, or a network link (store-and-forward). Contention emerges
-//! naturally: concurrent users queue and time accumulates.
+//! [`FifoServer`] is a single-server FIFO queue with a per-operation
+//! overhead — it models a disk spindle, an OST, a NIC TX or RX engine.
+//! Operations are served in call order, so an operation's start and end
+//! are known the moment it is called: the server *books* the time
+//! ([`FifoServer::reserve`]) instead of queueing a task for it, and the
+//! caller sleeps to the booked end. Contention emerges naturally:
+//! concurrent callers book back to back and time accumulates.
 
 use std::cell::Cell;
 use std::time::Duration;
 
-use crate::executor::Sim;
-use crate::sync::semaphore::Semaphore;
-use crate::time::{dur, Time};
+use crate::executor::{Sim, Sleep};
+use crate::time::Time;
 
-/// Utilization and throughput statistics for a [`FifoServer`].
+/// Utilization and queueing statistics for a [`FifoServer`].
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ServerStats {
-    /// Operations completed.
+    /// Operations booked.
     pub ops: u64,
-    /// Payload bytes serviced.
-    pub bytes: u64,
     /// Total busy time (service, excluding queueing).
     pub busy: Duration,
-    /// Total time requests spent queued before service began.
+    /// Total time operations waited behind earlier ones before service.
     pub queued: Duration,
 }
 
@@ -34,296 +34,157 @@ impl ServerStats {
             (self.busy.as_secs_f64() / elapsed.as_secs_f64()).min(1.0)
         }
     }
-
-    /// Mean queueing delay per operation.
-    pub fn mean_queue_delay(&self) -> Duration {
-        if self.ops == 0 {
-            Duration::ZERO
-        } else {
-            self.queued / self.ops as u32
-        }
-    }
 }
 
-/// Single-server FIFO queueing resource with a service rate.
+/// Single-server FIFO resource, served in call order.
+///
+/// A booking stands once made: a caller that stops waiting (its future
+/// dropped, e.g. by a timeout) still occupies the server until the end it
+/// booked, and later callers start after it.
 pub struct FifoServer {
     sim: Sim,
-    gate: Semaphore,
-    rate_bytes_per_sec: Cell<f64>,
     per_op_overhead: Duration,
+    /// When the last booked operation ends.
+    free_at: Cell<Time>,
     ops: Cell<u64>,
-    bytes: Cell<u64>,
     busy_ns: Cell<u64>,
     queued_ns: Cell<u64>,
 }
 
 impl FifoServer {
-    /// A server that moves `rate_bytes_per_sec` and charges
-    /// `per_op_overhead` of latency before each operation's transfer time.
-    pub fn new(sim: Sim, rate_bytes_per_sec: f64, per_op_overhead: Duration) -> Self {
-        assert!(rate_bytes_per_sec > 0.0, "rate must be positive");
+    /// A server that charges `per_op_overhead` on top of each operation's
+    /// own service time.
+    pub fn new(sim: Sim, per_op_overhead: Duration) -> Self {
         FifoServer {
             sim,
-            gate: Semaphore::new(1),
-            rate_bytes_per_sec: Cell::new(rate_bytes_per_sec),
             per_op_overhead,
+            free_at: Cell::new(Time::ZERO),
             ops: Cell::new(0),
-            bytes: Cell::new(0),
             busy_ns: Cell::new(0),
             queued_ns: Cell::new(0),
         }
     }
 
-    /// Current service rate in bytes/second.
-    pub fn rate(&self) -> f64 {
-        self.rate_bytes_per_sec.get()
-    }
-
-    /// Change the service rate (e.g. model degraded hardware). Applies to
-    /// operations that begin service after the call.
-    pub fn set_rate(&self, rate_bytes_per_sec: f64) {
-        assert!(rate_bytes_per_sec > 0.0, "rate must be positive");
-        self.rate_bytes_per_sec.set(rate_bytes_per_sec);
-    }
-
-    /// Queue for the server and hold it for the time to move `bytes`
-    /// (plus fixed overhead and `extra` latency, e.g. a disk seek).
-    pub async fn serve_bytes_extra(&self, bytes: u64, extra: Duration) {
-        let enq = self.sim.now();
-        let _permit = self.gate.acquire().await;
-        let start = self.sim.now();
-        self.queued_ns
-            .set(self.queued_ns.get() + (start - enq).as_nanos() as u64);
-        let service = self.per_op_overhead + extra + dur::transfer(bytes, self.rate());
-        self.sim.sleep(service).await;
-        self.ops.set(self.ops.get() + 1);
-        self.bytes.set(self.bytes.get() + bytes);
-        self.busy_ns
-            .set(self.busy_ns.get() + service.as_nanos() as u64);
-    }
-
-    /// Queue for the server and hold it for the time to move `bytes`.
-    pub async fn serve_bytes(&self, bytes: u64) {
-        self.serve_bytes_extra(bytes, Duration::ZERO).await;
-    }
-
-    /// Queue for the server and hold it for an explicit duration.
-    pub async fn serve_for(&self, d: Duration) {
-        let enq = self.sim.now();
-        let _permit = self.gate.acquire().await;
-        let start = self.sim.now();
-        self.queued_ns
-            .set(self.queued_ns.get() + (start - enq).as_nanos() as u64);
+    /// Book an operation of service time `d` (plus the per-op overhead)
+    /// behind every operation booked before it, and return the instant it
+    /// ends: it starts at `max(now, end of the previous booking)`.
+    pub fn reserve(&self, d: Duration) -> Time {
+        let now = self.sim.now();
+        let start = self.free_at.get().max(now);
         let service = self.per_op_overhead + d;
-        self.sim.sleep(service).await;
+        let end = start + service;
+        self.free_at.set(end);
         self.ops.set(self.ops.get() + 1);
         self.busy_ns
             .set(self.busy_ns.get() + service.as_nanos() as u64);
+        self.queued_ns
+            .set(self.queued_ns.get() + (start - now).as_nanos() as u64);
+        end
+    }
+
+    /// Book an operation of service time `d` now ([`reserve`](Self::reserve))
+    /// and sleep until it ends.
+    pub fn serve_for(&self, d: Duration) -> Sleep {
+        self.sim.sleep_until(self.reserve(d))
     }
 
     /// Snapshot of accumulated statistics.
     pub fn stats(&self) -> ServerStats {
         ServerStats {
             ops: self.ops.get(),
-            bytes: self.bytes.get(),
             busy: Duration::from_nanos(self.busy_ns.get()),
             queued: Duration::from_nanos(self.queued_ns.get()),
         }
     }
-
-    /// Requests currently waiting for service (excludes the one in service).
-    pub fn queue_len(&self) -> usize {
-        self.gate.queued()
-    }
-
-    /// The simulation this server belongs to.
-    pub fn sim(&self) -> &Sim {
-        &self.sim
-    }
-}
-
-/// A pool of identical parallel servers fed by one FIFO queue (M/G/c-style),
-/// modeling multi-channel devices such as a striped RAID OST or a
-/// multi-queue SSD.
-pub struct ServerPool {
-    sim: Sim,
-    gate: Semaphore,
-    width: usize,
-    rate_bytes_per_sec: f64,
-    per_op_overhead: Duration,
-    ops: Cell<u64>,
-    bytes: Cell<u64>,
-    busy_ns: Cell<u64>,
-}
-
-impl ServerPool {
-    /// `width` parallel channels, each moving `rate_bytes_per_sec`.
-    pub fn new(sim: Sim, width: usize, rate_bytes_per_sec: f64, per_op_overhead: Duration) -> Self {
-        assert!(width > 0, "pool width must be > 0");
-        assert!(rate_bytes_per_sec > 0.0, "rate must be positive");
-        ServerPool {
-            sim,
-            gate: Semaphore::new(width),
-            width,
-            rate_bytes_per_sec,
-            per_op_overhead,
-            ops: Cell::new(0),
-            bytes: Cell::new(0),
-            busy_ns: Cell::new(0),
-        }
-    }
-
-    /// Number of channels.
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
-    /// Serve `bytes` on the next free channel.
-    pub async fn serve_bytes(&self, bytes: u64) {
-        let _permit = self.gate.acquire().await;
-        let service = self.per_op_overhead + dur::transfer(bytes, self.rate_bytes_per_sec);
-        self.sim.sleep(service).await;
-        self.ops.set(self.ops.get() + 1);
-        self.bytes.set(self.bytes.get() + bytes);
-        self.busy_ns
-            .set(self.busy_ns.get() + service.as_nanos() as u64);
-    }
-
-    /// Snapshot of accumulated statistics (busy time sums across channels).
-    pub fn stats(&self) -> ServerStats {
-        ServerStats {
-            ops: self.ops.get(),
-            bytes: self.bytes.get(),
-            busy: Duration::from_nanos(self.busy_ns.get()),
-            queued: Duration::ZERO,
-        }
-    }
-}
-
-/// Convenience: elapsed virtual time of a simulation since an origin mark.
-pub fn elapsed_since(sim: &Sim, origin: Time) -> Duration {
-    sim.now() - origin
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::time::dur;
-
-    fn mib(n: u64) -> u64 {
-        n << 20
-    }
+    use std::rc::Rc;
 
     #[test]
     fn serial_requests_accumulate() {
         let sim = Sim::new();
-        // 100 MiB/s, no overhead
-        let srv = std::rc::Rc::new(FifoServer::new(
-            sim.clone(),
-            mib(100) as f64,
-            Duration::ZERO,
-        ));
+        let srv = Rc::new(FifoServer::new(sim.clone(), Duration::ZERO));
         let s = sim.clone();
-        let srv2 = std::rc::Rc::clone(&srv);
+        let srv2 = Rc::clone(&srv);
         let t = sim.block_on(async move {
-            srv2.serve_bytes(mib(100)).await; // 1 s
-            srv2.serve_bytes(mib(50)).await; // 0.5 s
+            srv2.serve_for(dur::secs(1)).await;
+            srv2.serve_for(dur::ms(500)).await;
             s.now()
         });
-        assert!((t.as_secs_f64() - 1.5).abs() < 1e-6);
+        assert_eq!(t, Time::from_millis(1_500));
         let st = srv.stats();
         assert_eq!(st.ops, 2);
-        assert_eq!(st.bytes, mib(150));
+        assert_eq!(st.queued, Duration::ZERO);
     }
 
     #[test]
     fn concurrent_requests_queue_fifo() {
         let sim = Sim::new();
-        let srv = std::rc::Rc::new(FifoServer::new(
-            sim.clone(),
-            mib(100) as f64,
-            Duration::ZERO,
-        ));
-        let done = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
-        for i in 0..3u32 {
-            let srv = std::rc::Rc::clone(&srv);
+        let srv = Rc::new(FifoServer::new(sim.clone(), Duration::ZERO));
+        let done = Rc::new(std::cell::RefCell::new(Vec::new()));
+        for i in 0..3u64 {
+            let srv = Rc::clone(&srv);
             let s = sim.clone();
-            let done = std::rc::Rc::clone(&done);
+            let done = Rc::clone(&done);
             sim.spawn(async move {
-                srv.serve_bytes(mib(100)).await;
-                done.borrow_mut().push((i, s.now().as_secs_f64()));
+                srv.serve_for(dur::secs(1)).await;
+                done.borrow_mut().push((i, s.now()));
             });
         }
         sim.run();
         let d = done.borrow();
         assert_eq!(d.len(), 3);
-        for (i, t) in d.iter() {
-            assert!(
-                (t - (*i as f64 + 1.0)).abs() < 1e-6,
-                "op {i} finished at {t}"
-            );
+        for &(i, t) in d.iter() {
+            assert_eq!(t, Time::from_secs(i + 1), "op {i} finished at {t}");
         }
         // 2 of 3 ops queued behind the first: total queueing 1s + 2s
         let st = srv.stats();
-        assert!((st.queued.as_secs_f64() - 3.0).abs() < 1e-6);
-        assert!((st.utilization(Duration::from_secs(3)) - 1.0).abs() < 1e-6);
+        assert_eq!(st.queued, dur::secs(3));
+        assert!((st.utilization(dur::secs(3)) - 1.0).abs() < 1e-9);
     }
 
     #[test]
     fn per_op_overhead_charged() {
         let sim = Sim::new();
-        let srv = FifoServer::new(sim.clone(), 1e9, dur::ms(8)); // seek-like
+        let srv = FifoServer::new(sim.clone(), dur::ms(8)); // seek-like
         let s = sim.clone();
         let t = sim.block_on(async move {
-            srv.serve_bytes(0).await;
-            srv.serve_bytes(0).await;
+            srv.serve_for(Duration::ZERO).await;
+            srv.serve_for(Duration::ZERO).await;
             s.now()
         });
         assert_eq!(t, Time::from_millis(16));
     }
 
     #[test]
-    fn rate_change_applies_to_new_ops() {
-        let sim = Sim::new();
-        let srv = FifoServer::new(sim.clone(), mib(100) as f64, Duration::ZERO);
-        let s = sim.clone();
-        let t = sim.block_on(async move {
-            srv.serve_bytes(mib(100)).await; // 1s
-            srv.set_rate(mib(200) as f64);
-            srv.serve_bytes(mib(100)).await; // 0.5s
-            s.now()
-        });
-        assert!((t.as_secs_f64() - 1.5).abs() < 1e-6);
-    }
-
-    #[test]
-    fn pool_runs_width_in_parallel() {
-        let sim = Sim::new();
-        let pool = std::rc::Rc::new(ServerPool::new(
-            sim.clone(),
-            4,
-            mib(100) as f64,
-            Duration::ZERO,
-        ));
-        for _ in 0..8 {
-            let p = std::rc::Rc::clone(&pool);
-            sim.spawn(async move { p.serve_bytes(mib(100)).await });
-        }
-        let end = sim.run();
-        // 8 × 1s jobs on 4 channels => 2s
-        assert!((end.as_secs_f64() - 2.0).abs() < 1e-6);
-        assert_eq!(pool.stats().ops, 8);
-    }
-
-    #[test]
     fn serve_for_explicit_duration() {
         let sim = Sim::new();
-        let srv = FifoServer::new(sim.clone(), 1.0, Duration::ZERO);
+        let srv = FifoServer::new(sim.clone(), Duration::ZERO);
         let s = sim.clone();
         let t = sim.block_on(async move {
             srv.serve_for(dur::ms(123)).await;
             s.now()
         });
         assert_eq!(t, Time::from_millis(123));
+    }
+
+    #[test]
+    fn reserve_books_without_waiting() {
+        let sim = Sim::new();
+        let srv = FifoServer::new(sim.clone(), Duration::ZERO);
+        assert_eq!(srv.reserve(dur::ms(3)), Time::from_millis(3));
+        assert_eq!(srv.reserve(dur::ms(2)), Time::from_millis(5));
+        // an idle gap is not carried: after the booked end, ops start at
+        // their own call instant
+        let s = sim.clone();
+        let end = sim.block_on(async move {
+            s.sleep(dur::ms(10)).await;
+            srv.reserve(dur::ms(1))
+        });
+        assert_eq!(end, Time::from_millis(11));
     }
 }

@@ -1,6 +1,7 @@
 //! Property tests of the simulation core: the scheduling contract against
 //! a naive reference scheduler, time monotonicity under arbitrary task
-//! graphs, FIFO resource conservation, histogram percentile ordering, and
+//! graphs, FIFO resource conservation and equivalence with the
+//! semaphore-queued server it replaced, histogram percentile ordering, and
 //! channel delivery completeness.
 
 use proptest::prelude::*;
@@ -324,6 +325,70 @@ fn execute<R: Rt>(rt: R, scripts: &[Vec<Op>], roots: usize) -> (Vec<(usize, u64)
     (trace, polls)
 }
 
+/// `(ops, busy, queued)` of a FIFO server.
+type Totals = (u64, Duration, Duration);
+
+/// What the FIFO equivalence property needs from a server under test.
+trait Serve: 'static {
+    fn serve(self: Rc<Self>, d: Duration) -> Fut<()>;
+    fn totals(&self) -> Totals;
+}
+
+impl Serve for FifoServer {
+    fn serve(self: Rc<Self>, d: Duration) -> Fut<()> {
+        Box::pin(self.serve_for(d))
+    }
+    fn totals(&self) -> Totals {
+        let st = self.stats();
+        (st.ops, st.busy, st.queued)
+    }
+}
+
+/// The body `FifoServer::serve_for` had before it booked time: hold a
+/// one-permit FIFO gate for the service time.
+struct QueuedFifo {
+    sim: Sim,
+    gate: Semaphore,
+    overhead: Duration,
+    totals: Cell<Totals>,
+}
+
+impl Serve for QueuedFifo {
+    fn serve(self: Rc<Self>, d: Duration) -> Fut<()> {
+        Box::pin(async move {
+            let enq = self.sim.now();
+            let _permit = self.gate.acquire().await;
+            let waited = self.sim.now() - enq;
+            let service = self.overhead + d;
+            self.sim.sleep(service).await;
+            let (ops, busy, queued) = self.totals.get();
+            self.totals.set((ops + 1, busy + service, queued + waited));
+        })
+    }
+    fn totals(&self) -> Totals {
+        self.totals.get()
+    }
+}
+
+/// Serve each job `(slot, jitter, service)` — called at `slot` µs plus
+/// `jitter` ns, for `service` ns — on `srv`; returns every op's end
+/// instant in ns and the server's totals.
+fn run_fifo<S: Serve>(sim: &Sim, srv: Rc<S>, jobs: &[(u64, u64, u64)]) -> (Vec<u64>, Totals) {
+    let ends = Rc::new(RefCell::new(vec![0; jobs.len()]));
+    for (i, &(slot, jitter, service)) in jobs.iter().enumerate() {
+        let (s, srv, ends) = (sim.clone(), Rc::clone(&srv), Rc::clone(&ends));
+        sim.spawn(async move {
+            s.sleep(dur::ns(slot * 1_000 + jitter)).await;
+            srv.serve(dur::ns(service)).await;
+            ends.borrow_mut()[i] = s.now().as_nanos();
+        });
+    }
+    sim.run();
+    sim.reset();
+    let ends = ends.borrow().clone();
+    (ends, srv.totals())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -372,7 +437,7 @@ proptest! {
     #[test]
     fn fifo_server_conserves_work(jobs in proptest::collection::vec(1u64..5_000, 1..60)) {
         let sim = Sim::new();
-        let srv = Rc::new(FifoServer::new(sim.clone(), 1e9, Duration::ZERO));
+        let srv = Rc::new(FifoServer::new(sim.clone(), Duration::ZERO));
         for &j in &jobs {
             let srv = Rc::clone(&srv);
             sim.spawn(async move { srv.serve_for(dur::us(j)).await });
@@ -384,6 +449,26 @@ proptest! {
         prop_assert_eq!(st.ops, jobs.len() as u64);
         prop_assert_eq!(st.busy, Duration::from_micros(total));
         sim.reset();
+    }
+
+    /// The booked `FifoServer` ends every op at the instant the
+    /// semaphore-queued server it replaced did, and accounts the same
+    /// busy and queueing time. Calls land on a coarse grid plus ns jitter,
+    /// so they both collide and interleave with ends.
+    #[test]
+    fn booked_fifo_matches_the_queued_reference(
+        jobs in proptest::collection::vec((0u64..20, 0u64..3, 0u64..4_000), 1..60),
+        overhead in 0u64..300,
+    ) {
+        let (a, b) = (Sim::new(), Sim::new());
+        let booked = run_fifo(&a, Rc::new(FifoServer::new(a.clone(), dur::ns(overhead))), &jobs);
+        let queued = QueuedFifo {
+            sim: b.clone(),
+            gate: Semaphore::new(1),
+            overhead: dur::ns(overhead),
+            totals: Cell::default(),
+        };
+        prop_assert_eq!(booked, run_fifo(&b, Rc::new(queued), &jobs));
     }
 
     /// Every message sent is received exactly once, in send order per

@@ -118,8 +118,7 @@ impl Disk {
     pub fn new(sim: Sim, params: DiskParams) -> Rc<Disk> {
         Rc::new(Disk {
             params,
-            // rate on the FifoServer is unused; ops carge explicit durations
-            channel: FifoServer::new(sim, 1.0, Duration::ZERO),
+            channel: FifoServer::new(sim, Duration::ZERO),
             used: Cell::new(0),
             reads: Cell::new(0),
             writes: Cell::new(0),
@@ -244,11 +243,6 @@ impl Disk {
             self.read_bytes.get(),
             self.written_bytes.get(),
         )
-    }
-
-    /// Requests queued behind the device channel.
-    pub fn queue_len(&self) -> usize {
-        self.channel.queue_len()
     }
 }
 

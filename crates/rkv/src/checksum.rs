@@ -1,8 +1,10 @@
 //! CRC32C (Castagnoli) — the end-to-end chunk digest.
 //!
-//! The kernel is [`simkit::crc32c`] (the CPU's CRC32C instruction where the
-//! running CPU has one, table-driven slice-by-8 elsewhere; same digests
-//! either way), shared with Lustre's commit check. This module re-exports
+//! The kernel is [`simkit::crc32c`], shared with Lustre's commit check. It
+//! folds inputs of ≥ 256 bytes with carry-less multiplies where the running
+//! CPU has AVX-512 VPCLMULQDQ, uses the CPU's CRC32C instruction for shorter
+//! inputs and other CPUs, and table-driven slice-by-8 elsewhere; the
+//! digests are the same on every path. This module re-exports
 //! it under the names the KV layer, the wire layer, the burst-buffer core
 //! and test code have always used.
 //!

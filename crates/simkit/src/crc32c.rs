@@ -5,15 +5,24 @@
 //! depends on. `rkv` seals chunks with it (`rkv::checksum` re-exports this
 //! module) and `lustre` uses it for the OSS commit check.
 //!
-//! Two implementations produce identical digests:
+//! Three implementations produce identical digests; `update` picks the
+//! first the running CPU can use (runtime feature detection, cached by
+//! `std` for the process):
 //!
+//! * carry-less-multiply folding (x86-64 with AVX-512F, VPCLMULQDQ,
+//!   PCLMULQDQ and SSE4.2), for inputs of at least 256 bytes. Four 512-bit
+//!   accumulators take 256 bytes per round with `vpclmulqdq`; at the end
+//!   they fold into one 16-byte residue, which two `crc32` instructions
+//!   reduce, and the `crc32` kernel below takes the tail of < 256 bytes.
+//!   The multipliers are derived at compile time from `times_x`;
 //! * the CPU's CRC32C instruction (x86-64 SSE4.2 `crc32`, AArch64 `crc32cx`),
-//!   chosen by runtime feature detection. The instruction has a 3-cycle
-//!   latency but issues every cycle, so the kernel runs three independent
-//!   streams over adjacent `BLOCK`-byte blocks and recombines them with a
-//!   table-driven "advance over `BLOCK` zero bytes" operator;
-//! * table-driven slice-by-8, the portable fallback and the oracle the
-//!   tests hold the hardware path to.
+//!   for shorter inputs and for CPUs without the folding instructions. The
+//!   instruction has a 3-cycle latency but issues every cycle, so the
+//!   kernel runs three independent streams over adjacent `BLOCK`-byte
+//!   blocks and recombines them with a table-driven "advance over `BLOCK`
+//!   zero bytes" operator;
+//! * table-driven slice-by-8, the portable fallback and, beside a bitwise
+//!   reference, the oracle the tests hold both hardware paths to.
 
 /// The Castagnoli generator polynomial, reflected.
 const POLY: u32 = 0x82f6_3b78;
@@ -217,8 +226,145 @@ mod hw {
     }
 }
 
+/// The carry-less-multiply folding kernel: four 512-bit accumulators, 256
+/// bytes per round.
+///
+/// A 16-byte block moves `d` bits forward (its residue mod P becomes that
+/// of the block times x^d) with two carry-less multiplies: its first 8 bytes
+/// by x^(d+32) mod P and its last 8 by x^(d−32) mod P, each passed as the
+/// reflected 32-bit value `<< 1` (the 33-bit form `pclmulqdq` wants).
+#[cfg(target_arch = "x86_64")]
+mod fold {
+    use super::{hw, times_x};
+    use std::arch::x86_64::*;
+
+    /// Bytes one round of the four accumulators covers; the kernel takes
+    /// inputs at least this long.
+    pub(super) const ROUND: usize = 256;
+
+    /// `x^n mod P`, reflected: the register 1 (bit 31) advanced over `n`
+    /// zero bits.
+    const fn x_pow(n: u32) -> u32 {
+        let mut v = 1 << 31;
+        let mut i = 0;
+        while i < n {
+            v = times_x(v);
+            i += 1;
+        }
+        v
+    }
+
+    /// The `[first 8 bytes, last 8 bytes]` multipliers that move a 16-byte
+    /// block `d` bits forward.
+    const fn pair(d: u32) -> [u64; 2] {
+        [(x_pow(d + 32) as u64) << 1, (x_pow(d - 32) as u64) << 1]
+    }
+
+    /// Each accumulator over one round (2048 bits).
+    pub(super) const MAIN: [u64; 2] = pair(2048);
+    /// Registers 0, 1, 2 into register 3 (1536, 1024, 512 bits).
+    pub(super) const REGISTERS: [[u64; 2]; 3] = [pair(1536), pair(1024), pair(512)];
+    /// Lanes 0, 1, 2 of the last register into its lane 3 (384, 256, 128 bits).
+    pub(super) const LANES: [[u64; 2]; 3] = [pair(384), pair(256), pair(128)];
+
+    /// Whether this CPU has every instruction [`update`] is compiled for.
+    pub(super) fn available() -> bool {
+        is_x86_feature_detected!("avx512f")
+            && is_x86_feature_detected!("vpclmulqdq")
+            && is_x86_feature_detected!("pclmulqdq")
+            && is_x86_feature_detected!("sse4.2")
+    }
+
+    #[inline]
+    #[target_feature(enable = "sse2")]
+    fn lane(k: [u64; 2]) -> __m128i {
+        _mm_set_epi64x(k[1] as i64, k[0] as i64)
+    }
+
+    /// Every lane of `x` moved `k`'s distance forward, xor `add`.
+    #[inline]
+    #[target_feature(enable = "avx512f,vpclmulqdq")]
+    fn fold512(x: __m512i, k: [u64; 2], add: __m512i) -> __m512i {
+        let k = _mm512_broadcast_i32x4(lane(k));
+        let lo = _mm512_clmulepi64_epi128(x, k, 0x00);
+        let hi = _mm512_clmulepi64_epi128(x, k, 0x11);
+        _mm512_ternarylogic_epi64(lo, hi, add, 0x96) // lo ^ hi ^ add
+    }
+
+    /// `x` moved `k`'s distance forward, xor `add`.
+    #[inline]
+    #[target_feature(enable = "pclmulqdq")]
+    pub(super) fn fold128(x: __m128i, k: [u64; 2], add: __m128i) -> __m128i {
+        let lo = _mm_clmulepi64_si128(x, lane(k), 0x00);
+        let hi = _mm_clmulepi64_si128(x, lane(k), 0x11);
+        _mm_xor_si128(_mm_xor_si128(lo, hi), add)
+    }
+
+    /// The `i`-th 64-byte block of a round.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn load(round: &[u8], i: usize) -> __m512i {
+        let block = &round[64 * i..64 * (i + 1)];
+        // SAFETY: `block` is 64 readable bytes, and `loadu` takes any
+        // alignment.
+        unsafe { _mm512_loadu_si512(block.as_ptr().cast()) }
+    }
+
+    /// Fold `data` into the raw register `crc`: whole rounds here, the
+    /// tail (< [`ROUND`] bytes) on the `crc32` kernel.
+    ///
+    /// Safe to call only where [`available`] returned true.
+    #[target_feature(enable = "avx512f,vpclmulqdq,pclmulqdq,sse4.2")]
+    pub(super) fn update(crc: u32, data: &[u8]) -> u32 {
+        let (body, tail) = data.split_at(data.len() - data.len() % ROUND);
+        let mut rounds = body.chunks_exact(ROUND);
+        let Some(first) = rounds.next() else {
+            return hw::update(crc, data);
+        };
+        // the register in is the same as xoring it into the first 4 bytes
+        // and starting from zero
+        let crc_in = _mm512_zextsi128_si512(_mm_cvtsi32_si128(crc as i32));
+        let mut x = [0, 1, 2, 3].map(|i| load(first, i));
+        x[0] = _mm512_xor_si512(x[0], crc_in);
+        for round in rounds {
+            for (i, xi) in x.iter_mut().enumerate() {
+                *xi = fold512(*xi, MAIN, load(round, i));
+            }
+        }
+        let [r0, r1, r2] = REGISTERS;
+        let last = fold512(x[0], r0, fold512(x[1], r1, fold512(x[2], r2, x[3])));
+        let [l0, l1, l2] = LANES;
+        let residue = fold128(
+            _mm512_extracti32x4_epi32(last, 0),
+            l0,
+            fold128(
+                _mm512_extracti32x4_epi32(last, 1),
+                l1,
+                fold128(
+                    _mm512_extracti32x4_epi32(last, 2),
+                    l2,
+                    _mm512_extracti32x4_epi32(last, 3),
+                ),
+            ),
+        );
+        // the residue's digest from a zero register is the register after
+        // `body`
+        let lo = _mm_cvtsi128_si64(residue) as u64;
+        let hi = _mm_extract_epi64(residue, 1) as u64;
+        let crc = _mm_crc32_u64(_mm_crc32_u64(0, lo), hi) as u32;
+        hw::update(crc, tail)
+    }
+}
+
 /// Fold `data` into the raw register `crc` on the fastest path this CPU has.
 fn update(crc: u32, data: &[u8]) -> u32 {
+    #[cfg(target_arch = "x86_64")]
+    if data.len() >= fold::ROUND && fold::available() {
+        // SAFETY: `fold::update` requires the CPU features it is compiled
+        // for (AVX-512F, VPCLMULQDQ, PCLMULQDQ, SSE4.2); `fold::available()`
+        // just detected all four on the running CPU.
+        return unsafe { fold::update(crc, data) };
+    }
     #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
     if hw::available() {
         // SAFETY: `hw::update` requires the CPU feature it is compiled for
@@ -291,8 +437,8 @@ mod tests {
 
     type Kernel = fn(u32, &[u8]) -> u32;
 
-    /// The hardware kernel, or `None` (with a message) where the CPU or
-    /// target has no CRC32C instruction.
+    /// The hardware kernel, or `None` where the CPU or target has no
+    /// CRC32C instruction.
     fn hardware() -> Option<Kernel> {
         #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
         if hw::available() {
@@ -300,7 +446,18 @@ mod tests {
             // `hw::update` is compiled for.
             return Some(|crc, data| unsafe { hw::update(crc, data) });
         }
-        eprintln!("SKIPPED hardware CRC32C checks: no CRC instruction on this CPU/target");
+        None
+    }
+
+    /// The folding kernel, or `None` where the CPU or target lacks one of
+    /// its instructions.
+    fn folding() -> Option<Kernel> {
+        #[cfg(target_arch = "x86_64")]
+        if fold::available() {
+            // SAFETY: `fold::available()` just detected every feature
+            // `fold::update` is compiled for.
+            return Some(|crc, data| unsafe { fold::update(crc, data) });
+        }
         None
     }
 
@@ -308,7 +465,27 @@ mod tests {
     fn kernels() -> Vec<(&'static str, Kernel)> {
         let mut all: Vec<(&'static str, Kernel)> =
             vec![("bitwise", update_bitwise), ("slice-by-8", update_portable)];
-        all.extend(hardware().map(|hw| ("hardware", hw)));
+        all.extend(hardware().map(|k| ("hardware", k)));
+        all.extend(folding().map(|k| ("fold", k)));
+        all
+    }
+
+    /// Print which kernels `test` checks, and which it had to skip.
+    fn report(test: &str, kernels: &[(&'static str, Kernel)]) {
+        let names: Vec<_> = kernels.iter().map(|(name, _)| *name).collect();
+        eprintln!("{test}: checked kernels {names:?}");
+        if !names.contains(&"hardware") {
+            eprintln!("{test}: SKIPPED hardware: no CRC32C instruction on this CPU/target");
+        }
+        if !names.contains(&"fold") {
+            eprintln!("{test}: SKIPPED fold: needs x86-64 avx512f, vpclmulqdq, pclmulqdq, sse4.2");
+        }
+    }
+
+    /// [`kernels`], reported under `test`.
+    fn kernels_for(test: &str) -> Vec<(&'static str, Kernel)> {
+        let all = kernels();
+        report(test, &all);
         all
     }
 
@@ -318,6 +495,18 @@ mod tests {
 
     fn patterned(n: usize) -> Vec<u8> {
         (0..n).map(|i| (i * 31 % 251) as u8).collect()
+    }
+
+    fn xorshift(seed: u64, n: usize) -> Vec<u8> {
+        let mut x = seed | 1;
+        (0..n)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x as u8
+            })
+            .collect()
     }
 
     #[test]
@@ -333,7 +522,7 @@ mod tests {
             (&descending, 0x113f_db5c),
             (b"123456789", 0xe306_9283),
         ];
-        for (name, kernel) in kernels() {
+        for (name, kernel) in kernels_for("rfc3720_vectors_on_every_kernel") {
             for (input, want) in vectors {
                 assert_eq!(digest(kernel, input), want, "{name} on {input:?}");
             }
@@ -344,7 +533,8 @@ mod tests {
     #[test]
     fn interleave_block_edges_agree() {
         let data = patterned(6 * BLOCK + 9);
-        let edges = [
+        // the 3-stream kernel's block edges, then the fold's round edges
+        let mut edges = vec![
             0,
             1,
             7,
@@ -355,10 +545,19 @@ mod tests {
             3 * BLOCK + 1,
             6 * BLOCK,
             6 * BLOCK + 9,
+            255,
+            256,
+            257,
+            511,
+            512,
         ];
+        for k in 2..=16 {
+            edges.extend([256 * k - 1, 256 * k + 1]);
+        }
+        let kernels = kernels_for("interleave_block_edges_agree");
         for len in edges {
             let want = update_bitwise(!0, &data[..len]);
-            for (name, kernel) in kernels() {
+            for &(name, kernel) in &kernels {
                 assert_eq!(kernel(!0, &data[..len]), want, "{name} at len {len}");
             }
         }
@@ -366,20 +565,108 @@ mod tests {
 
     #[test]
     fn pair_equals_concatenation() {
-        let a = b"chunk-key:f1:0";
-        let b = patterned(10_000);
-        let mut whole = a.to_vec();
-        whole.extend_from_slice(&b);
-        assert_eq!(crc32c_pair(a, &b), crc32c(&whole));
+        // a short key, then payloads and splits on either side of the
+        // fold's 256-byte threshold
+        let key = b"chunk-key:f1:0";
+        let payload = patterned(10_000);
+        for len in [0, 255, 256, 257, 300, 10_000] {
+            let mut whole = key.to_vec();
+            whole.extend_from_slice(&payload[..len]);
+            let want = !update_bitwise(!0, &whole);
+            assert_eq!(crc32c_pair(key, &payload[..len]), want, "key + {len}");
+            for cut in [1, 200, 255, 256, 257, 511, 512] {
+                if let Some((a, b)) = whole.split_at_checked(cut) {
+                    assert_eq!(crc32c_pair(a, b), want, "key + {len} split at {cut}");
+                }
+            }
+            let mut inc = Crc32c::new();
+            for piece in whole.chunks(255) {
+                inc.update(piece);
+            }
+            assert_eq!(inc.finalize(), want, "key + {len} in 255-byte pieces");
+        }
+    }
+
+    /// Each fold distance on its own: a 16-byte block followed by `d/8`
+    /// zero bytes leaves the same register (from zero) as the block's fold.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn each_fold_distance_matches_zero_padding() {
+        use std::arch::x86_64::{__m128i, _mm_loadu_si128, _mm_setzero_si128, _mm_storeu_si128};
+        let test = "each_fold_distance_matches_zero_padding";
+        if folding().is_none() {
+            report(test, &kernels());
+            return;
+        }
+        let distances = [
+            (2048, fold::MAIN),
+            (1536, fold::REGISTERS[0]),
+            (1024, fold::REGISTERS[1]),
+            (512, fold::REGISTERS[2]),
+            (384, fold::LANES[0]),
+            (256, fold::LANES[1]),
+            (128, fold::LANES[2]),
+        ];
+        for (seed, (d, k)) in distances.into_iter().enumerate() {
+            let mut padded = xorshift(seed as u64 + 100, 16);
+            padded.resize(16 + d / 8, 0);
+            let mut folded = [0u8; 16];
+            // SAFETY: both pointers cover 16 bytes (`loadu`/`storeu` take
+            // any alignment), and `folding()` just detected the PCLMULQDQ
+            // `fold128` is compiled for.
+            unsafe {
+                let block = _mm_loadu_si128(padded.as_ptr().cast::<__m128i>());
+                let out = fold::fold128(block, k, _mm_setzero_si128());
+                _mm_storeu_si128(folded.as_mut_ptr().cast::<__m128i>(), out);
+            }
+            assert_eq!(
+                update_bitwise(0, &folded),
+                update_bitwise(0, &padded),
+                "fold by {d} bits"
+            );
+        }
+        eprintln!(
+            "{test}: checked kernels [\"fold\"] at {} distances",
+            distances.len()
+        );
     }
 
     #[test]
     fn single_bit_flip_changes_digest() {
-        let mut data = patterned(4096);
+        let mut data = patterned(512 << 10);
+        let len = data.len();
         let clean = crc32c(&data);
-        for at in [0usize, 1, 7, 8, 9, 3071, 3072, 4095] {
+        let kernels = kernels_for("single_bit_flip_changes_digest");
+        // the 3-stream kernel's seams, and the fold's lanes, registers and
+        // rounds
+        let offsets = [
+            0,
+            1,
+            3,
+            4,
+            7,
+            8,
+            9,
+            63,
+            64,
+            255,
+            256,
+            2047,
+            2048,
+            3071,
+            3072,
+            len - 17,
+            len - 1,
+        ];
+        for at in offsets {
             data[at] ^= 0x10;
-            assert_ne!(crc32c(&data), clean, "flip at {at} undetected");
+            for &(name, kernel) in kernels.iter().filter(|(name, _)| *name != "bitwise") {
+                assert_ne!(
+                    digest(kernel, &data),
+                    clean,
+                    "{name}: flip at {at} undetected"
+                );
+            }
             data[at] ^= 0x10;
         }
         assert_eq!(crc32c(&data), clean);
@@ -390,22 +677,17 @@ mod tests {
         fn kernels_agree_on_random_input(
             seed in any::<u64>(),
             len in 0usize..=64 << 10,
-            misalign in 0usize..=15,
+            misalign in 0usize..=63,
             cut_a in 0usize..=64 << 10,
             cut_b in 0usize..=64 << 10,
         ) {
-            let mut x = seed | 1;
-            let backing: Vec<u8> = (0..len + misalign)
-                .map(|_| {
-                    x ^= x << 13;
-                    x ^= x >> 7;
-                    x ^= x << 17;
-                    x as u8
-                })
-                .collect();
+            let backing = xorshift(seed, len + misalign);
             let data = &backing[misalign..];
             let want = update_bitwise(!0, data);
-            for (name, kernel) in kernels() {
+            let kernels = kernels();
+            static REPORTED: std::sync::Once = std::sync::Once::new();
+            REPORTED.call_once(|| report("kernels_agree_on_random_input", &kernels));
+            for (name, kernel) in kernels {
                 prop_assert_eq!(kernel(!0, data), want, "{} one-shot", name);
             }
             // the public incremental API, split at two random points

@@ -7,11 +7,11 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 use std::time::Duration;
 
-use bytes::{Bytes, BytesMut};
+use bytes::{Buf, Bytes, BytesMut};
 use netsim::NodeId;
 use rkv::{KvClient, KvClientConfig};
 use simkit::sync::semaphore::Semaphore;
-use simkit::JoinHandle;
+use simkit::{Gather, JoinHandle};
 
 use hdfs::{HdfsClient, HdfsReader, HdfsWriter};
 use lustre::{LustreClient, LustreError, LustreFile};
@@ -458,32 +458,35 @@ impl BbWriter {
         self.len() == 0
     }
 
-    /// Append data; completed chunks are pushed to the buffer (and, per
-    /// scheme, to Lustre/the local replica) with bounded concurrency.
-    pub async fn append(&self, mut data: Bytes) -> Result<(), BbError> {
+    /// Append data — one buffer, or a gather of views (a reduce output);
+    /// completed chunks are pushed to the buffer (and, per scheme, to
+    /// Lustre/the local replica) with bounded concurrency. A chunk that
+    /// lies inside one element is that element's view, not a copy.
+    pub async fn append(&self, data: impl Into<Gather>) -> Result<(), BbError> {
+        let mut data = data.into();
         assert!(!self.closed.get(), "append after close");
         self.size.set(self.size.get() + data.len() as u64);
         // scheme C: the local replica takes the stream as-is (the HDFS
         // writer stages internally and pipelines per block)
         if let Some(w) = &self.hdfs_writer {
-            w.append(data.clone()).await?;
+            w.append(data.clone().concat()).await?;
         }
         let chunk_size = self.client.dep.config.chunk_size as usize;
         loop {
             let staged_len = self.staged.borrow().len();
             if staged_len + data.len() < chunk_size {
-                if !data.is_empty() {
-                    self.staged.borrow_mut().extend_from_slice(&data);
-                }
+                let mut st = self.staged.borrow_mut();
+                data.iter().for_each(|e| st.extend_from_slice(e));
                 return Ok(());
             }
             let take = chunk_size - staged_len;
             let chunk = if staged_len == 0 {
                 // fast path: a whole chunk straight from the input
-                data.split_to(take)
+                data.copy_to_bytes(take)
             } else {
                 let mut st = self.staged.borrow_mut();
-                st.extend_from_slice(&data.split_to(take));
+                st.resize(chunk_size, 0);
+                data.copy_to_slice(&mut st[staged_len..]);
                 std::mem::take(&mut *st).freeze()
             };
             self.submit_chunk(chunk).await;
@@ -808,18 +811,23 @@ impl BbReader {
         self.core.meta.borrow().state
     }
 
-    /// Read `len` bytes at `offset`.
+    /// Read `len` bytes at `offset` into one buffer: [`BbReader::read_gather`]
+    /// joined after its last await, so no assembly buffer is held while
+    /// chunks are in flight.
     pub async fn read_at(&self, offset: u64, len: u64) -> Result<Bytes, BbError> {
-        self.core.read_at(offset, len).await
+        self.read_gather(offset, len).await.map(Gather::concat)
+    }
+
+    /// Read `len` bytes at `offset` as views of the chunks that hold them
+    /// (buffer values, Lustre stripe replies, local-replica reads), in
+    /// order, with nothing copied.
+    pub async fn read_gather(&self, offset: u64, len: u64) -> Result<Gather, BbError> {
+        self.core.read_gather(offset, len).await
     }
 
     /// Read the whole file.
     pub async fn read_all(&self) -> Result<Bytes, BbError> {
-        let size = self.size();
-        if size == 0 {
-            return Ok(Bytes::new());
-        }
-        self.core.read_at(0, size).await
+        self.read_at(0, self.size()).await
     }
 
     /// Block size of the scheme-C local overlay, if present.
@@ -978,13 +986,13 @@ impl ReadCore {
         let (file_id, chunk_size, size) = self.geometry();
         let clen = |seq: u64| chunk_size.min(size - seq * chunk_size);
         let sim = self.client.dep.stack.sim();
-        type LustreRun = (u64, u64, JoinHandle<Result<Bytes, LustreError>>);
+        type LustreRun = (u64, u64, JoinHandle<Result<Gather, LustreError>>);
         let mut runs: Vec<LustreRun> = Vec::new();
         for (s0, s1) in coalesce_runs(seqs) {
             let lf = Rc::clone(&lf);
             let off = s0 * chunk_size;
             let run_len = (s1 * chunk_size + clen(s1)) - off;
-            let h = sim.spawn(async move { lf.read_at(off, run_len).await });
+            let h = sim.spawn(async move { lf.read_gather(off, run_len).await });
             runs.push((s0, s1, h));
         }
         let mut out = Vec::with_capacity(seqs.len());
@@ -992,8 +1000,10 @@ impl ReadCore {
             match h.await {
                 Ok(data) => {
                     for s in s0..=s1 {
+                        // a view of one stripe reply whenever the stripe
+                        // size is a multiple of the chunk size
                         let rel = ((s - s0) * chunk_size) as usize;
-                        let b = data.slice(rel..rel + clen(s) as usize);
+                        let b = data.slice(rel..rel + clen(s) as usize).concat();
                         if let Err(e) = self.verify_lustre(file_id, s, &b) {
                             out.push((s, Err(e)));
                             continue;
@@ -1044,77 +1054,61 @@ impl ReadCore {
         run.pop().expect("one result per seq").1
     }
 
-    /// Read `len` bytes at `offset`.
-    async fn read_at(self: &Rc<Self>, offset: u64, len: u64) -> Result<Bytes, BbError> {
-        let size = self.meta.borrow().size;
-        assert!(offset + len <= size, "read past EOF");
-        if len == 0 {
-            return Ok(Bytes::new());
-        }
-        if self.config().read_window <= 1 {
-            self.read_at_sequential(offset, len).await
-        } else {
-            self.read_at_pipelined(offset, len).await
-        }
-    }
-
-    /// The serial chunk-at-a-time loop (seed behaviour, bit-for-bit).
-    async fn read_at_sequential(&self, offset: u64, len: u64) -> Result<Bytes, BbError> {
-        let chunk_size = self.meta.borrow().chunk_size;
-        let mut out = BytesMut::with_capacity(len as usize);
-        let mut pos = offset;
-        let end = offset + len;
-        while pos < end {
-            let seq = pos / chunk_size;
-            let within = pos % chunk_size;
-            let chunk = self.fetch_chunk(seq).await?;
-            let take = ((chunk.len() as u64) - within).min(end - pos);
-            out.extend_from_slice(&chunk[within as usize..(within + take) as usize]);
-            pos += take;
-        }
-        Ok(out.freeze())
-    }
-
-    /// The pipelined path: plan group fetches over the requested range
-    /// (plus readahead), then consume in order, overlapping one group's
-    /// client-side CPU with the next group's wire time.
-    async fn read_at_pipelined(self: &Rc<Self>, offset: u64, len: u64) -> Result<Bytes, BbError> {
+    /// The bytes of `[offset, offset + len)` as views of the chunks that
+    /// hold them, in order. One loop serves both paths: the serial
+    /// (`read_window = 1`, seed behaviour bit-for-bit) fetches each chunk
+    /// itself; the pipelined one first plans group fetches over the range
+    /// (plus readahead), then takes each chunk as its group publishes it,
+    /// overlapping one group's client-side CPU with the next group's wire
+    /// time.
+    async fn read_gather(self: &Rc<Self>, offset: u64, len: u64) -> Result<Gather, BbError> {
         let (chunk_size, size) = {
             let m = self.meta.borrow();
             (m.chunk_size, m.size)
         };
-        let window = self.config().read_window;
-        let first = offset / chunk_size;
-        let last = (offset + len - 1) / chunk_size;
-        let max_seq = (size - 1) / chunk_size;
-        // readahead: prefetch up to a window of chunks past the request
-        let horizon = (last + window as u64).min(max_seq);
-        // bound the ready map under random access: keep only the planned
-        // range once it outgrows a few windows of chunks
-        {
-            let mut ready = self.ready.borrow_mut();
-            if ready.len() > 4 * window {
-                ready.retain(|s, _| *s >= first && *s <= horizon);
-            }
+        assert!(offset + len <= size, "read past EOF");
+        let mut out = Gather::default();
+        if len == 0 {
+            return Ok(out);
         }
-        self.spawn_missing(first, horizon);
-        let mut out = BytesMut::with_capacity(len as usize);
+        let window = self.config().read_window;
+        let pipelined = window > 1;
+        if pipelined {
+            let first = offset / chunk_size;
+            let last = (offset + len - 1) / chunk_size;
+            let max_seq = (size - 1) / chunk_size;
+            // readahead: prefetch up to a window of chunks past the request
+            let horizon = (last + window as u64).min(max_seq);
+            // bound the ready map under random access: keep only the
+            // planned range once it outgrows a few windows of chunks
+            {
+                let mut ready = self.ready.borrow_mut();
+                if ready.len() > 4 * window {
+                    ready.retain(|s, _| *s >= first && *s <= horizon);
+                }
+            }
+            self.spawn_missing(first, horizon);
+        }
         let mut pos = offset;
         let end = offset + len;
         while pos < end {
             let seq = pos / chunk_size;
             let within = pos % chunk_size;
-            let chunk = self.take_chunk(seq).await?;
+            let chunk = if pipelined {
+                self.take_chunk(seq).await?
+            } else {
+                self.fetch_chunk(seq).await?
+            };
             let take = ((chunk.len() as u64) - within).min(end - pos);
-            out.extend_from_slice(&chunk[within as usize..(within + take) as usize]);
+            out.push(chunk.slice(within as usize..(within + take) as usize));
             pos += take;
-            if within + take < chunk.len() as u64 {
+            if pipelined && within + take < chunk.len() as u64 {
                 // the request ends mid-chunk: keep the rest for the next
                 // (sequential) read instead of refetching
                 self.ready.borrow_mut().insert(seq, Ok(chunk));
             }
         }
-        Ok(out.freeze())
+        Ok(out)
     }
 
     /// Launch group fetches for every seq in `[first, horizon]` that is

@@ -6,8 +6,8 @@ use std::rc::Rc;
 
 use bytes::Bytes;
 use lustre::LustreError;
-use simkit::dur;
 use simkit::sync::mpsc;
+use simkit::{dur, Gather};
 
 use crate::integrity;
 use crate::manager::{chunk_key, BbManager, FileState};
@@ -29,20 +29,6 @@ pub(crate) enum FlushItem {
         streaming: bool,
     },
     Close,
-}
-
-/// Concatenate coalesced chunk payloads into one extent (zero-copy for a
-/// run of one).
-fn concat_extent(parts: &mut Vec<Bytes>) -> Bytes {
-    if parts.len() == 1 {
-        return parts.pop().expect("len checked");
-    }
-    let total = parts.iter().map(|b| b.len()).sum();
-    let mut buf = bytes::BytesMut::with_capacity(total);
-    for p in parts.drain(..) {
-        buf.extend_from_slice(&p);
-    }
-    buf.freeze()
 }
 
 impl BbManager {
@@ -77,10 +63,11 @@ impl BbManager {
             .config
             .stripe_size
             .max(chunk_size);
-        let mut agg: Vec<Bytes> = Vec::new();
+        // the run's chunks, joined into one extent when it is written
+        // (zero-copy for a run of one)
+        let mut agg = Gather::default();
         let mut agg_first = 0u64;
         let mut agg_next = 0u64;
-        let mut agg_bytes = 0u64;
         while let Ok(item) = rx.recv().await {
             // anything that breaks the contiguous streaming run flushes
             // the aggregate first, preserving per-file write order
@@ -93,10 +80,9 @@ impl BbManager {
                 } if agg.is_empty() || *seq == agg_next
             );
             if !extends_run && !agg.is_empty() {
-                let n = agg.len() as u64;
-                let data = concat_extent(&mut agg);
+                let data = std::mem::take(&mut agg).concat();
+                let n = agg_next - agg_first;
                 inflight.push(self.spawn_direct_flush(&lfile, file_id, agg_first, n, data, true));
-                agg_bytes = 0;
             }
             match item {
                 FlushItem::Chunk { seq, len, crc } => {
@@ -190,15 +176,13 @@ impl BbManager {
                             agg_first = seq;
                         }
                         agg_next = seq + 1;
-                        agg_bytes += data.len() as u64;
                         agg.push(data);
-                        if agg_bytes >= coalesce {
-                            let n = agg.len() as u64;
-                            let data = concat_extent(&mut agg);
+                        if agg.len() as u64 >= coalesce {
+                            let data = std::mem::take(&mut agg).concat();
+                            let n = agg_next - agg_first;
                             inflight.push(
                                 self.spawn_direct_flush(&lfile, file_id, agg_first, n, data, true),
                             );
-                            agg_bytes = 0;
                         }
                     } else {
                         inflight
@@ -211,8 +195,8 @@ impl BbManager {
         // the channel can close without a `Close` (file torn down while
         // writing): never strand a partial aggregate
         if !agg.is_empty() {
-            let n = agg.len() as u64;
-            let data = concat_extent(&mut agg);
+            let data = agg.concat();
+            let n = agg_next - agg_first;
             inflight.push(self.spawn_direct_flush(&lfile, file_id, agg_first, n, data, true));
         }
         for h in inflight {

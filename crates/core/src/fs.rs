@@ -8,6 +8,7 @@ use std::rc::Rc;
 
 use bytes::Bytes;
 use netsim::NodeId;
+use simkit::Gather;
 
 use hdfs::{HdfsClient, HdfsError, HdfsReader, HdfsWriter};
 use lustre::{LustreClient, LustreError, LustreFile};
@@ -140,11 +141,13 @@ pub enum AnyWriter {
 }
 
 impl AnyWriter {
-    /// Append data to the stream.
-    pub async fn append(&self, data: Bytes) -> Result<(), FsError> {
+    /// Append data to the stream: one buffer, or a gather of views that
+    /// the burst buffer keeps as they are and HDFS and Lustre join.
+    pub async fn append(&self, data: impl Into<Gather>) -> Result<(), FsError> {
+        let data = data.into();
         match self {
-            AnyWriter::Hdfs(w) => w.append(data).await?,
-            AnyWriter::Lustre(w) => w.append(data).await?,
+            AnyWriter::Hdfs(w) => w.append(data.concat()).await?,
+            AnyWriter::Lustre(w) => w.append(data.concat()).await?,
             AnyWriter::Bb(w) => w.append(data).await?,
         }
         Ok(())
@@ -195,12 +198,19 @@ impl AnyReader {
         }
     }
 
-    /// Read `len` bytes at `offset`.
+    /// Read `len` bytes at `offset` into one buffer.
     pub async fn read_at(&self, offset: u64, len: u64) -> Result<Bytes, FsError> {
+        self.read_gather(offset, len).await.map(Gather::concat)
+    }
+
+    /// Read `len` bytes at `offset` as the handles the backend holds,
+    /// unjoined: the burst buffer's chunk views, Lustre's stripe replies;
+    /// HDFS assembles its blocks into one buffer, a one-element gather.
+    pub async fn read_gather(&self, offset: u64, len: u64) -> Result<Gather, FsError> {
         Ok(match self {
-            AnyReader::Hdfs(r) => r.read_at(offset, len).await?,
-            AnyReader::Lustre(r) => r.read_at(offset, len).await?,
-            AnyReader::Bb(r) => r.read_at(offset, len).await?,
+            AnyReader::Hdfs(r) => r.read_at(offset, len).await?.into(),
+            AnyReader::Lustre(r) => r.read_gather(offset, len).await?,
+            AnyReader::Bb(r) => r.read_gather(offset, len).await?,
         })
     }
 

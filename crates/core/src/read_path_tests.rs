@@ -2,7 +2,8 @@
 //! must be identical to the serial `read_window = 1` path across random
 //! geometries, schemes, and tier mixes (warm buffer, cold Lustre, mixed
 //! hit/miss), and the virtual-time behaviour must be deterministic —
-//! replaying a scenario gives bit-identical read latencies.
+//! replaying a scenario gives bit-identical read latencies. A read's
+//! gather of chunk views must hold exactly the bytes `read_at` returns.
 
 use std::rc::Rc;
 use std::time::Duration;
@@ -56,10 +57,29 @@ fn scenario_strategy() -> impl Strategy<Value = Scenario> {
         )
 }
 
+/// How each of a scenario's reads is issued.
+#[derive(Clone, Copy, PartialEq)]
+enum ReadApi {
+    /// `read_at` alone.
+    ReadAt,
+    /// `read_gather`, then `read_at` of the same range on the same reader;
+    /// the read's result is the gather joined, once checked equal to
+    /// `read_at`'s.
+    GatherThenReadAt,
+}
+
 /// Build a fresh deployment, write the file, apply the scenario's
 /// eviction mix, then replay its reads. Returns the bytes of each read,
 /// the virtual-time latency of each read, and the deployment's counters.
 fn run_scenario(sc: &Scenario, read_window: usize) -> (Vec<Bytes>, Vec<Duration>, ReadStats) {
+    run_scenario_with(sc, read_window, ReadApi::ReadAt)
+}
+
+fn run_scenario_with(
+    sc: &Scenario,
+    read_window: usize,
+    api: ReadApi,
+) -> (Vec<Bytes>, Vec<Duration>, ReadStats) {
     let scheme = Scheme::all()[sc.scheme_idx % 3];
     let sim = Sim::new();
     let fabric = Fabric::new(sim.clone(), 2, NetConfig::default());
@@ -98,7 +118,17 @@ fn run_scenario(sc: &Scenario, read_window: usize) -> (Vec<Bytes>, Vec<Duration>
             let off = a % sc.total;
             let len = 1 + b % (sc.total - off);
             let t0 = sim.now();
-            results.push(rd.read_at(off, len).await.unwrap());
+            let got = match api {
+                ReadApi::ReadAt => rd.read_at(off, len).await.unwrap(),
+                ReadApi::GatherThenReadAt => {
+                    let g = rd.read_gather(off, len).await.unwrap();
+                    assert_eq!(g.len() as u64, len);
+                    let joined = g.concat();
+                    assert_eq!(joined, rd.read_at(off, len).await.unwrap());
+                    joined
+                }
+            };
+            results.push(got);
             lats.push(sim.now() - t0);
         }
         dep2.shutdown();
@@ -154,6 +184,57 @@ proptest! {
             prop_assert_eq!(&stats_a, &stats_b, "window {} counters diverge", window);
             for (x, y) in bytes_a.iter().zip(&bytes_b) {
                 prop_assert_eq!(&x[..], &y[..]);
+            }
+        }
+    }
+}
+
+/// `sc` with its random reads plus three shaped ones — inside one chunk,
+/// across a chunk boundary, the whole file — as `(a, b)` seeds that
+/// `run_scenario` reduces to exactly those ranges.
+fn with_shaped_reads(sc: &Scenario) -> Scenario {
+    let (c, total) = (sc.chunk_size, sc.total);
+    let range = |off: u64, len: u64| {
+        let off = off.min(total - 1);
+        (off, len.clamp(1, total - off) - 1)
+    };
+    let mut sc = sc.clone();
+    sc.reads.extend([
+        range(c / 4, c / 2),
+        range(c - c / 3, 2 * c / 3),
+        range(0, total),
+    ]);
+    sc
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// `read_gather(off, len).concat()` is `read_at(off, len)` is the
+    /// generator's bytes, at windows 1 and 8, over each scenario as drawn
+    /// and over the same file flushed and evicted (the Lustre tier), with
+    /// sub-chunk, chunk-straddling and whole-file ranges.
+    #[test]
+    fn read_gather_joins_to_read_at(sc in scenario_strategy()) {
+        let sc = with_shaped_reads(&sc);
+        let cold = Scenario { cold: true, ..sc.clone() };
+        let expect = pattern(sc.total as usize);
+        for case in [&sc, &cold] {
+            for window in [1usize, 8] {
+                let (got, _, stats) = run_scenario_with(case, window, ReadApi::GatherThenReadAt);
+                for (i, &(a, b)) in case.reads.iter().enumerate() {
+                    let off = (a % case.total) as usize;
+                    let len = (1 + b % (case.total - off as u64)) as usize;
+                    prop_assert_eq!(&got[i][..], &expect[off..off + len], "window {} read {}", window, i);
+                }
+                if case.cold {
+                    // scheme C's node-local replica sits above Lustre
+                    let below_the_buffer = match Scheme::all()[case.scheme_idx % 3] {
+                        Scheme::HybridLocality => stats.tier_local,
+                        _ => stats.tier_lustre,
+                    };
+                    prop_assert!(below_the_buffer > 0, "the evicted file reads from below the buffer");
+                }
             }
         }
     }

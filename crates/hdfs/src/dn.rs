@@ -262,7 +262,8 @@ impl DataNode {
             let data = self
                 .store
                 .read_at_opts(block.0, off, chunk, off == 0)
-                .await?;
+                .await?
+                .concat();
             let wire = data.len() as u64 + 64;
             self.dn_net
                 .call(self.node, target, DN_SERVICE, wire, |reply| {
@@ -323,6 +324,7 @@ impl DataNode {
                     .store
                     .read_at_opts(block.0, offset, len, offset == 0)
                     .await
+                    .map(simkit::Gather::concat)
                     .map_err(DnError::from);
                 let wire = match &r {
                     Ok(b) => b.len() as u64 + 64,

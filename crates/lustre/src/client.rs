@@ -5,10 +5,11 @@ use std::cell::Cell;
 use std::fmt;
 use std::rc::Rc;
 
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
 use netsim::{NodeId, RpcError};
 use simkit::future::join_all;
 use simkit::sync::semaphore::Semaphore;
+use simkit::Gather;
 use storesim::StoreError;
 
 use crate::mds::{FileLayout, MdsError, MdsMsg, MDS_SERVICE};
@@ -289,6 +290,12 @@ impl LustreFile {
 
     /// Read `len` bytes at `offset`, gathering stripes in parallel.
     pub async fn read_at(&self, offset: u64, len: u64) -> Result<Bytes, LustreError> {
+        self.read_gather(offset, len).await.map(Gather::concat)
+    }
+
+    /// Read `len` bytes at `offset` as the stripe replies, in file order,
+    /// without joining them: every element is a handle the OSTs hold.
+    pub async fn read_gather(&self, offset: u64, len: u64) -> Result<Gather, LustreError> {
         let sim = self.client.cluster.oss_net.fabric().sim().clone();
         sim.sleep(simkit::dur::transfer(
             len,
@@ -306,7 +313,7 @@ impl LustreFile {
             let obj = self.layout.file_id;
             futs.push(async move {
                 let _permit = inflight.acquire().await;
-                let r: Result<Bytes, StoreError> = net
+                let r: Result<Gather, StoreError> = net
                     .call(src, oss_node, OSS_SERVICE, 64, |reply| OssMsg::Read {
                         ost_slot,
                         obj,
@@ -319,16 +326,11 @@ impl LustreFile {
                 r.map_err(LustreError::from)
             });
         }
-        let mut results = join_all(&sim, futs).await;
-        if results.len() == 1 {
-            // one extent: the stripe reply is the answer, no gather copy
-            return results.remove(0);
+        let mut out = Gather::default();
+        for r in join_all(&sim, futs).await {
+            out.extend(r?);
         }
-        let mut buf = BytesMut::with_capacity(len as usize);
-        for r in results {
-            buf.extend_from_slice(&r?);
-        }
-        Ok(buf.freeze())
+        Ok(out)
     }
 
     /// Read the whole file (by known size).

@@ -7,6 +7,7 @@ use std::rc::Rc;
 use bytes::Bytes;
 use netsim::{NodeId, ReplyHandle, Switchboard};
 use simkit::telemetry::{Counter, Gauge};
+use simkit::Gather;
 use storesim::{Disk, DiskParams, ObjectStore, StoreError};
 
 use crate::LustreConfig;
@@ -47,8 +48,8 @@ pub enum OssMsg {
         offset: u64,
         /// Bytes to read.
         len: u64,
-        /// Reply channel.
-        reply: ReplyHandle<Result<Bytes, StoreError>>,
+        /// Reply channel: the OST's stored handles, as it holds them.
+        reply: ReplyHandle<Result<Gather, StoreError>>,
     },
     /// Delete object `obj` on every local OST (unlink reaping).
     Delete {
@@ -203,7 +204,9 @@ impl Oss {
             } => {
                 self.metrics.read_ops.inc();
                 self.metrics.read_bytes.add(len);
-                let r = self.osts[ost_slot].read_at(obj, offset, len).await;
+                let r = self.osts[ost_slot]
+                    .read_at_opts(obj, offset, len, true)
+                    .await;
                 let wire = match &r {
                     Ok(b) => b.len() as u64 + 64,
                     Err(_) => 64,

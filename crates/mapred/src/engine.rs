@@ -6,12 +6,11 @@ use std::collections::HashMap;
 use std::rc::Rc;
 use std::time::Duration;
 
-use bytes::Bytes;
 use netsim::{Fabric, NodeId, TransportProfile};
 use simkit::future::join_all;
 use simkit::resource::FifoServer;
 use simkit::sync::semaphore::Semaphore;
-use simkit::{dur, Sim};
+use simkit::{dur, Gather, Sim};
 
 use bb_core::fs::{AnyFs, FsError};
 
@@ -91,7 +90,9 @@ struct Split {
 
 struct MapOutput {
     node: NodeId,
-    pieces: HashMap<u32, Bytes>,
+    /// Per-partition pieces, as views of the split's chunks where the
+    /// logic only slices.
+    pieces: HashMap<u32, Gather>,
 }
 
 /// The engine: bind it to a fabric and a set of compute nodes, then run
@@ -298,23 +299,22 @@ impl MrEngine {
     ) -> Result<MapOutput, FsError> {
         let sim = self.sim();
         let reader = fs.open(&split.path).await?;
-        let data = reader.read_at(split.offset, split.len).await?;
+        let data = reader.read_gather(split.offset, split.len).await?;
         // map CPU
         sim.sleep(dur::transfer(data.len() as u64, logic.map_cpu_rate()))
             .await;
         let pieces_vec = logic.map(map_id, data, partitions);
         // spill map output to the node-local spill device
-        let out_bytes: u64 = pieces_vec.iter().map(|(_, b)| b.len() as u64).sum();
+        let out_bytes: u64 = pieces_vec.iter().map(|(_, g)| g.len() as u64).sum();
         if out_bytes > 0 {
             self.spill[&node]
                 .serve_for(dur::transfer(out_bytes, self.config.spill_rate))
                 .await;
         }
-        let mut pieces = HashMap::new();
-        for (p, b) in pieces_vec {
-            pieces.insert(p, b);
-        }
-        Ok(MapOutput { node, pieces })
+        Ok(MapOutput {
+            node,
+            pieces: pieces_vec.into_iter().collect(),
+        })
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -332,7 +332,7 @@ impl MrEngine {
         let sim = self.sim();
         // gather this partition's pieces (map order), fetching remotely
         // held ones over the fabric with bounded parallelism
-        let fetch_plan: Vec<(usize, NodeId, Bytes)> = {
+        let fetch_plan: Vec<(usize, NodeId, Gather)> = {
             let outs = outputs.borrow();
             outs.iter()
                 .enumerate()
@@ -354,16 +354,16 @@ impl MrEngine {
                     .transfer(src, node, piece.len() as u64, &profile)
                     .await
                     .map_err(|_| FsError::Bb(bb_core::BbError::NotFound("shuffle".into())))?;
-                Ok::<(usize, Bytes), FsError>((i, piece))
+                Ok::<(usize, Gather), FsError>((i, piece))
             });
         }
-        let mut gathered: Vec<(usize, Bytes)> = Vec::new();
+        let mut gathered: Vec<(usize, Gather)> = Vec::new();
         for r in join_all(&sim, fetches).await {
             gathered.push(r?);
         }
         gathered.sort_by_key(|(i, _)| *i);
-        let pieces: Vec<Bytes> = gathered.into_iter().map(|(_, b)| b).collect();
-        let total: u64 = pieces.iter().map(|b| b.len() as u64).sum();
+        let pieces: Vec<Gather> = gathered.into_iter().map(|(_, g)| g).collect();
+        let total: u64 = pieces.iter().map(|g| g.len() as u64).sum();
         *bytes_shuffled.borrow_mut() += total;
         // reduce CPU
         sim.sleep(dur::transfer(total, logic.reduce_cpu_rate()))

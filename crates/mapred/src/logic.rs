@@ -2,23 +2,34 @@
 //! how reduce folds shuffled pieces into final output.
 //!
 //! Two families:
+//! A split arrives as the [`Gather`] its reader returned — views of the
+//! chunks the filesystem holds — and map outputs and reduce outputs stay
+//! gathers: the output writer gets one append per reduce output, whatever
+//! its elements, so how the simulator holds the bytes never changes how
+//! the modeled writer is driven.
+//!
+//! Two families:
 //! * **real** logics (word count, grep, record sort) process actual byte
-//!   content — used for correctness tests and small runs;
+//!   content — used for correctness tests and small runs; they join their
+//!   input with [`Gather::concat`] before reading it;
 //! * **synthetic** logics move real bytes with zero-copy slicing but skip
 //!   content inspection — used for multi-gigabyte benchmark runs where CPU
-//!   cost is charged to the virtual clock, not the host.
+//!   cost is charged to the virtual clock, not the host. Nothing they
+//!   move is copied: a split's views become the pieces' views become the
+//!   output writer's appends.
 
 use bytes::{BufMut, Bytes, BytesMut};
+use simkit::Gather;
 use std::collections::BTreeMap;
 
 /// A MapReduce job's data transformation.
 pub trait JobLogic {
     /// Turn one split's bytes into per-partition map outputs.
-    fn map(&self, split_index: usize, data: Bytes, partitions: u32) -> Vec<(u32, Bytes)>;
+    fn map(&self, split_index: usize, data: Gather, partitions: u32) -> Vec<(u32, Gather)>;
 
     /// Fold one partition's shuffled pieces (in map order) into output
-    /// chunks, written to the partition's output file in order.
-    fn reduce(&self, partition: u32, pieces: Vec<Bytes>) -> Vec<Bytes>;
+    /// chunks, appended to the partition's output file in order.
+    fn reduce(&self, partition: u32, pieces: Vec<Gather>) -> Vec<Gather>;
 
     /// Map CPU throughput (bytes/s of input processed).
     fn map_cpu_rate(&self) -> f64 {
@@ -35,10 +46,10 @@ pub trait JobLogic {
 pub struct IdentityLogic;
 
 impl JobLogic for IdentityLogic {
-    fn map(&self, _split: usize, data: Bytes, _partitions: u32) -> Vec<(u32, Bytes)> {
+    fn map(&self, _split: usize, data: Gather, _partitions: u32) -> Vec<(u32, Gather)> {
         vec![(0, data)]
     }
-    fn reduce(&self, _partition: u32, pieces: Vec<Bytes>) -> Vec<Bytes> {
+    fn reduce(&self, _partition: u32, pieces: Vec<Gather>) -> Vec<Gather> {
         pieces
     }
 }
@@ -77,7 +88,7 @@ impl SyntheticShuffleLogic {
 }
 
 impl JobLogic for SyntheticShuffleLogic {
-    fn map(&self, _split: usize, data: Bytes, partitions: u32) -> Vec<(u32, Bytes)> {
+    fn map(&self, _split: usize, data: Gather, partitions: u32) -> Vec<(u32, Gather)> {
         let out_len = (data.len() as f64 * self.output_ratio) as usize;
         let out = data.slice(..out_len.min(data.len()));
         let n = partitions.max(1) as usize;
@@ -92,7 +103,7 @@ impl JobLogic for SyntheticShuffleLogic {
         }
         pieces
     }
-    fn reduce(&self, _partition: u32, pieces: Vec<Bytes>) -> Vec<Bytes> {
+    fn reduce(&self, _partition: u32, pieces: Vec<Gather>) -> Vec<Gather> {
         pieces
     }
     fn map_cpu_rate(&self) -> f64 {
@@ -113,7 +124,8 @@ pub const SORT_RECORD_LEN: usize = 100;
 pub struct RecordSortLogic;
 
 impl JobLogic for RecordSortLogic {
-    fn map(&self, _split: usize, data: Bytes, partitions: u32) -> Vec<(u32, Bytes)> {
+    fn map(&self, _split: usize, data: Gather, partitions: u32) -> Vec<(u32, Gather)> {
+        let data = data.concat();
         let n = partitions.max(1);
         let mut buckets: Vec<BytesMut> = (0..n).map(|_| BytesMut::new()).collect();
         for rec in data.chunks(SORT_RECORD_LEN) {
@@ -127,11 +139,12 @@ impl JobLogic for RecordSortLogic {
             .into_iter()
             .enumerate()
             .filter(|(_, b)| !b.is_empty())
-            .map(|(p, b)| (p as u32, b.freeze()))
+            .map(|(p, b)| (p as u32, b.freeze().into()))
             .collect()
     }
 
-    fn reduce(&self, _partition: u32, pieces: Vec<Bytes>) -> Vec<Bytes> {
+    fn reduce(&self, _partition: u32, pieces: Vec<Gather>) -> Vec<Gather> {
+        let pieces: Vec<Bytes> = pieces.into_iter().map(Gather::concat).collect();
         let mut records: Vec<&[u8]> = Vec::new();
         for piece in &pieces {
             for rec in piece.chunks(SORT_RECORD_LEN) {
@@ -145,7 +158,7 @@ impl JobLogic for RecordSortLogic {
         for r in records {
             out.put_slice(r);
         }
-        vec![out.freeze()]
+        vec![out.freeze().into()]
     }
 
     fn map_cpu_rate(&self) -> f64 {
@@ -169,7 +182,8 @@ fn wc_partition(word: &str, partitions: u32) -> u32 {
 }
 
 impl JobLogic for WordCountLogic {
-    fn map(&self, _split: usize, data: Bytes, partitions: u32) -> Vec<(u32, Bytes)> {
+    fn map(&self, _split: usize, data: Gather, partitions: u32) -> Vec<(u32, Gather)> {
+        let data = data.concat();
         let text = String::from_utf8_lossy(&data);
         let mut counts: Vec<BTreeMap<&str, u64>> =
             (0..partitions.max(1)).map(|_| BTreeMap::new()).collect();
@@ -186,15 +200,16 @@ impl JobLogic for WordCountLogic {
                 for (w, c) in m {
                     buf.put_slice(format!("{w}\t{c}\n").as_bytes());
                 }
-                (p as u32, buf.freeze())
+                (p as u32, buf.freeze().into())
             })
             .collect()
     }
 
-    fn reduce(&self, _partition: u32, pieces: Vec<Bytes>) -> Vec<Bytes> {
+    fn reduce(&self, _partition: u32, pieces: Vec<Gather>) -> Vec<Gather> {
         let mut total: BTreeMap<String, u64> = BTreeMap::new();
-        for piece in &pieces {
-            let text = String::from_utf8_lossy(piece);
+        for piece in pieces {
+            let piece = piece.concat();
+            let text = String::from_utf8_lossy(&piece);
             for line in text.lines() {
                 if let Some((w, c)) = line.split_once('\t') {
                     if let Ok(c) = c.parse::<u64>() {
@@ -207,7 +222,7 @@ impl JobLogic for WordCountLogic {
         for (w, c) in total {
             buf.put_slice(format!("{w}\t{c}\n").as_bytes());
         }
-        vec![buf.freeze()]
+        vec![buf.freeze().into()]
     }
 
     fn map_cpu_rate(&self) -> f64 {
@@ -222,7 +237,8 @@ pub struct GrepLogic {
 }
 
 impl JobLogic for GrepLogic {
-    fn map(&self, _split: usize, data: Bytes, _partitions: u32) -> Vec<(u32, Bytes)> {
+    fn map(&self, _split: usize, data: Gather, _partitions: u32) -> Vec<(u32, Gather)> {
+        let data = data.concat();
         let text = String::from_utf8_lossy(&data);
         let mut buf = BytesMut::new();
         for line in text.lines() {
@@ -234,11 +250,11 @@ impl JobLogic for GrepLogic {
         if buf.is_empty() {
             Vec::new()
         } else {
-            vec![(0, buf.freeze())]
+            vec![(0, buf.freeze().into())]
         }
     }
 
-    fn reduce(&self, _partition: u32, pieces: Vec<Bytes>) -> Vec<Bytes> {
+    fn reduce(&self, _partition: u32, pieces: Vec<Gather>) -> Vec<Gather> {
         pieces
     }
 
@@ -251,25 +267,158 @@ impl JobLogic for GrepLogic {
 mod tests {
     use super::*;
 
+    fn gather(parts: &[&'static [u8]]) -> Gather {
+        Gather::from(
+            parts
+                .iter()
+                .map(|p| Bytes::from_static(p))
+                .collect::<Vec<_>>(),
+        )
+    }
+
+    /// What a writer appending `outs` in order ends up holding.
+    fn joined(outs: Vec<Gather>) -> Vec<u8> {
+        outs.into_iter().flat_map(|g| g.concat().to_vec()).collect()
+    }
+
+    /// `bytes` dealt as views of elements of uneven sizes (the way a
+    /// burst-buffer split arrives: chunk views whose seams fall inside
+    /// records, lines and words).
+    fn dealt(bytes: &Bytes, sizes: &[usize]) -> Gather {
+        let mut g = Gather::default();
+        let (mut at, mut i) = (0, 0);
+        while at < bytes.len() {
+            let n = sizes[i % sizes.len()].min(bytes.len() - at);
+            g.push(bytes.slice(at..at + n));
+            at += n;
+            i += 1;
+        }
+        g
+    }
+
+    /// What `SyntheticShuffleLogic::map` cut from one contiguous split
+    /// before splits arrived as gathers.
+    fn contiguous_pieces(
+        l: &SyntheticShuffleLogic,
+        data: &Bytes,
+        partitions: u32,
+    ) -> Vec<(u32, Bytes)> {
+        let out = data.slice(..((data.len() as f64 * l.output_ratio) as usize).min(data.len()));
+        let n = partitions.max(1) as usize;
+        let per = out.len() / n;
+        (0..n)
+            .map(|p| {
+                let end = if p == n - 1 { out.len() } else { (p + 1) * per };
+                (p as u32, out.slice(p * per..end))
+            })
+            .filter(|(_, b)| !b.is_empty())
+            .collect()
+    }
+
+    #[test]
+    fn synthetic_pieces_are_views_that_join_to_the_contiguous_slices() {
+        let data = Bytes::from(
+            (0..10_007u32)
+                .map(|i| (i * 7 % 253) as u8)
+                .collect::<Vec<u8>>(),
+        );
+        for l in [
+            SyntheticShuffleLogic::sort(),
+            SyntheticShuffleLogic::aggregation(0.37),
+        ] {
+            for partitions in [1, 3, 16] {
+                let split = dealt(&data, &[4096, 1000, 37]);
+                let got = l.map(0, split, partitions);
+                let want = contiguous_pieces(&l, &data, partitions);
+                assert_eq!(got.len(), want.len());
+                for ((gp, g), (wp, w)) in got.iter().zip(&want) {
+                    assert_eq!(gp, wp);
+                    // every element is a view of the input, not a copy
+                    for e in g.iter() {
+                        let off = e.as_ptr() as usize - data.as_ptr() as usize;
+                        assert!(off + e.len() <= data.len());
+                    }
+                    assert_eq!(g.clone().concat(), *w, "partition {gp} of {partitions}");
+                }
+                // reduce hands the writer the pieces, in order, as they are
+                let pieces: Vec<Gather> = got.into_iter().map(|(_, g)| g).collect();
+                let want = joined(pieces.clone());
+                let out = l.reduce(0, pieces);
+                assert_eq!(joined(out), want);
+            }
+        }
+    }
+
+    #[test]
+    fn real_logics_read_through_element_seams() {
+        // 100-byte records and text whose lines and words straddle seams
+        let records = Bytes::from(
+            (0..60u32)
+                .flat_map(|r| {
+                    (0..SORT_RECORD_LEN as u32).map(move |i| ((r * 89 + i * 13) % 251) as u8)
+                })
+                .collect::<Vec<u8>>(),
+        );
+        let text = Bytes::from(
+            (0..400)
+                .map(|i| {
+                    if i % 7 == 0 {
+                        "error here\n"
+                    } else {
+                        "fine words go by\n"
+                    }
+                })
+                .collect::<String>(),
+        );
+        let grep = GrepLogic {
+            needle: "error".into(),
+        };
+        let logics: [(&dyn JobLogic, &Bytes); 3] = [
+            (&RecordSortLogic, &records),
+            (&WordCountLogic, &text),
+            (&grep, &text),
+        ];
+        for (logic, input) in logics {
+            let whole = logic.map(0, input.clone().into(), 4);
+            let seamed = logic.map(0, dealt(input, &[64, 250, 7]), 4);
+            let flat = |v: Vec<(u32, Gather)>| -> Vec<(u32, Bytes)> {
+                v.into_iter().map(|(p, g)| (p, g.concat())).collect()
+            };
+            let (whole, seamed) = (flat(whole), flat(seamed));
+            assert_eq!(whole, seamed);
+            // and reduce over pieces that arrive seamed writes what it
+            // writes over contiguous ones
+            for (p, piece) in whole {
+                let one = logic.reduce(p, vec![piece.clone().into()]);
+                let split = logic.reduce(p, vec![dealt(&piece, &[33, 100])]);
+                assert_eq!(joined(one), joined(split));
+            }
+        }
+    }
+
     #[test]
     fn identity_passthrough() {
         let l = IdentityLogic;
-        let out = l.map(0, Bytes::from_static(b"abc"), 4);
-        assert_eq!(out, vec![(0u32, Bytes::from_static(b"abc"))]);
-        let red = l.reduce(0, vec![Bytes::from_static(b"x"), Bytes::from_static(b"y")]);
+        let input = Bytes::from_static(b"abc");
+        let out = l.map(0, input.clone().into(), 4);
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].0, 0);
+        assert_eq!(out[0].1.clone().concat().as_ptr(), input.as_ptr());
+        let red = l.reduce(0, vec![gather(&[b"x", b"yz"]), gather(&[b"w"])]);
         assert_eq!(red.len(), 2);
+        assert_eq!(joined(red), b"xyzw");
     }
 
     #[test]
     fn synthetic_partitions_cover_scaled_output() {
         let l = SyntheticShuffleLogic::sort();
         let data = Bytes::from(vec![7u8; 1000]);
-        let out = l.map(0, data, 4);
+        let out = l.map(0, data.into(), 4);
         let total: usize = out.iter().map(|(_, b)| b.len()).sum();
         assert_eq!(total, 1000);
         assert_eq!(out.len(), 4);
         let agg = SyntheticShuffleLogic::aggregation(0.1);
-        let out = agg.map(0, Bytes::from(vec![1u8; 1000]), 2);
+        let out = agg.map(0, Bytes::from(vec![1u8; 1000]).into(), 2);
         let total: usize = out.iter().map(|(_, b)| b.len()).sum();
         assert_eq!(total, 100);
     }
@@ -285,10 +434,10 @@ mod tests {
             rec[1] = b'k';
             input.put_slice(&rec);
         }
-        let pieces = logic.map(0, input.freeze(), 4);
+        let pieces = logic.map(0, input.freeze().into(), 4);
         // run each partition's reduce and check global order
         let mut all = Vec::new();
-        let mut by_p: Vec<Vec<Bytes>> = vec![Vec::new(); 4];
+        let mut by_p: Vec<Vec<Gather>> = vec![Vec::new(); 4];
         for (p, b) in pieces {
             by_p[p as usize].push(b);
         }
@@ -300,7 +449,7 @@ mod tests {
                 all.push(out);
             }
         }
-        let merged: Vec<u8> = all.iter().flat_map(|b| b.to_vec()).collect();
+        let merged = joined(all);
         assert_eq!(merged.len(), 50 * SORT_RECORD_LEN);
         let keys: Vec<u8> = merged.chunks(SORT_RECORD_LEN).map(|r| r[0]).collect();
         let mut sorted = keys.clone();
@@ -311,10 +460,10 @@ mod tests {
     #[test]
     fn word_count_counts() {
         let l = WordCountLogic;
-        let out = l.map(0, Bytes::from_static(b"the cat and the hat and the bat"), 1);
+        let out = l.map(0, gather(&[b"the cat and the hat and the bat"]), 1);
         assert_eq!(out.len(), 1);
         let red = l.reduce(0, out.into_iter().map(|(_, b)| b).collect());
-        let text = String::from_utf8(red[0].to_vec()).unwrap();
+        let text = String::from_utf8(joined(red)).unwrap();
         assert!(text.contains("the\t3"));
         assert!(text.contains("and\t2"));
         assert!(text.contains("cat\t1"));
@@ -323,11 +472,11 @@ mod tests {
     #[test]
     fn word_count_merges_across_maps() {
         let l = WordCountLogic;
-        let m1 = l.map(0, Bytes::from_static(b"x x y"), 1);
-        let m2 = l.map(1, Bytes::from_static(b"x y z"), 1);
-        let pieces: Vec<Bytes> = m1.into_iter().chain(m2).map(|(_, b)| b).collect();
+        let m1 = l.map(0, gather(&[b"x x y"]), 1);
+        let m2 = l.map(1, gather(&[b"x y z"]), 1);
+        let pieces: Vec<Gather> = m1.into_iter().chain(m2).map(|(_, b)| b).collect();
         let red = l.reduce(0, pieces);
-        let text = String::from_utf8(red[0].to_vec()).unwrap();
+        let text = String::from_utf8(joined(red)).unwrap();
         assert!(text.contains("x\t3"));
         assert!(text.contains("y\t2"));
         assert!(text.contains("z\t1"));
@@ -340,15 +489,15 @@ mod tests {
         };
         let out = l.map(
             0,
-            Bytes::from_static(b"ok line\nerror: bad\nfine\nanother error here\n"),
+            gather(&[b"ok line\nerror: bad\nfine\nanother error here\n"]),
             3,
         );
         assert_eq!(out.len(), 1);
-        let text = String::from_utf8(out[0].1.to_vec()).unwrap();
+        let text = String::from_utf8(out[0].1.clone().concat().to_vec()).unwrap();
         assert_eq!(text.lines().count(), 2);
         assert!(text.lines().all(|l| l.contains("error")));
         // no matches → no output pieces
-        let none = l.map(0, Bytes::from_static(b"clean\n"), 3);
+        let none = l.map(0, gather(&[b"clean\n"]), 3);
         assert!(none.is_empty());
     }
 }

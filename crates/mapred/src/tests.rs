@@ -354,3 +354,86 @@ fn multiple_inputs_and_many_reducers() {
         r.shutdown();
     });
 }
+
+/// The real logics read a burst-buffer split as chunk views whose seams
+/// fall inside 100-byte records, lines and words (512 KiB chunks are not
+/// a multiple of 100): they must write exactly what they write over the
+/// same input read from HDFS, which hands each split over as one buffer.
+#[test]
+fn real_logics_write_the_same_output_over_bb_chunk_seams_as_over_hdfs() {
+    let records = Bytes::from(
+        (0..30_000u32)
+            .flat_map(|r| {
+                (0..SORT_RECORD_LEN as u32).map(move |i| ((r * 7919 + i * 31) % 251) as u8)
+            })
+            .collect::<Vec<u8>>(),
+    );
+    let mut text = String::new();
+    for i in 0..120_000 {
+        text.push_str(if i % 97 == 0 {
+            "seam NEEDLE here\n"
+        } else {
+            "plain words, more words\n"
+        });
+    }
+    let text = Bytes::from(text);
+    // (logic, input): both inputs are single 3 MiB-ish splits of 6 chunks
+    let jobs: Vec<(&str, Rc<dyn crate::logic::JobLogic>, Bytes)> = vec![
+        ("sort", Rc::new(RecordSortLogic), records),
+        ("wc", Rc::new(WordCountLogic), text.clone()),
+        (
+            "grep",
+            Rc::new(GrepLogic {
+                needle: "NEEDLE".into(),
+            }),
+            text,
+        ),
+    ];
+    for (name, logic, input) in jobs {
+        assert!(input.len() as u64 > 5 * BbConfig::default().chunk_size);
+        let r = rig(3);
+        let engine = Rc::clone(&r.engine);
+        r.sim.clone().block_on(async move {
+            let mut outputs = Vec::new();
+            for (label, fs) in [
+                ("hdfs", r.fs_hdfs()(NodeId(0))),
+                ("bb", r.fs_bb()(NodeId(0))),
+            ] {
+                put(&fs, "/seams/in", input.clone()).await;
+                let fs_for = |n: NodeId| match label {
+                    "hdfs" => r.fs_hdfs()(n),
+                    _ => r.fs_bb()(n),
+                };
+                let out_dir = format!("/seams/{label}");
+                engine
+                    .run(
+                        &fs_for,
+                        JobSpec {
+                            name: name.into(),
+                            inputs: vec!["/seams/in".into()],
+                            output_dir: out_dir.clone(),
+                            reducers: 3,
+                            logic: Rc::clone(&logic),
+                        },
+                    )
+                    .await
+                    .unwrap();
+                let mut parts = Vec::new();
+                for p in 0..3 {
+                    let f = fs.open(&format!("{out_dir}/part-{p:05}")).await.unwrap();
+                    parts.push(f.read_all().await.unwrap());
+                }
+                outputs.push(parts);
+            }
+            assert!(
+                outputs[0].iter().any(|p| !p.is_empty()),
+                "{name}: no output"
+            );
+            assert_eq!(
+                outputs[0], outputs[1],
+                "{name}: BB output differs from HDFS"
+            );
+            r.shutdown();
+        });
+    }
+}

@@ -10,9 +10,9 @@ use simkit::OpId;
 
 use netsim::NodeId;
 
-use crate::frame::Frame;
 use crate::mr::RemoteBuf;
 use crate::stack::{RdmaError, RdmaStack};
+use simkit::Gather;
 
 /// Queue-pair parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,7 +45,7 @@ impl QpShared {
 /// tag. The tag is simulator metadata — it occupies no wire bytes and
 /// never influences transfer cost, so tagged and untagged runs are
 /// byte- and timing-identical.
-pub(crate) type SendPayload = (Frame, Option<OpId>);
+pub(crate) type SendPayload = (Gather, Option<OpId>);
 
 /// One endpoint of a reliable-connected queue pair.
 pub struct Qp {
@@ -109,7 +109,7 @@ impl Qp {
     /// payload: one draw over its whole length, and one byte flipped when
     /// the injector fires (only the element holding it is copied); the
     /// payload is untouched (and uncopied) otherwise.
-    fn corrupted(&self, src: NodeId, dst: NodeId, mut data: Frame) -> Frame {
+    fn corrupted(&self, src: NodeId, dst: NodeId, mut data: Gather) -> Gather {
         let sim = self.stack.sim();
         if let Some((offset, mask)) = sim
             .faults()
@@ -137,7 +137,7 @@ impl Qp {
     /// send one future deep.
     pub async fn send_tagged(
         &self,
-        data: impl Into<Frame>,
+        data: impl Into<Gather>,
         op: Option<OpId>,
     ) -> Result<(), RdmaError> {
         let data = data.into();
@@ -175,7 +175,7 @@ impl Qp {
     // single-threaded sim: the mailbox is only ever polled by this QP's
     // owner, so holding the borrow across the await cannot contend
     #[allow(clippy::await_holding_refcell_ref)]
-    pub async fn recv_tagged(&self) -> Result<(Frame, Option<OpId>), RdmaError> {
+    pub async fn recv_tagged(&self) -> Result<(Gather, Option<OpId>), RdmaError> {
         let mut rx = self.rx.borrow_mut();
         let fut = rx.recv();
         let out = fut.await.map_err(|_| RdmaError::Disconnected);

@@ -9,7 +9,8 @@
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use netsim::NodeId;
-use rdmasim::{Frame, RKey, RemoteBuf};
+use rdmasim::{RKey, RemoteBuf};
+use simkit::Gather;
 
 /// Malformed frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -285,7 +286,7 @@ fn encode_exact(msg: &impl Wire) -> Bytes {
 /// Encode `msg` as a gather list: its header bytes in one buffer of
 /// exactly their length, cut where each stored value's handle goes. The
 /// elements, joined, are [`encode_exact`]'s bytes.
-fn encode_gather(msg: &impl Wire) -> Frame {
+fn encode_gather(msg: &impl Wire) -> Gather {
     let mut len = FrameLen::default();
     msg.write_to(&mut len);
     let mut sink = GatherSink {
@@ -295,7 +296,7 @@ fn encode_gather(msg: &impl Wire) -> Frame {
     msg.write_to(&mut sink);
     let head = sink.head.freeze();
     if sink.values.is_empty() {
-        return Frame::from(head);
+        return Gather::from(head);
     }
     let mut elems = Vec::with_capacity(2 * sink.values.len() + 1);
     let mut from = 0;
@@ -305,7 +306,7 @@ fn encode_gather(msg: &impl Wire) -> Frame {
         from = at;
     }
     elems.push(head.slice(from..));
-    Frame::from(elems)
+    Gather::from(elems)
 }
 
 fn put_bytes<B: BufMut>(buf: &mut B, b: &[u8]) {
@@ -564,7 +565,7 @@ impl Response {
     /// Encode for a gather SEND: the same wire bytes as
     /// [`Response::encode`], with every stored value carried as its own
     /// handle between exact-size header pieces instead of copied.
-    pub fn encode_sg(&self) -> Frame {
+    pub fn encode_sg(&self) -> Gather {
         encode_gather(self)
     }
 
@@ -576,7 +577,7 @@ impl Response {
     /// Decode a received gather list as [`Response::decode`] decodes its
     /// concatenation. A value that arrived as its own element comes back
     /// as that very handle.
-    pub fn decode_sg(mut frame: Frame) -> Result<Response, ProtoError> {
+    pub fn decode_sg(mut frame: Gather) -> Result<Response, ProtoError> {
         Self::read_from(&mut frame)
     }
 

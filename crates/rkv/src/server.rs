@@ -36,7 +36,8 @@ use simkit::telemetry::{Counter, Gauge, HistogramMetric, MetricValue};
 use simkit::{OpId, Sim};
 
 use netsim::NodeId;
-use rdmasim::{Cq, Frame, Qp, QpConfig, RdmaError, RdmaStack};
+use rdmasim::{Cq, Qp, QpConfig, RdmaError, RdmaStack};
+use simkit::Gather;
 
 use crate::hotness::FreqSketch;
 use crate::proto::{Carrier, ProtoError, Request, Response, WireBuf};
@@ -126,7 +127,7 @@ impl KvServerConfig {
 }
 
 /// One reply queued to a connection's replier: `(seq, frame, traced op)`.
-type ReplyItem = (u64, Frame, Option<OpId>);
+type ReplyItem = (u64, Gather, Option<OpId>);
 
 /// The right to answer one engine-model request: its place in the
 /// connection's reply order, its traced op, and the way to the replier.
@@ -598,7 +599,7 @@ impl KvServer {
     /// per-connection request order.
     async fn run_replier(sim: Sim, qp: Rc<Qp>, mut rx: mpsc::Receiver<ReplyItem>) {
         let mut next = 0u64;
-        let mut held: BTreeMap<u64, (Frame, Option<OpId>)> = BTreeMap::new();
+        let mut held: BTreeMap<u64, (Gather, Option<OpId>)> = BTreeMap::new();
         while let Ok((seq, frame, op)) = rx.recv().await {
             held.insert(seq, (frame, op));
             while let Some((frame, op)) = held.remove(&next) {

@@ -5,7 +5,7 @@
 
 use bytes::{Buf, Bytes};
 use proptest::prelude::*;
-use rdmasim::Frame;
+use simkit::Gather;
 use std::collections::HashMap;
 
 use rkv::proto::{Carrier, Request, Response, WireBuf};
@@ -278,7 +278,7 @@ proptest! {
                     e
                 })
                 .collect();
-            Frame::from(elems)
+            Gather::from(elems)
         };
         let regather = |bytes: &Bytes| split(bytes, &seams[1..]);
         // any other cut of the same bytes decodes the same too: values and

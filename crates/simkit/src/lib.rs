@@ -4,9 +4,10 @@
 //! single-threaded async executor driven by a virtual clock
 //! ([`executor::Sim`]), plus the primitives discrete-event models need —
 //! timers, channels ([`sync`]), queueing resources ([`resource`]), seeded
-//! randomness ([`rng`]), metrics ([`stats`]), and the handle-keeping byte
+//! randomness ([`rng`]), metrics ([`stats`]), the handle-keeping byte
 //! range simulated disks and registered memory park payloads in
-//! ([`segmap`]).
+//! ([`segmap`]), and the gather list every SEND and every read carries
+//! those handles in ([`gather`]).
 //!
 //! ## Why virtual time
 //!
@@ -38,6 +39,7 @@ pub mod executor;
 pub mod faultplan;
 pub mod flight;
 pub mod future;
+pub mod gather;
 pub mod optrace;
 pub mod resource;
 pub mod rng;
@@ -57,6 +59,7 @@ pub use executor::{JoinHandle, Sim, Sleep};
 pub use faultplan::{
     FaultEvent, FaultPlan, MembershipChange, MembershipEvent, NodeEvent, NodeEventKind,
 };
+pub use gather::Gather;
 pub use optrace::OpId;
 pub use rng::{SimRng, Zipf};
 pub use segmap::SegmentMap;

@@ -3,7 +3,10 @@
 //! [`SegmentMap`] has the contents of a zero-initialised flat buffer of
 //! unbounded length, but a write stores the caller's handle (zero-copy)
 //! keyed by offset, trimming whatever it overlaps, and a read hands back
-//! a view of the stored handle whenever one segment covers the range.
+//! the stored handles themselves: [`SegmentMap::read_gather`] is a
+//! [`Gather`] of views of the segments in range (plus zero buffers for
+//! gaps), and [`SegmentMap::read`] joins it only when the range spans
+//! more than one segment.
 //! Both places the simulator parks payloads use it — an object on a
 //! simulated disk (`storesim`) and a registered memory region (`rdmasim`)
 //! — so host memory follows the number of live handles, not the logical
@@ -15,7 +18,9 @@
 use std::collections::BTreeMap;
 use std::ops::Bound::Excluded;
 
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
+
+use crate::Gather;
 
 /// offset → bytes over a zero-filled address range; segments never
 /// overlap and none is empty.
@@ -84,31 +89,48 @@ impl SegmentMap {
         }
     }
 
-    /// The bytes of `[offset, offset + len)`, gaps reading as zeros: a
-    /// zero-copy view when one stored segment covers the range, else
-    /// assembled into a fresh buffer in one pass.
-    pub fn read(&self, offset: u64, len: u64) -> Bytes {
+    /// The bytes of `[offset, offset + len)` as views of the stored
+    /// segments, in order, with a fresh zero buffer for each gap: nothing
+    /// stored is copied, and one segment covering the range comes back as
+    /// one view of it.
+    pub fn read_gather(&self, offset: u64, len: u64) -> Gather {
         let end = offset + len;
+        // the segment starting at or below `offset` may reach into range
         let below = self.segments.range(..=offset).next_back();
         if let Some((&k, seg)) = below {
             if end <= k + seg.len() as u64 {
-                return seg.slice((offset - k) as usize..(end - k) as usize);
+                // the common case, answered without building a list: every
+                // GET of a pooled registered buffer reads one segment
+                return seg.slice((offset - k) as usize..(end - k) as usize).into();
             }
         }
-        let mut out = BytesMut::with_capacity(len as usize);
+        let mut out = Gather::default();
+        let mut pos = offset;
         let first = below.map_or(offset, |(&k, _)| k);
         for (&k, seg) in self.segments.range(first..end) {
             let seg_end = k + seg.len() as u64;
-            if seg_end <= offset {
+            if seg_end <= pos {
                 continue;
             }
-            let from = k.max(offset);
-            // the gap up to this segment, then the part of it in range
-            out.resize((from - offset) as usize, 0);
-            out.extend_from_slice(&seg[(from - k) as usize..(seg_end.min(end) - k) as usize]);
+            if k > pos {
+                out.push(Bytes::from(vec![0u8; (k - pos) as usize]));
+                pos = k;
+            }
+            let to = seg_end.min(end);
+            out.push(seg.slice((pos - k) as usize..(to - k) as usize));
+            pos = to;
         }
-        out.resize(len as usize, 0);
-        out.freeze()
+        if pos < end {
+            out.push(Bytes::from(vec![0u8; (end - pos) as usize]));
+        }
+        out
+    }
+
+    /// The bytes of `[offset, offset + len)`, gaps reading as zeros:
+    /// [`SegmentMap::read_gather`] joined — a zero-copy view when one
+    /// stored segment covers the range.
+    pub fn read(&self, offset: u64, len: u64) -> Bytes {
+        self.read_gather(offset, len).concat()
     }
 }
 
@@ -169,5 +191,47 @@ mod tests {
         assert_eq!(&wide[4..36], &[7u8; 32]);
         assert_eq!(&wide[36..], &[0u8; 4]);
         assert!(map.read(100, 0).is_empty());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// `read_gather` against a flat zero-initialised buffer: random
+        /// writes (overlapping, abutting, leaving gaps), then random reads
+        /// whose elements must be views of what was written — only gaps
+        /// may come back as fresh buffers.
+        #[test]
+        fn read_gather_matches_a_flat_buffer(
+            writes in proptest::collection::vec((0u64..200, 0usize..64), 1..12),
+            reads in proptest::collection::vec((0u64..260, 0u64..120), 1..8),
+        ) {
+            const SPAN: usize = 400;
+            let mut flat = vec![0u8; SPAN];
+            let mut map = SegmentMap::new();
+            let mut sources = Vec::new();
+            for (i, &(offset, len)) in writes.iter().enumerate() {
+                let data = Bytes::from(
+                    (0..len).map(|j| (i * 37 + j) as u8 | 1).collect::<Vec<u8>>(),
+                );
+                flat[offset as usize..offset as usize + len].copy_from_slice(&data);
+                map.insert(offset, data.clone());
+                sources.push(data);
+            }
+            for &(offset, len) in &reads {
+                let want = &flat[offset as usize..(offset + len) as usize];
+                let got = map.read_gather(offset, len);
+                proptest::prop_assert_eq!(got.len() as u64, len);
+                for e in got.iter() {
+                    let from_a_write = sources.iter().any(|s| {
+                        let p = e.as_ptr() as usize;
+                        p >= s.as_ptr() as usize && p + e.len() <= s.as_ptr() as usize + s.len()
+                    });
+                    // the pattern bytes are odd, so a zero byte marks a gap
+                    proptest::prop_assert!(from_a_write || e.iter().all(|&b| b == 0));
+                }
+                proptest::prop_assert_eq!(&got.concat()[..], want);
+                proptest::prop_assert_eq!(&map.read(offset, len)[..], want);
+            }
+        }
     }
 }

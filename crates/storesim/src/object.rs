@@ -8,15 +8,16 @@
 //! because the benchmark harness pushes tens of logical gigabytes through
 //! the filesystems — workload generators hand out slices of one shared
 //! pattern buffer, so resident memory stays proportional to the number of
-//! segments, not the logical bytes stored, while reads still reassemble
-//! the exact byte content.
+//! segments, not the logical bytes stored. A read hands back those
+//! handles as a [`Gather`] (`read_at_opts`); `read_at` joins them only
+//! when the range spans more than one segment.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 
 use bytes::Bytes;
-use simkit::SegmentMap;
+use simkit::{Gather, SegmentMap};
 
 use crate::disk::{Disk, StoreError};
 
@@ -143,17 +144,21 @@ impl ObjectStore {
     /// Read `len` bytes at `offset` from object `id`, charging one read
     /// extent. Reads past the logical end are an error.
     pub async fn read_at(&self, id: ObjectId, offset: u64, len: u64) -> Result<Bytes, StoreError> {
-        self.read_at_opts(id, offset, len, true).await
+        self.read_at_opts(id, offset, len, true)
+            .await
+            .map(Gather::concat)
     }
 
-    /// Like [`ObjectStore::read_at`] with optional positioning latency.
+    /// Like [`ObjectStore::read_at`] with optional positioning latency,
+    /// returning the stored handles as they lie: views of the written
+    /// segments in order, zero buffers for gaps.
     pub async fn read_at_opts(
         &self,
         id: ObjectId,
         offset: u64,
         len: u64,
         charge_access: bool,
-    ) -> Result<Bytes, StoreError> {
+    ) -> Result<Gather, StoreError> {
         {
             let objects = self.objects.borrow();
             let obj = objects.get(&id).ok_or(StoreError::NotFound)?;
@@ -171,7 +176,7 @@ impl ObjectStore {
         if offset + len > obj.len {
             return Err(StoreError::OutOfRange);
         }
-        Ok(obj.segments.read(offset, len))
+        Ok(obj.segments.read_gather(offset, len))
     }
 
     /// Read the whole object.

@@ -313,3 +313,73 @@ fn e11_more_kv_servers_scale_write_throughput() {
         "4 servers ({four:.0}) should scale well past 1 ({one:.0})"
     );
 }
+
+/// Zero-copy regression: a chunk-aligned `read_gather` hands back views
+/// of the very allocation the writer's payloads were dealt from — from
+/// the buffer (the KV slab's handles, carried in the GET replies) and
+/// from the Lustre tier (the OSTs' handles, carried in the stripe
+/// replies). A copy reintroduced at any hop between them puts an element
+/// outside the `PayloadPool` pattern and fails this.
+#[test]
+fn chunk_aligned_read_gathers_are_views_of_the_writers_payloads() {
+    let tb = Testbed::build(SystemKind::Bb(Scheme::AsyncLustre), small_config());
+    let pool = PayloadPool::standard();
+    let pattern = pool.slice(0, pool.pattern_len());
+    let inside = move |g: &simkit::Gather| {
+        let lo = pattern.as_ptr() as usize;
+        g.iter().all(|e| {
+            let p = e.as_ptr() as usize;
+            p >= lo && p + e.len() <= lo + pattern.len()
+        })
+    };
+    tb.block_on(|tb| async move {
+        let dep = tb.bb.as_ref().expect("bb testbed");
+        let chunk = dep.config.chunk_size;
+        let client = dep.client(tb.nodes[0]);
+        // the testbed's first file: id 1
+        let w = client.create("/zero-copy").await.unwrap();
+        for i in 0..8 {
+            w.append(pool.slice(i, 1 << 20)).await.unwrap();
+        }
+        w.close().await.unwrap();
+        let (off, len) = (2 * chunk, 6 * chunk);
+
+        dep.reset_read_stats();
+        let g = client
+            .open("/zero-copy")
+            .await
+            .unwrap()
+            .read_gather(off, len)
+            .await
+            .unwrap();
+        assert!(dep.read_stats().tier_buffer >= 6);
+        assert_eq!(g.len() as u64, len);
+        assert!(inside(&g), "a buffered read copied its chunks");
+
+        assert_eq!(
+            client.wait_flushed("/zero-copy").await.unwrap(),
+            bb_core::FileState::Flushed
+        );
+        for seq in 0..16 {
+            client
+                .kv()
+                .delete(&bb_core::manager::chunk_key(1, seq))
+                .await
+                .unwrap();
+        }
+        dep.reset_read_stats();
+        let g = client
+            .open("/zero-copy")
+            .await
+            .unwrap()
+            .read_gather(off, len)
+            .await
+            .unwrap();
+        let stats = dep.read_stats();
+        assert_eq!(stats.tier_buffer, 0);
+        assert!(stats.tier_lustre >= 6);
+        assert_eq!(g.len() as u64, len);
+        assert!(inside(&g), "a Lustre-tier read copied its chunks");
+        tb.shutdown();
+    });
+}

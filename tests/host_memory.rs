@@ -1,19 +1,26 @@
-//! Host memory follows live handles, not logical bytes: the E3/E4 cell
-//! (BB-Async, 16 tasks × 64 MiB = 1 GiB of `PayloadPool` slices) written,
-//! drained to Lustre, read back and compared, under a counting allocator.
+//! Host memory follows live handles, not logical bytes, under a counting
+//! allocator, in two cells: the E3/E4 cell (BB-Async, 16 tasks × 64 MiB =
+//! 1 GiB of `PayloadPool` slices) written, drained to Lustre, read back
+//! and compared; and the E7 cell (BB-Async TeraGen + Sort of 512 MiB: 16
+//! map tasks each reading a 32 MiB split back from the buffer, the
+//! synthetic shuffle, 16 reducers writing the output back).
 //!
 //! The dataset is slices of one 4 MiB pattern buffer; the KV slab, the
 //! registered regions of the RDMA hops and the OST objects all keep the
-//! handles they are given, so the peak live heap is metadata plus what is
-//! genuinely copied while in flight. Measured over the built testbed's
-//! own heap: 9.7 MiB for write + drain, 18.5 MiB for the whole run (each
-//! 1 MiB read request is assembled from two chunks; the multi-GET replies
-//! carry the stored value handles as gather elements). While those replies
-//! were encoded into contiguous 4 MiB SEND frames, 16 readers at a time,
-//! the whole run measured 77.5 MiB; while `Mr` was a zero-filled flat
-//! buffer and every RDMA hop a memcpy, 2 053.1 MiB and 2 129.6 MiB: two
-//! copies of the dataset, one held by the KV store and one by the OSTs.
-//! The write limit is ≈ 2× its figure, the whole-run limit 1.25×.
+//! handles they are given, and every read returns views of them, joined
+//! only where an API must return one buffer, after its last await — so
+//! the peak live heap is metadata plus what is genuinely copied while in
+//! flight. Measured over each built testbed's own heap: 9.3 MiB for the
+//! dfsio write + drain and 9.3 MiB for its whole run, 7.8 MiB for the
+//! sort. While each reader assembled its 1 MiB read requests in a buffer
+//! held across the chunk fetches, the whole run measured 18.5 MiB, and
+//! while every map task copied its split into one buffer the sort
+//! measured 519.8 MiB (its input, once over); while the multi-GET replies
+//! were encoded into contiguous 4 MiB SEND frames, the whole run measured
+//! 77.5 MiB; while `Mr` was a zero-filled flat buffer and every RDMA hop
+//! a memcpy, 2 053.1 MiB and 2 129.6 MiB: two copies of the dataset, one
+//! held by the KV store and one by the OSTs. The write limit is ≈ 2× its
+//! figure, the whole-run limit 1.25× (12 MiB), the sort limit ≈ 2×.
 //!
 //! One `#[test]` in a binary of its own, so nothing else allocates while
 //! it counts.
@@ -23,6 +30,7 @@ use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
 use rdma_bb::bb_core::{FileState, Scheme};
 use rdma_bb::prelude::*;
+use rdma_bb::workloads::sortbench::{self, SortConfig};
 use rdma_bb::workloads::testdfsio::{self, DfsioConfig};
 
 /// `System`, counting live bytes and their high-water mark.
@@ -80,8 +88,17 @@ static ALLOC: Counting = Counting;
 
 const MIB: usize = 1 << 20;
 
+/// Peak live heap over what was live when `run` started, in MiB.
+fn peak_over<T>(run: impl FnOnce() -> T) -> (f64, T) {
+    let base = LIVE.load(Relaxed);
+    PEAK.store(base, Relaxed);
+    let out = run();
+    ((PEAK.load(Relaxed) - base) as f64 / MIB as f64, out)
+}
+
 #[test]
 fn a_gib_through_the_burst_buffer_costs_tens_of_mib_of_heap() {
+    // E3 + E4: TestDFSIO write, drain, verified read
     let tb = Testbed::build(
         SystemKind::Bb(Scheme::AsyncLustre),
         TestbedConfig::default(),
@@ -93,31 +110,61 @@ fn a_gib_through_the_burst_buffer_costs_tens_of_mib_of_heap() {
         ..DfsioConfig::default()
     };
     let base = LIVE.load(Relaxed);
-    PEAK.store(base, Relaxed);
-    let peak_written = tb.block_on(|tb| async move {
-        let fs_for = tb.fs_for();
-        testdfsio::write(&tb.sim, &tb.nodes, &fs_for, &pool, &cfg)
-            .await
-            .unwrap();
-        let client = tb.bb.as_ref().unwrap().client(tb.nodes[0]);
-        for i in 0..cfg.files {
-            let state = client.wait_flushed(&cfg.path(i)).await.unwrap();
-            assert_eq!(state, FileState::Flushed);
-        }
-        let peak_written = PEAK.load(Relaxed);
-        // `verify`: every byte read back is compared with the generator's
-        testdfsio::read(&tb.sim, &tb.nodes, &fs_for, &pool, &cfg, true)
-            .await
-            .unwrap();
-        tb.shutdown();
-        peak_written
+    let (total_mib, peak_written) = peak_over(|| {
+        tb.block_on(|tb| async move {
+            let fs_for = tb.fs_for();
+            testdfsio::write(&tb.sim, &tb.nodes, &fs_for, &pool, &cfg)
+                .await
+                .unwrap();
+            let client = tb.bb.as_ref().unwrap().client(tb.nodes[0]);
+            for i in 0..cfg.files {
+                let state = client.wait_flushed(&cfg.path(i)).await.unwrap();
+                assert_eq!(state, FileState::Flushed);
+            }
+            let peak_written = PEAK.load(Relaxed);
+            // `verify`: every byte read back is compared with the generator's
+            testdfsio::read(&tb.sim, &tb.nodes, &fs_for, &pool, &cfg, true)
+                .await
+                .unwrap();
+            tb.shutdown();
+            peak_written
+        })
     });
     let write_mib = (peak_written - base) as f64 / MIB as f64;
-    let total_mib = (PEAK.load(Relaxed) - base) as f64 / MIB as f64;
-    println!("peak live heap over the testbed's own: write + drain {write_mib:.1} MiB, whole run {total_mib:.1} MiB");
+
+    // E7: TeraGen + Sort, the synthetic shuffle over 16 map splits of
+    // 32 MiB read back from the buffer
+    let tb = Testbed::build(
+        SystemKind::Bb(Scheme::AsyncLustre),
+        TestbedConfig::default(),
+    );
+    let pool = PayloadPool::standard();
+    let sort = SortConfig {
+        data_size: 512 << 20,
+        input_files: 16,
+        reducers: 16,
+        ..SortConfig::default()
+    };
+    let (sort_mib, report) = peak_over(|| {
+        tb.block_on(|tb| async move {
+            let fs_for = tb.fs_for();
+            let r = sortbench::generate_and_sort(&tb.engine, &tb.nodes, &fs_for, &pool, &sort)
+                .await
+                .unwrap();
+            tb.shutdown();
+            r
+        })
+    });
+    assert_eq!((report.maps, report.bytes), (16, 512 << 20));
+
+    println!(
+        "peak live heap over the testbed's own: dfsio write + drain {write_mib:.1} MiB, \
+         whole run {total_mib:.1} MiB; sort 512 MiB {sort_mib:.1} MiB"
+    );
     assert!(
         write_mib < 20.0,
         "write + drain peaked at {write_mib:.1} MiB"
     );
-    assert!(total_mib < 23.0, "whole run peaked at {total_mib:.1} MiB");
+    assert!(total_mib < 12.0, "whole run peaked at {total_mib:.1} MiB");
+    assert!(sort_mib < 16.0, "sort peaked at {sort_mib:.1} MiB");
 }

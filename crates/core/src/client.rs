@@ -1066,7 +1066,9 @@ impl ReadCore {
             let m = self.meta.borrow();
             (m.chunk_size, m.size)
         };
-        assert!(offset + len <= size, "read past EOF");
+        if offset.checked_add(len).is_none_or(|end| end > size) {
+            return Err(BbError::OutOfRange { offset, len, size });
+        }
         let mut out = Gather::default();
         if len == 0 {
             return Ok(out);

@@ -66,6 +66,17 @@ pub enum BbError {
         /// Missing chunk.
         seq: u64,
     },
+    /// A read of `len` bytes at `offset` does not lie inside the file.
+    /// (No path: a `BbError` rides in every chunk result and read future,
+    /// so this variant is kept no larger than the others.)
+    OutOfRange {
+        /// Requested offset.
+        offset: u64,
+        /// Requested length.
+        len: u64,
+        /// File size.
+        size: u64,
+    },
 }
 
 impl fmt::Display for BbError {
@@ -81,6 +92,10 @@ impl fmt::Display for BbError {
             BbError::DataUnavailable { path, seq } => {
                 write!(f, "chunk {seq} of {path} lost (unflushed buffer data)")
             }
+            BbError::OutOfRange { offset, len, size } => write!(
+                f,
+                "read of {len} bytes at {offset} past the end of a {size}-byte file"
+            ),
         }
     }
 }

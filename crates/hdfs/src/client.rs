@@ -424,16 +424,21 @@ impl HdfsReader {
     /// Read `len` bytes at `offset`, fetching each covered block portion
     /// from its best reachable replica.
     pub async fn read_at(&self, offset: u64, len: u64) -> Result<Bytes, HdfsError> {
+        let out_of_range = HdfsError::Dn(DnError::Store(storesim::StoreError::OutOfRange));
+        // what the blocks hold, not `info.size`: a file still being
+        // written reports size 0 but serves the blocks it has
+        let stored: u64 = self.info.blocks.iter().map(|b| b.len).sum();
+        let end = match offset.checked_add(len) {
+            Some(end) if end <= stored => end,
+            _ => return Err(out_of_range),
+        };
         let block_size = self.info.block_size;
         let mut out = BytesMut::with_capacity(len as usize);
         let mut pos = offset;
-        let end = offset + len;
         while pos < end {
             let bi = (pos / block_size) as usize;
             let Some(loc) = self.info.blocks.get(bi) else {
-                return Err(HdfsError::Dn(DnError::Store(
-                    storesim::StoreError::OutOfRange,
-                )));
+                return Err(out_of_range);
             };
             let within = pos % block_size;
             let chunk = (block_size - within).min(end - pos).min(loc.len - within);

@@ -8,7 +8,11 @@
 //!
 //! The rule the read path keeps: a read returns views; bytes are joined
 //! once, by [`Gather::concat`], at an API that must return one buffer,
-//! after its last await.
+//! after its last await — and not even then when the pieces are adjacent
+//! views of one allocation, as the chunks a writer cut from one append
+//! are: those rejoin into the writer's own view, nothing copied. A piece
+//! in another allocation (a fault-injected copy, a foreign buffer) is
+//! never taken for its neighbour, however equal its bytes.
 
 use std::collections::VecDeque;
 use std::ops::{Bound, RangeBounds};
@@ -21,7 +25,8 @@ use bytes::{Buf, Bytes};
 /// read it without joining the pieces. `copy_to_bytes` and
 /// [`Gather::slice`] hand back a zero-copy view whenever the range lies
 /// inside one element — a value sent as its own element comes out as the
-/// sender's very handle.
+/// sender's very handle — and `copy_to_bytes`, like [`Gather::concat`],
+/// also when the elements it spans are adjacent views of one allocation.
 #[derive(Debug, Clone)]
 pub struct Gather(Repr);
 
@@ -146,19 +151,12 @@ impl Gather {
     }
 
     /// The bytes as one contiguous buffer: the handle itself for a single
-    /// element, a copy joining the elements otherwise. The one place a
-    /// gather's bytes are joined.
+    /// element, one view when the elements are adjacent views of one
+    /// allocation, a copy joining them otherwise.
     pub fn concat(self) -> Bytes {
         match self.0 {
             Repr::One(b) => b,
-            Repr::Many(mut g) if g.elems.len() == 1 => g.elems.pop_front().expect("one element"),
-            Repr::Many(g) => {
-                let mut v = Vec::with_capacity(g.len);
-                for e in &g.elems {
-                    v.extend_from_slice(e);
-                }
-                Bytes::from(v)
-            }
+            Repr::Many(g) => join(g.elems.iter().cloned(), g.len),
         }
     }
 
@@ -259,13 +257,37 @@ impl Buf for Gather {
                 }
                 // the range crosses a seam: join its pieces
                 _ => {
-                    let mut v = vec![0u8; n];
-                    self.copy_to_slice(&mut v);
-                    Bytes::from(v)
+                    assert!(n <= g.len, "copy past end");
+                    let mut left = n;
+                    let pieces = g.elems.iter().map_while(move |e| {
+                        let take = e.len().min(left);
+                        left -= take;
+                        (take > 0).then(|| e.slice(..take))
+                    });
+                    let out = join(pieces, n);
+                    self.advance(n);
+                    out
                 }
             },
         }
     }
+}
+
+/// The one place a gather's bytes are joined: `pieces` (`len` bytes in
+/// all, in order) as one buffer. When each piece begins where the one
+/// before it ends, in the same allocation, that is the allocation's own
+/// view and nothing is copied; otherwise the pieces are copied once.
+fn join(pieces: impl Iterator<Item = Bytes> + Clone, len: usize) -> Bytes {
+    let mut rest = pieces.clone();
+    let Some(first) = rest.next() else {
+        return Bytes::new();
+    };
+    if let Some(view) = rest.try_fold(first, |joined, next| joined.try_unsplit(&next)) {
+        return view;
+    }
+    let mut v = Vec::with_capacity(len);
+    pieces.for_each(|p| v.extend_from_slice(&p));
+    Bytes::from(v)
 }
 
 #[cfg(test)]
@@ -337,6 +359,142 @@ mod tests {
             a.as_ptr(),
             "other elements stay shared"
         );
+    }
+
+    #[test]
+    fn adjacent_views_rejoin_into_the_writers_buffer() {
+        let buf = Bytes::from((0u8..12).collect::<Vec<_>>());
+        let run = || Gather::from(vec![buf.slice(..4), buf.slice(4..9), buf.slice(9..)]);
+        assert_eq!(run().concat().as_ptr(), buf.as_ptr());
+        let mut g = run();
+        g.advance(2);
+        let got = g.copy_to_bytes(8);
+        assert_eq!(
+            (got.as_ptr(), &got[..]),
+            (buf.as_ptr().wrapping_add(2), &buf[2..10])
+        );
+        assert_eq!(g.concat().as_ptr(), buf.as_ptr().wrapping_add(10));
+    }
+
+    #[test]
+    fn a_flipped_element_inside_an_adjacent_run_comes_back_flipped() {
+        let buf = Bytes::from(vec![0u8; 12]);
+        let mut g = Gather::from(vec![buf.slice(..4), buf.slice(4..8), buf.slice(8..)]);
+        g.flip(5, 0x20);
+        let mut want = [0u8; 12];
+        want[5] = 0x20;
+        let joined = g.clone().concat();
+        assert_eq!(joined, want);
+        assert_ne!(
+            joined.as_ptr(),
+            buf.as_ptr(),
+            "never the undamaged original"
+        );
+        g.advance(1);
+        assert_eq!(g.copy_to_bytes(10), want[1..11]);
+        assert_eq!(buf, [0u8; 12], "the writer's buffer is untouched");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        /// One buffer cut at random points, some pieces swapped for the
+        /// same range of a twin allocation (equal bytes, equal offsets:
+        /// only the allocation differs), a flipped copy, a fresh copy, or
+        /// a view of the same buffer from elsewhere. Joined — by `concat`,
+        /// and by `copy_to_bytes` over any range — the gather reads as the
+        /// flat join, and comes back as a view exactly when every piece it
+        /// covers is a view of one allocation beginning where the one
+        /// before it ends.
+        #[test]
+        fn joins_equal_the_flat_join_and_are_views_exactly_when_adjacent(
+            cuts in proptest::collection::vec(1usize..64, 0..8),
+            kinds in proptest::collection::vec(0u8..6, 9),
+            reads in proptest::collection::vec((0usize..=64, 0usize..=64), 1..6),
+        ) {
+            const SPAN: usize = 64;
+            let buf = Bytes::from((0..SPAN).map(|i| (i * 7 + 1) as u8).collect::<Vec<_>>());
+            let twin = Bytes::from(buf.to_vec());
+            let mut bounds = cuts.clone();
+            bounds.extend([0, SPAN]);
+            bounds.sort_unstable();
+            bounds.dedup();
+            // per piece: its logical start and, for a view of `buf` or
+            // `twin`, which one and the address it starts at
+            let mut pieces = Vec::new();
+            let mut layout: Vec<(usize, Option<(u8, usize)>)> = Vec::new();
+            let mut flat = Vec::new();
+            let mut flips = Vec::new();
+            let view = |from: &Bytes, id: u8, lo: usize, len: usize| {
+                let v = from.slice(lo..lo + len);
+                let at = v.as_ptr() as usize;
+                (v, Some((id, at)))
+            };
+            for (w, k) in bounds.windows(2).zip(&kinds) {
+                let (lo, len) = (w[0], w[1] - w[0]);
+                let (piece, origin) = match k {
+                    2 => view(&twin, 1, lo, len),
+                    3 => {
+                        flips.push(lo + len / 2);
+                        (buf.slice(lo..lo + len), None)
+                    }
+                    4 if len < SPAN => view(&buf, 0, (lo + 1) % (SPAN - len + 1), len),
+                    5 => (Bytes::copy_from_slice(&buf[lo..lo + len]), None),
+                    _ => view(&buf, 0, lo, len),
+                };
+                layout.push((lo, origin));
+                flat.extend_from_slice(&piece);
+                pieces.push(piece);
+            }
+            let mut g = Gather::from(pieces);
+            for &at in &flips {
+                g.flip(at, 0x5a);
+                flat[at] ^= 0x5a;
+            }
+            // where a join of `[a, a + n)` must point: into `buf` or `twin`
+            // exactly when every covered piece is an adjacent view of it
+            let want_ptr = |a: usize, n: usize| -> Option<usize> {
+                let covered: Vec<usize> = (0..layout.len())
+                    .filter(|&i| {
+                        let end = layout.get(i + 1).map_or(SPAN, |l| l.0);
+                        layout[i].0 < a + n && end > a
+                    })
+                    .collect();
+                let first = *covered.first()?;
+                for pair in covered.windows(2) {
+                    let (prev, next) = (layout[pair[0]], layout[pair[1]]);
+                    let (prev_id, prev_at) = prev.1?;
+                    let len = next.0 - prev.0;
+                    if next.1? != (prev_id, prev_at + len) {
+                        return None;
+                    }
+                }
+                Some(layout[first].1?.1 + a - layout[first].0)
+            };
+            let inside = |b: &Bytes| {
+                let p = b.as_ptr() as usize;
+                [&buf, &twin]
+                    .iter()
+                    .any(|o| p >= o.as_ptr() as usize && p + b.len() <= o.as_ptr() as usize + SPAN)
+                    .then_some(p)
+            };
+            let whole = g.clone().concat();
+            proptest::prop_assert_eq!(&whole[..], &flat[..]);
+            proptest::prop_assert_eq!(inside(&whole), want_ptr(0, SPAN));
+            for &(a, n) in &reads {
+                let a = a.min(SPAN);
+                let n = n.min(SPAN - a);
+                let mut cur = g.clone();
+                cur.advance(a);
+                let got = cur.copy_to_bytes(n);
+                proptest::prop_assert_eq!(&got[..], &flat[a..a + n]);
+                if n > 0 {
+                    proptest::prop_assert_eq!(inside(&got), want_ptr(a, n));
+                }
+                proptest::prop_assert_eq!(cur.remaining(), SPAN - a - n);
+                proptest::prop_assert_eq!(&cur.concat()[..], &flat[a + n..]);
+            }
+        }
     }
 
     #[test]

@@ -314,12 +314,70 @@ fn e11_more_kv_servers_scale_write_throughput() {
     );
 }
 
+/// A read that does not lie inside the file is an error — never a panic
+/// that stops the simulation, nor an `offset + len` that wraps past the
+/// check — on the burst buffer's reader as on HDFS's.
+#[test]
+fn reads_past_eof_are_out_of_range_errors() {
+    use bb_core::fs::FsError;
+    use bb_core::BbError;
+    use hdfs::{dn::DnError, HdfsError};
+
+    for kind in [SystemKind::Hdfs, SystemKind::Bb(Scheme::AsyncLustre)] {
+        let tb = Testbed::build(kind, small_config());
+        let pool = PayloadPool::standard();
+        tb.block_on(|tb| async move {
+            let fs = tb.fs_for()(tb.nodes[0]);
+            let w = fs.create("/eof").await.unwrap();
+            // not a whole number of chunks or blocks
+            w.append(pool.slice(0, (1 << 20) + 7)).await.unwrap();
+            w.close().await.unwrap();
+            let r = fs.open("/eof").await.unwrap();
+            let size = r.size();
+            assert_eq!(size, (1 << 20) + 7);
+            assert_eq!(
+                r.read_at(size - 1, 1).await.unwrap(),
+                pool.slice(0, size as usize)[size as usize - 1..]
+            );
+            assert!(r.read_at(size, 0).await.unwrap().is_empty());
+            assert!(r.read_gather(size, 0).await.unwrap().is_empty());
+            let out_of_range = |e: FsError| match e {
+                FsError::Bb(BbError::OutOfRange { .. }) => kind != SystemKind::Hdfs,
+                FsError::Hdfs(HdfsError::Dn(DnError::Store(storesim::StoreError::OutOfRange))) => {
+                    kind == SystemKind::Hdfs
+                }
+                _ => false,
+            };
+            for (offset, len) in [
+                (size, 1),
+                (size - 1, 2),
+                (u64::MAX, 1),
+                (u64::MAX, 0),
+                (1, u64::MAX),
+            ] {
+                let e = r.read_at(offset, len).await.unwrap_err();
+                assert!(out_of_range(e.clone()), "read_at({offset}, {len}): {e}");
+                let e = r.read_gather(offset, len).await.unwrap_err();
+                assert!(out_of_range(e.clone()), "read_gather({offset}, {len}): {e}");
+            }
+            // and the reader still serves the file
+            assert_eq!(
+                r.read_at(0, size).await.unwrap(),
+                pool.slice(0, size as usize)
+            );
+            tb.shutdown();
+        });
+    }
+}
+
 /// Zero-copy regression: a chunk-aligned `read_gather` hands back views
 /// of the very allocation the writer's payloads were dealt from — from
 /// the buffer (the KV slab's handles, carried in the GET replies) and
 /// from the Lustre tier (the OSTs' handles, carried in the stripe
 /// replies). A copy reintroduced at any hop between them puts an element
-/// outside the `PayloadPool` pattern and fails this.
+/// outside the `PayloadPool` pattern and fails this. A `read_at` across
+/// the chunks one append was cut into is, from either tier, that append's
+/// own view: the join rejoins adjacent views instead of copying them.
 #[test]
 fn chunk_aligned_read_gathers_are_views_of_the_writers_payloads() {
     let tb = Testbed::build(SystemKind::Bb(Scheme::AsyncLustre), small_config());
@@ -335,6 +393,7 @@ fn chunk_aligned_read_gathers_are_views_of_the_writers_payloads() {
     tb.block_on(|tb| async move {
         let dep = tb.bb.as_ref().expect("bb testbed");
         let chunk = dep.config.chunk_size;
+        assert!(chunk < 1 << 20, "a 1 MiB read must span chunks");
         let client = dep.client(tb.nodes[0]);
         // the testbed's first file: id 1
         let w = client.create("/zero-copy").await.unwrap();
@@ -355,6 +414,15 @@ fn chunk_aligned_read_gathers_are_views_of_the_writers_payloads() {
         assert!(dep.read_stats().tier_buffer >= 6);
         assert_eq!(g.len() as u64, len);
         assert!(inside(&g), "a buffered read copied its chunks");
+        // a `read_at` of the second 1 MiB append, two chunks
+        let r = client.open("/zero-copy").await.unwrap();
+        let one = r.read_at(1 << 20, 1 << 20).await.unwrap();
+        assert_eq!(one, pool.slice(1, 1 << 20));
+        assert_eq!(
+            one.as_ptr(),
+            pool.slice(1, 1 << 20).as_ptr(),
+            "a buffered read_at copied"
+        );
 
         assert_eq!(
             client.wait_flushed("/zero-copy").await.unwrap(),
@@ -380,6 +448,14 @@ fn chunk_aligned_read_gathers_are_views_of_the_writers_payloads() {
         assert!(stats.tier_lustre >= 6);
         assert_eq!(g.len() as u64, len);
         assert!(inside(&g), "a Lustre-tier read copied its chunks");
+        let r = client.open("/zero-copy").await.unwrap();
+        let one = r.read_at(1 << 20, 1 << 20).await.unwrap();
+        assert_eq!(one, pool.slice(1, 1 << 20));
+        assert_eq!(
+            one.as_ptr(),
+            pool.slice(1, 1 << 20).as_ptr(),
+            "a Lustre-tier read_at copied"
+        );
         tb.shutdown();
     });
 }

@@ -81,6 +81,27 @@ impl Bytes {
     pub fn to_vec(&self) -> Vec<u8> {
         self.as_ref().to_vec()
     }
+
+    /// The view of `self` followed by `next`, without copying, when
+    /// `next` begins exactly where `self` ends in the same allocation;
+    /// `None` otherwise, and for an empty view.
+    ///
+    /// Not in upstream `bytes` (which has `BytesMut::unsplit` only), so
+    /// it has one call site, `simkit::Gather`'s join; with the real
+    /// crate that call becomes the copy it replaces. Identity is the
+    /// allocation, never the address: two allocations that happen to
+    /// sit next to each other in memory do not rejoin.
+    pub fn try_unsplit(&self, next: &Bytes) -> Option<Bytes> {
+        let joins = !self.is_empty()
+            && !next.is_empty()
+            && Arc::ptr_eq(&self.data, &next.data)
+            && self.end == next.start;
+        joins.then(|| Bytes {
+            data: Arc::clone(&self.data),
+            start: self.start,
+            end: next.end,
+        })
+    }
 }
 
 impl Deref for Bytes {
@@ -498,6 +519,42 @@ mod tests {
         let other = b.clone();
         assert_eq!(Vec::from(other), vec![0u8; 40]);
         assert_eq!(b.len(), 40);
+    }
+
+    #[test]
+    fn adjacent_views_of_one_allocation_rejoin() {
+        let b = Bytes::from((0u8..32).collect::<Vec<_>>());
+        let (head, tail) = (b.slice(4..12), b.slice(12..20));
+        let joined = head.try_unsplit(&tail).expect("adjacent");
+        assert_eq!(joined.as_ptr(), head.as_ptr());
+        assert_eq!(joined, b[4..20]);
+        // the pieces are untouched, and the join keeps joining
+        assert_eq!((head.len(), tail.len()), (8, 8));
+        let longer = joined.try_unsplit(&b.slice(20..)).expect("adjacent");
+        assert_eq!((longer.as_ptr(), longer.len()), (head.as_ptr(), 28));
+        // split_to leaves the two halves adjacent
+        let mut rest = b.clone();
+        let front = rest.split_to(5);
+        assert_eq!(front.try_unsplit(&rest).unwrap().as_ptr(), b.as_ptr());
+    }
+
+    #[test]
+    fn only_adjacent_non_empty_views_of_one_allocation_rejoin() {
+        let b = Bytes::from((0u8..32).collect::<Vec<_>>());
+        let (head, tail) = (b.slice(4..12), b.slice(12..20));
+        assert_eq!(head.try_unsplit(&b.slice(13..20)), None, "a gap");
+        assert_eq!(head.try_unsplit(&b.slice(11..20)), None, "an overlap");
+        assert_eq!(tail.try_unsplit(&head), None, "reversed");
+        assert_eq!(head.try_unsplit(&b.slice(12..12)), None, "empty next");
+        assert_eq!(b.slice(4..4).try_unsplit(&head), None, "empty self");
+        assert_eq!(Bytes::new().try_unsplit(&Bytes::new()), None);
+        // the same range of another allocation holding equal bytes
+        let twin = Bytes::from(b.to_vec()).slice(12..20);
+        assert_eq!(twin, tail);
+        assert_eq!(head.try_unsplit(&twin), None, "another allocation");
+        // nor do two separate allocations, wherever they lie
+        let (left, right) = (Bytes::from(vec![1u8; 8]), Bytes::from(vec![2u8; 8]));
+        assert_eq!(left.try_unsplit(&right), None);
     }
 
     #[test]

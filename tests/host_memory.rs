@@ -22,6 +22,14 @@
 //! held by the KV store and one by the OSTs. The write limit is ≈ 2× its
 //! figure, the whole-run limit 1.25× (12 MiB), the sort limit ≈ 2×.
 //!
+//! The same counter also sums every byte allocated during the verified
+//! read (E4): 17.6 MiB for the 1 GiB, because each 1 MiB `read_at` over
+//! two 512 KiB chunks hands back the writer's own view — the chunks are
+//! adjacent views of one append and `Gather::concat` rejoins them. While
+//! it copied them into a fresh buffer the read allocated 1 041.6 MiB, one
+//! short-lived 1 MiB join per request, invisible to the peak-heap limits.
+//! Its limit is ≈ 2× (36 MiB).
+//!
 //! One `#[test]` in a binary of its own, so nothing else allocates while
 //! it counts.
 
@@ -33,15 +41,18 @@ use rdma_bb::prelude::*;
 use rdma_bb::workloads::sortbench::{self, SortConfig};
 use rdma_bb::workloads::testdfsio::{self, DfsioConfig};
 
-/// `System`, counting live bytes and their high-water mark.
+/// `System`, counting live bytes, their high-water mark and every byte
+/// ever allocated.
 struct Counting;
 
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
+static TOTAL: AtomicUsize = AtomicUsize::new(0);
 
 fn grew(by: usize) {
     let live = LIVE.fetch_add(by, Relaxed) + by;
     PEAK.fetch_max(live, Relaxed);
+    TOTAL.fetch_add(by, Relaxed);
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
@@ -110,7 +121,7 @@ fn a_gib_through_the_burst_buffer_costs_tens_of_mib_of_heap() {
         ..DfsioConfig::default()
     };
     let base = LIVE.load(Relaxed);
-    let (total_mib, peak_written) = peak_over(|| {
+    let (total_mib, (peak_written, read_allocated)) = peak_over(|| {
         tb.block_on(|tb| async move {
             let fs_for = tb.fs_for();
             testdfsio::write(&tb.sim, &tb.nodes, &fs_for, &pool, &cfg)
@@ -122,15 +133,18 @@ fn a_gib_through_the_burst_buffer_costs_tens_of_mib_of_heap() {
                 assert_eq!(state, FileState::Flushed);
             }
             let peak_written = PEAK.load(Relaxed);
+            let before_read = TOTAL.load(Relaxed);
             // `verify`: every byte read back is compared with the generator's
             testdfsio::read(&tb.sim, &tb.nodes, &fs_for, &pool, &cfg, true)
                 .await
                 .unwrap();
+            let read_allocated = TOTAL.load(Relaxed) - before_read;
             tb.shutdown();
-            peak_written
+            (peak_written, read_allocated)
         })
     });
     let write_mib = (peak_written - base) as f64 / MIB as f64;
+    let read_mib = read_allocated as f64 / MIB as f64;
 
     // E7: TeraGen + Sort, the synthetic shuffle over 16 map splits of
     // 32 MiB read back from the buffer
@@ -159,12 +173,17 @@ fn a_gib_through_the_burst_buffer_costs_tens_of_mib_of_heap() {
 
     println!(
         "peak live heap over the testbed's own: dfsio write + drain {write_mib:.1} MiB, \
-         whole run {total_mib:.1} MiB; sort 512 MiB {sort_mib:.1} MiB"
+         whole run {total_mib:.1} MiB; sort 512 MiB {sort_mib:.1} MiB; \
+         allocated by the dfsio read {read_mib:.1} MiB"
     );
     assert!(
         write_mib < 20.0,
         "write + drain peaked at {write_mib:.1} MiB"
     );
     assert!(total_mib < 12.0, "whole run peaked at {total_mib:.1} MiB");
+    assert!(
+        read_mib < 36.0,
+        "the verified read allocated {read_mib:.1} MiB"
+    );
     assert!(sort_mib < 16.0, "sort peaked at {sort_mib:.1} MiB");
 }

@@ -1,9 +1,10 @@
 //! AB12 acceptance suite: traffic-aware burst-buffer admission.
 //!
 //! * **paper shape** — with the classifier on, the mixed burst+stream
-//!   workload must beat always-admit on BOTH burst append p99 AND total
-//!   runtime (the tentpole claim: long sequential streams gain nothing
-//!   from the buffer and should not evict burst data).
+//!   workload must keep the buffer out of pressure where always-admit
+//!   enters it, beat always-admit on total runtime, and be no worse on
+//!   burst append p99 (long sequential streams gain nothing from the
+//!   buffer and should not push burst data out of it).
 //! * **determinism** — the same seed replays to the same virtual end
 //!   time, the same percentiles, and a byte-identical metrics snapshot.
 //! * **defaults-off** — the always-admit cell (classifier off) must not
@@ -13,7 +14,7 @@
 use bench::experiments::admission::{ab12_admission, admission_cell};
 
 #[test]
-fn ab12_admission_beats_always_admit_on_p99_and_runtime() {
+fn ab12_admission_avoids_pressure_and_beats_always_admit_on_runtime() {
     let rep = ab12_admission(true, false);
     assert!(
         rep.shape_holds,

@@ -580,8 +580,8 @@ impl BbWriter {
                             .await
                         };
                         let ack = if buffered {
-                            // notify the persistence manager; the ack is the
-                            // flow-control credit
+                            // notify the persistence manager; the ack says
+                            // where the file's next chunk goes
                             client
                                 .mgr_call(48, op, |reply| MgrMsg::ChunkReady {
                                     file_id,
@@ -608,7 +608,7 @@ impl BbWriter {
                         // stay (or go) write-through when the buffer is
                         // under pressure or the manager classified this
                         // file as a long-sequential stream
-                        degraded.set(ack.pressure || ack.write_through);
+                        degraded.set(ack.write_through);
                         Ok(())
                     }
                 }

@@ -161,7 +161,7 @@ impl BbManager {
                         // flushed (or given up): lift the eviction pin
                         this.kv.unpin(&key).await;
                         this.chunks.unpin((file_id, seq));
-                        this.release_credit(len);
+                        this.chunk_drained(len);
                         this.chunk_pending.set(this.chunk_pending.get() - 1);
                         ok
                     }));
@@ -224,10 +224,10 @@ impl BbManager {
     /// sent — a torn or corrupted commit must surface as loss, never as
     /// success. Streaming extents ride the single-permit
     /// [`BbManager::stream_lane`] and yield while buffered-chunk flushes
-    /// are queued — those release writer credits, so the open-loop
-    /// write-through stream must never crowd them out of the gate or the
-    /// device queue. A non-streaming (pressure-degraded) chunk takes the
-    /// gate directly, exactly like the seed path.
+    /// are queued — those bring `unflushed` back under the low watermark,
+    /// so the open-loop write-through stream must never crowd them out of
+    /// the gate or the device queue. A non-streaming (pressure-degraded)
+    /// chunk takes the gate directly, exactly like the seed path.
     fn spawn_direct_flush(
         self: &Rc<Self>,
         lfile: &Rc<lustre::LustreFile>,

@@ -164,9 +164,6 @@ pub struct BbConfig {
     pub kv_mem_per_server: u64,
     /// Concurrent file flush streams in the persistence manager.
     pub flusher_threads: usize,
-    /// Writers stall when unflushed buffered bytes exceed this fraction of
-    /// the aggregate KV memory (protects unflushed data from LRU pressure).
-    pub flush_watermark: f64,
     /// Chunks a reader fetches concurrently (pipelined tiered read path),
     /// and how far past each request it prefetches (readahead; the bytes
     /// returned are identical either way). `1` reproduces the serial
@@ -204,10 +201,11 @@ pub struct BbConfig {
     /// flusher's read-back and the scrubber all walk, so unmigrated
     /// chunks are still read, flushed and kept.
     pub rebalance_interval: std::time::Duration,
-    /// Overload high watermark: when unflushed buffered bytes exceed this
-    /// fraction of aggregate KV memory, write acks carry a pressure signal
-    /// and writers degrade to write-through-to-Lustre (per scheme, no
-    /// errors) instead of queueing behind the flusher.
+    /// Overload high watermark, the buffer's one overload response: when
+    /// unflushed buffered bytes exceed this fraction of usable KV memory,
+    /// write acks route writers write-through to Lustre (per scheme, no
+    /// errors) instead of queueing more bytes behind the flusher. Pins
+    /// keep the unflushed chunks resident meanwhile.
     pub bb_high_watermark: f64,
     /// Overload low watermark: pressure clears (writers resume buffering)
     /// once unflushed bytes drain below this fraction — hysteresis so the
@@ -277,7 +275,6 @@ impl Default for BbConfig {
             kv_servers: 4,
             kv_mem_per_server: 512 << 20,
             flusher_threads: 4,
-            flush_watermark: 0.6,
             read_window: 8,
             populate_on_read: false,
             client_write_rate: 55e6,
@@ -366,7 +363,6 @@ impl BbDeployment {
     ) -> Rc<BbDeployment> {
         assert!(config.kv_servers > 0, "need at least one KV server");
         assert!(config.chunk_size > 0);
-        assert!(config.flush_watermark > 0.0 && config.flush_watermark <= 1.0);
         assert!(
             config.bb_low_watermark <= config.bb_high_watermark,
             "pressure hysteresis needs low <= high"

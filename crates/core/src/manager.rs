@@ -2,14 +2,15 @@
 //!
 //! One manager process tracks every file written through the buffer and —
 //! for the asynchronous schemes — runs per-file flusher tasks that drain
-//! buffered chunks to Lustre with bounded parallelism and a watermark that
-//! back-pressures writers before unflushed data could face LRU pressure.
+//! buffered chunks to Lustre with bounded parallelism. Past a high
+//! watermark of unflushed bytes its acks route writers write-through to
+//! Lustre until the flusher drains below a low one.
 //! Its background loops (scrubber, rebalancer, placement optimizer) live
 //! in [`crate::movers`]; what they and the flusher know about each chunk
 //! lives in [`crate::chunks`].
 
 use std::cell::{Cell, RefCell};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::rc::Rc;
 
@@ -168,14 +169,12 @@ pub struct Dropped {
 /// Write acknowledgement carried by `ChunkReady`/`ChunkDirect` replies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WriteAck {
-    /// The buffer is above its overload high watermark: the writer should
-    /// degrade to write-through (`ChunkDirect`) until an ack clears the
-    /// flag again (below the low watermark — hysteresis).
-    pub pressure: bool,
-    /// The traffic classifier labelled this file a long-sequential
-    /// stream: the writer should route its remaining chunks write-through
-    /// to Lustre, keeping BB capacity for bursts. Always `false` when
-    /// admission control is off ([`BbConfig::bb_admit_stream_bytes`] = 0).
+    /// Route this file's remaining chunks past the buffer, write-through
+    /// to Lustre (`ChunkDirect`), until an ack clears the bit. Set while
+    /// the buffer is above its overload high watermark (it clears below
+    /// the low watermark — hysteresis), and for good once the traffic
+    /// classifier labels the file a long-sequential stream
+    /// ([`BbConfig::bb_admit_stream_bytes`] > 0).
     pub write_through: bool,
 }
 
@@ -188,8 +187,8 @@ pub enum MgrMsg {
         /// Reply channel.
         reply: ReplyHandle<Result<u64, BbError>>,
     },
-    /// A chunk landed in the buffer. The ack doubles as a flow-control
-    /// credit: it is withheld while unflushed bytes exceed the watermark.
+    /// A chunk landed in the buffer; the manager queues its flush and
+    /// acks at once.
     ChunkReady {
         /// File id.
         file_id: u64,
@@ -199,7 +198,7 @@ pub enum MgrMsg {
         len: u64,
         /// CRC32C of `chunk_key || data` as sealed by the writer.
         crc: u32,
-        /// Reply channel (credit).
+        /// Reply channel.
         reply: ReplyHandle<Result<WriteAck, BbError>>,
     },
     /// Degraded path: the buffer rejected the chunk (or the writer is
@@ -289,8 +288,6 @@ pub struct MgrStats {
     pub chunks_direct: u64,
     /// Chunks that were lost (missing from the buffer at flush time).
     pub chunks_lost: u64,
-    /// Times a writer was stalled by the flush watermark.
-    pub watermark_stalls: u64,
 }
 
 /// The manager/flusher counters as registered metrics (`bb.mgr.*`);
@@ -300,7 +297,6 @@ pub(crate) struct MgrCounters {
     pub(crate) bytes_flushed: simkit::telemetry::Counter,
     pub(crate) chunks_direct: simkit::telemetry::Counter,
     pub(crate) chunks_lost: simkit::telemetry::Counter,
-    watermark_stalls: simkit::telemetry::Counter,
 }
 
 impl MgrCounters {
@@ -310,7 +306,6 @@ impl MgrCounters {
             bytes_flushed: m.counter("bb.mgr.bytes_flushed"),
             chunks_direct: m.counter("bb.mgr.chunks_direct"),
             chunks_lost: m.counter("bb.mgr.chunks_lost"),
-            watermark_stalls: m.counter("bb.mgr.watermark_stalls"),
         }
     }
 
@@ -320,7 +315,6 @@ impl MgrCounters {
             bytes_flushed: self.bytes_flushed.get(),
             chunks_direct: self.chunks_direct.get(),
             chunks_lost: self.chunks_lost.get(),
-            watermark_stalls: self.watermark_stalls.get(),
         }
     }
 }
@@ -379,24 +373,22 @@ pub struct BbManager {
     by_id: RefCell<HashMap<u64, Rc<RefCell<FileEntry>>>>,
     next_id: Cell<u64>,
     unflushed: Cell<u64>,
-    watermark: u64,
     /// Overload thresholds in unflushed bytes (hysteresis: pressure sets
     /// above `high`, clears below `low`).
     high: u64,
     low: u64,
     pressure: Cell<bool>,
-    credit_waiters: RefCell<VecDeque<ReplyHandle<Result<WriteAck, BbError>>>>,
     flush_waiters: FlushWaiters,
     pub(crate) flush_gate: Semaphore,
     /// Buffered-chunk flushes queued or in flight. Streaming write-through
     /// flush tasks yield the gate while this is non-zero: draining the
-    /// buffer releases writer credits, so buffered chunks take priority
-    /// over the open-loop write-through stream.
+    /// buffer brings `unflushed` back under `low`, so buffered chunks take
+    /// priority over the open-loop write-through stream.
     pub(crate) chunk_pending: Cell<u64>,
     /// Single-permit lane for classified streaming extents. Coalesced
     /// extents are large; one in flight keeps the OST busy back-to-back
     /// while leaving every [`BbManager::flush_gate`] slot free for
-    /// credit-releasing chunk flushes. Pressure-degraded direct chunks
+    /// buffered-chunk flushes. Pressure-degraded direct chunks
     /// (the seed path) do not use this lane.
     pub(crate) stream_lane: Semaphore,
     pub(crate) stats: MgrCounters,
@@ -455,7 +447,6 @@ impl BbManager {
             .expect("chunk_size exceeds the KV item limit") as f64;
         let density = (config.chunk_size as f64 / footprint).min(1.0);
         let usable = (config.kv_mem_per_server * config.kv_servers as u64) as f64 * density;
-        let watermark = (usable * config.flush_watermark) as u64;
         let high = (usable * config.bb_high_watermark) as u64;
         let low = (usable * config.bb_low_watermark) as u64;
         let mgr = Rc::new(BbManager {
@@ -468,11 +459,9 @@ impl BbManager {
             by_id: RefCell::new(HashMap::new()),
             next_id: Cell::new(1),
             unflushed: Cell::new(0),
-            watermark,
             high,
             low,
             pressure: Cell::new(false),
-            credit_waiters: RefCell::new(VecDeque::new()),
             flush_waiters: RefCell::new(HashMap::new()),
             flush_gate: Semaphore::new(config.flusher_threads.max(1)),
             chunk_pending: Cell::new(0),
@@ -548,7 +537,7 @@ impl BbManager {
         self.stats.snapshot()
     }
 
-    /// Unflushed buffered bytes (flow-control pressure).
+    /// Unflushed buffered bytes (what the overload watermarks measure).
     pub fn unflushed_bytes(&self) -> u64 {
         self.unflushed.get()
     }
@@ -592,24 +581,15 @@ impl BbManager {
                             format!("unflushed={} high={}", self.unflushed.get(), self.high)
                         });
                 }
+                // This chunk is already buffered and flushes normally;
+                // the bit steers only the file's remaining chunks past the
+                // buffer — while overloaded, or for good once the file is
+                // classified long-sequential.
                 let streaming = self.classify_write(&entry, len);
-                // Ack now when overloaded (the pressure flag degrades the
-                // writer to write-through instead of queueing more bytes
-                // behind the flusher), when the file is classified
-                // long-sequential (this chunk is already buffered and
-                // flushes normally; the flag steers only the file's
-                // remaining chunks past the buffer), or when under the
-                // watermark. Otherwise the ack is the withheld credit.
-                if self.pressure.get() || streaming || self.unflushed.get() <= self.watermark {
-                    let ack = WriteAck {
-                        pressure: self.pressure.get(),
-                        write_through: streaming,
-                    };
-                    reply.send(Ok(ack), 16);
-                } else {
-                    self.stats.watermark_stalls.inc();
-                    self.credit_waiters.borrow_mut().push_back(reply);
-                }
+                let ack = WriteAck {
+                    write_through: self.pressure.get() || streaming,
+                };
+                reply.send(Ok(ack), 16);
             }
             MgrMsg::ChunkDirect {
                 file_id,
@@ -649,8 +629,7 @@ impl BbManager {
                         });
                         reply.send(
                             Ok(WriteAck {
-                                pressure: self.pressure.get(),
-                                write_through: streaming,
+                                write_through: self.pressure.get() || streaming,
                             }),
                             16,
                         );
@@ -862,7 +841,9 @@ impl BbManager {
         e.streaming
     }
 
-    pub(crate) fn release_credit(&self, len: u64) {
+    /// A buffered chunk left the buffer's books (flushed or given up):
+    /// subtract its bytes, and clear pressure once under `low`.
+    pub(crate) fn chunk_drained(&self, len: u64) {
         self.unflushed.set(self.unflushed.get().saturating_sub(len));
         if self.pressure.get() && self.unflushed.get() <= self.low {
             self.pressure.set(false);
@@ -870,21 +851,6 @@ impl BbManager {
             self.sim().flight_record("bb.manager", "pressure_exit", || {
                 format!("unflushed={} low={}", self.unflushed.get(), self.low)
             });
-        }
-        let mut waiters = self.credit_waiters.borrow_mut();
-        while self.unflushed.get() <= self.watermark {
-            match waiters.pop_front() {
-                // streaming files never park here (their acks are sent
-                // immediately), so the drained credit carries no routing
-                Some(reply) => reply.send(
-                    Ok(WriteAck {
-                        pressure: self.pressure.get(),
-                        write_through: false,
-                    }),
-                    16,
-                ),
-                None => break,
-            }
         }
     }
 

@@ -269,43 +269,6 @@ fn sync_scheme_survives_buffer_death() {
 }
 
 #[test]
-fn watermark_backpressure_engages_without_data_loss() {
-    // tiny buffer + slow Lustre: writers must stall on credits, and
-    // everything still flushes correctly
-    let lcfg = LustreConfig {
-        oss_count: 1,
-        osts_per_oss: 1,
-        stripe_count: 1,
-        ost_rate: 50e6,
-        ..LustreConfig::default()
-    };
-    let bcfg = BbConfig {
-        kv_servers: 1,
-        kv_mem_per_server: 32 << 20,
-        flush_watermark: 0.25,
-        ..BbConfig::default()
-    };
-    let r = rig_with(2, Scheme::AsyncLustre, lcfg, bcfg);
-    let client = r.dep.client(NodeId(0));
-    let dep = Rc::clone(&r.dep);
-    let data = pattern(48 << 20);
-    let expect = data.clone();
-    r.sim.block_on(async move {
-        let w = client.create("/wm").await.unwrap();
-        w.append(data).await.unwrap();
-        w.close().await.unwrap();
-        let st = client.wait_flushed("/wm").await.unwrap();
-        assert_eq!(st, FileState::Flushed);
-        let stats = dep.manager.stats();
-        assert!(stats.watermark_stalls > 0, "watermark never engaged");
-        assert_eq!(stats.chunks_lost, 0);
-        let rd = client.open("/wm").await.unwrap();
-        assert_eq!(rd.read_all().await.unwrap(), expect);
-        dep.shutdown();
-    });
-}
-
-#[test]
 fn delete_reaps_buffer_and_lustre() {
     let r = rig(2, Scheme::AsyncLustre);
     let client = r.dep.client(NodeId(0));
@@ -459,7 +422,6 @@ fn unflushed_chunks_survive_memory_pressure() {
     let bcfg = BbConfig {
         kv_servers: 1,
         kv_mem_per_server: 8 << 20,
-        flush_watermark: 1.0,
         // park the pressure watermarks out of reach: this test exercises
         // the pin-vs-eviction line of defence, not graceful degradation
         bb_high_watermark: 8.0,
@@ -509,7 +471,6 @@ fn pressure_watermarks_degrade_to_writethrough_with_hysteresis() {
     let bcfg = BbConfig {
         kv_servers: 1,
         kv_mem_per_server: 32 << 20,
-        flush_watermark: 0.95, // keep credit stalls out of the way
         bb_high_watermark: 0.5,
         bb_low_watermark: 0.25,
         ..BbConfig::default()

@@ -294,8 +294,13 @@ impl LustreFile {
     }
 
     /// Read `len` bytes at `offset` as the stripe replies, in file order,
-    /// without joining them: every element is a handle the OSTs hold.
+    /// without joining them: every element is a handle the OSTs hold. A
+    /// range that ends past the known size fails with
+    /// [`StoreError::OutOfRange`] before any CPU time or RPC is spent.
     pub async fn read_gather(&self, offset: u64, len: u64) -> Result<Gather, LustreError> {
+        if offset.checked_add(len).is_none_or(|end| end > self.size()) {
+            return Err(LustreError::Store(StoreError::OutOfRange));
+        }
         let sim = self.client.cluster.oss_net.fabric().sim().clone();
         sim.sleep(simkit::dur::transfer(
             len,

@@ -215,6 +215,74 @@ fn randomwriter_runs_and_orders() {
     assert!(b < h, "BB ({b:.2}s) should beat HDFS ({h:.2}s)");
 }
 
+/// Past the buffer, BB-Async routes writes around itself instead of
+/// throttling them: a dataset twice the aggregate KV memory must ingest
+/// at least at plain Lustre's rate, enter pressure write-through on the
+/// way, and still end every file `Flushed`, intact and byte-for-byte
+/// readable.
+#[test]
+fn bb_async_ingests_at_lustre_rate_past_the_buffer() {
+    let cfg = TestbedConfig {
+        bb: bb_core::BbConfig {
+            kv_mem_per_server: 64 << 20,
+            ..small_config().bb
+        },
+        ..small_config()
+    };
+    let rw = RandomWriterConfig {
+        bytes_per_node: 32 << 20,
+        ..RandomWriterConfig::default()
+    };
+    let buffer = cfg.bb.kv_mem_per_server * cfg.bb.kv_servers as u64;
+    assert_eq!(
+        rw.bytes_per_node * cfg.compute_nodes as u64,
+        2 * buffer,
+        "the dataset must be twice the buffer"
+    );
+    let ingest = |kind: SystemKind| {
+        let tb = Testbed::build(kind, cfg);
+        let pool = PayloadPool::standard();
+        let rw = rw.clone();
+        tb.block_on(|tb| async move {
+            let fs_for = tb.fs_for();
+            let r = randomwriter::run(&tb.sim, &tb.nodes, &fs_for, &pool, &rw)
+                .await
+                .unwrap();
+            let mbps = r.bytes as f64 / 1e6 / r.elapsed.as_secs_f64();
+            if let Some(dep) = &tb.bb {
+                let client = dep.client(tb.nodes[0]);
+                for i in 0..tb.nodes.len() {
+                    let path = format!("{}/part-{i:05}", rw.dir);
+                    assert_eq!(
+                        client.wait_flushed(&path).await.unwrap(),
+                        bb_core::FileState::Flushed,
+                        "{path}"
+                    );
+                }
+                assert_eq!(dep.manager.stats().chunks_lost, 0);
+                let enters = tb.sim.metrics().snapshot().counter("bb.pressure.enter");
+                assert!(enters >= 1, "the overload path never ran");
+            }
+            let fs = fs_for(tb.nodes[0]);
+            for i in 0..tb.nodes.len() {
+                let path = format!("{}/part-{i:05}", rw.dir);
+                let got = fs.open(&path).await.unwrap().read_all().await.unwrap();
+                let want = pool.stream(i as u64 * 7_919, rw.bytes_per_node, rw.io_size as usize);
+                assert_eq!(got, want.concat(), "{path} read back wrong bytes");
+            }
+            tb.shutdown();
+            mbps
+        })
+    };
+    let lustre = ingest(SystemKind::Lustre);
+    let bb = ingest(SystemKind::Bb(Scheme::AsyncLustre));
+    println!("randomwriter at 2x the buffer: BB-Async {bb:.0} MB/s, Lustre {lustre:.0} MB/s");
+    assert!(
+        bb >= 0.95 * lustre,
+        "BB-Async ingests at {bb:.0} MB/s past its buffer, below plain Lustre's {lustre:.0} MB/s"
+    );
+}
+
 #[test]
 fn swim_trace_completes_with_sane_stats() {
     let tb = Testbed::build(SystemKind::Bb(Scheme::AsyncLustre), small_config());
@@ -322,8 +390,14 @@ fn reads_past_eof_are_out_of_range_errors() {
     use bb_core::fs::FsError;
     use bb_core::BbError;
     use hdfs::{dn::DnError, HdfsError};
+    use lustre::LustreError;
+    use storesim::StoreError;
 
-    for kind in [SystemKind::Hdfs, SystemKind::Bb(Scheme::AsyncLustre)] {
+    for kind in [
+        SystemKind::Hdfs,
+        SystemKind::Lustre,
+        SystemKind::Bb(Scheme::AsyncLustre),
+    ] {
         let tb = Testbed::build(kind, small_config());
         let pool = PayloadPool::standard();
         tb.block_on(|tb| async move {
@@ -342,9 +416,12 @@ fn reads_past_eof_are_out_of_range_errors() {
             assert!(r.read_at(size, 0).await.unwrap().is_empty());
             assert!(r.read_gather(size, 0).await.unwrap().is_empty());
             let out_of_range = |e: FsError| match e {
-                FsError::Bb(BbError::OutOfRange { .. }) => kind != SystemKind::Hdfs,
-                FsError::Hdfs(HdfsError::Dn(DnError::Store(storesim::StoreError::OutOfRange))) => {
+                FsError::Bb(BbError::OutOfRange { .. }) => matches!(kind, SystemKind::Bb(_)),
+                FsError::Hdfs(HdfsError::Dn(DnError::Store(StoreError::OutOfRange))) => {
                     kind == SystemKind::Hdfs
+                }
+                FsError::Lustre(LustreError::Store(StoreError::OutOfRange)) => {
+                    kind == SystemKind::Lustre
                 }
                 _ => false,
             };

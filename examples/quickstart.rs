@@ -70,9 +70,14 @@ fn main() {
             bb.lustre.stored_bytes() >> 20
         );
         let stats = bb.manager.stats();
+        let m = tb.sim.metrics().snapshot();
         println!(
-            "persistence mgr   : {} chunks flushed, {} watermark stalls",
-            stats.chunks_flushed, stats.watermark_stalls
+            "persistence mgr   : {} chunks flushed, {} written through \
+             ({} pressure enters, {} under pressure)",
+            stats.chunks_flushed,
+            stats.chunks_direct,
+            m.counter("bb.pressure.enter"),
+            m.counter("bb.pressure.writethrough")
         );
         tb.shutdown();
     });

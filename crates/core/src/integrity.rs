@@ -14,13 +14,14 @@
 //! (Lustre), where the manifest guards the read again — so a completed
 //! read is byte-correct or loudly absent, never silently wrong.
 
+use bytes::Bytes;
 use rkv::store::Value;
 use rkv::KvClient;
 
 /// CRC32C digest of a chunk as stored: covers the key so a value landing
 /// under the wrong key also fails verification.
-pub fn chunk_crc(key: &[u8], data: &[u8]) -> u32 {
-    rkv::crc32c_pair(key, data)
+pub fn chunk_crc(key: &[u8], data: &Bytes) -> u32 {
+    rkv::crc32c_pair_bytes(key, data)
 }
 
 /// The digest rule, stated once: a buffer copy of `key` is good iff

@@ -540,6 +540,14 @@ fn at_rest_corruption_of_one_replica_spares_the_other_and_the_ost() {
             assert_eq!(&good.data[..], want, "chunk {seq} on the other replica");
             // the premise: that replica holds the writer's bytes themselves
             assert_eq!(good.data.as_ptr(), want.as_ptr());
+            // with the writer's view memoized (the seal, the SET verifies
+            // and the flusher's read-back all digested it), the damaged
+            // copy is still read and fails its check
+            let sealed = crate::integrity::chunk_crc(&key, &good.data);
+            assert_eq!(sealed, good.flags);
+            assert!(crate::integrity::is_good(&key, &good, Some(sealed)));
+            assert!(!crate::integrity::is_good(&key, &bad, Some(sealed)));
+            assert!(!crate::integrity::is_good(&key, &bad, None));
         }
         let lustre = dep.lustre.client(NodeId(1));
         let f = lustre

@@ -397,6 +397,40 @@ mod tests {
         });
     }
 
+    /// Both commit checks digest the stripe views through the memo, so a
+    /// rewrite of the same views is a memo hit on the client — and the
+    /// OSS's corrupted commit, a fresh allocation, is still read and
+    /// caught.
+    #[test]
+    fn a_corrupt_commit_is_caught_with_a_warm_memo() {
+        use simkit::{FaultEvent, FaultPlan};
+        let (sim, _f, cluster) = fs(1, LustreConfig::default());
+        let client = cluster.client(NodeId(0));
+        let stripe = cluster.config.stripe_size as usize;
+        let data = patterned(2 * stripe);
+        let mut plan = FaultPlan::new(3);
+        for oss in &cluster.osses {
+            let node = oss.node().0;
+            plan = plan.at(
+                std::time::Duration::ZERO,
+                FaultEvent::CorruptCommit { node, p: 1.0 },
+            );
+        }
+        let s = sim.clone();
+        sim.block_on(async move {
+            let fh = client.create("/c").await.unwrap();
+            fh.write_at(0, data.clone()).await.unwrap();
+            let before = simkit::crc32c::traversed();
+            for i in 0..2 {
+                crate::commit_crc(&data.slice(i * stripe..(i + 1) * stripe));
+            }
+            assert_eq!(simkit::crc32c::traversed(), before, "a warm memo");
+            s.install_faults(plan);
+            let err = fh.write_at(0, data.clone()).await.unwrap_err();
+            assert!(matches!(err, LustreError::CommitMismatch { .. }), "{err:?}");
+        });
+    }
+
     #[test]
     fn partial_reads_at_offsets() {
         let (sim, _f, cluster) = fs(1, LustreConfig::default());

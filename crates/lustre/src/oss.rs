@@ -17,8 +17,11 @@ use crate::LustreConfig;
 /// compare it against the checksum of the bytes they sent: a mismatch means
 /// the committed extent differs from the submitted one (corruption between
 /// wire and media), detected at 1× device cost — no read-back required.
-pub fn commit_crc(data: &[u8]) -> u32 {
-    simkit::crc32c::crc32c(data)
+/// Both sides digest through [`simkit::crc32c::crc32c_bytes`], so the OSS
+/// does not re-read the view the client just digested; a corrupted commit
+/// is a new allocation and is read.
+pub fn commit_crc(data: &Bytes) -> u32 {
+    simkit::crc32c::crc32c_bytes(data)
 }
 
 /// OSS data-path RPCs. `ost_slot` addresses an OST local to the receiving
@@ -229,11 +232,14 @@ impl Oss {
 #[cfg(test)]
 mod tests {
     use super::commit_crc;
+    use bytes::Bytes;
 
     #[test]
     fn commit_crc_catches_a_single_bit_flip_anywhere_in_a_stripe() {
         let mut stripe: Vec<u8> = (0..1usize << 20).map(|i| (i % 241) as u8).collect();
-        let clean = commit_crc(&stripe);
+        // each damaged stripe is its own allocation, as the OSS's injector
+        // builds one, so the clean stripe's memoized digest never answers
+        let clean = commit_crc(&Bytes::from(stripe.clone()));
         // every bit of the first and last bytes and of bytes a prime stride
         // apart, so every lane and block position of the kernel is hit
         let bytes = (0..stripe.len())
@@ -242,10 +248,11 @@ mod tests {
         for at in bytes {
             for bit in 0..8 {
                 stripe[at] ^= 1 << bit;
-                assert_ne!(commit_crc(&stripe), clean, "flip of bit {bit} at {at}");
+                let flipped = Bytes::copy_from_slice(&stripe);
+                assert_ne!(commit_crc(&flipped), clean, "flip of bit {bit} at {at}");
                 stripe[at] ^= 1 << bit;
             }
         }
-        assert_eq!(commit_crc(&stripe), clean);
+        assert_eq!(commit_crc(&Bytes::from(stripe)), clean);
     }
 }

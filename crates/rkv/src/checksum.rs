@@ -13,8 +13,11 @@
 //! chunk-CRC manifest; covering the *key* as well as the payload means a
 //! value that lands under the wrong key (e.g. a corrupted key byte in
 //! transit) also fails verification instead of reading back "cleanly".
+//! Every hop that holds the chunk as a `Bytes` view digests it with
+//! `crc32c_pair_bytes`, which traverses a view the thread has already
+//! digested only once (see [`simkit::crc32c::crc32c_bytes`]).
 
-pub use simkit::crc32c::{crc32c, crc32c_pair, Crc32c};
+pub use simkit::crc32c::{crc32c, crc32c_pair, crc32c_pair_bytes, Crc32c};
 
 #[cfg(test)]
 mod tests {

@@ -1686,7 +1686,13 @@ mod tests {
                     }
                 });
                 let value = Bytes::from(original.clone());
-                let digest = crate::checksum::crc32c_pair(key, &value);
+                // digested through the memo, as the burst buffer seals: the
+                // clean replica's SET verify is a hit, the flipped copy a
+                // new allocation that must still be read and refused
+                let digest = crate::checksum::crc32c_pair_bytes(key, &value);
+                let before = simkit::crc32c::traversed();
+                assert_eq!(crate::checksum::crc32c_pair_bytes(key, &value), digest);
+                assert_eq!(simkit::crc32c::traversed() - before, key.len() as u64);
                 cl.set(key, value.clone(), digest, 0).await.unwrap();
                 watcher.await;
                 assert_eq!(flipped.get(), 1);

@@ -29,7 +29,7 @@ pub mod sharded;
 pub mod slab;
 pub mod store;
 
-pub use checksum::{crc32c, crc32c_pair};
+pub use checksum::{crc32c, crc32c_pair, crc32c_pair_bytes};
 pub use client::{KvClient, KvClientConfig, OpKind, OpRecord};
 pub use hash::{fnv1a, HashRing};
 pub use membership::Membership;

@@ -961,8 +961,8 @@ impl KvServer {
 
     /// Under [`KvServerConfig::verify_set_crc`], check that the payload
     /// matches the digest the client declared in `flags`.
-    fn digest_ok(&self, key: &[u8], flags: u32, data: &[u8]) -> bool {
-        !self.config.verify_set_crc || crate::checksum::crc32c_pair(key, data) == flags
+    fn digest_ok(&self, key: &[u8], flags: u32, data: &Bytes) -> bool {
+        !self.config.verify_set_crc || crate::checksum::crc32c_pair_bytes(key, data) == flags
     }
 
     fn map_store_result(r: Result<u64, KvError>) -> Response {

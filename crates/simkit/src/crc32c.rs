@@ -23,6 +23,22 @@
 //!   zero bytes" operator;
 //! * table-driven slice-by-8, the portable fallback and, beside a bitwise
 //!   reference, the oracle the tests hold both hardware paths to.
+//!
+//! A chunk crosses every hop of the burst buffer as a view of the writer's
+//! own immutable buffer, and each hop checks its digest. [`crc32c_bytes`]
+//! and [`crc32c_pair_bytes`] digest a `Bytes` view through a small
+//! per-thread memo keyed by the view's allocation identity, start and
+//! length, so a view the thread has already digested is not read again:
+//! every check still computes the digest of the bytes it holds and
+//! compares it, and only the repeated traversal goes. [`combine`] joins two
+//! digests without reading either input (the key-prefixed chunk digest is
+//! the key's digest combined with the memoized payload's). [`traversed`]
+//! counts the bytes the kernels actually read on this thread — host-side
+//! instrumentation, not simulation telemetry.
+
+use std::cell::Cell;
+
+use bytes::Bytes;
 
 /// The Castagnoli generator polynomial, reflected.
 const POLY: u32 = 0x82f6_3b78;
@@ -35,6 +51,51 @@ const fn times_x(v: u32) -> u32 {
     } else {
         v >> 1
     }
+}
+
+/// `a · b mod P` on reflected polynomials.
+const fn mul_mod_p(a: u32, mut b: u32) -> u32 {
+    let mut product = 0;
+    let mut bit = 1u32 << 31;
+    while bit != 0 {
+        if a & bit != 0 {
+            product ^= b;
+        }
+        b = times_x(b);
+        bit >>= 1;
+    }
+    product
+}
+
+/// `X_POW2[k]` = x^(2^k) mod P, reflected, by repeated squaring of x.
+const X_POW2: [u32; 64] = {
+    let mut t = [0u32; 64];
+    t[0] = 1 << 30;
+    let mut k = 1;
+    while k < 64 {
+        t[k] = mul_mod_p(t[k - 1], t[k - 1]);
+        k += 1;
+    }
+    t
+};
+
+/// `v · x^n mod P`: the register `v` advanced over `n` zero bits, one
+/// multiply per set bit of `n`.
+const fn times_x_pow(mut v: u32, n: u64) -> u32 {
+    let mut k = 0;
+    while k < 64 {
+        if n >> k & 1 != 0 {
+            v = mul_mod_p(v, X_POW2[k]);
+        }
+        k += 1;
+    }
+    v
+}
+
+/// `x^n mod P`, reflected: the register 1 (bit 31) advanced over `n` zero
+/// bits.
+const fn x_pow(n: u64) -> u32 {
+    times_x_pow(1 << 31, n)
 }
 
 /// 8 × 256 lookup tables for slice-by-8.
@@ -95,35 +156,14 @@ const BLOCK: usize = 1024;
 /// The hardware kernel: three interleaved instruction streams.
 #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
 mod hw {
-    use super::{times_x, BLOCK};
+    use super::{mul_mod_p, x_pow, BLOCK};
 
     /// `SHIFT[k][b]`: the raw register `b << 8k` advanced over `BLOCK` zero
     /// bytes, i.e. multiplied by x^(8·BLOCK) mod P.
     static SHIFT: [[u32; 256]; 4] = build_shift();
 
-    /// `a · b mod P` on reflected polynomials.
-    const fn mul_mod_p(a: u32, mut b: u32) -> u32 {
-        let mut product = 0;
-        let mut bit = 1u32 << 31;
-        while bit != 0 {
-            if a & bit != 0 {
-                product ^= b;
-            }
-            b = times_x(b);
-            bit >>= 1;
-        }
-        product
-    }
-
     const fn build_shift() -> [[u32; 256]; 4] {
-        // x^(8·BLOCK) mod P by repeated squaring of x^8
-        let mut x_n = 1u32 << 23;
-        let mut n = 1;
-        while n < BLOCK {
-            x_n = mul_mod_p(x_n, x_n);
-            n *= 2;
-        }
-        assert!(n == BLOCK, "BLOCK must be a power of two");
+        let x_n = x_pow(8 * BLOCK as u64);
         let mut t = [[0u32; 256]; 4];
         let mut k = 0;
         while k < 4 {
@@ -235,28 +275,16 @@ mod hw {
 /// reflected 32-bit value `<< 1` (the 33-bit form `pclmulqdq` wants).
 #[cfg(target_arch = "x86_64")]
 mod fold {
-    use super::{hw, times_x};
+    use super::{hw, x_pow};
     use std::arch::x86_64::*;
 
     /// Bytes one round of the four accumulators covers; the kernel takes
     /// inputs at least this long.
     pub(super) const ROUND: usize = 256;
 
-    /// `x^n mod P`, reflected: the register 1 (bit 31) advanced over `n`
-    /// zero bits.
-    const fn x_pow(n: u32) -> u32 {
-        let mut v = 1 << 31;
-        let mut i = 0;
-        while i < n {
-            v = times_x(v);
-            i += 1;
-        }
-        v
-    }
-
     /// The `[first 8 bytes, last 8 bytes]` multipliers that move a 16-byte
     /// block `d` bits forward.
-    const fn pair(d: u32) -> [u64; 2] {
+    const fn pair(d: u64) -> [u64; 2] {
         [(x_pow(d + 32) as u64) << 1, (x_pow(d - 32) as u64) << 1]
     }
 
@@ -358,6 +386,7 @@ mod fold {
 
 /// Fold `data` into the raw register `crc` on the fastest path this CPU has.
 fn update(crc: u32, data: &[u8]) -> u32 {
+    TRAVERSED.with(|t| t.set(t.get() + data.len() as u64));
     #[cfg(target_arch = "x86_64")]
     if data.len() >= fold::ROUND && fold::available() {
         // SAFETY: `fold::update` requires the CPU features it is compiled
@@ -417,6 +446,89 @@ pub fn crc32c_pair(a: &[u8], b: &[u8]) -> u32 {
     c.update(a);
     c.update(b);
     c.finalize()
+}
+
+/// CRC32C of `a || b` from the digests of `a` and `b` and the length of
+/// `b`, without reading either: `crc_a` advanced over `len_b` zero bytes,
+/// xor `crc_b` (one multiply mod P per set bit of `8 · len_b`).
+pub fn combine(crc_a: u32, crc_b: u32, len_b: usize) -> u32 {
+    times_x_pow(crc_a, 8 * len_b as u64) ^ crc_b
+}
+
+/// Views shorter than this are digested directly: their traversal costs
+/// less than a memo miss would save.
+const MEMO_MIN: usize = 4 << 10;
+
+/// `log2` of the slots in each thread's memo.
+const MEMO_BITS: u32 = 10;
+
+/// 2^64 / φ, odd: the memo's slot hash multiplier.
+const GOLDEN: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// One memo slot: the digest of the view `(id, addr, len)`.
+#[derive(Clone, Copy)]
+struct Memo {
+    id: u64,
+    addr: usize,
+    len: usize,
+    crc: u32,
+}
+
+thread_local! {
+    /// Direct-mapped digests of recently digested views (32 KiB a
+    /// thread). Allocation identity 0 is never handed out, so an empty
+    /// slot matches nothing.
+    static MEMO: Box<[Cell<Memo>]> = (0..1 << MEMO_BITS)
+        .map(|_| Cell::new(Memo { id: 0, addr: 0, len: 0, crc: 0 }))
+        .collect();
+    static TRAVERSED: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Bytes the kernels have read on this thread since it started. Host-side
+/// instrumentation, not simulation telemetry: a memo hit adds nothing.
+pub fn traversed() -> u64 {
+    TRAVERSED.with(Cell::get)
+}
+
+/// CRC32C of an immutable view, traversing it at most once per memo
+/// residency: the digest is remembered under the view's allocation
+/// identity, start address and length.
+///
+/// The key names the bytes exactly: an allocation's identity is never
+/// reused (a buffer freed and allocated again at the same address gets a
+/// new one) and nothing can change the bytes of an allocation a view
+/// shares (see [`Bytes::allocation_id`]), so a hit returns the digest a
+/// traversal would. A damaged copy — every fault injector builds one —
+/// is a new allocation and is traversed.
+pub fn crc32c_bytes(data: &Bytes) -> u32 {
+    if data.len() < MEMO_MIN {
+        return crc32c(data);
+    }
+    let (id, addr, len) = (data.allocation_id(), data.as_ptr() as usize, data.len());
+    // Fibonacci hashing: views cut at a fixed stride from one allocation
+    // land on evenly spread slots
+    let mixed = (addr as u64)
+        .wrapping_add(id.wrapping_mul(GOLDEN))
+        .wrapping_add(len as u64);
+    let slot = (mixed.wrapping_mul(GOLDEN) >> (64 - MEMO_BITS)) as usize;
+    MEMO.with(|memo| {
+        let m = memo[slot].get();
+        if (m.id, m.addr, m.len) == (id, addr, len) {
+            return m.crc;
+        }
+        let crc = crc32c(data);
+        memo[slot].set(Memo { id, addr, len, crc });
+        crc
+    })
+}
+
+/// [`crc32c_pair`] of a key and an immutable view, the view's digest
+/// through [`crc32c_bytes`]'s memo.
+pub fn crc32c_pair_bytes(key: &[u8], data: &Bytes) -> u32 {
+    if data.len() < MEMO_MIN {
+        return crc32c_pair(key, data);
+    }
+    combine(crc32c(key), crc32c_bytes(data), data.len())
 }
 
 #[cfg(test)]
@@ -672,7 +784,94 @@ mod tests {
         assert_eq!(crc32c(&data), clean);
     }
 
+    #[test]
+    fn combine_equals_concatenation() {
+        let a = xorshift(1, 300);
+        let b = xorshift(2, (1 << 20) + 3);
+        for len_b in [0, 1, 255, 256, 512 << 10, (1 << 20) + 3] {
+            let (a, b) = (&a[..], &b[..len_b]);
+            let whole = crc32c_pair(a, b);
+            assert_eq!(combine(crc32c(a), crc32c(b), len_b), whole, "len_b {len_b}");
+            assert_eq!(combine(0, crc32c(b), len_b), crc32c_pair(b"", b));
+        }
+    }
+
+    #[test]
+    fn a_memo_hit_traverses_nothing_and_a_new_allocation_is_read() {
+        let data = Bytes::from(xorshift(3, 64 << 10));
+        let want = crc32c(&data);
+        let before = traversed();
+        assert_eq!(crc32c_bytes(&data), want);
+        assert_eq!(
+            traversed() - before,
+            data.len() as u64,
+            "the first digest reads"
+        );
+        let want_pair = crc32c_pair(b"k", &data);
+        let before = traversed();
+        assert_eq!(crc32c_bytes(&data.clone()), want);
+        assert_eq!(crc32c_pair_bytes(b"k", &data), want_pair);
+        assert_eq!(traversed() - before, 1, "a hit reads only the key");
+        // equal bytes in another allocation, and a different view of this
+        // one, are read again
+        let (twin, tail) = (Bytes::copy_from_slice(&data), data.slice(1..));
+        let want_tail = crc32c(&tail);
+        let before = traversed();
+        assert_eq!(crc32c_bytes(&twin), want);
+        assert_eq!(crc32c_bytes(&tail), want_tail);
+        assert_eq!(traversed() - before, 2 * data.len() as u64 - 1);
+        // below the threshold nothing is remembered
+        let small = data.slice(..MEMO_MIN - 1);
+        let before = traversed();
+        crc32c_bytes(&small);
+        crc32c_bytes(&small);
+        assert_eq!(traversed() - before, 2 * small.len() as u64);
+    }
+
+    /// The memo's key is the allocation's identity, never its address: a
+    /// buffer freed and allocated again at the same address with other
+    /// bytes must be digested afresh.
+    #[test]
+    fn a_reused_address_is_digested_afresh() {
+        let len = 64 << 10;
+        let mut reused = 0;
+        let mut last = None;
+        for seed in 0..32 {
+            let data = Bytes::from(xorshift(seed, len));
+            reused += usize::from(last == Some(data.as_ptr() as usize));
+            last = Some(data.as_ptr() as usize);
+            assert_eq!(crc32c_bytes(&data), crc32c(&data), "seed {seed}");
+            assert_eq!(crc32c_pair_bytes(b"key", &data), crc32c_pair(b"key", &data));
+        }
+        // the premise: the allocator did hand the same address back
+        assert!(reused > 0, "no address was reused");
+    }
+
     proptest! {
+        #[test]
+        fn memo_digests_equal_the_plain_ones(
+            seed in any::<u64>(),
+            len in 0usize..=12 << 10,
+            cuts in proptest::collection::vec(0usize..=12 << 10, 4),
+            key_len in 0usize..=24,
+        ) {
+            // lengths straddle the memo's 4 KiB and the fold's 256 B
+            let whole = Bytes::from(xorshift(seed, len));
+            let key = xorshift(seed ^ 1, key_len);
+            let mut c: Vec<usize> = cuts.iter().map(|c| c % (len + 1)).collect();
+            c.sort_unstable();
+            let view = whole.slice(c[0]..c[3]);
+            let inner = view.slice(c[1] - c[0]..c[2] - c[0]);
+            let (head, tail) = (whole.slice(..c[1]), whole.slice(c[1]..));
+            let mut views = vec![whole.clone(), view, inner, head.clone(), tail.clone()];
+            views.extend(head.try_unsplit(&tail));
+            // twice over: the second round is answered by the memo
+            for v in views.iter().chain(&views) {
+                prop_assert_eq!(crc32c_bytes(v), crc32c(v));
+                prop_assert_eq!(crc32c_pair_bytes(&key, v), crc32c_pair(&key, v));
+            }
+        }
+
         #[test]
         fn kernels_agree_on_random_input(
             seed in any::<u64>(),

@@ -283,6 +283,51 @@ fn bb_async_ingests_at_lustre_rate_past_the_buffer() {
     );
 }
 
+/// Host-cost gate on the BB-Async write path: every hop still checks the
+/// chunk's digest (writer's seal, KV server's SET verify, flusher
+/// read-back, Lustre client and OSS commit checks), but each hop holds a
+/// view of the writer's own buffer, so the CRC kernel reads each byte
+/// about once. A hop that copies the payload (a fresh allocation) makes
+/// the next check traverse it again (a copy in `Qp::read` reads 2.0), and
+/// without the memo every check traverses (5.0).
+#[test]
+fn bb_async_write_path_digests_each_byte_about_once() {
+    let tb = Testbed::build(SystemKind::Bb(Scheme::AsyncLustre), small_config());
+    let pool = PayloadPool::standard();
+    let cfg = DfsioConfig {
+        files: 4,
+        file_size: 8 << 20,
+        ..DfsioConfig::default()
+    };
+    let user = cfg.total_bytes() as f64;
+    let (write, drain) = tb.block_on(|tb| async move {
+        let fs_for = tb.fs_for();
+        let t0 = simkit::crc32c::traversed();
+        testdfsio::write(&tb.sim, &tb.nodes, &fs_for, &pool, &cfg)
+            .await
+            .unwrap();
+        let t1 = simkit::crc32c::traversed();
+        let client = tb.bb.as_ref().expect("bb testbed").client(tb.nodes[0]);
+        for i in 0..cfg.files {
+            let state = client.wait_flushed(&cfg.path(i)).await.unwrap();
+            assert_eq!(state, bb_core::FileState::Flushed);
+        }
+        let t2 = simkit::crc32c::traversed();
+        tb.shutdown();
+        ((t1 - t0) as f64 / user, (t2 - t1) as f64 / user)
+    });
+    eprintln!("CRC bytes traversed per user byte: write phase {write:.3}, flush drain {drain:.3}");
+    assert!(
+        write <= 1.1,
+        "write phase traversed {write:.3}× the user bytes"
+    );
+    assert!(
+        write + drain <= 1.1,
+        "write + flush drain traversed {:.3}× the user bytes",
+        write + drain
+    );
+}
+
 #[test]
 fn swim_trace_completes_with_sane_stats() {
     let tb = Testbed::build(SystemKind::Bb(Scheme::AsyncLustre), small_config());

@@ -1,5 +1,5 @@
 //! Offline shim for the `bytes` crate: the API subset this workspace uses,
-//! implemented over `Arc<Vec<u8>>`. Cheap clones, zero-copy `slice`/`split_to`
+//! implemented over an `Arc`'d `Vec<u8>`. Cheap clones, zero-copy `slice`/`split_to`
 //! and an O(1), pointer-preserving `From<Vec<u8>>`/`BytesMut::freeze` are
 //! preserved (the `Vec` is moved behind the `Arc`, spare capacity and all —
 //! builders that care size their buffer exactly); the rest favours
@@ -13,14 +13,30 @@ use std::borrow::Borrow;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::ops::{Bound, Deref, DerefMut, RangeBounds};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Cheaply cloneable, immutable, contiguous byte buffer.
-#[derive(Clone, Default)]
+#[derive(Clone)]
 pub struct Bytes {
-    data: Arc<Vec<u8>>,
+    data: Arc<Allocation>,
     start: usize,
     end: usize,
+}
+
+/// One allocation every view of it shares, and its identity.
+struct Allocation {
+    id: u64,
+    v: Vec<u8>,
+}
+
+/// The next [`Bytes::allocation_id`]; 0 is never handed out.
+static NEXT_ID: AtomicU64 = AtomicU64::new(1);
+
+impl Default for Bytes {
+    fn default() -> Self {
+        Bytes::from(Vec::new())
+    }
 }
 
 impl Bytes {
@@ -102,12 +118,26 @@ impl Bytes {
             end: next.end,
         })
     }
+
+    /// The identity of the allocation this view shares: equal for every
+    /// view of one allocation, and never reused by another one, even at
+    /// the same address after this one is freed. Its bytes cannot change
+    /// while any view exists (nothing hands out `&mut` to a shared
+    /// allocation, and taking the `Vec` back out consumes the last view),
+    /// so `(allocation_id, as_ptr, len)` names the same bytes for as long
+    /// as the process runs.
+    ///
+    /// Not in upstream `bytes`; its one caller is `simkit::crc32c`'s
+    /// digest memo, which without it cannot form a key and traverses.
+    pub fn allocation_id(&self) -> u64 {
+        self.data.id
+    }
 }
 
 impl Deref for Bytes {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
-        &self.data[self.start..self.end]
+        &self.data.v[self.start..self.end]
     }
 }
 
@@ -124,10 +154,14 @@ impl Borrow<[u8]> for Bytes {
 }
 
 impl From<Vec<u8>> for Bytes {
+    /// Every other constructor funnels into this one, so every allocation
+    /// gets a fresh [`Bytes::allocation_id`] here.
     fn from(v: Vec<u8>) -> Self {
         let end = v.len();
+        // a unique number and nothing else: no other memory is published
+        let id = NEXT_ID.fetch_add(1, Ordering::Relaxed);
         Bytes {
-            data: Arc::new(v),
+            data: Arc::new(Allocation { id, v }),
             start: 0,
             end,
         }
@@ -139,12 +173,12 @@ impl From<Bytes> for Vec<u8> {
     /// `b` is the only handle on it, a copy otherwise.
     fn from(b: Bytes) -> Vec<u8> {
         match Arc::try_unwrap(b.data) {
-            Ok(mut v) => {
+            Ok(Allocation { mut v, .. }) => {
                 v.truncate(b.end);
                 v.drain(..b.start);
                 v
             }
-            Err(shared) => shared[b.start..b.end].to_vec(),
+            Err(shared) => shared.v[b.start..b.end].to_vec(),
         }
     }
 }
@@ -555,6 +589,46 @@ mod tests {
         // nor do two separate allocations, wherever they lie
         let (left, right) = (Bytes::from(vec![1u8; 8]), Bytes::from(vec![2u8; 8]));
         assert_eq!(left.try_unsplit(&right), None);
+    }
+
+    #[test]
+    fn views_share_an_identity_no_other_allocation_has() {
+        let mut b = Bytes::from(vec![5u8; 64]);
+        let id = b.allocation_id();
+        assert_eq!(b.slice(8..24).allocation_id(), id);
+        assert_eq!(b.clone().allocation_id(), id);
+        assert_eq!(b.split_to(16).allocation_id(), id);
+        assert_eq!(b.copy_to_bytes(8).allocation_id(), id);
+        let joined = b.slice(..8).try_unsplit(&b.slice(8..)).unwrap();
+        assert_eq!(joined.allocation_id(), id);
+        // equal bytes in another allocation, and every constructor
+        assert_ne!(Bytes::from(b.to_vec()).allocation_id(), id);
+        assert_ne!(Bytes::copy_from_slice(&b).allocation_id(), id);
+        assert_ne!(Bytes::new().allocation_id(), Bytes::new().allocation_id());
+        let mut m = BytesMut::new();
+        m.extend_from_slice(&b);
+        assert_ne!(m.freeze().allocation_id(), id);
+        // the Vec taken back out and wrapped again is a new allocation,
+        // though it is the very same buffer
+        let only = Bytes::from(vec![1u8; 4096]);
+        let (old, p) = (only.allocation_id(), only.as_ptr());
+        let again = Bytes::from(Vec::from(only));
+        assert_eq!(again.as_ptr(), p);
+        assert_ne!(again.allocation_id(), old);
+    }
+
+    #[test]
+    fn a_freed_address_reused_gets_a_fresh_identity() {
+        let mut seen = std::collections::HashSet::new();
+        let mut reused = 0;
+        let mut addrs = std::collections::HashSet::new();
+        for round in 0..64u8 {
+            let b = Bytes::from(vec![round; 1 << 16]);
+            assert!(seen.insert(b.allocation_id()), "identity reused");
+            reused += usize::from(!addrs.insert(b.as_ptr() as usize));
+        }
+        // the premise: the allocator does hand the same address back
+        assert!(reused > 0, "no address was reused");
     }
 
     #[test]

@@ -110,7 +110,6 @@ impl PlacementCase {
             rack_latency: dur::us(5),
             zone_latency: dur::us(20),
             geo_latency: dur::ms(2),
-            ..NetConfig::default()
         };
         cfg.lustre.oss_count = 1;
         cfg.lustre.osts_per_oss = 1;
@@ -409,7 +408,6 @@ impl PlacementPropCase {
             rack_latency: dur::us(rack_us),
             zone_latency: dur::us(zone_us),
             geo_latency: dur::us(geo_us),
-            ..NetConfig::default()
         };
         cfg.lustre.oss_count = 1;
         cfg.lustre.osts_per_oss = 1;

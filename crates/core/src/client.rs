@@ -23,22 +23,10 @@ use crate::{kv_backoff, BbConfig, BbDeployment, Scheme, KV_RETRIES, WRITE_WINDOW
 
 /// KV client settings derived from the burst-buffer configuration.
 pub(crate) fn kv_client_config(cfg: &BbConfig) -> KvClientConfig {
-    let base = KvClientConfig {
+    KvClientConfig {
+        one_sided: cfg.one_sided,
         replication: cfg.kv_replication.max(1),
         ..KvClientConfig::default()
-    };
-    if cfg.one_sided {
-        KvClientConfig {
-            buf_size: cfg.chunk_size.max(1 << 20),
-            ..base
-        }
-    } else {
-        // ablation: SEND-only protocol, everything inline
-        KvClientConfig {
-            pool_bufs: 0,
-            inline_max: 4 << 20,
-            ..base
-        }
     }
 }
 
@@ -61,10 +49,6 @@ pub struct ReadStats {
     pub multi_get_keys: u64,
     /// Times a consumer had to wait on a chunk still in flight.
     pub readahead_stalls: u64,
-    /// Read-through cache fills started (`populate_on_read`).
-    pub fills_started: u64,
-    /// Read-through cache fills skipped because the fill window was full.
-    pub fill_drops: u64,
 }
 
 impl ReadStats {
@@ -94,8 +78,6 @@ pub(crate) struct ReadCounters {
     pub(crate) multi_gets: simkit::telemetry::Counter,
     pub(crate) multi_get_keys: simkit::telemetry::Counter,
     pub(crate) readahead_stalls: simkit::telemetry::Counter,
-    pub(crate) fills_started: simkit::telemetry::Counter,
-    pub(crate) fill_drops: simkit::telemetry::Counter,
 }
 
 impl ReadCounters {
@@ -107,8 +89,6 @@ impl ReadCounters {
             multi_gets: m.counter("bb.read.multi_gets"),
             multi_get_keys: m.counter("bb.read.multi_get_keys"),
             readahead_stalls: m.counter("bb.read.readahead_stalls"),
-            fills_started: m.counter("bb.read.fills_started"),
-            fill_drops: m.counter("bb.read.fill_drops"),
         }
     }
 
@@ -120,8 +100,6 @@ impl ReadCounters {
             multi_gets: self.multi_gets.get(),
             multi_get_keys: self.multi_get_keys.get(),
             readahead_stalls: self.readahead_stalls.get(),
-            fills_started: self.fills_started.get(),
-            fill_drops: self.fill_drops.get(),
         }
     }
 
@@ -132,8 +110,6 @@ impl ReadCounters {
         self.multi_gets.reset();
         self.multi_get_keys.reset();
         self.readahead_stalls.reset();
-        self.fills_started.reset();
-        self.fill_drops.reset();
     }
 }
 
@@ -171,9 +147,6 @@ pub struct BbClient {
     kv: Rc<KvClient>,
     lustre: LustreClient,
     hdfs: Option<HdfsClient>,
-    /// Bounds concurrent `populate_on_read` cache fills (read-through
-    /// fills beyond the window are dropped, not queued).
-    fill_gate: Semaphore,
 }
 
 impl BbClient {
@@ -189,14 +162,12 @@ impl BbClient {
         );
         let lustre = dep.lustre.client(node);
         let hdfs = dep.hdfs_local.as_ref().map(|h| h.client(node));
-        let fill_gate = Semaphore::new(dep.config.read_window.max(1));
         Rc::new(BbClient {
             dep,
             node,
             kv,
             lustre,
             hdfs,
-            fill_gate,
         })
     }
 
@@ -906,27 +877,6 @@ impl ReadCore {
         Ok(f)
     }
 
-    /// Start a read-through cache fill if the fill window has room.
-    fn maybe_fill(&self, file_id: u64, seq: u64, data: &Bytes) {
-        if !self.config().populate_on_read {
-            return;
-        }
-        match self.client.fill_gate.try_acquire() {
-            Some(permit) => {
-                self.client.dep.read_counters().fills_started.inc();
-                let kv = Rc::clone(&self.client.kv);
-                let key = chunk_key(file_id, seq);
-                let crc = integrity::chunk_crc(&key, data);
-                let fill = data.clone();
-                self.client.dep.stack.sim().spawn(async move {
-                    let _permit = permit;
-                    let _ = kv.set(&key, fill, crc, 0).await;
-                });
-            }
-            None => self.client.dep.read_counters().fill_drops.inc(),
-        }
-    }
-
     /// The CRC chunk `seq` was sealed with, once the file has a manifest
     /// (files still being written when opened have none yet).
     fn sealed_crc(&self, seq: u64) -> Option<u32> {
@@ -961,8 +911,8 @@ impl ReadCore {
     /// Tier 2 for the buffer misses `seqs` (ascending): Lustre, only sound
     /// once the file is flushed. Contiguous runs coalesce into single
     /// stripe-spanning reads, fetched concurrently (a serial miss is a run
-    /// of one); every chunk is verified against the manifest, offered to
-    /// the read-through fill and counted `tier_lustre`.
+    /// of one); every chunk is verified against the manifest and counted
+    /// `tier_lustre`.
     async fn lustre_tier(&self, seqs: &[u64]) -> Vec<(u64, Result<Bytes, BbError>)> {
         let mut state = self.meta.borrow().state;
         if state != FileState::Flushed {
@@ -1008,7 +958,6 @@ impl ReadCore {
                             out.push((s, Err(e)));
                             continue;
                         }
-                        self.maybe_fill(file_id, s, &b);
                         self.client.dep.read_counters().tier_lustre.inc();
                         out.push((s, Ok(b)));
                     }

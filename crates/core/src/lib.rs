@@ -169,8 +169,6 @@ pub struct BbConfig {
     /// returned are identical either way). `1` reproduces the serial
     /// chunk-at-a-time behaviour exactly.
     pub read_window: usize,
-    /// Populate the buffer on Lustre-fallback reads (read-through cache).
-    pub populate_on_read: bool,
     /// Client-side serialization rate on the write path (bytes/s): the
     /// Hadoop-client → KV-client boundary (framing, copies into registered
     /// buffers). Calibrated so per-task write throughput lands in the
@@ -276,7 +274,6 @@ impl Default for BbConfig {
             kv_mem_per_server: 512 << 20,
             flusher_threads: 4,
             read_window: 8,
-            populate_on_read: false,
             client_write_rate: 55e6,
             client_read_rate: 1.0e9,
             transport: netsim::TransportProfile::verbs_qdr(),
@@ -487,11 +484,6 @@ impl BbDeployment {
     /// Make a client on a compute node.
     pub fn client(self: &Rc<Self>, node: NodeId) -> Rc<BbClient> {
         BbClient::new(Rc::clone(self), node)
-    }
-
-    /// Aggregate KV memory budget.
-    pub fn total_kv_memory(&self) -> u64 {
-        self.config.kv_mem_per_server * self.kv_servers.len() as u64
     }
 
     /// Bytes currently held in the buffer layer (live KV items), over the

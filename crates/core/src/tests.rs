@@ -340,45 +340,6 @@ fn partial_chunk_tail_roundtrips() {
 }
 
 #[test]
-fn populate_on_read_refills_the_buffer() {
-    let bcfg = BbConfig {
-        populate_on_read: true,
-        ..BbConfig::default()
-    };
-    let r = rig_with(2, Scheme::AsyncLustre, LustreConfig::default(), bcfg);
-    let client = r.dep.client(NodeId(0));
-    let dep = Rc::clone(&r.dep);
-    let data = pattern(1 << 20);
-    let expect = data.clone();
-    r.sim.block_on(async move {
-        let w = client.create("/rt").await.unwrap();
-        w.append(data).await.unwrap();
-        w.close().await.unwrap();
-        client.wait_flushed("/rt").await.unwrap();
-        // evict everything, then read: the miss path should refill
-        for seq in 0..2u64 {
-            client
-                .kv()
-                .delete(&crate::manager::chunk_key(1, seq))
-                .await
-                .unwrap();
-        }
-        assert_eq!(dep.buffered_bytes(), 0);
-        let rd = client.open("/rt").await.unwrap();
-        assert_eq!(rd.read_all().await.unwrap(), expect);
-        dep.shutdown();
-    });
-    // cache fills are spawned; drain the sim then check (stopping the
-    // scrubber first so the drain quiesces)
-    r.dep.shutdown();
-    r.sim.run();
-    assert!(
-        r.dep.buffered_bytes() >= 1 << 20,
-        "read-through did not repopulate the buffer"
-    );
-}
-
-#[test]
 fn many_concurrent_writers_round_trip() {
     let r = rig(8, Scheme::AsyncLustre);
     let sim = r.sim.clone();
@@ -930,7 +891,6 @@ fn placement_engine_moves_hot_chunks_toward_remote_readers() {
         rack_latency: std::time::Duration::from_micros(5),
         zone_latency: std::time::Duration::from_micros(20),
         geo_latency: std::time::Duration::from_millis(2),
-        ..NetConfig::default()
     };
     let fabric = Fabric::new(sim.clone(), 2, net);
     let lustre = LustreCluster::deploy(
@@ -1120,7 +1080,6 @@ fn delete_during_an_inflight_move_leaves_no_override_or_copy() {
         rack_latency: std::time::Duration::from_micros(5),
         zone_latency: std::time::Duration::from_micros(20),
         geo_latency: std::time::Duration::from_millis(2),
-        ..NetConfig::default()
     };
     let fabric = Fabric::new(sim.clone(), 2, net);
     let lustre = LustreCluster::deploy(
@@ -1312,4 +1271,32 @@ fn unreachable_replicas_make_a_miss_indeterminate_after_a_join() {
         assert!(lookup().await.unwrap_err().definitive);
         dep.shutdown();
     });
+}
+
+#[test]
+fn readme_config_table_lists_every_bb_config_field() {
+    let readme = include_str!("../../../README.md");
+    let table = readme
+        .split("## Key configuration (`BbConfig`)")
+        .nth(1)
+        .expect("README has the BbConfig section");
+    let documented: Vec<&str> = table
+        .lines()
+        .skip_while(|l| !l.starts_with('|'))
+        .take_while(|l| l.starts_with('|'))
+        .filter_map(|l| l.strip_prefix("| `")?.split('`').next())
+        .collect();
+    // pretty `Debug` puts each top-level field on a line of its own at
+    // one level of indent
+    let debug = format!("{:#?}", BbConfig::default());
+    let fields: Vec<&str> = debug
+        .lines()
+        .filter_map(|l| l.strip_prefix("    "))
+        .filter(|l| !l.starts_with(' '))
+        .filter_map(|l| Some(l.split_once(':')?.0))
+        .collect();
+    assert_eq!(
+        documented, fields,
+        "README's BbConfig table and the struct disagree"
+    );
 }

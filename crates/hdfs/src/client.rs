@@ -14,6 +14,13 @@ use crate::dn::{DnError, DnMsg, DN_SERVICE};
 use crate::nn::{BlockId, FileInfo, NnError, NnMsg, NN_SERVICE};
 use crate::HdfsCluster;
 
+/// Packets a writer keeps in flight per pipeline stage.
+const WRITE_WINDOW: usize = 8;
+
+/// Client-side per-byte CPU rate (checksumming + copies in the Java
+/// DFSClient). Rarely the bottleneck — local disks are slower.
+const CLIENT_CPU_RATE: f64 = 400e6;
+
 /// Client-visible failures.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum HdfsError {
@@ -207,11 +214,8 @@ impl HdfsWriter {
         assert!(!*self.closed.borrow(), "append after close");
         // client-side checksum/copy cost (serial per writer)
         let sim = self.client.cluster.dn_net.fabric().sim().clone();
-        sim.sleep(simkit::dur::transfer(
-            data.len() as u64,
-            self.client.cluster.config.client_cpu_rate,
-        ))
-        .await;
+        sim.sleep(simkit::dur::transfer(data.len() as u64, CLIENT_CPU_RATE))
+            .await;
         let block_size = self.client.cluster.config.block_size;
         *self.total_len.borrow_mut() += data.len() as u64;
         loop {
@@ -315,9 +319,7 @@ impl HdfsWriter {
     ) -> Result<(), HdfsError> {
         let first = pipeline[0];
         let rest: Vec<NodeId> = pipeline[1..].to_vec();
-        let window = Rc::new(Semaphore::new(
-            self.client.cluster.config.write_window.max(1),
-        ));
+        let window = Rc::new(Semaphore::new(WRITE_WINDOW));
         let sim = self.client.cluster.dn_net.fabric().sim().clone();
         let mut futs = Vec::new();
         let mut offset = 0u64;
@@ -466,11 +468,8 @@ impl HdfsReader {
                 Some(data) => {
                     // client-side checksum verification on read
                     let sim = self.client.cluster.dn_net.fabric().sim().clone();
-                    sim.sleep(simkit::dur::transfer(
-                        data.len() as u64,
-                        self.client.cluster.config.client_cpu_rate,
-                    ))
-                    .await;
+                    sim.sleep(simkit::dur::transfer(data.len() as u64, CLIENT_CPU_RATE))
+                        .await;
                     out.extend_from_slice(&data)
                 }
                 None => return Err(HdfsError::AllReplicasFailed(loc.id)),

@@ -4,9 +4,11 @@
 use std::cell::Cell;
 use std::fmt;
 use std::rc::Rc;
+use std::time::Duration;
 
 use bytes::Bytes;
 use netsim::{NodeId, ReplyHandle, RpcError, Switchboard};
+use simkit::dur;
 use storesim::{Disk, DiskParams, ObjectStore, StoreError};
 
 use crate::nn::{BlockId, NnCommand, NnMsg, NN_SERVICE};
@@ -86,6 +88,9 @@ pub enum DnMsg {
 
 /// Mailbox service name for DataNode traffic.
 pub const DN_SERVICE: &str = "hdfs-dn";
+
+/// Heartbeat interval.
+const HEARTBEAT: Duration = dur::secs(3);
 
 /// A DataNode process co-located with a compute node.
 pub struct DataNode {
@@ -215,7 +220,7 @@ impl DataNode {
     async fn heartbeat_loop(self: &Rc<Self>) {
         let sim = self.dn_net.fabric().sim().clone();
         while self.hb_running.get() {
-            sim.sleep(self.config.heartbeat).await;
+            sim.sleep(HEARTBEAT).await;
             if !self.hb_running.get() {
                 break;
             }

@@ -25,10 +25,8 @@ pub mod dn;
 pub mod nn;
 
 use std::rc::Rc;
-use std::time::Duration;
 
 use netsim::{Fabric, NodeId, Switchboard, TransportProfile};
-use simkit::dur;
 use storesim::DiskKind;
 
 pub use client::{HdfsClient, HdfsError, HdfsReader, HdfsWriter};
@@ -45,23 +43,12 @@ pub struct HdfsConfig {
     /// Data-transfer packet size (64 KiB in Hadoop; 1 MiB here to keep the
     /// event count tractable — throughput is rate-bound either way).
     pub packet_size: u64,
-    /// Packets a writer keeps in flight per pipeline stage.
-    pub write_window: usize,
     /// DataNode local-disk technology.
     pub dn_disk: DiskKind,
     /// DataNode local-disk capacity.
     pub dn_capacity: u64,
-    /// NameNode service time per RPC.
-    pub nn_service: Duration,
-    /// Heartbeat interval.
-    pub heartbeat: Duration,
-    /// Declare a DataNode dead after this much heartbeat silence.
-    pub dead_after: Duration,
     /// Transport for RPC and data transfer (IPoIB on HPC clusters).
     pub transport: TransportProfile,
-    /// Client-side per-byte CPU rate (checksumming + copies in the Java
-    /// DFSClient). Rarely the bottleneck — local disks are slower.
-    pub client_cpu_rate: f64,
 }
 
 impl Default for HdfsConfig {
@@ -70,14 +57,9 @@ impl Default for HdfsConfig {
             block_size: 128 << 20,
             replication: 3,
             packet_size: 1 << 20,
-            write_window: 8,
             dn_disk: DiskKind::Hdd,
             dn_capacity: 2 << 40,
-            nn_service: dur::us(50),
-            heartbeat: dur::secs(3),
-            dead_after: dur::secs(10),
             transport: TransportProfile::ipoib_qdr(),
-            client_cpu_rate: 400e6,
         }
     }
 }

@@ -5,9 +5,10 @@ use std::cell::RefCell;
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::rc::Rc;
+use std::time::Duration;
 
 use netsim::{NodeId, RackId, ReplyHandle, Switchboard};
-use simkit::{SimRng, Time};
+use simkit::{dur, SimRng, Time};
 
 use crate::HdfsConfig;
 
@@ -201,6 +202,12 @@ pub struct NnStats {
 /// Mailbox service name.
 pub const NN_SERVICE: &str = "hdfs-nn";
 
+/// NameNode service time per RPC.
+const SERVICE_TIME: Duration = dur::us(50);
+
+/// Declare a DataNode dead after this much heartbeat silence.
+const DEAD_AFTER: Duration = dur::secs(10);
+
 /// The NameNode process.
 pub struct NameNode {
     node: NodeId,
@@ -258,7 +265,7 @@ impl NameNode {
             while let Ok(env) = rx.recv().await {
                 let _sp = sim.span("nn.op", "hdfs", this.node.0, 0);
                 ops.inc();
-                sim.sleep(this.config.nn_service).await;
+                sim.sleep(SERVICE_TIME).await;
                 this.handle(env.msg);
             }
         });
@@ -279,15 +286,6 @@ impl NameNode {
             dead_dns: self.dns.borrow().values().filter(|d| !d.alive).count() as u64,
             replications_issued: *self.replications_issued.borrow(),
         }
-    }
-
-    /// Confirmed replica locations of `block` (diagnostic).
-    pub fn replicas_of(&self, block: BlockId) -> Vec<NodeId> {
-        self.blocks
-            .borrow()
-            .get(&block)
-            .map(|b| b.replicas.clone())
-            .unwrap_or_default()
     }
 
     fn now(&self) -> Time {
@@ -381,7 +379,7 @@ impl NameNode {
         {
             let mut dns = self.dns.borrow_mut();
             for (node, st) in dns.iter_mut() {
-                if st.alive && now.since(st.last_seen) > self.config.dead_after {
+                if st.alive && now.since(st.last_seen) > DEAD_AFTER {
                     st.alive = false;
                     newly_dead.push(*node);
                 }

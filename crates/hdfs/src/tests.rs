@@ -224,7 +224,7 @@ fn dead_datanode_triggers_rereplication() {
         let r = client.open("/rerep").await.unwrap();
         let victim = r.info().blocks[0].replicas[0];
         h.dn_on(victim).unwrap().kill();
-        // wait past dead_after (10s) plus heartbeat rounds for recovery
+        // wait past `DEAD_AFTER` (10s) plus heartbeat rounds for recovery
         s.sleep(dur::secs(30)).await;
         let r2 = client.open("/rerep").await.unwrap();
         let replicas = &r2.info().blocks[0].replicas;

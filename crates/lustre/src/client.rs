@@ -16,6 +16,12 @@ use crate::mds::{FileLayout, MdsError, MdsMsg, MDS_SERVICE};
 use crate::oss::{OssMsg, OSS_SERVICE};
 use crate::LustreCluster;
 
+/// Max concurrent RPCs a client keeps in flight per OST.
+const MAX_RPCS_IN_FLIGHT: usize = 8;
+
+/// Client-side per-byte CPU rate (kernel client, page-cache copies).
+const CLIENT_CPU_RATE: f64 = 1.2e9;
+
 /// Client-visible failures.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LustreError {
@@ -186,7 +192,7 @@ pub struct LustreFile {
 
 impl LustreFile {
     fn new(client: LustreClient, path: String, layout: FileLayout) -> LustreFile {
-        let cap = client.cluster.config.max_rpcs_in_flight * layout.osts.len().max(1);
+        let cap = MAX_RPCS_IN_FLIGHT * layout.osts.len().max(1);
         LustreFile {
             client,
             path,
@@ -226,7 +232,7 @@ impl LustreFile {
     }
 
     /// Write `data` at an explicit offset, striping across OSTs in
-    /// parallel (bounded by `max_rpcs_in_flight × stripe_count`). Each
+    /// parallel (bounded by [`MAX_RPCS_IN_FLIGHT`] × stripe count). Each
     /// stripe ack carries the OSS's commit checksum; the client compares
     /// it against the checksum of the slice it sent, so a corrupted
     /// commit surfaces as [`LustreError::CommitMismatch`] rather than a
@@ -234,11 +240,8 @@ impl LustreFile {
     pub async fn write_at(&self, offset: u64, data: Bytes) -> Result<(), LustreError> {
         let sim = self.client.cluster.oss_net.fabric().sim().clone();
         // kernel-client copy cost (serial per writer)
-        sim.sleep(simkit::dur::transfer(
-            data.len() as u64,
-            self.client.cluster.config.client_cpu_rate,
-        ))
-        .await;
+        sim.sleep(simkit::dur::transfer(data.len() as u64, CLIENT_CPU_RATE))
+            .await;
         let mut futs = Vec::new();
         let mut cursor = 0u64;
         for (off, len) in self.extents(offset, data.len() as u64) {
@@ -302,11 +305,7 @@ impl LustreFile {
             return Err(LustreError::Store(StoreError::OutOfRange));
         }
         let sim = self.client.cluster.oss_net.fabric().sim().clone();
-        sim.sleep(simkit::dur::transfer(
-            len,
-            self.client.cluster.config.client_cpu_rate,
-        ))
-        .await;
+        sim.sleep(simkit::dur::transfer(len, CLIENT_CPU_RATE)).await;
         let mut futs = Vec::new();
         for (off, chunk_len) in self.extents(offset, len) {
             let (slot, obj_off) = self.layout.locate(off);

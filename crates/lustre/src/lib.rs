@@ -43,16 +43,8 @@ pub struct LustreConfig {
     /// Per-op positioning latency of an OST array (RAID controllers hide
     /// most spindle seeks behind their write-back cache).
     pub ost_access: Duration,
-    /// Capacity per OST.
-    pub ost_capacity: u64,
-    /// MDS service time per metadata operation.
-    pub mds_service: Duration,
-    /// Max concurrent RPCs a client keeps in flight per OST.
-    pub max_rpcs_in_flight: usize,
     /// LNET transport profile (o2ib: near-verbs performance).
     pub transport: TransportProfile,
-    /// Client-side per-byte CPU rate (kernel client, page-cache copies).
-    pub client_cpu_rate: f64,
 }
 
 impl Default for LustreConfig {
@@ -64,10 +56,6 @@ impl Default for LustreConfig {
             osts_per_oss: 2,
             ost_rate: 450e6,
             ost_access: dur::us(500),
-            ost_capacity: 4 << 40,
-            mds_service: dur::us(100),
-            max_rpcs_in_flight: 8,
-            client_cpu_rate: 1.2e9,
             transport: TransportProfile {
                 name: "o2ib-lnet",
                 latency: dur::us(3),

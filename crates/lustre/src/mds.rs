@@ -7,8 +7,10 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
 use std::rc::Rc;
+use std::time::Duration;
 
 use netsim::{NodeId, ReplyHandle, Switchboard};
+use simkit::dur;
 
 use crate::LustreConfig;
 
@@ -109,6 +111,9 @@ pub struct Mds {
 /// Mailbox service name for the MDS.
 pub const MDS_SERVICE: &str = "lustre-mds";
 
+/// MDS service time per metadata operation.
+const SERVICE_TIME: Duration = dur::us(100);
+
 impl Mds {
     /// Spawn the MDS process on `node`.
     pub fn spawn(
@@ -133,7 +138,7 @@ impl Mds {
             while let Ok(env) = rx.recv().await {
                 let _sp = sim.span("mds.op", "lustre", this.node.0, 0);
                 ops.inc();
-                sim.sleep(this.config.mds_service).await;
+                sim.sleep(SERVICE_TIME).await;
                 this.handle(env.msg);
             }
         });
@@ -143,11 +148,6 @@ impl Mds {
     /// Fabric node of the MDS.
     pub fn node(&self) -> NodeId {
         self.node
-    }
-
-    /// Number of files in the namespace.
-    pub fn file_count(&self) -> usize {
-        self.files.borrow().len()
     }
 
     fn handle(&self, msg: MdsMsg) {

@@ -12,6 +12,9 @@ use storesim::{Disk, DiskParams, ObjectStore, StoreError};
 
 use crate::LustreConfig;
 
+/// Capacity per OST.
+const OST_CAPACITY: u64 = 4 << 40;
+
 /// Checksum an OSS computes over the bytes it actually commits and returns
 /// in the write ack (CRC32C, the workspace's one checksum kernel). Clients
 /// compare it against the checksum of the bytes they sent: a mismatch means
@@ -104,7 +107,7 @@ impl Oss {
                         write_rate: config.ost_rate,
                         read_rate: config.ost_rate * 1.1,
                         access_latency: config.ost_access,
-                        capacity: config.ost_capacity,
+                        capacity: OST_CAPACITY,
                     },
                 );
                 ObjectStore::new(disk)

@@ -16,32 +16,32 @@ use bb_core::fs::{AnyFs, FsError};
 
 use crate::logic::JobLogic;
 
+/// Concurrent map tasks per node.
+const MAP_SLOTS: usize = 2;
+
+/// Concurrent reduce tasks per node.
+const REDUCE_SLOTS: usize = 2;
+
+/// Node-local spill device rate for map outputs (bytes/s).
+const SPILL_RATE: f64 = 400e6;
+
+/// Transport profile for shuffle traffic.
+const SHUFFLE: TransportProfile = TransportProfile::ipoib_qdr();
+
+/// Concurrent shuffle fetches per reduce task.
+const SHUFFLE_PARALLEL: usize = 4;
+
 /// Engine configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct MrConfig {
-    /// Concurrent map tasks per node.
-    pub map_slots: usize,
-    /// Concurrent reduce tasks per node.
-    pub reduce_slots: usize,
     /// Split size when the input exposes no block geometry (Lustre).
     pub split_size: u64,
-    /// Node-local spill device rate for map outputs (bytes/s).
-    pub spill_rate: f64,
-    /// Transport profile for shuffle traffic.
-    pub shuffle: TransportProfile,
-    /// Concurrent shuffle fetches per reduce task.
-    pub shuffle_parallel: usize,
 }
 
 impl Default for MrConfig {
     fn default() -> Self {
         MrConfig {
-            map_slots: 2,
-            reduce_slots: 2,
             split_size: 128 << 20,
-            spill_rate: 400e6,
-            shuffle: TransportProfile::ipoib_qdr(),
-            shuffle_parallel: 4,
         }
     }
 }
@@ -190,7 +190,7 @@ impl MrEngine {
         // ---- map phase: locality-first workers ----
         let mut workers = Vec::new();
         for &node in &self.nodes {
-            for _ in 0..self.config.map_slots {
+            for _ in 0..MAP_SLOTS {
                 let splits = Rc::clone(&splits);
                 let outputs = Rc::clone(&outputs);
                 let logic = Rc::clone(&logic);
@@ -240,7 +240,7 @@ impl MrEngine {
             let slots: HashMap<NodeId, Rc<Semaphore>> = self
                 .nodes
                 .iter()
-                .map(|&n| (n, Rc::new(Semaphore::new(self.config.reduce_slots))))
+                .map(|&n| (n, Rc::new(Semaphore::new(REDUCE_SLOTS))))
                 .collect();
             for r in 0..job.reducers {
                 let node = self.nodes[r % self.nodes.len()];
@@ -308,7 +308,7 @@ impl MrEngine {
         let out_bytes: u64 = pieces_vec.iter().map(|(_, g)| g.len() as u64).sum();
         if out_bytes > 0 {
             self.spill[&node]
-                .serve_for(dur::transfer(out_bytes, self.config.spill_rate))
+                .serve_for(dur::transfer(out_bytes, SPILL_RATE))
                 .await;
         }
         Ok(MapOutput {
@@ -342,16 +342,15 @@ impl MrEngine {
                 })
                 .collect()
         };
-        let window = Rc::new(Semaphore::new(self.config.shuffle_parallel.max(1)));
+        let window = Rc::new(Semaphore::new(SHUFFLE_PARALLEL));
         let mut fetches = Vec::new();
         for (i, src, piece) in fetch_plan {
             let fabric = Rc::clone(&self.fabric);
             let window = Rc::clone(&window);
-            let profile = self.config.shuffle;
             fetches.push(async move {
                 let _w = window.acquire().await;
                 fabric
-                    .transfer(src, node, piece.len() as u64, &profile)
+                    .transfer(src, node, piece.len() as u64, &SHUFFLE)
                     .await
                     .map_err(|_| FsError::Bb(bb_core::BbError::NotFound("shuffle".into())))?;
                 Ok::<(usize, Gather), FsError>((i, piece))

@@ -56,7 +56,6 @@ fn rig(compute: usize) -> Rig {
         nodes,
         MrConfig {
             split_size: 4 << 20,
-            ..MrConfig::default()
         },
     );
     Rig {

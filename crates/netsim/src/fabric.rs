@@ -17,6 +17,11 @@ use simkit::{dur, Sim};
 
 use crate::params::{NetConfig, TransportProfile};
 
+/// Physical per-NIC full-duplex rate in bytes/second; every transport's
+/// traffic on a node shares this (each direction independently). QDR 4×:
+/// 32 Gb/s signalling ≈ 3.6 GB/s payload ceiling per NIC.
+pub const NIC_BANDWIDTH: f64 = 3.6e9;
+
 /// Logical node identifier within one fabric.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u32);
@@ -206,11 +211,6 @@ impl Fabric {
         self.len() == 0
     }
 
-    /// All node ids.
-    pub fn node_ids(&self) -> Vec<NodeId> {
-        (0..self.len() as u32).map(NodeId).collect()
-    }
-
     /// Rack containing `node`.
     pub fn rack_of(&self, node: NodeId) -> RackId {
         RackId(node.0 / self.config.nodes_per_rack as u32)
@@ -322,7 +322,7 @@ impl Fabric {
         // effective serialization rate: the slower of the transport's
         // payload bandwidth and the physical NIC, derated by any injected
         // slowdown on either endpoint
-        let rate = profile.bandwidth.min(self.config.nic_bandwidth) * fault.bandwidth_factor;
+        let rate = profile.bandwidth.min(NIC_BANDWIDTH) * fault.bandwidth_factor;
         let ser = dur::transfer(bytes, rate);
         let overhead = profile.per_msg_overhead;
         let latency = profile.latency + fault.extra_delay + self.topo_latency(src, dst);
@@ -580,7 +580,6 @@ mod tests {
                 rack_latency: dur::us(5),
                 zone_latency: dur::us(50),
                 geo_latency: dur::ms(10),
-                ..NetConfig::default()
             },
         );
         let us = |n: u64| std::time::Duration::from_micros(n);

@@ -90,9 +90,6 @@ impl TransportProfile {
 /// Fabric-wide configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct NetConfig {
-    /// Physical per-NIC full-duplex rate in bytes/second; every transport's
-    /// traffic on a node shares this (each direction independently).
-    pub nic_bandwidth: f64,
     /// Nodes per rack, for rack-aware placement policies. HPC IB fabrics
     /// are close to non-blocking, so racks matter for placement, not for
     /// bandwidth, in this model.
@@ -114,12 +111,10 @@ pub struct NetConfig {
 
 impl Default for NetConfig {
     fn default() -> Self {
-        // QDR 4×: 32 Gb/s signalling ≈ 3.6 GB/s payload ceiling per NIC.
         // The topology tiers default to zero extra latency, so the default
         // fabric stays flat (rack/zone/geo are pure labels) and every
         // seeded run replays byte-identically.
         NetConfig {
-            nic_bandwidth: 3.6e9,
             nodes_per_rack: 16,
             racks_per_zone: 4,
             zones_per_geo: 4,
@@ -159,7 +154,6 @@ mod tests {
     #[test]
     fn default_config_sane() {
         let c = NetConfig::default();
-        assert!(c.nic_bandwidth > 1e9);
         assert!(c.nodes_per_rack > 0);
         assert!(c.racks_per_zone > 0 && c.zones_per_geo > 0);
         // flat by default: the topology tiers must charge nothing, or

@@ -6,6 +6,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 use std::time::Duration;
 
+use netsim::fabric::NIC_BANDWIDTH;
 use netsim::{Fabric, NetConfig, NodeId, TransportProfile};
 use simkit::sync::semaphore::Semaphore;
 use simkit::{dur, Sim};
@@ -47,7 +48,7 @@ async fn spawned_transfer(
     bytes: u64,
     p: TransportProfile,
 ) {
-    let ser = dur::transfer(bytes, p.bandwidth.min(NetConfig::default().nic_bandwidth));
+    let ser = dur::transfer(bytes, p.bandwidth.min(NIC_BANDWIDTH));
     let rx_task = {
         let sim = sim.clone();
         sim.clone().spawn(async move {

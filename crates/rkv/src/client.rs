@@ -1,7 +1,7 @@
 //! The KV client: ketama routing across servers, cached connections, a
 //! pool of pre-registered buffers, and the hybrid payload protocol.
 //!
-//! * values ≤ `inline_max` travel inline in the SEND frame;
+//! * values ≤ [`INLINE_MAX`] travel inline in the SEND frame;
 //! * larger SET payloads are staged in a pooled registered buffer and the
 //!   server RDMA-READs them (one round trip, zero-copy);
 //! * GETs hand the server a pooled buffer to RDMA-WRITE large values into.
@@ -10,12 +10,13 @@
 //!
 //! With [`KvClientConfig::replication`] > 1, every SET is written to the
 //! first `r` distinct servers clockwise from the key's ring position
-//! ([`HashRing::route_n`]) and succeeds only if *all* replicas stored it —
-//! a failed replicated SET tells the caller durability is not met, so the
-//! burst buffer can fall back to its direct-to-Lustre path. GETs read the
-//! primary and fail over to the remaining replicas; a miss is only
-//! definitive once every reachable replica has missed (a crashed-and-
-//! restarted primary comes back empty, so its miss proves nothing).
+//! ([`HashRing::route_n`](crate::HashRing::route_n)) and succeeds only if
+//! *all* replicas stored it — a failed replicated SET tells the caller
+//! durability is not met, so the burst buffer can fall back to its
+//! direct-to-Lustre path. GETs read the primary and fail over to the
+//! remaining replicas; a miss is only definitive once every reachable
+//! replica has missed (a crashed-and-restarted primary comes back empty,
+//! so its miss proves nothing).
 //!
 //! Every exchange — a `multi_get` fan-out leg included — is one attempt
 //! bounded by [`OP_TIMEOUT`]; every verb but the leg retries it up to
@@ -122,16 +123,22 @@ pub const MAX_RETRIES: u32 = 3;
 pub const BACKOFF_BASE: Duration = Duration::from_micros(100);
 /// Backoff ceiling.
 pub const BACKOFF_MAX: Duration = Duration::from_millis(5);
+/// Largest payload carried inline in a SEND frame when the client moves
+/// payloads one-sided.
+pub const INLINE_MAX: usize = 8 << 10;
+/// Registered buffers in the pool.
+const POOL_BUFS: usize = 4;
+/// Size of each pooled buffer; also the largest one-sided payload.
+const BUF_SIZE: u64 = 1 << 20;
 
 /// Client tuning knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct KvClientConfig {
-    /// Largest payload carried inline in a SEND frame.
-    pub inline_max: usize,
-    /// Registered buffers in the pool (0 disables one-sided transfers).
-    pub pool_bufs: usize,
-    /// Size of each pooled buffer; also the largest one-sided payload.
-    pub buf_size: u64,
+    /// Move payloads over [`INLINE_MAX`] one-sided: a SET stages its value
+    /// in a pooled registered buffer for the server to RDMA-READ, a GET
+    /// hands the server one to RDMA-WRITE into. `false` is the SEND-only
+    /// protocol: every value travels inline.
+    pub one_sided: bool,
     /// Replicas per key (`r`): SETs go to the first `r` distinct servers
     /// clockwise on the ring, GETs fail over across them. `1` = no
     /// replication (capped at the server count).
@@ -145,9 +152,7 @@ pub struct KvClientConfig {
 impl Default for KvClientConfig {
     fn default() -> Self {
         KvClientConfig {
-            inline_max: 8 << 10,
-            pool_bufs: 4,
-            buf_size: 1 << 20,
+            one_sided: true,
             replication: 1,
             tenant: 0,
         }
@@ -157,7 +162,6 @@ impl Default for KvClientConfig {
 struct BufPool {
     stack: Rc<RdmaStack>,
     node: NodeId,
-    buf_size: u64,
     free: RefCell<Vec<Mr>>,
     created: Cell<usize>,
     gate: Semaphore,
@@ -194,7 +198,7 @@ impl BufPool {
                 Some(mr) => mr,
                 None => {
                     self.created.set(self.created.get() + 1);
-                    self.stack.register(self.node, self.buf_size).await
+                    self.stack.register(self.node, BUF_SIZE).await
                 }
             }
         };
@@ -327,10 +331,9 @@ impl KvClient {
             pool: Rc::new(BufPool {
                 stack,
                 node,
-                buf_size: config.buf_size,
                 free: RefCell::new(Vec::new()),
                 created: Cell::new(0),
-                gate: Semaphore::new(config.pool_bufs.max(1)),
+                gate: Semaphore::new(POOL_BUFS),
             }),
             // backoff jitter: seeded by node id, never wall clock, so a
             // run is reproducible from (program, seeds) alone
@@ -573,12 +576,10 @@ impl KvClient {
     }
 
     fn use_one_sided(&self, len: usize) -> bool {
-        self.config.pool_bufs > 0
-            && len > self.config.inline_max
-            && (len as u64) <= self.config.buf_size
+        self.config.one_sided && len > INLINE_MAX && (len as u64) <= BUF_SIZE
     }
 
-    /// Stage a SET once: a payload over `inline_max` goes into a pooled
+    /// Stage a SET once: a payload over [`INLINE_MAX`] goes into a pooled
     /// registered buffer for the server to RDMA-READ, anything else rides
     /// inline. The request is the same for every server it is sent to (and
     /// every epoch-retry round): writes go out one at a time, and a server
@@ -687,11 +688,12 @@ impl KvClient {
         server_idx: usize,
         key: &[u8],
     ) -> Result<Option<Value>, ClientError> {
-        // with a pool, hand the server a registered buffer to RDMA-WRITE a
-        // large value into; without one every value comes back inline
-        let buf = match self.config.pool_bufs {
-            0 => None,
-            _ => Some(self.pool.acquire().await),
+        // one-sided, hand the server a registered buffer to RDMA-WRITE a
+        // large value into; SEND-only, every value comes back inline
+        let buf = if self.config.one_sided {
+            Some(self.pool.acquire().await)
+        } else {
+            None
         };
         let req = Request::Get {
             key: Bytes::copy_from_slice(key),
@@ -1117,6 +1119,36 @@ mod tests {
             assert_eq!(v.data.len(), expect.len());
             assert_eq!(&v.data[..], &expect[..]);
         });
+    }
+
+    #[test]
+    fn send_only_client_moves_large_values_inline() {
+        let c = cluster(2, 1);
+        let config = KvClientConfig {
+            one_sided: false,
+            ..KvClientConfig::default()
+        };
+        let cl = KvClient::new(Rc::clone(&c.stack), NodeId(2), c.servers.clone(), config);
+        let payload: Vec<u8> = (0..512 << 10).map(|i| (i % 251) as u8).collect();
+        let expect = payload.clone();
+        c.sim.block_on(async move {
+            cl.set(b"big", Bytes::from(payload), 0, 0).await.unwrap();
+            let v = cl.get(b"big").await.unwrap().unwrap();
+            assert_eq!(&v.data[..], &expect[..]);
+            // a GET that names no landing buffer is answered in the SEND
+            let req = Request::Get {
+                key: Bytes::from_static(b"big"),
+                dst: None,
+            };
+            match cl.exchange(cl.route(b"big").unwrap(), &req).await.unwrap() {
+                Response::Value { data, .. } => assert_eq!(&data[..], &expect[..]),
+                other => panic!("expected an inline value, got {other:?}"),
+            }
+        });
+        let m = c.sim.metrics().snapshot();
+        assert!(m.counter("rdma.send_posts") > 0);
+        let one_sided = (m.counter("rdma.read_posts"), m.counter("rdma.write_posts"));
+        assert_eq!(one_sided, (0, 0), "(SET READs, GET WRITEs) moved one-sided");
     }
 
     #[test]

@@ -63,8 +63,6 @@ pub struct KvServerConfig {
     pub slab: SlabConfig,
     /// CPU time charged per request (parse + hash + store op).
     pub proc_time: Duration,
-    /// Queue-pair parameters for accepted connections.
-    pub qp: QpConfig,
     /// Verify that store-family payloads match the CRC32C digest the
     /// client declared in `flags` (`crc32c(key || data)`), rejecting
     /// mismatches with [`Response::BadDigest`]. The burst buffer enables
@@ -106,7 +104,6 @@ impl Default for KvServerConfig {
             cq_batch: 1,
             slab: SlabConfig::default(),
             proc_time: dur::ns(1_500),
-            qp: QpConfig::default(),
             verify_set_crc: false,
             hot_replicas: 0,
             hot_window: 4096,
@@ -520,13 +517,13 @@ impl KvServer {
         self.proto_errors.get()
     }
 
-    /// Establish a connection from `client_node`; the server side of the
-    /// queue pair is handled by a spawned task, the client side is
-    /// returned.
+    /// Establish a connection from `client_node` with the default
+    /// [`QpConfig`]; the server side of the queue pair is handled by a
+    /// spawned task, the client side is returned.
     pub async fn accept(self: &Rc<Self>, client_node: NodeId) -> Result<Qp, RdmaError> {
         let (client_qp, server_qp) = self
             .stack
-            .connect(client_node, self.node, self.config.qp)
+            .connect(client_node, self.node, QpConfig::default())
             .await?;
         self.connections.set(self.connections.get() + 1);
         let this = Rc::clone(self);

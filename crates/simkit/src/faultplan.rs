@@ -2,7 +2,7 @@
 //!
 //! A [`FaultPlan`] is a virtual-time-scheduled script of fault events —
 //! node crash/restart, link down/up/flap, per-edge RPC loss and delay,
-//! per-node slowdown — built once and installed on a [`Sim`] with
+//! per-node slowdown — built once and installed on a [`Sim`](crate::Sim) with
 //! [`Sim::install_faults`](crate::Sim::install_faults). The plan drives a
 //! single spawned task that applies each event at its scheduled instant;
 //! components observe faults through the [`FaultInjector`] the simulation

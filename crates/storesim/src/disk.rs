@@ -155,11 +155,6 @@ impl Disk {
         self.online.set(online);
     }
 
-    /// Whether the device accepts operations.
-    pub fn is_online(&self) -> bool {
-        self.online.get()
-    }
-
     fn check_online(&self) -> Result<(), StoreError> {
         if self.online.get() {
             Ok(())

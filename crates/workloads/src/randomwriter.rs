@@ -12,15 +12,17 @@ use simkit::{dur, Sim};
 
 use crate::payload::PayloadPool;
 
+/// Generator CPU throughput (random record synthesis).
+const GEN_RATE: f64 = 300e6;
+
+/// Append granularity.
+pub(crate) const IO_SIZE: usize = 1 << 20;
+
 /// RandomWriter parameters.
 #[derive(Debug, Clone)]
 pub struct RandomWriterConfig {
     /// Bytes generated per node (`mapreduce.randomwriter.bytespermap`).
     pub bytes_per_node: u64,
-    /// Generator CPU throughput (random record synthesis).
-    pub gen_rate: f64,
-    /// Append granularity.
-    pub io_size: u64,
     /// Output directory.
     pub dir: String,
 }
@@ -29,8 +31,6 @@ impl Default for RandomWriterConfig {
     fn default() -> Self {
         RandomWriterConfig {
             bytes_per_node: 1 << 30,
-            gen_rate: 300e6,
-            io_size: 1 << 20,
             dir: "/benchmarks/RandomWriter".into(),
         }
     }
@@ -60,14 +60,12 @@ pub async fn run(
         let pool = pool.clone();
         let path = format!("{}/part-{i:05}", cfg.dir);
         let total = cfg.bytes_per_node;
-        let io = cfg.io_size as usize;
-        let gen_rate = cfg.gen_rate;
         let sim = sim.clone();
         tasks.push(async move {
             let w = fs.create(&path).await?;
-            for piece in pool.stream(i as u64 * 7_919, total, io) {
+            for piece in pool.stream(i as u64 * 7_919, total, IO_SIZE) {
                 // random record generation costs CPU before each write
-                sim.sleep(dur::transfer(piece.len() as u64, gen_rate)).await;
+                sim.sleep(dur::transfer(piece.len() as u64, GEN_RATE)).await;
                 w.append(piece).await?;
             }
             w.close().await?;

@@ -15,6 +15,9 @@ use simkit::{dur, Sim};
 
 use crate::payload::PayloadPool;
 
+/// TeraGen generation CPU rate.
+const GEN_RATE: f64 = 350e6;
+
 /// Sort benchmark parameters.
 #[derive(Debug, Clone)]
 pub struct SortConfig {
@@ -31,8 +34,6 @@ pub struct SortConfig {
     /// Use the real record-sorting logic (small runs / correctness) rather
     /// than the synthetic shuffle-shaped logic (large benchmarks).
     pub real_sort: bool,
-    /// TeraGen generation CPU rate.
-    pub gen_rate: f64,
 }
 
 impl Default for SortConfig {
@@ -44,7 +45,6 @@ impl Default for SortConfig {
             input_dir: "/benchmarks/sort/in".into(),
             output_dir: "/benchmarks/sort/out".into(),
             real_sort: false,
-            gen_rate: 350e6,
         }
     }
 }
@@ -82,12 +82,11 @@ pub async fn teragen(
         let fs = fs_for(node);
         let pool = pool.clone();
         let path = format!("{}/part-{i:05}", cfg.input_dir);
-        let gen_rate = cfg.gen_rate;
         let sim = sim.clone();
         tasks.push(async move {
             let w = fs.create(&path).await?;
             for piece in pool.stream(i as u64 * 104_729, per_file, 1 << 20) {
-                sim.sleep(dur::transfer(piece.len() as u64, gen_rate)).await;
+                sim.sleep(dur::transfer(piece.len() as u64, GEN_RATE)).await;
                 w.append(piece).await?;
             }
             w.close().await?;

@@ -16,21 +16,24 @@ use simkit::{dur, SimRng};
 use crate::payload::PayloadPool;
 use crate::sortbench;
 
+/// Mean interarrival time (exponential).
+const MEAN_INTERARRIVAL: Duration = Duration::from_secs(4);
+
+/// Fraction of shuffle-heavy (sort-shaped) jobs; the rest aggregate.
+const SHUFFLE_HEAVY_FRACTION: f64 = 0.3;
+
+/// Reducers per job.
+const REDUCERS: usize = 8;
+
 /// Trace parameters.
 #[derive(Debug, Clone)]
 pub struct SwimConfig {
     /// Number of jobs in the trace.
     pub jobs: usize,
-    /// Mean interarrival time (exponential).
-    pub mean_interarrival: Duration,
     /// Smallest job input.
     pub min_input: u64,
     /// Heavy-tail scale: job input = `min_input × exp(sample)` capped here.
     pub max_input: u64,
-    /// Fraction of shuffle-heavy (sort-shaped) jobs; the rest aggregate.
-    pub shuffle_heavy_fraction: f64,
-    /// Reducers per job.
-    pub reducers: usize,
     /// Workspace directory.
     pub dir: String,
     /// Trace seed.
@@ -41,11 +44,8 @@ impl Default for SwimConfig {
     fn default() -> Self {
         SwimConfig {
             jobs: 20,
-            mean_interarrival: Duration::from_secs(4),
             min_input: 64 << 20,
             max_input: 2 << 30,
-            shuffle_heavy_fraction: 0.3,
-            reducers: 8,
             dir: "/benchmarks/swim".into(),
             seed: 0x5157_494d,
         }
@@ -86,14 +86,14 @@ pub async fn run(
     let mut plan = Vec::with_capacity(cfg.jobs);
     let mut arrival = Duration::ZERO;
     for j in 0..cfg.jobs {
-        arrival += dur::secs_f64(rng.exp(cfg.mean_interarrival.as_secs_f64()));
+        arrival += dur::secs_f64(rng.exp(MEAN_INTERARRIVAL.as_secs_f64()));
         let size = ((cfg.min_input as f64) * rng.exp(1.0).exp()).min(cfg.max_input as f64) as u64;
         plan.push(Planned {
             input: format!("{}/in/job{j}", cfg.dir),
             output: format!("{}/out/job{j}", cfg.dir),
             size: size.max(cfg.min_input),
             arrival,
-            shuffle_heavy: rng.chance(cfg.shuffle_heavy_fraction),
+            shuffle_heavy: rng.chance(SHUFFLE_HEAVY_FRACTION),
         });
     }
     // stage all inputs first (not timed as part of the trace)
@@ -124,7 +124,6 @@ pub async fn run(
         let input = p.input.clone();
         let output = p.output.clone();
         let size = p.size;
-        let reducers = cfg.reducers;
         let shuffle_heavy = p.shuffle_heavy;
         let sim2 = sim.clone();
         let arrival = p.arrival;
@@ -150,7 +149,7 @@ pub async fn run(
                         name: output.clone(),
                         inputs: vec![input],
                         output_dir: output,
-                        reducers,
+                        reducers: REDUCERS,
                         logic,
                     },
                 )

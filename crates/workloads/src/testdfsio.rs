@@ -12,6 +12,9 @@ use simkit::Sim;
 
 use crate::payload::PayloadPool;
 
+/// I/O request size per append/read call.
+const IO_SIZE: u64 = 1 << 20;
+
 /// Benchmark parameters (`-nrFiles`, `-fileSize` in the real tool).
 #[derive(Debug, Clone)]
 pub struct DfsioConfig {
@@ -19,8 +22,6 @@ pub struct DfsioConfig {
     pub files: usize,
     /// Size of each file.
     pub file_size: u64,
-    /// I/O request size per append/read call.
-    pub io_size: u64,
     /// Directory for benchmark files.
     pub dir: String,
 }
@@ -30,7 +31,6 @@ impl Default for DfsioConfig {
         DfsioConfig {
             files: 16,
             file_size: 1 << 30,
-            io_size: 1 << 20,
             dir: "/benchmarks/TestDFSIO".into(),
         }
     }
@@ -118,12 +118,11 @@ pub async fn write(
         let path = cfg.path(i);
         let pool = pool.clone();
         let file_size = cfg.file_size;
-        let io = cfg.io_size as usize;
         let sim = sim.clone();
         async move {
             let t0 = sim.now();
             let w = fs.create(&path).await?;
-            for piece in pool.stream(i as u64 * 1_000_003, file_size, io) {
+            for piece in pool.stream(i as u64 * 1_000_003, file_size, IO_SIZE as usize) {
                 w.append(piece).await?;
             }
             w.close().await?;
@@ -150,7 +149,6 @@ pub async fn read(
         let path = cfg.path(i);
         let pool = pool.clone();
         let file_size = cfg.file_size;
-        let io = cfg.io_size;
         let sim = sim.clone();
         async move {
             let t0 = sim.now();
@@ -158,13 +156,13 @@ pub async fn read(
             assert_eq!(r.size(), file_size, "file size mismatch at {path}");
             let mut off = 0u64;
             let expected = if verify {
-                pool.stream(i as u64 * 1_000_003, file_size, io as usize)
+                pool.stream(i as u64 * 1_000_003, file_size, IO_SIZE as usize)
             } else {
                 Vec::new()
             };
             let mut piece_idx = 0;
             while off < file_size {
-                let len = io.min(file_size - off);
+                let len = IO_SIZE.min(file_size - off);
                 let data = r.read_at(off, len).await?;
                 assert_eq!(data.len() as u64, len);
                 if verify {

@@ -267,7 +267,7 @@ fn bb_async_ingests_at_lustre_rate_past_the_buffer() {
             for i in 0..tb.nodes.len() {
                 let path = format!("{}/part-{i:05}", rw.dir);
                 let got = fs.open(&path).await.unwrap().read_all().await.unwrap();
-                let want = pool.stream(i as u64 * 7_919, rw.bytes_per_node, rw.io_size as usize);
+                let want = pool.stream(i as u64 * 7_919, rw.bytes_per_node, randomwriter::IO_SIZE);
                 assert_eq!(got, want.concat(), "{path} read back wrong bytes");
             }
             tb.shutdown();

@@ -299,25 +299,6 @@ impl TrafficEngine {
         Some(ev)
     }
 
-    /// All events with `at_ns < until_ns`, in order — the batching entry
-    /// point: a driver wakes once per batch window instead of once per
-    /// logical client.
-    pub fn next_batch(&mut self, until_ns: u64) -> Vec<OpEvent> {
-        let mut out = Vec::new();
-        while let Some(at) = self.peek_at() {
-            if at >= until_ns {
-                break;
-            }
-            out.push(self.next_event().expect("peeked event exists"));
-        }
-        out
-    }
-
-    /// Arrival time of the next merged event, if any.
-    pub fn peek_at(&self) -> Option<u64> {
-        self.streams.iter().filter_map(|s| s.next_at_ns).min()
-    }
-
     /// Drain the whole horizon into one vector (tests, offline analysis).
     pub fn collect_all(&mut self) -> Vec<OpEvent> {
         let mut out = Vec::new();

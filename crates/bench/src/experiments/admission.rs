@@ -11,8 +11,8 @@
 //! ([`bb_core::BbConfig::bb_admit_stream_bytes`]), each stream is
 //! labelled long-sequential after its first few buffered megabytes and
 //! routed write-through to Lustre, while the spurt files (idle gaps
-//! longer than [`bb_core::BbConfig::bb_admit_window`] reset their byte
-//! count) keep the buffer to themselves and it never enters pressure.
+//! longer than the classifier's 250 ms window reset their byte count)
+//! keep the buffer to themselves and it never enters pressure.
 //!
 //! Claimed shape: admission-on keeps the buffer out of pressure where
 //! always-admit enters it, beats always-admit on total runtime (write +
@@ -79,7 +79,6 @@ pub fn admission_cell(quick: bool, admit: bool) -> Outcome<AdmissionRun> {
     cfg.bb.bb_ack_mode = AckMode::LocalOnly;
     cfg.bb.bb_ack_ahead = 8;
     cfg.bb.bb_admit_stream_bytes = if admit { 6 << 20 } else { 0 };
-    cfg.bb.bb_admit_window = dur::ms(250);
     // narrow Lustre: the drain is the shared bottleneck under study. Wide
     // stripes + a real positioning cost make I/O granularity matter: the
     // buffered drain pays one access per 512 KiB chunk, while classified

@@ -144,7 +144,7 @@ pub struct FaultCase {
     /// KV replicas per chunk (`r`).
     pub replication: usize,
     /// Write-ack durability mode ([`bb_core::BbConfig::bb_ack_mode`]).
-    /// The default, [`AckMode::FullR`], is the seed behaviour.
+    /// The default is [`AckMode::FullR`].
     pub ack_mode: AckMode,
     /// Ack-ahead window for relaxed modes
     /// ([`bb_core::BbConfig::bb_ack_ahead`]).

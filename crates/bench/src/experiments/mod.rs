@@ -106,6 +106,7 @@ pub struct Experiment {
     /// families — evidence the run exercised the path it is about.
     pub require: &'static [&'static str],
     /// Latency budget file (`rdma-bb.slo.v1`), relative to the repo root.
+    /// Its budgets are measured on, and gate, the `--quick` cell only.
     pub slo: Option<&'static str>,
     /// Chunks the `--quick` representative cell's read tiers must sum to.
     pub quick_chunks: Option<u64>,

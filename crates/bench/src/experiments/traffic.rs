@@ -351,7 +351,6 @@ pub fn ab11_traffic(quick: bool, _trace: bool) -> ExpReport {
     let iso_horizon: u64 = if quick { 60_000_000 } else { 300_000_000 };
     let budgets = |on: bool| KvServerConfig {
         tenant_rate: if on { 8_000.0 } else { 0.0 },
-        tenant_burst: 12.0,
         tenant_floor_frac: if on { 0.2 } else { 0.0 },
         ..ab11_server(cores, cores - 1)
     };

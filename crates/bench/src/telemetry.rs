@@ -177,10 +177,10 @@ impl RunOpts {
 
 /// The structural gate behind `repro --check`: the schema marker, every
 /// instrumented subsystem's metric family, the row's required prefixes,
-/// its expected read-tier chunk count (`--quick` cells only), its SLO
-/// budget file and, when the text of `snapshots/metrics_<ID>.json` is
-/// passed as `committed`, byte identity with it. `Ok` carries a one-line
-/// summary, `Err` every violation.
+/// its expected read-tier chunk count and its SLO budget file (both
+/// `--quick` cells only) and, when the text of
+/// `snapshots/metrics_<ID>.json` is passed as `committed`, byte identity
+/// with it. `Ok` carries a one-line summary, `Err` every violation.
 pub fn check_snapshot(
     exp: &Experiment,
     json: &str,
@@ -197,7 +197,7 @@ pub fn check_snapshot(
     }
     // every instrumented subsystem must show up in a burst-buffer cell;
     // a KV-only cell has no buffer or Lustre layer but still owes the KV
-    // server, shard, reclamation, and fabric families
+    // server, shard, and fabric families
     let bb_families: &[&str] = &[
         "bb.read.",
         "bb.mgr.",
@@ -207,13 +207,7 @@ pub fn check_snapshot(
         "bb.rebalance.",
         "lustre.",
     ];
-    let kv_families: &[&str] = &[
-        "rkv.server",
-        "rkv.shard.",
-        "rkv.slab.reclaim.",
-        "rdma.",
-        "netsim.",
-    ];
+    let kv_families: &[&str] = &["rkv.server", "rkv.shard.", "rdma.", "netsim."];
     let bb_families = if exp.kv_only { &[] } else { bb_families };
     for prefix in bb_families.iter().chain(kv_families).chain(exp.require) {
         if !has_metric_prefix(json, prefix) {
@@ -236,7 +230,7 @@ pub fn check_snapshot(
         }
     }
     let mut slo_note = String::new();
-    if let Some(slo_path) = exp.slo {
+    if let Some(slo_path) = exp.slo.filter(|_| quick) {
         let slo = std::fs::read_to_string(repo_root().join(slo_path)).unwrap_or_else(|e| {
             failures.push(format!("{slo_path}: {e}"));
             String::new()

@@ -68,7 +68,6 @@ fn combined(seed: u64, early_stream_read: bool) -> Outcome<()> {
     cfg.bb.bb_place_interval = dur::ms(50);
     cfg.bb.bb_migrate_budget = 512 << 10;
     cfg.bb.bb_admit_stream_bytes = 6 << 20;
-    cfg.bb.bb_admit_window = dur::ms(250);
     let sc = Scenario {
         kind: SystemKind::Bb(Scheme::AsyncLustre),
         cfg,

@@ -302,11 +302,11 @@ fn ack_full_r_has_zero_acked_loss_across_replica_crash() {
     let o = run_acked(FaultScenario::CrashAsyncReplica, 2, AckMode::FullR, 8);
     let r = o.assert_clean("ack-full-r/crash-async-replica");
     assert!(r.data_intact(), "every read must be served");
-    // the seed path never registers the relaxed-ack counters
+    // acks at every replica count no quorum ack
     assert_eq!(
         o.counter("bb.ack.quorum_acks"),
         0,
-        "full_r must ride the seed ack path"
+        "full_r must ack at every replica"
     );
 }
 

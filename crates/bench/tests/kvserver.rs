@@ -2,10 +2,9 @@
 //! the default configuration is byte-identical to an explicit
 //! `cores = 1, cq_batch = 1` one (the engine gate), same-config engine
 //! runs are byte-identical to each other, the AB9 core-scaling shape
-//! (≥ 3.2x get throughput from 1 → 4 modeled cores) holds, and the
-//! calcification scenario regains ≥ 90 % of strandable pages.
+//! (≥ 3.2x get throughput from 1 → 4 modeled cores) holds.
 
-use bench::experiments::kvserver::{calcification, engine_cell};
+use bench::experiments::kvserver::engine_cell;
 use bench::telemetry::has_metric_prefix;
 use rkv::server::KvServerConfig;
 
@@ -73,33 +72,10 @@ fn four_cores_scale_get_throughput_at_least_3_2x() {
         set_scaling >= 3.2,
         "set scaling 1→4 cores was {set_scaling:.2}x, need ≥ 3.2x"
     );
-    for prefix in ["rkv.shard.", "rkv.slab.reclaim.", "rdma.cq."] {
+    for prefix in ["rkv.shard.", "rdma.cq."] {
         assert!(
             has_metric_prefix(&four.2, prefix),
             "engine snapshot must carry {prefix:?}"
         );
     }
-}
-
-/// Slab reclamation: after a workload shift past the idle window, at
-/// least 90 % of the pages stranded in the old class are reassigned;
-/// with reclamation off the same shift strands everything (the seed's
-/// calcification behaviour), and the scenario is same-seed deterministic.
-#[test]
-fn calcified_workload_regains_at_least_90_percent_of_stranded_pages() {
-    let (strandable, reclaimed, stored) = calcification(1_000_000);
-    assert!(strandable >= 8, "scenario must strand whole pages");
-    assert!(
-        reclaimed as f64 >= 0.9 * strandable as f64,
-        "reclaimed {reclaimed}/{strandable} pages, need ≥ 90%"
-    );
-    assert!(stored > 0, "the shifted workload must make progress");
-    let (_, no_reclaim, no_stored) = calcification(0);
-    assert_eq!(no_reclaim, 0, "reclaim_idle = 0 must disable reclamation");
-    assert_eq!(no_stored, 0, "without reclamation the shift is starved");
-    assert_eq!(
-        (strandable, reclaimed, stored),
-        calcification(1_000_000),
-        "calcification scenario must be deterministic"
-    );
 }

@@ -86,4 +86,12 @@ fn check_reports_every_violation_of_a_row() {
     }
     // a KV-only row owes no burst-buffer family
     assert!(!failures.iter().any(|f| f.contains("bb.read.")));
+    // SLO budgets are the --quick cell's: the full cell owes the
+    // structural checks alone
+    let failures = check_snapshot(ab10, "{}", false, None).unwrap_err();
+    assert!(failures.iter().any(|f| f.contains("schema marker")));
+    assert!(
+        !failures.iter().any(|f| f.contains("SLO")),
+        "a --quick budget gated the full cell: {failures:?}"
+    );
 }

@@ -332,7 +332,6 @@ fn defaults_off_registry_is_byte_identical_to_pre_feature_path() {
         hot_min_count: 64,
         tenant_floor_frac: 0.0,
         tenant_rate: 0.0,
-        tenant_burst: 64.0,
         ..base
     };
     let cell = |cfg| {

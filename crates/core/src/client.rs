@@ -404,8 +404,7 @@ pub struct BbWriter {
     /// in-flight chunk tasks.
     degraded: Rc<Cell<bool>>,
     /// Replicas that must be durable before a chunk acks (the effective
-    /// [`AckMode`]'s quorum against `kv_replication`). When this equals
-    /// `r` the write path is bit-for-bit the seed one.
+    /// [`AckMode`]'s quorum against `kv_replication`).
     ack_quorum: usize,
     /// Ack-ahead window: each chunk acked with replica tails still
     /// outstanding holds one permit until its tails finish, so the
@@ -516,40 +515,12 @@ impl BbWriter {
                     }
                     Scheme::AsyncLustre | Scheme::HybridLocality => {
                         let len = chunk.len() as u64;
-                        let r = client.dep.config.kv_replication.max(1);
-                        let buffered = if degraded.get() {
-                            // under pressure: skip the buffer entirely
-                            false
-                        } else if ack_quorum >= r {
-                            // full-replication ack (the seed path, bit-for-bit)
-                            let set = client.kv.set(&key, chunk.clone(), crc, 0).await;
-                            sim.op_stamp(op, "kv_put");
-                            match set {
-                                // pin before acking so LRU pressure can never
-                                // silently evict the unflushed chunk; the
-                                // flusher unpins once it is safe in Lustre
-                                Ok(_) => match client.kv.pin(&key).await {
-                                    Ok(true) => {
-                                        sim.op_stamp(op, "pin");
-                                        true
-                                    }
-                                    // evicted between set and pin (or a
-                                    // replica refused): drop any partial pins
-                                    // and write through instead
-                                    _ => {
-                                        client.kv.unpin(&key).await;
-                                        sim.op_stamp(op, "pin");
-                                        false
-                                    }
-                                },
-                                Err(_) => false,
-                            }
-                        } else {
-                            put_quorum(
+                        // under pressure: skip the buffer entirely
+                        let buffered = !degraded.get()
+                            && put_quorum(
                                 &client, &sim, op, seq, &key, &chunk, crc, ack_quorum, &ack_ahead,
                             )
-                            .await
-                        };
+                            .await;
                         let ack = if buffered {
                             // notify the persistence manager; the ack says
                             // where the file's next chunk goes
@@ -649,15 +620,20 @@ impl BbWriter {
     }
 }
 
-/// Relaxed-quorum buffer PUT: write and pin the first `quorum` reachable
-/// replicas synchronously, then complete the remaining replica tails
-/// asynchronously under the bounded ack-ahead window. Returns whether the
-/// chunk is buffered (false falls back to the manager write-through
-/// path, which is strictly more durable than any ack mode asks for).
+/// Buffer PUT at `quorum` of the key's replicas. The sync copies are the
+/// first `quorum` live replicas in ring order: store every one, then pin
+/// every one, so LRU pressure can never silently evict the unflushed
+/// chunk (the flusher unpins once it is safe in Lustre). Returns whether
+/// the chunk is buffered; `false` — a sync copy failed, or was evicted
+/// or refused between set and pin — routes it write-through via the
+/// manager, strictly more durable than any ack mode asks for.
 ///
-/// Tails are written unpinned, best-effort: pinning them would race the
-/// flusher's post-persist unpin and leak pinned memory, and the mode's
-/// durability contract only covers the quorum copies anyway.
+/// A live replica set shorter than the quorum acks with the copies it has
+/// and records `bb.ack.downgrade` — loudly, never silently wait. Replicas
+/// past the quorum are tails, completed asynchronously under the bounded
+/// ack-ahead window. Tails are written unpinned, best-effort: pinning them
+/// would race the flusher's post-persist unpin and leak pinned memory, and
+/// the mode's durability contract only covers the quorum copies anyway.
 #[allow(clippy::too_many_arguments)]
 async fn put_quorum(
     client: &Rc<BbClient>,
@@ -670,44 +646,48 @@ async fn put_quorum(
     quorum: usize,
     ack_ahead: &Rc<Semaphore>,
 ) -> bool {
-    let ack = client.dep.ack_counters();
-    let Ok(targets) = client.kv.replicas(key) else {
-        return false;
-    };
-    let mut synced = 0usize;
-    let mut tail: Vec<usize> = Vec::new();
-    for idx in targets {
-        if synced >= quorum {
-            tail.push(idx);
-            continue;
-        }
-        let ok = client
+    // the `bb.ack.*` counters exist only where the mode relaxes the quorum
+    let relaxed =
+        (quorum < client.dep.config.kv_replication.max(1)).then(|| client.dep.ack_counters());
+    let mut sync = client.kv.replicas(key).unwrap_or_default();
+    let tail = sync.split_off(quorum.min(sync.len()));
+    // `&=` evaluates every right-hand side: each copy gets its RPC even
+    // after one fails
+    let mut stored = !sync.is_empty();
+    for &idx in &sync {
+        stored &= client
             .kv
             .set_to(idx, key, chunk.clone(), crc, 0)
             .await
-            .is_ok()
-            && matches!(client.kv.pin_to(idx, key).await, Ok(true));
-        if ok {
-            synced += 1;
-        } else {
-            tail.push(idx);
-        }
+            .is_ok();
     }
     sim.op_stamp(op, "kv_put");
-    if synced == 0 {
+    if !stored {
         return false;
     }
-    if synced < quorum {
-        // the mode's quorum cannot be honoured (replica down): ack at
-        // the copies we have — loudly, never silently wait
-        ack.downgrade.inc();
+    let mut pinned = true;
+    for &idx in &sync {
+        pinned &= matches!(client.kv.pin_to(idx, key).await, Ok(true));
+    }
+    if !pinned {
+        client.kv.unpin(key).await;
+        sim.op_stamp(op, "pin");
+        return false;
+    }
+    if sync.len() < quorum {
+        client.dep.ack_counters().downgrade.inc();
         sim.flight_record("bb.ack", "downgrade", || {
             format!(
-                "key={} quorum={quorum} synced={synced}",
-                String::from_utf8_lossy(key)
+                "key={} quorum={quorum} synced={}",
+                String::from_utf8_lossy(key),
+                sync.len()
             )
         });
     }
+    let Some(ack) = relaxed else {
+        sim.op_stamp(op, "pin");
+        return true;
+    };
     if !tail.is_empty() {
         let permit = match ack_ahead.try_acquire() {
             Some(p) => p,
@@ -731,12 +711,15 @@ async fn put_quorum(
             for idx in tail {
                 let mut done = false;
                 for attempt in 0..=KV_RETRIES {
+                    if attempt > 0 {
+                        // back off between attempts, never after the last
+                        let delay = kv_backoff(1, attempt - 1, Duration::from_millis(5));
+                        sim2.sleep(delay).await;
+                    }
                     if kv.set_to(idx, &key, data.clone(), crc, 0).await.is_ok() {
                         done = true;
                         break;
                     }
-                    sim2.sleep(kv_backoff(1, attempt, Duration::from_millis(5)))
-                        .await;
                 }
                 if done {
                     counters.async_replicas.inc();

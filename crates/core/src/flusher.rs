@@ -28,12 +28,12 @@ pub(crate) enum FlushItem {
         /// and flush one extent per chunk (the seed path, bit-for-bit).
         streaming: bool,
     },
-    Close,
 }
 
 impl BbManager {
     /// Per-file persistence task: drain chunk notifications, pull payloads
-    /// from the buffer, and lay them out in the Lustre backing file.
+    /// from the buffer, and lay them out in the Lustre backing file, until
+    /// the manager drops the queue's sender.
     pub(crate) async fn run_flusher(
         self: Rc<Self>,
         file_id: u64,
@@ -189,11 +189,11 @@ impl BbManager {
                             .push(self.spawn_direct_flush(&lfile, file_id, seq, 1, data, false));
                     }
                 }
-                FlushItem::Close => break,
             }
         }
-        // the channel can close without a `Close` (file torn down while
-        // writing): never strand a partial aggregate
+        // the queue closes when the manager drops its sender (the file
+        // closed, or was torn down while writing): never strand a partial
+        // aggregate
         if !agg.is_empty() {
             let data = agg.concat();
             let n = agg_next - agg_first;

@@ -232,10 +232,6 @@ pub struct BbConfig {
     /// Lustre, keeping BB capacity for bursts. `0` (default) disables
     /// classification entirely (always-admit, seed behaviour).
     pub bb_admit_stream_bytes: u64,
-    /// Classifier window: an idle gap longer than this between writes of
-    /// the same file resets its accumulated byte count, so spaced bursts
-    /// never classify as streams no matter their total volume.
-    pub bb_admit_window: std::time::Duration,
     /// Replica-target policy for buffered chunks ([`PlacementPolicy`]).
     /// [`PlacementPolicy::Hash`] (default) is the seed consistent-hash
     /// ring bit-for-bit; [`PlacementPolicy::Locality`] places new chunks
@@ -286,7 +282,6 @@ impl Default for BbConfig {
             bb_ack_mode: AckMode::FullR,
             bb_ack_ahead: 8,
             bb_admit_stream_bytes: 0,
-            bb_admit_window: std::time::Duration::from_millis(50),
             bb_place_policy: PlacementPolicy::Hash,
             bb_place_interval: std::time::Duration::ZERO,
             bb_migrate_budget: 8 << 20,

@@ -277,6 +277,11 @@ struct FileEntry {
 /// Mailbox service name for the manager.
 pub const MGR_SERVICE: &str = "bb-mgr";
 
+/// Traffic classifier window: an idle gap longer than this between writes
+/// of the same file resets its accumulated byte count, so spaced bursts
+/// never classify as streams no matter their total volume.
+const ADMIT_WINDOW: std::time::Duration = dur::ms(250);
+
 /// Cumulative manager/flusher counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MgrStats {
@@ -655,11 +660,9 @@ impl BbManager {
                     e.size = size;
                     e.crcs = crcs;
                     match e.flush_tx.take() {
-                        Some(tx) => {
-                            e.state = FileState::Closed;
-                            let _ = tx.try_send(FlushItem::Close);
-                            // dropping tx closes the flusher's queue
-                        }
+                        // dropping the sender closes the flusher's queue:
+                        // it drains what is queued, then finishes the file
+                        Some(_) => e.state = FileState::Closed,
                         None => {
                             // sync scheme: the client already persisted.
                             // Its chunks never pass through ChunkReady, so
@@ -809,16 +812,16 @@ impl BbManager {
     /// Windowed traffic classifier: accumulate a file's bytes written
     /// within one admission window; crossing
     /// [`BbConfig::bb_admit_stream_bytes`] inside a window labels it
-    /// long-sequential (sticky). An idle gap longer than
-    /// [`BbConfig::bb_admit_window`] resets the count, so spaced bursts
-    /// never classify no matter their total volume. Returns the file's
-    /// streaming label; a no-op (always `false`) when admission is off.
+    /// long-sequential (sticky). An idle gap longer than [`ADMIT_WINDOW`]
+    /// resets the count, so spaced bursts never classify no matter their
+    /// total volume. Returns the file's streaming label; a no-op (always
+    /// `false`) when admission is off.
     fn classify_write(&self, entry: &Rc<RefCell<FileEntry>>, len: u64) -> bool {
         let Some(admit) = &self.admit else {
             return false;
         };
         let threshold = self.config.bb_admit_stream_bytes;
-        let window = self.config.bb_admit_window.as_nanos() as u64;
+        let window = ADMIT_WINDOW.as_nanos() as u64;
         let now = self.sim().now().as_nanos();
         let mut e = entry.borrow_mut();
         if e.streaming {

@@ -688,7 +688,7 @@ fn ack_mode_quorum_contract() {
     for mode in AckMode::all() {
         assert!(mode.quorum(0) >= 1);
     }
-    // full_r is the default: the seed ack path, byte-identical behaviour
+    // full_r is the default
     assert_eq!(BbConfig::default().bb_ack_mode, AckMode::FullR);
     assert_eq!(BbConfig::default().bb_admit_stream_bytes, 0);
 }
@@ -726,13 +726,149 @@ fn relaxed_ack_mode_takes_the_quorum_path_and_full_r_does_not() {
         })
     };
     // local_only acks before all replicas are durable; full_r (the config
-    // default) rides the seed path
+    // default) acks at every replica, which is no quorum ack
     assert!(run(AckMode::LocalOnly) > 0, "relaxed path not taken");
     assert_eq!(
         run(AckMode::FullR),
         0,
         "full_r files must not take the relaxed ack path"
     );
+}
+
+#[test]
+fn a_failed_sync_copy_writes_the_chunk_through() {
+    use crate::AckMode;
+    // local_only at r = 2 syncs the primary alone; with the primary's link
+    // down the chunk goes write-through rather than to a buffered copy on
+    // the second replica
+    let bcfg = BbConfig {
+        kv_replication: 2,
+        kv_servers: 2,
+        bb_ack_mode: AckMode::LocalOnly,
+        ..BbConfig::default()
+    };
+    let r = rig_with(2, Scheme::AsyncLustre, LustreConfig::default(), bcfg);
+    let client = r.dep.client(NodeId(0));
+    let dep = Rc::clone(&r.dep);
+    let fabric = Rc::clone(&r.fabric);
+    let sim = r.sim.clone();
+    let data = pattern(512 << 10); // one chunk
+    let expect = data.clone();
+    r.sim.block_on(async move {
+        let primary = dep
+            .membership()
+            .route(&crate::manager::chunk_key(1, 0))
+            .unwrap();
+        fabric.set_up(dep.membership().server(primary).node(), false);
+        let w = client.create("/f").await.unwrap();
+        w.append(data).await.unwrap();
+        w.close().await.unwrap();
+        let st = client.wait_flushed("/f").await.unwrap();
+        assert_eq!(st, FileState::Flushed);
+        let stats = dep.manager.stats();
+        assert_eq!(stats.chunks_direct, 1, "the chunk must be written through");
+        assert_eq!(stats.chunks_flushed, 0);
+        assert_eq!(sim.metrics().snapshot().counter("bb.ack.quorum_acks"), 0);
+        let rd = client.open("/f").await.unwrap();
+        assert_eq!(rd.read_all().await.unwrap(), expect);
+        dep.shutdown();
+    });
+}
+
+#[test]
+fn a_replica_set_shorter_than_the_quorum_acks_with_a_downgrade() {
+    use crate::AckMode;
+    // r = 2 over one KV server: both modes that want two copies ack the
+    // one the ring has, buffered, and say so
+    for bb_ack_mode in [AckMode::FullR, AckMode::LocalPlusOne] {
+        let bcfg = BbConfig {
+            kv_replication: 2,
+            kv_servers: 1,
+            bb_ack_mode,
+            ..BbConfig::default()
+        };
+        let r = rig_with(2, Scheme::AsyncLustre, LustreConfig::default(), bcfg);
+        let client = r.dep.client(NodeId(0));
+        let dep = Rc::clone(&r.dep);
+        let sim = r.sim.clone();
+        let data = pattern(1 << 20); // two chunks
+        let expect = data.clone();
+        r.sim.block_on(async move {
+            let w = client.create("/f").await.unwrap();
+            w.append(data).await.unwrap();
+            w.close().await.unwrap();
+            let m = sim.metrics().snapshot();
+            assert_eq!(m.counter("bb.ack.downgrade"), 2, "{bb_ack_mode:?}");
+            assert_eq!(m.counter("bb.ack.quorum_acks"), 0, "{bb_ack_mode:?}");
+            let st = client.wait_flushed("/f").await.unwrap();
+            assert_eq!(st, FileState::Flushed);
+            let stats = dep.manager.stats();
+            assert_eq!((stats.chunks_flushed, stats.chunks_direct), (2, 0));
+            let rd = client.open("/f").await.unwrap();
+            assert_eq!(rd.read_all().await.unwrap(), expect);
+            dep.shutdown();
+        });
+    }
+}
+
+#[test]
+fn an_exhausted_tail_frees_the_ack_ahead_window_at_its_last_attempt() {
+    use crate::AckMode;
+    // local_only at r = 2 with room for one outstanding tail: while the
+    // second replica is down, each buffered chunk's tail exhausts its
+    // retries, and the next chunk waits for that permit. The wait must end
+    // the instant the last attempt fails, not one backoff later.
+    let bcfg = BbConfig {
+        kv_replication: 2,
+        kv_servers: 2,
+        bb_ack_mode: AckMode::LocalOnly,
+        bb_ack_ahead: 1,
+        // a writer fast enough to reach the window while a tail retries
+        client_write_rate: 100e9,
+        ..BbConfig::default()
+    };
+    let r = rig_with(2, Scheme::AsyncLustre, LustreConfig::default(), bcfg);
+    r.sim.tracer().enable();
+    r.sim.flight().enable(1024);
+    let client = r.dep.client(NodeId(0));
+    let dep = Rc::clone(&r.dep);
+    let fabric = Rc::clone(&r.fabric);
+    let sim = r.sim.clone();
+    r.sim.block_on(async move {
+        // the server holding only tails: the first chunk's second replica
+        let reps = dep
+            .membership()
+            .route_n(&crate::manager::chunk_key(1, 0), 2);
+        fabric.set_up(dep.membership().server(reps[1]).node(), false);
+        let w = client.create("/f").await.unwrap();
+        w.append(pattern(4 << 20)).await.unwrap();
+        w.close().await.unwrap();
+        assert_eq!(client.wait_flushed("/f").await.unwrap(), FileState::Flushed);
+        dep.shutdown();
+    });
+    let mut wait_ends = Vec::new();
+    sim.tracer().for_each_event(|e| {
+        if e.name == "bb.ack_wait" {
+            wait_ends.push(e.ts_ns + e.dur_ns);
+        }
+    });
+    // the instants the writer's KV client gave up on an attempt
+    let dump = sim.flight().trigger(sim.now().as_nanos(), "test").unwrap();
+    let attempts_failed: Vec<u64> = dump
+        .lines()
+        .filter(|l| l.contains("\"retry_exhausted\"") && l.contains("\"node=0 "))
+        .map(|l| {
+            let t = l.split("\"t_ns\": ").nth(1).unwrap();
+            t[..t.find(',').unwrap()].parse().unwrap()
+        })
+        .collect();
+    assert!(!wait_ends.is_empty(), "no chunk waited for the window");
+    for end in wait_ends {
+        assert!(
+            attempts_failed.contains(&end),
+            "an ack wait ended at {end} ns, when no attempt failed"
+        );
+    }
 }
 
 #[test]
@@ -821,7 +957,6 @@ fn classifier_routes_long_stream_to_writethrough() {
     // byte-identical and the file still reaches Flushed.
     let bcfg = BbConfig {
         bb_admit_stream_bytes: 2 << 20,
-        bb_admit_window: std::time::Duration::from_secs(5),
         ..BbConfig::default()
     };
     let r = rig_with(2, Scheme::AsyncLustre, LustreConfig::default(), bcfg);

@@ -49,6 +49,10 @@ use crate::store::KvError;
 /// engine always runs one stripe per core).
 const SHARDS: usize = 4;
 
+/// Token-bucket depth per tenant when admission control is on
+/// ([`KvServerConfig::tenant_rate`] > 0): the burst allowance, in ops.
+const TENANT_BURST: f64 = 12.0;
+
 /// Server tuning knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct KvServerConfig {
@@ -93,8 +97,6 @@ pub struct KvServerConfig {
     /// disables admission control; tenant 0 (untenanted) is always
     /// exempt.
     pub tenant_rate: f64,
-    /// Token-bucket depth per tenant (burst allowance, ops).
-    pub tenant_burst: f64,
 }
 
 impl Default for KvServerConfig {
@@ -110,7 +112,6 @@ impl Default for KvServerConfig {
             hot_min_count: 64,
             tenant_floor_frac: 0.0,
             tenant_rate: 0.0,
-            tenant_burst: 64.0,
         }
     }
 }
@@ -260,7 +261,6 @@ impl HotState {
 /// elapsed virtual time, so idle tenants cost nothing.
 struct TenantGov {
     rate: f64,
-    burst: f64,
     /// tenant → (tokens, last refill ns).
     buckets: RefCell<HashMap<u32, (f64, u64)>>,
     admitted: Counter,
@@ -311,9 +311,9 @@ impl KvServer {
         let m = stack.sim().metrics();
         let prefix = format!("rkv.server{}", node.0);
         // shard-per-core visibility: shard count, per-shard op totals and
-        // live queue depth, and slab reclamation totals — all present in
-        // every snapshot regardless of execution model so the required
-        // metric families never depend on configuration
+        // live queue depth — all present in every snapshot regardless of
+        // execution model so the required metric families never depend on
+        // configuration
         m.gauge("rkv.shard.contexts")
             .add(store.shard_count() as i64);
         for shard in 0..store.shard_count() {
@@ -325,19 +325,6 @@ impl KvServer {
                     .unwrap_or_default();
                 MetricValue::Counter(s.gets + s.sets)
             });
-        }
-        for (suffix, pick) in [("pages", 0usize), ("evictions", 1)] {
-            let weak = Rc::downgrade(&store);
-            m.sampled(
-                format!("rkv.slab.reclaim.server{}.{suffix}", node.0),
-                move || {
-                    let s = weak.upgrade().map(|s| s.stats()).unwrap_or_default();
-                    MetricValue::Counter(match pick {
-                        0 => s.reclaimed_pages,
-                        _ => s.reclaim_evictions,
-                    })
-                },
-            );
         }
         let hists = ServiceHists {
             get_ns: m.histogram(format!("{prefix}.get_ns")),
@@ -422,7 +409,6 @@ impl KvServer {
         }
         let gov = (config.tenant_rate > 0.0).then(|| TenantGov {
             rate: config.tenant_rate,
-            burst: config.tenant_burst.max(1.0),
             buckets: RefCell::new(HashMap::new()),
             admitted: m.counter(format!("rkv.tenant.server{}.admitted", node.0)),
             throttled: m.counter(format!("rkv.tenant.server{}.throttled", node.0)),
@@ -902,9 +888,9 @@ impl KvServer {
         }
         let now = self.now();
         let mut buckets = gov.buckets.borrow_mut();
-        let b = buckets.entry(tenant).or_insert((gov.burst, now));
+        let b = buckets.entry(tenant).or_insert((TENANT_BURST, now));
         let dt = now.saturating_sub(b.1) as f64 / 1e9;
-        b.0 = (b.0 + dt * gov.rate).min(gov.burst);
+        b.0 = (b.0 + dt * gov.rate).min(TENANT_BURST);
         b.1 = now;
         if b.0 >= 1.0 {
             b.0 -= 1.0;

@@ -189,8 +189,6 @@ impl ShardedKv {
             out.bytes += st.bytes;
             out.pinned_items += st.pinned_items;
             out.pinned_bytes += st.pinned_bytes;
-            out.reclaimed_pages += st.reclaimed_pages;
-            out.reclaim_evictions += st.reclaim_evictions;
         }
         out
     }

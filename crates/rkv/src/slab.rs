@@ -5,13 +5,10 @@
 //! from `chunk_min` up to `item_max`. An item occupies one chunk of the
 //! smallest class that fits it.
 //!
-//! Pages are assigned to a class on first use (classic memcached
-//! behaviour — the cause of "slab calcification"), but a page whose
-//! chunks are all free can be *retired* back to the global budget with
-//! [`SlabAllocator::retire_page`]; any class may then claim it under
-//! allocation pressure. The store layer drives retirement for classes
-//! that have gone idle (see `KvStore::reclaim`), which un-strands memory
-//! when the value-size distribution shifts.
+//! Pages are assigned to a class on first use and stay with it (classic
+//! memcached behaviour — the cause of "slab calcification": when the
+//! value-size distribution shifts, memory stays stranded in the classes
+//! the old sizes claimed).
 
 use std::fmt;
 
@@ -101,23 +98,15 @@ impl std::error::Error for SlabFull {}
 struct SlabClass {
     chunk_size: usize,
     chunks_per_page: usize,
+    /// Claimed pages; empty boxes when the slab does not materialize.
     pages: Vec<Box<[u8]>>,
-    /// Pages ever claimed, whether or not backing memory exists. Retired
-    /// pages stay counted here so chunk indices remain stable.
-    virtual_pages: usize,
-    /// Per-claimed-page retirement flags (indexed like `pages`).
-    retired: Vec<bool>,
     free: Vec<u32>,
     allocated: usize,
 }
 
 impl SlabClass {
     fn total_chunks(&self) -> usize {
-        self.virtual_pages * self.chunks_per_page
-    }
-
-    fn retired_pages(&self) -> usize {
-        self.retired.iter().filter(|&&r| r).count()
+        self.pages.len() * self.chunks_per_page
     }
 }
 
@@ -145,8 +134,6 @@ impl SlabAllocator {
                 chunk_size: size,
                 chunks_per_page: config.page_size / size,
                 pages: Vec::new(),
-                virtual_pages: 0,
-                retired: Vec::new(),
                 free: Vec::new(),
                 allocated: 0,
             });
@@ -159,8 +146,6 @@ impl SlabAllocator {
             chunk_size: config.page_size,
             chunks_per_page: 1,
             pages: Vec::new(),
-            virtual_pages: 0,
-            retired: Vec::new(),
             free: Vec::new(),
             allocated: 0,
         });
@@ -235,8 +220,6 @@ impl SlabAllocator {
                 Box::default()
             };
             c.pages.push(page);
-            c.virtual_pages += 1;
-            c.retired.push(false);
             self.pages_used += 1;
             // hand out chunk 0 of the new page; queue the rest
             for i in (1..c.chunks_per_page as u32).rev() {
@@ -285,66 +268,6 @@ impl SlabAllocator {
             .iter()
             .map(|c| (c.chunk_size, c.allocated, c.total_chunks()))
             .collect()
-    }
-
-    /// Chunks one page of `class` holds.
-    pub fn chunks_per_page(&self, class: u8) -> usize {
-        self.classes[class as usize].chunks_per_page
-    }
-
-    /// Pages currently assigned to `class` (claimed minus retired).
-    pub fn pages_in(&self, class: u8) -> usize {
-        let c = &self.classes[class as usize];
-        c.virtual_pages - c.retired_pages()
-    }
-
-    /// Pages of `class` retired back to the global budget so far.
-    pub fn retired_in(&self, class: u8) -> usize {
-        self.classes[class as usize].retired_pages()
-    }
-
-    /// Whether `page` of `class` has been retired.
-    pub fn is_retired(&self, class: u8, page: usize) -> bool {
-        let c = &self.classes[class as usize];
-        page < c.virtual_pages && c.retired[page]
-    }
-
-    /// The page (within its class) a chunk lives on.
-    pub fn page_of(&self, chunk: ChunkRef) -> usize {
-        chunk.idx as usize / self.classes[chunk.class as usize].chunks_per_page
-    }
-
-    /// Free chunks of `class` currently sitting on `page`.
-    pub fn free_on_page(&self, class: u8, page: usize) -> usize {
-        let c = &self.classes[class as usize];
-        let lo = (page * c.chunks_per_page) as u32;
-        let hi = lo + c.chunks_per_page as u32;
-        c.free.iter().filter(|&&i| i >= lo && i < hi).count()
-    }
-
-    /// Retire `page` of `class` back to the global page budget. Only legal
-    /// when every chunk of the page is free (the store evicts residents
-    /// first); returns `false` if the page is still partly allocated or
-    /// already retired. A retired page's chunk indices are never handed
-    /// out again — the freed budget lets *any* class claim a fresh page.
-    pub fn retire_page(&mut self, class: u8, page: usize) -> bool {
-        let c = &mut self.classes[class as usize];
-        if page >= c.virtual_pages || c.retired[page] {
-            return false;
-        }
-        let lo = (page * c.chunks_per_page) as u32;
-        let hi = lo + c.chunks_per_page as u32;
-        let free_here = c.free.iter().filter(|&&i| i >= lo && i < hi).count();
-        if free_here != c.chunks_per_page {
-            return false; // page still has allocated chunks
-        }
-        c.free.retain(|&i| i < lo || i >= hi);
-        c.retired[page] = true;
-        if self.config.materialize {
-            c.pages[page] = Box::default();
-        }
-        self.pages_used -= 1;
-        true
     }
 }
 
@@ -499,69 +422,5 @@ mod tests {
     fn oversized_alloc_panics() {
         let mut a = small();
         let _ = a.alloc(2 << 20);
-    }
-
-    #[test]
-    fn retired_pages_return_budget_to_other_classes() {
-        // 2 pages of budget calcified into the small class
-        let mut a = SlabAllocator::new(SlabConfig {
-            mem_limit: 2 << 20,
-            page_size: 1 << 20,
-            chunk_min: 96,
-            growth: 1.25,
-            materialize: true,
-        });
-        let mut chunks = Vec::new();
-        while let Ok(c) = a.alloc(96) {
-            chunks.push(c);
-        }
-        assert!(a.alloc(1 << 19).is_err(), "budget is stranded");
-        let class = a.class_for(96).unwrap();
-        for c in chunks {
-            a.free(c);
-        }
-        assert_eq!(a.pages_in(class), 2);
-        assert!(a.retire_page(class, 0));
-        assert!(a.retire_page(class, 1));
-        assert!(!a.retire_page(class, 0), "double retire must fail");
-        assert_eq!(a.pages_in(class), 0);
-        assert_eq!(a.retired_in(class), 2);
-        assert_eq!(a.memory_used(), 0);
-        // the budget is global again: another class can claim the pages
-        assert!(a.alloc(1 << 19).is_ok());
-        assert!(a.alloc(1 << 19).is_ok());
-        assert!(a.alloc(1 << 19).is_err());
-    }
-
-    #[test]
-    fn retire_refuses_partly_allocated_pages() {
-        let mut a = small();
-        let c1 = a.alloc(96).unwrap();
-        let c2 = a.alloc(96).unwrap();
-        a.free(c2);
-        let page = a.page_of(c1);
-        assert!(!a.retire_page(c1.class, page), "live chunk blocks retire");
-        a.free(c1);
-        assert!(a.retire_page(c1.class, page));
-    }
-
-    #[test]
-    fn allocation_after_retirement_uses_fresh_indices() {
-        let mut a = small();
-        let class = a.class_for(96).unwrap();
-        let per_page = a.chunks_per_page(class);
-        let mut chunks: Vec<ChunkRef> = (0..per_page).map(|_| a.alloc(96).unwrap()).collect();
-        let max_idx = chunks.iter().map(|c| c.idx).max().unwrap();
-        for c in chunks.drain(..) {
-            a.free(c);
-        }
-        assert!(a.retire_page(class, 0));
-        // the next alloc claims a new page: indices never collide with the
-        // retired page's range
-        let fresh = a.alloc(96).unwrap();
-        assert!(
-            fresh.idx > max_idx,
-            "retired chunk indices must not be reused"
-        );
     }
 }

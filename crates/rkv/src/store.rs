@@ -74,11 +74,6 @@ pub struct KvStats {
     pub pinned_items: u64,
     /// Payload bytes (keys + values) of pinned items.
     pub pinned_bytes: u64,
-    /// Idle slab pages retired back to the global budget.
-    pub reclaimed_pages: u64,
-    /// Items evicted to free a page for reclamation (also counted in
-    /// `evictions`).
-    pub reclaim_evictions: u64,
 }
 
 impl KvStats {
@@ -193,12 +188,6 @@ pub struct KvStore {
     lru: Vec<ClassLru>,
     next_cas: u64,
     stats: KvStats,
-    /// Reclaim window in ns: a class with no allocation for this long is
-    /// "idle" and its pages may be retired under pressure. 0 = disabled
-    /// (classic memcached calcification).
-    reclaim_idle_ns: u64,
-    /// Last successful allocation time per slab class.
-    last_alloc: Vec<u64>,
     /// Tenant issuing the current store op (0 = untenanted); set
     /// transiently by [`KvStore::set_as`] so eviction knows the requester.
     ctx_tenant: u32,
@@ -221,7 +210,6 @@ impl KvStore {
             ..config
         });
         let lru = (0..slab.class_count()).map(|_| ClassLru::new()).collect();
-        let last_alloc = vec![0; slab.class_count()];
         KvStore {
             slab,
             map: HashMap::new(),
@@ -229,31 +217,11 @@ impl KvStore {
             lru,
             next_cas: 1,
             stats: KvStats::default(),
-            reclaim_idle_ns: 0,
-            last_alloc,
             ctx_tenant: 0,
             tenant_floor: 0,
             tenant_bytes: HashMap::new(),
             floor_denied: 0,
         }
-    }
-
-    /// Enable idle-page reclamation: a slab class with no allocation in
-    /// the last `ns` nanoseconds may have pages retired to the global
-    /// budget when another class is under allocation pressure. 0 disables
-    /// reclamation (seed behaviour).
-    pub fn set_reclaim_idle(&mut self, ns: u64) {
-        self.reclaim_idle_ns = ns;
-    }
-
-    /// The configured reclaim window (0 = disabled).
-    pub fn reclaim_idle(&self) -> u64 {
-        self.reclaim_idle_ns
-    }
-
-    /// Read-only view of the slab allocator (page/class diagnostics).
-    pub fn slab(&self) -> &SlabAllocator {
-        &self.slab
     }
 
     /// Largest storable item (key + value bytes).
@@ -358,19 +326,11 @@ impl KvStore {
         false
     }
 
-    fn alloc_with_eviction(&mut self, total: usize, now: u64) -> Result<ChunkRef, KvError> {
+    fn alloc_with_eviction(&mut self, total: usize) -> Result<ChunkRef, KvError> {
         loop {
             match self.slab.alloc(total) {
-                Ok(c) => {
-                    self.last_alloc[c.class as usize] = now;
-                    return Ok(c);
-                }
+                Ok(c) => return Ok(c),
                 Err(SlabFull { class }) => {
-                    // under pressure, first try to pull an idle page back
-                    // from a calcified class; fall back to same-class LRU
-                    if self.try_reclaim_page(Some(class), now, true) {
-                        continue;
-                    }
                     if !self.evict_one(class) {
                         return Err(KvError::OutOfMemory);
                     }
@@ -379,112 +339,12 @@ impl KvStore {
         }
     }
 
-    /// Retire one page from an idle class (coldest class first; within a
-    /// class, the page with the fewest residents). `needy` is exempt from
-    /// reclamation — its own pressure triggered the call. When
-    /// `evict_residents` is false only fully-free pages qualify; when true
-    /// the page's unpinned residents are evicted first (counted in both
-    /// `evictions` and `reclaim_evictions`). Pages holding a pinned item
-    /// are never reclaimed. Returns whether a page was retired.
-    fn try_reclaim_page(&mut self, needy: Option<u8>, now: u64, evict_residents: bool) -> bool {
-        if self.reclaim_idle_ns == 0 {
-            return false;
-        }
-        let mut candidates: Vec<u8> = (0..self.slab.class_count() as u8)
-            .filter(|&c| Some(c) != needy)
-            .filter(|&c| self.slab.pages_in(c) > 0)
-            .filter(|&c| now.saturating_sub(self.last_alloc[c as usize]) >= self.reclaim_idle_ns)
-            .collect();
-        candidates.sort_by_key(|&c| (self.last_alloc[c as usize], c));
-        for class in candidates {
-            if self.reclaim_from_class(class, evict_residents) {
-                return true;
-            }
-        }
-        false
-    }
-
-    fn reclaim_from_class(&mut self, class: u8, evict_residents: bool) -> bool {
-        let cpp = self.slab.chunks_per_page(class);
-        let claimed = self.slab.pages_in(class) + self.slab.retired_in(class);
-        // most-free page first (fewest collateral evictions), page index
-        // breaking ties — fully deterministic
-        let mut pages: Vec<(usize, usize)> = (0..claimed)
-            .filter(|&p| !self.slab.is_retired(class, p))
-            .map(|p| (cpp - self.slab.free_on_page(class, p), p))
-            .collect();
-        pages.sort_unstable();
-        for (live, page) in pages {
-            if live > 0 && !evict_residents {
-                break; // pages are sorted: everything after has residents too
-            }
-            let lo = (page * cpp) as u32;
-            let hi = lo + cpp as u32;
-            let mut victims: Vec<Vec<u8>> = Vec::new();
-            let mut protected = false;
-            // floor checks must account for earlier victims on the same
-            // page: evicting k same-tenant items one by one may pass each
-            // individual check yet collectively breach the floor
-            let mut pending: HashMap<u32, u64> = HashMap::new();
-            for idx in lo..hi {
-                let chunk = ChunkRef { class, idx };
-                if let Some(key) = self.chunk_keys.get(&chunk) {
-                    let meta = self.map.get(key.as_ref()).expect("chunk owner is live");
-                    if meta.pinned {
-                        protected = true;
-                        break;
-                    }
-                    let size = meta.key_len as u64 + meta.value.len() as u64;
-                    if self.tenant_floor > 0 && meta.tenant != 0 && meta.tenant != self.ctx_tenant {
-                        let resident = self
-                            .tenant_bytes
-                            .get(&meta.tenant)
-                            .copied()
-                            .unwrap_or(0)
-                            .saturating_sub(pending.get(&meta.tenant).copied().unwrap_or(0));
-                        if resident.saturating_sub(size) < self.tenant_floor {
-                            self.floor_denied += 1;
-                            protected = true;
-                            break;
-                        }
-                        *pending.entry(meta.tenant).or_insert(0) += size;
-                    }
-                    victims.push(key.to_vec());
-                }
-            }
-            if protected {
-                continue;
-            }
-            for key in victims {
-                self.remove_entry(&key);
-                self.stats.evictions += 1;
-                self.stats.reclaim_evictions += 1;
-            }
-            if self.slab.retire_page(class, page) {
-                self.stats.reclaimed_pages += 1;
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Maintenance sweep: retire every *fully free* page of every idle
-    /// class (no resident is ever touched — the zero-risk reclamation
-    /// mode). Returns pages retired. Pressure-triggered reclamation (the
-    /// allocation path) additionally evicts cold residents.
-    pub fn reclaim_idle_pages(&mut self, now: u64) -> u64 {
-        let before = self.stats.reclaimed_pages;
-        while self.try_reclaim_page(None, now, false) {}
-        self.stats.reclaimed_pages - before
-    }
-
     fn insert(
         &mut self,
         key: &[u8],
         value: &Bytes,
         flags: u32,
         expire_at: u64,
-        now: u64,
     ) -> Result<u64, KvError> {
         let total = 2 + key.len() + value.len();
         if total > self.item_max() || key.len() > u16::MAX as usize {
@@ -502,7 +362,7 @@ impl KvStore {
         } else {
             prev.as_ref().map_or(0, |m| m.tenant)
         };
-        let chunk = self.alloc_with_eviction(total, now)?;
+        let chunk = self.alloc_with_eviction(total)?;
         self.chunk_keys
             .insert(chunk, key.to_vec().into_boxed_slice());
         let cas = self.next_cas;
@@ -534,16 +394,18 @@ impl KvStore {
         Ok(cas)
     }
 
-    /// Unconditional store. Returns the new CAS token.
+    /// Unconditional store. Returns the new CAS token. A store reads no
+    /// clock (`expire_at` is absolute and checked on read), so `_now`
+    /// only keeps the call shape of the reads.
     pub fn set(
         &mut self,
         key: &[u8],
         value: Bytes,
         flags: u32,
         expire_at: u64,
-        now: u64,
+        _now: u64,
     ) -> Result<u64, KvError> {
-        self.insert(key, &value, flags, expire_at, now)
+        self.insert(key, &value, flags, expire_at)
     }
 
     /// [`KvStore::set`] on behalf of `tenant`: the item is tagged as the
@@ -557,10 +419,10 @@ impl KvStore {
         value: Bytes,
         flags: u32,
         expire_at: u64,
-        now: u64,
+        _now: u64,
     ) -> Result<u64, KvError> {
         self.ctx_tenant = tenant;
-        let r = self.insert(key, &value, flags, expire_at, now);
+        let r = self.insert(key, &value, flags, expire_at);
         self.ctx_tenant = 0;
         r
     }
@@ -1106,8 +968,8 @@ mod tests {
 
     #[test]
     fn without_reclaim_a_shifted_workload_strands_memory() {
-        // seed behaviour: pages calcified in the big class are never
-        // reassigned, so small sets fail outright
+        // pages calcified in the big class are never reassigned, so
+        // small sets fail outright
         let mut s = store_mb(4);
         calcify(&mut s, 4);
         assert_eq!(
@@ -1115,84 +977,5 @@ mod tests {
                 .unwrap_err(),
             KvError::OutOfMemory
         );
-    }
-
-    #[test]
-    fn pressure_reclaims_idle_class_pages() {
-        let mut s = store_mb(4);
-        s.set_reclaim_idle(1_000);
-        calcify(&mut s, 4);
-        let big_class = s.slab().class_for(2 + 4 + (1 << 20) - 100).unwrap();
-        assert_eq!(s.slab().pages_in(big_class), 4);
-        // the workload shifts to small values after the idle window
-        let now = 10_000;
-        for i in 0..100 {
-            s.set(
-                format!("small{i}").as_bytes(),
-                Bytes::from(vec![1u8; 1000]),
-                0,
-                0,
-                now,
-            )
-            .unwrap();
-        }
-        let st = s.stats();
-        assert!(st.reclaimed_pages >= 1, "pressure must retire idle pages");
-        assert_eq!(st.reclaim_evictions, st.reclaimed_pages); // 1 item/page here
-        assert!(s.slab().pages_in(big_class) < 4);
-        for i in 0..100 {
-            assert!(s.get(format!("small{i}").as_bytes(), now).is_some());
-        }
-    }
-
-    #[test]
-    fn sweep_reclaims_only_fully_free_pages() {
-        let mut s = store_mb(4);
-        s.set_reclaim_idle(1_000);
-        calcify(&mut s, 4);
-        s.delete(b"big0");
-        s.delete(b"big1");
-        assert_eq!(s.reclaim_idle_pages(10_000), 2);
-        // live residents are untouched by the sweep
-        assert_eq!(s.stats().reclaim_evictions, 0);
-        assert!(s.get(b"big2", 10_000).is_some());
-        assert!(s.get(b"big3", 10_000).is_some());
-        assert_eq!(s.memory_used(), 2 << 20);
-        // before the idle window nothing is reclaimable
-        let mut fresh = store_mb(2);
-        fresh.set_reclaim_idle(1_000_000);
-        calcify(&mut fresh, 2);
-        fresh.delete(b"big0");
-        assert_eq!(fresh.reclaim_idle_pages(500), 0);
-    }
-
-    #[test]
-    fn reclaim_never_touches_pinned_pages() {
-        let mut s = store_mb(2);
-        s.set_reclaim_idle(1_000);
-        calcify(&mut s, 2);
-        s.pin(b"big0", 0).unwrap();
-        let now = 10_000;
-        // pressure may only reclaim the unpinned page
-        s.set(b"small0", Bytes::from(vec![1u8; 1000]), 0, 0, now)
-            .unwrap();
-        assert!(s.get(b"big0", now).is_some(), "pinned item must survive");
-        assert_eq!(s.stats().reclaimed_pages, 1);
-        // with only the pinned page left, further pressure hits OOM
-        // rather than dropping protected data
-        let mut filled = 0u32;
-        while filled <= 10_000
-            && s.set(
-                format!("fill{filled}").as_bytes(),
-                Bytes::from(vec![1u8; 1000]),
-                0,
-                0,
-                now,
-            )
-            .is_ok()
-        {
-            filled += 1;
-        }
-        assert!(s.get(b"big0", now).is_some());
     }
 }

@@ -584,47 +584,6 @@ proptest! {
         prop_assert_eq!(total.items as usize, uniq.len());
     }
 
-    /// The maintenance sweep (`reclaim_idle_pages`) retires only
-    /// fully-free pages: across arbitrary write/delete interleavings every
-    /// key readable immediately before a sweep is readable with identical
-    /// bytes immediately after it, and the whole run is deterministic
-    /// (same ops → identical final stats and reclaim count).
-    #[test]
-    fn reclaim_sweep_never_drops_live_items(
-        ops in proptest::collection::vec((any::<u8>(), 1usize..16_384, any::<bool>()), 1..100),
-    ) {
-        let run = |ops: &[(u8, usize, bool)]| -> (KvStats, u64) {
-            let mut store = KvStore::new(SlabConfig {
-                mem_limit: 4 << 20,
-                ..SlabConfig::default()
-            });
-            store.set_reclaim_idle(1_000);
-            let mut now = 0u64;
-            let mut reclaimed = 0u64;
-            for &(key, len, del) in ops {
-                now += 10_000; // every op is past the idle window
-                if del {
-                    store.delete(&[key]);
-                } else {
-                    let _ = store.set(&[key], Bytes::from(vec![key; len]), 0, 0, now);
-                }
-                let live: Vec<(u8, Bytes)> = (0..=255u8)
-                    .filter_map(|k| store.get(&[k], now).map(|v| (k, v.data)))
-                    .collect();
-                reclaimed += store.reclaim_idle_pages(now);
-                for (k, v) in live {
-                    let got = store.get(&[k], now);
-                    let got = got.expect("sweep dropped a live item");
-                    assert_eq!(got.data, v, "sweep corrupted a live item");
-                }
-            }
-            (store.stats(), reclaimed)
-        };
-        let a = run(&ops);
-        let b = run(&ops);
-        prop_assert_eq!(a, b, "reclamation must be deterministic");
-    }
-
     /// The shard-per-core engine is observably equivalent to the
     /// single-context model: an identical client script over every keyed
     /// verb gets identical answers at every (cores, cq_batch), including

@@ -20,9 +20,10 @@ const OST_CAPACITY: u64 = 4 << 40;
 /// compare it against the checksum of the bytes they sent: a mismatch means
 /// the committed extent differs from the submitted one (corruption between
 /// wire and media), detected at 1× device cost — no read-back required.
-/// Both sides digest through [`simkit::crc32c::crc32c_bytes`], so the OSS
-/// does not re-read the view the client just digested; a corrupted commit
-/// is a new allocation and is read.
+/// Both sides digest through [`simkit::crc32c::crc32c_bytes`], which keeps
+/// a view's digest in the allocation it shares, so the OSS does not
+/// re-read a view the client or any earlier hop digested; a corrupted
+/// commit is a new allocation and is read.
 pub fn commit_crc(data: &Bytes) -> u32 {
     simkit::crc32c::crc32c_bytes(data)
 }

@@ -26,9 +26,9 @@
 //!
 //! A chunk crosses every hop of the burst buffer as a view of the writer's
 //! own immutable buffer, and each hop checks its digest. [`crc32c_bytes`]
-//! and [`crc32c_pair_bytes`] digest a `Bytes` view through a small
-//! per-thread memo keyed by the view's allocation identity, start and
-//! length, so a view the thread has already digested is not read again:
+//! and [`crc32c_pair_bytes`] digest a `Bytes` view of at least 4 KiB
+//! through the digest table of the allocation it views, so a view any
+//! hop has digested is not read again for as long as its bytes live:
 //! every check still computes the digest of the bytes it holds and
 //! compares it, and only the repeated traversal goes. [`combine`] joins two
 //! digests without reading either input (the key-prefixed chunk digest is
@@ -456,74 +456,36 @@ pub fn combine(crc_a: u32, crc_b: u32, len_b: usize) -> u32 {
 }
 
 /// Views shorter than this are digested directly: their traversal costs
-/// less than a memo miss would save.
+/// less than a table entry.
 const MEMO_MIN: usize = 4 << 10;
 
-/// `log2` of the slots in each thread's memo.
-const MEMO_BITS: u32 = 10;
-
-/// 2^64 / φ, odd: the memo's slot hash multiplier.
-const GOLDEN: u64 = 0x9e37_79b9_7f4a_7c15;
-
-/// One memo slot: the digest of the view `(id, addr, len)`.
-#[derive(Clone, Copy)]
-struct Memo {
-    id: u64,
-    addr: usize,
-    len: usize,
-    crc: u32,
-}
-
 thread_local! {
-    /// Direct-mapped digests of recently digested views (32 KiB a
-    /// thread). Allocation identity 0 is never handed out, so an empty
-    /// slot matches nothing.
-    static MEMO: Box<[Cell<Memo>]> = (0..1 << MEMO_BITS)
-        .map(|_| Cell::new(Memo { id: 0, addr: 0, len: 0, crc: 0 }))
-        .collect();
     static TRAVERSED: Cell<u64> = const { Cell::new(0) };
 }
 
 /// Bytes the kernels have read on this thread since it started. Host-side
-/// instrumentation, not simulation telemetry: a memo hit adds nothing.
+/// instrumentation, not simulation telemetry: a stored digest adds nothing.
 pub fn traversed() -> u64 {
     TRAVERSED.with(Cell::get)
 }
 
-/// CRC32C of an immutable view, traversing it at most once per memo
-/// residency: the digest is remembered under the view's allocation
-/// identity, start address and length.
+/// CRC32C of an immutable view, traversing it at most once: the digest
+/// is stored in the table of the allocation the view shares, under the
+/// view's range (see `Bytes::digest` in the `bytes` shim).
 ///
-/// The key names the bytes exactly: an allocation's identity is never
-/// reused (a buffer freed and allocated again at the same address gets a
-/// new one) and nothing can change the bytes of an allocation a view
-/// shares (see [`Bytes::allocation_id`]), so a hit returns the digest a
-/// traversal would. A damaged copy — every fault injector builds one —
-/// is a new allocation and is traversed.
+/// The table lives exactly as long as the bytes, which cannot change
+/// while a view exists, so a stored digest is the one a traversal would
+/// give. A damaged copy — every fault injector builds one — is a new
+/// allocation with an empty table and is traversed.
 pub fn crc32c_bytes(data: &Bytes) -> u32 {
     if data.len() < MEMO_MIN {
         return crc32c(data);
     }
-    let (id, addr, len) = (data.allocation_id(), data.as_ptr() as usize, data.len());
-    // Fibonacci hashing: views cut at a fixed stride from one allocation
-    // land on evenly spread slots
-    let mixed = (addr as u64)
-        .wrapping_add(id.wrapping_mul(GOLDEN))
-        .wrapping_add(len as u64);
-    let slot = (mixed.wrapping_mul(GOLDEN) >> (64 - MEMO_BITS)) as usize;
-    MEMO.with(|memo| {
-        let m = memo[slot].get();
-        if (m.id, m.addr, m.len) == (id, addr, len) {
-            return m.crc;
-        }
-        let crc = crc32c(data);
-        memo[slot].set(Memo { id, addr, len, crc });
-        crc
-    })
+    data.digest(crc32c)
 }
 
 /// [`crc32c_pair`] of a key and an immutable view, the view's digest
-/// through [`crc32c_bytes`]'s memo.
+/// through [`crc32c_bytes`].
 pub fn crc32c_pair_bytes(key: &[u8], data: &Bytes) -> u32 {
     if data.len() < MEMO_MIN {
         return crc32c_pair(key, data);
@@ -828,7 +790,25 @@ mod tests {
         assert_eq!(traversed() - before, 2 * small.len() as u64);
     }
 
-    /// The memo's key is the allocation's identity, never its address: a
+    /// A view below 4 KiB never reaches its allocation's table: were its
+    /// digest stored, the second call would read nothing. Only a digest
+    /// makes a table (the `bytes` shim's
+    /// `digest_table_is_made_by_a_digest_alone`), so a 128 B value's
+    /// allocation never has one.
+    #[test]
+    fn a_view_below_4_kib_creates_no_table() {
+        for len in [128, MEMO_MIN - 1] {
+            let value = Bytes::from(xorshift(len as u64, len));
+            let (want, want_pair) = (crc32c(&value), crc32c_pair(b"k", &value));
+            let before = traversed();
+            assert_eq!(crc32c_bytes(&value), want);
+            assert_eq!(crc32c_pair_bytes(b"k", &value), want_pair);
+            assert_eq!(crc32c_bytes(&value), want);
+            assert_eq!(traversed() - before, 3 * len as u64 + 1, "len {len}");
+        }
+    }
+
+    /// The table belongs to the allocation, never to its address: a
     /// buffer freed and allocated again at the same address with other
     /// bytes must be digested afresh.
     #[test]

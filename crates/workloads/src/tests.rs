@@ -328,6 +328,53 @@ fn bb_async_write_path_digests_each_byte_about_once() {
     );
 }
 
+/// Host-cost gate on the whole E3/E4 round trip through BB-Async: write
+/// the dataset, drain it to Lustre, then read it back buffer-hot with
+/// every chunk's digest verified. Each digest is stored with the bytes it
+/// describes, so neither the flush read-back nor the reader's verify of a
+/// chunk written long before reads it again; a memo that forgets chunks
+/// before they are read back (one smaller than the 2 048-chunk dataset)
+/// reads about 2.6× the user bytes.
+#[test]
+fn bb_async_round_trip_digests_each_byte_about_once() {
+    let tb = Testbed::build(SystemKind::Bb(Scheme::AsyncLustre), small_config());
+    let pool = PayloadPool::standard();
+    let cfg = dfsio_small();
+    let user = cfg.total_bytes() as f64;
+    let (write, drain, read) = tb.block_on(|tb| async move {
+        let fs_for = tb.fs_for();
+        let t0 = simkit::crc32c::traversed();
+        testdfsio::write(&tb.sim, &tb.nodes, &fs_for, &pool, &cfg)
+            .await
+            .unwrap();
+        let t1 = simkit::crc32c::traversed();
+        let client = tb.bb.as_ref().expect("bb testbed").client(tb.nodes[0]);
+        for i in 0..cfg.files {
+            let state = client.wait_flushed(&cfg.path(i)).await.unwrap();
+            assert_eq!(state, bb_core::FileState::Flushed);
+        }
+        let t2 = simkit::crc32c::traversed();
+        testdfsio::read(&tb.sim, &tb.nodes, &fs_for, &pool, &cfg, true)
+            .await
+            .unwrap();
+        let t3 = simkit::crc32c::traversed();
+        let m = tb.sim.metrics().snapshot();
+        let chunks = cfg.total_bytes() / tb.bb.as_ref().unwrap().config.chunk_size;
+        assert_eq!(m.counter("bb.read.tier_buffer"), chunks, "not buffer-hot");
+        tb.shutdown();
+        let per_user = |a: u64, b: u64| (b - a) as f64 / user;
+        (per_user(t0, t1), per_user(t1, t2), per_user(t2, t3))
+    });
+    eprintln!(
+        "CRC bytes traversed per user byte: write {write:.3}, flush drain {drain:.3}, read {read:.3}"
+    );
+    let total = write + drain + read;
+    assert!(
+        total <= 1.05,
+        "write + drain + read traversed {total:.3}× the user bytes"
+    );
+}
+
 #[test]
 fn swim_trace_completes_with_sane_stats() {
     let tb = Testbed::build(SystemKind::Bb(Scheme::AsyncLustre), small_config());

@@ -10,11 +10,11 @@
 //! `shims/README.md`).
 
 use std::borrow::Borrow;
+use std::collections::BTreeMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::ops::{Bound, Deref, DerefMut, RangeBounds};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Cheaply cloneable, immutable, contiguous byte buffer.
 #[derive(Clone)]
@@ -24,14 +24,17 @@ pub struct Bytes {
     end: usize,
 }
 
-/// One allocation every view of it shares, and its identity.
+/// One allocation every view of it shares, and the digests of those
+/// views (see [`Bytes::digest`]).
 struct Allocation {
-    id: u64,
     v: Vec<u8>,
+    /// Boxed on the first digest: an allocation nothing digests pays two
+    /// words for it.
+    digests: Mutex<Option<Box<Digests>>>,
 }
 
-/// The next [`Bytes::allocation_id`]; 0 is never handed out.
-static NEXT_ID: AtomicU64 = AtomicU64::new(1);
+/// `(start, end)` of a view → its digest.
+type Digests = BTreeMap<(usize, usize), u32>;
 
 impl Default for Bytes {
     fn default() -> Self {
@@ -119,18 +122,28 @@ impl Bytes {
         })
     }
 
-    /// The identity of the allocation this view shares: equal for every
-    /// view of one allocation, and never reused by another one, even at
-    /// the same address after this one is freed. Its bytes cannot change
-    /// while any view exists (nothing hands out `&mut` to a shared
-    /// allocation, and taking the `Vec` back out consumes the last view),
-    /// so `(allocation_id, as_ptr, len)` names the same bytes for as long
-    /// as the process runs.
+    /// The digest `compute` gives this view's bytes, computed on the
+    /// first call for the view's range and returned from the allocation's
+    /// table after that. The table lives and dies with the allocation,
+    /// and its bytes cannot change while any view exists (nothing hands
+    /// out `&mut` to a shared allocation, and taking the `Vec` back out
+    /// consumes the last view), so a stored digest is always the one
+    /// `compute` would give. Every call must pass the same function.
     ///
-    /// Not in upstream `bytes`; its one caller is `simkit::crc32c`'s
-    /// digest memo, which without it cannot form a key and traverses.
-    pub fn allocation_id(&self) -> u64 {
-        self.data.id
+    /// Not in upstream `bytes`; its one caller is
+    /// `simkit::crc32c::crc32c_bytes`, which without it traverses.
+    pub fn digest(&self, compute: impl FnOnce(&[u8]) -> u32) -> u32 {
+        // a `compute` that panics inserts nothing, so a poisoned table
+        // holds only finished entries and stays usable
+        let mut table = self
+            .data
+            .digests
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        *table
+            .get_or_insert_with(Box::default)
+            .entry((self.start, self.end))
+            .or_insert_with(|| compute(self))
     }
 }
 
@@ -155,13 +168,14 @@ impl Borrow<[u8]> for Bytes {
 
 impl From<Vec<u8>> for Bytes {
     /// Every other constructor funnels into this one, so every allocation
-    /// gets a fresh [`Bytes::allocation_id`] here.
+    /// starts here with no digests.
     fn from(v: Vec<u8>) -> Self {
         let end = v.len();
-        // a unique number and nothing else: no other memory is published
-        let id = NEXT_ID.fetch_add(1, Ordering::Relaxed);
         Bytes {
-            data: Arc::new(Allocation { id, v }),
+            data: Arc::new(Allocation {
+                v,
+                digests: Mutex::new(None),
+            }),
             start: 0,
             end,
         }
@@ -591,44 +605,105 @@ mod tests {
         assert_eq!(left.try_unsplit(&right), None);
     }
 
-    #[test]
-    fn views_share_an_identity_no_other_allocation_has() {
-        let mut b = Bytes::from(vec![5u8; 64]);
-        let id = b.allocation_id();
-        assert_eq!(b.slice(8..24).allocation_id(), id);
-        assert_eq!(b.clone().allocation_id(), id);
-        assert_eq!(b.split_to(16).allocation_id(), id);
-        assert_eq!(b.copy_to_bytes(8).allocation_id(), id);
-        let joined = b.slice(..8).try_unsplit(&b.slice(8..)).unwrap();
-        assert_eq!(joined.allocation_id(), id);
-        // equal bytes in another allocation, and every constructor
-        assert_ne!(Bytes::from(b.to_vec()).allocation_id(), id);
-        assert_ne!(Bytes::copy_from_slice(&b).allocation_id(), id);
-        assert_ne!(Bytes::new().allocation_id(), Bytes::new().allocation_id());
-        let mut m = BytesMut::new();
-        m.extend_from_slice(&b);
-        assert_ne!(m.freeze().allocation_id(), id);
-        // the Vec taken back out and wrapped again is a new allocation,
-        // though it is the very same buffer
-        let only = Bytes::from(vec![1u8; 4096]);
-        let (old, p) = (only.allocation_id(), only.as_ptr());
-        let again = Bytes::from(Vec::from(only));
-        assert_eq!(again.as_ptr(), p);
-        assert_ne!(again.allocation_id(), old);
+    /// A stand-in digest that counts its calls.
+    fn counted(calls: &std::cell::Cell<usize>) -> impl Fn(&[u8]) -> u32 + '_ {
+        |d| {
+            calls.set(calls.get() + 1);
+            d.iter()
+                .fold(d.len() as u32, |h, &x| h.rotate_left(5) ^ u32::from(x))
+        }
+    }
+
+    /// Entries in the allocation's digest table; `None` while it has none.
+    fn entries(b: &Bytes) -> Option<usize> {
+        b.data.digests.lock().unwrap().as_ref().map(|t| t.len())
     }
 
     #[test]
-    fn a_freed_address_reused_gets_a_fresh_identity() {
-        let mut seen = std::collections::HashSet::new();
-        let mut reused = 0;
-        let mut addrs = std::collections::HashSet::new();
-        for round in 0..64u8 {
-            let b = Bytes::from(vec![round; 1 << 16]);
-            assert!(seen.insert(b.allocation_id()), "identity reused");
-            reused += usize::from(!addrs.insert(b.as_ptr() as usize));
+    fn digests_of_two_views_of_one_allocation_are_kept_apart() {
+        let calls = std::cell::Cell::new(0);
+        let f = counted(&calls);
+        let b = Bytes::from((0..16 << 10).map(|i| i as u8).collect::<Vec<_>>());
+        let (head, tail) = (b.slice(..8 << 10), b.slice(8 << 10..));
+        assert_eq!(head.digest(&f), f(&head));
+        assert_eq!(tail.digest(&f), f(&tail));
+        assert_eq!(calls.get(), 4, "each view computed once");
+        // every later handle on either range is answered from the table
+        assert_eq!(b.slice(..8 << 10).digest(&f), head.digest(&f));
+        let mut rest = b.clone();
+        rest.advance(8 << 10);
+        assert_eq!(rest.digest(&f), tail.digest(&f));
+        assert_eq!(calls.get(), 4);
+        assert_eq!(entries(&b), Some(2));
+        // their join is a third range
+        let whole = head.try_unsplit(&tail).unwrap();
+        assert_eq!(whole.digest(&f), f(&b));
+        assert_eq!(entries(&b), Some(3));
+    }
+
+    #[test]
+    fn digest_of_equal_bytes_in_another_allocation_is_computed() {
+        let calls = std::cell::Cell::new(0);
+        let f = counted(&calls);
+        let b = Bytes::from(vec![5u8; 8 << 10]);
+        let want = b.digest(&f);
+        let mut m = BytesMut::new();
+        m.extend_from_slice(&b);
+        for twin in [
+            Bytes::copy_from_slice(&b),
+            Bytes::from(b.to_vec()),
+            m.freeze(),
+        ] {
+            assert_eq!(entries(&twin), None);
+            assert_eq!(twin.digest(&f), want);
         }
-        // the premise: the allocator does hand the same address back
-        assert!(reused > 0, "no address was reused");
+        assert_eq!(calls.get(), 4, "one computation per allocation");
+    }
+
+    #[test]
+    fn digest_of_a_vec_taken_back_out_and_frozen_again_is_computed_afresh() {
+        let calls = std::cell::Cell::new(0);
+        let f = counted(&calls);
+        let only = Bytes::from(vec![1u8; 8 << 10]);
+        let (old, p) = (only.digest(&f), only.as_ptr());
+        let mut v = Vec::from(only);
+        v[100] ^= 0x40;
+        // the very same buffer, with other bytes: a new, empty table
+        let again = Bytes::from(v);
+        assert_eq!(again.as_ptr(), p);
+        assert_eq!(entries(&again), None);
+        assert_eq!(again.digest(&f), f(&again));
+        assert_ne!(again.digest(&f), old);
+        assert_eq!(calls.get(), 3);
+    }
+
+    #[test]
+    fn digest_table_is_made_by_a_digest_alone() {
+        // views of any size, every constructor and every view-making
+        // method leave it unmade: the 128 B value and the frame that no
+        // one digests pay two words for it
+        assert!(
+            std::mem::size_of::<Allocation>()
+                <= std::mem::size_of::<Vec<u8>>() + 2 * std::mem::size_of::<usize>()
+        );
+        let mut b = Bytes::from(vec![3u8; 16 << 10]);
+        let mut m = BytesMut::new();
+        m.extend_from_slice(&b);
+        let made = [
+            Bytes::new(),
+            Bytes::from_static(b"abc"),
+            Bytes::copy_from_slice(&b),
+            m.freeze(),
+            b.slice(..128),
+            b.split_to(4 << 10),
+            b.copy_to_bytes(1),
+            b.slice(..8).try_unsplit(&b.slice(8..)).unwrap(),
+        ];
+        for v in made.iter().chain([&b]) {
+            assert_eq!(entries(v), None);
+        }
+        b.slice(..4 << 10).digest(|_| 7);
+        assert_eq!(entries(&b), Some(1));
     }
 
     #[test]

@@ -14,9 +14,11 @@
 //! value that lands under the wrong key (e.g. a corrupted key byte in
 //! transit) also fails verification instead of reading back "cleanly".
 //! Every hop that holds the chunk as a `Bytes` view digests it with
-//! `crc32c_pair_bytes`, which reads a view of at least 4 KiB once for as
-//! long as its bytes live: the digest is kept in the allocation the view
-//! shares (see [`simkit::crc32c::crc32c_bytes`]).
+//! `crc32c_pair_bytes`, which reads a view of at least 4 KiB at most once
+//! for as long as its bytes live, and only what no prefix of its
+//! allocation covers: the digest, and registers over the allocation's
+//! prefixes, are kept in the allocation the view shares (see
+//! [`simkit::crc32c::crc32c_bytes`]).
 
 pub use simkit::crc32c::{crc32c, crc32c_pair, crc32c_pair_bytes, Crc32c};
 

@@ -28,17 +28,20 @@
 //! own immutable buffer, and each hop checks its digest. [`crc32c_bytes`]
 //! and [`crc32c_pair_bytes`] digest a `Bytes` view of at least 4 KiB
 //! through the digest table of the allocation it views, so a view any
-//! hop has digested is not read again for as long as its bytes live:
-//! every check still computes the digest of the bytes it holds and
-//! compares it, and only the repeated traversal goes. [`combine`] joins two
-//! digests without reading either input (the key-prefixed chunk digest is
-//! the key's digest combined with the memoized payload's). [`traversed`]
-//! counts the bytes the kernels actually read on this thread — host-side
+//! hop has digested is not read again for as long as its bytes live, and
+//! a view none has is derived from registers over the allocation's
+//! prefixes, reading only what no prefix covers: every check still
+//! computes the digest of the bytes it holds and compares it, and only
+//! the repeated traversal goes. [`combine`] joins two digests without
+//! reading either input (the key-prefixed chunk digest is the key's
+//! digest combined with the memoized payload's). [`traversed`] counts the
+//! bytes the kernels actually read on this thread — host-side
 //! instrumentation, not simulation telemetry.
 
 use std::cell::Cell;
+use std::ops::Range;
 
-use bytes::Bytes;
+use bytes::{Bytes, DigestState};
 
 /// The Castagnoli generator polynomial, reflected.
 const POLY: u32 = 0x82f6_3b78;
@@ -459,6 +462,35 @@ pub fn combine(crc_a: u32, crc_b: u32, len_b: usize) -> u32 {
 /// less than a table entry.
 const MEMO_MIN: usize = 4 << 10;
 
+/// Spacing of an allocation's prefix registers: `prefix[k]` is the raw
+/// register, from zero, after the allocation's first `k · STEP` bytes.
+const STEP: usize = 4 << 10;
+
+/// Step counts [`STEP_POW`] covers: a view of up to 4 MiB (the workloads'
+/// whole pattern) is shifted with one multiply.
+const STEP_POWS: usize = 1 << 10;
+
+/// `STEP_POW[m]` = x^(8·STEP·m) mod P, reflected.
+static STEP_POW: [u32; STEP_POWS] = {
+    let step = x_pow(8 * STEP as u64);
+    let mut t = [0u32; STEP_POWS];
+    t[0] = 1 << 31;
+    let mut m = 1;
+    while m < STEP_POWS {
+        t[m] = mul_mod_p(t[m - 1], step);
+        m += 1;
+    }
+    t
+};
+
+/// The raw register `v` advanced over `m · STEP` zero bytes.
+fn shift_steps(v: u32, m: usize) -> u32 {
+    match STEP_POW.get(m) {
+        Some(&x_m) => mul_mod_p(v, x_m),
+        None => times_x_pow(v, 8 * (m * STEP) as u64),
+    }
+}
+
 thread_local! {
     static TRAVERSED: Cell<u64> = const { Cell::new(0) };
 }
@@ -469,19 +501,58 @@ pub fn traversed() -> u64 {
     TRAVERSED.with(Cell::get)
 }
 
-/// CRC32C of an immutable view, traversing it at most once: the digest
-/// is stored in the table of the allocation the view shares, under the
-/// view's range (see `Bytes::digest` in the `bytes` shim).
+/// CRC32C of an immutable view, reading only what no prefix covers: the
+/// digest is stored in the table of the allocation the view shares, under
+/// the view's range (see `Bytes::digest` in the `bytes` shim), and a view
+/// not in the table is derived from the allocation's prefix registers
+/// where they cover it (`derive`).
 ///
-/// The table lives exactly as long as the bytes, which cannot change
-/// while a view exists, so a stored digest is the one a traversal would
-/// give. A damaged copy — every fault injector builds one — is a new
-/// allocation with an empty table and is traversed.
+/// The table and the registers live exactly as long as the bytes, which
+/// cannot change while a view exists, so a stored or derived digest is the
+/// one a traversal would give. A damaged copy — every fault injector
+/// builds one — is a new allocation with neither and is traversed.
 pub fn crc32c_bytes(data: &Bytes) -> u32 {
     if data.len() < MEMO_MIN {
         return crc32c(data);
     }
-    data.digest(crc32c)
+    data.digest(derive)
+}
+
+/// CRC32C of `all[view]` from the prefix registers `state.prefix` (see
+/// [`STEP`]), extending them first where the bound below allows.
+///
+/// With `a = ⌈s / STEP⌉` and `b = ⌊e / STEP⌋` for `view = s..e`, the head
+/// `s..a·STEP` is traversed from `!0` into `r`, and the register is linear
+/// in its input, so `(r ⊕ prefix[a]) · x^(8·(b−a)·STEP) ⊕ prefix[b]` is the
+/// register after `b · STEP` — one shift, a single multiply mod P for a
+/// view of up to 4 MiB ([`STEP_POW`]) — from which the tail `b·STEP..e` is
+/// traversed.
+///
+/// The registers are extended to `b` only once the bytes this allocation
+/// has been asked to digest (`state.asked`, this view included) reach
+/// `b · STEP`; until then the view is traversed alone. Every register is
+/// then paid for by bytes asked, and each view reads at most itself
+/// besides, so no sequence of views reads more than twice their total
+/// length, and once the registers cover the allocation a view reads
+/// under `2 · STEP`.
+fn derive(all: &[u8], view: Range<usize>, state: &mut DigestState) -> u32 {
+    state.asked += view.len();
+    let (a, b) = (view.start.div_ceil(STEP), view.end / STEP);
+    let prefix = &mut state.prefix;
+    if a >= b || (prefix.len() <= b && b * STEP > state.asked) {
+        return crc32c(&all[view]);
+    }
+    if prefix.is_empty() {
+        prefix.push(0);
+    }
+    prefix.reserve((b + 1).saturating_sub(prefix.len()));
+    while prefix.len() <= b {
+        let k = prefix.len() - 1;
+        prefix.push(update(prefix[k], &all[k * STEP..(k + 1) * STEP]));
+    }
+    let head = update(!0, &all[view.start..a * STEP]);
+    let mid = shift_steps(head ^ prefix[a], b - a) ^ prefix[b];
+    !update(mid, &all[b * STEP..view.end])
 }
 
 /// [`crc32c_pair`] of a key and an immutable view, the view's digest
@@ -759,6 +830,25 @@ mod tests {
     }
 
     #[test]
+    fn a_step_shift_equals_the_general_one() {
+        let v = 0x1234_5678;
+        for m in [
+            0,
+            1,
+            2,
+            127,
+            128,
+            STEP_POWS - 1,
+            STEP_POWS,
+            STEP_POWS + 1,
+            5000,
+        ] {
+            let want = times_x_pow(v, 8 * (m * STEP) as u64);
+            assert_eq!(shift_steps(v, m), want, "{m} steps");
+        }
+    }
+
+    #[test]
     fn a_memo_hit_traverses_nothing_and_a_new_allocation_is_read() {
         let data = Bytes::from(xorshift(3, 64 << 10));
         let want = crc32c(&data);
@@ -774,14 +864,18 @@ mod tests {
         assert_eq!(crc32c_bytes(&data.clone()), want);
         assert_eq!(crc32c_pair_bytes(b"k", &data), want_pair);
         assert_eq!(traversed() - before, 1, "a hit reads only the key");
-        // equal bytes in another allocation, and a different view of this
-        // one, are read again
-        let (twin, tail) = (Bytes::copy_from_slice(&data), data.slice(1..));
-        let want_tail = crc32c(&tail);
+        // equal bytes in another allocation are read again
+        let twin = Bytes::copy_from_slice(&data);
         let before = traversed();
         assert_eq!(crc32c_bytes(&twin), want);
+        assert_eq!(traversed() - before, data.len() as u64);
+        // a different view of this one reads at most its unaligned head
+        // and tail: here the head `1..STEP`, its end being aligned
+        let tail = data.slice(1..);
+        let want_tail = crc32c(&tail);
+        let before = traversed();
         assert_eq!(crc32c_bytes(&tail), want_tail);
-        assert_eq!(traversed() - before, 2 * data.len() as u64 - 1);
+        assert_eq!(traversed() - before, STEP as u64 - 1);
         // below the threshold nothing is remembered
         let small = data.slice(..MEMO_MIN - 1);
         let before = traversed();
@@ -827,7 +921,67 @@ mod tests {
         assert!(reused > 0, "no address was reused");
     }
 
+    /// Bytes the kernels read while digesting `views` in order.
+    fn read_by(views: &[Bytes]) -> u64 {
+        let mut read = 0;
+        for v in views {
+            let want = crc32c(v);
+            let before = traversed();
+            assert_eq!(crc32c_bytes(v), want);
+            read += traversed() - before;
+        }
+        read
+    }
+
+    #[test]
+    fn prefix_registers_bound_what_views_read() {
+        let data = Bytes::from(xorshift(11, 1 << 20));
+        // (i) once a view has covered the allocation, any other reads only
+        // its unaligned head and tail
+        read_by(std::slice::from_ref(&data));
+        for (s, e) in [(1, 4097), (100, 300 << 10), (STEP + 1, (1 << 20) - 1)] {
+            let read = read_by(&[data.slice(s..e)]);
+            assert!(read < 2 * STEP as u64, "{s}..{e} read {read}");
+        }
+        // (ii) back to front over a fresh allocation, the order that pays
+        // for the registers latest: at most twice the plain traversal
+        let data = Bytes::from(xorshift(12, (1 << 20) + 123));
+        let len = 64 << 10;
+        let views: Vec<Bytes> = (1..=16)
+            .map(|i| data.slice(data.len() - i * len - 7..data.len() - (i - 1) * len - 7))
+            .collect();
+        let asked = views.iter().map(|v| v.len() as u64).sum::<u64>();
+        let read = read_by(&views);
+        assert!(read <= 2 * asked, "read {read} for {asked} asked");
+    }
+
     proptest! {
+        #[test]
+        fn derived_digests_equal_the_plain_ones(
+            seed in any::<u64>(),
+            len in MEMO_MIN..=40 << 10,
+            picks in proptest::collection::vec((any::<u32>(), any::<u32>()), 1..=10),
+        ) {
+            // views of at least 4 KiB in random order over an allocation
+            // whose length need not be a multiple of `STEP`; the bytes
+            // asked cross the extension rule at a random point
+            let data = Bytes::from(xorshift(seed, len));
+            let key = xorshift(seed ^ 1, 9);
+            let (mut asked, mut read) = (0, 0);
+            for (u, v) in picks {
+                let s = u as usize % (len - MEMO_MIN + 1);
+                let e = s + MEMO_MIN + v as usize % (len - s - MEMO_MIN + 1);
+                let view = data.slice(s..e);
+                let want = crc32c(&view);
+                let before = traversed();
+                prop_assert_eq!(crc32c_bytes(&view), want);
+                read += traversed() - before;
+                asked += view.len() as u64;
+                prop_assert!(read <= 2 * asked, "read {} for {} asked", read, asked);
+                prop_assert_eq!(crc32c_pair_bytes(&key, &view), crc32c_pair(&key, &view));
+            }
+        }
+
         #[test]
         fn memo_digests_equal_the_plain_ones(
             seed in any::<u64>(),

@@ -13,7 +13,7 @@ use std::borrow::Borrow;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::ops::{Bound, Deref, DerefMut, RangeBounds};
+use std::ops::{Bound, Deref, DerefMut, Range, RangeBounds};
 use std::sync::{Arc, Mutex, PoisonError};
 
 /// Cheaply cloneable, immutable, contiguous byte buffer.
@@ -33,8 +33,27 @@ struct Allocation {
     digests: Mutex<Option<Box<Digests>>>,
 }
 
-/// `(start, end)` of a view → its digest.
-type Digests = BTreeMap<(usize, usize), u32>;
+/// What an allocation keeps for its digests.
+#[derive(Default)]
+struct Digests {
+    /// `(start, end)` of a view → its digest.
+    views: BTreeMap<(usize, usize), u32>,
+    /// The digest function's own state, handed to it on every miss.
+    state: DigestState,
+}
+
+/// State the digest function keeps in an allocation between the views
+/// it computes. The shim never reads it: it starts empty with the
+/// allocation, goes to `compute` on each miss, and drops with the
+/// allocation. Not in upstream `bytes` (see [`Bytes::digest`]).
+#[derive(Debug, Default)]
+pub struct DigestState {
+    /// Registers over prefixes of the allocation, as `compute` defines
+    /// them.
+    pub prefix: Vec<u32>,
+    /// Bytes `compute` has been asked to digest, as it counts them.
+    pub asked: usize,
+}
 
 impl Default for Bytes {
     fn default() -> Self {
@@ -124,26 +143,34 @@ impl Bytes {
 
     /// The digest `compute` gives this view's bytes, computed on the
     /// first call for the view's range and returned from the allocation's
-    /// table after that. The table lives and dies with the allocation,
-    /// and its bytes cannot change while any view exists (nothing hands
-    /// out `&mut` to a shared allocation, and taking the `Vec` back out
-    /// consumes the last view), so a stored digest is always the one
-    /// `compute` would give. Every call must pass the same function.
+    /// table after that. On that first call `compute` gets the whole
+    /// allocation's bytes, the view's range in them and the allocation's
+    /// [`DigestState`], so it may derive the digest from what it kept of
+    /// earlier views instead of reading the view. The table and the state
+    /// live and die with the allocation, and its bytes cannot change while
+    /// any view exists (nothing hands out `&mut` to a shared allocation,
+    /// and taking the `Vec` back out consumes the last view), so a stored
+    /// digest is always the one `compute` would give. Every call must pass
+    /// the same function.
     ///
     /// Not in upstream `bytes`; its one caller is
     /// `simkit::crc32c::crc32c_bytes`, which without it traverses.
-    pub fn digest(&self, compute: impl FnOnce(&[u8]) -> u32) -> u32 {
-        // a `compute` that panics inserts nothing, so a poisoned table
-        // holds only finished entries and stays usable
+    pub fn digest(
+        &self,
+        compute: impl FnOnce(&[u8], Range<usize>, &mut DigestState) -> u32,
+    ) -> u32 {
+        // a `compute` that panics inserts no digest, so a poisoned table
+        // holds only finished entries and stays usable; the state is
+        // `compute`'s to leave consistent at every step
         let mut table = self
             .data
             .digests
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
-        *table
-            .get_or_insert_with(Box::default)
+        let Digests { views, state } = &mut **table.get_or_insert_with(Box::default);
+        *views
             .entry((self.start, self.end))
-            .or_insert_with(|| compute(self))
+            .or_insert_with(|| compute(&self.data.v, self.start..self.end, state))
     }
 }
 
@@ -605,18 +632,31 @@ mod tests {
         assert_eq!(left.try_unsplit(&right), None);
     }
 
-    /// A stand-in digest that counts its calls.
-    fn counted(calls: &std::cell::Cell<usize>) -> impl Fn(&[u8]) -> u32 + '_ {
-        |d| {
+    /// A stand-in digest.
+    fn hash(d: &[u8]) -> u32 {
+        d.iter()
+            .fold(d.len() as u32, |h, &x| h.rotate_left(5) ^ u32::from(x))
+    }
+
+    /// [`hash`] of the view, as `Bytes::digest` asks for it, counting its
+    /// calls.
+    fn counted(
+        calls: &std::cell::Cell<usize>,
+    ) -> impl Fn(&[u8], Range<usize>, &mut DigestState) -> u32 + '_ {
+        |all, view, _| {
             calls.set(calls.get() + 1);
-            d.iter()
-                .fold(d.len() as u32, |h, &x| h.rotate_left(5) ^ u32::from(x))
+            hash(&all[view])
         }
     }
 
     /// Entries in the allocation's digest table; `None` while it has none.
     fn entries(b: &Bytes) -> Option<usize> {
-        b.data.digests.lock().unwrap().as_ref().map(|t| t.len())
+        b.data
+            .digests
+            .lock()
+            .unwrap()
+            .as_ref()
+            .map(|t| t.views.len())
     }
 
     #[test]
@@ -625,19 +665,19 @@ mod tests {
         let f = counted(&calls);
         let b = Bytes::from((0..16 << 10).map(|i| i as u8).collect::<Vec<_>>());
         let (head, tail) = (b.slice(..8 << 10), b.slice(8 << 10..));
-        assert_eq!(head.digest(&f), f(&head));
-        assert_eq!(tail.digest(&f), f(&tail));
-        assert_eq!(calls.get(), 4, "each view computed once");
+        assert_eq!(head.digest(&f), hash(&head));
+        assert_eq!(tail.digest(&f), hash(&tail));
+        assert_eq!(calls.get(), 2, "each view computed once");
         // every later handle on either range is answered from the table
         assert_eq!(b.slice(..8 << 10).digest(&f), head.digest(&f));
         let mut rest = b.clone();
         rest.advance(8 << 10);
         assert_eq!(rest.digest(&f), tail.digest(&f));
-        assert_eq!(calls.get(), 4);
+        assert_eq!(calls.get(), 2);
         assert_eq!(entries(&b), Some(2));
         // their join is a third range
         let whole = head.try_unsplit(&tail).unwrap();
-        assert_eq!(whole.digest(&f), f(&b));
+        assert_eq!(whole.digest(&f), hash(&b));
         assert_eq!(entries(&b), Some(3));
     }
 
@@ -672,9 +712,9 @@ mod tests {
         let again = Bytes::from(v);
         assert_eq!(again.as_ptr(), p);
         assert_eq!(entries(&again), None);
-        assert_eq!(again.digest(&f), f(&again));
+        assert_eq!(again.digest(&f), hash(&again));
         assert_ne!(again.digest(&f), old);
-        assert_eq!(calls.get(), 3);
+        assert_eq!(calls.get(), 2);
     }
 
     #[test]
@@ -702,8 +742,35 @@ mod tests {
         for v in made.iter().chain([&b]) {
             assert_eq!(entries(v), None);
         }
-        b.slice(..4 << 10).digest(|_| 7);
+        b.slice(..4 << 10).digest(|_, _, _| 7);
         assert_eq!(entries(&b), Some(1));
+    }
+
+    #[test]
+    fn digest_state_belongs_to_the_allocation() {
+        // on each miss `compute` gets the whole allocation, the view's
+        // range in it, and the state earlier misses on it left there
+        let record = |all: &[u8], view: Range<usize>, st: &mut DigestState| {
+            st.asked += view.len();
+            st.prefix.push(view.start as u32);
+            hash(&all[view])
+        };
+        let state = |v: &Bytes| {
+            let t = v.data.digests.lock().unwrap();
+            t.as_ref().map(|t| (t.state.asked, t.state.prefix.clone()))
+        };
+        let b = Bytes::from((0..16 << 10).map(|i| i as u8).collect::<Vec<_>>());
+        let (head, tail) = (b.slice(..4 << 10), b.slice(12 << 10..));
+        assert_eq!(tail.digest(record), hash(&tail));
+        assert_eq!(head.digest(record), hash(&head));
+        // a hit hands nothing to `compute`
+        assert_eq!(b.slice(12 << 10..).digest(record), hash(&tail));
+        assert_eq!(state(&b), Some((8 << 10, vec![12 << 10, 0])));
+        // equal bytes in another allocation start with none
+        let twin = Bytes::copy_from_slice(&b);
+        assert_eq!(state(&twin), None);
+        assert_eq!(twin.slice(1..).digest(record), hash(&b[1..]));
+        assert_eq!(state(&twin), Some(((16 << 10) - 1, vec![1])));
     }
 
     #[test]

@@ -178,8 +178,8 @@ fn every_loop_at_once_under_a_crash_loses_no_acked_data() {
 /// The same cell reading the stream file back as soon as it closes. The
 /// classifier wrote its tail through to Lustre while its buffered head
 /// still drains, and the read path serves a file's Lustre tier only once
-/// the whole file is `Flushed`: the durable tail is refused as "lost
-/// (unflushed buffer data)" although nothing is lost.
+/// the whole file is `Flushed`: the durable tail is refused as "not in
+/// the buffer and not (yet) durable on Lustre" although it is durable.
 #[test]
 #[ignore = "ROADMAP item 1(a): the Lustre tier is gated per file, not per chunk, so a \
             closed stream's written-through tail is unreadable until its head drains; \

@@ -5,8 +5,8 @@
 //! `crc32c(key || data)` in the KV value's `flags` word and in the file's
 //! chunk-CRC manifest ([`crate::manager::BbFileMeta::chunk_crcs`]). This
 //! module is the read-side enforcement, and the one place that decides
-//! what a good copy is ([`is_good`]) and how servers are walked to find
-//! one ([`census`]): [`get_verified`] never returns bytes that fail their
+//! what a good copy is (`is_good`) and how servers are walked to find
+//! one (`census`): `get_verified` never returns bytes that fail their
 //! digest — a corrupt copy counts `bb.integrity.checksum_fail`, the rest
 //! of the key's read order is consulted, and a good copy found anywhere
 //! overwrites the bad one in place (`bb.integrity.repairs`). Only when

@@ -6,8 +6,8 @@
 //! watermark of unflushed bytes its acks route writers write-through to
 //! Lustre until the flusher drains below a low one.
 //! Its background loops (scrubber, rebalancer, placement optimizer) live
-//! in [`crate::movers`]; what they and the flusher know about each chunk
-//! lives in [`crate::chunks`].
+//! in `crate::movers`; what they and the flusher know about each chunk
+//! lives in `crate::chunks`.
 
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, HashMap};
@@ -59,8 +59,9 @@ pub enum BbError {
     Hdfs(hdfs::HdfsError),
     /// RPC failure talking to the manager.
     Rpc(RpcError),
-    /// A chunk is in neither the buffer nor Lustre (buffer node lost
-    /// before flush — the AsyncLustre fault window).
+    /// A chunk is not in the buffer and not (yet) durable on Lustre: its
+    /// file has not reached `Flushed`, or the Lustre copy fails the chunk
+    /// manifest. Only a file the manager marked `Lost` has lost data.
     DataUnavailable {
         /// File path.
         path: String,
@@ -91,7 +92,10 @@ impl fmt::Display for BbError {
             BbError::Hdfs(e) => write!(f, "local overlay: {e}"),
             BbError::Rpc(e) => write!(f, "manager rpc: {e}"),
             BbError::DataUnavailable { path, seq } => {
-                write!(f, "chunk {seq} of {path} lost (unflushed buffer data)")
+                write!(
+                    f,
+                    "chunk {seq} of {path} is not in the buffer and not (yet) durable on Lustre"
+                )
             }
             BbError::OutOfRange { offset, len, size } => write!(
                 f,

@@ -1,5 +1,5 @@
 //! Topology-aware chunk placement: policy knob and the latency cost
-//! model the background optimizer in [`crate::movers`] minimizes (the
+//! model the background optimizer in `crate::movers` minimizes (the
 //! per-chunk reader telemetry it feeds on lives in the chunk table).
 //!
 //! Everything here is defaults-off: with [`crate::BbConfig::bb_place_policy`]

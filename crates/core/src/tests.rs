@@ -247,6 +247,52 @@ fn inflight_flush_retries_across_buffer_outage() {
 }
 
 #[test]
+fn a_chunk_of_a_file_still_flushing_is_unavailable_not_lost() {
+    // The buffer is unreachable while the flush is still running: the read
+    // finds the chunk in neither tier it may use and says so, without
+    // calling it lost. Once the outage heals the same file flushes whole.
+    let lcfg = LustreConfig {
+        oss_count: 1,
+        osts_per_oss: 1,
+        stripe_count: 1,
+        ost_rate: 2e6,
+        ..LustreConfig::default()
+    };
+    let r = rig_with(2, Scheme::AsyncLustre, lcfg, BbConfig::default());
+    let client = r.dep.client(NodeId(0));
+    let dep = Rc::clone(&r.dep);
+    let fabric = Rc::clone(&r.fabric);
+    r.sim.block_on(async move {
+        let w = client.create("/draining").await.unwrap();
+        w.append(pattern(8 << 20)).await.unwrap();
+        w.close().await.unwrap();
+        for s in &dep.kv_servers {
+            fabric.set_up(s.node(), false);
+        }
+        let rd = client.open("/draining").await.unwrap();
+        let err = rd
+            .read_all()
+            .await
+            .expect_err("buffer unreachable, file not flushed");
+        assert!(
+            matches!(err, BbError::DataUnavailable { seq: 0, .. }),
+            "{err:?}"
+        );
+        assert_eq!(
+            err.to_string(),
+            "chunk 0 of /draining is not in the buffer and not (yet) durable on Lustre"
+        );
+        for s in &dep.kv_servers {
+            fabric.set_up(s.node(), true);
+        }
+        let st = client.wait_flushed("/draining").await.unwrap();
+        assert_eq!(st, FileState::Flushed, "nothing was lost");
+        assert_eq!(dep.manager.stats().chunks_lost, 0);
+        dep.shutdown();
+    });
+}
+
+#[test]
 fn sync_scheme_survives_buffer_death() {
     let r = rig(2, Scheme::SyncLustre);
     let client = r.dep.client(NodeId(0));

@@ -232,7 +232,7 @@ impl LustreFile {
     }
 
     /// Write `data` at an explicit offset, striping across OSTs in
-    /// parallel (bounded by [`MAX_RPCS_IN_FLIGHT`] × stripe count). Each
+    /// parallel (bounded by `MAX_RPCS_IN_FLIGHT` × stripe count). Each
     /// stripe ack carries the OSS's commit checksum; the client compares
     /// it against the checksum of the slice it sent, so a corrupted
     /// commit surfaces as [`LustreError::CommitMismatch`] rather than a

@@ -397,7 +397,13 @@ impl KvClient {
                 return Ok(Rc::clone(c));
             }
         }
-        // (re)connect
+        // boxed: every op's future would otherwise carry the rare
+        // reconnect's state
+        Box::pin(self.connect(server_idx)).await
+    }
+
+    /// Open a connection to `server_idx` and cache it.
+    async fn connect(&self, server_idx: usize) -> Result<Rc<Conn>, ClientError> {
         let server = self.view.server(server_idx);
         let qp = server.accept(self.node).await?;
         // tenanted clients tag the fresh connection before any op rides
@@ -881,7 +887,7 @@ impl KvClient {
     }
 
     /// Best-effort unpin of `key` on every server that may hold it
-    /// ([`KvClient::holders`]). Errors and misses are swallowed: the only
+    /// (`KvClient::holders`). Errors and misses are swallowed: the only
     /// purpose is to let the LRU reclaim the item, and an unreachable
     /// replica will reap it by eviction anyway.
     pub async fn unpin(&self, key: &[u8]) {
@@ -894,7 +900,7 @@ impl KvClient {
     }
 
     /// Remove `key` from every server that may hold it
-    /// ([`KvClient::holders`] — a copy surviving on an old owner would be
+    /// (`KvClient::holders` — a copy surviving on an old owner would be
     /// resurrected by the epoch-fallback read path); `Ok(true)` if any
     /// held it. An unreachable replica may keep a stale copy (reaped by
     /// expiry or eviction); the delete still succeeds if any answered.
@@ -1256,6 +1262,22 @@ mod tests {
             s.events_processed() - before
         });
         assert_eq!(polls, 12);
+    }
+
+    /// Pins the host memory of one in-flight op: every queued task that
+    /// awaits a get or a set holds this future whole (`dfsio_write` keeps
+    /// over a thousand alive). `race`/`timeout` hold their futures inline
+    /// once and the reconnect path is boxed; an async combinator that
+    /// stores its raced future twice put `get` at 2 552 B.
+    #[test]
+    fn op_futures_stay_small() {
+        let c = cluster(1, 1);
+        let cl = client(&c, 1);
+        let get = std::mem::size_of_val(&cl.get(b"k"));
+        let set = std::mem::size_of_val(&cl.set(b"k", Bytes::new(), 0, 0));
+        println!("KvClient::get future {get} B, set future {set} B");
+        assert!(get <= 1_536, "get future {get} B");
+        assert!(set <= 1_536, "set future {set} B");
     }
 
     #[test]

@@ -637,7 +637,10 @@ impl Future for YieldNow {
 mod tests {
     use super::*;
     use crate::time::dur;
+    use proptest::prelude::Strategy;
+    use proptest::prop_oneof;
     use std::cell::RefCell;
+    use std::collections::BTreeMap;
     use std::rc::Rc;
 
     #[test]
@@ -991,5 +994,134 @@ mod tests {
         expect.sort_unstable();
         assert_eq!(*fired.borrow(), expect);
         assert_eq!(sim.timer_load(), (0, 0));
+    }
+
+    /// One step of the timer-queue property.
+    #[derive(Clone, Debug)]
+    enum TimerOp {
+        /// A timer `1 + .0` ns from now: any order against the queued.
+        Short(u64),
+        /// A timer past every long one so far, ≥ 1 ms out: deadlines
+        /// registered in order and nearly all cancelled, as each KV
+        /// attempt's.
+        Long(u64),
+        /// `.1` timers `1 + .0` ns from now.
+        Burst(u64, usize),
+        /// Drop the `.0 % n`-th of the `n` unreleased timers.
+        Cancel(usize),
+        /// Drop all unreleased timers but every `.0`-th: enough dead
+        /// entries at once to rebuild the heap.
+        Thin(usize),
+        /// Pop every entry due within `.0` ns from now.
+        Advance(u64),
+    }
+
+    fn timer_op() -> impl Strategy<Value = TimerOp> {
+        // coarse grids, so deadlines collide
+        let ns = || (0u64..8).prop_map(|k| k * 100);
+        prop_oneof![
+            ns().prop_map(TimerOp::Short),
+            ns().prop_map(TimerOp::Long),
+            (ns(), 0usize..300).prop_map(|(d, n)| TimerOp::Burst(d, n)),
+            (0usize..64).prop_map(TimerOp::Cancel),
+            (0usize..64).prop_map(TimerOp::Cancel),
+            (2usize..8).prop_map(TimerOp::Thin),
+            (0u64..16).prop_map(|k| TimerOp::Advance(k * 100)),
+        ]
+    }
+
+    /// A registration's `(deadline, seq)`, the reference's key.
+    type Key = (Time, u64);
+
+    /// Pop everything due by `horizon` from both, one entry at a time;
+    /// returns the last deadline popped.
+    fn advance(t: &mut Timers, reference: &mut BTreeMap<Key, u32>, horizon: Time) -> Time {
+        let mut now = Time::ZERO;
+        loop {
+            let expect = reference.first_key_value().map(|(&k, &slot)| (k, slot));
+            let expect = expect.filter(|&((deadline, _), _)| deadline <= horizon);
+            let ((deadline, _), slot) = match (expect, t.pop_due(horizon)) {
+                (None, None) => return now,
+                (Some(e), Some((at, _))) => {
+                    assert_eq!(at, e.0 .0);
+                    e
+                }
+                (e, g) => panic!("reference {e:?}, timers {:?}", g.map(|(at, _)| at)),
+            };
+            reference.pop_first();
+            assert!(deadline >= now, "time went backwards");
+            now = deadline;
+            assert!(t.slots[slot as usize].fired, "another timer fired");
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(
+            if cfg!(miri) { 8 } else { 256 }
+        ))]
+
+        /// The heap, its dead entries and its compaction pop exactly the
+        /// order of a sorted set of `(deadline, seq)`, and the heap stays
+        /// within 2 × live + `COMPACT_FLOOR` entries.
+        #[test]
+        fn timers_pop_in_reference_order(
+            ops in proptest::collection::vec(timer_op(), 1..200),
+        ) {
+            let mut t = Timers::default();
+            // the live registrations' keys, to their slots
+            let mut reference = BTreeMap::new();
+            // `(slot, key)` per registration, `None` once released
+            let mut handles: Vec<Option<(u32, Key)>> = Vec::new();
+            let (mut now, mut last_long) = (Time::ZERO, Time::ZERO);
+            for op in ops {
+                let open = |handles: &[Option<(u32, Key)>]| -> Vec<usize> {
+                    (0..handles.len()).filter(|&h| handles[h].is_some()).collect()
+                };
+                let mut drop_timer = |h: usize, handles: &mut [Option<(u32, Key)>]| {
+                    let (slot, key) = handles[h].take().unwrap();
+                    t.release(slot, key.1);
+                    reference.remove(&key); // absent once it fired
+                };
+                let (deadline, n) = match op {
+                    TimerOp::Short(d) => (now + dur::ns(1 + d), 1),
+                    TimerOp::Long(d) => {
+                        last_long = last_long.max(now + dur::ms(1)) + dur::ns(d);
+                        (last_long, 1)
+                    }
+                    TimerOp::Burst(d, n) => (now + dur::ns(1 + d), n),
+                    TimerOp::Cancel(i) => {
+                        let open = open(&handles);
+                        if let Some(&h) = open.get(i % open.len().max(1)) {
+                            drop_timer(h, &mut handles);
+                        }
+                        (now, 0)
+                    }
+                    TimerOp::Thin(k) => {
+                        for (i, h) in open(&handles).into_iter().enumerate() {
+                            if i % k != 0 {
+                                drop_timer(h, &mut handles);
+                            }
+                        }
+                        (now, 0)
+                    }
+                    TimerOp::Advance(d) => {
+                        now = now.max(advance(&mut t, &mut reference, now + dur::ns(d)));
+                        (now, 0)
+                    }
+                };
+                for _ in 0..n {
+                    let seq = handles.len() as u64;
+                    let slot = t.register(deadline, seq);
+                    reference.insert((deadline, seq), slot);
+                    handles.push(Some((slot, (deadline, seq))));
+                }
+                proptest::prop_assert_eq!(t.heap.len() - t.dead, reference.len());
+                proptest::prop_assert!(t.heap.len() <= 2 * reference.len() + COMPACT_FLOOR);
+            }
+            advance(&mut t, &mut reference, Time::MAX);
+            proptest::prop_assert!(reference.is_empty());
+            proptest::prop_assert!(t.heap.is_empty());
+            proptest::prop_assert_eq!(t.dead, 0);
+        }
     }
 }

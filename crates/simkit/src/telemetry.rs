@@ -431,7 +431,7 @@ impl Tracer {
         self.events.borrow().len()
     }
 
-    /// Events dropped at the [`MAX_EVENTS`] cap.
+    /// Events dropped at the `MAX_EVENTS` cap.
     pub fn dropped(&self) -> u64 {
         self.dropped.get()
     }

@@ -2,7 +2,7 @@
 //!
 //! The simulation clock is a monotonically non-decreasing `u64` nanosecond
 //! counter starting at zero. [`Time`] is an instant on that clock and
-//! [`Duration`](std::time::Duration) (re-used from `std`) is a span.
+//! [`std::time::Duration`] (re-used from `std`) is a span.
 
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};

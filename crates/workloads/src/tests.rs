@@ -332,7 +332,10 @@ fn bb_async_write_path_digests_each_byte_about_once() {
 /// the dataset, drain it to Lustre, then read it back buffer-hot with
 /// every chunk's digest verified. Each digest is stored with the bytes it
 /// describes, so neither the flush read-back nor the reader's verify of a
-/// chunk written long before reads it again; a memo that forgets chunks
+/// chunk written long before reads it again, and the writer's seal derives
+/// each chunk's digest from the pattern's prefix registers: ≈ 0.013 CRC
+/// bytes per user byte in all. A hop that copies the payload adds a full
+/// pass (1.013 with a copy in `Qp::read`), and a memo that forgets chunks
 /// before they are read back (one smaller than the 2 048-chunk dataset)
 /// reads about 2.6× the user bytes.
 #[test]
@@ -370,7 +373,7 @@ fn bb_async_round_trip_digests_each_byte_about_once() {
     );
     let total = write + drain + read;
     assert!(
-        total <= 1.05,
+        total <= 0.05,
         "write + drain + read traversed {total:.3}× the user bytes"
     );
 }

@@ -38,11 +38,13 @@ fn every_simulated_experiment_has_a_committed_snapshot_that_passes_its_checks() 
     // AB4 is a pure hashing study: no simulation cell, so no snapshot
     let ab4 = Experiment::find("AB4").unwrap();
     assert!((ab4.run)(true, false).metrics.is_none());
-    let expected: BTreeSet<String> = REGISTRY
+    let mut expected: BTreeSet<String> = REGISTRY
         .iter()
         .filter(|e| e.id != "AB4")
         .map(|e| format!("metrics_{}.json", e.id))
         .collect();
+    // beside them, the yardstick's virtual-time goldens (tools/simclock.sh)
+    expected.insert("simclock".into());
     assert_eq!(files_in("snapshots"), expected);
     // the committed snapshots come from `repro all --quick`
     for exp in REGISTRY.iter().filter(|e| e.id != "AB4") {

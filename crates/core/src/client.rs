@@ -19,7 +19,7 @@ use lustre::{LustreClient, LustreError, LustreFile};
 use crate::integrity;
 pub use crate::manager::BbError;
 use crate::manager::{chunk_key, lustre_path, BbFileMeta, Dropped, FileState, MgrMsg, MGR_SERVICE};
-use crate::{kv_backoff, BbConfig, BbDeployment, Scheme, KV_RETRIES, WRITE_WINDOW};
+use crate::{gated, kv_backoff, BbConfig, BbDeployment, Scheme, KV_RETRIES, WRITE_WINDOW};
 
 /// KV client settings derived from the burst-buffer configuration.
 pub(crate) fn kv_client_config(cfg: &BbConfig) -> KvClientConfig {
@@ -328,8 +328,7 @@ impl BbClient {
             let kv = Rc::clone(&self.kv);
             let key = chunk_key(meta.file_id, seq);
             let servers = placed.remove(&seq);
-            pending.push(sim.spawn(async move {
-                let _permit = gate.acquire().await;
+            pending.push(sim.spawn(gated(gate, move || async move {
                 match servers {
                     // the copies sat on a placement override's servers; with
                     // the override swept the key routes elsewhere
@@ -342,7 +341,7 @@ impl BbClient {
                         let _ = kv.delete(&key).await;
                     }
                 }
-            }));
+            })));
         }
         for h in pending {
             h.await;

@@ -11,7 +11,7 @@ use simkit::{dur, Gather};
 
 use crate::integrity;
 use crate::manager::{chunk_key, BbManager, FileState};
-use crate::{kv_backoff, KV_RETRIES};
+use crate::{gated, kv_backoff, KV_RETRIES};
 
 /// What the manager's RPC handlers queue for a file's flusher task.
 pub(crate) enum FlushItem {
@@ -88,8 +88,8 @@ impl BbManager {
                 FlushItem::Chunk { seq, len, crc } => {
                     let this = Rc::clone(&self);
                     let lfile = Rc::clone(&lfile);
-                    inflight.push(sim.spawn(async move {
-                        let _gate = this.flush_gate.acquire().await;
+                    let gate = self.flush_gate.clone();
+                    inflight.push(sim.spawn(gated(gate, move || async move {
                         let _sp = this.sim().span("bb.flush_chunk", "bb", this.node().0, seq);
                         let key = chunk_key(file_id, seq);
                         // An unreachable replica set is not proof of loss:
@@ -101,16 +101,8 @@ impl BbManager {
                         // declared for this seq, so a corrupt buffer copy
                         // can never reach Lustre.
                         let sim = this.sim().clone();
-                        // Boxed: a flush task spends most of its life queued
-                        // behind the gate, thousands at a time, so it holds
-                        // a pointer rather than the walk's ~3 KB of state —
-                        // blocks that size, long-lived and allocated between
-                        // the 512 KiB read-back copies, carve up the holes
-                        // the copies leave and push the heap out instead
-                        // (+0.12 s of page faults per GiB written).
                         let (kv, counters) = (&this.kv, &this.integrity);
-                        let lookup =
-                            || Box::pin(integrity::get_verified(kv, counters, &key, Some(crc)));
+                        let lookup = || integrity::get_verified(kv, counters, &key, Some(crc));
                         let mut got = lookup().await;
                         let mut attempt = 0u32;
                         while matches!(&got, Err(c) if !c.definitive) && attempt < KV_RETRIES + 3 {
@@ -164,7 +156,7 @@ impl BbManager {
                         this.chunk_drained(len);
                         this.chunk_pending.set(this.chunk_pending.get() - 1);
                         ok
-                    }));
+                    })));
                 }
                 FlushItem::Direct {
                     seq,
@@ -251,30 +243,32 @@ impl BbManager {
             } else {
                 None
             };
-            let _gate = this.flush_gate.acquire().await;
-            let mut ok = false;
-            for _ in 0..2 {
-                match lfile.write_at(first_seq * chunk_size, data.clone()).await {
-                    Ok(()) => {
-                        ok = true;
-                        break;
+            gated(this.flush_gate.clone(), move || async move {
+                let mut ok = false;
+                for _ in 0..2 {
+                    match lfile.write_at(first_seq * chunk_size, data.clone()).await {
+                        Ok(()) => {
+                            ok = true;
+                            break;
+                        }
+                        Err(LustreError::CommitMismatch { .. }) => {
+                            this.integrity.checksum_fail.inc();
+                        }
+                        Err(_) => {}
                     }
-                    Err(LustreError::CommitMismatch { .. }) => {
-                        this.integrity.checksum_fail.inc();
-                    }
-                    Err(_) => {}
                 }
-            }
-            if ok {
-                this.stats.chunks_direct.add(chunks);
-            } else {
-                this.stats.chunks_lost.add(chunks);
-                this.sim()
-                    .flight_record("bb.manager", "direct_writeback_corrupt", || {
-                        format!("file_id={file_id} first_seq={first_seq} chunks={chunks}")
-                    });
-            }
-            ok
+                if ok {
+                    this.stats.chunks_direct.add(chunks);
+                } else {
+                    this.stats.chunks_lost.add(chunks);
+                    this.sim()
+                        .flight_record("bb.manager", "direct_writeback_corrupt", || {
+                            format!("file_id={file_id} first_seq={first_seq} chunks={chunks}")
+                        });
+                }
+                ok
+            })
+            .await
         })
     }
 

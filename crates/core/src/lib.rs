@@ -150,6 +150,24 @@ pub(crate) fn kv_backoff(
     KV_BACKOFF.saturating_mul(scale << attempt.min(20)).min(cap)
 }
 
+/// Run `work` under a permit of `gate`, held until it finishes. The work's
+/// future is boxed only once the permit is granted: a task parked at the
+/// gate (a write burst queues thousands behind the flusher's) holds its
+/// captures and the `acquire`, not the state of work it has yet to start.
+/// A boxed future is polled in the same poll, so no event is added.
+// not an `async fn`: that would keep `work`'s captures twice, as the
+// argument and as the local it is moved into (a parked flush: 128 → 192 B)
+#[allow(clippy::manual_async_fn)]
+pub(crate) fn gated<W: std::future::Future>(
+    gate: simkit::sync::semaphore::Semaphore,
+    work: impl FnOnce() -> W,
+) -> impl std::future::Future<Output = W::Output> {
+    async move {
+        let _permit = gate.acquire().await;
+        Box::pin(work()).await
+    }
+}
+
 /// Burst-buffer deployment configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct BbConfig {

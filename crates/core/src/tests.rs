@@ -247,6 +247,44 @@ fn inflight_flush_retries_across_buffer_outage() {
 }
 
 #[test]
+fn a_parked_flush_holds_a_descriptor() {
+    // A write burst queues a flush task per chunk behind the manager's
+    // gate. Parked, each holds what it needs to wait — its captures and the
+    // `acquire` — not the read-back, Lustre write and unpin it runs after.
+    let r = rig(2, Scheme::AsyncLustre);
+    let client = r.dep.client(NodeId(0));
+    let dep = Rc::clone(&r.dep);
+    let sim = r.sim.clone();
+    r.sim.block_on(async move {
+        // hold every permit, so each chunk's flush parks at the gate
+        let gate = &dep.manager.flush_gate;
+        let held = gate.acquire_many(dep.config.flusher_threads).await;
+        // live task bytes and parked flushes once the writer's chunks land
+        let settled = || async {
+            sim.sleep(std::time::Duration::from_millis(100)).await;
+            (sim.task_bytes(), gate.queued())
+        };
+        // the first 48 MiB bring the deployment's other tasks to their
+        // steady set, so what the next 64 MiB add is the parked flushes
+        let w = client.create("/parked").await.unwrap();
+        w.append(pattern(48 << 20)).await.unwrap();
+        let (bytes0, parked0) = settled().await;
+        w.append(pattern(64 << 20)).await.unwrap();
+        w.close().await.unwrap();
+        let (bytes1, parked1) = settled().await;
+        assert_eq!((parked0, parked1), (96, 224));
+        let per = (bytes1 - bytes0) / (parked1 - parked0);
+        println!("{per} B of live tasks per parked flush");
+        assert!(per <= 256, "{per} B of live tasks per parked flush");
+        drop(held);
+        let st = client.wait_flushed("/parked").await.unwrap();
+        assert_eq!(st, FileState::Flushed);
+        assert_eq!(dep.manager.stats().chunks_flushed, 224);
+        dep.shutdown();
+    });
+}
+
+#[test]
 fn a_chunk_of_a_file_still_flushing_is_unavailable_not_lost() {
     // The buffer is unreachable while the flush is still running: the read
     // finds the chunk in neither tier it may use and says so, without

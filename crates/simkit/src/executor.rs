@@ -399,24 +399,30 @@ impl Sim {
             done: false,
             waker: None,
         }));
-        let task_state = Rc::clone(&state);
-        let wrapped = async move {
-            let out = fut.await;
-            let mut st = task_state.borrow_mut();
-            st.result = Some(out);
-            st.done = true;
-            if let Some(w) = st.waker.take() {
-                w.wake();
-            }
+        let spawned = Spawned {
+            fut: Some(fut),
+            state: Rc::clone(&state),
         };
         let ready = &self.inner.ready;
         let task = self
             .inner
             .tasks
             .borrow_mut()
-            .insert(|slot| Task::new(Box::pin(wrapped), slot, ready));
+            .insert(|slot| Task::new(Box::pin(spawned), slot, ready));
         ready.borrow_mut().push_back(task);
         JoinHandle { state }
+    }
+
+    /// Bytes held by the futures of live tasks: the sum of `size_of_val`
+    /// over the task slab, a task mid-poll (the caller's own) left out. What
+    /// parked work costs the host, read by tests; not a registry metric.
+    pub fn task_bytes(&self) -> usize {
+        let tasks = self.inner.tasks.borrow();
+        let held = |t: &Rc<Task>| {
+            let future = t.future.try_borrow().ok()?;
+            future.as_ref().map(|f| std::mem::size_of_val(&**f))
+        };
+        tasks.slots.iter().flatten().filter_map(held).sum()
     }
 
     /// Suspend the calling task until `d` of virtual time has elapsed.
@@ -582,6 +588,47 @@ struct JoinState<T> {
     /// Stays set once the task has completed, whoever took `result`.
     done: bool,
     waker: Option<Waker>,
+}
+
+/// A spawned task's future: `fut`, polled in place, and the state its
+/// [`JoinHandle`] reads. An `async move { fut.await; .. }` wrapper would keep
+/// the captured `fut` beside the pinned copy it awaits, so every task would
+/// hold its future twice.
+struct Spawned<F: Future> {
+    /// `None` once finished: the future is dropped before its output is
+    /// published, so whatever its drop wakes runs before the joiner.
+    fut: Option<F>,
+    state: Rc<RefCell<JoinState<F::Output>>>,
+}
+
+impl<F: Future> Future for Spawned<F> {
+    type Output = ();
+
+    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+        // SAFETY: structural pinning of `fut`. `Spawned` never moves it
+        // out, only drops it in place (`Pin::set`), has no `Drop` impl, and
+        // is `Unpin` only when `F` is (the auto trait).
+        let this = unsafe { self.get_unchecked_mut() };
+        // SAFETY: see above
+        let mut fut = unsafe { Pin::new_unchecked(&mut this.fut) };
+        let Some(running) = fut.as_mut().as_pin_mut() else {
+            return Poll::Ready(()); // the executor never polls a finished task
+        };
+        let Poll::Ready(out) = running.poll(cx) else {
+            return Poll::Pending;
+        };
+        // the order of an `async` wrapper's `let out = fut.await;`: the
+        // finished future is dropped first (a `Race` dropping its loser can
+        // wake tasks), then the output is stored and the joiner woken
+        fut.set(None);
+        let mut st = this.state.borrow_mut();
+        st.result = Some(out);
+        st.done = true;
+        if let Some(w) = st.waker.take() {
+            w.wake();
+        }
+        Poll::Ready(())
+    }
 }
 
 /// Awaitable handle to a spawned task's output.
@@ -921,6 +968,94 @@ mod tests {
         assert!(sim.inner.ready.borrow().is_empty(), "nothing is queued");
         sim.run();
         assert_eq!(sim.events_processed(), 2);
+    }
+
+    #[test]
+    fn a_task_holds_its_future_once() {
+        let sim = Sim::new();
+        let (s, alive) = (sim.clone(), Rc::new(()));
+        let held = Rc::clone(&alive);
+        let fut = async move {
+            let _held = held;
+            let page = [7u8; 4096];
+            s.sleep(dur::ms(1)).await;
+            page.iter().map(|&b| u64::from(b)).sum::<u64>()
+        };
+        let own = std::mem::size_of_val(&fut);
+        assert!(own >= 4096, "the page lives across the await: {own} B");
+        let h = sim.spawn(fut);
+        let fits = |sim: &Sim| {
+            let bytes = sim.task_bytes();
+            assert!(bytes <= own + 64, "a {own} B future is held in {bytes} B");
+        };
+        fits(&sim);
+        sim.run_until(Time::from_micros(500));
+        assert_eq!((sim.events_processed(), sim.live_tasks()), (1, 1));
+        fits(&sim); // parked at the sleep
+                    // dropped while pending: the future and what it captured go
+        sim.reset();
+        assert_eq!(Rc::strong_count(&alive), 1);
+        assert_eq!((sim.task_bytes(), h.try_take()), (0, None));
+        // and one that completes publishes its output
+        let s = sim.clone();
+        let h = sim.spawn(async move {
+            let page = [7u8; 4096];
+            s.sleep(dur::ms(1)).await;
+            page.iter().map(|&b| u64::from(b)).sum::<u64>()
+        });
+        sim.run();
+        assert_eq!((h.try_take(), sim.task_bytes()), (Some(7 * 4096), 0));
+    }
+
+    /// Wakes the parked waker when dropped.
+    struct WakeOnDrop(Rc<RefCell<Option<Waker>>>);
+
+    impl Drop for WakeOnDrop {
+        fn drop(&mut self) {
+            if let Some(w) = self.0.borrow_mut().take() {
+                w.wake();
+            }
+        }
+    }
+
+    #[test]
+    fn a_finished_future_drops_before_its_joiner_wakes() {
+        let sim = Sim::new();
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let parked = Rc::new(RefCell::new(None));
+        // parks once; polled again only when the finished future drops
+        let (l, p) = (Rc::clone(&log), Rc::clone(&parked));
+        let mut polls = 0;
+        sim.spawn(std::future::poll_fn(move |cx| {
+            polls += 1;
+            if polls == 1 {
+                *p.borrow_mut() = Some(cx.waker().clone());
+                return Poll::Pending;
+            }
+            l.borrow_mut().push("woken by the drop");
+            Poll::Ready(())
+        }));
+        // yields once, so the joiner is parked on its handle, then finishes
+        let guard = WakeOnDrop(Rc::clone(&parked));
+        let mut yielded = false;
+        let finished = sim.spawn(std::future::poll_fn(move |cx| {
+            let _held = &guard;
+            if yielded {
+                return Poll::Ready(7u32);
+            }
+            yielded = true;
+            cx.waker().wake_by_ref();
+            Poll::Pending
+        }));
+        let l = Rc::clone(&log);
+        sim.spawn(async move {
+            assert_eq!(finished.await, 7);
+            l.borrow_mut().push("joiner");
+        });
+        sim.run();
+        // as an `async` wrapper's `fut.await` would: drop, then publish
+        assert_eq!(*log.borrow(), ["woken by the drop", "joiner"]);
+        assert_eq!(sim.live_tasks(), 0);
     }
 
     #[test]

@@ -585,9 +585,10 @@ fn at_rest_corruption_of_one_replica_spares_the_other_and_the_ost() {
             assert_eq!(&good.data[..], want, "chunk {seq} on the other replica");
             // the premise: that replica holds the writer's bytes themselves
             assert_eq!(good.data.as_ptr(), want.as_ptr());
-            // with the writer's view memoized (the seal, the SET verifies
-            // and the flusher's read-back all digested it), the damaged
-            // copy is still read and fails its check
+            // with the writer's allocation's prefix registers warm (the
+            // seal, the SET verifies and the flusher's read-back all
+            // derived from them), the damaged copy is still read and fails
+            // its check
             let sealed = crate::integrity::chunk_crc(&key, &good.data);
             assert_eq!(sealed, good.flags);
             assert!(crate::integrity::is_good(&key, &good, Some(sealed)));

@@ -396,10 +396,10 @@ mod tests {
         });
     }
 
-    /// Both commit checks digest the stripe views through the memo, so a
-    /// rewrite of the same views is a memo hit on the client — and the
-    /// OSS's corrupted commit, a fresh allocation, is still read and
-    /// caught.
+    /// Both commit checks derive the stripe views' digests from their
+    /// allocation's prefix registers, so a rewrite of the same (aligned)
+    /// views reads nothing on the client — and the OSS's corrupted commit,
+    /// a fresh allocation, is still read and caught.
     #[test]
     fn a_corrupt_commit_is_caught_with_a_warm_memo() {
         use simkit::{FaultEvent, FaultPlan};
@@ -423,7 +423,7 @@ mod tests {
             for i in 0..2 {
                 crate::commit_crc(&data.slice(i * stripe..(i + 1) * stripe));
             }
-            assert_eq!(simkit::crc32c::traversed(), before, "a warm memo");
+            assert_eq!(simkit::crc32c::traversed(), before, "warm registers");
             s.install_faults(plan);
             let err = fh.write_at(0, data.clone()).await.unwrap_err();
             assert!(matches!(err, LustreError::CommitMismatch { .. }), "{err:?}");

@@ -20,10 +20,11 @@ const OST_CAPACITY: u64 = 4 << 40;
 /// compare it against the checksum of the bytes they sent: a mismatch means
 /// the committed extent differs from the submitted one (corruption between
 /// wire and media), detected at 1× device cost — no read-back required.
-/// Both sides digest through [`simkit::crc32c::crc32c_bytes`], which keeps
-/// a view's digest in the allocation it shares, so the OSS does not
-/// re-read a view the client or any earlier hop digested; a corrupted
-/// commit is a new allocation and is read.
+/// Both sides digest through [`simkit::crc32c::crc32c_bytes`], which
+/// derives a view's digest from registers kept in the allocation it
+/// shares, so the OSS reads at most the unaligned head and tail of a view
+/// the client or any earlier hop digested; a corrupted commit is a new
+/// allocation and is read.
 pub fn commit_crc(data: &Bytes) -> u32 {
     simkit::crc32c::crc32c_bytes(data)
 }
@@ -242,7 +243,7 @@ mod tests {
     fn commit_crc_catches_a_single_bit_flip_anywhere_in_a_stripe() {
         let mut stripe: Vec<u8> = (0..1usize << 20).map(|i| (i % 241) as u8).collect();
         // each damaged stripe is its own allocation, as the OSS's injector
-        // builds one, so the clean stripe's memoized digest never answers
+        // builds one, so the clean stripe's prefix registers never answer
         let clean = commit_crc(&Bytes::from(stripe.clone()));
         // every bit of the first and last bytes and of bytes a prime stride
         // apart, so every lane and block position of the kernel is hit

@@ -1,10 +1,9 @@
 //! CRC32C (Castagnoli) — the end-to-end chunk digest.
 //!
 //! The kernel is [`simkit::crc32c`], shared with Lustre's commit check. It
-//! folds inputs of ≥ 256 bytes with carry-less multiplies where the running
-//! CPU has AVX-512 VPCLMULQDQ, uses the CPU's CRC32C instruction for shorter
-//! inputs and other CPUs, and table-driven slice-by-8 elsewhere; the
-//! digests are the same on every path. This module re-exports
+//! uses the CPU's CRC32C instruction where the running CPU has one, and
+//! table-driven slice-by-8 elsewhere; the digests are the same on both
+//! paths. This module re-exports
 //! it under the names the KV layer, the wire layer, the burst-buffer core
 //! and test code have always used.
 //!
@@ -14,10 +13,9 @@
 //! value that lands under the wrong key (e.g. a corrupted key byte in
 //! transit) also fails verification instead of reading back "cleanly".
 //! Every hop that holds the chunk as a `Bytes` view digests it with
-//! `crc32c_pair_bytes`, which reads a view of at least 4 KiB at most once
-//! for as long as its bytes live, and only what no prefix of its
-//! allocation covers: the digest, and registers over the allocation's
-//! prefixes, are kept in the allocation the view shares (see
+//! `crc32c_pair_bytes`, which derives the digest of a view of at least
+//! 4 KiB from registers over the prefixes of the allocation it shares,
+//! kept in that allocation, reading only what they do not cover (see
 //! [`simkit::crc32c::crc32c_bytes`]).
 
 pub use simkit::crc32c::{crc32c, crc32c_pair, crc32c_pair_bytes, Crc32c};

@@ -5,38 +5,30 @@
 //! depends on. `rkv` seals chunks with it (`rkv::checksum` re-exports this
 //! module) and `lustre` uses it for the OSS commit check.
 //!
-//! Three implementations produce identical digests; `update` picks the
-//! first the running CPU can use (runtime feature detection, cached by
-//! `std` for the process):
+//! Two implementations produce identical digests; `update` takes the first
+//! when the running CPU has it (runtime feature detection, cached by `std`
+//! for the process):
 //!
-//! * carry-less-multiply folding (x86-64 with AVX-512F, VPCLMULQDQ,
-//!   PCLMULQDQ and SSE4.2), for inputs of at least 256 bytes. Four 512-bit
-//!   accumulators take 256 bytes per round with `vpclmulqdq`; at the end
-//!   they fold into one 16-byte residue, which two `crc32` instructions
-//!   reduce, and the `crc32` kernel below takes the tail of < 256 bytes.
-//!   The multipliers are derived at compile time from `times_x`;
-//! * the CPU's CRC32C instruction (x86-64 SSE4.2 `crc32`, AArch64 `crc32cx`),
-//!   for shorter inputs and for CPUs without the folding instructions. The
-//!   instruction has a 3-cycle latency but issues every cycle, so the
+//! * the CPU's CRC32C instruction (x86-64 SSE4.2 `crc32`, AArch64 `crc32cx`).
+//!   The instruction has a 3-cycle latency but issues every cycle, so the
 //!   kernel runs three independent streams over adjacent `BLOCK`-byte
 //!   blocks and recombines them with a table-driven "advance over `BLOCK`
 //!   zero bytes" operator;
 //! * table-driven slice-by-8, the portable fallback and, beside a bitwise
-//!   reference, the oracle the tests hold both hardware paths to.
+//!   reference, the oracle the tests hold the hardware path to.
 //!
 //! A chunk crosses every hop of the burst buffer as a view of the writer's
 //! own immutable buffer, and each hop checks its digest. [`crc32c_bytes`]
-//! and [`crc32c_pair_bytes`] digest a `Bytes` view of at least 4 KiB
-//! through the digest table of the allocation it views, so a view any
-//! hop has digested is not read again for as long as its bytes live, and
-//! a view none has is derived from registers over the allocation's
-//! prefixes, reading only what no prefix covers: every check still
-//! computes the digest of the bytes it holds and compares it, and only
-//! the repeated traversal goes. [`combine`] joins two digests without
-//! reading either input (the key-prefixed chunk digest is the key's
-//! digest combined with the memoized payload's). [`traversed`] counts the
-//! bytes the kernels actually read on this thread — host-side
-//! instrumentation, not simulation telemetry.
+//! and [`crc32c_pair_bytes`] derive the digest of a `Bytes` view of at
+//! least 4 KiB from registers over prefixes of the allocation it views,
+//! kept in that allocation, reading only the view's unaligned head and
+//! tail once the registers cover it: every check still computes the
+//! digest of the bytes it holds and compares it, and only the repeated
+//! traversal goes; the key-prefixed chunk digest is derived the same way
+//! from the register the key leaves. [`combine`] joins two digests without
+//! reading either input. [`traversed`] counts the bytes the kernels
+//! actually read on this thread — host-side instrumentation, not
+//! simulation telemetry.
 
 use std::cell::Cell;
 use std::ops::Range;
@@ -269,134 +261,9 @@ mod hw {
     }
 }
 
-/// The carry-less-multiply folding kernel: four 512-bit accumulators, 256
-/// bytes per round.
-///
-/// A 16-byte block moves `d` bits forward (its residue mod P becomes that
-/// of the block times x^d) with two carry-less multiplies: its first 8 bytes
-/// by x^(d+32) mod P and its last 8 by x^(d−32) mod P, each passed as the
-/// reflected 32-bit value `<< 1` (the 33-bit form `pclmulqdq` wants).
-#[cfg(target_arch = "x86_64")]
-mod fold {
-    use super::{hw, x_pow};
-    use std::arch::x86_64::*;
-
-    /// Bytes one round of the four accumulators covers; the kernel takes
-    /// inputs at least this long.
-    pub(super) const ROUND: usize = 256;
-
-    /// The `[first 8 bytes, last 8 bytes]` multipliers that move a 16-byte
-    /// block `d` bits forward.
-    const fn pair(d: u64) -> [u64; 2] {
-        [(x_pow(d + 32) as u64) << 1, (x_pow(d - 32) as u64) << 1]
-    }
-
-    /// Each accumulator over one round (2048 bits).
-    pub(super) const MAIN: [u64; 2] = pair(2048);
-    /// Registers 0, 1, 2 into register 3 (1536, 1024, 512 bits).
-    pub(super) const REGISTERS: [[u64; 2]; 3] = [pair(1536), pair(1024), pair(512)];
-    /// Lanes 0, 1, 2 of the last register into its lane 3 (384, 256, 128 bits).
-    pub(super) const LANES: [[u64; 2]; 3] = [pair(384), pair(256), pair(128)];
-
-    /// Whether this CPU has every instruction [`update`] is compiled for.
-    pub(super) fn available() -> bool {
-        is_x86_feature_detected!("avx512f")
-            && is_x86_feature_detected!("vpclmulqdq")
-            && is_x86_feature_detected!("pclmulqdq")
-            && is_x86_feature_detected!("sse4.2")
-    }
-
-    #[inline]
-    #[target_feature(enable = "sse2")]
-    fn lane(k: [u64; 2]) -> __m128i {
-        _mm_set_epi64x(k[1] as i64, k[0] as i64)
-    }
-
-    /// Every lane of `x` moved `k`'s distance forward, xor `add`.
-    #[inline]
-    #[target_feature(enable = "avx512f,vpclmulqdq")]
-    fn fold512(x: __m512i, k: [u64; 2], add: __m512i) -> __m512i {
-        let k = _mm512_broadcast_i32x4(lane(k));
-        let lo = _mm512_clmulepi64_epi128(x, k, 0x00);
-        let hi = _mm512_clmulepi64_epi128(x, k, 0x11);
-        _mm512_ternarylogic_epi64(lo, hi, add, 0x96) // lo ^ hi ^ add
-    }
-
-    /// `x` moved `k`'s distance forward, xor `add`.
-    #[inline]
-    #[target_feature(enable = "pclmulqdq")]
-    pub(super) fn fold128(x: __m128i, k: [u64; 2], add: __m128i) -> __m128i {
-        let lo = _mm_clmulepi64_si128(x, lane(k), 0x00);
-        let hi = _mm_clmulepi64_si128(x, lane(k), 0x11);
-        _mm_xor_si128(_mm_xor_si128(lo, hi), add)
-    }
-
-    /// The `i`-th 64-byte block of a round.
-    #[inline]
-    #[target_feature(enable = "avx512f")]
-    fn load(round: &[u8], i: usize) -> __m512i {
-        let block = &round[64 * i..64 * (i + 1)];
-        // SAFETY: `block` is 64 readable bytes, and `loadu` takes any
-        // alignment.
-        unsafe { _mm512_loadu_si512(block.as_ptr().cast()) }
-    }
-
-    /// Fold `data` into the raw register `crc`: whole rounds here, the
-    /// tail (< [`ROUND`] bytes) on the `crc32` kernel.
-    ///
-    /// Safe to call only where [`available`] returned true.
-    #[target_feature(enable = "avx512f,vpclmulqdq,pclmulqdq,sse4.2")]
-    pub(super) fn update(crc: u32, data: &[u8]) -> u32 {
-        let (body, tail) = data.split_at(data.len() - data.len() % ROUND);
-        let mut rounds = body.chunks_exact(ROUND);
-        let Some(first) = rounds.next() else {
-            return hw::update(crc, data);
-        };
-        // the register in is the same as xoring it into the first 4 bytes
-        // and starting from zero
-        let crc_in = _mm512_zextsi128_si512(_mm_cvtsi32_si128(crc as i32));
-        let mut x = [0, 1, 2, 3].map(|i| load(first, i));
-        x[0] = _mm512_xor_si512(x[0], crc_in);
-        for round in rounds {
-            for (i, xi) in x.iter_mut().enumerate() {
-                *xi = fold512(*xi, MAIN, load(round, i));
-            }
-        }
-        let [r0, r1, r2] = REGISTERS;
-        let last = fold512(x[0], r0, fold512(x[1], r1, fold512(x[2], r2, x[3])));
-        let [l0, l1, l2] = LANES;
-        let residue = fold128(
-            _mm512_extracti32x4_epi32(last, 0),
-            l0,
-            fold128(
-                _mm512_extracti32x4_epi32(last, 1),
-                l1,
-                fold128(
-                    _mm512_extracti32x4_epi32(last, 2),
-                    l2,
-                    _mm512_extracti32x4_epi32(last, 3),
-                ),
-            ),
-        );
-        // the residue's digest from a zero register is the register after
-        // `body`
-        let lo = _mm_cvtsi128_si64(residue) as u64;
-        let hi = _mm_extract_epi64(residue, 1) as u64;
-        let crc = _mm_crc32_u64(_mm_crc32_u64(0, lo), hi) as u32;
-        hw::update(crc, tail)
-    }
-}
-
 /// Fold `data` into the raw register `crc` on the fastest path this CPU has.
 fn update(crc: u32, data: &[u8]) -> u32 {
     TRAVERSED.with(|t| t.set(t.get() + data.len() as u64));
-    #[cfg(target_arch = "x86_64")]
-    if data.len() >= fold::ROUND && fold::available() {
-        // SAFETY: `fold::update` requires the CPU features it is compiled
-        // for (AVX-512F, VPCLMULQDQ, PCLMULQDQ, SSE4.2); `fold::available()`
-        // just detected all four on the running CPU.
-        return unsafe { fold::update(crc, data) };
-    }
     #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
     if hw::available() {
         // SAFETY: `hw::update` requires the CPU feature it is compiled for
@@ -459,16 +326,16 @@ pub fn combine(crc_a: u32, crc_b: u32, len_b: usize) -> u32 {
 }
 
 /// Views shorter than this are digested directly: their traversal costs
-/// less than a table entry.
-const MEMO_MIN: usize = 4 << 10;
+/// less than the lock and the state a derivation takes.
+const DERIVE_MIN: usize = 4 << 10;
 
 /// Spacing of an allocation's prefix registers: `prefix[k]` is the raw
 /// register, from zero, after the allocation's first `k · STEP` bytes.
-const STEP: usize = 4 << 10;
+const STEP: usize = 512;
 
 /// Step counts [`STEP_POW`] covers: a view of up to 4 MiB (the workloads'
 /// whole pattern) is shifted with one multiply.
-const STEP_POWS: usize = 1 << 10;
+const STEP_POWS: usize = 8 << 10;
 
 /// `STEP_POW[m]` = x^(8·STEP·m) mod P, reflected.
 static STEP_POW: [u32; STEP_POWS] = {
@@ -495,53 +362,53 @@ thread_local! {
     static TRAVERSED: Cell<u64> = const { Cell::new(0) };
 }
 
-/// Bytes the kernels have read on this thread since it started. Host-side
-/// instrumentation, not simulation telemetry: a stored digest adds nothing.
+/// Bytes the kernels have read on this thread since it started, a derived
+/// digest's head and tail included: host-side, not simulation telemetry.
 pub fn traversed() -> u64 {
     TRAVERSED.with(Cell::get)
 }
 
 /// CRC32C of an immutable view, reading only what no prefix covers: the
-/// digest is stored in the table of the allocation the view shares, under
-/// the view's range (see `Bytes::digest` in the `bytes` shim), and a view
-/// not in the table is derived from the allocation's prefix registers
-/// where they cover it (`derive`).
+/// digest is derived from the prefix registers of the allocation the view
+/// shares (see `Bytes::digest` in the `bytes` shim, and `derive`).
 ///
-/// The table and the registers live exactly as long as the bytes, which
-/// cannot change while a view exists, so a stored or derived digest is the
-/// one a traversal would give. A damaged copy — every fault injector
-/// builds one — is a new allocation with neither and is traversed.
+/// The registers live exactly as long as the bytes, which cannot change
+/// while a view exists, so a derived digest is the one a traversal would
+/// give. A damaged copy — every fault injector builds one — is a new
+/// allocation with no registers and is traversed.
 pub fn crc32c_bytes(data: &Bytes) -> u32 {
-    if data.len() < MEMO_MIN {
-        return crc32c(data);
-    }
-    data.digest(derive)
+    crc32c_pair_bytes(&[], data)
 }
 
-/// CRC32C of `all[view]` from the prefix registers `state.prefix` (see
-/// [`STEP`]), extending them first where the bound below allows.
+/// The digest of `all[view]` continued from the raw register `init` (`!0`
+/// for a plain CRC32C, the register a key leaves for a keyed one), taken
+/// from the prefix registers `state.prefix` (see [`STEP`]), which are
+/// extended first when `state.budget` pays for it.
 ///
 /// With `a = ⌈s / STEP⌉` and `b = ⌊e / STEP⌋` for `view = s..e`, the head
-/// `s..a·STEP` is traversed from `!0` into `r`, and the register is linear
+/// `s..a·STEP` is traversed from `init` into `r`, and the register is linear
 /// in its input, so `(r ⊕ prefix[a]) · x^(8·(b−a)·STEP) ⊕ prefix[b]` is the
 /// register after `b · STEP` — one shift, a single multiply mod P for a
 /// view of up to 4 MiB ([`STEP_POW`]) — from which the tail `b·STEP..e` is
 /// traversed.
 ///
-/// The registers are extended to `b` only once the bytes this allocation
-/// has been asked to digest (`state.asked`, this view included) reach
-/// `b · STEP`; until then the view is traversed alone. Every register is
-/// then paid for by bytes asked, and each view reads at most itself
-/// besides, so no sequence of views reads more than twice their total
-/// length, and once the registers cover the allocation a view reads
-/// under `2 · STEP`.
-fn derive(all: &[u8], view: Range<usize>, state: &mut DigestState) -> u32 {
-    state.asked += view.len();
+/// Each call adds twice the view's length to the budget and pays from it
+/// what it reads: the registers still missing up to `b`, the head and the
+/// tail, or, when those do not fit, the view alone, which always does. The
+/// budget never goes below zero, so no sequence of views, repeats
+/// included, reads more than twice their total length, and once the
+/// registers cover the allocation a view reads under `2 · STEP`.
+fn derive(init: u32, all: &[u8], view: Range<usize>, state: &mut DigestState) -> u32 {
+    state.budget += 2 * view.len();
     let (a, b) = (view.start.div_ceil(STEP), view.end / STEP);
     let prefix = &mut state.prefix;
-    if a >= b || (prefix.len() <= b && b * STEP > state.asked) {
-        return crc32c(&all[view]);
+    let missing = b.saturating_sub(prefix.len().max(1) - 1) * STEP;
+    let cost = missing + (a * STEP - view.start) + (view.end - b * STEP);
+    if a >= b || cost > state.budget {
+        state.budget -= view.len();
+        return !update(init, &all[view]);
     }
+    state.budget -= cost;
     if prefix.is_empty() {
         prefix.push(0);
     }
@@ -550,18 +417,19 @@ fn derive(all: &[u8], view: Range<usize>, state: &mut DigestState) -> u32 {
         let k = prefix.len() - 1;
         prefix.push(update(prefix[k], &all[k * STEP..(k + 1) * STEP]));
     }
-    let head = update(!0, &all[view.start..a * STEP]);
+    let head = update(init, &all[view.start..a * STEP]);
     let mid = shift_steps(head ^ prefix[a], b - a) ^ prefix[b];
     !update(mid, &all[b * STEP..view.end])
 }
 
-/// [`crc32c_pair`] of a key and an immutable view, the view's digest
-/// through [`crc32c_bytes`].
+/// [`crc32c_pair`] of a key and an immutable view, derived as
+/// [`crc32c_bytes`] is from the register the key leaves.
 pub fn crc32c_pair_bytes(key: &[u8], data: &Bytes) -> u32 {
-    if data.len() < MEMO_MIN {
+    if data.len() < DERIVE_MIN {
         return crc32c_pair(key, data);
     }
-    combine(crc32c(key), crc32c_bytes(data), data.len())
+    let init = update(!0, key);
+    data.digest(|all, view, state| derive(init, all, view, state))
 }
 
 #[cfg(test)]
@@ -582,55 +450,28 @@ mod tests {
 
     type Kernel = fn(u32, &[u8]) -> u32;
 
-    /// The hardware kernel, or `None` where the CPU or target has no
-    /// CRC32C instruction.
-    fn hardware() -> Option<Kernel> {
+    /// Every kernel this host can run, by name: the hardware one only
+    /// where the CPU and target have a CRC32C instruction.
+    fn kernels() -> Vec<(&'static str, Kernel)> {
+        let mut all: Vec<(&'static str, Kernel)> =
+            vec![("bitwise", update_bitwise), ("slice-by-8", update_portable)];
         #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
         if hw::available() {
             // SAFETY: `hw::available()` just detected the feature
             // `hw::update` is compiled for.
-            return Some(|crc, data| unsafe { hw::update(crc, data) });
+            all.push(("hardware", |crc, data| unsafe { hw::update(crc, data) }));
         }
-        None
-    }
-
-    /// The folding kernel, or `None` where the CPU or target lacks one of
-    /// its instructions.
-    fn folding() -> Option<Kernel> {
-        #[cfg(target_arch = "x86_64")]
-        if fold::available() {
-            // SAFETY: `fold::available()` just detected every feature
-            // `fold::update` is compiled for.
-            return Some(|crc, data| unsafe { fold::update(crc, data) });
-        }
-        None
-    }
-
-    /// Every kernel this host can run, by name.
-    fn kernels() -> Vec<(&'static str, Kernel)> {
-        let mut all: Vec<(&'static str, Kernel)> =
-            vec![("bitwise", update_bitwise), ("slice-by-8", update_portable)];
-        all.extend(hardware().map(|k| ("hardware", k)));
-        all.extend(folding().map(|k| ("fold", k)));
         all
     }
 
-    /// Print which kernels `test` checks, and which it had to skip.
-    fn report(test: &str, kernels: &[(&'static str, Kernel)]) {
-        let names: Vec<_> = kernels.iter().map(|(name, _)| *name).collect();
+    /// [`kernels`], printed under `test` with the one it had to skip.
+    fn kernels_for(test: &str) -> Vec<(&'static str, Kernel)> {
+        let all = kernels();
+        let names: Vec<_> = all.iter().map(|(name, _)| *name).collect();
         eprintln!("{test}: checked kernels {names:?}");
         if !names.contains(&"hardware") {
             eprintln!("{test}: SKIPPED hardware: no CRC32C instruction on this CPU/target");
         }
-        if !names.contains(&"fold") {
-            eprintln!("{test}: SKIPPED fold: needs x86-64 avx512f, vpclmulqdq, pclmulqdq, sse4.2");
-        }
-    }
-
-    /// [`kernels`], reported under `test`.
-    fn kernels_for(test: &str) -> Vec<(&'static str, Kernel)> {
-        let all = kernels();
-        report(test, &all);
         all
     }
 
@@ -678,8 +519,8 @@ mod tests {
     #[test]
     fn interleave_block_edges_agree() {
         let data = patterned(6 * BLOCK + 9);
-        // the 3-stream kernel's block edges, then the fold's round edges
-        let mut edges = vec![
+        // the 3-stream kernel's word and block edges
+        let edges = [
             0,
             1,
             7,
@@ -690,15 +531,7 @@ mod tests {
             3 * BLOCK + 1,
             6 * BLOCK,
             6 * BLOCK + 9,
-            255,
-            256,
-            257,
-            511,
-            512,
         ];
-        for k in 2..=16 {
-            edges.extend([256 * k - 1, 256 * k + 1]);
-        }
         let kernels = kernels_for("interleave_block_edges_agree");
         for len in edges {
             let want = update_bitwise(!0, &data[..len]);
@@ -710,8 +543,8 @@ mod tests {
 
     #[test]
     fn pair_equals_concatenation() {
-        // a short key, then payloads and splits on either side of the
-        // fold's 256-byte threshold
+        // a short key, then payloads and splits of odd and whole-word
+        // lengths
         let key = b"chunk-key:f1:0";
         let payload = patterned(10_000);
         for len in [0, 255, 256, 257, 300, 10_000] {
@@ -732,58 +565,13 @@ mod tests {
         }
     }
 
-    /// Each fold distance on its own: a 16-byte block followed by `d/8`
-    /// zero bytes leaves the same register (from zero) as the block's fold.
-    #[cfg(target_arch = "x86_64")]
-    #[test]
-    fn each_fold_distance_matches_zero_padding() {
-        use std::arch::x86_64::{__m128i, _mm_loadu_si128, _mm_setzero_si128, _mm_storeu_si128};
-        let test = "each_fold_distance_matches_zero_padding";
-        if folding().is_none() {
-            report(test, &kernels());
-            return;
-        }
-        let distances = [
-            (2048, fold::MAIN),
-            (1536, fold::REGISTERS[0]),
-            (1024, fold::REGISTERS[1]),
-            (512, fold::REGISTERS[2]),
-            (384, fold::LANES[0]),
-            (256, fold::LANES[1]),
-            (128, fold::LANES[2]),
-        ];
-        for (seed, (d, k)) in distances.into_iter().enumerate() {
-            let mut padded = xorshift(seed as u64 + 100, 16);
-            padded.resize(16 + d / 8, 0);
-            let mut folded = [0u8; 16];
-            // SAFETY: both pointers cover 16 bytes (`loadu`/`storeu` take
-            // any alignment), and `folding()` just detected the PCLMULQDQ
-            // `fold128` is compiled for.
-            unsafe {
-                let block = _mm_loadu_si128(padded.as_ptr().cast::<__m128i>());
-                let out = fold::fold128(block, k, _mm_setzero_si128());
-                _mm_storeu_si128(folded.as_mut_ptr().cast::<__m128i>(), out);
-            }
-            assert_eq!(
-                update_bitwise(0, &folded),
-                update_bitwise(0, &padded),
-                "fold by {d} bits"
-            );
-        }
-        eprintln!(
-            "{test}: checked kernels [\"fold\"] at {} distances",
-            distances.len()
-        );
-    }
-
     #[test]
     fn single_bit_flip_changes_digest() {
         let mut data = patterned(512 << 10);
         let len = data.len();
         let clean = crc32c(&data);
         let kernels = kernels_for("single_bit_flip_changes_digest");
-        // the 3-stream kernel's seams, and the fold's lanes, registers and
-        // rounds
+        // the 3-stream kernel's words, blocks and rounds
         let offsets = [
             0,
             1,
@@ -792,10 +580,8 @@ mod tests {
             7,
             8,
             9,
-            63,
-            64,
-            255,
-            256,
+            1023,
+            1024,
             2047,
             2048,
             3071,
@@ -841,7 +627,7 @@ mod tests {
             STEP_POWS - 1,
             STEP_POWS,
             STEP_POWS + 1,
-            5000,
+            3 * STEP_POWS + 5,
         ] {
             let want = times_x_pow(v, 8 * (m * STEP) as u64);
             assert_eq!(shift_steps(v, m), want, "{m} steps");
@@ -859,11 +645,12 @@ mod tests {
             data.len() as u64,
             "the first digest reads"
         );
+        // an aligned view the registers cover derives with no head or tail
         let want_pair = crc32c_pair(b"k", &data);
         let before = traversed();
         assert_eq!(crc32c_bytes(&data.clone()), want);
         assert_eq!(crc32c_pair_bytes(b"k", &data), want_pair);
-        assert_eq!(traversed() - before, 1, "a hit reads only the key");
+        assert_eq!(traversed() - before, 1, "a repeat reads only the key");
         // equal bytes in another allocation are read again
         let twin = Bytes::copy_from_slice(&data);
         let before = traversed();
@@ -876,22 +663,22 @@ mod tests {
         let before = traversed();
         assert_eq!(crc32c_bytes(&tail), want_tail);
         assert_eq!(traversed() - before, STEP as u64 - 1);
-        // below the threshold nothing is remembered
-        let small = data.slice(..MEMO_MIN - 1);
+        // below the threshold nothing is derived
+        let small = data.slice(..DERIVE_MIN - 1);
         let before = traversed();
         crc32c_bytes(&small);
         crc32c_bytes(&small);
         assert_eq!(traversed() - before, 2 * small.len() as u64);
     }
 
-    /// A view below 4 KiB never reaches its allocation's table: were its
-    /// digest stored, the second call would read nothing. Only a digest
-    /// makes a table (the `bytes` shim's
-    /// `digest_table_is_made_by_a_digest_alone`), so a 128 B value's
+    /// A view below 4 KiB never reaches its allocation's state: were its
+    /// digest derived, the repeats would read only its unaligned tail. Only
+    /// a digest makes the state (the `bytes` shim's
+    /// `digest_state_is_made_by_a_digest_alone`), so a 128 B value's
     /// allocation never has one.
     #[test]
     fn a_view_below_4_kib_creates_no_table() {
-        for len in [128, MEMO_MIN - 1] {
+        for len in [128, DERIVE_MIN - 1] {
             let value = Bytes::from(xorshift(len as u64, len));
             let (want, want_pair) = (crc32c(&value), crc32c_pair(b"k", &value));
             let before = traversed();
@@ -902,7 +689,7 @@ mod tests {
         }
     }
 
-    /// The table belongs to the allocation, never to its address: a
+    /// The registers belong to the allocation, never to its address: a
     /// buffer freed and allocated again at the same address with other
     /// bytes must be digested afresh.
     #[test]
@@ -955,30 +742,51 @@ mod tests {
         assert!(read <= 2 * asked, "read {read} for {asked} asked");
     }
 
+    /// A chunk-shaped view, its start off the `STEP` grid as
+    /// `PayloadPool`'s chunks are, pays for the registers on its first
+    /// digest; every repeat at a later hop reads its unaligned head and
+    /// tail alone.
+    #[test]
+    fn a_repeated_unaligned_chunk_view_reads_under_two_steps() {
+        let data = Bytes::from(xorshift(13, 4 << 20));
+        let chunk = [data.slice(8191..8191 + (512 << 10))];
+        assert!(read_by(&chunk) <= 2 * chunk[0].len() as u64);
+        for repeat in 1..=5 {
+            let read = read_by(&chunk);
+            assert!(read < 2 * STEP as u64, "repeat {repeat} read {read}");
+        }
+    }
+
     proptest! {
         #[test]
         fn derived_digests_equal_the_plain_ones(
             seed in any::<u64>(),
-            len in MEMO_MIN..=40 << 10,
-            picks in proptest::collection::vec((any::<u32>(), any::<u32>()), 1..=10),
+            len in DERIVE_MIN..=40 << 10,
+            picks in proptest::collection::vec((any::<u32>(), any::<u32>(), any::<u8>()), 1..=16),
         ) {
             // views of at least 4 KiB in random order over an allocation
-            // whose length need not be a multiple of `STEP`; the bytes
-            // asked cross the extension rule at a random point
+            // whose length need not be a multiple of `STEP`, a third of them
+            // repeats of an earlier one, each digested alone and behind a
+            // key; the budget crosses the extension's cost at a random point
             let data = Bytes::from(xorshift(seed, len));
             let key = xorshift(seed ^ 1, 9);
-            let (mut asked, mut read) = (0, 0);
-            for (u, v) in picks {
-                let s = u as usize % (len - MEMO_MIN + 1);
-                let e = s + MEMO_MIN + v as usize % (len - s - MEMO_MIN + 1);
-                let view = data.slice(s..e);
-                let want = crc32c(&view);
+            let (mut views, mut asked, mut read) = (Vec::new(), 0, 0);
+            for (u, v, again) in picks {
+                let view = match views.len() {
+                    n if n > 0 && again % 3 == 0 => Bytes::clone(&views[again as usize % n]),
+                    _ => {
+                        let s = u as usize % (len - DERIVE_MIN + 1);
+                        data.slice(s..s + DERIVE_MIN + v as usize % (len - s - DERIVE_MIN + 1))
+                    }
+                };
+                let (want, want_pair) = (crc32c(&view), crc32c_pair(&key, &view));
                 let before = traversed();
                 prop_assert_eq!(crc32c_bytes(&view), want);
+                prop_assert_eq!(crc32c_pair_bytes(&key, &view), want_pair);
                 read += traversed() - before;
-                asked += view.len() as u64;
+                asked += (key.len() + 2 * view.len()) as u64;
                 prop_assert!(read <= 2 * asked, "read {} for {} asked", read, asked);
-                prop_assert_eq!(crc32c_pair_bytes(&key, &view), crc32c_pair(&key, &view));
+                views.push(view);
             }
         }
 
@@ -989,7 +797,7 @@ mod tests {
             cuts in proptest::collection::vec(0usize..=12 << 10, 4),
             key_len in 0usize..=24,
         ) {
-            // lengths straddle the memo's 4 KiB and the fold's 256 B
+            // lengths straddle the derivation's 4 KiB
             let whole = Bytes::from(xorshift(seed, len));
             let key = xorshift(seed ^ 1, key_len);
             let mut c: Vec<usize> = cuts.iter().map(|c| c % (len + 1)).collect();
@@ -999,7 +807,7 @@ mod tests {
             let (head, tail) = (whole.slice(..c[1]), whole.slice(c[1]..));
             let mut views = vec![whole.clone(), view, inner, head.clone(), tail.clone()];
             views.extend(head.try_unsplit(&tail));
-            // twice over: the second round is answered by the memo
+            // twice over: the second round re-derives from the registers
             for v in views.iter().chain(&views) {
                 prop_assert_eq!(crc32c_bytes(v), crc32c(v));
                 prop_assert_eq!(crc32c_pair_bytes(&key, v), crc32c_pair(&key, v));
@@ -1017,10 +825,7 @@ mod tests {
             let backing = xorshift(seed, len + misalign);
             let data = &backing[misalign..];
             let want = update_bitwise(!0, data);
-            let kernels = kernels();
-            static REPORTED: std::sync::Once = std::sync::Once::new();
-            REPORTED.call_once(|| report("kernels_agree_on_random_input", &kernels));
-            for (name, kernel) in kernels {
+            for (name, kernel) in kernels() {
                 prop_assert_eq!(kernel(!0, data), want, "{} one-shot", name);
             }
             // the public incremental API, split at two random points

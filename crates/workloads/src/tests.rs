@@ -289,7 +289,7 @@ fn bb_async_ingests_at_lustre_rate_past_the_buffer() {
 /// view of the writer's own buffer, so the CRC kernel reads each byte
 /// about once. A hop that copies the payload (a fresh allocation) makes
 /// the next check traverse it again (a copy in `Qp::read` reads 2.0), and
-/// without the memo every check traverses (5.0).
+/// without derived digests every check traverses (5.0).
 #[test]
 fn bb_async_write_path_digests_each_byte_about_once() {
     let tb = Testbed::build(SystemKind::Bb(Scheme::AsyncLustre), small_config());
@@ -330,14 +330,13 @@ fn bb_async_write_path_digests_each_byte_about_once() {
 
 /// Host-cost gate on the whole E3/E4 round trip through BB-Async: write
 /// the dataset, drain it to Lustre, then read it back buffer-hot with
-/// every chunk's digest verified. Each digest is stored with the bytes it
-/// describes, so neither the flush read-back nor the reader's verify of a
-/// chunk written long before reads it again, and the writer's seal derives
-/// each chunk's digest from the pattern's prefix registers: ≈ 0.013 CRC
-/// bytes per user byte in all. A hop that copies the payload adds a full
-/// pass (1.013 with a copy in `Qp::read`), and a memo that forgets chunks
-/// before they are read back (one smaller than the 2 048-chunk dataset)
-/// reads about 2.6× the user bytes.
+/// every chunk's digest verified. Every check derives the chunk's digest
+/// from prefix registers kept with the bytes they describe, so the seal,
+/// the flush read-back and the reader's verify of a chunk written long
+/// before each read only its unaligned head and tail: ≈ 0.011 CRC bytes
+/// per user byte in all. A hop that copies the payload adds a full pass,
+/// and a memo that forgets chunks before they are read back (one smaller
+/// than the 2 048-chunk dataset) reads about 2.6× the user bytes.
 #[test]
 fn bb_async_round_trip_digests_each_byte_about_once() {
     let tb = Testbed::build(SystemKind::Bb(Scheme::AsyncLustre), small_config());
@@ -381,7 +380,7 @@ fn bb_async_round_trip_digests_each_byte_about_once() {
 /// Host-cost gate on the E3 write itself: every chunk the writer seals is
 /// a view of the one 4 MiB `PayloadPool` pattern, so once the pattern's
 /// prefix registers are paid for by the bytes asked, a chunk's digest is
-/// derived from them and reads only its unaligned head and tail (under 8
+/// derived from them and reads only its unaligned head and tail (under 1
 /// KiB of 512 KiB). Sealing by traversal reads 1.000 CRC bytes per user
 /// byte here.
 #[test]

@@ -10,7 +10,6 @@
 //! `shims/README.md`).
 
 use std::borrow::Borrow;
-use std::collections::BTreeMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::ops::{Bound, Deref, DerefMut, Range, RangeBounds};
@@ -24,35 +23,26 @@ pub struct Bytes {
     end: usize,
 }
 
-/// One allocation every view of it shares, and the digests of those
-/// views (see [`Bytes::digest`]).
+/// One allocation every view of it shares, and the state its views'
+/// digests are derived from (see [`Bytes::digest`]).
 struct Allocation {
     v: Vec<u8>,
     /// Boxed on the first digest: an allocation nothing digests pays two
     /// words for it.
-    digests: Mutex<Option<Box<Digests>>>,
-}
-
-/// What an allocation keeps for its digests.
-#[derive(Default)]
-struct Digests {
-    /// `(start, end)` of a view → its digest.
-    views: BTreeMap<(usize, usize), u32>,
-    /// The digest function's own state, handed to it on every miss.
-    state: DigestState,
+    digest: Mutex<Option<Box<DigestState>>>,
 }
 
 /// State the digest function keeps in an allocation between the views
 /// it computes. The shim never reads it: it starts empty with the
-/// allocation, goes to `compute` on each miss, and drops with the
+/// allocation, goes to `compute` on every call, and drops with the
 /// allocation. Not in upstream `bytes` (see [`Bytes::digest`]).
 #[derive(Debug, Default)]
 pub struct DigestState {
     /// Registers over prefixes of the allocation, as `compute` defines
     /// them.
     pub prefix: Vec<u32>,
-    /// Bytes `compute` has been asked to digest, as it counts them.
-    pub asked: usize,
+    /// Bytes `compute` may still read, as it counts them.
+    pub budget: usize,
 }
 
 impl Default for Bytes {
@@ -141,17 +131,15 @@ impl Bytes {
         })
     }
 
-    /// The digest `compute` gives this view's bytes, computed on the
-    /// first call for the view's range and returned from the allocation's
-    /// table after that. On that first call `compute` gets the whole
-    /// allocation's bytes, the view's range in them and the allocation's
-    /// [`DigestState`], so it may derive the digest from what it kept of
-    /// earlier views instead of reading the view. The table and the state
-    /// live and die with the allocation, and its bytes cannot change while
-    /// any view exists (nothing hands out `&mut` to a shared allocation,
-    /// and taking the `Vec` back out consumes the last view), so a stored
-    /// digest is always the one `compute` would give. Every call must pass
-    /// the same function.
+    /// The digest `compute` gives this view's bytes. `compute` gets the
+    /// whole allocation's bytes, the view's range in them and the
+    /// allocation's [`DigestState`], so it may derive the digest from what
+    /// it kept of earlier views instead of reading the view. The state
+    /// lives and dies with the allocation, and its bytes cannot change
+    /// while any view exists (nothing hands out `&mut` to a shared
+    /// allocation, and taking the `Vec` back out consumes the last view),
+    /// so what `compute` kept always describes the bytes the view holds.
+    /// Every call must pass the same function.
     ///
     /// Not in upstream `bytes`; its one caller is
     /// `simkit::crc32c::crc32c_bytes`, which without it traverses.
@@ -159,18 +147,15 @@ impl Bytes {
         &self,
         compute: impl FnOnce(&[u8], Range<usize>, &mut DigestState) -> u32,
     ) -> u32 {
-        // a `compute` that panics inserts no digest, so a poisoned table
-        // holds only finished entries and stays usable; the state is
-        // `compute`'s to leave consistent at every step
-        let mut table = self
+        // the state is `compute`'s to leave consistent at every step, so
+        // one left by a `compute` that panicked stays usable
+        let mut state = self
             .data
-            .digests
+            .digest
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
-        let Digests { views, state } = &mut **table.get_or_insert_with(Box::default);
-        *views
-            .entry((self.start, self.end))
-            .or_insert_with(|| compute(&self.data.v, self.start..self.end, state))
+        let state = state.get_or_insert_with(Box::default);
+        compute(&self.data.v, self.start..self.end, state)
     }
 }
 
@@ -195,13 +180,13 @@ impl Borrow<[u8]> for Bytes {
 
 impl From<Vec<u8>> for Bytes {
     /// Every other constructor funnels into this one, so every allocation
-    /// starts here with no digests.
+    /// starts here with no digest state.
     fn from(v: Vec<u8>) -> Self {
         let end = v.len();
         Bytes {
             data: Arc::new(Allocation {
                 v,
-                digests: Mutex::new(None),
+                digest: Mutex::new(None),
             }),
             start: 0,
             end,
@@ -638,55 +623,18 @@ mod tests {
             .fold(d.len() as u32, |h, &x| h.rotate_left(5) ^ u32::from(x))
     }
 
-    /// [`hash`] of the view, as `Bytes::digest` asks for it, counting its
-    /// calls.
-    fn counted(
-        calls: &std::cell::Cell<usize>,
-    ) -> impl Fn(&[u8], Range<usize>, &mut DigestState) -> u32 + '_ {
-        |all, view, _| {
-            calls.set(calls.get() + 1);
-            hash(&all[view])
-        }
-    }
-
-    /// Entries in the allocation's digest table; `None` while it has none.
-    fn entries(b: &Bytes) -> Option<usize> {
-        b.data
-            .digests
-            .lock()
-            .unwrap()
-            .as_ref()
-            .map(|t| t.views.len())
-    }
-
-    #[test]
-    fn digests_of_two_views_of_one_allocation_are_kept_apart() {
-        let calls = std::cell::Cell::new(0);
-        let f = counted(&calls);
-        let b = Bytes::from((0..16 << 10).map(|i| i as u8).collect::<Vec<_>>());
-        let (head, tail) = (b.slice(..8 << 10), b.slice(8 << 10..));
-        assert_eq!(head.digest(&f), hash(&head));
-        assert_eq!(tail.digest(&f), hash(&tail));
-        assert_eq!(calls.get(), 2, "each view computed once");
-        // every later handle on either range is answered from the table
-        assert_eq!(b.slice(..8 << 10).digest(&f), head.digest(&f));
-        let mut rest = b.clone();
-        rest.advance(8 << 10);
-        assert_eq!(rest.digest(&f), tail.digest(&f));
-        assert_eq!(calls.get(), 2);
-        assert_eq!(entries(&b), Some(2));
-        // their join is a third range
-        let whole = head.try_unsplit(&tail).unwrap();
-        assert_eq!(whole.digest(&f), hash(&b));
-        assert_eq!(entries(&b), Some(3));
+    /// `(budget, prefix)` of the allocation's digest state; `None` while
+    /// it has none.
+    fn state(b: &Bytes) -> Option<(usize, Vec<u32>)> {
+        let st = b.data.digest.lock().unwrap();
+        st.as_ref().map(|st| (st.budget, st.prefix.clone()))
     }
 
     #[test]
     fn digest_of_equal_bytes_in_another_allocation_is_computed() {
-        let calls = std::cell::Cell::new(0);
-        let f = counted(&calls);
+        let f = |all: &[u8], view: Range<usize>, _: &mut DigestState| hash(&all[view]);
         let b = Bytes::from(vec![5u8; 8 << 10]);
-        let want = b.digest(&f);
+        let want = b.digest(f);
         let mut m = BytesMut::new();
         m.extend_from_slice(&b);
         for twin in [
@@ -694,31 +642,34 @@ mod tests {
             Bytes::from(b.to_vec()),
             m.freeze(),
         ] {
-            assert_eq!(entries(&twin), None);
-            assert_eq!(twin.digest(&f), want);
+            assert_eq!(state(&twin), None);
+            assert_eq!(twin.digest(f), want);
         }
-        assert_eq!(calls.get(), 4, "one computation per allocation");
     }
 
     #[test]
     fn digest_of_a_vec_taken_back_out_and_frozen_again_is_computed_afresh() {
-        let calls = std::cell::Cell::new(0);
-        let f = counted(&calls);
+        // `compute` keeps the bytes' first word, as a register would
+        let first = |all: &[u8], view: Range<usize>, st: &mut DigestState| {
+            st.prefix
+                .push(u32::from_le_bytes(all[..4].try_into().unwrap()));
+            hash(&all[view])
+        };
         let only = Bytes::from(vec![1u8; 8 << 10]);
-        let (old, p) = (only.digest(&f), only.as_ptr());
+        let (old, p) = (only.digest(first), only.as_ptr());
         let mut v = Vec::from(only);
-        v[100] ^= 0x40;
-        // the very same buffer, with other bytes: a new, empty table
+        v[0] ^= 0x40;
+        // the very same buffer, with other bytes: fresh state
         let again = Bytes::from(v);
         assert_eq!(again.as_ptr(), p);
-        assert_eq!(entries(&again), None);
-        assert_eq!(again.digest(&f), hash(&again));
-        assert_ne!(again.digest(&f), old);
-        assert_eq!(calls.get(), 2);
+        assert_eq!(state(&again), None);
+        assert_eq!(again.digest(first), hash(&again));
+        assert_ne!(again.digest(first), old);
+        assert_eq!(state(&again), Some((0, vec![0x0101_0141; 2])));
     }
 
     #[test]
-    fn digest_table_is_made_by_a_digest_alone() {
+    fn digest_state_is_made_by_a_digest_alone() {
         // views of any size, every constructor and every view-making
         // method leave it unmade: the 128 B value and the frame that no
         // one digests pay two words for it
@@ -740,31 +691,25 @@ mod tests {
             b.slice(..8).try_unsplit(&b.slice(8..)).unwrap(),
         ];
         for v in made.iter().chain([&b]) {
-            assert_eq!(entries(v), None);
+            assert_eq!(state(v), None);
         }
         b.slice(..4 << 10).digest(|_, _, _| 7);
-        assert_eq!(entries(&b), Some(1));
+        assert_eq!(state(&b), Some((0, vec![])));
     }
 
     #[test]
     fn digest_state_belongs_to_the_allocation() {
-        // on each miss `compute` gets the whole allocation, the view's
-        // range in it, and the state earlier misses on it left there
+        // on each call `compute` gets the whole allocation, the view's
+        // range in it, and the state earlier calls on it left there
         let record = |all: &[u8], view: Range<usize>, st: &mut DigestState| {
-            st.asked += view.len();
+            st.budget += view.len();
             st.prefix.push(view.start as u32);
             hash(&all[view])
-        };
-        let state = |v: &Bytes| {
-            let t = v.data.digests.lock().unwrap();
-            t.as_ref().map(|t| (t.state.asked, t.state.prefix.clone()))
         };
         let b = Bytes::from((0..16 << 10).map(|i| i as u8).collect::<Vec<_>>());
         let (head, tail) = (b.slice(..4 << 10), b.slice(12 << 10..));
         assert_eq!(tail.digest(record), hash(&tail));
         assert_eq!(head.digest(record), hash(&head));
-        // a hit hands nothing to `compute`
-        assert_eq!(b.slice(12 << 10..).digest(record), hash(&tail));
         assert_eq!(state(&b), Some((8 << 10, vec![12 << 10, 0])));
         // equal bytes in another allocation start with none
         let twin = Bytes::copy_from_slice(&b);

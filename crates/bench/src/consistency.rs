@@ -10,9 +10,9 @@
 //! 1. **No invented values.** A get returning value-hash `h` must be
 //!    covered by a set of `h` on the same key that *started* before the
 //!    get *ended* (values cannot arrive from the future or from nowhere).
-//!    Failed sets count as covering — an errored replicated set may have
-//!    landed on some replica, so its value is allowed (not required) to
-//!    be visible.
+//!    Failed sets count as covering — an errored set may have landed on
+//!    its server anyway, so its value is allowed (not required) to be
+//!    visible.
 //! 2. **No resurrection.** After a successful delete completes, a get
 //!    that starts later must not return a value unless some set started
 //!    after the delete began (concurrent ops may legally interleave

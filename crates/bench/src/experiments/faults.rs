@@ -420,7 +420,7 @@ impl FaultCase {
             }
         });
         let (len, Reverse(ts), seq) = waits.into_iter().max()?;
-        let holder = client.kv().replicas(&chunk_key(1, seq)).ok()?[0];
+        let holder = client.kv().route(&chunk_key(1, seq)).ok()?;
         let at = Duration::from_nanos(ts + len / 2) - (t0 - Time::ZERO);
         let bb = dry.testbed.bb.as_ref().expect("bb testbed");
         Some((bb.kv_servers[holder].node().0, at))
@@ -556,7 +556,7 @@ pub fn e12_fault_tolerance(quick: bool, trace: bool) -> ExpReport {
                     ),
                     // replication closes the window
                     (_, FaultScenario::CrashOne) => {
-                        let failovers = o.counter("kv.failover.reads");
+                        let failovers = o.counter("bb.integrity.failovers");
                         (
                             lost == 0 && f.data_intact() && failovers > 0,
                             format!("0 lost; {read}/{n} reads ok via {failovers} failovers"),

@@ -259,7 +259,7 @@ fn replication_survives_crash_without_loss() {
     let r = o.assert_clean("async-r2/crash-one");
     assert!(r.data_intact());
     assert!(
-        o.counter("kv.failover.reads") > 0,
+        o.counter("bb.integrity.failovers") > 0,
         "reads must have failed over"
     );
 }

@@ -25,7 +25,6 @@ use crate::{gated, kv_backoff, BbConfig, BbDeployment, Scheme, KV_RETRIES, WRITE
 pub(crate) fn kv_client_config(cfg: &BbConfig) -> KvClientConfig {
     KvClientConfig {
         one_sided: cfg.one_sided,
-        replication: cfg.kv_replication.max(1),
         ..KvClientConfig::default()
     }
 }
@@ -321,6 +320,7 @@ impl BbClient {
         // drop buffered chunks with up to `read_window` deletes in flight
         // (window 1 degenerates to the serial per-chunk loop)
         let gate = Semaphore::new(self.dep.config.read_window.max(1));
+        let r = self.dep.config.kv_replication;
         let sim = self.dep.stack.sim().clone();
         let mut pending = Vec::with_capacity(chunks as usize);
         for seq in 0..chunks {
@@ -338,7 +338,8 @@ impl BbClient {
                         }
                     }
                     None => {
-                        let _ = kv.delete(&key).await;
+                        let holders = integrity::holders(kv.view(), &key, r);
+                        let _ = kv.delete_on(&holders, &key).await;
                     }
                 }
             })));
@@ -504,11 +505,16 @@ impl BbWriter {
                         let lf = lustre_file.expect("sync scheme has a lustre handle");
                         let kv = Rc::clone(&client.kv);
                         let kv_chunk = chunk.clone();
-                        let kv_task = sim
-                            .spawn(async move { kv.set(&key, kv_chunk, crc, 0).await.map(|_| ()) });
+                        let r = client.dep.config.kv_replication;
+                        // buffer errors are non-fatal here
+                        let kv_task = sim.spawn(async move {
+                            for idx in integrity::replicas(kv.view(), &key, r) {
+                                let _ = kv.set_to(idx, &key, kv_chunk.clone(), crc, 0).await;
+                            }
+                        });
                         lf.write_at(seq * chunk_size, chunk).await?;
                         sim.op_stamp(op, "lustre_write");
-                        let _ = kv_task.await; // buffer errors are non-fatal here
+                        kv_task.await;
                         sim.op_stamp(op, "kv_join");
                         Ok(())
                     }
@@ -646,9 +652,9 @@ async fn put_quorum(
     ack_ahead: &Rc<Semaphore>,
 ) -> bool {
     // the `bb.ack.*` counters exist only where the mode relaxes the quorum
-    let relaxed =
-        (quorum < client.dep.config.kv_replication.max(1)).then(|| client.dep.ack_counters());
-    let mut sync = client.kv.replicas(key).unwrap_or_default();
+    let r = client.dep.config.kv_replication;
+    let relaxed = (quorum < r.max(1)).then(|| client.dep.ack_counters());
+    let mut sync = integrity::replicas(client.kv.view(), key, r);
     let tail = sync.split_off(quorum.min(sync.len()));
     // `&=` evaluates every right-hand side: each copy gets its RPC even
     // after one fails
@@ -669,7 +675,8 @@ async fn put_quorum(
         pinned &= matches!(client.kv.pin_to(idx, key).await, Ok(true));
     }
     if !pinned {
-        client.kv.unpin(key).await;
+        let holders = integrity::holders(client.kv.view(), key, r);
+        client.kv.unpin_on(&holders, key).await;
         sim.op_stamp(op, "pin");
         return false;
     }
@@ -870,8 +877,10 @@ impl ReadCore {
     /// repaired in place), never reaches the caller.
     async fn buffer_get(&self, file_id: u64, seq: u64) -> Option<Bytes> {
         let key = chunk_key(file_id, seq);
-        let counters = self.client.dep.integrity_counters();
-        let got = integrity::get_verified(&self.client.kv, counters, &key, self.sealed_crc(seq));
+        let dep = &self.client.dep;
+        let counters = dep.integrity_counters();
+        let r = dep.config.kv_replication;
+        let got = integrity::get_verified(&self.client.kv, counters, &key, self.sealed_crc(seq), r);
         got.await.ok().map(|v| v.data)
     }
 
@@ -1160,32 +1169,36 @@ impl ReadCore {
             rc.multi_gets.add(servers.len() as u64);
             rc.multi_get_keys.add(keys.len() as u64);
             let refs: Vec<&[u8]> = keys.iter().map(|k| k.as_slice()).collect();
+            let vals = self.client.kv.multi_get(&refs).await;
+            // A key the batch did not resolve (a miss, or its leg failed)
+            // may still sit on another replica or, after a membership
+            // change, on an old owner: while there is more than one server
+            // to ask it takes the verified per-key walk. Otherwise the
+            // batch asked its only holder, and it goes to the Lustre tier.
+            let view = self.client.kv.view();
+            let walk = self.config().kv_replication.min(view.active_len()) > 1 || view.epoch() > 0;
+            let mut verify: Vec<u64> = Vec::new();
             let mut corrupt: Vec<u64> = Vec::new();
-            match self.client.kv.multi_get(&refs).await {
-                Ok(vals) => {
-                    for ((&s, key), v) in rest.iter().zip(&keys).zip(vals) {
-                        match v {
-                            Some(val) if integrity::is_good(key, &val, self.sealed_crc(s)) => {
-                                cpu = cpu.max(simkit::dur::transfer(clen(s), rate));
-                                self.client.dep.read_counters().tier_buffer.inc();
-                                out.insert(s, Ok(val.data));
-                            }
-                            Some(_) => {
-                                self.client.dep.integrity_counters().checksum_fail.inc();
-                                corrupt.push(s);
-                            }
-                            None => misses.push(s),
-                        }
+            for ((&s, key), v) in rest.iter().zip(&keys).zip(vals) {
+                match v {
+                    Ok(Some(val)) if integrity::is_good(key, &val, self.sealed_crc(s)) => {
+                        cpu = cpu.max(simkit::dur::transfer(clen(s), rate));
+                        self.client.dep.read_counters().tier_buffer.inc();
+                        out.insert(s, Ok(val.data));
                     }
+                    Ok(Some(_)) => {
+                        self.client.dep.integrity_counters().checksum_fail.inc();
+                        corrupt.push(s);
+                    }
+                    _ if walk => verify.push(s),
+                    _ => misses.push(s),
                 }
-                // a failed batch (e.g. a server down) degrades every key
-                // to the Lustre tier, matching the serial path's fallback
-                Err(_) => misses.extend(rest.iter().copied()),
             }
             // a corrupt batched hit retries through the verified per-key
-            // path (replica failover + in-place repair) before degrading
-            // to the Lustre tier
-            for s in corrupt {
+            // path too (replica failover + in-place repair), after the
+            // unresolved keys, before degrading to the Lustre tier
+            verify.extend(corrupt);
+            for s in verify {
                 match self.buffer_get(file_id, s).await {
                     Some(data) => {
                         cpu = cpu.max(simkit::dur::transfer(clen(s), rate));
@@ -1270,3 +1283,6 @@ fn coalesce_runs(seqs: &[u64]) -> Vec<(u64, u64)> {
     }
     runs
 }
+
+#[cfg(test)]
+mod tests;

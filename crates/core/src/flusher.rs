@@ -102,7 +102,8 @@ impl BbManager {
                         // can never reach Lustre.
                         let sim = this.sim().clone();
                         let (kv, counters) = (&this.kv, &this.integrity);
-                        let lookup = || integrity::get_verified(kv, counters, &key, Some(crc));
+                        let r = this.config.kv_replication;
+                        let lookup = || integrity::get_verified(kv, counters, &key, Some(crc), r);
                         let mut got = lookup().await;
                         let mut attempt = 0u32;
                         while matches!(&got, Err(c) if !c.definitive) && attempt < KV_RETRIES + 3 {
@@ -151,7 +152,8 @@ impl BbManager {
                             }
                         };
                         // flushed (or given up): lift the eviction pin
-                        this.kv.unpin(&key).await;
+                        let holders = integrity::holders(&this.view, &key, r);
+                        this.kv.unpin_on(&holders, &key).await;
                         this.chunks.unpin((file_id, seq));
                         this.chunk_drained(len);
                         this.chunk_pending.set(this.chunk_pending.get() - 1);

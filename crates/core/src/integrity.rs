@@ -1,5 +1,12 @@
-//! End-to-end chunk integrity: CRC32C verification on every buffer read,
-//! with replica failover and in-place repair.
+//! Replica sets and end-to-end chunk integrity: which servers hold a
+//! chunk, CRC32C verification on every buffer read, replica failover and
+//! in-place repair.
+//!
+//! The KV client addresses one server per verb; this module is the one
+//! place that decides a chunk's replica set ([`replicas`]), the order a
+//! lookup walks ([`read_order`]) and every server that may still hold a
+//! copy ([`holders`]). Writes, reads, the flusher, the movers and deletes
+//! all take their servers from here.
 //!
 //! Every chunk sealed by a [`crate::BbWriter`] carries
 //! `crc32c(key || data)` in the KV value's `flags` word and in the file's
@@ -8,7 +15,8 @@
 //! what a good copy is (`is_good`) and how servers are walked to find
 //! one (`census`): `get_verified` never returns bytes that fail their
 //! digest — a corrupt copy counts `bb.integrity.checksum_fail`, the rest
-//! of the key's read order is consulted, and a good copy found anywhere
+//! of the key's read order is consulted (a good copy off the primary
+//! counts `bb.integrity.failovers`), and a good copy found anywhere
 //! overwrites the bad one in place (`bb.integrity.repairs`). Only when
 //! *no* copy verifies does the chunk fall through to the next tier
 //! (Lustre), where the manifest guards the read again — so a completed
@@ -16,7 +24,50 @@
 
 use bytes::Bytes;
 use rkv::store::Value;
-use rkv::KvClient;
+use rkv::{KvClient, Membership};
+
+/// The replica set of `key` at replication `r`: the first `r` distinct
+/// active servers clockwise on the live ring (the cap tracks the
+/// *current* active count, so the set grows when servers join), or its
+/// placement override. Element 0 is the primary, the server
+/// [`KvClient::route`] addresses.
+pub fn replicas(view: &Membership, key: &[u8], r: usize) -> Vec<usize> {
+    view.route_n(key, r.max(1))
+}
+
+/// Where a lookup of `key` looks, in order, and how many leading entries
+/// are its [`replicas`]: the replica set in ring order, then — once
+/// membership has ever changed (epoch > 0) — the rest of the roster in
+/// roster order. A chunk written under an old ring and not yet migrated
+/// still lives on its previous owner (possibly a drained server), and the
+/// rebalancer deletes old copies only after the new owners verify, so a
+/// walk of this order cannot lose it. Every lookup — `get_verified`
+/// (readers and the flusher) and the scrubber — walks exactly this list.
+pub fn read_order(view: &Membership, key: &[u8], r: usize) -> (Vec<usize>, usize) {
+    let mut order = replicas(view, key, r);
+    let set = order.len();
+    if view.epoch() > 0 {
+        for idx in 0..view.roster_len() {
+            if !order.contains(&idx) {
+                order.push(idx);
+            }
+        }
+    }
+    (order, set)
+}
+
+/// Every server that may hold a copy of `key`: its [`replicas`], or —
+/// once membership has ever changed (epoch > 0) — the whole roster, since
+/// a not-yet-migrated copy still sits on an old owner (and a surviving
+/// one would be found again by [`read_order`]). Deletes and unpins go
+/// here.
+pub fn holders(view: &Membership, key: &[u8], r: usize) -> Vec<usize> {
+    if view.epoch() > 0 {
+        (0..view.roster_len()).collect()
+    } else {
+        replicas(view, key, r)
+    }
+}
 
 /// CRC32C digest of a chunk as stored: covers the key so a value landing
 /// under the wrong key also fails verification.
@@ -39,6 +90,8 @@ pub(crate) struct IntegrityCounters {
     pub(crate) checksum_fail: simkit::telemetry::Counter,
     /// Corrupt replicas overwritten in place from a verified copy.
     pub(crate) repairs: simkit::telemetry::Counter,
+    /// Verified reads served by a server other than the key's primary.
+    pub(crate) failovers: simkit::telemetry::Counter,
 }
 
 impl IntegrityCounters {
@@ -46,6 +99,7 @@ impl IntegrityCounters {
         IntegrityCounters {
             checksum_fail: m.counter("bb.integrity.checksum_fail"),
             repairs: m.counter("bb.integrity.repairs"),
+            failovers: m.counter("bb.integrity.failovers"),
         }
     }
 }
@@ -141,9 +195,10 @@ pub(crate) async fn census(
     c
 }
 
-/// Checksum-verified buffer GET: [`census`] over [`KvClient::read_order`]
-/// up to the first good copy, which then repairs in place every bad copy
-/// seen on the way (the store carries an existing pin across the
+/// Checksum-verified buffer GET: [`census`] over the key's [`read_order`]
+/// at replication `r` up to the first good copy — counted
+/// `bb.integrity.failovers` when it is not the primary's —, which then
+/// repairs in place every bad copy seen on the way (the store carries an existing pin across the
 /// overwrite, so repairing an unflushed chunk does not expose it to
 /// eviction). `Err` means no server holds a *verifiable* copy — the
 /// caller's next tier (Lustre, or a loud `DataUnavailable`) takes over, or,
@@ -154,10 +209,9 @@ pub(crate) async fn get_verified(
     counters: &IntegrityCounters,
     key: &[u8],
     sealed: Option<u32>,
+    r: usize,
 ) -> Result<Value, Census> {
-    let Ok((order, replicas)) = kv.read_order(key) else {
-        return Err(Census::default());
-    };
+    let (order, replicas) = read_order(kv.view(), key, r);
     let mut c = census(kv, key, sealed, order.iter().copied(), true, true).await;
     counters.checksum_fail.add(c.digest_fails);
     let Some(good) = c.value.take() else {
@@ -166,6 +220,9 @@ pub(crate) async fn get_verified(
             .any(|idx| c.misses.contains(idx) || c.bad.contains(idx));
         return Err(c);
     };
+    if c.good.first() != order.first() {
+        counters.failovers.inc();
+    }
     let flags = sealed.unwrap_or(good.flags);
     for &idx in &c.bad {
         if kv

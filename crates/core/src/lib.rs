@@ -212,7 +212,7 @@ pub struct BbConfig {
     /// owners changed, then migrates up to 64 of them (copy to the new
     /// owners, verify CRC by read-back, delete from the old).
     /// `Duration::ZERO` disables the rebalancer: a membership change then
-    /// relies on the lookup order alone ([`rkv::KvClient::read_order`] —
+    /// relies on the lookup order alone ([`integrity::read_order`] —
     /// past the replica set, the rest of the roster), which reads, the
     /// flusher's read-back and the scrubber all walk, so unmigrated
     /// chunks are still read, flushed and kept.

@@ -180,9 +180,7 @@ impl BbManager {
         }
         let (file_id, seq) = id;
         let key = chunk_key(file_id, seq);
-        let Ok((order, replicas)) = self.kv.read_order(&key) else {
-            return;
-        };
+        let (order, replicas) = integrity::read_order(&self.view, &key, self.config.kv_replication);
         let (replicas, rest) = order.split_at(replicas);
         self.scrub.scanned.inc();
         let found = self
@@ -293,9 +291,8 @@ impl BbManager {
     /// placement override). A failed move re-queues on the rebalance
     /// queue; a completed copy counts `bb.rebalance.{moved,bytes}`.
     async fn migrate_one(&self, id: ChunkId) {
-        let Ok(desired) = self.kv.replicas(&chunk_key(id.0, id.1)) else {
-            return;
-        };
+        let key = chunk_key(id.0, id.1);
+        let desired = integrity::replicas(&self.view, &key, self.config.kv_replication);
         match self.migrate_to(id, &desired, false).await {
             // keep the old copies; retry from a clean slate next tick
             Moved::Retry => self.chunks.requeue_rebalance(id),
@@ -409,9 +406,7 @@ impl BbManager {
         if self.view.epoch() == self.last_epoch.get() {
             for ((fid, seq), readers) in self.chunks.undecided_read() {
                 let key = chunk_key(fid, seq);
-                let Ok(current) = self.kv.replicas(&key) else {
-                    continue;
-                };
+                let current = integrity::replicas(&self.view, &key, r);
                 let order = placement::ring_order(&self.view, &key);
                 if order.is_empty() {
                     continue;

@@ -106,7 +106,7 @@ fn run_scenario_with(
             for seq in 0..chunks {
                 if sc.cold || seq % sc.evict_stride.max(1) == 0 {
                     // first created file always gets id 1
-                    let _ = client.kv().delete(&chunk_key(1, seq)).await;
+                    let _ = crate::tests::evict(&client, &chunk_key(1, seq)).await;
                 }
             }
         }

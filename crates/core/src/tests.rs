@@ -12,10 +12,10 @@ use lustre::{LustreCluster, LustreConfig};
 use crate::manager::FileState;
 use crate::{BbClient, BbConfig, BbDeployment, BbError, Scheme};
 
-struct Rig {
-    sim: Sim,
-    fabric: Rc<Fabric>,
-    dep: Rc<BbDeployment>,
+pub(crate) struct Rig {
+    pub(crate) sim: Sim,
+    pub(crate) fabric: Rc<Fabric>,
+    pub(crate) dep: Rc<BbDeployment>,
 }
 
 fn rig(compute: usize, scheme: Scheme) -> Rig {
@@ -27,7 +27,7 @@ fn rig(compute: usize, scheme: Scheme) -> Rig {
     )
 }
 
-fn rig_with(compute: usize, scheme: Scheme, lcfg: LustreConfig, bcfg: BbConfig) -> Rig {
+pub(crate) fn rig_with(compute: usize, scheme: Scheme, lcfg: LustreConfig, bcfg: BbConfig) -> Rig {
     let sim = Sim::new();
     let fabric = Fabric::new(sim.clone(), compute, NetConfig::default());
     let lustre = LustreCluster::deploy(&fabric, lcfg);
@@ -36,8 +36,15 @@ fn rig_with(compute: usize, scheme: Scheme, lcfg: LustreConfig, bcfg: BbConfig) 
     Rig { sim, fabric, dep }
 }
 
-fn pattern(n: usize) -> Bytes {
+pub(crate) fn pattern(n: usize) -> Bytes {
     Bytes::from((0..n).map(|i| (i * 131 % 251) as u8).collect::<Vec<u8>>())
+}
+
+/// Drop every buffered copy of `key`, as LRU eviction would.
+pub(crate) async fn evict(client: &BbClient, key: &[u8]) -> Result<bool, rkv::client::ClientError> {
+    let r = client.deployment().config.kv_replication;
+    let holders = crate::integrity::holders(client.kv().view(), key, r);
+    client.kv().delete_on(&holders, key).await
 }
 
 #[test]
@@ -137,7 +144,7 @@ fn read_falls_back_to_lustre_after_buffer_eviction() {
         // simulate LRU eviction: drop every chunk from the buffer
         for seq in 0..4u64 {
             let key = crate::manager::chunk_key(1, seq);
-            client.kv().delete(&key).await.unwrap();
+            evict(&client, &key).await.unwrap();
         }
         let rd = client.open("/cold").await.unwrap();
         assert_eq!(rd.read_all().await.unwrap(), expect);
@@ -416,7 +423,7 @@ fn partial_chunk_tail_roundtrips() {
         let lf = client.open("/tail").await.unwrap();
         for seq in 0..4u64 {
             let key = crate::manager::chunk_key(1, seq);
-            client.kv().delete(&key).await.unwrap();
+            evict(&client, &key).await.unwrap();
         }
         assert_eq!(lf.read_all().await.unwrap(), expect);
         dep.shutdown();
@@ -1420,7 +1427,7 @@ fn join_under_a_backed_up_flusher_loses_nothing() {
 /// 8 MiB written and closed behind a 1 MB/s OST with the rebalancer off,
 /// then two joins: nothing migrates, so every remapped chunk has to be
 /// found through the lookup order alone. `then` runs on the joined rig.
-fn joined_with_the_rebalancer_off<F>(
+pub(crate) fn joined_with_the_rebalancer_off<F>(
     read_window: usize,
     then: impl FnOnce(Rc<BbClient>, Bytes) -> F,
 ) where
@@ -1482,7 +1489,8 @@ fn unreachable_replicas_make_a_miss_indeterminate_after_a_join() {
         assert!(dep.admit_kv_server(standbys[0]));
         let (kv, key) = (client.kv(), b"nobody-has-this".as_slice());
         let owner = dep.membership().server(kv.route(key).unwrap()).node();
-        let lookup = || crate::integrity::get_verified(kv, dep.integrity_counters(), key, None);
+        let counters = dep.integrity_counters();
+        let lookup = || crate::integrity::get_verified(kv, counters, key, None, 1);
         fabric.set_up(owner, false);
         let census = lookup().await.unwrap_err();
         assert_eq!((census.errors, census.misses.len()), (1, 2));

@@ -6,41 +6,29 @@
 //!   server RDMA-READs them (one round trip, zero-copy);
 //! * GETs hand the server a pooled buffer to RDMA-WRITE large values into.
 //!
-//! ## Resilience
+//! ## One server per verb
 //!
-//! With [`KvClientConfig::replication`] > 1, every SET is written to the
-//! first `r` distinct servers clockwise from the key's ring position
-//! ([`HashRing::route_n`](crate::HashRing::route_n)) and succeeds only if
-//! *all* replicas stored it — a failed replicated SET tells the caller
-//! durability is not met, so the burst buffer can fall back to its
-//! direct-to-Lustre path. GETs read the primary and fail over to the
-//! remaining replicas; a miss is only definitive once every reachable
-//! replica has missed (a crashed-and-restarted primary comes back empty,
-//! so its miss proves nothing).
+//! As in RDMA-Memcached, a client addresses one server per key: `set` and
+//! `get` go to the key's owner on the live ring ([`KvClient::route`]),
+//! `multi_get` sends one batch per owner and answers each key on its own,
+//! and the `*_to` / `*_from` / `*_on` verbs name their servers. Which
+//! servers hold a key's replicas, and in what order a read walks them, is
+//! the caller's decision (the burst buffer's `integrity` module).
 //!
 //! Every exchange — a `multi_get` fan-out leg included — is one attempt
 //! bounded by [`OP_TIMEOUT`]; every verb but the leg retries it up to
 //! [`MAX_RETRIES`] times with exponential backoff.
 //! Backoff jitter is drawn from a [`SimRng`] seeded by the client's node id
-//! — never from wall clock — so runs are reproducible. Retries and
-//! failovers are counted in the `kv.retry.*` / `kv.failover.*` metric
-//! families (shared across all clients on one simulation).
-//!
-//! ## Elastic membership
+//! — never from wall clock — so runs are reproducible. Retries are counted
+//! in the `kv.retry.*` metric family (shared across all clients on one
+//! simulation).
 //!
 //! Routing consults a shared [`Membership`] view on every operation, so
-//! servers can join or drain mid-run. The replication cap follows the
-//! *live* active count (not the construction-time roster), an epoch bump
-//! observed mid-operation triggers one transparent re-resolve + retry
-//! against the new ring (`kv.epoch.retries`), and once the view has ever
-//! changed (epoch > 0) a definitive miss falls back to scanning the full
-//! roster — chunks written under an old ring and not yet migrated are
-//! still found on their previous owners (`kv.epoch.fallback_reads`).
-//! Deployments that never change membership stay at epoch 0 and behave
-//! exactly as before.
+//! servers can join or drain mid-run and the next verb routes on the new
+//! ring.
 
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::rc::Rc;
 use std::time::Duration;
@@ -116,7 +104,7 @@ pub const VNODES: u32 = 160;
 /// Per-attempt deadline; a timed-out exchange poisons the connection it
 /// was sent on (the abandoned response could desync the queue pair).
 pub const OP_TIMEOUT: Duration = Duration::from_secs(1);
-/// Retries per replica after the first attempt (transport errors and
+/// Retries per exchange after the first attempt (transport errors and
 /// timeouts only — store-level errors are never retried).
 pub const MAX_RETRIES: u32 = 3;
 /// First backoff delay; doubles per retry.
@@ -139,10 +127,6 @@ pub struct KvClientConfig {
     /// hands the server one to RDMA-WRITE into. `false` is the SEND-only
     /// protocol: every value travels inline.
     pub one_sided: bool,
-    /// Replicas per key (`r`): SETs go to the first `r` distinct servers
-    /// clockwise on the ring, GETs fail over across them. `1` = no
-    /// replication (capped at the server count).
-    pub replication: usize,
     /// Tenant tag carried on every traced op (0 = untagged). Only
     /// consumed by the request tracer — per-tenant latency series appear
     /// under `rkv.lat.{class}.tenant{T}.e2e` when tracing is enabled.
@@ -153,7 +137,6 @@ impl Default for KvClientConfig {
     fn default() -> Self {
         KvClientConfig {
             one_sided: true,
-            replication: 1,
             tenant: 0,
         }
     }
@@ -227,8 +210,8 @@ pub type ObserverFn = Rc<dyn Fn(OpRecord)>;
 
 /// One logical, client-visible KV operation, as delivered to the
 /// test-only history observer ([`KvClient::set_observer`]): a single
-/// record per `set`/`get`/`delete` call, emitted after replication,
-/// retries, and failover have resolved. Value identity is carried as an
+/// record per `set`/`set_to`/`get`/`delete_on` call, emitted after
+/// retries have resolved. Value identity is carried as an
 /// FNV-1a hash so recorders never hold payload bytes.
 #[derive(Clone, Debug)]
 pub struct OpRecord {
@@ -241,7 +224,7 @@ pub struct OpRecord {
     /// Virtual time the operation returned to the caller.
     pub end: simkit::Time,
     /// Whether the call returned `Ok`. A failed operation may or may not
-    /// have taken effect on some replicas — checkers must treat its
+    /// have taken effect on some server — checkers must treat its
     /// write as indeterminate (allowed but not required to be visible).
     pub ok: bool,
 }
@@ -249,33 +232,29 @@ pub struct OpRecord {
 /// What an observed operation did. Hashes are FNV-1a over value bytes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum OpKind {
-    /// A replicated store of a value with this hash.
+    /// A store of a value with this hash.
     Set {
         /// FNV-1a hash of the stored bytes.
         hash: u64,
     },
-    /// A failover read; `None` means a definitive miss.
+    /// A read; `None` means a miss.
     Get {
         /// FNV-1a hash of the returned bytes, if any.
         hash: Option<u64>,
     },
-    /// A replicated delete.
+    /// A delete from a set of servers.
     Delete {
-        /// Whether any replica held the key.
+        /// Whether any of them held the key.
         found: bool,
     },
 }
 
-/// `kv.retry.*` / `kv.failover.*` / `kv.epoch.*` counters (get-or-create:
-/// every client on one simulation bumps the same instances).
+/// `kv.retry.*` counters (get-or-create: every client on one simulation
+/// bumps the same instances).
 struct ResCounters {
     retry_attempts: Counter,
     retry_timeouts: Counter,
     retry_exhausted: Counter,
-    failover_reads: Counter,
-    failover_exhausted: Counter,
-    epoch_retries: Counter,
-    epoch_fallback: Counter,
 }
 
 struct Conn {
@@ -317,10 +296,6 @@ impl KvClient {
             retry_attempts: m.counter("kv.retry.attempts"),
             retry_timeouts: m.counter("kv.retry.timeouts"),
             retry_exhausted: m.counter("kv.retry.exhausted"),
-            failover_reads: m.counter("kv.failover.reads"),
-            failover_exhausted: m.counter("kv.failover.exhausted"),
-            epoch_retries: m.counter("kv.epoch.retries"),
-            epoch_fallback: m.counter("kv.epoch.fallback_reads"),
         };
         Rc::new(KvClient {
             node,
@@ -344,7 +319,7 @@ impl KvClient {
     }
 
     /// Install a test-only observer that receives one [`OpRecord`] per
-    /// logical `set`/`get`/`delete` call on this client. Consistency
+    /// logical `set`/`set_to`/`get`/`delete_on` call on this client. Consistency
     /// checkers use this to build a per-key history; when no observer is
     /// installed the hot paths pay nothing beyond a `borrow`.
     pub fn set_observer(&self, obs: Rc<dyn Fn(OpRecord)>) {
@@ -377,18 +352,6 @@ impl KvClient {
     /// Which server (roster index) owns `key` on the live ring.
     pub fn route(&self, key: &[u8]) -> Result<usize, ClientError> {
         self.view.route(key).ok_or(ClientError::NoServers)
-    }
-
-    /// The key's replica set: first `replication` distinct active servers
-    /// clockwise on the live ring (the cap tracks the *current* active
-    /// count, so `r` grows when servers join); element 0 is the primary
-    /// ([`KvClient::route`]).
-    pub fn replicas(&self, key: &[u8]) -> Result<Vec<usize>, ClientError> {
-        let reps = self.view.route_n(key, self.config.replication.max(1));
-        if reps.is_empty() {
-            return Err(ClientError::NoServers);
-        }
-        Ok(reps)
     }
 
     async fn conn(&self, server_idx: usize) -> Result<Rc<Conn>, ClientError> {
@@ -587,10 +550,8 @@ impl KvClient {
 
     /// Stage a SET once: a payload over [`INLINE_MAX`] goes into a pooled
     /// registered buffer for the server to RDMA-READ, anything else rides
-    /// inline. The request is the same for every server it is sent to (and
-    /// every epoch-retry round): writes go out one at a time, and a server
-    /// only READs during its own exchange. The buffer must be held until
-    /// the last exchange carrying the request has returned.
+    /// inline. The buffer must be held until the exchange carrying the
+    /// request has returned.
     async fn stage_set(
         &self,
         key: &[u8],
@@ -620,14 +581,8 @@ impl KvClient {
         Ok((req, buf))
     }
 
-    /// Store `value` under `key` on every replica. Returns the primary's
-    /// CAS token. Succeeds only if *all* `replication` replicas stored the
-    /// value — a partial write surfaces the first failure so the caller
-    /// knows the durability target was not met (surviving copies are still
-    /// readable via failover). A membership-epoch bump observed while the
-    /// write was in flight triggers one transparent re-resolve against the
-    /// new ring (a drained replica erroring mid-set is not a real failure
-    /// if its successor stores the value).
+    /// Store `value` under `key` on its ring owner ([`KvClient::set_to`]
+    /// at [`KvClient::route`]). Returns the server's CAS token.
     pub async fn set(
         &self,
         key: &[u8],
@@ -635,60 +590,12 @@ impl KvClient {
         flags: u32,
         expire_at: u64,
     ) -> Result<u64, ClientError> {
-        let t0 = self.stack.sim().now();
-        let obs_hash = self
-            .observer
-            .borrow()
-            .is_some()
-            .then(|| crate::hash::fnv1a(&value));
-        let (req, buf) = self.stage_set(key, &value, flags, expire_at).await?;
-        let mut epoch = self.view.epoch();
-        let mut epoch_retried = false;
-        let cas_out = loop {
-            let replicas = self.replicas(key)?;
-            let mut cas_out = None;
-            let mut first_err = None;
-            for idx in replicas {
-                match self.exchange(idx, &req).await {
-                    Ok(Response::Stored { cas }) => {
-                        cas_out.get_or_insert(cas);
-                    }
-                    Ok(other) => {
-                        first_err.get_or_insert(Self::unexpected(other));
-                    }
-                    Err(e) => {
-                        first_err.get_or_insert(e);
-                    }
-                }
-            }
-            match first_err {
-                None => break cas_out,
-                Some(e) => {
-                    let live = self.view.epoch();
-                    if live != epoch && !epoch_retried {
-                        epoch = live;
-                        epoch_retried = true;
-                        self.res.epoch_retries.inc();
-                        continue;
-                    }
-                    drop(buf);
-                    if let Some(h) = obs_hash {
-                        self.observe(key, OpKind::Set { hash: h }, t0, false);
-                    }
-                    return Err(e);
-                }
-            }
-        };
-        drop(buf);
-        if let Some(h) = obs_hash {
-            self.observe(key, OpKind::Set { hash: h }, t0, true);
-        }
-        Ok(cas_out.expect("no error implies at least one Stored"))
+        self.set_to(self.route(key)?, key, value, flags, expire_at)
+            .await
     }
 
-    /// Fetch from one specific server (no failover). Used internally for
-    /// failover reads and externally by integrity checkers that need to
-    /// inspect each replica's copy independently.
+    /// Fetch `key` from one specific server, unobserved: the burst
+    /// buffer's replica walk reads each copy through this.
     pub async fn get_from(
         &self,
         server_idx: usize,
@@ -717,89 +624,28 @@ impl KvClient {
         }
     }
 
-    /// Where a read looks for `key`, in order, and how many leading
-    /// entries are its replica set: the replicas in ring order, then —
-    /// once membership has ever changed (epoch > 0) — the rest of the
-    /// roster in roster order. A chunk written under an old ring and not
-    /// yet migrated still lives on its previous owner (possibly a drained
-    /// server), and the rebalancer deletes old copies only after the new
-    /// owners verify, so a walk of this order cannot lose it. Every read
-    /// lookup — [`KvClient::get`] here, the burst buffer's verified GET and
-    /// its scrubber above — walks exactly this list.
-    pub fn read_order(&self, key: &[u8]) -> Result<(Vec<usize>, usize), ClientError> {
-        let mut order = self.replicas(key)?;
-        let replicas = order.len();
-        if self.view.epoch() > 0 {
-            for idx in 0..self.view.roster_len() {
-                if !order.contains(&idx) {
-                    order.push(idx);
-                }
-            }
-        }
-        Ok((order, replicas))
-    }
-
-    /// Read-any with failover: walk [`KvClient::read_order`], return the
-    /// first value found. A miss is only definitive once a *replica* has
-    /// answered it: a server outside the replica set may never have owned
-    /// the key, so its miss proves nothing (and a crashed-and-restarted
-    /// replica reports misses for keys it used to hold, so all of them are
-    /// consulted). `Err` if no replica answered and nobody had the value.
-    async fn get_failover(&self, key: &[u8]) -> Result<Option<Value>, ClientError> {
-        let (order, replicas) = self.read_order(key)?;
-        let mut first_err = None;
-        let mut missed = false;
-        for (i, &idx) in order.iter().enumerate() {
-            match self.get_from(idx, key).await {
-                Ok(Some(v)) => {
-                    if i >= replicas {
-                        self.res.epoch_fallback.inc();
-                    } else if i > 0 {
-                        self.res.failover_reads.inc();
-                        self.stack
-                            .sim()
-                            .flight_record("rkv.client", "failover_read", || {
-                                format!("node={} replica={i} server={idx}", self.node.0)
-                            });
-                    }
-                    return Ok(Some(v));
-                }
-                Ok(None) => missed |= i < replicas,
-                Err(e) => {
-                    first_err.get_or_insert(e);
-                }
-            }
-        }
-        if missed {
-            return Ok(None);
-        }
-        self.res.failover_exhausted.inc();
-        Err(first_err.expect("no miss and no value implies an error"))
-    }
-
-    /// Fetch `key`. `Ok(None)` on miss (from every reachable replica).
+    /// Fetch `key` from its ring owner. `Ok(None)` on a miss.
     pub async fn get(&self, key: &[u8]) -> Result<Option<Value>, ClientError> {
         let t0 = self.stack.sim().now();
-        let result = match self.get_failover(key).await {
-            Ok(r) => r,
-            Err(e) => {
-                self.observe(key, OpKind::Get { hash: None }, t0, false);
-                return Err(e);
-            }
+        let result = match self.route(key) {
+            Ok(idx) => self.get_from(idx, key).await,
+            Err(e) => Err(e),
         };
         if self.observer.borrow().is_some() {
-            let hash = result.as_ref().map(|v| crate::hash::fnv1a(&v.data));
-            self.observe(key, OpKind::Get { hash }, t0, true);
+            let hash = match &result {
+                Ok(v) => v.as_ref().map(|v| crate::hash::fnv1a(&v.data)),
+                Err(_) => None,
+            };
+            self.observe(key, OpKind::Get { hash }, t0, result.is_ok());
         }
-        Ok(result)
+        result
     }
 
-    /// Store `value` on one specific server, bypassing ring routing — the
-    /// scrub/repair path uses this to overwrite a single divergent replica
-    /// in place, and relaxed-ack quorum writes use it to address replicas
-    /// individually. Observed as a logical set (per-server outcome) so
-    /// history checkers can explain later reads of the value. Returns the
-    /// server's CAS token.
+    /// Store `value` on one specific server, bypassing ring routing — every
+    /// replica write of the burst buffer (quorum writes, repairs,
+    /// migrations) addresses its servers this way. Observed as a logical
+    /// set (per-server outcome) so history checkers can explain later
+    /// reads of the value. Returns the server's CAS token.
     pub async fn set_to(
         &self,
         server_idx: usize,
@@ -838,17 +684,6 @@ impl KvClient {
         }
     }
 
-    /// Every server that may hold a copy of `key`: its replica set, or —
-    /// once membership has ever changed (epoch > 0) — the whole roster,
-    /// since a not-yet-migrated copy still sits on an old owner.
-    fn holders(&self, key: &[u8]) -> Result<Vec<usize>, ClientError> {
-        if self.view.epoch() > 0 {
-            Ok((0..self.view.roster_len()).collect())
-        } else {
-            self.replicas(key)
-        }
-    }
-
     /// Remove `key` from one specific server, bypassing ring routing —
     /// the rebalancer's delete-from-old step after a verified migration.
     /// `Ok(true)` if the server held the key.
@@ -865,46 +700,23 @@ impl KvClient {
         self.keyed(server_idx, &Request::Pin { key }).await
     }
 
-    /// Pin `key` against LRU eviction on every replica. `Ok(true)` iff
-    /// every replica holds and pinned the key; `Ok(false)` if any replica
-    /// no longer has it (the caller's durability expectation is not met).
-    /// Every replica is tried even after one fails; the first error wins.
-    pub async fn pin(&self, key: &[u8]) -> Result<bool, ClientError> {
-        let req = Request::Pin {
-            key: Bytes::copy_from_slice(key),
-        };
-        let mut all = true;
-        let mut first_err = None;
-        for idx in self.replicas(key)? {
-            match self.keyed(idx, &req).await {
-                Ok(held) => all &= held,
-                Err(e) => {
-                    first_err.get_or_insert(e);
-                }
-            }
-        }
-        first_err.map_or(Ok(all), Err)
-    }
-
-    /// Best-effort unpin of `key` on every server that may hold it
-    /// (`KvClient::holders`). Errors and misses are swallowed: the only
-    /// purpose is to let the LRU reclaim the item, and an unreachable
-    /// replica will reap it by eviction anyway.
-    pub async fn unpin(&self, key: &[u8]) {
+    /// Best-effort unpin of `key` on each of `servers`. Errors and misses
+    /// are swallowed: the only purpose is to let the LRU reclaim the item,
+    /// and an unreachable server will reap it by eviction anyway.
+    pub async fn unpin_on(&self, servers: &[usize], key: &[u8]) {
         let req = Request::Unpin {
             key: Bytes::copy_from_slice(key),
         };
-        for idx in self.holders(key).unwrap_or_default() {
+        for &idx in servers {
             let _ = self.keyed(idx, &req).await;
         }
     }
 
-    /// Remove `key` from every server that may hold it
-    /// (`KvClient::holders` — a copy surviving on an old owner would be
-    /// resurrected by the epoch-fallback read path); `Ok(true)` if any
-    /// held it. An unreachable replica may keep a stale copy (reaped by
-    /// expiry or eviction); the delete still succeeds if any answered.
-    pub async fn delete(&self, key: &[u8]) -> Result<bool, ClientError> {
+    /// Remove `key` from each of `servers`, observed as one logical
+    /// delete; `Ok(true)` if any held it. An unreachable server may keep
+    /// a stale copy (reaped by expiry or eviction); the delete still
+    /// succeeds if any answered.
+    pub async fn delete_on(&self, servers: &[usize], key: &[u8]) -> Result<bool, ClientError> {
         let t0 = self.stack.sim().now();
         let req = Request::Delete {
             key: Bytes::copy_from_slice(key),
@@ -912,7 +724,7 @@ impl KvClient {
         let mut existed = false;
         let mut first_err = None;
         let mut answered = false;
-        for idx in self.holders(key)? {
+        for &idx in servers {
             match self.keyed(idx, &req).await {
                 Ok(held) => {
                     answered = true;
@@ -931,84 +743,73 @@ impl KvClient {
     }
 
     /// Fetch many keys with one batched round trip per owning server, all
-    /// servers queried concurrently. Results come back in the order of
-    /// `keys` (`None` = miss).
+    /// servers queried concurrently. Answers come back one per key, in the
+    /// order of `keys` (`Ok(None)` = miss); a leg that fails fails only
+    /// the keys it carried.
     pub async fn multi_get(
         self: &Rc<Self>,
         keys: &[&[u8]],
-    ) -> Result<Vec<Option<Value>>, ClientError> {
-        if keys.is_empty() {
-            return Ok(Vec::new());
-        }
+    ) -> Vec<Result<Option<Value>, ClientError>> {
+        let mut out = vec![Ok(None); keys.len()];
         // group by ring owner, preserving original positions
-        let mut by_server: HashMap<usize, Vec<(usize, Bytes)>> = HashMap::new();
+        let mut by_server: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
         for (pos, k) in keys.iter().enumerate() {
-            let idx = self.route(k)?;
-            by_server
-                .entry(idx)
-                .or_default()
-                .push((pos, Bytes::copy_from_slice(k)));
+            match self.route(k) {
+                Ok(idx) => by_server.entry(idx).or_default().push(pos),
+                Err(e) => out[pos] = Err(e),
+            }
         }
-        let mut out: Vec<Option<Value>> = vec![None; keys.len()];
-        let mut server_ids: Vec<usize> = by_server.keys().copied().collect();
-        server_ids.sort_unstable();
         let sim = self.stack.sim().clone();
-        let mut tasks = Vec::with_capacity(server_ids.len());
-        for idx in server_ids {
-            let batch = by_server.remove(&idx).expect("grouped above");
-            let client = Rc::clone(self);
-            tasks.push(sim.spawn(async move {
+        let legs: Vec<_> = by_server
+            .into_iter()
+            .map(|(idx, batch)| {
                 let req = Request::MultiGet {
-                    keys: batch.iter().map(|(_, k)| k.clone()).collect(),
+                    keys: batch
+                        .iter()
+                        .map(|&pos| Bytes::copy_from_slice(keys[pos]))
+                        .collect(),
                 };
                 // each fan-out leg is one attempt — its own traced op, so
                 // the join can attribute the dominant (slowest) leg — and
-                // is not retried: an unresolved key falls back below
-                match client.attempt(idx, &req).await? {
-                    (Response::MultiValues { values }, finished) => {
-                        if values.len() != batch.len() {
-                            return Err(ClientError::Proto(ProtoError("multiget arity")));
-                        }
-                        let pairs: Vec<(usize, Option<Value>)> = batch
-                            .into_iter()
-                            .zip(values)
-                            .map(|((pos, _), v)| {
-                                (pos, v.map(|(data, flags, cas)| Value { data, flags, cas }))
-                            })
-                            .collect();
-                        Ok((idx, pairs, finished))
-                    }
-                    (other, _) => Err(Self::unexpected(other)),
+                // is not retried: what an unresolved key costs is the
+                // caller's decision
+                let client = Rc::clone(self);
+                let task = sim.spawn(async move { client.attempt(idx, &req).await });
+                (idx, batch, task)
+            })
+            .collect();
+        // join in sorted-server order
+        let mut finished: Vec<(usize, FinishedOp)> = Vec::new();
+        for (idx, batch, task) in legs {
+            let values = match task.await {
+                Ok((Response::MultiValues { values }, op)) if values.len() == batch.len() => {
+                    finished.extend(op.map(|f| (idx, f)));
+                    Ok(values)
                 }
-            }));
-        }
-        // join in sorted-server order so the surfaced error is deterministic
-        let mut first_err = None;
-        let mut legs: Vec<(usize, FinishedOp)> = Vec::new();
-        for task in tasks {
-            match task.await {
-                Ok((idx, pairs, finished)) => {
-                    for (pos, v) in pairs {
-                        out[pos] = v;
-                    }
-                    if let Some(f) = finished {
-                        legs.push((idx, f));
+                Ok((Response::MultiValues { .. }, _)) => {
+                    Err(ClientError::Proto(ProtoError("multiget arity")))
+                }
+                Ok((other, _)) => Err(Self::unexpected(other)),
+                Err(e) => Err(e),
+            };
+            match values {
+                Ok(values) => {
+                    for (pos, v) in batch.into_iter().zip(values) {
+                        out[pos] = Ok(v.map(|(data, flags, cas)| Value { data, flags, cas }));
                     }
                 }
-                Err(e) => {
-                    first_err.get_or_insert(e);
-                }
+                Err(e) => batch.into_iter().for_each(|pos| out[pos] = Err(e)),
             }
         }
         // client-side critical path: which server's leg bounded the join
         // (strict > over sorted-server order → ties go to the lower idx),
         // and which of its stages dominated
-        if let Some((idx, f)) =
-            legs.iter()
-                .fold(None::<&(usize, FinishedOp)>, |best, leg| match best {
-                    Some(b) if b.1.e2e_ns >= leg.1.e2e_ns => best,
-                    _ => Some(leg),
-                })
+        if let Some((idx, f)) = finished
+            .iter()
+            .fold(None::<&(usize, FinishedOp)>, |best, leg| match best {
+                Some(b) if b.1.e2e_ns >= leg.1.e2e_ns => best,
+                _ => Some(leg),
+            })
         {
             let tracer = self.stack.sim().optrace();
             tracer.note_critical(format!("rkv.critpath.multi_get.server{idx}"));
@@ -1016,32 +817,7 @@ impl KvClient {
                 tracer.note_critical(format!("rkv.critpath.multi_get.stage.{stage}"));
             }
         }
-        let r = self
-            .config
-            .replication
-            .max(1)
-            .min(self.view.active_len().max(1));
-        if (r > 1 || self.view.epoch() > 0)
-            && (first_err.is_some() || out.iter().any(Option::is_none))
-        {
-            // batches only consulted primaries; a failed batch — or a miss
-            // against a possibly-restarted-empty primary — may still be
-            // served by a replica (or, after a membership change, by an
-            // old owner), so unresolved keys fall back to per-key
-            // failover reads
-            first_err = None;
-            for (pos, k) in keys.iter().enumerate() {
-                if out[pos].is_none() {
-                    match self.get_failover(k).await {
-                        Ok(v) => out[pos] = v,
-                        Err(e) => {
-                            first_err.get_or_insert(e);
-                        }
-                    }
-                }
-            }
-        }
-        first_err.map_or(Ok(out), Err)
+        out
     }
 
     fn unexpected(resp: Response) -> ClientError {
@@ -1197,8 +973,9 @@ mod tests {
         let cl = client(&c, 2);
         c.sim.block_on(async move {
             cl.set(b"k", Bytes::from_static(b"v1"), 0, 0).await.unwrap();
-            assert!(cl.delete(b"k").await.unwrap());
-            assert!(!cl.delete(b"k").await.unwrap());
+            let owner = [cl.route(b"k").unwrap()];
+            assert!(cl.delete_on(&owner, b"k").await.unwrap());
+            assert!(!cl.delete_on(&owner, b"k").await.unwrap());
         });
     }
 
@@ -1332,10 +1109,11 @@ mod tests {
             let keys: Vec<String> = (0..50).map(|i| format!("mk{i}")).collect();
             let refs: Vec<&[u8]> = keys.iter().map(|k| k.as_bytes()).collect();
             let t0 = s.now();
-            let got = cl.multi_get(&refs).await.unwrap();
+            let got = cl.multi_get(&refs).await;
             let batched = (s.now() - t0).as_secs_f64();
             assert_eq!(got.len(), 50);
             for (i, v) in got.iter().enumerate() {
+                let v = v.as_ref().unwrap();
                 if i < 40 {
                     let v = v.as_ref().expect("stored key missing");
                     assert_eq!(v.data[0], i as u8);
@@ -1355,108 +1133,6 @@ mod tests {
                 "multi_get ({batched:.2e}s) should be far cheaper than {sequential:.2e}s"
             );
         });
-    }
-
-    fn client_with(c: &Cluster, node: u32, config: KvClientConfig) -> Rc<KvClient> {
-        KvClient::new(Rc::clone(&c.stack), NodeId(node), c.servers.clone(), config)
-    }
-
-    #[test]
-    fn replicas_are_distinct_and_lead_with_primary() {
-        let c = cluster(4, 1);
-        let cl = client_with(
-            &c,
-            4,
-            KvClientConfig {
-                replication: 3,
-                ..KvClientConfig::default()
-            },
-        );
-        for i in 0..100 {
-            let k = format!("key-{i}");
-            let reps = cl.replicas(k.as_bytes()).unwrap();
-            assert_eq!(reps.len(), 3);
-            assert_eq!(reps[0], cl.route(k.as_bytes()).unwrap());
-            let mut uniq = reps.clone();
-            uniq.sort_unstable();
-            uniq.dedup();
-            assert_eq!(uniq.len(), 3, "replicas must land on distinct servers");
-        }
-    }
-
-    #[test]
-    fn replicated_set_lands_on_all_replicas() {
-        let c = cluster(3, 1);
-        let cl = client_with(
-            &c,
-            3,
-            KvClientConfig {
-                replication: 2,
-                ..KvClientConfig::default()
-            },
-        );
-        let cl2 = Rc::clone(&cl);
-        c.sim.block_on(async move {
-            for i in 0..30 {
-                let k = format!("rk{i}");
-                cl2.set(k.as_bytes(), Bytes::from(vec![i as u8; 64]), 0, 0)
-                    .await
-                    .unwrap();
-            }
-        });
-        let total: u64 = c.servers.iter().map(|s| s.store().stats().items).sum();
-        assert_eq!(total, 60, "every key must be stored twice");
-    }
-
-    #[test]
-    fn reads_survive_single_server_crash_with_r2() {
-        let c = cluster(3, 1);
-        let cl = client_with(
-            &c,
-            3,
-            KvClientConfig {
-                replication: 2,
-                ..KvClientConfig::default()
-            },
-        );
-        let fabric = Rc::clone(c.stack.fabric());
-        let servers = c.servers.clone();
-        let sim = c.sim.clone();
-        sim.block_on(async move {
-            for i in 0..40 {
-                let k = format!("fk{i}");
-                cl.set(k.as_bytes(), Bytes::from(vec![i as u8; 128]), 0, 0)
-                    .await
-                    .unwrap();
-            }
-            // crash server 0 (primary for most of these keys): port down
-            // AND volatile contents lost
-            fabric.set_up(NodeId(0), false);
-            servers[0].store().clear();
-            for i in 0..40 {
-                let k = format!("fk{i}");
-                let v = cl
-                    .get(k.as_bytes())
-                    .await
-                    .unwrap()
-                    .expect("r=2 must serve every read through a single crash");
-                assert_eq!(v.data[0], i as u8);
-            }
-            // bring it back empty (restart): reads must STILL find every
-            // value via the surviving replica rather than trust the
-            // restarted server's miss
-            fabric.set_up(NodeId(0), true);
-            for i in 0..40 {
-                let k = format!("fk{i}");
-                assert!(cl.get(k.as_bytes()).await.unwrap().is_some());
-            }
-        });
-        let snap = c.sim.metrics().snapshot();
-        assert!(
-            snap.counter("kv.failover.reads") > 0,
-            "some reads must have failed over; snapshot: {}",
-            snap.to_json()
-        );
     }
 
     #[test]
@@ -1564,16 +1240,17 @@ mod tests {
                 })
                 .collect();
             for leg in legs {
-                // at the parent the first leg read the get's late frame
-                // and the second was handed the first leg's value
+                // had a leg trusted the connection, the first would have
+                // read the get's late frame and the second been handed
+                // the first leg's value
                 assert_eq!(
-                    leg.await.unwrap_err(),
+                    leg.await.pop().unwrap().unwrap_err(),
                     ClientError::Rdma(RdmaError::Disconnected)
                 );
             }
             assert_eq!(slow.await.unwrap(), None);
-            let got = cl.multi_get(&[b"y".as_slice()]).await.unwrap();
-            assert_eq!(&got[0].as_ref().unwrap().data[..], b"Y");
+            let got = cl.multi_get(&[b"y".as_slice()]).await.pop().unwrap();
+            assert_eq!(&got.unwrap().unwrap().data[..], b"Y");
             assert_eq!(server.connections(), 2, "one reconnect, shared");
         });
     }
@@ -1581,33 +1258,52 @@ mod tests {
     #[test]
     fn multi_get_leg_is_bounded_by_the_op_deadline() {
         let c = cluster(2, 1);
-        let r1 = client(&c, 2);
-        let r2 = client_with(
-            &c,
-            2,
-            KvClientConfig {
-                replication: 2,
-                ..KvClientConfig::default()
-            },
-        );
-        let primary = c.servers[r1.route(b"k").unwrap()].node().0;
+        let cl = client(&c, 2);
+        let primary = c.servers[cl.route(b"k").unwrap()].node().0;
         delay_edge(&c, None, Some(primary), 10, 60_000);
         let sim = c.sim.clone();
         c.sim.block_on(async move {
-            r2.set(b"k", Bytes::from_static(b"v"), 0, 0).await.unwrap();
+            cl.set(b"k", Bytes::from_static(b"v"), 0, 0).await.unwrap();
             sim.sleep(dur::ms(20)).await;
-            // at the parent the leg sat out the delayed transfers and
-            // answered after 3 s
+            // a leg that sat out the delayed transfers would answer
+            // after 3 s
             let t0 = sim.now();
-            let err = r1.multi_get(&[b"k".as_slice()]).await.unwrap_err();
-            assert_eq!(err, ClientError::Timeout);
+            let got = cl.multi_get(&[b"k".as_slice()]).await.pop().unwrap();
+            assert_eq!(got.unwrap_err(), ClientError::Timeout);
             assert_eq!(sim.now() - t0, OP_TIMEOUT);
-            // with a second replica the timed-out batch falls back to
-            // per-key failover reads
-            let got = r2.multi_get(&[b"k".as_slice()]).await.unwrap();
-            assert_eq!(&got[0].as_ref().unwrap().data[..], b"v");
-            let snap = sim.metrics().snapshot();
-            assert_eq!(snap.counter("kv.failover.reads"), 1);
+        });
+    }
+
+    /// A leg that fails fails only the keys it carried: with one server
+    /// down, every key the other servers own still comes back.
+    #[test]
+    fn multi_get_fails_only_the_keys_of_a_failed_leg() {
+        let c = cluster(3, 1);
+        let cl = client(&c, 3);
+        let fabric = Rc::clone(c.stack.fabric());
+        c.sim.block_on(async move {
+            let keys: Vec<String> = (0..30).map(|i| format!("lk{i}")).collect();
+            for k in &keys {
+                cl.set(k.as_bytes(), Bytes::from(k.clone()), 0, 0)
+                    .await
+                    .unwrap();
+            }
+            fabric.set_up(NodeId(0), false);
+            let refs: Vec<&[u8]> = keys.iter().map(|k| k.as_bytes()).collect();
+            let got = cl.multi_get(&refs).await;
+            let mut down = 0;
+            for (k, v) in refs.iter().zip(&got) {
+                if cl.route(k).unwrap() == 0 {
+                    down += 1;
+                    assert!(matches!(v, Err(ClientError::Rdma(_))), "{v:?}");
+                } else {
+                    assert_eq!(&v.as_ref().unwrap().as_ref().unwrap().data[..], *k);
+                }
+            }
+            assert!(
+                0 < down && down < keys.len(),
+                "{down} keys on the dead server"
+            );
         });
     }
 
@@ -1658,13 +1354,13 @@ mod tests {
             }
             let mut asked: Vec<&[u8]> = keys.iter().map(Vec::as_slice).collect();
             asked.insert(3, b"f1:absent");
-            let got = cl.multi_get(&asked).await.unwrap();
-            assert!(got[3].is_none());
+            let got = cl.multi_get(&asked).await;
+            assert!(got[3].as_ref().unwrap().is_none());
             let now = sim.now().as_nanos();
             for (key, v) in asked.iter().zip(&got).filter(|(k, _)| **k != b"f1:absent") {
                 let server = &servers[cl.route(key).unwrap()];
                 let (stored, _) = server.store().peek(key, now).unwrap();
-                let data = &v.as_ref().unwrap().data;
+                let data = &v.as_ref().unwrap().as_ref().unwrap().data;
                 assert_eq!(data.as_ptr(), stored.data.as_ptr(), "{key:?} was copied");
                 assert_eq!(data.len(), stored.data.len());
             }
@@ -1699,14 +1395,11 @@ mod tests {
                 Rc::clone(&stack),
                 NodeId(2),
                 servers.clone(),
-                KvClientConfig {
-                    replication: 2,
-                    ..KvClientConfig::default()
-                },
+                KvClientConfig::default(),
             );
             let key = b"f1:0";
             let original: Vec<u8> = (0..512usize << 10).map(|i| (i * 31 + 7) as u8).collect();
-            let hit = cl.replicas(key).unwrap()[0];
+            let hit = cl.route(key).unwrap();
             let s = sim.clone();
             sim.block_on(async move {
                 // connections first: the set below is frames and READs only
@@ -1747,7 +1440,12 @@ mod tests {
                 let before = simkit::crc32c::traversed();
                 assert_eq!(crate::checksum::crc32c_pair_bytes(key, &value), digest);
                 assert_eq!(simkit::crc32c::traversed() - before, key.len() as u64);
-                cl.set(key, value.clone(), digest, 0).await.unwrap();
+                // both replicas, the faulty edge's first
+                for server in [hit, 1 - hit] {
+                    cl.set_to(server, key, value.clone(), digest, 0)
+                        .await
+                        .unwrap();
+                }
                 watcher.await;
                 assert_eq!(flipped.get(), 1);
                 assert_eq!(value, original, "the writer's handle");
@@ -1776,10 +1474,10 @@ mod tests {
                     },
                 ));
                 s.sleep(dur::ns(1)).await;
-                let got = cl.multi_get(&[key.as_slice()]).await.unwrap();
+                let got = cl.multi_get(&[key.as_slice()]).await.pop().unwrap();
                 s.install_faults(FaultPlan::new(7));
                 assert_eq!(flipped.get(), 2);
-                let read = &got[0].as_ref().unwrap().data;
+                let read = &got.unwrap().unwrap().data;
                 let diff = read.iter().zip(&kept).filter(|(a, b)| a != b).count();
                 assert_eq!(diff, 1, "one byte, for this reader only");
                 assert_eq!(stored.data, kept, "the server's stored handle");
@@ -1794,117 +1492,18 @@ mod tests {
     fn pin_protocol_round_trips() {
         let c = cluster(2, 1);
         let cl = client(&c, 2);
+        let (owner, other) = (cl.route(b"pk").unwrap(), 1 - cl.route(b"pk").unwrap());
+        let store = Rc::clone(c.servers[owner].store());
         c.sim.block_on(async move {
             cl.set(b"pk", Bytes::from_static(b"v"), 0, 0).await.unwrap();
-            assert!(cl.pin(b"pk").await.unwrap(), "live key must pin");
-            assert!(!cl.pin(b"absent").await.unwrap(), "missing key can't pin");
-            cl.unpin(b"pk").await;
-            cl.unpin(b"absent").await; // best-effort, no panic
-        });
-    }
-
-    #[test]
-    fn replication_cap_follows_live_membership() {
-        // r=2 asked for with only one active server: the live view caps at
-        // 1, and the cap grows (not stays frozen) when a server joins
-        let c = cluster(2, 1);
-        let view = crate::Membership::new(vec![Rc::clone(&c.servers[0])]);
-        let cl = KvClient::with_view(
-            Rc::clone(&c.stack),
-            NodeId(2),
-            Rc::clone(&view),
-            KvClientConfig {
-                replication: 2,
-                ..KvClientConfig::default()
-            },
-        );
-        assert_eq!(cl.replicas(b"k").unwrap().len(), 1);
-        view.add_server(Rc::clone(&c.servers[1]));
-        assert_eq!(cl.replicas(b"k").unwrap().len(), 2);
-        let cl2 = Rc::clone(&cl);
-        c.sim.block_on(async move {
-            cl2.set(b"k", Bytes::from_static(b"v"), 0, 0).await.unwrap();
-        });
-        let total: u64 = c.servers.iter().map(|s| s.store().stats().items).sum();
-        assert_eq!(total, 2, "post-join set must land on both servers");
-    }
-
-    #[test]
-    fn reads_after_join_fall_back_to_old_owners() {
-        let c = cluster(3, 1);
-        let view = crate::Membership::new(c.servers[..2].to_vec());
-        let cl = KvClient::with_view(
-            Rc::clone(&c.stack),
-            NodeId(3),
-            Rc::clone(&view),
-            KvClientConfig::default(),
-        );
-        let sim = c.sim.clone();
-        sim.block_on(async move {
-            for i in 0..30 {
-                let k = format!("jk{i}");
-                cl.set(k.as_bytes(), Bytes::from(vec![i as u8; 64]), 0, 0)
-                    .await
-                    .unwrap();
-            }
-            view.add_server(Rc::clone(&c.servers[2]));
-            assert_eq!(view.epoch(), 1);
-            // un-migrated keys now route to the joiner (empty), but the
-            // definitive-miss fallback widens to the old owners
-            for i in 0..30 {
-                let k = format!("jk{i}");
-                let v = cl
-                    .get(k.as_bytes())
-                    .await
-                    .unwrap()
-                    .expect("old-ring copies must stay readable after a join");
-                assert_eq!(v.data[0], i as u8);
-            }
-            let snap = c.sim.metrics().snapshot();
-            assert!(
-                snap.counter("kv.epoch.fallback_reads") > 0,
-                "some keys must have remapped to the joiner"
-            );
-        });
-    }
-
-    #[test]
-    fn drained_server_gets_no_new_writes_but_old_data_stays_readable() {
-        let c = cluster(3, 1);
-        let view = crate::Membership::new(c.servers.clone());
-        let cl = KvClient::with_view(
-            Rc::clone(&c.stack),
-            NodeId(3),
-            Rc::clone(&view),
-            KvClientConfig::default(),
-        );
-        let servers = c.servers.clone();
-        c.sim.block_on(async move {
-            for i in 0..30 {
-                let k = format!("dk{i}");
-                cl.set(k.as_bytes(), Bytes::from(vec![i as u8; 64]), 0, 0)
-                    .await
-                    .unwrap();
-            }
-            let drained = servers[1].node();
-            assert!(view.drain_server(drained));
-            let before = servers[1].store().stats().items;
-            for i in 30..60 {
-                let k = format!("dk{i}");
-                assert_ne!(cl.route(k.as_bytes()).unwrap(), 1, "drained owns nothing");
-                cl.set(k.as_bytes(), Bytes::from(vec![i as u8; 64]), 0, 0)
-                    .await
-                    .unwrap();
-            }
-            assert_eq!(
-                servers[1].store().stats().items,
-                before,
-                "no new writes may land on a drained server"
-            );
-            for i in 0..60 {
-                let k = format!("dk{i}");
-                assert!(cl.get(k.as_bytes()).await.unwrap().is_some());
-            }
+            assert!(cl.pin_to(owner, b"pk").await.unwrap(), "live key must pin");
+            assert!(!cl.pin_to(other, b"pk").await.unwrap(), "no copy there");
+            assert!(!cl.pin_to(owner, b"absent").await.unwrap(), "missing key");
+            assert_eq!(store.stats().pinned_items, 1);
+            // best-effort: the server without the key is skipped quietly
+            cl.unpin_on(&[other, owner], b"pk").await;
+            cl.unpin_on(&[owner], b"absent").await;
+            assert_eq!(store.stats().pinned_items, 0);
         });
     }
 

@@ -5,8 +5,8 @@
 //! every operation, so a server joining or draining takes effect
 //! immediately — no client rebuild, no restart. Each change bumps a
 //! monotonically increasing *epoch*; callers that resolved a replica set
-//! under an older epoch can detect the bump and re-resolve against the
-//! new ring instead of erroring.
+//! under an older epoch can detect the bump (the burst buffer's lookup
+//! widens to the whole roster once it has moved).
 //!
 //! Two index spaces matter:
 //!

@@ -629,9 +629,8 @@ fn chunk_aligned_read_gathers_are_views_of_the_writers_payloads() {
             bb_core::FileState::Flushed
         );
         for seq in 0..16 {
-            client
-                .kv()
-                .delete(&bb_core::manager::chunk_key(1, seq))
+            let (kv, key) = (client.kv(), bb_core::manager::chunk_key(1, seq));
+            kv.delete_on(&[kv.route(&key).unwrap()], &key)
                 .await
                 .unwrap();
         }

@@ -117,7 +117,6 @@ impl PlacementCase {
         cfg.bb.kv_replication = 1;
         cfg.bb.kv_mem_per_server = 1 << 30;
         cfg.bb.bb_place_policy = PlacementPolicy::Locality;
-        cfg.bb.bb_place_interval = dur::ms(50);
         let sc = Scenario {
             kind: SystemKind::Bb(Scheme::AsyncLustre),
             cfg,
@@ -422,7 +421,6 @@ impl PlacementPropCase {
         cfg.bb.kv_mem_per_server = 1 << 30;
         if self.policy_on {
             cfg.bb.bb_place_policy = PlacementPolicy::Locality;
-            cfg.bb.bb_place_interval = dur::ms(50);
             // small budget: multi-chunk moves span ticks, exercising re-queue
             cfg.bb.bb_migrate_budget = 512 << 10;
         }

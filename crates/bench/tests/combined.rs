@@ -65,7 +65,6 @@ fn combined(seed: u64, early_stream_read: bool) -> Outcome<()> {
     cfg.bb.bb_ack_mode = AckMode::FullR;
     cfg.bb.rebalance_interval = dur::ms(100);
     cfg.bb.bb_place_policy = PlacementPolicy::Locality;
-    cfg.bb.bb_place_interval = dur::ms(50);
     cfg.bb.bb_migrate_budget = 512 << 10;
     cfg.bb.bb_admit_stream_bytes = 6 << 20;
     let sc = Scenario {

@@ -1,20 +1,23 @@
 //! The chunk-lifecycle table: the one record of which chunks the buffer
-//! holds and what is being done to each of them.
+//! holds, and the reconciler's one work queue.
 //!
 //! ```text
 //!             admit(pinned)            unpin (flushed)
 //!   writer ─────────────────▶ pinned ─────────────────▶ resident
 //!                               │ ▲                       │ ▲
-//!                   lease(work) ▼ │ commit / drop         ▼ │
-//!                            Moving | Repairing   (one holder per chunk)
+//!                         lease ▼ │ commit / drop         ▼ │
+//!                          the reconciler (one holder per chunk)
 //!
 //!   forget (evicted, unrepairable) / forget_file (deleted)
 //!        ─▶ record, routing override, queue entries and reader counts
 //!           all go together
 //! ```
 //!
-//! Whoever changes a chunk's copies — the rebalancer, the placement
-//! optimizer, a scrub repair — holds its [`ChunkLease`] and ends with
+//! Three triggers queue a chunk for the reconciler (`crate::movers`),
+//! each entry tagged with its [`Why`]: the scrub cursor, a membership
+//! epoch that moved its ring owners, and a placement decision.
+//!
+//! Whoever changes a chunk's copies holds its [`ChunkLease`] and ends with
 //! [`ChunkLease::commit`]. The order of a move is fixed: copy → CRC
 //! read-back → pin-carry → re-check the record (`commit`) → route switch →
 //! delete-old. A record that vanished under the lease (file deleted
@@ -33,22 +36,20 @@ use rkv::{HashRing, Membership};
 
 use crate::manager::chunk_key;
 
-/// `(file_id, seq)`. Ordered, so scrub, rebalance and optimizer scans
-/// walk the table file by file, chunk by chunk.
+/// `(file_id, seq)`. Ordered, so the scrub cursor and the epoch and
+/// placement scans walk the table file by file, chunk by chunk.
 pub(crate) type ChunkId = (u64, u64);
 
-/// One queued placement move: a chunk, the replica set to establish, and
-/// whether committing it installs a routing override (`false` for moves
-/// back to the chunk's plain hash owners).
-pub(crate) type PlaceMove = (ChunkId, Vec<usize>, bool);
-
-/// What a lease holder is doing to the chunk's copies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Work {
-    /// Re-establishing the replica set elsewhere (rebalancer, optimizer).
-    Moving,
-    /// Rewriting bad copies in place (scrubber).
-    Repairing,
+/// Why a chunk is on the reconciler's queue.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) enum Why {
+    /// The scrub cursor reached it: census its replica set.
+    Scrub,
+    /// A membership epoch moved its ring owners.
+    Remapped,
+    /// A placement decision: move it onto these servers, installing a
+    /// routing override unless `false` (a move back to its hash owners).
+    Place(Vec<usize>, bool),
 }
 
 #[derive(Default)]
@@ -60,9 +61,6 @@ struct Chunk {
     pinned: bool,
     /// A [`ChunkLease`] is out.
     leased: bool,
-    /// A placement move for this chunk is queued or running (one
-    /// decision per chunk in flight).
-    decided: bool,
     /// Chunk fetches per reader node, fed by the read path.
     readers: BTreeMap<u32, u64>,
 }
@@ -72,12 +70,10 @@ pub(crate) struct ChunkTable {
     view: Rc<Membership>,
     chunks: RefCell<BTreeMap<ChunkId, Chunk>>,
     scrub_cursor: Cell<ChunkId>,
-    /// Chunks whose ring owners changed, awaiting the rebalancer.
-    rebalance: RefCell<VecDeque<ChunkId>>,
-    /// Optimizer moves awaiting migration bandwidth.
-    place: RefCell<VecDeque<PlaceMove>>,
-    /// [`Work::Moving`] leases out.
-    moving: Cell<usize>,
+    /// The reconciler's work, in arrival order.
+    queue: RefCell<VecDeque<(ChunkId, Why)>>,
+    /// [`ChunkLease`]s out.
+    leases: Cell<usize>,
 }
 
 impl ChunkTable {
@@ -86,9 +82,8 @@ impl ChunkTable {
             view,
             chunks: RefCell::new(BTreeMap::new()),
             scrub_cursor: Cell::new((0, 0)),
-            rebalance: RefCell::new(VecDeque::new()),
-            place: RefCell::new(VecDeque::new()),
-            moving: Cell::new(0),
+            queue: RefCell::new(VecDeque::new()),
+            leases: Cell::new(0),
         }
     }
 
@@ -113,32 +108,30 @@ impl ChunkTable {
         self.chunks.borrow().contains_key(&id)
     }
 
-    pub(crate) fn is_leased(&self, id: ChunkId) -> bool {
-        self.chunks.borrow().get(&id).is_some_and(|c| c.leased)
+    /// The chunk's sealed CRC and whether it is still unflushed.
+    pub(crate) fn record(&self, id: ChunkId) -> Option<(u32, bool)> {
+        self.chunks.borrow().get(&id).map(|c| (c.crc, c.pinned))
     }
 
-    /// Take the chunk for `work`. `None` when there is no record or
-    /// another holder has it.
-    pub(crate) fn lease(&self, id: ChunkId, work: Work) -> Option<ChunkLease<'_>> {
+    /// Take the chunk to change its copies. `None` when there is no
+    /// record or another holder has it.
+    pub(crate) fn lease(&self, id: ChunkId) -> Option<ChunkLease<'_>> {
         let mut chunks = self.chunks.borrow_mut();
         let c = chunks.get_mut(&id)?;
         if c.leased {
             return None;
         }
         c.leased = true;
-        if work == Work::Moving {
-            self.moving.set(self.moving.get() + 1);
-        }
+        self.leases.set(self.leases.get() + 1);
         Some(ChunkLease {
             table: self,
             id,
-            work,
             crc: c.crc,
         })
     }
 
     /// The chunk left the buffer for good (evicted everywhere, or damaged
-    /// beyond repair): drop its record, override and queued moves.
+    /// beyond repair): drop its record, override and queue entries.
     /// Refused (`false`) while a lease is out — its holder is
     /// re-establishing copies that forgetting would orphan.
     pub(crate) fn forget(&self, id: ChunkId) -> bool {
@@ -148,13 +141,12 @@ impl ChunkTable {
         }
         chunks.remove(&id);
         self.view.clear_override(&chunk_key(id.0, id.1));
-        self.rebalance.borrow_mut().retain(|q| *q != id);
-        self.place.borrow_mut().retain(|(q, _, _)| *q != id);
+        self.queue.borrow_mut().retain(|(q, _)| *q != id);
         true
     }
 
     /// The file was deleted: drop every record of it, leased or not,
-    /// with its overrides, queued moves and reader counts. Returns
+    /// with its overrides, queue entries and reader counts. Returns
     /// `seq → servers` for each chunk whose buffer copies sit on an
     /// override's servers instead of its hash owners — a key-routed
     /// delete no longer finds those once the override is gone. The sweep
@@ -165,12 +157,9 @@ impl ChunkTable {
         self.chunks
             .borrow_mut()
             .retain(|(fid, _), _| *fid != file_id);
-        self.rebalance
+        self.queue
             .borrow_mut()
-            .retain(|(fid, _)| *fid != file_id);
-        self.place
-            .borrow_mut()
-            .retain(|((fid, _), _, _)| *fid != file_id);
+            .retain(|((fid, _), _)| *fid != file_id);
         let mut placed = BTreeMap::new();
         if self.view.overrides_len() > 0 {
             for seq in 0..chunks {
@@ -191,26 +180,23 @@ impl ChunkTable {
         }
     }
 
-    /// The next `n` chunks for the scrubber with their sealed CRCs,
-    /// round-robin from where the last batch ended so every chunk is
-    /// eventually visited regardless of churn.
-    pub(crate) fn scrub_batch(&self, n: usize) -> Vec<(ChunkId, u32)> {
+    /// The scrub trigger: queue the next `n` chunks, round-robin from
+    /// where the last batch ended so every chunk is eventually visited
+    /// regardless of churn.
+    pub(crate) fn queue_scrub(&self, n: usize) {
         let chunks = self.chunks.borrow();
         let cursor = self.scrub_cursor.get();
-        let batch: Vec<(ChunkId, u32)> = chunks
-            .range(cursor..)
-            .chain(chunks.range(..cursor))
-            .take(n)
-            .map(|(id, c)| (*id, c.crc))
-            .collect();
-        if let Some(((fid, seq), _)) = batch.last() {
-            self.scrub_cursor.set((*fid, seq + 1));
+        let batch = chunks.range(cursor..).chain(chunks.range(..cursor)).take(n);
+        let batch: Vec<ChunkId> = batch.map(|(id, _)| *id).collect();
+        if let Some(&(fid, seq)) = batch.last() {
+            self.scrub_cursor.set((fid, seq + 1));
         }
-        batch
+        let mut queue = self.queue.borrow_mut();
+        queue.extend(batch.into_iter().map(|id| (id, Why::Scrub)));
     }
 
-    /// Queue every chunk whose `r` ring owners differ between `old` and
-    /// `new` for the rebalancer — pinned (buffer-only) chunks first, then
+    /// The epoch trigger: queue every chunk whose `r` ring owners differ
+    /// between `old` and `new` — pinned (buffer-only) chunks first, then
     /// the rest, then whatever was still queued from earlier epochs.
     pub(crate) fn queue_remapped(&self, old: &HashRing<usize>, new: &HashRing<usize>, r: usize) {
         let chunks = self.chunks.borrow();
@@ -218,31 +204,24 @@ impl ChunkTable {
             let key = chunk_key(id.0, id.1);
             old.route_n(&key, r) != new.route_n(&key, r)
         };
-        let mut movers: Vec<ChunkId> = chunks.keys().copied().filter(remapped).collect();
-        movers.sort_by_key(|id| !chunks[id].pinned); // stable: table order within each half
-        let mut pending = self.rebalance.borrow_mut();
-        movers.extend(pending.drain(..));
+        let mut ids: Vec<ChunkId> = chunks.keys().copied().filter(remapped).collect();
+        ids.sort_by_key(|id| !chunks[id].pinned); // stable: table order within each half
+        let mut queue = self.queue.borrow_mut();
+        let (earlier, other) = queue.drain(..).partition(|(_, why)| *why == Why::Remapped);
+        *queue = other;
+        ids.extend(earlier.into_iter().map(|(id, _): (ChunkId, Why)| id));
         let mut seen = BTreeSet::new();
-        pending.extend(movers.into_iter().filter(|id| seen.insert(*id)));
+        let ids = ids.into_iter().filter(|id| seen.insert(*id));
+        queue.extend(ids.map(|id| (id, Why::Remapped)));
     }
 
-    pub(crate) fn next_rebalance(&self) -> Option<ChunkId> {
-        self.rebalance.borrow_mut().pop_front()
-    }
-
-    /// Put a chunk whose move did not finish back on the rebalance queue
-    /// (dropped when its record is gone).
-    pub(crate) fn requeue_rebalance(&self, id: ChunkId) {
-        if self.contains(id) {
-            self.rebalance.borrow_mut().push_back(id);
-        }
-    }
-
-    /// Chunks queued for the rebalancer or mid-move. Zero — once the
-    /// rebalancer's epoch has caught up with the view — means the ring
-    /// has converged.
-    pub(crate) fn rebalance_backlog(&self) -> usize {
-        self.rebalance.borrow().len() + self.moving.get()
+    /// Whether a placement move of `id` is queued (one decision per
+    /// chunk in flight).
+    fn placing(&self, id: ChunkId) -> bool {
+        let queue = self.queue.borrow();
+        queue
+            .iter()
+            .any(|(q, why)| *q == id && matches!(why, Why::Place(..)))
     }
 
     /// Routing hygiene after a drain: an override naming a server that
@@ -250,7 +229,7 @@ impl ChunkTable {
     /// bookkeeping, not routing; the chunk is queued to re-converge on
     /// its `r` hash owners without a new override.
     pub(crate) fn demote_stale_routes(&self, r: usize) {
-        for (&id, c) in self.chunks.borrow_mut().iter_mut() {
+        for &id in self.chunks.borrow().keys() {
             let key = chunk_key(id.0, id.1);
             let stale = self
                 .view
@@ -261,65 +240,67 @@ impl ChunkTable {
             }
             self.view.clear_override(&key);
             let owners = self.view.route_n(&key, r);
-            if !c.decided && !owners.is_empty() {
-                c.decided = true;
-                self.place.borrow_mut().push_back((id, owners, false));
+            if !owners.is_empty() && !self.placing(id) {
+                self.queue
+                    .borrow_mut()
+                    .push_back((id, Why::Place(owners, false)));
             }
         }
     }
 
-    /// Chunks with reader telemetry and no move queued or running, with
+    /// Chunks with reader telemetry and no placement move queued, with
     /// their `(node, fetches)` counts — what the optimizer re-costs.
     pub(crate) fn undecided_read(&self) -> Vec<(ChunkId, Vec<(u32, u64)>)> {
         self.chunks
             .borrow()
             .iter()
-            .filter(|(_, c)| !c.readers.is_empty() && !c.decided && !c.leased)
+            .filter(|(id, c)| !c.readers.is_empty() && !self.placing(**id))
             .map(|(id, c)| (*id, c.readers.iter().map(|(&n, &k)| (n, k)).collect()))
             .collect()
     }
 
-    /// Queue the optimizer's decision to move `id` onto `targets`.
-    pub(crate) fn queue_place(&self, id: ChunkId, targets: Vec<usize>) {
-        if let Some(c) = self.chunks.borrow_mut().get_mut(&id) {
-            c.decided = true;
-            self.place.borrow_mut().push_back((id, targets, true));
+    pub(crate) fn pop(&self) -> Option<(ChunkId, Why)> {
+        self.queue.borrow_mut().pop_front()
+    }
+
+    /// Queue work for a chunk: a placement decision, or work that did
+    /// not finish (dropped when the chunk's record is gone).
+    pub(crate) fn push(&self, id: ChunkId, why: Why) {
+        if self.contains(id) {
+            self.queue.borrow_mut().push_back((id, why));
         }
     }
 
-    pub(crate) fn next_place(&self) -> Option<PlaceMove> {
-        self.place.borrow_mut().pop_front()
+    /// Entries on the queue.
+    pub(crate) fn queued(&self) -> usize {
+        self.queue.borrow().len()
     }
 
-    /// Put a move that did not finish back on the placement queue, still
-    /// decided (dropped when its record is gone).
-    pub(crate) fn requeue_place(&self, mv: PlaceMove) {
-        if self.contains(mv.0) {
-            self.place.borrow_mut().push_back(mv);
-        }
+    /// Chunks queued for their new ring owners, plus changes in flight.
+    /// Zero — once the epoch trigger has caught up with the view — means
+    /// the ring has converged.
+    pub(crate) fn rebalance_backlog(&self) -> usize {
+        let queue = self.queue.borrow();
+        let remapped = queue.iter().filter(|(_, why)| *why == Why::Remapped);
+        remapped.count() + self.leases.get()
     }
 
-    /// The chunk's placement move ended (done, stale or pointless): the
-    /// optimizer may decide about it again.
-    pub(crate) fn settle_place(&self, id: ChunkId) {
-        if let Some(c) = self.chunks.borrow_mut().get_mut(&id) {
-            c.decided = false;
-        }
-    }
-
-    /// Placement moves still queued behind the migration budget.
+    /// Placement moves still queued behind the byte budget.
     pub(crate) fn place_backlog(&self) -> usize {
-        self.place.borrow().len()
+        let queue = self.queue.borrow();
+        queue
+            .iter()
+            .filter(|(_, why)| matches!(why, Why::Place(..)))
+            .count()
     }
 }
 
 /// Exclusive right to change one chunk's buffer copies, released on drop
-/// so no exit path can leave the chunk stuck (hidden from the scrubber,
-/// counted in the rebalance backlog) for good.
+/// so no exit path can leave the chunk stuck (counted in the rebalance
+/// backlog, refused by `forget`) for good.
 pub(crate) struct ChunkLease<'a> {
     table: &'a ChunkTable,
     id: ChunkId,
-    work: Work,
     /// The CRC every copy must match.
     pub(crate) crc: u32,
 }
@@ -354,9 +335,7 @@ impl Drop for ChunkLease<'_> {
         if let Some(c) = self.table.chunks.borrow_mut().get_mut(&self.id) {
             c.leased = false;
         }
-        if self.work == Work::Moving {
-            self.table.moving.set(self.table.moving.get() - 1);
-        }
+        self.table.leases.set(self.table.leases.get() - 1);
     }
 }
 
@@ -402,11 +381,8 @@ mod tests {
             .filter(|id| t.view.override_of(&chunk_key(id.0, id.1)).is_some())
             .count();
         assert_eq!(routed, t.view.overrides_len(), "override without a record");
-        for id in t.rebalance.borrow().iter() {
-            assert!(m.chunks.contains_key(id), "rebalance entry outlived {id:?}");
-        }
-        for (id, _, _) in t.place.borrow().iter() {
-            assert!(m.chunks.contains_key(id), "placement move outlived {id:?}");
+        for (id, why) in t.queue.borrow().iter() {
+            assert!(m.chunks.contains_key(id), "{why:?} entry outlived {id:?}");
         }
         assert_eq!(t.chunks.borrow().len(), m.chunks.len());
     }
@@ -415,10 +391,11 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// Random interleavings of everything the manager does to the
-        /// table, against a plain map: one lease per chunk at most and
-        /// released on every exit, commit succeeds exactly while the
-        /// record lives, nothing outlives its record, and the backlog
-        /// drains to zero.
+        /// table — each trigger's push, the reconciler's pop and requeue,
+        /// leases, `forget`, `forget_file` — against a plain map: one
+        /// lease per chunk at most and released on every exit, commit
+        /// succeeds exactly while the record lives, nothing outlives its
+        /// record, and the backlog drains to zero.
         #[test]
         fn table_agrees_with_a_reference_map(
             ops in proptest::collection::vec((0u8..10, 1u64..4, 0u64..4, 0u8..8), 1..160)
@@ -443,9 +420,8 @@ mod tests {
                         model.chunks.entry(id).and_modify(|p| *p = false);
                     }
                     3 => {
-                        let work = if arg & 1 == 0 { Work::Moving } else { Work::Repairing };
                         let free = model.chunks.contains_key(&id) && !held(&leases);
-                        let lease = table.lease(id, work);
+                        let lease = table.lease(id);
                         prop_assert_eq!(lease.is_some(), free, "second lease on {:?}", id);
                         leases.extend(lease);
                     }
@@ -479,7 +455,7 @@ mod tests {
                     }
                     8 => {
                         // epoch bump: drain or re-admit a server, then what
-                        // the rebalancer and optimizer do about it
+                        // the epoch and placement triggers do about it
                         let idx = 1 + arg as usize % (SERVERS - 1);
                         if view.is_active(idx) {
                             view.drain_server(view.server(idx).node());
@@ -492,40 +468,34 @@ mod tests {
                         table.demote_stale_routes(R);
                     }
                     _ => {
-                        // the movers' queue traffic
+                        // the scrub and placement triggers, then one
+                        // reconciler step: done, or back on the queue
                         table.record_read(id, arg as u32);
+                        table.queue_scrub(1 + arg as usize % 3);
                         for (id, _) in table.undecided_read() {
-                            table.queue_place(id, vec![arg as usize % SERVERS]);
+                            table.push(id, Why::Place(vec![arg as usize % SERVERS], true));
+                            prop_assert!(table.placing(id));
                         }
-                        if let Some(id) = table.next_rebalance() {
+                        if let Some((id, why)) = table.pop() {
                             prop_assert!(model.chunks.contains_key(&id));
-                            table.requeue_rebalance(id);
-                        }
-                        if let Some(mv) = table.next_place() {
-                            prop_assert!(model.chunks.contains_key(&mv.0));
                             if arg & 1 == 0 {
-                                table.requeue_place(mv);
-                            } else {
-                                table.settle_place(mv.0);
+                                table.push(id, why);
                             }
                         }
                     }
                 }
                 check_nothing_outlives_its_record(&table, &model);
-                let moving = leases.iter().filter(|l| l.work == Work::Moving).count();
-                prop_assert_eq!(
-                    table.rebalance_backlog(),
-                    table.rebalance.borrow().len() + moving
-                );
+                let remapped = table.queue.borrow().iter().filter(|e| e.1 == Why::Remapped).count();
+                prop_assert_eq!(table.rebalance_backlog(), remapped + leases.len());
+                prop_assert!(table.place_backlog() <= table.queued());
             }
             leases.clear();
-            while table.next_rebalance().is_some() {}
+            while table.pop().is_some() {}
             prop_assert_eq!(table.rebalance_backlog(), 0, "a lease leaked");
-            for id in model.chunks.keys() {
-                prop_assert!(!table.is_leased(*id));
-            }
-            while table.next_place().is_some() {}
             prop_assert_eq!(table.place_backlog(), 0);
+            for c in table.chunks.borrow().values() {
+                prop_assert!(!c.leased);
+            }
         }
     }
 }

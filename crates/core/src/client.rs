@@ -874,13 +874,18 @@ impl ReadCore {
 
     /// Tier 1 for one chunk: the checksum-verified buffer GET — a corrupt
     /// copy fails over to the next server of the read order (and is
-    /// repaired in place), never reaches the caller.
-    async fn buffer_get(&self, file_id: u64, seq: u64) -> Option<Bytes> {
+    /// repaired in place), never reaches the caller. `last`: a server
+    /// that just failed this key's batched leg, asked last.
+    async fn buffer_get(&self, file_id: u64, seq: u64, last: Option<usize>) -> Option<Bytes> {
         let key = chunk_key(file_id, seq);
         let dep = &self.client.dep;
-        let counters = dep.integrity_counters();
-        let r = dep.config.kv_replication;
-        let got = integrity::get_verified(&self.client.kv, counters, &key, self.sealed_crc(seq), r);
+        let (kv, counters, sealed) = (
+            &self.client.kv,
+            dep.integrity_counters(),
+            self.sealed_crc(seq),
+        );
+        let got =
+            integrity::get_verified(kv, counters, &key, sealed, dep.config.kv_replication, last);
         got.await.ok().map(|v| v.data)
     }
 
@@ -984,7 +989,7 @@ impl ReadCore {
             }
         }
         // tier 1: the buffer (RDMA GET from server DRAM)
-        if let Some(data) = self.buffer_get(file_id, seq).await {
+        if let Some(data) = self.buffer_get(file_id, seq, None).await {
             sim.sleep(read_cpu).await;
             self.client.dep.read_counters().tier_buffer.inc();
             return Ok(data);
@@ -1173,12 +1178,13 @@ impl ReadCore {
             // A key the batch did not resolve (a miss, or its leg failed)
             // may still sit on another replica or, after a membership
             // change, on an old owner: while there is more than one server
-            // to ask it takes the verified per-key walk. Otherwise the
-            // batch asked its only holder, and it goes to the Lustre tier.
+            // to ask it takes the verified per-key walk — past the server
+            // whose leg failed, which it asks last. Otherwise the batch
+            // asked its only holder, and it goes to the Lustre tier.
             let view = self.client.kv.view();
             let walk = self.config().kv_replication.min(view.active_len()) > 1 || view.epoch() > 0;
-            let mut verify: Vec<u64> = Vec::new();
-            let mut corrupt: Vec<u64> = Vec::new();
+            let mut verify: Vec<(u64, Option<usize>)> = Vec::new();
+            let mut corrupt: Vec<(u64, Option<usize>)> = Vec::new();
             for ((&s, key), v) in rest.iter().zip(&keys).zip(vals) {
                 match v {
                     Ok(Some(val)) if integrity::is_good(key, &val, self.sealed_crc(s)) => {
@@ -1188,9 +1194,10 @@ impl ReadCore {
                     }
                     Ok(Some(_)) => {
                         self.client.dep.integrity_counters().checksum_fail.inc();
-                        corrupt.push(s);
+                        corrupt.push((s, None));
                     }
-                    _ if walk => verify.push(s),
+                    Err(_) if walk => verify.push((s, self.client.kv.route(key).ok())),
+                    Ok(None) if walk => verify.push((s, None)),
                     _ => misses.push(s),
                 }
             }
@@ -1198,8 +1205,8 @@ impl ReadCore {
             // path too (replica failover + in-place repair), after the
             // unresolved keys, before degrading to the Lustre tier
             verify.extend(corrupt);
-            for s in verify {
-                match self.buffer_get(file_id, s).await {
+            for (s, last) in verify {
+                match self.buffer_get(file_id, s, last).await {
                     Some(data) => {
                         cpu = cpu.max(simkit::dur::transfer(clen(s), rate));
                         self.client.dep.read_counters().tier_buffer.inc();

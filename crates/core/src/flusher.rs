@@ -103,7 +103,8 @@ impl BbManager {
                         let sim = this.sim().clone();
                         let (kv, counters) = (&this.kv, &this.integrity);
                         let r = this.config.kv_replication;
-                        let lookup = || integrity::get_verified(kv, counters, &key, Some(crc), r);
+                        let lookup =
+                            || integrity::get_verified(kv, counters, &key, Some(crc), r, None);
                         let mut got = lookup().await;
                         let mut attempt = 0u32;
                         while matches!(&got, Err(c) if !c.definitive) && attempt < KV_RETRIES + 3 {

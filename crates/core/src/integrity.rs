@@ -5,7 +5,7 @@
 //! The KV client addresses one server per verb; this module is the one
 //! place that decides a chunk's replica set ([`replicas`]), the order a
 //! lookup walks ([`read_order`]) and every server that may still hold a
-//! copy ([`holders`]). Writes, reads, the flusher, the movers and deletes
+//! copy ([`holders`]). Writes, reads, the flusher, the reconciler and deletes
 //! all take their servers from here.
 //!
 //! Every chunk sealed by a [`crate::BbWriter`] carries
@@ -38,11 +38,13 @@ pub fn replicas(view: &Membership, key: &[u8], r: usize) -> Vec<usize> {
 /// Where a lookup of `key` looks, in order, and how many leading entries
 /// are its [`replicas`]: the replica set in ring order, then — once
 /// membership has ever changed (epoch > 0) — the rest of the roster in
-/// roster order. A chunk written under an old ring and not yet migrated
+/// roster order. A chunk written under an old ring and not yet moved
 /// still lives on its previous owner (possibly a drained server), and the
-/// rebalancer deletes old copies only after the new owners verify, so a
-/// walk of this order cannot lose it. Every lookup — `get_verified`
-/// (readers and the flusher) and the scrubber — walks exactly this list.
+/// reconciler deletes old copies only after the new owners verify, so a
+/// walk of this order cannot lose it. Every lookup walks this list:
+/// `get_verified` (readers and the flusher; a server whose batched leg
+/// just failed goes last) and the reconciler's scrub census (the replica
+/// set, then the rest once every replica answered empty).
 pub fn read_order(view: &Membership, key: &[u8], r: usize) -> (Vec<usize>, usize) {
     let mut order = replicas(view, key, r);
     let set = order.len();
@@ -105,7 +107,9 @@ impl IntegrityCounters {
 }
 
 /// What one walk over an ordered server list found of a chunk. A
-/// missing copy is legal (LRU eviction), not an integrity event.
+/// missing copy is not an integrity event: a flushed chunk's copy may be
+/// evicted (LRU; Lustre holds it), and an unflushed chunk short of its
+/// replica set is the reconciler's to restore (`crate::movers`).
 #[derive(Default)]
 pub(crate) struct Census {
     /// Servers holding a copy that matches the digest.
@@ -200,7 +204,10 @@ pub(crate) async fn census(
 /// `bb.integrity.failovers` when it is not the primary's —, which then
 /// repairs in place every bad copy seen on the way (the store carries an existing pin across the
 /// overwrite, so repairing an unflushed chunk does not expose it to
-/// eviction). `Err` means no server holds a *verifiable* copy — the
+/// eviction). `last` is asked after the rest of the order, not skipped:
+/// a server whose batched leg just failed should not spend its retry
+/// budget before a replica answers, yet a transient failure still
+/// resolves. `Err` means no server holds a *verifiable* copy — the
 /// caller's next tier (Lustre, or a loud `DataUnavailable`) takes over, or,
 /// while the census is not [`Census::definitive`], a retry; corrupt bytes
 /// are never returned.
@@ -210,9 +217,12 @@ pub(crate) async fn get_verified(
     key: &[u8],
     sealed: Option<u32>,
     r: usize,
+    last: Option<usize>,
 ) -> Result<Value, Census> {
     let (order, replicas) = read_order(kv.view(), key, r);
-    let mut c = census(kv, key, sealed, order.iter().copied(), true, true).await;
+    let walk = order.iter().copied().filter(|&idx| Some(idx) != last);
+    let walk = walk.chain(last.filter(|idx| order.contains(idx)));
+    let mut c = census(kv, key, sealed, walk, true, true).await;
     counters.checksum_fail.add(c.digest_fails);
     let Some(good) = c.value.take() else {
         c.definitive = order[..replicas]

@@ -100,7 +100,9 @@ pub enum AckMode {
     /// any single crash with zero acked loss when `r >= 2`.
     LocalPlusOne,
     /// Ack only after all `r` replicas are durable — the seed behaviour
-    /// and the default. Zero acked loss up to `r - 1` crashes.
+    /// and the default. Zero acked loss up to `r - 1` crashes at once; the
+    /// reconciler copies an unflushed chunk back to `r` within one scrub
+    /// pass, so crashes spaced further apart than that lose none either.
     FullR,
 }
 
@@ -207,15 +209,15 @@ pub struct BbConfig {
     /// distinct servers on the ring and reads fail over between them.
     /// `1` reproduces the paper's single-copy buffer.
     pub kv_replication: usize,
-    /// Background rebalancer tick period (virtual time). Each tick reacts
-    /// to membership-epoch bumps by queueing resident chunks whose ring
-    /// owners changed, then migrates up to 64 of them (copy to the new
-    /// owners, verify CRC by read-back, delete from the old).
-    /// `Duration::ZERO` disables the rebalancer: a membership change then
-    /// relies on the lookup order alone ([`integrity::read_order`] —
-    /// past the replica set, the rest of the roster), which reads, the
-    /// flusher's read-back and the scrubber all walk, so unmigrated
-    /// chunks are still read, flushed and kept.
+    /// Period of the reconciler's epoch trigger (virtual time): after a
+    /// membership-epoch bump it queues every resident chunk whose ring
+    /// owners changed, to be moved there (copy to the new owners, verify
+    /// CRC by read-back, delete from the old). `Duration::ZERO` disables
+    /// the trigger: a membership change then relies on the lookup order
+    /// alone ([`integrity::read_order`] — past the replica set, the rest
+    /// of the roster), which reads, the flusher's read-back and the scrub
+    /// census all walk, so unmoved chunks are still read, flushed and
+    /// kept.
     pub rebalance_interval: std::time::Duration,
     /// Overload high watermark, the buffer's one overload response: when
     /// unflushed buffered bytes exceed this fraction of usable KV memory,
@@ -253,29 +255,25 @@ pub struct BbConfig {
     /// Replica-target policy for buffered chunks ([`PlacementPolicy`]).
     /// [`PlacementPolicy::Hash`] (default) is the seed consistent-hash
     /// ring bit-for-bit; [`PlacementPolicy::Locality`] places new chunks
-    /// on the topologically nearest ring servers to the writer.
+    /// on the topologically nearest ring servers to the writer, and every
+    /// 50 ms the reconciler re-costs resident chunks against their
+    /// observed readers (topology cost model,
+    /// [`netsim::Fabric::topo_latency`]) and moves improvements toward
+    /// them.
     pub bb_place_policy: PlacementPolicy,
-    /// Background placement-optimizer tick period (virtual time). Each
-    /// tick re-costs resident chunks against their observed readers
-    /// (topology cost model, [`netsim::Fabric::topo_latency`]) and
-    /// migrates improvements toward the readers — copy, CRC read-back,
-    /// override install, then delete-from-old, reusing the rebalancer's
-    /// verified-move machinery. `Duration::ZERO` (default) disables the
-    /// optimizer.
-    pub bb_place_interval: std::time::Duration,
-    /// Payload bytes the placement optimizer may copy per tick (its
-    /// migration-bandwidth budget; at least one queued move always
-    /// proceeds). `0` removes the bound.
+    /// Payload bytes the reconciler may copy per round — moves, repairs
+    /// and restored copies alike (at least one queued chunk always
+    /// proceeds); the default is 64 chunks of the default size. `0`
+    /// removes the bound.
     pub bb_migrate_budget: u64,
 }
 
 impl BbConfig {
-    /// Whether any part of the placement engine is on: a non-hash policy
-    /// or a running optimizer. Gates the access tracker and the lazy
-    /// `bb.place.*` counters so defaults stay byte-identical.
+    /// Whether the placement engine is on (a non-hash policy). Gates the
+    /// access tracker and the lazy `bb.place.*` counters so defaults stay
+    /// byte-identical.
     pub fn placement_enabled(&self) -> bool {
         self.bb_place_policy != PlacementPolicy::Hash
-            || self.bb_place_interval > std::time::Duration::ZERO
     }
 }
 
@@ -301,8 +299,7 @@ impl Default for BbConfig {
             bb_ack_ahead: 8,
             bb_admit_stream_bytes: 0,
             bb_place_policy: PlacementPolicy::Hash,
-            bb_place_interval: std::time::Duration::ZERO,
-            bb_migrate_budget: 8 << 20,
+            bb_migrate_budget: 32 << 20,
         }
     }
 }
@@ -337,7 +334,7 @@ pub struct BbDeployment {
     /// (`bb.read.*`), [`ReadStats`] is its frozen view.
     read: client::ReadCounters,
     /// Checksum-verification and repair counters (`bb.integrity.*`),
-    /// shared by every reader, the flusher, and the scrubber.
+    /// shared by every reader, the flusher, and the reconciler.
     integrity: integrity::IntegrityCounters,
     /// Durability-ack counters (`bb.ack.*`), registered lazily on the
     /// first relaxed-mode write so the metric names stay out of default
@@ -470,8 +467,8 @@ impl BbDeployment {
 
     /// Admit the server on `node` to the ring: a standby created by
     /// [`BbDeployment::standby_kv_server`], or a previously drained member
-    /// rejoining. Bumps the membership epoch; the manager's background
-    /// rebalancer migrates remapped chunks. `false` if `node` hosts no
+    /// rejoining. Bumps the membership epoch; the manager's reconciler
+    /// moves remapped chunks. `false` if `node` hosts no
     /// known server.
     pub fn admit_kv_server(&self, node: NodeId) -> bool {
         let standby = self.standby.borrow_mut().remove(&node.0);
@@ -488,7 +485,7 @@ impl BbDeployment {
     }
 
     /// Take the server on `node` off the ring. It keeps running and keeps
-    /// its data until the rebalancer migrates the chunks away. `false` if
+    /// its data until the reconciler moves the chunks away. `false` if
     /// the node is not an active member (or is the last one).
     pub fn drain_kv_server(&self, node: NodeId) -> bool {
         self.membership.drain_server(node)
@@ -565,9 +562,8 @@ impl BbDeployment {
         Rc::clone(slot.as_ref().unwrap())
     }
 
-    /// Stop background loops (scheme-C overlay heartbeats, the integrity
-    /// scrubber, the rebalancer, the placement optimizer) so simulations
-    /// can quiesce.
+    /// Stop background loops (scheme-C overlay heartbeats, the
+    /// reconciler) so simulations can quiesce.
     pub fn shutdown(&self) {
         if let Some(h) = &self.hdfs_local {
             h.shutdown();

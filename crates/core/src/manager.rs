@@ -5,9 +5,9 @@
 //! buffered chunks to Lustre with bounded parallelism. Past a high
 //! watermark of unflushed bytes its acks route writers write-through to
 //! Lustre until the flusher drains below a low one.
-//! Its background loops (scrubber, rebalancer, placement optimizer) live
-//! in `crate::movers`; what they and the flusher know about each chunk
-//! lives in `crate::chunks`.
+//! Its reconciler, which keeps every buffered chunk at its desired
+//! placement, lives in `crate::movers`; what it and the flusher know
+//! about each chunk lives in `crate::chunks`.
 
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, HashMap};
@@ -28,7 +28,7 @@ use lustre::{LustreCluster, LustreError};
 use crate::chunks::ChunkTable;
 use crate::flusher::FlushItem;
 use crate::integrity::{self, IntegrityCounters};
-use crate::movers::{RebalanceCounters, ScrubCounters};
+use crate::movers::MoverCounters;
 use crate::placement::PlaceCounters;
 use crate::{BbConfig, Scheme};
 
@@ -404,26 +404,26 @@ pub struct BbManager {
     /// Traffic classifier counters; `None` when admission control is off
     /// (the classifier is then a no-op and its metric names never exist).
     admit: Option<AdmitCounters>,
-    /// Every chunk the buffer is expected to hold, and the movers' queues.
+    /// Every chunk the buffer is expected to hold, and the reconciler's
+    /// queue.
     pub(crate) chunks: ChunkTable,
-    pub(crate) scrub: ScrubCounters,
+    pub(crate) movers: MoverCounters,
     pressure_stats: PressureCounters,
     pub(crate) integrity: IntegrityCounters,
     /// The shared membership view (same object the clients route through).
     pub(crate) view: Rc<Membership>,
-    /// Ring as of the last epoch the rebalancer processed. Diffing it
+    /// Ring as of the last epoch the epoch trigger processed. Diffing it
     /// against the live ring finds exactly the keys whose owners changed —
     /// the ≈ k/n consistent-hashing remap set, not the whole key space.
     pub(crate) last_ring: RefCell<HashRing<usize>>,
     /// Epoch `last_ring` corresponds to.
     pub(crate) last_epoch: Cell<u64>,
-    pub(crate) rebal: RebalanceCounters,
     /// `bb.place.*` counters; `None` when placement is off, so no reader
     /// telemetry is kept and no metric name is ever registered (defaults
     /// byte-identity).
     pub(crate) place: Option<PlaceCounters>,
-    /// Set by [`BbManager::stop_background`]; every background loop
-    /// exits after its current tick.
+    /// Set by [`BbManager::stop_background`]; the reconciler exits after
+    /// its current round.
     pub(crate) stopped: Cell<bool>,
 }
 
@@ -479,13 +479,12 @@ impl BbManager {
             admit: (config.bb_admit_stream_bytes > 0)
                 .then(|| AdmitCounters::register(fabric.sim().metrics())),
             chunks: ChunkTable::new(Rc::clone(&view)),
-            scrub: ScrubCounters::register(fabric.sim().metrics()),
+            movers: MoverCounters::register(fabric.sim().metrics()),
             pressure_stats: PressureCounters::register(fabric.sim().metrics()),
             integrity: IntegrityCounters::register(fabric.sim().metrics()),
             last_ring: RefCell::new(view.ring_snapshot()),
             last_epoch: Cell::new(view.epoch()),
             view,
-            rebal: RebalanceCounters::register(fabric.sim().metrics()),
             place: config
                 .placement_enabled()
                 .then(|| PlaceCounters::register(fabric.sim().metrics())),
@@ -500,12 +499,12 @@ impl BbManager {
                 this.handle(env.msg);
             }
         });
-        mgr.start_movers();
+        mgr.start_reconciler();
         mgr
     }
 
-    /// Placement moves still queued behind the migration budget. Zero
-    /// means the optimizer has converged on the telemetry it has seen.
+    /// Placement moves still queued behind the byte budget. Zero means
+    /// the optimizer has converged on the telemetry it has seen.
     pub fn place_backlog(&self) -> usize {
         self.chunks.place_backlog()
     }
@@ -519,14 +518,14 @@ impl BbManager {
         }
     }
 
-    /// Chunks still queued (or being scanned in) for migration. Zero —
-    /// once [`BbManager::rebalance_epoch`] has caught up with the view —
-    /// means the ring has converged.
+    /// Chunks still queued for their new ring owners, plus copy changes
+    /// in flight. Zero — once [`BbManager::rebalance_epoch`] has caught
+    /// up with the view — means the ring has converged.
     pub fn rebalance_backlog(&self) -> usize {
         self.chunks.rebalance_backlog()
     }
 
-    /// The membership epoch the rebalancer has fully processed.
+    /// The membership epoch the reconciler's epoch trigger has processed.
     pub fn rebalance_epoch(&self) -> u64 {
         self.last_epoch.get()
     }
@@ -878,7 +877,7 @@ impl BbManager {
         self.notify_flushed(file_id, state);
     }
 
-    /// State, size and Lustre path of a live file — what the movers need
+    /// State, size and Lustre path of a live file — what the reconciler needs
     /// from the namespace.
     pub(crate) fn file_info(&self, file_id: u64) -> Option<(FileState, u64, String)> {
         let files = self.by_id.borrow();

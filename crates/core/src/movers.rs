@@ -1,61 +1,50 @@
-//! The manager's background loops — integrity scrubber, epoch
-//! rebalancer, placement optimizer — and the one verified-move routine
-//! they share. Each of them changes a chunk's buffer copies only while
-//! holding its [`crate::chunks::ChunkLease`]; the commit order is stated
-//! once, in [`crate::chunks`].
+//! The reconciler: one loop keeps every buffered chunk at its desired
+//! placement — the replica set (or override), the pin, the flushed
+//! state. Three triggers queue chunks on the chunk table
+//! ([`crate::chunks::Why`]); each queued chunk becomes one [`Action`],
+//! run under the chunk's [`crate::chunks::ChunkLease`] in the commit
+//! order stated once in [`crate::chunks`], within one byte budget per
+//! round.
 
-use std::future::Future;
 use std::rc::Rc;
 use std::time::Duration;
 
 use bytes::Bytes;
 use netsim::NodeId;
 
-use crate::chunks::{ChunkId, ChunkLease, Work};
+use crate::chunks::{ChunkId, ChunkLease, Why};
 use crate::integrity::{self, Census};
 use crate::manager::{chunk_key, BbManager, FileState};
 use crate::placement;
 
-/// Scrubber tick period (virtual time).
+/// Period of the scrub trigger (virtual time).
 const SCRUB_INTERVAL: Duration = Duration::from_secs(1);
-/// Chunks verified (and repaired in place) per scrubber tick.
+/// Chunks the scrub trigger queues per period.
 const SCRUB_BATCH: usize = 32;
-/// Chunk migrations per rebalancer tick.
-const REBALANCE_BATCH: usize = 64;
+/// Period of the placement trigger, on whenever the policy is
+/// [`crate::PlacementPolicy::Locality`].
+const PLACE_INTERVAL: Duration = Duration::from_millis(50);
 
-/// Background-scrubber counters (`bb.scrub.*`).
-pub(crate) struct ScrubCounters {
+/// `bb.scrub.*` (what the scrub trigger finds and mends; `repaired`
+/// counts copies rewritten by [`Action::Repair`] and [`Action::Copy`])
+/// and `bb.rebalance.*` (moves onto new ring owners, and every fresh
+/// copy whose CRC read-back failed).
+pub(crate) struct MoverCounters {
     scanned: simkit::telemetry::Counter,
     repaired: simkit::telemetry::Counter,
     unrepairable: simkit::telemetry::Counter,
-}
-
-impl ScrubCounters {
-    pub(crate) fn register(m: &simkit::telemetry::Registry) -> ScrubCounters {
-        ScrubCounters {
-            scanned: m.counter("bb.scrub.scanned"),
-            repaired: m.counter("bb.scrub.repaired"),
-            unrepairable: m.counter("bb.scrub.unrepairable"),
-        }
-    }
-}
-
-/// Background-rebalancer counters (`bb.rebalance.*`).
-pub(crate) struct RebalanceCounters {
-    /// Chunks migrated to their new ring owners (copy verified, old
-    /// copies deleted).
     moved: simkit::telemetry::Counter,
-    /// Payload bytes copied by migrations.
     bytes: simkit::telemetry::Counter,
-    /// Migrated copies that failed the CRC read-back (old copies kept).
     verify_fail: simkit::telemetry::Counter,
-    /// Membership epochs the rebalancer has processed.
     epochs: simkit::telemetry::Counter,
 }
 
-impl RebalanceCounters {
-    pub(crate) fn register(m: &simkit::telemetry::Registry) -> RebalanceCounters {
-        RebalanceCounters {
+impl MoverCounters {
+    pub(crate) fn register(m: &simkit::telemetry::Registry) -> MoverCounters {
+        MoverCounters {
+            scanned: m.counter("bb.scrub.scanned"),
+            repaired: m.counter("bb.scrub.repaired"),
+            unrepairable: m.counter("bb.scrub.unrepairable"),
             moved: m.counter("bb.rebalance.moved"),
             bytes: m.counter("bb.rebalance.bytes"),
             verify_fail: m.counter("bb.rebalance.verify_fail"),
@@ -64,63 +53,209 @@ impl RebalanceCounters {
     }
 }
 
-/// How one verified chunk move ([`BbManager::migrate_to`]) ended, as
-/// far as its callers care.
-enum Moved {
-    /// Worth another try next tick, old copies kept: another holder has
-    /// the chunk's lease (the rebalancer, optimizer and scrubber run as
-    /// separate tasks), or a copy or its CRC read-back failed.
-    Retry,
-    /// Nothing (left) to do: the chunk vanished — deleted or forgotten,
-    /// before the move or under it —, no authoritative copy is reachable
-    /// right now (old layout untouched), or every target already held
-    /// the data and only stale copies were removed.
-    Settled,
-    /// The desired set now holds verified copies, this many payload
-    /// bytes were copied to get there, and stale copies are gone.
-    Copied(u64),
+/// What one chunk's diff against its desired placement calls for.
+enum Action {
+    /// Rewrite the bad copies the census found, in place.
+    Repair(Census),
+    /// The verified move onto a replica set ([`BbManager::migrate_to`]),
+    /// installing a routing override when `true`.
+    Move(Vec<usize>, bool),
+    /// An unflushed chunk short of its replica set: rewrite the copy of
+    /// each member that answered without a good one, and stand the next
+    /// live ring server in for each member that did not answer.
+    Copy(Vec<usize>, Census),
+    /// No copy anywhere: the chunk left the buffer.
+    Forget,
 }
 
 impl BbManager {
-    /// Start the background loops (called once, from `spawn`).
-    pub(crate) fn start_movers(self: &Rc<Self>) {
-        self.background(SCRUB_INTERVAL, Self::scrub_tick);
-        self.background(self.config.rebalance_interval, Self::rebalance_tick);
-        self.background(self.config.bb_place_interval, Self::place_tick);
-    }
-
-    /// Run `tick` every `interval` of virtual time until
-    /// [`BbManager::stop_background`]; a zero interval disables the loop.
-    fn background<F, Fut>(self: &Rc<Self>, interval: Duration, tick: F)
-    where
-        F: Fn(Rc<BbManager>) -> Fut + 'static,
-        Fut: Future<Output = ()> + 'static,
-    {
-        if interval.is_zero() {
-            return;
-        }
+    /// Start the reconciler (called once, from `spawn`). It wakes when a
+    /// trigger is due — one period after the round it last fired in
+    /// ended; a zero period never fires —, runs the due triggers in
+    /// order, then drains the queue.
+    pub(crate) fn start_reconciler(self: &Rc<Self>) {
+        let place = self
+            .place
+            .as_ref()
+            .map_or(Duration::ZERO, |_| PLACE_INTERVAL);
+        let periods = [self.config.rebalance_interval, place, SCRUB_INTERVAL];
         let sim = self.sim().clone();
         let this = Rc::clone(self);
         sim.clone().spawn(async move {
-            loop {
-                sim.sleep(interval).await;
+            let mut due = periods.map(|p| (!p.is_zero()).then(|| sim.now() + p));
+            while let Some(&next) = due.iter().flatten().min() {
+                sim.sleep_until(next).await;
                 if this.stopped.get() {
                     break;
                 }
-                tick(Rc::clone(&this)).await;
+                let fired = due.map(|d| d.is_some_and(|t| t <= sim.now()));
+                if fired[0] {
+                    this.catch_up_epoch();
+                }
+                if fired[1] {
+                    this.decide_placement();
+                }
+                if fired[2] {
+                    this.chunks.queue_scrub(SCRUB_BATCH);
+                }
+                this.drain().await;
+                for ((d, p), f) in due.iter_mut().zip(periods).zip(fired) {
+                    if f {
+                        *d = Some(sim.now() + p);
+                    }
+                }
             }
         });
     }
 
-    /// Stop every background loop after its current tick (lets
-    /// simulations quiesce; called from [`crate::BbDeployment::shutdown`]).
+    /// Stop the reconciler after its current round (lets simulations
+    /// quiesce; called from [`crate::BbDeployment::shutdown`]).
     pub fn stop_background(&self) {
         self.stopped.set(true);
     }
 
-    /// [`integrity::census`] as the background loops take it: against the
-    /// chunk's sealed CRC and without the re-read — to a mover a copy that
-    /// fails once is not a source this round, and the next round asks again.
+    /// The epoch trigger: when the membership epoch moved since the last
+    /// processed ring, demote the overrides it left stale and queue every
+    /// chunk whose replica set differs between that ring and the live one.
+    fn catch_up_epoch(&self) {
+        let (epoch, last) = (self.view.epoch(), self.last_epoch.get());
+        if epoch == last {
+            return;
+        }
+        let ring = self.view.ring_snapshot();
+        let r = self.config.kv_replication.max(1);
+        self.chunks.demote_stale_routes(r);
+        self.chunks
+            .queue_remapped(&self.last_ring.borrow(), &ring, r);
+        self.movers.epochs.add(epoch - last);
+        *self.last_ring.borrow_mut() = ring;
+        self.last_epoch.set(epoch);
+    }
+
+    /// The placement trigger. First, routing hygiene: overrides pointing
+    /// at a server that left the active set go back to hash placement and
+    /// the chunk is queued to re-converge on its hash owners (the epoch
+    /// trigger does the same, whichever fires first). Then every
+    /// chunk with reader telemetry and no placement move queued is
+    /// re-costed against the topology model, and a strictly cheaper
+    /// replica set is queued as a move. Decisions pause while the epoch
+    /// trigger still owes the view a catch-up.
+    fn decide_placement(&self) {
+        let Some(counters) = &self.place else { return };
+        let r = self.config.kv_replication.max(1);
+        self.chunks.demote_stale_routes(r);
+        if self.view.epoch() != self.last_epoch.get() {
+            return;
+        }
+        let fabric = self.net().fabric();
+        let nodes_of = |set: &[usize]| -> Vec<NodeId> {
+            set.iter()
+                .map(|&idx| self.view.server(idx).node())
+                .collect()
+        };
+        for ((fid, seq), readers) in self.chunks.undecided_read() {
+            let key = chunk_key(fid, seq);
+            let order = placement::ring_order(&self.view, &key);
+            if order.is_empty() {
+                continue;
+            }
+            let candidate = placement::rank_by_cost(&order, r, |idx| {
+                placement::read_cost(fabric, &readers, &nodes_of(&[idx]))
+            });
+            let current = integrity::replicas(&self.view, &key, r);
+            let cost_before = placement::read_cost(fabric, &readers, &nodes_of(&current));
+            let cost_after = placement::read_cost(fabric, &readers, &nodes_of(&candidate));
+            if cost_after < cost_before {
+                counters.decisions.inc();
+                counters.cost_before.add(cost_before);
+                counters.cost_after.add(cost_after);
+                self.sim().flight_record("bb.place", "decision", || {
+                    format!(
+                        "file_id={fid} seq={seq} cost {cost_before}->{cost_after} \
+                         targets={candidate:?}"
+                    )
+                });
+                self.chunks.push((fid, seq), Why::Place(candidate, true));
+            }
+        }
+    }
+
+    /// One round of work: each entry queued when the round starts is
+    /// taken at most once (a re-queue waits for the next round, so one
+    /// failing chunk can neither spin the drain nor starve the rest), and
+    /// the round stops once it has copied `bb_migrate_budget` bytes — at
+    /// least one entry always proceeds.
+    async fn drain(&self) {
+        let budget = match self.config.bb_migrate_budget {
+            0 => u64::MAX,
+            b => b,
+        };
+        let mut spent = 0u64;
+        for _ in 0..self.chunks.queued() {
+            if spent >= budget {
+                break;
+            }
+            let Some((id, why)) = self.chunks.pop() else {
+                break;
+            };
+            match self.reconcile(id, &why).await {
+                Some(bytes) => spent += bytes,
+                None => self.chunks.push(id, why),
+            }
+        }
+    }
+
+    /// Diff one queued chunk against its desired placement and run the
+    /// action that closes the difference. Returns the payload bytes
+    /// copied, or `None` when the chunk should be taken again next round.
+    async fn reconcile(&self, id: ChunkId, why: &Why) -> Option<u64> {
+        let key = chunk_key(id.0, id.1);
+        let action = match why {
+            Why::Remapped => {
+                let desired = integrity::replicas(&self.view, &key, self.config.kv_replication);
+                Action::Move(desired, false)
+            }
+            // a target left the cluster while the move sat queued: the
+            // decision is stale, and the next round re-decides
+            Why::Place(targets, _) if !targets.iter().all(|&i| self.view.is_active(i)) => {
+                return Some(0)
+            }
+            Why::Place(targets, install) => Action::Move(targets.clone(), *install),
+            Why::Scrub => match self.scrub_census(id, &key).await {
+                Some(action) => action,
+                None => return Some(0),
+            },
+        };
+        let copied = match action {
+            Action::Move(desired, install) => {
+                let bytes = self.migrate_to(id, &desired, install).await?;
+                match (why, &self.place) {
+                    _ if bytes == 0 => {}
+                    (Why::Place(..), Some(counters)) => {
+                        counters.migrations.inc();
+                        counters.bytes.add(bytes);
+                    }
+                    _ => {
+                        self.movers.moved.inc();
+                        self.movers.bytes.add(bytes);
+                    }
+                }
+                bytes
+            }
+            Action::Repair(found) => self.mend(id, &key, found.bad.clone(), found).await,
+            Action::Copy(set, found) => self.mend(id, &key, set, found).await,
+            Action::Forget => {
+                self.chunks.forget(id);
+                0
+            }
+        };
+        Some(copied)
+    }
+
+    /// [`integrity::census`] as the reconciler takes it: against the
+    /// chunk's sealed CRC and without the re-read — to the reconciler a
+    /// copy that fails once is not a source this round, and the next
+    /// round asks again.
     async fn census(
         &self,
         key: &[u8],
@@ -129,6 +264,151 @@ impl BbManager {
         first_good: bool,
     ) -> Census {
         integrity::census(&self.kv, key, Some(crc), servers, first_good, false).await
+    }
+
+    /// The scrub trigger's diff: census the chunk's replica set (no lease
+    /// taken). A copy that fails its digest is rewritten. A missing copy
+    /// of a flushed chunk is legal — LRU eviction, Lustre holds it — but
+    /// an unflushed chunk's only copies are in the buffer, so one short
+    /// of its set is restored: once any membership change is reconciled,
+    /// since until then a member's miss is a copy its move has yet to
+    /// bring. `None` when nothing differs, or nothing can be done yet.
+    async fn scrub_census(&self, id: ChunkId, key: &[u8]) -> Option<Action> {
+        let (crc, pinned) = self.chunks.record(id)?;
+        let (order, n) = integrity::read_order(&self.view, key, self.config.kv_replication);
+        let (set, rest) = order.split_at(n);
+        self.movers.scanned.inc();
+        let found = self.census(key, crc, set.iter().copied(), false).await;
+        self.integrity.checksum_fail.add(found.digest_fails);
+        if found.absent() {
+            // An unreachable replica means no verdict: revisit next round.
+            // Every live replica answering empty is not yet proof either
+            // under elastic membership: a not-yet-moved copy may still sit
+            // on an old owner, and forgetting the key would hide it from
+            // its move. Walk the rest of the read order (empty until
+            // membership first changes) before believing it.
+            let rest = rest.iter().copied();
+            let gone = found.errors == 0 && self.census(key, crc, rest, true).await.absent();
+            return gone.then_some(Action::Forget);
+        }
+        let short = pinned && found.value.is_some() && found.good.len() < set.len();
+        let settled =
+            || self.view.epoch() == self.last_epoch.get() && self.chunks.rebalance_backlog() == 0;
+        if short && settled() {
+            return Some(Action::Copy(set.to_vec(), found));
+        }
+        (!found.bad.is_empty()).then_some(Action::Repair(found))
+    }
+
+    /// Run [`Action::Repair`] (`set`: the bad copies) or [`Action::Copy`]
+    /// (`set`: the replica set) from the first good copy, or from Lustre
+    /// once the file is flushed. Every member of `set` without a good copy
+    /// that answered is rewritten in place; one that did not answer is
+    /// replaced by the next live ring server outside the set that takes a
+    /// read-back-verified copy, the chunk then routes to the new set
+    /// through an override, and the replaced member's copy is deleted if
+    /// it can be reached. With no source and the file terminal, the bad
+    /// copies count `bb.scrub.unrepairable` once. Returns the bytes written.
+    async fn mend(&self, id: ChunkId, key: &[u8], set: Vec<usize>, found: Census) -> u64 {
+        let Some(lease) = self.chunks.lease(id) else {
+            return 0; // the file is gone
+        };
+        let crc = lease.crc;
+        let data = match found.value {
+            Some(v) => Some(v.data),
+            None => self.lustre_chunk(id, crc).await,
+        };
+        let Some(data) = data else {
+            // No authoritative copy right now. While the file is still
+            // flushing, the flusher's own verified read-back decides the
+            // chunk's fate — retry next round rather than jumping to a
+            // verdict. Once the file is terminal the damage is permanent:
+            // count it once and stop scanning the chunk.
+            let (file_id, seq) = id;
+            let terminal = self
+                .file_info(file_id)
+                .is_none_or(|(st, ..)| matches!(st, FileState::Flushed | FileState::Lost));
+            if terminal {
+                self.movers.unrepairable.add(found.bad.len() as u64);
+                drop(lease);
+                self.chunks.forget(id);
+                // permanent data damage: freeze the flight-recorder rings
+                // so the events leading here survive for triage
+                let sim = self.sim();
+                sim.flight_record("bb.scrub", "unrepairable", || {
+                    format!(
+                        "file_id={file_id} seq={seq} bad_replicas={}",
+                        found.bad.len()
+                    )
+                });
+                sim.flight().trigger(
+                    sim.now().as_nanos(),
+                    &format!("unrepairable scrub: file_id={file_id} seq={seq}"),
+                );
+            }
+            return 0;
+        };
+        let order = placement::ring_order(&self.view, key);
+        let mut spares = order.into_iter().filter(|idx| !set.contains(idx));
+        let mut placed = set.clone();
+        let mut fresh = Vec::new();
+        for slot in placed.iter_mut() {
+            if found.good.contains(slot) {
+                continue;
+            }
+            if found.bad.contains(slot) || found.misses.contains(slot) {
+                if self
+                    .kv
+                    .set_to(*slot, key, data.clone(), crc, 0)
+                    .await
+                    .is_ok()
+                {
+                    self.movers.repaired.inc();
+                    fresh.push(*slot);
+                }
+                continue;
+            }
+            for idx in spares.by_ref() {
+                if self.copy_verified(idx, key, &data, crc).await {
+                    self.movers.repaired.inc();
+                    fresh.push(idx);
+                    *slot = idx;
+                    break;
+                }
+            }
+        }
+        if lease.pinned() {
+            // a bad copy's overwrite keeps its pin; a new copy needs one
+            for &idx in fresh.iter().filter(|idx| !found.bad.contains(idx)) {
+                let _ = self.kv.pin_to(idx, key).await;
+            }
+        }
+        let route = (placed != set).then_some(&placed[..]);
+        if self.commit(&lease, key, &fresh, route).await {
+            for (&old, _) in set.iter().zip(&placed).filter(|(old, new)| old != new) {
+                let _ = self.kv.delete_from(old, key).await;
+            }
+        }
+        data.len() as u64 * fresh.len() as u64
+    }
+
+    /// Write a chunk's `data` to `idx` and read back what the server
+    /// stored; `false` when either fails (counted
+    /// `bb.rebalance.verify_fail` when the read-back does).
+    async fn copy_verified(&self, idx: usize, key: &[u8], data: &Bytes, crc: u32) -> bool {
+        if self
+            .kv
+            .set_to(idx, key, data.clone(), crc, 0)
+            .await
+            .is_err()
+        {
+            return false;
+        }
+        let ok = !self.census(key, crc, [idx], true).await.good.is_empty();
+        if !ok {
+            self.movers.verify_fail.inc();
+        }
+        ok
     }
 
     /// Roster members outside `set`. Index-addressed ops stay valid for
@@ -158,152 +438,6 @@ impl BbManager {
         false
     }
 
-    /// One scrubber round over the next [`SCRUB_BATCH`] chunks.
-    async fn scrub_tick(self: Rc<Self>) {
-        for (id, crc) in self.chunks.scrub_batch(SCRUB_BATCH) {
-            self.scrub_one(id, crc).await;
-        }
-    }
-
-    /// Verify one chunk across its replica set and repair divergent
-    /// copies. A missing copy is legal (LRU eviction); a copy that fails
-    /// its digest is rewritten from the first good replica, or from Lustre
-    /// when the file is already flushed. Corruption with no good copy
-    /// anywhere counts `bb.scrub.unrepairable` (the read path will surface
-    /// it loudly, never silently). The scan itself takes no lease — only
-    /// a repair does.
-    async fn scrub_one(&self, id: ChunkId, crc: u32) {
-        if self.chunks.is_leased(id) {
-            // a mover is re-establishing the replica set; scrubbing it now
-            // would double-repair
-            return;
-        }
-        let (file_id, seq) = id;
-        let key = chunk_key(file_id, seq);
-        let (order, replicas) = integrity::read_order(&self.view, &key, self.config.kv_replication);
-        let (replicas, rest) = order.split_at(replicas);
-        self.scrub.scanned.inc();
-        let found = self
-            .census(&key, crc, replicas.iter().copied(), false)
-            .await;
-        self.integrity.checksum_fail.add(found.digest_fails);
-        if found.absent() {
-            // an unreachable replica means no verdict: revisit next round
-            if found.errors == 0 {
-                // Every live replica definitively answered empty. Under
-                // elastic membership that is not yet proof the chunk left
-                // the buffer: a not-yet-migrated copy may still sit on an
-                // old owner, and forgetting the key here would hide it
-                // from the rebalancer. Walk the rest of the read order
-                // (empty until membership first changes) before believing it.
-                let rest = rest.iter().copied();
-                if !self.census(&key, crc, rest, true).await.absent() {
-                    return; // awaiting migration; rebalancer owns it
-                }
-                self.chunks.forget(id);
-            }
-            return;
-        }
-        if found.bad.is_empty() {
-            return;
-        }
-        let Some(lease) = self.chunks.lease(id, Work::Repairing) else {
-            return; // a mover got there first, or the file is gone
-        };
-        let good = match found.value {
-            Some(v) => Some(v.data),
-            None => self.lustre_chunk(id, crc).await,
-        };
-        match good {
-            Some(data) => {
-                let mut fresh = Vec::new();
-                for idx in found.bad {
-                    if self
-                        .kv
-                        .set_to(idx, &key, data.clone(), crc, 0)
-                        .await
-                        .is_ok()
-                    {
-                        self.scrub.repaired.inc();
-                        fresh.push(idx);
-                    }
-                }
-                self.commit(&lease, &key, &fresh, None).await;
-            }
-            None => {
-                // No authoritative copy right now. While the file is still
-                // flushing, the flusher's own verified read-back decides
-                // the chunk's fate — retry next round rather than jumping
-                // to a verdict. Once the file is terminal the damage is
-                // permanent: count it once and stop scanning the chunk.
-                let terminal = self
-                    .file_info(file_id)
-                    .is_none_or(|(st, ..)| matches!(st, FileState::Flushed | FileState::Lost));
-                if terminal {
-                    self.scrub.unrepairable.add(found.bad.len() as u64);
-                    drop(lease);
-                    self.chunks.forget(id);
-                    // permanent data damage: freeze the flight-recorder
-                    // rings so the events leading here survive for triage
-                    let sim = self.sim();
-                    sim.flight_record("bb.scrub", "unrepairable", || {
-                        format!(
-                            "file_id={file_id} seq={seq} bad_replicas={}",
-                            found.bad.len()
-                        )
-                    });
-                    sim.flight().trigger(
-                        sim.now().as_nanos(),
-                        &format!("unrepairable scrub: file_id={file_id} seq={seq}"),
-                    );
-                }
-            }
-        }
-    }
-
-    /// One rebalancer round. When the membership epoch moved since the
-    /// last processed ring, queue every chunk whose replica set differs
-    /// between that ring and the live one — pinned (unflushed,
-    /// buffer-only) chunks first, since they have no Lustre fallback if
-    /// their old owner drains away. Then migrate up to
-    /// [`REBALANCE_BATCH`] queued chunks.
-    async fn rebalance_tick(self: Rc<Self>) {
-        let epoch = self.view.epoch();
-        let last = self.last_epoch.get();
-        if epoch != last {
-            let new_ring = self.view.ring_snapshot();
-            let r = self.config.kv_replication.max(1);
-            self.chunks
-                .queue_remapped(&self.last_ring.borrow(), &new_ring, r);
-            self.rebal.epochs.add(epoch - last);
-            *self.last_ring.borrow_mut() = new_ring;
-            self.last_epoch.set(epoch);
-        }
-        for _ in 0..REBALANCE_BATCH {
-            let Some(id) = self.chunks.next_rebalance() else {
-                break;
-            };
-            self.migrate_one(id).await;
-        }
-    }
-
-    /// Migrate one chunk onto its live-ring owners (which follow any
-    /// placement override). A failed move re-queues on the rebalance
-    /// queue; a completed copy counts `bb.rebalance.{moved,bytes}`.
-    async fn migrate_one(&self, id: ChunkId) {
-        let key = chunk_key(id.0, id.1);
-        let desired = integrity::replicas(&self.view, &key, self.config.kv_replication);
-        match self.migrate_to(id, &desired, false).await {
-            // keep the old copies; retry from a clean slate next tick
-            Moved::Retry => self.chunks.requeue_rebalance(id),
-            Moved::Copied(bytes) => {
-                self.rebal.moved.inc();
-                self.rebal.bytes.add(bytes);
-            }
-            Moved::Settled => {}
-        }
-    }
-
     /// Establish `desired` as a chunk's replica set, under its lease and
     /// in the commit order of [`crate::chunks`]: copy to each missing
     /// target, verify every fresh copy by CRC read-back, carry the pin
@@ -312,15 +446,20 @@ impl BbManager {
     /// from roster members outside the set. Old copies outlive new ones
     /// until verification succeeds, so a verify failure at any point
     /// leaves at least one good copy reachable (the read path widens to
-    /// the full roster once epoch > 0). Shared by the epoch rebalancer
-    /// and the placement optimizer.
-    async fn migrate_to(&self, id: ChunkId, desired: &[usize], install_override: bool) -> Moved {
+    /// the full roster once epoch > 0). Returns the payload bytes copied
+    /// (`0`: the chunk vanished, no authoritative copy is reachable right
+    /// now and the old layout stays, or every target already held it), or
+    /// `None` — old copies kept — when a copy or its read-back failed.
+    async fn migrate_to(
+        &self,
+        id: ChunkId,
+        desired: &[usize],
+        install_override: bool,
+    ) -> Option<u64> {
         if desired.is_empty() || !self.chunks.contains(id) {
-            return Moved::Settled; // deleted or forgotten since being queued
+            return Some(0); // deleted or forgotten since being queued
         }
-        let Some(lease) = self.chunks.lease(id, Work::Moving) else {
-            return Moved::Retry;
-        };
+        let lease = self.chunks.lease(id)?;
         let (key, crc) = (chunk_key(id.0, id.1), lease.crc);
         // Which desired owners already hold a good copy? Failing those,
         // an old owner; failing that, Lustre.
@@ -335,34 +474,18 @@ impl BbManager {
             data = self.lustre_chunk(id, crc).await;
         }
         let Some(data) = data else {
-            // No authoritative copy reachable right now: leave the old
-            // layout alone and let the scrubber/flusher sort it out.
-            return Moved::Settled;
+            return Some(0);
         };
         let mut fresh = Vec::new();
         let mut verified = true;
-        for &idx in desired {
-            if found.good.contains(&idx) {
-                continue;
-            }
-            if self
-                .kv
-                .set_to(idx, &key, data.clone(), crc, 0)
-                .await
-                .is_err()
-            {
-                verified = false;
-                continue;
-            }
-            fresh.push(idx);
-            // read back what the server actually stored before trusting it
-            if self.census(&key, crc, [idx], true).await.good.is_empty() {
-                self.rebal.verify_fail.inc();
-                verified = false;
+        for &idx in desired.iter().filter(|idx| !found.good.contains(idx)) {
+            match self.copy_verified(idx, &key, &data, crc).await {
+                true => fresh.push(idx),
+                false => verified = false,
             }
         }
         if !verified {
-            return Moved::Retry;
+            return None;
         }
         if lease.pinned() {
             // unflushed chunk: the new owners must hold it pinned before
@@ -373,103 +496,16 @@ impl BbManager {
         }
         let route = install_override.then_some(desired);
         if !self.commit(&lease, &key, &fresh, route).await {
-            return Moved::Settled;
+            return Some(0);
         }
         for idx in self.roster_except(desired) {
             let _ = self.kv.delete_from(idx, &key).await;
         }
-        if fresh.is_empty() {
-            Moved::Settled
+        Some(if fresh.is_empty() {
+            0
         } else {
-            Moved::Copied(data.len() as u64)
-        }
-    }
-
-    /// One placement-optimizer round, in three phases. First, routing
-    /// hygiene: overrides pointing at a server that left the active set
-    /// go back to hash placement and the chunk is queued to re-converge
-    /// on its hash owners. Second, decisions: every chunk with reader
-    /// telemetry and no move in flight is re-costed against the topology
-    /// model, and a strictly cheaper replica set is queued as a move.
-    /// Third, execution: queued moves run through
-    /// [`BbManager::migrate_to`] under the per-tick migration byte
-    /// budget. Epoch coordination: while the rebalancer still owes the
-    /// view a catch-up (`epoch != last_epoch`), decisions pause; moves
-    /// keep draining.
-    async fn place_tick(self: Rc<Self>) {
-        let Some(counters) = &self.place else { return };
-        let r = self.config.kv_replication.max(1);
-        let fabric = Rc::clone(self.net().fabric());
-
-        self.chunks.demote_stale_routes(r);
-
-        if self.view.epoch() == self.last_epoch.get() {
-            for ((fid, seq), readers) in self.chunks.undecided_read() {
-                let key = chunk_key(fid, seq);
-                let current = integrity::replicas(&self.view, &key, r);
-                let order = placement::ring_order(&self.view, &key);
-                if order.is_empty() {
-                    continue;
-                }
-                let candidate = placement::rank_by_cost(&order, r, |idx| {
-                    placement::read_cost(&fabric, &readers, &[self.view.server(idx).node()])
-                });
-                let nodes_of = |set: &[usize]| -> Vec<NodeId> {
-                    set.iter()
-                        .map(|&idx| self.view.server(idx).node())
-                        .collect()
-                };
-                let cost_before = placement::read_cost(&fabric, &readers, &nodes_of(&current));
-                let cost_after = placement::read_cost(&fabric, &readers, &nodes_of(&candidate));
-                if cost_after < cost_before {
-                    counters.decisions.inc();
-                    counters.cost_before.add(cost_before);
-                    counters.cost_after.add(cost_after);
-                    self.sim().flight_record("bb.place", "decision", || {
-                        format!(
-                            "file_id={fid} seq={seq} cost {cost_before}->{cost_after} \
-                             targets={candidate:?}"
-                        )
-                    });
-                    self.chunks.queue_place((fid, seq), candidate);
-                }
-            }
-        }
-
-        // Each queued move is popped at most once per tick (re-queues go
-        // to the back and wait for the next tick), so one failing chunk
-        // can neither spin the drain nor truncate the rest of the budget.
-        let budget = if self.config.bb_migrate_budget == 0 {
-            u64::MAX
-        } else {
-            self.config.bb_migrate_budget
-        };
-        let mut spent = 0u64;
-        let mut pops = self.chunks.place_backlog();
-        while spent < budget && pops > 0 {
-            pops -= 1;
-            let Some((id, targets, install)) = self.chunks.next_place() else {
-                break;
-            };
-            if !targets.iter().all(|&idx| self.view.is_active(idx)) {
-                // a target left the cluster while the move sat queued:
-                // the decision is stale. Drop it so the next round can
-                // re-decide from live telemetry.
-                self.chunks.settle_place(id);
-                continue;
-            }
-            match self.migrate_to(id, &targets, install).await {
-                // keep old copies (and the decision); retry next tick
-                Moved::Retry => self.chunks.requeue_place((id, targets, install)),
-                Moved::Copied(bytes) => {
-                    counters.migrations.inc();
-                    counters.bytes.add(bytes);
-                    spent += bytes;
-                    self.chunks.settle_place(id);
-                }
-                Moved::Settled => self.chunks.settle_place(id),
-            }
-        }
+            data.len() as u64
+        })
     }
 
     /// Fetch a chunk's bytes from the Lustre backing file for repair,

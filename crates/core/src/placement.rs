@@ -1,12 +1,11 @@
 //! Topology-aware chunk placement: policy knob and the latency cost
-//! model the background optimizer in `crate::movers` minimizes (the
-//! per-chunk reader telemetry it feeds on lives in the chunk table).
+//! model the reconciler's placement trigger in `crate::movers` minimizes
+//! (the per-chunk reader telemetry it feeds on lives in the chunk table).
 //!
 //! Everything here is defaults-off: with [`crate::BbConfig::bb_place_policy`]
-//! at [`PlacementPolicy::Hash`] and [`crate::BbConfig::bb_place_interval`]
-//! at zero, no reader telemetry is kept, no `bb.place.*` metric is
-//! registered, and chunk routing is the seed consistent-hash ring
-//! bit-for-bit.
+//! at [`PlacementPolicy::Hash`], no reader telemetry is kept, no
+//! `bb.place.*` metric is registered, and chunk routing is the seed
+//! consistent-hash ring bit-for-bit.
 
 use netsim::{Fabric, NodeId};
 use rkv::Membership;
@@ -20,8 +19,7 @@ pub enum PlacementPolicy {
     /// Locality-preferring placement: a new chunk's replicas are the
     /// topologically nearest ring servers to the writer (ring order
     /// breaks ties), installed as a routing override in the shared
-    /// membership view. The background optimizer (when
-    /// [`crate::BbConfig::bb_place_interval`] > 0) then migrates chunks
+    /// membership view. Every 50 ms the reconciler then moves chunks
     /// toward their observed readers.
     Locality,
 }

@@ -1136,7 +1136,6 @@ fn placement_engine_moves_hot_chunks_toward_remote_readers() {
         BbConfig {
             kv_servers: 1,
             bb_place_policy: crate::PlacementPolicy::Locality,
-            bb_place_interval: std::time::Duration::from_millis(50),
             ..BbConfig::default()
         },
     );
@@ -1325,7 +1324,6 @@ fn delete_during_an_inflight_move_leaves_no_override_or_copy() {
         BbConfig {
             kv_servers: 1,
             bb_place_policy: crate::PlacementPolicy::Locality,
-            bb_place_interval: std::time::Duration::from_millis(50),
             ..BbConfig::default()
         },
     );
@@ -1490,13 +1488,61 @@ fn unreachable_replicas_make_a_miss_indeterminate_after_a_join() {
         let (kv, key) = (client.kv(), b"nobody-has-this".as_slice());
         let owner = dep.membership().server(kv.route(key).unwrap()).node();
         let counters = dep.integrity_counters();
-        let lookup = || crate::integrity::get_verified(kv, counters, key, None, 1);
+        let lookup = || crate::integrity::get_verified(kv, counters, key, None, 1, None);
         fabric.set_up(owner, false);
         let census = lookup().await.unwrap_err();
         assert_eq!((census.errors, census.misses.len()), (1, 2));
         assert!(!census.definitive, "an outage read as a verdict");
         fabric.set_up(owner, true);
         assert!(lookup().await.unwrap_err().definitive);
+        dep.shutdown();
+    });
+}
+
+#[test]
+fn a_failed_legs_keys_walk_past_its_dead_server() {
+    // r = 2 with one server's link down: every read group's batched leg
+    // to it fails, and each key it carried is served by its second
+    // replica without spending the dead server's retry budget once more
+    // per key. The file is flushed first, so only the read asks.
+    let bcfg = BbConfig {
+        kv_replication: 2,
+        ..BbConfig::default()
+    };
+    let r = rig_with(2, Scheme::AsyncLustre, LustreConfig::default(), bcfg);
+    let client = r.dep.client(NodeId(0));
+    let dep = Rc::clone(&r.dep);
+    let (fabric, sim) = (Rc::clone(&r.fabric), r.sim.clone());
+    let data = pattern(4 << 20); // 8 chunks
+    let expect = data.clone();
+    r.sim.block_on(async move {
+        let w = client.create("/leg").await.unwrap();
+        w.append(data).await.unwrap();
+        w.close().await.unwrap();
+        assert_eq!(
+            client.wait_flushed("/leg").await.unwrap(),
+            FileState::Flushed
+        );
+        let primary = |s| dep.membership().route(&crate::manager::chunk_key(1, s));
+        let dead = primary(0).unwrap();
+        fabric.set_up(dep.kv_servers[dead].node(), false);
+        let on_dead = (0..8).filter(|&s| primary(s) == Some(dead)).count() as u64;
+        assert!(
+            on_dead > 1,
+            "the dead server must be primary for several chunks"
+        );
+        let before = sim.metrics().snapshot();
+        let rd = client.open("/leg").await.unwrap();
+        assert_eq!(rd.read_all().await.unwrap(), expect);
+        let after = sim.metrics().snapshot();
+        let spent = |name| after.counter(name) - before.counter(name);
+        assert_eq!(
+            spent("kv.retry.attempts"),
+            0,
+            "a key of the failed leg retried its dead primary"
+        );
+        assert_eq!(spent("bb.integrity.failovers"), on_dead);
+        assert_eq!(dep.read_stats().tier_lustre, 0);
         dep.shutdown();
     });
 }
@@ -1527,4 +1573,126 @@ fn readme_config_table_lists_every_bb_config_field() {
         documented, fields,
         "README's BbConfig table and the struct disagree"
     );
+}
+
+// --- keep r copies: sequential crashes --------------------------------
+
+/// r = 2 over four servers behind one OST of `ost_rate`: at 2 MB/s, 8 MiB
+/// written and closed stays unflushed (pinned) for about 4 s.
+fn slow_flush_rig(ost_rate: f64) -> Rig {
+    let lcfg = LustreConfig {
+        oss_count: 1,
+        osts_per_oss: 1,
+        stripe_count: 1,
+        ost_rate,
+        ..LustreConfig::default()
+    };
+    let bcfg = BbConfig {
+        kv_replication: 2,
+        ..BbConfig::default()
+    };
+    rig_with(2, Scheme::AsyncLustre, lcfg, bcfg)
+}
+
+/// [`slow_flush_rig`] at 2 MB/s: `kv_servers[a]`'s link goes down right after
+/// close, `kv_servers[b]`'s `gap` later. Returns the file's final state
+/// and the chunks given up.
+pub(crate) fn sequential_crash(a: usize, b: usize, gap: std::time::Duration) -> (FileState, u64) {
+    let r = slow_flush_rig(2e6);
+    let client = r.dep.client(NodeId(0));
+    let dep = Rc::clone(&r.dep);
+    let (fabric, sim) = (Rc::clone(&r.fabric), r.sim.clone());
+    r.sim.block_on(async move {
+        let w = client.create("/seq").await.unwrap();
+        w.append(pattern(8 << 20)).await.unwrap();
+        w.close().await.unwrap();
+        fabric.set_up(dep.kv_servers[a].node(), false);
+        sim.sleep(gap).await;
+        fabric.set_up(dep.kv_servers[b].node(), false);
+        let st = client.wait_flushed("/seq").await.unwrap();
+        dep.shutdown();
+        (st, dep.manager.stats().chunks_lost)
+    })
+}
+
+#[test]
+fn a_second_crash_a_scrub_round_later_loses_nothing() {
+    // The first crash leaves some unflushed chunks one copy short; the
+    // scrub trigger restores them on the next live ring server before
+    // the second crash takes the copy they had left.
+    let gap = std::time::Duration::from_millis(1500);
+    assert_eq!(sequential_crash(1, 3, gap), (FileState::Flushed, 0));
+}
+
+#[test]
+fn a_server_back_empty_gets_its_pinned_copies_back_in_place() {
+    // One server loses its store while the file is still unflushed (a
+    // crash and an empty restart): the scrub trigger writes each of its
+    // chunks back to it, pinned, and routing stays on the hash owners.
+    // At 0.25 MB/s no chunk is flushed before the scrub round.
+    let r = slow_flush_rig(0.25e6);
+    let client = r.dep.client(NodeId(0));
+    let dep = Rc::clone(&r.dep);
+    let sim = r.sim.clone();
+    r.sim.block_on(async move {
+        let w = client.create("/back").await.unwrap();
+        w.append(pattern(8 << 20)).await.unwrap();
+        w.close().await.unwrap();
+        let store = dep.kv_servers[1].store();
+        let held = store.len();
+        assert!(held > 0);
+        store.clear();
+        // one scrub round: the 16 chunks fit one batch
+        sim.sleep(std::time::Duration::from_millis(1500)).await;
+        assert_eq!(store.len(), held, "copies not restored in place");
+        assert_eq!(store.stats().pinned_items, held as u64);
+        assert_eq!(dep.membership().overrides_len(), 0);
+        let repaired = sim.metrics().snapshot().counter("bb.scrub.repaired");
+        assert_eq!(repaired, held as u64);
+        assert_eq!(
+            client.wait_flushed("/back").await.unwrap(),
+            FileState::Flushed
+        );
+        assert_eq!(dep.manager.stats().chunks_lost, 0);
+        dep.shutdown();
+    });
+}
+
+#[test]
+fn an_evicted_copy_of_a_flushed_chunk_stays_evicted() {
+    // LRU eviction of a flushed chunk's copy is legal — Lustre holds the
+    // chunk — so the reconciler must not copy it back.
+    let bcfg = BbConfig {
+        kv_replication: 2,
+        ..BbConfig::default()
+    };
+    let r = rig_with(2, Scheme::AsyncLustre, LustreConfig::default(), bcfg);
+    let client = r.dep.client(NodeId(0));
+    let dep = Rc::clone(&r.dep);
+    let sim = r.sim.clone();
+    r.sim.block_on(async move {
+        let w = client.create("/evict").await.unwrap();
+        w.append(pattern(2 << 20)).await.unwrap();
+        w.close().await.unwrap();
+        assert_eq!(
+            client.wait_flushed("/evict").await.unwrap(),
+            FileState::Flushed
+        );
+        let key = crate::manager::chunk_key(1, 0);
+        let idx = dep.membership().route(&key).unwrap();
+        assert!(client.kv().delete_from(idx, &key).await.unwrap());
+        sim.sleep(std::time::Duration::from_secs(3)).await;
+        assert!(
+            !dep.kv_servers[idx].store().contains(&key, 0),
+            "an evicted copy came back"
+        );
+        let m = sim.metrics().snapshot();
+        assert!(
+            m.counter("bb.scrub.scanned") >= 4,
+            "the scrub trigger never ran"
+        );
+        assert_eq!(m.counter("bb.scrub.repaired"), 0);
+        assert_eq!(dep.membership().overrides_len(), 0);
+        dep.shutdown();
+    });
 }

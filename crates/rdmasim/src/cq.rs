@@ -51,21 +51,22 @@ impl<T> Cq<T> {
     }
 
     /// Wait until at least one completion is pending, then take up to
-    /// `max` of them in arrival order. Records the achieved batch size.
-    /// Returns an empty vec only if the ring is closed.
+    /// `max` of them in arrival order into `batch`, cleared first, so a
+    /// poller reuses one allocation for every batch. Records the achieved
+    /// batch size. Leaves `batch` empty only if the ring is closed.
     ///
     /// Single consumer by construction (one poller per ring, and the sim
     /// is single-threaded), so holding the receiver borrow across the
     /// await cannot be contended; a second concurrent drainer would be a
     /// bug and panics deterministically.
     #[allow(clippy::await_holding_refcell_ref)]
-    pub async fn drain(&self, max: usize) -> Vec<T> {
+    pub async fn drain(&self, max: usize, batch: &mut Vec<T>) {
+        batch.clear();
         let mut rx = self.rx.borrow_mut();
         let Ok(first) = rx.recv().await else {
-            return Vec::new();
+            return;
         };
         let max = max.max(1);
-        let mut batch = Vec::with_capacity(max.min(rx.len() + 1));
         batch.push(first);
         while batch.len() < max {
             match rx.try_recv() {
@@ -76,7 +77,6 @@ impl<T> Cq<T> {
         self.polls.inc();
         self.completions.add(batch.len() as u64);
         self.batch_hist.record_ns(batch.len() as u64);
-        batch
     }
 
     /// Entries currently queued (diagnostic).
@@ -101,15 +101,22 @@ mod tests {
         for i in 0..10 {
             cq.post(i);
         }
-        let batch = sim.block_on({
+        let batches = sim.block_on({
             let cq = Rc::clone(&cq);
-            async move { cq.drain(4).await }
+            async move {
+                // one vec for every batch, cleared by each drain
+                let mut batch = vec![99];
+                cq.drain(4, &mut batch).await;
+                let first = batch.clone();
+                cq.drain(4, &mut batch).await;
+                (first, batch)
+            }
         });
-        assert_eq!(batch, vec![0, 1, 2, 3]);
-        assert_eq!(cq.len(), 6);
+        assert_eq!(batches, (vec![0, 1, 2, 3], vec![4, 5, 6, 7]));
+        assert_eq!(cq.len(), 2);
         let snap = sim.metrics().snapshot();
-        assert_eq!(snap.counter("rdma.cq.polls"), 1);
-        assert_eq!(snap.counter("rdma.cq.completions"), 4);
+        assert_eq!(snap.counter("rdma.cq.polls"), 2);
+        assert_eq!(snap.counter("rdma.cq.completions"), 8);
     }
 
     #[test]
@@ -118,7 +125,11 @@ mod tests {
         let cq: Rc<Cq<u32>> = Cq::new(&sim);
         let got = {
             let cq2 = Rc::clone(&cq);
-            sim.spawn(async move { cq2.drain(8).await })
+            sim.spawn(async move {
+                let mut batch = Vec::new();
+                cq2.drain(8, &mut batch).await;
+                batch
+            })
         };
         sim.spawn({
             let sim2 = sim.clone();

@@ -2,10 +2,10 @@
 //! connection setup, and the shared timing rules for every operation.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::fmt;
 use std::rc::Rc;
 
+use simkit::fxhash::FxHashMap;
 use simkit::sync::mpsc;
 use simkit::telemetry::Counter;
 use simkit::{dur, Sim};
@@ -101,7 +101,7 @@ impl RdmaCounters {
 pub struct RdmaStack {
     fabric: Rc<Fabric>,
     profile: TransportProfile,
-    regions: RefCell<HashMap<(NodeId, RKey), Rc<MrInner>>>,
+    regions: RefCell<FxHashMap<(NodeId, RKey), Rc<MrInner>>>,
     next_rkey: RefCell<u32>,
     next_qp: RefCell<u64>,
     pub(crate) counters: RdmaCounters,
@@ -121,7 +121,7 @@ impl RdmaStack {
         Rc::new(RdmaStack {
             fabric,
             profile,
-            regions: RefCell::new(HashMap::new()),
+            regions: RefCell::new(FxHashMap::default()),
             next_rkey: RefCell::new(1),
             next_qp: RefCell::new(1),
             counters,

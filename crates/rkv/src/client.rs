@@ -28,12 +28,13 @@
 //! ring.
 
 use std::cell::{Cell, RefCell};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::rc::Rc;
 use std::time::Duration;
 
 use bytes::Bytes;
+use simkit::fxhash::FxHashMap;
 use simkit::optrace::FinishedOp;
 use simkit::sync::semaphore::Semaphore;
 use simkit::telemetry::Counter;
@@ -198,7 +199,7 @@ pub struct KvClient {
     stack: Rc<RdmaStack>,
     config: KvClientConfig,
     view: Rc<Membership>,
-    conns: RefCell<HashMap<usize, Rc<Conn>>>,
+    conns: RefCell<FxHashMap<usize, Rc<Conn>>>,
     pool: Rc<BufPool>,
     jitter: SimRng,
     res: ResCounters,
@@ -302,7 +303,7 @@ impl KvClient {
             stack: Rc::clone(&stack),
             config,
             view,
-            conns: RefCell::new(HashMap::new()),
+            conns: RefCell::new(FxHashMap::default()),
             pool: Rc::new(BufPool {
                 stack,
                 node,

@@ -94,8 +94,12 @@ impl<T: Clone> HashRing<T> {
         }
     }
 
-    /// Member owning `key`. Panics on an empty ring.
+    /// Member owning `key`. Panics on an empty ring. A one-member ring
+    /// owns every key without hashing it.
     pub fn route(&self, key: &[u8]) -> &T {
+        if let [only] = self.members.as_slice() {
+            return only;
+        }
         &self.members[self.points[self.first_point(key)].1]
     }
 
@@ -252,6 +256,17 @@ mod tests {
         let ring = ring_of(1);
         for i in 0..100u32 {
             assert_eq!(*ring.route(format!("{i}").as_bytes()), 0);
+        }
+    }
+
+    proptest::proptest! {
+        /// `route` skips the hash on a one-member ring; the walk agrees.
+        #[test]
+        fn a_single_member_route_agrees_with_the_walk(
+            key in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..64),
+        ) {
+            let ring = HashRing::new(vec![7u32], &["solo".to_string()], 160);
+            proptest::prop_assert_eq!(ring.route(&key), ring.route_n(&key, 1)[0]);
         }
     }
 }

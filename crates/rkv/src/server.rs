@@ -25,12 +25,13 @@
 //!   (memcached semantics).
 
 use std::cell::{Cell, RefCell};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::rc::Rc;
 use std::time::Duration;
 
 use bytes::Bytes;
 use simkit::dur;
+use simkit::fxhash::FxHashMap;
 use simkit::sync::mpsc;
 use simkit::telemetry::{Counter, Gauge, HistogramMetric, MetricValue};
 use simkit::{OpId, Sim};
@@ -232,7 +233,7 @@ struct HotEntry {
 struct HotState {
     /// One sketch per shard, recording keyed reads.
     sketches: RefCell<Vec<FreqSketch>>,
-    entries: RefCell<HashMap<Vec<u8>, HotEntry>>,
+    entries: RefCell<FxHashMap<Vec<u8>, HotEntry>>,
     /// Monotone ticket source shared by all entries; never reused, so a
     /// pruned-and-redetected key cannot accept a publish from before its
     /// retirement (no ABA).
@@ -262,11 +263,11 @@ impl HotState {
 struct TenantGov {
     rate: f64,
     /// tenant → (tokens, last refill ns).
-    buckets: RefCell<HashMap<u32, (f64, u64)>>,
+    buckets: RefCell<FxHashMap<u32, (f64, u64)>>,
     admitted: Counter,
     throttled: Counter,
     /// Lazily registered `rkv.tenant.server{N}.t{T}.throttled` counters.
-    per_tenant: RefCell<HashMap<u32, Counter>>,
+    per_tenant: RefCell<FxHashMap<u32, Counter>>,
 }
 
 /// Per-server service-time histograms (`rkv.server{node}.*_ns`), plus
@@ -409,10 +410,10 @@ impl KvServer {
         }
         let gov = (config.tenant_rate > 0.0).then(|| TenantGov {
             rate: config.tenant_rate,
-            buckets: RefCell::new(HashMap::new()),
+            buckets: RefCell::new(FxHashMap::default()),
             admitted: m.counter(format!("rkv.tenant.server{}.admitted", node.0)),
             throttled: m.counter(format!("rkv.tenant.server{}.throttled", node.0)),
-            per_tenant: RefCell::new(HashMap::new()),
+            per_tenant: RefCell::new(FxHashMap::default()),
         });
         // hot-key fan-out needs per-core routing, so it only exists under
         // the engine; gated the same way (no rkv.hot.* metrics by default)
@@ -422,7 +423,7 @@ impl KvServer {
                     .map(|_| FreqSketch::new(config.hot_window))
                     .collect(),
             ),
-            entries: RefCell::new(HashMap::new()),
+            entries: RefCell::new(FxHashMap::default()),
             seqgen: Cell::new(0),
             fanout: (config.hot_replicas + 1).min(store.shard_count()),
             min_count: config.hot_min_count.max(1),
@@ -628,12 +629,13 @@ impl KvServer {
     /// routing bookkeeping only.
     async fn run_poller(self: Rc<Self>) {
         let engine = self.engine.as_ref().expect("engine poller");
+        let mut batch = Vec::new();
         loop {
-            let batch = engine.cq.drain(self.config.cq_batch).await;
+            engine.cq.drain(self.config.cq_batch, &mut batch).await;
             if batch.is_empty() {
                 break; // ring closed
             }
-            for sub in batch {
+            for sub in batch.drain(..) {
                 self.stack.sim().op_stamp(sub.ticket.op, "cq_wait");
                 match self.front_door(sub.frame, &sub.tenant) {
                     Ok(req) => self.dispatch(req, sub.qp, sub.ticket, sub.tenant.get()),

@@ -14,6 +14,7 @@ use std::collections::HashMap;
 use std::fmt;
 
 use bytes::Bytes;
+use simkit::fxhash::FxHashMap;
 
 use crate::slab::{ChunkRef, SlabAllocator, SlabConfig, SlabFull};
 
@@ -182,9 +183,9 @@ impl ClassLru {
 /// behind one key-routed facade.
 pub struct KvStore {
     slab: SlabAllocator,
-    map: HashMap<Box<[u8]>, Meta>,
+    map: FxHashMap<Box<[u8]>, Meta>,
     /// chunk → key, so the LRU tail can be unlinked during eviction.
-    chunk_keys: HashMap<ChunkRef, Box<[u8]>>,
+    chunk_keys: FxHashMap<ChunkRef, Box<[u8]>>,
     lru: Vec<ClassLru>,
     next_cas: u64,
     stats: KvStats,
@@ -212,8 +213,8 @@ impl KvStore {
         let lru = (0..slab.class_count()).map(|_| ClassLru::new()).collect();
         KvStore {
             slab,
-            map: HashMap::new(),
-            chunk_keys: HashMap::new(),
+            map: FxHashMap::default(),
+            chunk_keys: FxHashMap::default(),
             lru,
             next_cas: 1,
             stats: KvStats::default(),
@@ -562,10 +563,15 @@ impl KvStore {
     }
 
     /// Drop every item (models a process crash losing volatile memory).
-    /// Goes through [`KvStore::delete`] so slab and item/byte accounting
-    /// stay consistent; hit/miss counters are preserved.
+    /// Goes through [`KvStore::delete`], in sorted key order as
+    /// [`KvStore::corrupt_resident`] walks, so slab and item/byte
+    /// accounting stay consistent and what the slab's free lists hold
+    /// afterwards does not depend on hash order; hit/miss counters are
+    /// preserved.
     pub fn clear(&mut self) {
-        for key in self.keys() {
+        let mut keys = self.keys();
+        keys.sort();
+        for key in keys {
             self.delete(&key);
         }
     }

@@ -12,8 +12,7 @@
 //! the RNG seed.
 
 use std::cell::{Cell, RefCell};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
@@ -58,7 +57,7 @@ impl TaskSlab {
 }
 
 /// One pooled timer. `seq` is the registration that owns the slot, so a
-/// heap entry or a [`Sleep`] carrying another `seq` is stale.
+/// queued entry or a [`Sleep`] carrying another `seq` is stale.
 struct TimerSlot {
     seq: u64,
     fired: bool,
@@ -67,22 +66,80 @@ struct TimerSlot {
 
 /// `seq` of a slot on the free list; no registration ever carries it.
 const VACANT: u64 = u64::MAX;
-/// Dead heap entries tolerated before a rebuild, however few are live.
+/// Dead queued entries tolerated before a rebuild, however few are live.
 const COMPACT_FLOOR: usize = 256;
+/// How far ahead a deadline must be to queue on the lane rather than the
+/// heap (each KV attempt's `OP_TIMEOUT` is 1 s, its transfers µs).
+const LANE_AHEAD_NS: u64 = 1_000_000;
 
-/// Pending timers: a min-heap of `(deadline, registration seq, slot)` over
-/// a pool of slots, so a `sleep` allocates nothing once the pool is warm.
+/// A queued timer: its key `deadline_ns << 64 | seq`, unique per
+/// registration, and its slot. Ordered by the key alone and reversed, so a
+/// `BinaryHeap` of entries pops the earliest `(deadline, seq)` first.
+#[derive(Clone, Copy)]
+struct Entry {
+    key: u128,
+    slot: u32,
+}
+
+impl Entry {
+    fn new(deadline: Time, seq: u64, slot: u32) -> Entry {
+        let key = (deadline.as_nanos() as u128) << 64 | seq as u128;
+        Entry { key, slot }
+    }
+
+    fn deadline(self) -> Time {
+        Time::from_nanos((self.key >> 64) as u64)
+    }
+
+    fn seq(self) -> u64 {
+        self.key as u64
+    }
+
+    /// Whether its registration still owns the slot: not yet released.
+    fn is_live(self, slots: &[TimerSlot]) -> bool {
+        slots[self.slot as usize].seq == self.seq()
+    }
+}
+
+impl PartialEq for Entry {
+    fn eq(&self, other: &Entry) -> bool {
+        self.key == other.key
+    }
+}
+
+impl Eq for Entry {}
+
+impl PartialOrd for Entry {
+    fn partial_cmp(&self, other: &Entry) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Entry {
+    fn cmp(&self, other: &Entry) -> std::cmp::Ordering {
+        other.key.cmp(&self.key)
+    }
+}
+
+/// Pending timers over a pool of slots, so a `sleep` allocates nothing
+/// once the pool is warm. Two queues hold the entries: a FIFO lane for far
+/// deadlines registered in order (nearly all cancelled long before they
+/// are due) and a min-heap for the rest, so the short timers that do fire
+/// sift past only each other.
 #[derive(Default)]
 struct Timers {
-    heap: BinaryHeap<Reverse<(Time, u64, u32)>>,
+    heap: BinaryHeap<Entry>,
+    /// Ascending by key: an entry joins only at or past the last one.
+    lane: VecDeque<Entry>,
     slots: Vec<TimerSlot>,
     free: Vec<u32>,
-    /// Entries in `heap` whose `Sleep` was dropped before they fired.
+    /// Entries in `heap` or `lane` whose `Sleep` was dropped before they
+    /// fired.
     dead: usize,
 }
 
 impl Timers {
-    fn register(&mut self, deadline: Time, seq: u64) -> u32 {
+    fn register(&mut self, now: Time, deadline: Time, seq: u64) -> u32 {
         let fresh = TimerSlot {
             seq,
             fired: false,
@@ -98,7 +155,13 @@ impl Timers {
                 u32::try_from(self.slots.len() - 1).expect("over 2^32 concurrent timers")
             }
         };
-        self.heap.push(Reverse((deadline, seq, slot)));
+        let entry = Entry::new(deadline, seq, slot);
+        let far = deadline.as_nanos().saturating_sub(now.as_nanos()) >= LANE_AHEAD_NS;
+        if far && self.lane.back().is_none_or(|last| entry.key > last.key) {
+            self.lane.push_back(entry);
+        } else {
+            self.heap.push(entry);
+        }
         slot
     }
 
@@ -110,15 +173,23 @@ impl Timers {
     /// Pop the earliest live timer due by `horizon` and mark it fired.
     fn pop_due(&mut self, horizon: Time) -> Option<(Time, Option<Waker>)> {
         loop {
-            let &Reverse((deadline, seq, slot)) = self.heap.peek()?;
-            if deadline > horizon {
+            let (top, lane) = match (self.heap.peek(), self.lane.front()) {
+                (Some(&h), Some(&l)) if l.key < h.key => (l, true),
+                (Some(&h), _) => (h, false),
+                (None, l) => (*l?, true),
+            };
+            if top.deadline() > horizon {
                 return None;
             }
-            self.heap.pop();
-            match self.slot(slot, seq) {
+            if lane {
+                self.lane.pop_front();
+            } else {
+                self.heap.pop();
+            }
+            match self.slot(top.slot, top.seq()) {
                 Some(s) => {
                     s.fired = true;
-                    return Some((deadline, s.waker.take()));
+                    return Some((top.deadline(), s.waker.take()));
                 }
                 None => self.dead -= 1, // its Sleep was dropped
             }
@@ -126,10 +197,11 @@ impl Timers {
     }
 
     /// Return a dropped [`Sleep`]'s slot to the pool. An unfired one leaves
-    /// a dead entry in the heap; once those outnumber the live entries the
-    /// heap is rebuilt from the live ones. Entries are totally ordered by
-    /// the unique `(deadline, seq)`, so which of them are present never
-    /// changes the order in which the live ones pop.
+    /// a dead entry behind: dead entries at the lane's front are pruned at
+    /// once, and once dead entries outnumber the live ones both queues are
+    /// rebuilt from their live entries. Entries are totally ordered by the
+    /// unique key, so which dead ones are present never changes the order
+    /// in which the live ones pop.
     fn release(&mut self, slot: u32, seq: u64) {
         let Some(s) = self.slot(slot, seq) else {
             return; // torn down by `reset`
@@ -142,10 +214,15 @@ impl Timers {
             return;
         }
         self.dead += 1;
-        if self.dead > (self.heap.len() - self.dead).max(COMPACT_FLOOR) {
+        while self.lane.front().is_some_and(|e| !e.is_live(&self.slots)) {
+            self.lane.pop_front();
+            self.dead -= 1;
+        }
+        let queued = self.heap.len() + self.lane.len();
+        if self.dead > (queued - self.dead).max(COMPACT_FLOOR) {
             let slots = &self.slots;
-            self.heap
-                .retain(|&Reverse((_, seq, slot))| slots[slot as usize].seq == seq);
+            self.heap.retain(|e| e.is_live(slots));
+            self.lane.retain(|e| e.is_live(slots));
             self.dead = 0;
         }
     }
@@ -432,9 +509,10 @@ impl Sim {
 
     /// Suspend the calling task until the absolute instant `deadline`.
     pub fn sleep_until(&self, deadline: Time) -> Sleep {
-        let timer = (deadline > self.now()).then(|| {
+        let now = self.now();
+        let timer = (deadline > now).then(|| {
             let seq = self.next_seq();
-            let slot = self.inner.timers.borrow_mut().register(deadline, seq);
+            let slot = self.inner.timers.borrow_mut().register(now, deadline, seq);
             (self.clone(), slot, seq)
         });
         Sleep { timer }
@@ -513,11 +591,12 @@ impl Sim {
             .expect("simulation quiesced before block_on future completed (deadlock)")
     }
 
-    /// `(heap entries, live timers)` of the timer pool.
+    /// `(queued entries, live timers)` of the timer pool, heap and lane.
     #[cfg(test)]
     fn timer_load(&self) -> (usize, usize) {
         let t = self.inner.timers.borrow();
-        (t.heap.len(), t.heap.len() - t.dead)
+        let queued = t.heap.len() + t.lane.len();
+        (queued, queued - t.dead)
     }
 
     /// Cooperatively yield: reschedule the current task behind all currently
@@ -1131,6 +1210,31 @@ mod tests {
         assert_eq!(sim.timer_load(), (0, 0));
     }
 
+    #[test]
+    fn a_cancelled_far_deadline_leaves_the_heap() {
+        // each round is a KV attempt: a 1 s deadline raced against a 2 µs
+        // transfer that wins, after which the deadline is dropped
+        let rounds = if cfg!(miri) { 300 } else { 10_000 };
+        let sim = Sim::new();
+        let s = sim.clone();
+        sim.block_on(async move {
+            for _ in 0..rounds {
+                let deadline = s.sleep(dur::secs(1));
+                let transfer = s.sleep(dur::us(2));
+                {
+                    // the last round's deadline left the lane's front when
+                    // it was dropped: no rebuild ever had to find it
+                    let t = s.inner.timers.borrow();
+                    assert_eq!((t.heap.len(), t.lane.len()), (1, 1));
+                }
+                transfer.await;
+                drop(deadline);
+            }
+        });
+        assert_eq!(sim.now(), Time::from_micros(2 * rounds));
+        assert_eq!(sim.timer_load(), (0, 0));
+    }
+
     /// One step of the timer-queue property.
     #[derive(Clone, Debug)]
     enum TimerOp {
@@ -1195,9 +1299,9 @@ mod tests {
             if cfg!(miri) { 8 } else { 256 }
         ))]
 
-        /// The heap, its dead entries and its compaction pop exactly the
-        /// order of a sorted set of `(deadline, seq)`, and the heap stays
-        /// within 2 × live + `COMPACT_FLOOR` entries.
+        /// The heap, the lane, their dead entries and their compaction pop
+        /// exactly the order of a sorted set of `(deadline, seq)`, and the
+        /// two together stay within 2 × live + `COMPACT_FLOOR` entries.
         #[test]
         fn timers_pop_in_reference_order(
             ops in proptest::collection::vec(timer_op(), 1..200),
@@ -1246,16 +1350,21 @@ mod tests {
                 };
                 for _ in 0..n {
                     let seq = handles.len() as u64;
-                    let slot = t.register(deadline, seq);
+                    let slot = t.register(now, deadline, seq);
                     reference.insert((deadline, seq), slot);
                     handles.push(Some((slot, (deadline, seq))));
+                    if let TimerOp::Long(_) = op {
+                        // queued on the lane, behind every earlier long one
+                        proptest::prop_assert_eq!(t.lane.back().map(|e| e.slot), Some(slot));
+                    }
                 }
-                proptest::prop_assert_eq!(t.heap.len() - t.dead, reference.len());
-                proptest::prop_assert!(t.heap.len() <= 2 * reference.len() + COMPACT_FLOOR);
+                let queued = t.heap.len() + t.lane.len();
+                proptest::prop_assert_eq!(queued - t.dead, reference.len());
+                proptest::prop_assert!(queued <= 2 * reference.len() + COMPACT_FLOOR);
             }
             advance(&mut t, &mut reference, Time::MAX);
             proptest::prop_assert!(reference.is_empty());
-            proptest::prop_assert!(t.heap.is_empty());
+            proptest::prop_assert!(t.heap.is_empty() && t.lane.is_empty());
             proptest::prop_assert_eq!(t.dead, 0);
         }
     }

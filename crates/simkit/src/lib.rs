@@ -7,7 +7,8 @@
 //! randomness ([`rng`]), metrics ([`stats`]), the handle-keeping byte
 //! range simulated disks and registered memory park payloads in
 //! ([`segmap`]), and the gather list every SEND and every read carries
-//! those handles in ([`gather`]).
+//! those handles in ([`gather`]). Per-op maps hash with [`fxhash`], which
+//! has no seed.
 //!
 //! ## Why virtual time
 //!
@@ -39,6 +40,7 @@ pub mod executor;
 pub mod faultplan;
 pub mod flight;
 pub mod future;
+pub mod fxhash;
 pub mod gather;
 pub mod optrace;
 pub mod resource;

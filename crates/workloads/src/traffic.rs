@@ -115,9 +115,33 @@ pub struct OpEvent {
 }
 
 impl OpEvent {
-    /// Canonical key for this event's rank, namespaced per tenant.
+    /// Canonical key for this event's rank, namespaced per tenant:
+    /// `t{tenant}-k{rank}`, written right to left into a stack buffer and
+    /// copied out once (one exact-size allocation, no formatter).
     pub fn key(&self) -> String {
-        format!("t{}-k{}", self.tenant, self.rank)
+        // "t" + u32::MAX + "-k" + u64::MAX
+        let mut buf = [0u8; 1 + 10 + 2 + 20];
+        let end = buf.len();
+        let mut at = put_decimal(&mut buf, end, self.rank as u64);
+        at -= 2;
+        buf[at..at + 2].copy_from_slice(b"-k");
+        at = put_decimal(&mut buf, at, self.tenant.into());
+        at -= 1;
+        buf[at] = b't';
+        std::str::from_utf8(&buf[at..]).expect("ASCII").to_owned()
+    }
+}
+
+/// Write `n`'s decimal digits into `buf` to end just before `end`; returns
+/// where they start.
+fn put_decimal(buf: &mut [u8], mut end: usize, mut n: u64) -> usize {
+    loop {
+        end -= 1;
+        buf[end] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            return end;
+        }
     }
 }
 
@@ -306,5 +330,26 @@ impl TrafficEngine {
             out.push(ev);
         }
         out
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn op_keys_match_the_formatted_key() {
+        for tenant in [0, 1, u32::MAX] {
+            for rank in [0, 9, 10, 2047, usize::MAX] {
+                let ev = OpEvent {
+                    at_ns: 0,
+                    tenant,
+                    class: OpClass::Get,
+                    rank,
+                    value_size: 0,
+                };
+                assert_eq!(ev.key().as_bytes(), format!("t{tenant}-k{rank}").as_bytes());
+            }
+        }
     }
 }

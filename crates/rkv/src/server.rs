@@ -580,18 +580,25 @@ impl KvServer {
     }
 
     /// Reorder buffer: cores complete out of order, the wire stays in
-    /// per-connection request order.
+    /// per-connection request order. Only a reply that overtook an earlier
+    /// one is held; the one due next leaves at once (a `KvClient` waits for
+    /// each reply before its next request, so its replies are always due).
     async fn run_replier(sim: Sim, qp: Rc<Qp>, mut rx: mpsc::Receiver<ReplyItem>) {
         let mut next = 0u64;
         let mut held: BTreeMap<u64, (Gather, Option<OpId>)> = BTreeMap::new();
         while let Ok((seq, frame, op)) = rx.recv().await {
-            held.insert(seq, (frame, op));
-            while let Some((frame, op)) = held.remove(&next) {
+            if seq != next {
+                held.insert(seq, (frame, op));
+                continue;
+            }
+            let mut due = Some((frame, op));
+            while let Some((frame, op)) = due {
                 sim.op_stamp(op, "reply_reorder");
                 if qp.send_tagged(frame, None).await.is_err() {
                     return;
                 }
                 next += 1;
+                due = held.remove(&next);
             }
         }
     }
@@ -1044,5 +1051,63 @@ fn request_key(req: &Request) -> Option<&[u8]> {
         | Request::Pin { key }
         | Request::Unpin { key } => Some(key),
         Request::MultiGet { .. } | Request::SetTenant { .. } => None,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use netsim::{Fabric, NetConfig};
+
+    /// One connection pipelines three gets of keys on one core and then a
+    /// get on another core, which completes first: the replier holds it,
+    /// and the wire answers in request order.
+    #[test]
+    fn pipelined_replies_leave_in_request_order() {
+        let sim = Sim::new();
+        let stack = RdmaStack::new(Fabric::new(sim.clone(), 2, NetConfig::default()));
+        let config = KvServerConfig {
+            cores: 4,
+            cq_batch: 16,
+            proc_time: dur::us(20),
+            ..KvServerConfig::default()
+        };
+        let server = KvServer::new(stack, NodeId(0), config);
+        let key = |i: usize| Bytes::from(format!("k{i}"));
+        let shard = |i: usize| server.store.shard_index(&key(i));
+        let slow: Vec<usize> = (0..).filter(|&i| shard(i) == 0).take(3).collect();
+        let fast = (0..).find(|&i| shard(i) == 1).unwrap();
+        let order: Vec<usize> = slow.iter().copied().chain([fast]).collect();
+        let replies = sim.block_on(async move {
+            let qp = server.accept(NodeId(1)).await.unwrap();
+            for &i in &order {
+                let set = Request::Set {
+                    key: key(i),
+                    flags: 0,
+                    expire_at: 0,
+                    value: Carrier::Inline(key(i)),
+                };
+                qp.send_tagged(set.encode(), None).await.unwrap();
+                qp.recv_tagged().await.unwrap();
+            }
+            for &i in &order {
+                let get = Request::Get {
+                    key: key(i),
+                    dst: None,
+                };
+                qp.send_tagged(get.encode(), None).await.unwrap();
+            }
+            let mut replies = Vec::new();
+            for _ in &order {
+                let (frame, _) = qp.recv_tagged().await.unwrap();
+                match Response::decode_sg(frame).unwrap() {
+                    Response::Value { data, .. } => replies.push(data),
+                    other => panic!("unexpected {other:?}"),
+                }
+            }
+            replies
+        });
+        let want: Vec<Bytes> = slow.iter().chain([&fast]).map(|&i| key(i)).collect();
+        assert_eq!(replies, want);
     }
 }

@@ -95,24 +95,105 @@ impl SimRng {
     }
 }
 
-/// Memoized CDF table store: `(n, s.to_bits())` → shared CDF.
-type ZipfCdfCache = std::collections::HashMap<(usize, u64), Rc<Vec<f64>>>;
+/// Memoized table store: `(n, s.to_bits())` → shared CDF and guide.
+type ZipfTableCache = std::collections::HashMap<(usize, u64), Rc<ZipfTable>>;
 
 thread_local! {
-    /// Memoized Zipf CDF tables keyed by `(n, s.to_bits())`. The harmonic
+    /// Memoized Zipf tables keyed by `(n, s.to_bits())`. The harmonic
     /// prefix sum is O(n) with a `powf` per term — prohibitive when traffic
     /// generators build 10^6-key distributions per cell — but it is a pure
     /// function of `(n, s)`, so every construction after the first is a
     /// cache hit that just bumps an `Rc`.
-    static ZIPF_CDF_CACHE: RefCell<ZipfCdfCache> = RefCell::new(ZipfCdfCache::new());
+    static ZIPF_TABLE_CACHE: RefCell<ZipfTableCache> = RefCell::new(ZipfTableCache::new());
 }
 
-/// Zipf-distributed ranks in `[0, n)` with skew `s`, via a precomputed CDF
-/// and binary search. Matches the access skew of key-popularity workloads
-/// (e.g. the hot-block behaviour a burst buffer exploits). CDF tables are
-/// memoized per `(n, s)` so repeated construction is O(1) after the first.
+/// The normalized CDF of one `(n, s)` and its guide table.
+struct ZipfTable {
+    cdf: Vec<f64>,
+    /// `n` as a float: the guide's bucket count.
+    scale: f64,
+    /// Chen & Asau's cutpoints over `n` equal buckets of `[0, 1)`:
+    /// `guide[j]` is the number of CDF values whose bucket is below `j`,
+    /// so no `u` in bucket `j` ranks lower. One slot more than buckets, as
+    /// `u · n` may round up to `n`. Empty when the CDF is not strictly
+    /// increasing — equal values leave the rank of a `u` equal to them to
+    /// the binary search, which alone decides which of them it returns —
+    /// or when a rank does not fit a `u32`.
+    guide: Vec<u32>,
+}
+
+impl ZipfTable {
+    fn new(n: usize, s: f64) -> ZipfTable {
+        let mut cdf = Vec::with_capacity(n);
+        let mut acc = 0.0;
+        for k in 1..=n {
+            acc += 1.0 / (k as f64).powf(s);
+            cdf.push(acc);
+        }
+        let total = acc;
+        for v in &mut cdf {
+            *v /= total;
+        }
+        ZipfTable::from_cdf(cdf)
+    }
+
+    /// The table over a non-empty, non-decreasing `cdf`.
+    fn from_cdf(cdf: Vec<f64>) -> ZipfTable {
+        let n = cdf.len();
+        let mut table = ZipfTable {
+            cdf,
+            scale: n as f64,
+            guide: Vec::new(),
+        };
+        let strict = table.cdf.windows(2).all(|w| w[0] < w[1]);
+        if strict && u32::try_from(n).is_ok() {
+            let mut i = 0;
+            table.guide = (0..=n)
+                .map(|j| {
+                    while i < n && table.bucket(table.cdf[i]) < j {
+                        i += 1;
+                    }
+                    i.min(n - 1) as u32
+                })
+                .collect();
+        }
+        table
+    }
+
+    /// The guide bucket of `u`: the one map both the build and the
+    /// sampler use, so a rounding of `u · n` moves the edge for both.
+    fn bucket(&self, u: f64) -> usize {
+        (u * self.scale) as usize
+    }
+
+    /// The first rank whose CDF value is at least `u` (the last rank when
+    /// none is), as `binary_search_by` over the CDF returns it.
+    fn rank(&self, u: f64) -> usize {
+        let cdf = &self.cdf;
+        let Some(&start) = self.guide.get(self.bucket(u)) else {
+            return match cdf.binary_search_by(|p| p.partial_cmp(&u).expect("cdf is finite")) {
+                Ok(i) => i,
+                Err(i) => i.min(cdf.len() - 1),
+            };
+        };
+        // every CDF value of a lower bucket is below `u`: the walk only
+        // crosses the values of `u`'s own bucket, about one for n buckets
+        let mut i = start as usize;
+        while cdf[i] < u && i + 1 < cdf.len() {
+            i += 1;
+        }
+        i
+    }
+}
+
+/// Zipf-distributed ranks in `[0, n)` with skew `s`, by inversion of a
+/// precomputed CDF through a guide table: a draw is one multiply, one load
+/// and about one compare. Matches the access skew of key-popularity
+/// workloads (e.g. the hot-block behaviour a burst buffer exploits).
+/// Tables are memoized per `(n, s)` so repeated construction is O(1) after
+/// the first.
 pub struct Zipf {
-    cdf: Rc<Vec<f64>>,
+    table: Rc<ZipfTable>,
 }
 
 impl Zipf {
@@ -120,58 +201,44 @@ impl Zipf {
     /// uniform; s ≈ 0.99 is the classic YCSB skew).
     pub fn new(n: usize, s: f64) -> Self {
         assert!(n > 0, "zipf over empty set");
-        let cdf = ZIPF_CDF_CACHE.with(|cache| {
-            if let Some(cdf) = cache.borrow().get(&(n, s.to_bits())) {
-                return Rc::clone(cdf);
+        let table = ZIPF_TABLE_CACHE.with(|cache| {
+            if let Some(table) = cache.borrow().get(&(n, s.to_bits())) {
+                return Rc::clone(table);
             }
-            let mut cdf = Vec::with_capacity(n);
-            let mut acc = 0.0;
-            for k in 1..=n {
-                acc += 1.0 / (k as f64).powf(s);
-                cdf.push(acc);
-            }
-            let total = acc;
-            for v in &mut cdf {
-                *v /= total;
-            }
-            let cdf = Rc::new(cdf);
-            cache.borrow_mut().insert((n, s.to_bits()), Rc::clone(&cdf));
-            cdf
+            let table = Rc::new(ZipfTable::new(n, s));
+            cache
+                .borrow_mut()
+                .insert((n, s.to_bits()), Rc::clone(&table));
+            table
         });
-        Zipf { cdf }
+        Zipf { table }
     }
 
     /// Analytic probability mass of `rank` (rank 0 is the most popular):
     /// `(1/(rank+1)^s) / H(n, s)`, read off the normalized CDF.
     pub fn prob(&self, rank: usize) -> f64 {
-        assert!(rank < self.cdf.len(), "rank out of range");
+        let cdf = &self.table.cdf;
+        assert!(rank < cdf.len(), "rank out of range");
         if rank == 0 {
-            self.cdf[0]
+            cdf[0]
         } else {
-            self.cdf[rank] - self.cdf[rank - 1]
+            cdf[rank] - cdf[rank - 1]
         }
     }
 
     /// Draw a rank in `[0, n)`; rank 0 is the most popular item.
     pub fn sample(&self, rng: &SimRng) -> usize {
-        let u = rng.f64();
-        match self
-            .cdf
-            .binary_search_by(|p| p.partial_cmp(&u).expect("cdf is finite"))
-        {
-            Ok(i) => i,
-            Err(i) => i.min(self.cdf.len() - 1),
-        }
+        self.table.rank(rng.f64())
     }
 
     /// Number of items.
     pub fn len(&self) -> usize {
-        self.cdf.len()
+        self.table.cdf.len()
     }
 
     /// Whether the distribution is empty (never true by construction).
     pub fn is_empty(&self) -> bool {
-        self.cdf.is_empty()
+        self.table.cdf.is_empty()
     }
 }
 
@@ -263,12 +330,94 @@ mod tests {
         let a = Zipf::new(4096, 0.99);
         let b = Zipf::new(4096, 0.99);
         // same (n, s) shares one table
-        assert!(Rc::ptr_eq(&a.cdf, &b.cdf));
+        assert!(Rc::ptr_eq(&a.table, &b.table));
         let c = Zipf::new(4096, 1.2);
-        assert!(!Rc::ptr_eq(&a.cdf, &c.cdf));
+        assert!(!Rc::ptr_eq(&a.table, &c.table));
         let total: f64 = (0..a.len()).map(|r| a.prob(r)).sum();
         assert!((total - 1.0).abs() < 1e-9, "total mass {total}");
         assert!(a.prob(0) > a.prob(1));
+    }
+
+    /// The sampler as it was first written: a binary search of the CDF.
+    fn rank_by_binary_search(cdf: &[f64], u: f64) -> usize {
+        match cdf.binary_search_by(|p| p.partial_cmp(&u).expect("cdf is finite")) {
+            Ok(i) => i,
+            Err(i) => i.min(cdf.len() - 1),
+        }
+    }
+
+    /// Every `u` in `[0, 1)` that can sit on an edge of `table`: zero, the
+    /// last float below one, and each bucket edge and each CDF value with
+    /// their neighbouring floats.
+    fn edge_points(table: &ZipfTable) -> Vec<f64> {
+        let n = table.cdf.len();
+        let edges = (0..n).map(|j| j as f64 / n as f64);
+        let points = table.cdf.iter().copied().chain(edges);
+        let near = points.flat_map(|u| [u.next_down(), u, u.next_up()]);
+        near.chain([0.0, 1.0f64.next_down()])
+            .filter(|u| (0.0..1.0).contains(u))
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(64))]
+
+        /// The guide table returns the binary search's rank for every `u`
+        /// on an edge and for random ones.
+        #[test]
+        fn zipf_sample_is_bit_identical_to_binary_search(
+            n in 1usize..5000,
+            skew in 0usize..5,
+            random in proptest::collection::vec(proptest::prelude::any::<f64>(), 256),
+        ) {
+            let s = [0.0, 0.5, 0.99, 1.2, 3.0][skew];
+            let z = Zipf::new(n, s);
+            let table = &z.table;
+            proptest::prop_assert_eq!(table.guide.len(), n + 1, "n {} s {}: no guide", n, s);
+            let points = edge_points(table);
+            proptest::prop_assert!(points.len() >= 2 * n, "n {} s {}: {} points", n, s, points.len());
+            for u in points.into_iter().chain(random) {
+                let want = rank_by_binary_search(&table.cdf, u);
+                proptest::prop_assert_eq!(table.rank(u), want, "n {} s {} u {:e}", n, s, u);
+            }
+        }
+    }
+
+    /// A CDF value one float below the edge `j / n` whose product with `n`
+    /// rounds up to `j`: the sampler puts `u` equal to it in bucket `j`, so
+    /// the guide must count it in bucket `j` too, not by its real value.
+    #[test]
+    fn zipf_guide_edges_use_the_samplers_bucket_map() {
+        let (n, j) = (10, 9);
+        let edge = (j as f64 / n as f64).next_down();
+        assert_eq!((edge * n as f64) as usize, j, "the premise: rounds up");
+        let mut cdf: Vec<f64> = (0..n).map(|k| (k as f64 + 0.5) / n as f64).collect();
+        cdf[j - 1] = edge;
+        cdf[n - 1] = 1.0;
+        let table = ZipfTable::from_cdf(cdf);
+        assert_eq!(table.guide.len(), n + 1);
+        for u in edge_points(&table) {
+            assert_eq!(
+                table.rank(u),
+                rank_by_binary_search(&table.cdf, u),
+                "u {u:e}"
+            );
+        }
+    }
+
+    /// A CDF with equal neighbours keeps the binary search, which alone
+    /// decides which of equal values a `u` on them ranks as.
+    #[test]
+    fn zipf_with_a_flat_cdf_keeps_the_binary_search() {
+        // terms of 1/k^40 past the first few vanish below the sum's ulp
+        let z = Zipf::new(64, 40.0);
+        assert!(z.table.guide.is_empty());
+        let rng = SimRng::seed_from(4);
+        for _ in 0..1000 {
+            let u = rng.f64();
+            assert_eq!(z.table.rank(u), rank_by_binary_search(&z.table.cdf, u));
+        }
+        assert_eq!(z.table.rank(1.0), rank_by_binary_search(&z.table.cdf, 1.0));
     }
 
     #[test]

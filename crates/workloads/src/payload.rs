@@ -83,6 +83,19 @@ mod tests {
         assert_ne!(a.slice(3, 1000), c.slice(3, 1000));
     }
 
+    /// The standard pattern every workload deals from, pinned by its
+    /// CRC32C as the chunk-wise fill first produced it: a faster fill must
+    /// lay down the same bytes.
+    #[test]
+    fn standard_pattern_is_bit_identical_to_its_pinned_crc() {
+        let p = PayloadPool::standard();
+        assert_eq!(p.pattern_len(), 4 << 20);
+        let crc = simkit::crc32c::crc32c(&p.pattern);
+        assert_eq!(crc, PINNED_STANDARD_CRC, "pattern crc {crc:#010x}");
+    }
+
+    const PINNED_STANDARD_CRC: u32 = 0x00e8_471f;
+
     #[test]
     fn consecutive_payloads_differ() {
         let p = PayloadPool::standard();

@@ -336,6 +336,51 @@ impl TrafficEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simkit::crc32c::Crc32c;
+
+    /// The benchmark's AB11 open loop at each rate of its grid (seed 11,
+    /// 2 048 keys at skew 0.99, 250 ms of arrivals), pinned by a CRC32C of
+    /// every event's `(at_ns, rank, class)` as the binary-search sampler
+    /// first drew them: a faster sampler must draw the same stream.
+    #[test]
+    fn ab11_stream_is_bit_identical_to_its_pinned_digest() {
+        let digests: Vec<(usize, u32)> = [80e3, 120e3, 140e3, 160e3, 175e3, 190e3]
+            .into_iter()
+            .map(|rate| {
+                let spec = TrafficSpec {
+                    tenants: vec![TenantSpec {
+                        tenant: 1,
+                        arrivals: ArrivalProcess::Poisson { rate },
+                        logical_clients: 500_000,
+                        keys: 2048,
+                        skew: 0.99,
+                        get_ratio: 0.99,
+                        value_size: 128,
+                    }],
+                    horizon_ns: 250_000_000,
+                };
+                let events = TrafficEngine::new(&spec, &SimRng::seed_from(11)).collect_all();
+                let mut crc = Crc32c::new();
+                for ev in &events {
+                    crc.update(&ev.at_ns.to_le_bytes());
+                    crc.update(&(ev.rank as u64).to_le_bytes());
+                    crc.update(&[u8::from(ev.class == OpClass::Set)]);
+                }
+                (events.len(), crc.finalize())
+            })
+            .collect();
+        assert_eq!(digests, PINNED_AB11, "{digests:#x?}");
+    }
+
+    /// `(events, digest)` per rate, in grid order.
+    const PINNED_AB11: [(usize, u32); 6] = [
+        (19_980, 0x2e16_555b),
+        (30_037, 0x962a_7881),
+        (35_043, 0x8620_b082),
+        (39_960, 0xfe42_1630),
+        (43_750, 0x7739_99b7),
+        (47_467, 0x818e_5cf6),
+    ];
 
     #[test]
     fn op_keys_match_the_formatted_key() {

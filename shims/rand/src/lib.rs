@@ -152,10 +152,17 @@ pub mod rngs {
             (self.next_u64() >> 32) as u32
         }
 
+        /// Little-endian words of the stream, in order: whole 8-byte stores,
+        /// then the first bytes of one more word for a ragged tail.
         fn fill_bytes(&mut self, dest: &mut [u8]) {
-            for chunk in dest.chunks_mut(8) {
+            let mut words = dest.chunks_exact_mut(8);
+            for word in &mut words {
+                word.copy_from_slice(&self.next_u64().to_le_bytes());
+            }
+            let tail = words.into_remainder();
+            if !tail.is_empty() {
                 let raw = self.next_u64().to_le_bytes();
-                chunk.copy_from_slice(&raw[..chunk.len()]);
+                tail.copy_from_slice(&raw[..tail.len()]);
             }
         }
     }
@@ -201,5 +208,32 @@ mod tests {
         let mut buf = [0u8; 13];
         r.fill_bytes(&mut buf);
         assert!(buf.iter().any(|&b| b != 0));
+    }
+
+    /// The fill as it was first written, one variable-length copy per word:
+    /// the oracle the word-wise fill must reproduce.
+    fn fill_bytes_chunkwise(rng: &mut SmallRng, dest: &mut [u8]) {
+        for chunk in dest.chunks_mut(8) {
+            let raw = rng.next_u64().to_le_bytes();
+            chunk.copy_from_slice(&raw[..chunk.len()]);
+        }
+    }
+
+    #[test]
+    fn fill_bytes_is_bit_identical_to_the_chunkwise_loop() {
+        let lens = (0..=17).chain([1_000, (4 << 20) + 3]);
+        for (seed, len) in lens.enumerate() {
+            let (mut a, mut b) = (
+                SmallRng::seed_from_u64(seed as u64),
+                SmallRng::seed_from_u64(seed as u64),
+            );
+            // poisoned buffers: every byte must be written
+            let (mut got, mut want) = (vec![0xa5u8; len], vec![0x5au8; len]);
+            a.fill_bytes(&mut got);
+            fill_bytes_chunkwise(&mut b, &mut want);
+            assert!(got == want, "len {len}: bytes differ");
+            // same words drawn: the streams continue in step
+            assert_eq!(a.next_u64(), b.next_u64(), "len {len}: state differs");
+        }
     }
 }

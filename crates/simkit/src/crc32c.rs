@@ -93,33 +93,6 @@ const fn x_pow(n: u64) -> u32 {
     times_x_pow(1 << 31, n)
 }
 
-/// `T[k][b]`: the raw register `b << 8k` advanced over `bytes` zero bytes,
-/// i.e. multiplied by x^(8·bytes) mod P, one table per register byte.
-const fn shift_table(bytes: usize) -> [[u32; 256]; 4] {
-    let x_n = x_pow(8 * bytes as u64);
-    let mut t = [[0u32; 256]; 4];
-    let mut k = 0;
-    while k < 4 {
-        let mut b = 0;
-        while b < 256 {
-            t[k][b] = mul_mod_p(x_n, (b as u32) << (8 * k));
-            b += 1;
-        }
-        k += 1;
-    }
-    t
-}
-
-/// The raw register `crc` advanced over the zero bytes `table` was built
-/// for ([`shift_table`]): the register is linear, so four lookups, one per
-/// byte, sum to it.
-fn shift_by(table: &[[u32; 256]; 4], crc: u32) -> u32 {
-    table[0][(crc & 0xff) as usize]
-        ^ table[1][((crc >> 8) & 0xff) as usize]
-        ^ table[2][((crc >> 16) & 0xff) as usize]
-        ^ table[3][(crc >> 24) as usize]
-}
-
 /// 8 × 256 lookup tables for slice-by-8.
 static TABLES: [[u32; 256]; 8] = build_tables();
 
@@ -178,13 +151,33 @@ const BLOCK: usize = 1024;
 /// The hardware kernel: three interleaved instruction streams.
 #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
 mod hw {
-    use super::{shift_by, shift_table, BLOCK, STEP};
+    use super::{mul_mod_p, x_pow, BLOCK};
 
-    /// The raw register advanced over `BLOCK` zero bytes.
-    static SHIFT: [[u32; 256]; 4] = shift_table(BLOCK);
+    /// `SHIFT[k][b]`: the raw register `b << 8k` advanced over `BLOCK` zero
+    /// bytes, i.e. multiplied by x^(8·BLOCK) mod P.
+    static SHIFT: [[u32; 256]; 4] = build_shift();
 
+    const fn build_shift() -> [[u32; 256]; 4] {
+        let x_n = x_pow(8 * BLOCK as u64);
+        let mut t = [[0u32; 256]; 4];
+        let mut k = 0;
+        while k < 4 {
+            let mut b = 0;
+            while b < 256 {
+                t[k][b] = mul_mod_p(x_n, (b as u32) << (8 * k));
+                b += 1;
+            }
+            k += 1;
+        }
+        t
+    }
+
+    /// Advance the raw register over `BLOCK` zero bytes.
     fn shift(crc: u32) -> u32 {
-        shift_by(&SHIFT, crc)
+        SHIFT[0][(crc & 0xff) as usize]
+            ^ SHIFT[1][((crc >> 8) & 0xff) as usize]
+            ^ SHIFT[2][((crc >> 16) & 0xff) as usize]
+            ^ SHIFT[3][(crc >> 24) as usize]
     }
 
     /// Whether this CPU has the instruction [`update`] is compiled for.
@@ -231,26 +224,6 @@ mod hw {
         u64::from_le_bytes(w.try_into().expect("chunks_exact(8) yields 8 bytes"))
     }
 
-    /// The raw registers after `a`, `b` and `c`, of equal lengths that are
-    /// a multiple of 8, from `ca`, 0 and 0: three independent instruction
-    /// streams, word by word.
-    #[inline]
-    #[cfg_attr(target_arch = "x86_64", target_feature(enable = "sse4.2"))]
-    #[cfg_attr(target_arch = "aarch64", target_feature(enable = "crc"))]
-    fn three(mut ca: u32, a: &[u8], b: &[u8], c: &[u8]) -> [u32; 3] {
-        let (mut cb, mut cc) = (0, 0);
-        for ((wa, wb), wc) in a
-            .chunks_exact(8)
-            .zip(b.chunks_exact(8))
-            .zip(c.chunks_exact(8))
-        {
-            ca = word(ca, le(wa));
-            cb = word(cb, le(wb));
-            cc = word(cc, le(wc));
-        }
-        [ca, cb, cc]
-    }
-
     /// Fold `data` into the raw register `crc` with the CRC32C instruction.
     ///
     /// Safe to call only where [`available`] returned true.
@@ -264,7 +237,16 @@ mod hw {
             // the register is linear in its input: the digest of a‖b‖c is
             // the digest of a advanced over |b| zeros, xor b's from a zero
             // register, advanced over |c| zeros, xor c's
-            let [ca, cb, cc] = three(crc, a, b, c);
+            let (mut ca, mut cb, mut cc) = (crc, 0, 0);
+            for ((wa, wb), wc) in a
+                .chunks_exact(8)
+                .zip(b.chunks_exact(8))
+                .zip(c.chunks_exact(8))
+            {
+                ca = word(ca, le(wa));
+                cb = word(cb, le(wb));
+                cc = word(cc, le(wc));
+            }
             crc = shift(shift(ca) ^ cb) ^ cc;
             data = rest;
         }
@@ -276,26 +258,6 @@ mod hw {
             crc = byte(crc, b);
         }
         crc
-    }
-
-    /// [`super::step_registers`] with the CRC32C instruction: three steps
-    /// at a time on three streams.
-    ///
-    /// Safe to call only where [`available`] returned true.
-    #[cfg_attr(target_arch = "x86_64", target_feature(enable = "sse4.2"))]
-    #[cfg_attr(target_arch = "aarch64", target_feature(enable = "crc"))]
-    pub(super) fn step_registers(data: &[u8], out: &mut [u32]) {
-        let mut regs = out.chunks_exact_mut(3);
-        let mut steps = data.chunks_exact(3 * STEP);
-        for (r, s) in (&mut regs).zip(&mut steps) {
-            let (a, rest) = s.split_at(STEP);
-            let (b, c) = rest.split_at(STEP);
-            r.copy_from_slice(&three(0, a, b, c));
-        }
-        let rest = steps.remainder().chunks_exact(STEP);
-        for (r, s) in regs.into_remainder().iter_mut().zip(rest) {
-            *r = update(0, s);
-        }
     }
 }
 
@@ -310,23 +272,6 @@ fn update(crc: u32, data: &[u8]) -> u32 {
         return unsafe { hw::update(crc, data) };
     }
     update_portable(crc, data)
-}
-
-/// The raw register from zero over each `STEP`-byte step of `data`, in
-/// order, one per slot of `out`: the steps are independent, so the
-/// hardware kernel interleaves them.
-fn step_registers(data: &[u8], out: &mut [u32]) {
-    debug_assert_eq!(data.len(), out.len() * STEP);
-    TRAVERSED.with(|t| t.set(t.get() + data.len() as u64));
-    #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
-    if hw::available() {
-        // SAFETY: as in `update`: `hw::available()` just detected the
-        // feature `hw::step_registers` is compiled for.
-        return unsafe { hw::step_registers(data, out) };
-    }
-    for (r, step) in out.iter_mut().zip(data.chunks_exact(STEP)) {
-        *r = update_portable(0, step);
-    }
 }
 
 /// Incremental CRC32C state for digesting discontiguous input.
@@ -405,9 +350,6 @@ static STEP_POW: [u32; STEP_POWS] = {
     t
 };
 
-/// The raw register advanced over one `STEP` of zero bytes.
-static STEP_SHIFT: [[u32; 256]; 4] = shift_table(STEP);
-
 /// The raw register `v` advanced over `m · STEP` zero bytes.
 fn shift_steps(v: u32, m: usize) -> u32 {
     match STEP_POW.get(m) {
@@ -470,15 +412,10 @@ fn derive(init: u32, all: &[u8], view: Range<usize>, state: &mut DigestState) ->
     if prefix.is_empty() {
         prefix.push(0);
     }
-    let have = prefix.len() - 1;
-    if b > have {
-        // each missing step's register from zero, then chained: the
-        // register is linear, update(c, d) = c · x^(8·|d|) ⊕ update(0, d)
-        prefix.resize(b + 1, 0);
-        step_registers(&all[have * STEP..b * STEP], &mut prefix[have + 1..]);
-        for k in have..b {
-            prefix[k + 1] ^= shift_by(&STEP_SHIFT, prefix[k]);
-        }
+    prefix.reserve((b + 1).saturating_sub(prefix.len()));
+    while prefix.len() <= b {
+        let k = prefix.len() - 1;
+        prefix.push(update(prefix[k], &all[k * STEP..(k + 1) * STEP]));
     }
     let head = update(init, &all[view.start..a * STEP]);
     let mid = shift_steps(head ^ prefix[a], b - a) ^ prefix[b];
@@ -820,61 +757,7 @@ mod tests {
         }
     }
 
-    /// `update(0, step)` per step, held to the bitwise oracle: the
-    /// hardware kernel runs three steps at a time and the rest alone, so
-    /// the counts straddle multiples of three.
-    #[test]
-    fn step_registers_equal_one_update_per_step() {
-        let data = xorshift(5, 8 * STEP);
-        for steps in 0..=8 {
-            let data = &data[..steps * STEP];
-            let want: Vec<u32> = data
-                .chunks_exact(STEP)
-                .map(|s| update_bitwise(0, s))
-                .collect();
-            let mut got = vec![0; steps];
-            step_registers(data, &mut got);
-            assert_eq!(got, want, "{steps} steps");
-        }
-    }
-
     proptest! {
-        /// The prefix registers, however many steps each view extends them
-        /// by, equal the chain of one `update` per step from zero. The
-        /// whole allocation, somewhere among the random views, makes the
-        /// registers cover it by the end.
-        #[test]
-        fn prefix_registers_equal_the_step_by_step_chain(
-            seed in any::<u64>(),
-            len in DERIVE_MIN..=64 << 10,
-            picks in proptest::collection::vec((any::<u32>(), any::<u32>()), 1..=12),
-            whole_at in any::<usize>(),
-        ) {
-            let data = Bytes::from(xorshift(seed, len));
-            let mut chain = vec![0u32];
-            for step in data.chunks_exact(STEP) {
-                chain.push(update_portable(*chain.last().unwrap(), step));
-            }
-            let mut views: Vec<Bytes> = picks
-                .into_iter()
-                .map(|(u, v)| {
-                    let s = u as usize % (len - DERIVE_MIN + 1);
-                    data.slice(s..s + DERIVE_MIN + v as usize % (len - s - DERIVE_MIN + 1))
-                })
-                .collect();
-            views.insert(whole_at % (views.len() + 1), data.clone());
-            let mut prefix = Vec::new();
-            for view in &views {
-                prop_assert_eq!(crc32c_bytes(view), crc32c(view));
-                data.digest(|_, _, state| {
-                    prefix.clone_from(&state.prefix);
-                    0
-                });
-                prop_assert_eq!(&prefix[..], &chain[..prefix.len()]);
-            }
-            prop_assert_eq!(prefix.len(), chain.len());
-        }
-
         #[test]
         fn derived_digests_equal_the_plain_ones(
             seed in any::<u64>(),

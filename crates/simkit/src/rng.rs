@@ -115,10 +115,7 @@ struct ZipfTable {
     /// Chen & Asau's cutpoints over `n` equal buckets of `[0, 1)`:
     /// `guide[j]` is the number of CDF values whose bucket is below `j`,
     /// so no `u` in bucket `j` ranks lower. One slot more than buckets, as
-    /// `u · n` may round up to `n`. Empty when the CDF is not strictly
-    /// increasing — equal values leave the rank of a `u` equal to them to
-    /// the binary search, which alone decides which of them it returns —
-    /// or when a rank does not fit a `u32`.
+    /// `u · n` may round up to `n`.
     guide: Vec<u32>,
 }
 
@@ -140,23 +137,21 @@ impl ZipfTable {
     /// The table over a non-empty, non-decreasing `cdf`.
     fn from_cdf(cdf: Vec<f64>) -> ZipfTable {
         let n = cdf.len();
+        assert!(u32::try_from(n).is_ok(), "zipf ranks must fit a u32");
         let mut table = ZipfTable {
             cdf,
             scale: n as f64,
             guide: Vec::new(),
         };
-        let strict = table.cdf.windows(2).all(|w| w[0] < w[1]);
-        if strict && u32::try_from(n).is_ok() {
-            let mut i = 0;
-            table.guide = (0..=n)
-                .map(|j| {
-                    while i < n && table.bucket(table.cdf[i]) < j {
-                        i += 1;
-                    }
-                    i.min(n - 1) as u32
-                })
-                .collect();
-        }
+        let mut i = 0;
+        table.guide = (0..=n)
+            .map(|j| {
+                while i < n && table.bucket(table.cdf[i]) < j {
+                    i += 1;
+                }
+                i.min(n - 1) as u32
+            })
+            .collect();
         table
     }
 
@@ -167,18 +162,16 @@ impl ZipfTable {
     }
 
     /// The first rank whose CDF value is at least `u` (the last rank when
-    /// none is), as `binary_search_by` over the CDF returns it.
+    /// none is). On a strictly increasing CDF that is the rank
+    /// `binary_search_by` returns; among equal values it is the one that
+    /// has mass.
     fn rank(&self, u: f64) -> usize {
         let cdf = &self.cdf;
-        let Some(&start) = self.guide.get(self.bucket(u)) else {
-            return match cdf.binary_search_by(|p| p.partial_cmp(&u).expect("cdf is finite")) {
-                Ok(i) => i,
-                Err(i) => i.min(cdf.len() - 1),
-            };
-        };
         // every CDF value of a lower bucket is below `u`: the walk only
         // crosses the values of `u`'s own bucket, about one for n buckets
-        let mut i = start as usize;
+        // (a `u` past the last slot, above 1, is past every value)
+        let start = self.guide.get(self.bucket(u)).copied();
+        let mut i = start.map_or(cdf.len() - 1, |g| g as usize);
         while cdf[i] < u && i + 1 < cdf.len() {
             i += 1;
         }
@@ -405,19 +398,24 @@ mod tests {
         }
     }
 
-    /// A CDF with equal neighbours keeps the binary search, which alone
-    /// decides which of equal values a `u` on them ranks as.
+    /// On a CDF with equal neighbours the walk returns the first rank
+    /// whose value is at least `u`: of equal values, the one with mass.
     #[test]
-    fn zipf_with_a_flat_cdf_keeps_the_binary_search() {
+    fn zipf_with_a_flat_cdf_walks_to_the_first_rank_at_least_u() {
         // terms of 1/k^40 past the first few vanish below the sum's ulp
         let z = Zipf::new(64, 40.0);
-        assert!(z.table.guide.is_empty());
+        let cdf = &z.table.cdf;
+        assert!(cdf.windows(2).any(|w| w[0] == w[1]), "the premise: flat");
+        let first_at_least = |u: f64| cdf.partition_point(|&v| v < u).min(cdf.len() - 1);
         let rng = SimRng::seed_from(4);
-        for _ in 0..1000 {
-            let u = rng.f64();
-            assert_eq!(z.table.rank(u), rank_by_binary_search(&z.table.cdf, u));
+        let random = (0..1000).map(|_| rng.f64());
+        for u in edge_points(&z.table)
+            .into_iter()
+            .chain(random)
+            .chain([1.0, 2.0])
+        {
+            assert_eq!(z.table.rank(u), first_at_least(u), "u {u:e}");
         }
-        assert_eq!(z.table.rank(1.0), rank_by_binary_search(&z.table.cdf, 1.0));
     }
 
     #[test]

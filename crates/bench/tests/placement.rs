@@ -137,8 +137,8 @@ fn migration_survives_destination_drain() {
 /// override must switch onto the verified new copies *before* the old
 /// ones are deleted, or a concurrent read routes at hash owners
 /// holding nothing and acked data goes unreadable mid-move
-/// (regression: the override used to install only after `migrate_to`
-/// had already deleted the old copies).
+/// (regression: the override used to install only after the move had
+/// already deleted the old copies).
 #[test]
 fn migration_of_unflushed_chunks_keeps_reads_available() {
     let mut case = fault_case(0xB1F, PlaceFault::None);

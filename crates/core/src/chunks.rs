@@ -17,12 +17,17 @@
 //! each entry tagged with its [`Why`]: the scrub cursor, a membership
 //! epoch that moved its ring owners, and a placement decision.
 //!
-//! Whoever changes a chunk's copies holds its [`ChunkLease`] and ends with
-//! [`ChunkLease::commit`]. The order of a move is fixed: copy → CRC
-//! read-back → pin-carry → re-check the record (`commit`) → route switch →
-//! delete-old. A record that vanished under the lease (file deleted
-//! mid-move) makes `commit` return `false`: no override is installed and
-//! the holder removes the copies it just wrote.
+//! One routine changes a chunk's copies, the reconciler's `converge`
+//! (Repair, Copy and Move are its inputs); it holds the chunk's
+//! [`ChunkLease`] and ends with [`ChunkLease::commit`]. Its order is
+//! fixed, and stated here once: source (a good copy on the desired set,
+//! then on [`crate::integrity::holders`] outside it, then the flushed
+//! Lustre copy) → copy → CRC read-back → pin-carry → re-check the record
+//! (`commit`) → route switch → delete the old holders' copies outside
+//! the set. A failed copy or read-back stops before `commit`, with the
+//! old copies and route in place. A record that vanished under the lease
+//! (file deleted mid-move) makes `commit` return `false`: the route is
+//! not switched and the holder removes the copies it just wrote.
 //!
 //! The table is also the only code that sets or clears a
 //! [`Membership`] routing override for a chunk it knows, so an override
@@ -45,11 +50,11 @@ pub(crate) type ChunkId = (u64, u64);
 pub(crate) enum Why {
     /// The scrub cursor reached it: census its replica set.
     Scrub,
-    /// A membership epoch moved its ring owners.
+    /// A membership epoch moved its ring owners, or its override went
+    /// stale: converge on its replica set.
     Remapped,
-    /// A placement decision: move it onto these servers, installing a
-    /// routing override unless `false` (a move back to its hash owners).
-    Place(Vec<usize>, bool),
+    /// A placement decision: move it onto these servers.
+    Place(Vec<usize>),
 }
 
 #[derive(Default)]
@@ -147,13 +152,19 @@ impl ChunkTable {
 
     /// The file was deleted: drop every record of it, leased or not,
     /// with its overrides, queue entries and reader counts. Returns
-    /// `seq → servers` for each chunk whose buffer copies sit on an
-    /// override's servers instead of its hash owners — a key-routed
-    /// delete no longer finds those once the override is gone. The sweep
-    /// covers the file's whole seq range `0..chunks`, not just its
-    /// records: a chunk that was written through, or evicted and since
-    /// forgotten, may still carry its write-time override.
-    pub(crate) fn forget_file(&self, file_id: u64, chunks: u64) -> BTreeMap<u64, Vec<usize>> {
+    /// `seq → servers` for each chunk that had an override: its
+    /// [`crate::integrity::holders`] while the override stood (the
+    /// override's servers and the key's `r` hash owners), which a
+    /// key-routed delete no longer finds once the override is gone.
+    /// The sweep covers the file's whole seq range `0..chunks`, not just
+    /// its records: a chunk that was written through, or evicted and
+    /// since forgotten, may still carry its write-time override.
+    pub(crate) fn forget_file(
+        &self,
+        file_id: u64,
+        chunks: u64,
+        r: usize,
+    ) -> BTreeMap<u64, Vec<usize>> {
         self.chunks
             .borrow_mut()
             .retain(|(fid, _), _| *fid != file_id);
@@ -164,16 +175,16 @@ impl ChunkTable {
         if self.view.overrides_len() > 0 {
             for seq in 0..chunks {
                 let key = chunk_key(file_id, seq);
-                if let Some(servers) = self.view.override_of(&key) {
+                if self.view.override_of(&key).is_some() {
+                    placed.insert(seq, crate::integrity::holders(&self.view, &key, r));
                     self.view.clear_override(&key);
-                    placed.insert(seq, servers);
                 }
             }
         }
         placed
     }
 
-    /// One chunk fetch of `id` issued from `node` (optimizer telemetry).
+    /// One chunk fetch of `id` issued from `node` (placement telemetry).
     pub(crate) fn record_read(&self, id: ChunkId, node: u32) {
         if let Some(c) = self.chunks.borrow_mut().get_mut(&id) {
             *c.readers.entry(node).or_insert(0) += 1;
@@ -226,9 +237,9 @@ impl ChunkTable {
 
     /// Routing hygiene after a drain: an override naming a server that
     /// left the active set is already dormant, so clearing it changes
-    /// bookkeeping, not routing; the chunk is queued to re-converge on
-    /// its `r` hash owners without a new override.
-    pub(crate) fn demote_stale_routes(&self, r: usize) {
+    /// bookkeeping, not routing; the chunk is queued, as remapped, to
+    /// re-converge on its hash owners.
+    pub(crate) fn demote_stale_routes(&self) {
         for &id in self.chunks.borrow().keys() {
             let key = chunk_key(id.0, id.1);
             let stale = self
@@ -239,17 +250,15 @@ impl ChunkTable {
                 continue;
             }
             self.view.clear_override(&key);
-            let owners = self.view.route_n(&key, r);
-            if !owners.is_empty() && !self.placing(id) {
-                self.queue
-                    .borrow_mut()
-                    .push_back((id, Why::Place(owners, false)));
+            if !self.placing(id) {
+                self.queue.borrow_mut().push_back((id, Why::Remapped));
             }
         }
     }
 
     /// Chunks with reader telemetry and no placement move queued, with
-    /// their `(node, fetches)` counts — what the optimizer re-costs.
+    /// their `(node, fetches)` counts — what the placement trigger
+    /// re-costs.
     pub(crate) fn undecided_read(&self) -> Vec<(ChunkId, Vec<(u32, u64)>)> {
         self.chunks
             .borrow()
@@ -315,16 +324,19 @@ impl ChunkLease<'_> {
 
     /// The new copies are verified (and pinned, if the chunk is): make
     /// them the chunk's copies. Re-checks that the record still exists
-    /// and, with `route`, switches the chunk's routing onto those
-    /// servers — before the holder deletes the old copies, so a reader
-    /// never routes at owners whose copies are already gone. `false`
-    /// when the record vanished: nothing was switched, and the holder
-    /// must remove what it wrote.
+    /// and switches the chunk's routing onto `route`'s servers through
+    /// an override, or, with `None`, back to its hash owners — before the
+    /// holder deletes the old copies, so a reader never routes at owners
+    /// whose copies are already gone. `false` when the record vanished:
+    /// nothing was switched, and the holder must remove what it wrote.
     pub(crate) fn commit(&self, route: Option<&[usize]>) -> bool {
         let alive = self.table.contains(self.id);
-        if let (true, Some(servers)) = (alive, route) {
+        if alive {
             let key = chunk_key(self.id.0, self.id.1);
-            self.table.view.set_override(&key, servers.to_vec());
+            match route {
+                Some(servers) => self.table.view.set_override(&key, servers.to_vec()),
+                None => self.table.view.clear_override(&key),
+            }
         }
         alive
     }
@@ -438,7 +450,7 @@ mod tests {
                         leases.swap_remove(arg as usize % leases.len());
                     }
                     6 => {
-                        let placed = table.forget_file(fid, 4);
+                        let placed = table.forget_file(fid, 4, R);
                         for s in placed.keys() {
                             prop_assert!(model.chunks.contains_key(&(fid, *s)));
                         }
@@ -465,7 +477,7 @@ mod tests {
                         let ring = view.ring_snapshot();
                         table.queue_remapped(&last_ring, &ring, R);
                         last_ring = ring;
-                        table.demote_stale_routes(R);
+                        table.demote_stale_routes();
                     }
                     _ => {
                         // the scrub and placement triggers, then one
@@ -473,7 +485,7 @@ mod tests {
                         table.record_read(id, arg as u32);
                         table.queue_scrub(1 + arg as usize % 3);
                         for (id, _) in table.undecided_read() {
-                            table.push(id, Why::Place(vec![arg as usize % SERVERS], true));
+                            table.push(id, Why::Place(vec![arg as usize % SERVERS]));
                             prop_assert!(table.placing(id));
                         }
                         if let Some((id, why)) = table.pop() {

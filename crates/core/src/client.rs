@@ -330,8 +330,9 @@ impl BbClient {
             let servers = placed.remove(&seq);
             pending.push(sim.spawn(gated(gate, move || async move {
                 match servers {
-                    // the copies sat on a placement override's servers; with
-                    // the override swept the key routes elsewhere
+                    // the copies sat on an override's servers (and maybe
+                    // its hash owners); with the override swept the key
+                    // routes to the hash owners alone
                     Some(servers) => {
                         for idx in servers {
                             let _ = kv.delete_from(idx, &key).await;

@@ -58,17 +58,25 @@ pub fn read_order(view: &Membership, key: &[u8], r: usize) -> (Vec<usize>, usize
     (order, set)
 }
 
-/// Every server that may hold a copy of `key`: its [`replicas`], or —
-/// once membership has ever changed (epoch > 0) — the whole roster, since
-/// a not-yet-migrated copy still sits on an old owner (and a surviving
-/// one would be found again by [`read_order`]). Deletes and unpins go
-/// here.
+/// Every server that may hold a copy of `key`: its [`replicas`] and,
+/// under an override, its hash owners too — a member the reconciler
+/// replaced while it was unreachable keeps its copy, and its pin, when
+/// it comes back —, or — once membership has ever changed (epoch > 0) —
+/// the whole roster, since a not-yet-moved copy still sits on an old
+/// owner (and a surviving one would be found again by [`read_order`]).
+/// The one answer to where a chunk's copies may sit: unpins, deletes and
+/// the reconciler's source search and old-copy delete go here.
 pub fn holders(view: &Membership, key: &[u8], r: usize) -> Vec<usize> {
     if view.epoch() > 0 {
-        (0..view.roster_len()).collect()
-    } else {
-        replicas(view, key, r)
+        return (0..view.roster_len()).collect();
     }
+    let mut servers = replicas(view, key, r);
+    for idx in view.hash_owners(key, r.max(1)) {
+        if !servers.contains(&idx) {
+            servers.push(idx);
+        }
+    }
+    servers
 }
 
 /// CRC32C digest of a chunk as stored: covers the key so a value landing

@@ -261,10 +261,10 @@ pub struct BbConfig {
     /// [`netsim::Fabric::topo_latency`]) and moves improvements toward
     /// them.
     pub bb_place_policy: PlacementPolicy,
-    /// Payload bytes the reconciler may copy per round — moves, repairs
-    /// and restored copies alike (at least one queued chunk always
-    /// proceeds); the default is 64 chunks of the default size. `0`
-    /// removes the bound.
+    /// Payload bytes the reconciler may copy per round: each chunk it
+    /// moves, repairs or restores counts its length once (at least one
+    /// queued chunk always proceeds); the default is 64 chunks of the
+    /// default size. `0` removes the bound.
     pub bb_migrate_budget: u64,
 }
 

@@ -164,9 +164,10 @@ pub struct BbFileMeta {
 pub struct Dropped {
     /// The dropped file's metadata.
     pub meta: BbFileMeta,
-    /// `seq → servers` for every chunk whose buffer copies sit on the
-    /// listed roster servers instead of its hash owners; a key-routed
-    /// delete would miss them.
+    /// `seq → servers` for every chunk that was routed through an
+    /// override: the roster servers that may hold its copies (the
+    /// override's and the hash owners'); a key-routed delete would miss
+    /// some of them.
     pub placed: BTreeMap<u64, Vec<usize>>,
 }
 
@@ -504,14 +505,15 @@ impl BbManager {
     }
 
     /// Placement moves still queued behind the byte budget. Zero means
-    /// the optimizer has converged on the telemetry it has seen.
+    /// the reconciler's placement trigger has converged on the telemetry
+    /// it has seen.
     pub fn place_backlog(&self) -> usize {
         self.chunks.place_backlog()
     }
 
     /// One chunk fetch of `(file_id, seq)` issued from `node`: reader
-    /// telemetry for the placement optimizer (dropped when placement is
-    /// off).
+    /// telemetry for the reconciler's placement trigger (dropped when
+    /// placement is off).
     pub(crate) fn record_read(&self, file_id: u64, seq: u64, node: NodeId) {
         if self.place.is_some() {
             self.chunks.record_read((file_id, seq), node.0);
@@ -733,7 +735,11 @@ impl BbManager {
                         let n = (e.crcs.len() as u64)
                             .max(e.size.div_ceil(self.config.chunk_size.max(1)));
                         Ok(Dropped {
-                            placed: self.chunks.forget_file(e.file_id, n),
+                            placed: self.chunks.forget_file(
+                                e.file_id,
+                                n,
+                                self.config.kv_replication,
+                            ),
                             meta: self.meta_of(&e),
                         })
                     }

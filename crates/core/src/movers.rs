@@ -12,7 +12,7 @@ use std::time::Duration;
 use bytes::Bytes;
 use netsim::NodeId;
 
-use crate::chunks::{ChunkId, ChunkLease, Why};
+use crate::chunks::{ChunkId, Why};
 use crate::integrity::{self, Census};
 use crate::manager::{chunk_key, BbManager, FileState};
 use crate::placement;
@@ -53,17 +53,19 @@ impl MoverCounters {
     }
 }
 
-/// What one chunk's diff against its desired placement calls for.
+/// What one chunk's diff against its desired placement calls for: each
+/// action but `Forget` is an input to [`BbManager::converge`].
 enum Action {
-    /// Rewrite the bad copies the census found, in place.
-    Repair(Census),
-    /// The verified move onto a replica set ([`BbManager::migrate_to`]),
-    /// installing a routing override when `true`.
-    Move(Vec<usize>, bool),
-    /// An unflushed chunk short of its replica set: rewrite the copy of
-    /// each member that answered without a good one, and stand the next
-    /// live ring server in for each member that did not answer.
-    Copy(Vec<usize>, Census),
+    /// The scrub census found a bad copy: converge onto the same replica
+    /// set, rewriting each member without a good copy in place.
+    Repair(Vec<usize>, Census),
+    /// The scrub census found an unflushed chunk short of its replica
+    /// set: converge onto the set with each member that did not answer
+    /// swapped for the next live ring server; the ring servers after
+    /// those (the second field) stand in for a member whose copy fails.
+    Copy(Vec<usize>, Vec<usize>, Census),
+    /// Converge onto new ring owners, or a placement decision's targets.
+    Move(Vec<usize>),
     /// No copy anywhere: the chunk left the buffer.
     Forget,
 }
@@ -124,7 +126,7 @@ impl BbManager {
         }
         let ring = self.view.ring_snapshot();
         let r = self.config.kv_replication.max(1);
-        self.chunks.demote_stale_routes(r);
+        self.chunks.demote_stale_routes();
         self.chunks
             .queue_remapped(&self.last_ring.borrow(), &ring, r);
         self.movers.epochs.add(epoch - last);
@@ -134,8 +136,8 @@ impl BbManager {
 
     /// The placement trigger. First, routing hygiene: overrides pointing
     /// at a server that left the active set go back to hash placement and
-    /// the chunk is queued to re-converge on its hash owners (the epoch
-    /// trigger does the same, whichever fires first). Then every
+    /// the chunk is queued, as remapped, to re-converge on its hash owners
+    /// (the epoch trigger does the same, whichever fires first). Then every
     /// chunk with reader telemetry and no placement move queued is
     /// re-costed against the topology model, and a strictly cheaper
     /// replica set is queued as a move. Decisions pause while the epoch
@@ -143,7 +145,7 @@ impl BbManager {
     fn decide_placement(&self) {
         let Some(counters) = &self.place else { return };
         let r = self.config.kv_replication.max(1);
-        self.chunks.demote_stale_routes(r);
+        self.chunks.demote_stale_routes();
         if self.view.epoch() != self.last_epoch.get() {
             return;
         }
@@ -175,7 +177,7 @@ impl BbManager {
                          targets={candidate:?}"
                     )
                 });
-                self.chunks.push((fid, seq), Why::Place(candidate, true));
+                self.chunks.push((fid, seq), Why::Place(candidate));
             }
         }
     }
@@ -207,49 +209,52 @@ impl BbManager {
 
     /// Diff one queued chunk against its desired placement and run the
     /// action that closes the difference. Returns the payload bytes
-    /// copied, or `None` when the chunk should be taken again next round.
+    /// copied, or `None` when the chunk should be taken again next round
+    /// (a failed move; a failed scrub action waits for the cursor).
     async fn reconcile(&self, id: ChunkId, why: &Why) -> Option<u64> {
         let key = chunk_key(id.0, id.1);
         let action = match why {
             Why::Remapped => {
                 let desired = integrity::replicas(&self.view, &key, self.config.kv_replication);
-                Action::Move(desired, false)
+                Action::Move(desired)
             }
             // a target left the cluster while the move sat queued: the
             // decision is stale, and the next round re-decides
-            Why::Place(targets, _) if !targets.iter().all(|&i| self.view.is_active(i)) => {
+            Why::Place(targets) if !targets.iter().all(|&i| self.view.is_active(i)) => {
                 return Some(0)
             }
-            Why::Place(targets, install) => Action::Move(targets.clone(), *install),
+            Why::Place(targets) => Action::Move(targets.clone()),
             Why::Scrub => match self.scrub_census(id, &key).await {
                 Some(action) => action,
                 None => return Some(0),
             },
         };
-        let copied = match action {
-            Action::Move(desired, install) => {
-                let bytes = self.migrate_to(id, &desired, install).await?;
-                match (why, &self.place) {
-                    _ if bytes == 0 => {}
-                    (Why::Place(..), Some(counters)) => {
-                        counters.migrations.inc();
-                        counters.bytes.add(bytes);
-                    }
-                    _ => {
-                        self.movers.moved.inc();
-                        self.movers.bytes.add(bytes);
-                    }
-                }
-                bytes
-            }
-            Action::Repair(found) => self.mend(id, &key, found.bad.clone(), found).await,
-            Action::Copy(set, found) => self.mend(id, &key, set, found).await,
+        let (set, spares, found) = match action {
+            Action::Repair(set, found) => (set, Vec::new(), Some(found)),
+            Action::Copy(set, spares, found) => (set, spares, Some(found)),
+            Action::Move(set) => (set, Vec::new(), None),
             Action::Forget => {
                 self.chunks.forget(id);
-                0
+                return Some(0);
             }
         };
-        Some(copied)
+        let Some((copies, len)) = self.converge(id, set, spares, found).await else {
+            return (*why == Why::Scrub).then_some(0);
+        };
+        let bytes = if copies > 0 { len } else { 0 };
+        match (why, &self.place) {
+            (Why::Scrub, _) => self.movers.repaired.add(copies),
+            _ if bytes == 0 => {}
+            (Why::Place(_), Some(counters)) => {
+                counters.migrations.inc();
+                counters.bytes.add(bytes);
+            }
+            _ => {
+                self.movers.moved.inc();
+                self.movers.bytes.add(bytes);
+            }
+        }
+        Some(bytes)
     }
 
     /// [`integrity::census`] as the reconciler takes it: against the
@@ -267,12 +272,13 @@ impl BbManager {
     }
 
     /// The scrub trigger's diff: census the chunk's replica set (no lease
-    /// taken). A copy that fails its digest is rewritten. A missing copy
-    /// of a flushed chunk is legal — LRU eviction, Lustre holds it — but
-    /// an unflushed chunk's only copies are in the buffer, so one short
-    /// of its set is restored: once any membership change is reconciled,
-    /// since until then a member's miss is a copy its move has yet to
-    /// bring. `None` when nothing differs, or nothing can be done yet.
+    /// taken). A copy that fails its digest is rewritten, once every
+    /// member answered. A missing copy of a flushed chunk is legal — LRU
+    /// eviction, Lustre holds it — but an unflushed chunk's only copies
+    /// are in the buffer, so one short of its set is restored: once any
+    /// membership change is reconciled, since until then a member's miss
+    /// is a copy its move has yet to bring. `None` when nothing differs,
+    /// or nothing can be done yet.
     async fn scrub_census(&self, id: ChunkId, key: &[u8]) -> Option<Action> {
         let (crc, pinned) = self.chunks.record(id)?;
         let (order, n) = integrity::read_order(&self.view, key, self.config.kv_replication);
@@ -295,217 +301,136 @@ impl BbManager {
         let settled =
             || self.view.epoch() == self.last_epoch.get() && self.chunks.rebalance_backlog() == 0;
         if short && settled() {
-            return Some(Action::Copy(set.to_vec(), found));
+            let answered = |idx| {
+                [&found.good, &found.bad, &found.misses]
+                    .iter()
+                    .any(|s| s.contains(idx))
+            };
+            let order = placement::ring_order(&self.view, key);
+            let mut spares = order.into_iter().filter(|idx| !set.contains(idx));
+            let swapped = set.iter().map(|idx| match answered(idx) {
+                true => Some(*idx),
+                false => spares.next(),
+            });
+            if let Some(swapped) = swapped.collect() {
+                return Some(Action::Copy(swapped, spares.collect(), found));
+            }
         }
-        (!found.bad.is_empty()).then_some(Action::Repair(found))
+        let repair = !found.bad.is_empty() && found.errors == 0;
+        repair.then(|| Action::Repair(set.to_vec(), found))
     }
 
-    /// Run [`Action::Repair`] (`set`: the bad copies) or [`Action::Copy`]
-    /// (`set`: the replica set) from the first good copy, or from Lustre
-    /// once the file is flushed. Every member of `set` without a good copy
-    /// that answered is rewritten in place; one that did not answer is
-    /// replaced by the next live ring server outside the set that takes a
-    /// read-back-verified copy, the chunk then routes to the new set
-    /// through an override, and the replaced member's copy is deleted if
-    /// it can be reached. With no source and the file terminal, the bad
-    /// copies count `bb.scrub.unrepairable` once. Returns the bytes written.
-    async fn mend(&self, id: ChunkId, key: &[u8], set: Vec<usize>, found: Census) -> u64 {
-        let Some(lease) = self.chunks.lease(id) else {
-            return 0; // the file is gone
+    /// The one routine that changes a chunk's copies: bring chunk `id`
+    /// onto `set` under its lease, in the order stated in
+    /// [`crate::chunks`]. `found` is the census of `set`, taken here when
+    /// `None`. A member whose copy or read-back fails
+    /// (`bb.rebalance.verify_fail`) gives its place to the next of
+    /// `spares`. The commit routes the chunk through an override when
+    /// `set` is not its hash owners, and back to them when it is. With no
+    /// source and the file terminal, the census's bad copies count
+    /// `bb.scrub.unrepairable` once and the chunk is forgotten; while the
+    /// file is still flushing, the flusher's own verified read-back
+    /// decides its fate.
+    ///
+    /// Returns the copies written and the chunk's length (no copies: the
+    /// chunk vanished, no source is reachable right now, or every member
+    /// already held it), or `None` — old copies and route kept — when a
+    /// copy failed with no spare left.
+    async fn converge(
+        &self,
+        id: ChunkId,
+        mut set: Vec<usize>,
+        spares: Vec<usize>,
+        found: Option<Census>,
+    ) -> Option<(u64, u64)> {
+        let lease = match self.chunks.lease(id) {
+            Some(lease) if !set.is_empty() => lease,
+            _ => return Some((0, 0)), // deleted or forgotten since being queued
         };
-        let crc = lease.crc;
-        let data = match found.value {
-            Some(v) => Some(v.data),
-            None => self.lustre_chunk(id, crc).await,
+        let (key, crc) = (chunk_key(id.0, id.1), lease.crc);
+        let holders = integrity::holders(&self.view, &key, self.config.kv_replication);
+        let mut found = match found {
+            Some(found) => found,
+            None => self.census(&key, crc, set.iter().copied(), false).await,
         };
+        let mut data = found.value.take().map(|v| v.data);
+        if data.is_none() {
+            let others = holders.iter().copied().filter(|idx| !set.contains(idx));
+            data = self
+                .census(&key, crc, others, true)
+                .await
+                .value
+                .map(|v| v.data);
+        }
+        if data.is_none() {
+            data = self.lustre_chunk(id, crc).await;
+        }
         let Some(data) = data else {
-            // No authoritative copy right now. While the file is still
-            // flushing, the flusher's own verified read-back decides the
-            // chunk's fate — retry next round rather than jumping to a
-            // verdict. Once the file is terminal the damage is permanent:
-            // count it once and stop scanning the chunk.
             let (file_id, seq) = id;
             let terminal = self
                 .file_info(file_id)
                 .is_none_or(|(st, ..)| matches!(st, FileState::Flushed | FileState::Lost));
             if terminal {
-                self.movers.unrepairable.add(found.bad.len() as u64);
+                let bad = found.bad.len();
+                self.movers.unrepairable.add(bad as u64);
                 drop(lease);
                 self.chunks.forget(id);
                 // permanent data damage: freeze the flight-recorder rings
                 // so the events leading here survive for triage
                 let sim = self.sim();
                 sim.flight_record("bb.scrub", "unrepairable", || {
-                    format!(
-                        "file_id={file_id} seq={seq} bad_replicas={}",
-                        found.bad.len()
-                    )
+                    format!("file_id={file_id} seq={seq} bad_replicas={bad}")
                 });
                 sim.flight().trigger(
                     sim.now().as_nanos(),
                     &format!("unrepairable scrub: file_id={file_id} seq={seq}"),
                 );
             }
-            return 0;
+            return Some((0, 0));
         };
-        let order = placement::ring_order(&self.view, key);
-        let mut spares = order.into_iter().filter(|idx| !set.contains(idx));
-        let mut placed = set.clone();
-        let mut fresh = Vec::new();
-        for slot in placed.iter_mut() {
-            if found.good.contains(slot) {
-                continue;
-            }
-            if found.bad.contains(slot) || found.misses.contains(slot) {
-                if self
-                    .kv
-                    .set_to(*slot, key, data.clone(), crc, 0)
-                    .await
-                    .is_ok()
-                {
-                    self.movers.repaired.inc();
+        let mut spares = spares.into_iter();
+        let (mut fresh, mut failed) = (Vec::new(), false);
+        for slot in set.iter_mut().filter(|idx| !found.good.contains(idx)) {
+            loop {
+                let stored = self.kv.set_to(*slot, &key, data.clone(), crc, 0).await;
+                let verified =
+                    stored.is_ok() && !self.census(&key, crc, [*slot], true).await.good.is_empty();
+                if verified {
                     fresh.push(*slot);
-                }
-                continue;
-            }
-            for idx in spares.by_ref() {
-                if self.copy_verified(idx, key, &data, crc).await {
-                    self.movers.repaired.inc();
-                    fresh.push(idx);
-                    *slot = idx;
                     break;
                 }
+                if stored.is_ok() {
+                    self.movers.verify_fail.inc();
+                }
+                let Some(spare) = spares.next() else {
+                    failed = true;
+                    break;
+                };
+                *slot = spare;
             }
         }
-        if lease.pinned() {
-            // a bad copy's overwrite keeps its pin; a new copy needs one
-            for &idx in fresh.iter().filter(|idx| !found.bad.contains(idx)) {
-                let _ = self.kv.pin_to(idx, key).await;
-            }
-        }
-        let route = (placed != set).then_some(&placed[..]);
-        if self.commit(&lease, key, &fresh, route).await {
-            for (&old, _) in set.iter().zip(&placed).filter(|(old, new)| old != new) {
-                let _ = self.kv.delete_from(old, key).await;
-            }
-        }
-        data.len() as u64 * fresh.len() as u64
-    }
-
-    /// Write a chunk's `data` to `idx` and read back what the server
-    /// stored; `false` when either fails (counted
-    /// `bb.rebalance.verify_fail` when the read-back does).
-    async fn copy_verified(&self, idx: usize, key: &[u8], data: &Bytes, crc: u32) -> bool {
-        if self
-            .kv
-            .set_to(idx, key, data.clone(), crc, 0)
-            .await
-            .is_err()
-        {
-            return false;
-        }
-        let ok = !self.census(key, crc, [idx], true).await.good.is_empty();
-        if !ok {
-            self.movers.verify_fail.inc();
-        }
-        ok
-    }
-
-    /// Roster members outside `set`. Index-addressed ops stay valid for
-    /// servers that left the ring, so a drained server's copy is still
-    /// reachable this way.
-    fn roster_except<'a>(&self, set: &'a [usize]) -> impl Iterator<Item = usize> + 'a {
-        (0..self.view.roster_len()).filter(move |idx| !set.contains(idx))
-    }
-
-    /// End a leased change through [`ChunkLease::commit`]. `false` when
-    /// the chunk's record vanished under the lease (its file was
-    /// deleted): the copies on `fresh` were written for nothing and are
-    /// removed again.
-    async fn commit(
-        &self,
-        lease: &ChunkLease<'_>,
-        key: &[u8],
-        fresh: &[usize],
-        route: Option<&[usize]>,
-    ) -> bool {
-        if lease.commit(route) {
-            return true;
-        }
-        for &idx in fresh {
-            let _ = self.kv.delete_from(idx, key).await;
-        }
-        false
-    }
-
-    /// Establish `desired` as a chunk's replica set, under its lease and
-    /// in the commit order of [`crate::chunks`]: copy to each missing
-    /// target, verify every fresh copy by CRC read-back, carry the pin
-    /// for unflushed chunks, commit (with `install_override`, switching
-    /// the chunk's routing onto `desired`), and only then delete copies
-    /// from roster members outside the set. Old copies outlive new ones
-    /// until verification succeeds, so a verify failure at any point
-    /// leaves at least one good copy reachable (the read path widens to
-    /// the full roster once epoch > 0). Returns the payload bytes copied
-    /// (`0`: the chunk vanished, no authoritative copy is reachable right
-    /// now and the old layout stays, or every target already held it), or
-    /// `None` — old copies kept — when a copy or its read-back failed.
-    async fn migrate_to(
-        &self,
-        id: ChunkId,
-        desired: &[usize],
-        install_override: bool,
-    ) -> Option<u64> {
-        if desired.is_empty() || !self.chunks.contains(id) {
-            return Some(0); // deleted or forgotten since being queued
-        }
-        let lease = self.chunks.lease(id)?;
-        let (key, crc) = (chunk_key(id.0, id.1), lease.crc);
-        // Which desired owners already hold a good copy? Failing those,
-        // an old owner; failing that, Lustre.
-        let found = self.census(&key, crc, desired.iter().copied(), false).await;
-        let mut data = found.value.map(|v| v.data);
-        if data.is_none() {
-            let others = self.roster_except(desired);
-            let found = self.census(&key, crc, others, true).await;
-            data = found.value.map(|v| v.data);
-        }
-        if data.is_none() {
-            data = self.lustre_chunk(id, crc).await;
-        }
-        let Some(data) = data else {
-            return Some(0);
-        };
-        let mut fresh = Vec::new();
-        let mut verified = true;
-        for &idx in desired.iter().filter(|idx| !found.good.contains(idx)) {
-            match self.copy_verified(idx, &key, &data, crc).await {
-                true => fresh.push(idx),
-                false => verified = false,
-            }
-        }
-        if !verified {
+        if failed {
             return None;
         }
         if lease.pinned() {
-            // unflushed chunk: the new owners must hold it pinned before
+            // unflushed chunk: every member must hold it pinned before
             // the old pinned copies are released
-            for &idx in desired {
+            for &idx in &set {
                 let _ = self.kv.pin_to(idx, &key).await;
             }
         }
-        let route = install_override.then_some(desired);
-        if !self.commit(&lease, &key, &fresh, route).await {
-            return Some(0);
+        let route = (set != self.view.hash_owners(&key, set.len())).then_some(&set[..]);
+        if !lease.commit(route) {
+            // the file was deleted under the lease
+            for &idx in &fresh {
+                let _ = self.kv.delete_from(idx, &key).await;
+            }
+            return Some((0, 0));
         }
-        for idx in self.roster_except(desired) {
+        for &idx in holders.iter().filter(|idx| !set.contains(idx)) {
             let _ = self.kv.delete_from(idx, &key).await;
         }
-        Some(if fresh.is_empty() {
-            0
-        } else {
-            data.len() as u64
-        })
+        Some((fresh.len() as u64, data.len() as u64))
     }
 
     /// Fetch a chunk's bytes from the Lustre backing file for repair,

@@ -86,14 +86,7 @@ pub(crate) fn read_cost(fabric: &Fabric, readers: &[(u32, u64)], replicas: &[Nod
 /// Active ring servers in the key's ring preference order — the
 /// deterministic candidate list every placement choice ranks over.
 pub(crate) fn ring_order(view: &Membership, key: &[u8]) -> Vec<usize> {
-    let ring = view.ring_snapshot();
-    if ring.is_empty() {
-        return Vec::new();
-    }
-    ring.route_n(key, view.active_len())
-        .into_iter()
-        .copied()
-        .collect()
+    view.hash_owners(key, view.active_len())
 }
 
 /// Rank `candidates` (roster indices) by a per-server cost, stable so the

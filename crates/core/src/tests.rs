@@ -1696,3 +1696,171 @@ fn an_evicted_copy_of_a_flushed_chunk_stays_evicted() {
         dep.shutdown();
     });
 }
+
+#[test]
+fn a_member_back_from_a_link_fault_is_unpinned_and_reaped() {
+    // r = 2: one member's link goes down while the file is unflushed, and
+    // the scrub trigger restores each of its chunks on the next live ring
+    // server behind an override. The link comes back with the member's
+    // store intact: the flusher's unpin and the file's delete must still
+    // reach its copies, or they stay pinned against eviction for good.
+    // At 0.25 MB/s no chunk is flushed while the link is down.
+    let r = slow_flush_rig(0.25e6);
+    let client = r.dep.client(NodeId(0));
+    let dep = Rc::clone(&r.dep);
+    let (fabric, sim) = (Rc::clone(&r.fabric), r.sim.clone());
+    r.sim.block_on(async move {
+        let w = client.create("/link").await.unwrap();
+        w.append(pattern(8 << 20)).await.unwrap();
+        w.close().await.unwrap();
+        let member = &dep.kv_servers[1];
+        let held = member.store().stats().pinned_items;
+        assert!(held > 0);
+        fabric.set_up(member.node(), false);
+        sim.sleep(std::time::Duration::from_millis(1500)).await;
+        assert_eq!(
+            dep.membership().overrides_len() as u64,
+            held,
+            "every chunk of the member restored past it"
+        );
+        fabric.set_up(member.node(), true);
+        assert_eq!(
+            client.wait_flushed("/link").await.unwrap(),
+            FileState::Flushed
+        );
+        assert_eq!(dep.manager.stats().chunks_lost, 0);
+        let m = sim.metrics().snapshot();
+        let pinned = format!("rkv.server{}.pinned_items", member.node().0);
+        assert_eq!(m.counter(&pinned), 0, "the member's copies stayed pinned");
+        client.delete("/link").await.unwrap();
+        assert_eq!(
+            member.store().len(),
+            0,
+            "the member's copies survived the delete"
+        );
+        dep.shutdown();
+    });
+}
+
+/// Flip one byte of `key`'s copy on `server`, as silent media damage would.
+fn damage(server: &rkv::KvServer, key: &[u8]) {
+    let (copy, _) = server.store().peek(key, 0).unwrap();
+    let mut bytes = copy.data.to_vec();
+    bytes[0] ^= 0x40;
+    let store = server.store();
+    store
+        .set(key, Bytes::from(bytes), copy.flags, 0, 0)
+        .unwrap();
+}
+
+/// The reconciler's first copy of a chunk is damaged at rest between its
+/// SET's reply and its read-back, past epoch 0 so that a commit would
+/// delete every copy outside the chunk's set. Repair (`join == false`):
+/// a server is drained with the epoch trigger off, and the copy left on
+/// a member of a remapped chunk's new set is damaged; the Repair sources
+/// from the drained old owner. Move: the first move onto a joining
+/// server. Returns once the chunk has converged on a later round.
+fn a_failed_read_back(join: bool) {
+    let bcfg = BbConfig {
+        kv_replication: 2,
+        rebalance_interval: match join {
+            true => BbConfig::default().rebalance_interval,
+            false => std::time::Duration::ZERO,
+        },
+        ..BbConfig::default()
+    };
+    let r = rig_with(2, Scheme::AsyncLustre, LustreConfig::default(), bcfg);
+    let client = r.dep.client(NodeId(0));
+    let dep = Rc::clone(&r.dep);
+    let sim = r.sim.clone();
+    let data = pattern(4 << 20); // 8 chunks
+    let expect = data.clone();
+    let standby = dep.standby_kv_server();
+    r.sim.block_on(async move {
+        let w = client.create("/rb").await.unwrap();
+        w.append(data).await.unwrap();
+        w.close().await.unwrap();
+        client.wait_flushed("/rb").await.unwrap();
+        let view = Rc::clone(dep.membership());
+        let good_on = |idx: usize, key: &[u8]| {
+            let copy = view.server(idx).store().peek(key, 0);
+            copy.is_some_and(|(v, _)| crate::integrity::is_good(key, &v, None))
+        };
+        let holding = |key: &[u8]| -> Vec<usize> {
+            let roster = 0..view.roster_len();
+            roster.filter(|&i| good_on(i, key)).collect()
+        };
+        let keys: Vec<Bytes> = (0..8)
+            .map(|s| Bytes::from(crate::manager::chunk_key(1, s)))
+            .collect();
+        let before: Vec<Vec<usize>> = keys.iter().map(|k| holding(k)).collect();
+        let (victim, damaged) = match join {
+            true => {
+                assert!(dep.admit_kv_server(standby.node()));
+                (Rc::clone(&standby), None)
+            }
+            false => {
+                assert!(dep.drain_kv_server(view.server(0).node()));
+                let seq = (0..8).find(|&s| before[s].contains(&0)).unwrap();
+                let set = crate::integrity::replicas(&view, &keys[seq], 2);
+                let kept = *set.iter().find(|i| before[seq].contains(i)).unwrap();
+                damage(&view.server(kept), &keys[seq]);
+                (view.server(set[0]), Some(kept))
+            }
+        };
+        // the reconciler's first SET goes to `victim`
+        let failed = Rc::new(std::cell::RefCell::new(None::<Bytes>));
+        let (hook, target) = (Rc::clone(&failed), Rc::clone(&victim));
+        let observer = move |rec: rkv::client::OpRecord| {
+            let set = matches!(rec.kind, rkv::client::OpKind::Set { .. });
+            if set && hook.borrow().is_none() {
+                damage(&target, &rec.key);
+                *hook.borrow_mut() = Some(rec.key);
+            }
+        };
+        dep.manager.kv.set_observer(Rc::new(observer));
+        let counter = |name: &str| sim.metrics().snapshot().counter(name);
+        let deadline = sim.now() + std::time::Duration::from_secs(5);
+        while counter("bb.rebalance.verify_fail") == 0 {
+            assert!(sim.now() < deadline, "no read-back failed");
+            sim.sleep(std::time::Duration::from_millis(1)).await;
+        }
+        // the round of the failure: old copies and route in place, and
+        // nothing counted as repaired
+        let key = failed.borrow().clone().unwrap();
+        let seq = keys.iter().position(|k| *k == key).unwrap();
+        let victim = view.index_of(victim.node()).unwrap();
+        let old = before[seq]
+            .iter()
+            .filter(|&&i| i != victim && Some(i) != damaged);
+        assert!(old.clone().count() > 0);
+        for &idx in old {
+            assert!(
+                good_on(idx, &key),
+                "an old copy went before the new one verified"
+            );
+        }
+        assert_eq!(view.override_of(&key), None, "the route moved");
+        assert_eq!(counter("bb.scrub.repaired"), 0);
+        // a later round converges
+        let mut desired = crate::integrity::replicas(&view, &key, 2);
+        desired.sort();
+        let deadline = sim.now() + std::time::Duration::from_secs(5);
+        while holding(&key) != desired || dep.manager.rebalance_backlog() > 0 {
+            assert!(sim.now() < deadline, "the chunk never converged");
+            sim.sleep(std::time::Duration::from_millis(10)).await;
+        }
+        assert_eq!(counter("bb.rebalance.verify_fail"), 1);
+        assert!(!join || counter("bb.rebalance.moved") > 0);
+        assert_eq!(counter("bb.scrub.repaired"), u64::from(!join));
+        let rd = client.open("/rb").await.unwrap();
+        assert_eq!(rd.read_all().await.unwrap(), expect);
+        dep.shutdown();
+    });
+}
+
+#[test]
+fn a_failed_read_back_keeps_the_old_copies_and_route() {
+    a_failed_read_back(false);
+    a_failed_read_back(true);
+}

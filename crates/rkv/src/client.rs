@@ -686,7 +686,8 @@ impl KvClient {
     }
 
     /// Remove `key` from one specific server, bypassing ring routing —
-    /// the rebalancer's delete-from-old step after a verified migration.
+    /// the reconciler's delete of the copies left outside a chunk's new
+    /// set once it has committed.
     /// `Ok(true)` if the server held the key.
     pub async fn delete_from(&self, server_idx: usize, key: &[u8]) -> Result<bool, ClientError> {
         let key = Bytes::copy_from_slice(key);

@@ -177,6 +177,13 @@ impl Membership {
                 return ovr;
             }
         }
+        self.hash_owners(key, n)
+    }
+
+    /// `key`'s hash owners: the first `n` distinct active servers
+    /// clockwise from its ring position (capped at the active count),
+    /// whatever override is installed.
+    pub fn hash_owners(&self, key: &[u8], n: usize) -> Vec<usize> {
         let ring = self.ring.borrow();
         if ring.is_empty() {
             return Vec::new();
@@ -226,8 +233,8 @@ impl Membership {
     }
 
     /// Clone of the current ring (roster indices as members) — the
-    /// rebalancer diffs this against the ring it last processed to find
-    /// the keys whose owners changed.
+    /// reconciler's epoch trigger diffs this against the ring it last
+    /// processed to find the keys whose owners changed.
     pub fn ring_snapshot(&self) -> HashRing<usize> {
         self.ring.borrow().clone()
     }

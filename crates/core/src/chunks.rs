@@ -3,14 +3,15 @@
 //!
 //! ```text
 //!             admit(pinned)            unpin (flushed)
-//!   writer ─────────────────▶ pinned ─────────────────▶ resident
-//!                               │ ▲                       │ ▲
+//!   writer ─────────────────▶ pinned ─────────────────▶ resident ⟲ the scrub re-sends
+//!                               │ ▲                       │ ▲        an owed unpin
 //!                         lease ▼ │ commit / drop         ▼ │
 //!                          the reconciler (one holder per chunk)
 //!
-//!   forget (evicted, unrepairable) / forget_file (deleted)
-//!        ─▶ record, routing override, queue entries and reader counts
-//!           all go together
+//!   forget (evicted, unrepairable) / forget_file (the manager's file
+//!   reap, once the file's flusher has ended)
+//!        ─▶ record, owed unpins, routing override, queue entries and
+//!           reader counts all go together
 //! ```
 //!
 //! Three triggers queue a chunk for the reconciler (`crate::movers`),
@@ -74,6 +75,10 @@ struct Chunk {
 pub(crate) struct ChunkTable {
     view: Rc<Membership>,
     chunks: RefCell<BTreeMap<ChunkId, Chunk>>,
+    /// Per flushed chunk, the holders that did not answer its unpin: they
+    /// still pin their copies, and the scrub trigger owes them the unpin.
+    /// Kept beside the records, not in them, as it is almost always empty.
+    owed: RefCell<BTreeMap<ChunkId, Vec<usize>>>,
     scrub_cursor: Cell<ChunkId>,
     /// The reconciler's work, in arrival order.
     queue: RefCell<VecDeque<(ChunkId, Why)>>,
@@ -86,6 +91,7 @@ impl ChunkTable {
         ChunkTable {
             view,
             chunks: RefCell::new(BTreeMap::new()),
+            owed: RefCell::new(BTreeMap::new()),
             scrub_cursor: Cell::new((0, 0)),
             queue: RefCell::new(VecDeque::new()),
             leases: Cell::new(0),
@@ -100,13 +106,32 @@ impl ChunkTable {
         let c = chunks.entry(id).or_default();
         c.crc = crc;
         c.pinned |= pinned;
+        if c.pinned {
+            self.owed.borrow_mut().remove(&id);
+        }
     }
 
     /// The chunk is safe in Lustre (or given up on): moves stop carrying
-    /// its pin. `false` when the record is gone.
-    pub(crate) fn unpin(&self, id: ChunkId) -> bool {
+    /// its pin, and the holders its unpin `missed` are owed it until the
+    /// scrub trigger's re-send settles here. `false` without a record.
+    pub(crate) fn unpin(&self, id: ChunkId, missed: Vec<usize>) -> bool {
         let mut chunks = self.chunks.borrow_mut();
-        chunks.get_mut(&id).map(|c| c.pinned = false).is_some()
+        let Some(c) = chunks.get_mut(&id) else {
+            return false;
+        };
+        c.pinned = false;
+        let mut owed = self.owed.borrow_mut();
+        if missed.is_empty() {
+            owed.remove(&id);
+        } else {
+            owed.insert(id, missed);
+        }
+        true
+    }
+
+    /// The holders still owed the chunk's unpin.
+    pub(crate) fn owed_unpins(&self, id: ChunkId) -> Vec<usize> {
+        self.owed.borrow().get(&id).cloned().unwrap_or_default()
     }
 
     pub(crate) fn contains(&self, id: ChunkId) -> bool {
@@ -145,43 +170,30 @@ impl ChunkTable {
             return false;
         }
         chunks.remove(&id);
+        self.owed.borrow_mut().remove(&id);
         self.view.clear_override(&chunk_key(id.0, id.1));
         self.queue.borrow_mut().retain(|(q, _)| *q != id);
         true
     }
 
-    /// The file was deleted: drop every record of it, leased or not,
-    /// with its overrides, queue entries and reader counts. Returns
-    /// `seq → servers` for each chunk that had an override: its
-    /// [`crate::integrity::holders`] while the override stood (the
-    /// override's servers and the key's `r` hash owners), which a
-    /// key-routed delete no longer finds once the override is gone.
-    /// The sweep covers the file's whole seq range `0..chunks`, not just
-    /// its records: a chunk that was written through, or evicted and
-    /// since forgotten, may still carry its write-time override.
-    pub(crate) fn forget_file(
-        &self,
-        file_id: u64,
-        chunks: u64,
-        r: usize,
-    ) -> BTreeMap<u64, Vec<usize>> {
+    /// The file is being reaped: drop every record of it, leased or not,
+    /// with its owed unpins, overrides, queue entries and reader counts.
+    /// The sweep covers the file's whole seq range `0..chunks`: a chunk
+    /// written through, or evicted and forgotten, may still carry its
+    /// write-time override.
+    pub(crate) fn forget_file(&self, file_id: u64, chunks: u64) {
         self.chunks
             .borrow_mut()
             .retain(|(fid, _), _| *fid != file_id);
+        self.owed.borrow_mut().retain(|(fid, _), _| *fid != file_id);
         self.queue
             .borrow_mut()
             .retain(|((fid, _), _)| *fid != file_id);
-        let mut placed = BTreeMap::new();
         if self.view.overrides_len() > 0 {
             for seq in 0..chunks {
-                let key = chunk_key(file_id, seq);
-                if self.view.override_of(&key).is_some() {
-                    placed.insert(seq, crate::integrity::holders(&self.view, &key, r));
-                    self.view.clear_override(&key);
-                }
+                self.view.clear_override(&chunk_key(file_id, seq));
             }
         }
-        placed
     }
 
     /// One chunk fetch of `id` issued from `node` (placement telemetry).
@@ -375,17 +387,36 @@ mod tests {
         Membership::new(servers)
     }
 
-    /// What the table must agree with: which chunks exist and which of
-    /// them are pinned. Files, like the manager's ids, never come back
-    /// once forgotten.
+    /// What the table must agree with: which chunks exist, which of them
+    /// are pinned, and which holders each flushed one still owes an unpin
+    /// to. Files, like the manager's ids, never come back once forgotten.
     #[derive(Default)]
     struct Model {
         chunks: BTreeMap<ChunkId, bool>,
+        owed: BTreeMap<ChunkId, Vec<usize>>,
         forgotten: BTreeSet<ChunkId>,
         dead_files: BTreeSet<u64>,
     }
 
-    /// No override or queue entry without a record behind it.
+    impl Model {
+        /// An unpin of `id` that missed `missed` (the flusher's, or the
+        /// scrub trigger's settle).
+        fn unpin(&mut self, id: ChunkId, missed: Vec<usize>) {
+            if let Some(pinned) = self.chunks.get_mut(&id) {
+                *pinned = false;
+                self.owed.insert(id, missed);
+                self.owed.retain(|_, o| !o.is_empty());
+            }
+        }
+    }
+
+    /// The servers among `0..SERVERS` whose bit is set in `bits`.
+    fn servers_in(bits: u8) -> Vec<usize> {
+        (0..SERVERS).filter(|i| bits >> i & 1 == 1).collect()
+    }
+
+    /// No override, queue entry or owed unpin without a record behind
+    /// it, and no unpin owed on a pinned record.
     fn check_nothing_outlives_its_record(t: &ChunkTable, m: &Model) {
         let routed = m
             .chunks
@@ -397,6 +428,11 @@ mod tests {
             assert!(m.chunks.contains_key(id), "{why:?} entry outlived {id:?}");
         }
         assert_eq!(t.chunks.borrow().len(), m.chunks.len());
+        assert_eq!(*t.owed.borrow(), m.owed);
+        for id in t.owed.borrow().keys() {
+            let pinned = t.chunks.borrow().get(id).map(|c| c.pinned);
+            assert_eq!(pinned, Some(false), "unpin owed on {id:?}");
+        }
     }
 
     proptest! {
@@ -404,13 +440,14 @@ mod tests {
 
         /// Random interleavings of everything the manager does to the
         /// table — each trigger's push, the reconciler's pop and requeue,
-        /// leases, `forget`, `forget_file` — against a plain map: one
-        /// lease per chunk at most and released on every exit, commit
-        /// succeeds exactly while the record lives, nothing outlives its
-        /// record, and the backlog drains to zero.
+        /// leases, unpins that miss holders and their settling,
+        /// `forget`, `forget_file` — against a plain map: one lease per
+        /// chunk at most and released on every exit, commit succeeds
+        /// exactly while the record lives, nothing outlives its record,
+        /// and the backlog drains to zero.
         #[test]
         fn table_agrees_with_a_reference_map(
-            ops in proptest::collection::vec((0u8..10, 1u64..4, 0u64..4, 0u8..8), 1..160)
+            ops in proptest::collection::vec((0u8..11, 1u64..4, 0u64..4, 0u8..8), 1..160)
         ) {
             let view = view();
             let table = ChunkTable::new(Rc::clone(&view));
@@ -425,11 +462,17 @@ mod tests {
                         if !model.dead_files.contains(&fid) && !model.forgotten.contains(&id) {
                             table.admit(id, seq as u32, arg & 1 == 1);
                             *model.chunks.entry(id).or_default() |= arg & 1 == 1;
+                            if arg & 1 == 1 {
+                                model.owed.remove(&id);
+                            }
                         }
                     }
                     2 => {
-                        prop_assert_eq!(table.unpin(id), model.chunks.contains_key(&id));
-                        model.chunks.entry(id).and_modify(|p| *p = false);
+                        // the flusher's unpin, missing the servers in `arg`
+                        let missed = servers_in(arg);
+                        let alive = table.unpin(id, missed.clone());
+                        prop_assert_eq!(alive, model.chunks.contains_key(&id));
+                        model.unpin(id, missed);
                     }
                     3 => {
                         let free = model.chunks.contains_key(&id) && !held(&leases);
@@ -450,11 +493,9 @@ mod tests {
                         leases.swap_remove(arg as usize % leases.len());
                     }
                     6 => {
-                        let placed = table.forget_file(fid, 4, R);
-                        for s in placed.keys() {
-                            prop_assert!(model.chunks.contains_key(&(fid, *s)));
-                        }
+                        table.forget_file(fid, 4);
                         model.chunks.retain(|(f, _), _| *f != fid);
+                        model.owed.retain(|(f, _), _| *f != fid);
                         model.dead_files.insert(fid);
                     }
                     7 => {
@@ -462,6 +503,7 @@ mod tests {
                         prop_assert_eq!(table.forget(id), ok);
                         if ok {
                             model.chunks.remove(&id);
+                            model.owed.remove(&id);
                             model.forgotten.insert(id);
                         }
                     }
@@ -478,6 +520,18 @@ mod tests {
                         table.queue_remapped(&last_ring, &ring, R);
                         last_ring = ring;
                         table.demote_stale_routes();
+                    }
+                    9 => {
+                        // the scrub trigger's settle: re-send to the owed
+                        // holders; those in `arg` still do not answer
+                        let owed = table.owed_unpins(id);
+                        prop_assert_eq!(&owed, model.owed.get(&id).unwrap_or(&Vec::new()));
+                        if !owed.is_empty() {
+                            let missed: Vec<usize> =
+                                owed.into_iter().filter(|i| servers_in(arg).contains(i)).collect();
+                            table.unpin(id, missed.clone());
+                            model.unpin(id, missed);
+                        }
                     }
                     _ => {
                         // the scrub and placement triggers, then one

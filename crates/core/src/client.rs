@@ -18,8 +18,8 @@ use lustre::{LustreClient, LustreError, LustreFile};
 
 use crate::integrity;
 pub use crate::manager::BbError;
-use crate::manager::{chunk_key, lustre_path, BbFileMeta, Dropped, FileState, MgrMsg, MGR_SERVICE};
-use crate::{gated, kv_backoff, BbConfig, BbDeployment, Scheme, KV_RETRIES, WRITE_WINDOW};
+use crate::manager::{chunk_key, lustre_path, BbFileMeta, FileState, MgrMsg, MGR_SERVICE};
+use crate::{kv_backoff, BbConfig, BbDeployment, Scheme, KV_RETRIES, WRITE_WINDOW};
 
 /// KV client settings derived from the burst-buffer configuration.
 pub(crate) fn kv_client_config(cfg: &BbConfig) -> KvClientConfig {
@@ -306,52 +306,16 @@ impl BbClient {
         }
     }
 
-    /// Delete a file everywhere: namespace, buffered chunks, Lustre
-    /// backing file, and the scheme-C local replica.
+    /// Delete a closed file everywhere: the manager waits out its flush,
+    /// then reaps its buffered chunks, Lustre backing file and namespace
+    /// entry; the scheme-C local replica goes here.
     pub async fn delete(&self, path: &str) -> Result<(), BbError> {
         let p = path.to_owned();
-        let Dropped { meta, mut placed } = self
-            .mgr_call(128 + path.len() as u64, None, |reply| MgrMsg::Delete {
-                path: p.clone(),
-                reply,
-            })
-            .await??;
-        let chunks = meta.size.div_ceil(meta.chunk_size.max(1));
-        // drop buffered chunks with up to `read_window` deletes in flight
-        // (window 1 degenerates to the serial per-chunk loop)
-        let gate = Semaphore::new(self.dep.config.read_window.max(1));
-        let r = self.dep.config.kv_replication;
-        let sim = self.dep.stack.sim().clone();
-        let mut pending = Vec::with_capacity(chunks as usize);
-        for seq in 0..chunks {
-            let gate = gate.clone();
-            let kv = Rc::clone(&self.kv);
-            let key = chunk_key(meta.file_id, seq);
-            let servers = placed.remove(&seq);
-            pending.push(sim.spawn(gated(gate, move || async move {
-                match servers {
-                    // the copies sat on an override's servers (and maybe
-                    // its hash owners); with the override swept the key
-                    // routes to the hash owners alone
-                    Some(servers) => {
-                        for idx in servers {
-                            let _ = kv.delete_from(idx, &key).await;
-                        }
-                    }
-                    None => {
-                        let holders = integrity::holders(kv.view(), &key, r);
-                        let _ = kv.delete_on(&holders, &key).await;
-                    }
-                }
-            })));
-        }
-        for h in pending {
-            h.await;
-        }
-        match self.lustre.unlink(&meta.lustre_path).await {
-            Ok(()) | Err(LustreError::Mds(lustre::MdsError::NotFound(_))) => {}
-            Err(e) => return Err(e.into()),
-        }
+        self.mgr_call(128 + path.len() as u64, None, |reply| MgrMsg::Delete {
+            path: p.clone(),
+            reply,
+        })
+        .await??;
         if let Some(h) = &self.hdfs {
             match h.delete(path).await {
                 Ok(()) | Err(hdfs::HdfsError::Nn(hdfs::NnError::NotFound(_))) => {}

@@ -152,10 +152,11 @@ impl BbManager {
                                 false
                             }
                         };
-                        // flushed (or given up): lift the eviction pin
+                        // flushed (or given up): lift the eviction pin; a
+                        // holder that does not answer is owed it
                         let holders = integrity::holders(&this.view, &key, r);
-                        this.kv.unpin_on(&holders, &key).await;
-                        this.chunks.unpin((file_id, seq));
+                        let missed = this.kv.unpin_on(&holders, &key).await;
+                        this.chunks.unpin((file_id, seq), missed);
                         this.chunk_drained(len);
                         this.chunk_pending.set(this.chunk_pending.get() - 1);
                         ok

@@ -5,8 +5,8 @@
 //! The KV client addresses one server per verb; this module is the one
 //! place that decides a chunk's replica set ([`replicas`]), the order a
 //! lookup walks ([`read_order`]) and every server that may still hold a
-//! copy ([`holders`]). Writes, reads, the flusher, the reconciler and deletes
-//! all take their servers from here.
+//! copy ([`holders`]). Writes, reads, the flusher, the reconciler and the
+//! manager's file reap all take their servers from here.
 //!
 //! Every chunk sealed by a [`crate::BbWriter`] carries
 //! `crc32c(key || data)` in the KV value's `flags` word and in the file's
@@ -64,8 +64,9 @@ pub fn read_order(view: &Membership, key: &[u8], r: usize) -> (Vec<usize>, usize
 /// it comes back —, or — once membership has ever changed (epoch > 0) —
 /// the whole roster, since a not-yet-moved copy still sits on an old
 /// owner (and a surviving one would be found again by [`read_order`]).
-/// The one answer to where a chunk's copies may sit: unpins, deletes and
-/// the reconciler's source search and old-copy delete go here.
+/// The one answer to where a chunk's copies may sit: unpins, the manager's
+/// file reap (before it clears the chunk's override) and the reconciler's
+/// source search and old-copy delete go here.
 pub fn holders(view: &Membership, key: &[u8], r: usize) -> Vec<usize> {
     if view.epoch() > 0 {
         return (0..view.roster_len()).collect();

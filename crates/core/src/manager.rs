@@ -10,7 +10,7 @@
 //! about each chunk lives in `crate::chunks`.
 
 use std::cell::{Cell, RefCell};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::fmt;
 use std::rc::Rc;
 
@@ -22,6 +22,7 @@ use rkv::{HashRing, KvClient, Membership};
 use simkit::dur;
 use simkit::sync::mpsc;
 use simkit::sync::semaphore::Semaphore;
+use simkit::JoinHandle;
 
 use lustre::{LustreCluster, LustreError};
 
@@ -49,7 +50,7 @@ pub enum BbError {
     NotFound(String),
     /// Path already exists.
     Exists(String),
-    /// File is still being written (delete/read race).
+    /// File is still being written, or already being deleted.
     Busy(String),
     /// KV layer failure.
     Kv(ClientError),
@@ -159,18 +160,6 @@ pub struct BbFileMeta {
     pub chunk_crcs: Vec<u32>,
 }
 
-/// What `Delete` leaves for the caller to reap.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Dropped {
-    /// The dropped file's metadata.
-    pub meta: BbFileMeta,
-    /// `seq → servers` for every chunk that was routed through an
-    /// override: the roster servers that may hold its copies (the
-    /// override's and the hash owners'); a key-routed delete would miss
-    /// some of them.
-    pub placed: BTreeMap<u64, Vec<usize>>,
-}
-
 /// Write acknowledgement carried by `ChunkReady`/`ChunkDirect` replies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WriteAck {
@@ -246,12 +235,15 @@ pub enum MgrMsg {
         /// Reply channel.
         reply: ReplyHandle<Result<BbFileMeta, BbError>>,
     },
-    /// Drop a file from the namespace; the caller reaps chunk/Lustre data.
+    /// Delete a closed file: once its flusher has finished, drop its
+    /// chunk records, delete every buffered copy and unlink the Lustre
+    /// backing file; the path leaves the namespace last. A file still
+    /// being written, or already being deleted, is `Busy`.
     Delete {
         /// File path.
         path: String,
-        /// Reply carries what the caller has to reap.
-        reply: ReplyHandle<Result<Dropped, BbError>>,
+        /// Resolves once the file is gone.
+        reply: ReplyHandle<Result<(), BbError>>,
     },
     /// List paths under a prefix.
     List {
@@ -268,6 +260,10 @@ struct FileEntry {
     size: u64,
     state: FileState,
     flush_tx: Option<mpsc::Sender<FlushItem>>,
+    /// The flusher task (async schemes); a delete awaits it before the reap.
+    flusher: Option<JoinHandle<()>>,
+    /// A delete is reaping the file.
+    reaping: bool,
     crcs: Vec<u32>,
     /// Bytes written inside the current classifier window (admission
     /// control; untouched when the classifier is off).
@@ -716,40 +712,21 @@ impl BbManager {
                 reply.send(r, bytes);
             }
             MgrMsg::Delete { path, reply } => {
-                let busy = self
-                    .files
-                    .borrow()
-                    .get(&path)
-                    .map(|e| e.borrow().state == FileState::Writing)
-                    .unwrap_or(false);
-                if busy {
+                let entry = self.files.borrow().get(&path).cloned();
+                let Some(entry) = entry else {
+                    reply.send(Err(BbError::NotFound(path)), 16);
+                    return;
+                };
+                if entry.borrow().state == FileState::Writing || entry.borrow().reaping {
                     reply.send(Err(BbError::Busy(path)), 16);
                     return;
                 }
-                let removed = self.files.borrow_mut().remove(&path);
-                let r = match removed {
-                    None => Err(BbError::NotFound(path)),
-                    Some(e) => {
-                        let e = e.borrow();
-                        self.by_id.borrow_mut().remove(&e.file_id);
-                        let n = (e.crcs.len() as u64)
-                            .max(e.size.div_ceil(self.config.chunk_size.max(1)));
-                        Ok(Dropped {
-                            placed: self.chunks.forget_file(
-                                e.file_id,
-                                n,
-                                self.config.kv_replication,
-                            ),
-                            meta: self.meta_of(&e),
-                        })
-                    }
-                };
-                let bytes = 128
-                    + r.as_ref().map_or(0, |d| {
-                        let routes: usize = d.placed.values().map(|t| 8 + 8 * t.len()).sum();
-                        4 * d.meta.chunk_crcs.len() as u64 + routes as u64
-                    });
-                reply.send(r, bytes);
+                entry.borrow_mut().reaping = true;
+                let this = Rc::clone(self);
+                self.sim().spawn(async move {
+                    let r = this.reap(entry).await;
+                    reply.send(r, 16);
+                });
             }
             MgrMsg::List { prefix, reply } => {
                 let mut v: Vec<String> = self
@@ -777,6 +754,43 @@ impl BbManager {
         }
     }
 
+    /// Delete a closed file everywhere the manager put it. Waits out its
+    /// flusher first, so no flush races the delete and the path (still in
+    /// the namespace) cannot be created again meanwhile. Each chunk's
+    /// holders are taken while its override still stands, then its
+    /// records go and its copies are deleted, one chunk after another.
+    /// An unlink that fails leaves the path in place for a retry.
+    async fn reap(&self, entry: Rc<RefCell<FileEntry>>) -> Result<(), BbError> {
+        let flusher = entry.borrow_mut().flusher.take();
+        if let Some(flusher) = flusher {
+            flusher.await;
+        }
+        let (file_id, path, chunks) = {
+            let e = entry.borrow();
+            let n = (e.crcs.len() as u64).max(e.size.div_ceil(self.config.chunk_size.max(1)));
+            (e.file_id, e.path.clone(), n)
+        };
+        let r = self.config.kv_replication;
+        let copies: Vec<_> = (0..chunks)
+            .map(|seq| chunk_key(file_id, seq))
+            .map(|key| (integrity::holders(&self.view, &key, r), key))
+            .collect();
+        self.chunks.forget_file(file_id, chunks);
+        for (holders, key) in copies {
+            let _ = self.kv.delete_on(&holders, &key).await;
+        }
+        match self.lustre_client.unlink(&lustre_path(&path)).await {
+            Ok(()) | Err(LustreError::Mds(lustre::MdsError::NotFound(_))) => {}
+            Err(e) => {
+                entry.borrow_mut().reaping = false;
+                return Err(e.into());
+            }
+        }
+        self.files.borrow_mut().remove(&path);
+        self.by_id.borrow_mut().remove(&file_id);
+        Ok(())
+    }
+
     fn create(self: &Rc<Self>, path: &str) -> Result<u64, BbError> {
         if self.files.borrow().contains_key(path) {
             return Err(BbError::Exists(path.to_owned()));
@@ -787,18 +801,16 @@ impl BbManager {
             self.config.scheme,
             Scheme::AsyncLustre | Scheme::HybridLocality
         );
-        let flush_tx = if needs_flusher {
+        let (flush_tx, flusher) = if needs_flusher {
             let (tx, rx) = mpsc::unbounded();
             let this = Rc::clone(self);
             let lpath = lustre_path(path);
-            self.net
-                .fabric()
+            let flusher = self
                 .sim()
-                .clone()
                 .spawn(async move { this.run_flusher(file_id, lpath, rx).await });
-            Some(tx)
+            (Some(tx), Some(flusher))
         } else {
-            None
+            (None, None)
         };
         let entry = Rc::new(RefCell::new(FileEntry {
             path: path.to_owned(),
@@ -806,6 +818,8 @@ impl BbManager {
             size: 0,
             state: FileState::Writing,
             flush_tx,
+            flusher,
+            reaping: false,
             crcs: Vec::new(),
             admit_bytes: 0,
             admit_last: 0,

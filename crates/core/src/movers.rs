@@ -271,9 +271,10 @@ impl BbManager {
         integrity::census(&self.kv, key, Some(crc), servers, first_good, false).await
     }
 
-    /// The scrub trigger's diff: census the chunk's replica set (no lease
-    /// taken). A copy that fails its digest is rewritten, once every
-    /// member answered. A missing copy of a flushed chunk is legal — LRU
+    /// The scrub trigger's diff. First, holders the flusher's unpin did
+    /// not reach get it again, and only they. Then the chunk's replica
+    /// set is censused (no lease taken). A copy that fails its digest is
+    /// rewritten, once every member answered. A missing copy of a flushed chunk is legal — LRU
     /// eviction, Lustre holds it — but an unflushed chunk's only copies
     /// are in the buffer, so one short of its set is restored: once any
     /// membership change is reconciled, since until then a member's miss
@@ -281,6 +282,11 @@ impl BbManager {
     /// or nothing can be done yet.
     async fn scrub_census(&self, id: ChunkId, key: &[u8]) -> Option<Action> {
         let (crc, pinned) = self.chunks.record(id)?;
+        let owed = self.chunks.owed_unpins(id);
+        if !owed.is_empty() {
+            let missed = self.kv.unpin_on(&owed, key).await;
+            self.chunks.unpin(id, missed);
+        }
         let (order, n) = integrity::read_order(&self.view, key, self.config.kv_replication);
         let (set, rest) = order.split_at(n);
         self.movers.scanned.inc();

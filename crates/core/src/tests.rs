@@ -1699,13 +1699,21 @@ fn an_evicted_copy_of_a_flushed_chunk_stays_evicted() {
 
 #[test]
 fn a_member_back_from_a_link_fault_is_unpinned_and_reaped() {
-    // r = 2: one member's link goes down while the file is unflushed, and
-    // the scrub trigger restores each of its chunks on the next live ring
-    // server behind an override. The link comes back with the member's
-    // store intact: the flusher's unpin and the file's delete must still
-    // reach its copies, or they stay pinned against eviction for good.
-    // At 0.25 MB/s no chunk is flushed while the link is down.
-    let r = slow_flush_rig(0.25e6);
+    // At 0.25 MB/s no chunk is flushed while the link is down; at 2 MB/s
+    // some are, and their unpin misses the member.
+    member_back_from_a_link_fault(0.25e6);
+    member_back_from_a_link_fault(2e6);
+}
+
+/// r = 2: one member's link goes down while the file is unflushed, and
+/// the scrub trigger restores each of its unflushed chunks on the next
+/// live ring server behind an override. The link comes back with the
+/// member's store intact: the flusher's unpin — or, for a chunk flushed
+/// while the link was down, the scrub trigger's re-send of it — and the
+/// file's delete must still reach its copies, or they stay pinned
+/// against eviction for good.
+fn member_back_from_a_link_fault(ost_rate: f64) {
+    let r = slow_flush_rig(ost_rate);
     let client = r.dep.client(NodeId(0));
     let dep = Rc::clone(&r.dep);
     let (fabric, sim) = (Rc::clone(&r.fabric), r.sim.clone());
@@ -1718,12 +1726,28 @@ fn a_member_back_from_a_link_fault_is_unpinned_and_reaped() {
         assert!(held > 0);
         fabric.set_up(member.node(), false);
         sim.sleep(std::time::Duration::from_millis(1500)).await;
-        assert_eq!(
-            dep.membership().overrides_len() as u64,
-            held,
-            "every chunk of the member restored past it"
+        let restored = dep.membership().overrides_len() as u64;
+        let flushed = dep.manager.stats().chunks_flushed;
+        assert!(restored > 0, "no chunk of the member restored past it");
+        assert!(
+            flushed > 0 || restored == held,
+            "a chunk neither flushed nor restored"
         );
         fabric.set_up(member.node(), true);
+        // two scrub periods on: the member pins only unflushed chunks
+        sim.sleep(std::time::Duration::from_secs(2)).await;
+        let unflushed = (0..16)
+            .map(|seq| (seq, crate::manager::chunk_key(1, seq)))
+            .filter(|(seq, key)| {
+                let pinned = dep.manager.chunks.record((1, *seq)).is_some_and(|(_, p)| p);
+                pinned && member.store().contains(key, 0)
+            });
+        let unflushed = unflushed.count() as u64;
+        let pinned = member.store().stats().pinned_items;
+        assert!(
+            pinned <= unflushed,
+            "{pinned} pinned, {unflushed} unflushed"
+        );
         assert_eq!(
             client.wait_flushed("/link").await.unwrap(),
             FileState::Flushed
@@ -1738,6 +1762,47 @@ fn a_member_back_from_a_link_fault_is_unpinned_and_reaped() {
             0,
             "the member's copies survived the delete"
         );
+        dep.shutdown();
+    });
+}
+
+#[test]
+fn a_delete_during_the_flush_waits_for_it() {
+    // r = 2 behind one 2 MB/s OST: 8 MiB takes about 4 s to flush, and
+    // the file is deleted as soon as it is closed. The delete waits for
+    // the flusher, so no chunk the flusher still has to read is gone and
+    // no byte it writes outlives the file; until it returns the path
+    // stays taken, so a new file of that name cannot share the old
+    // flusher's Lustre file.
+    let r = slow_flush_rig(2e6);
+    let client = r.dep.client(NodeId(0));
+    let dep = Rc::clone(&r.dep);
+    let sim = r.sim.clone();
+    r.sim.block_on(async move {
+        let w = client.create("/gone").await.unwrap();
+        w.append(pattern(8 << 20)).await.unwrap();
+        w.close().await.unwrap();
+        let deleter = Rc::clone(&client);
+        let delete = sim.spawn(async move { deleter.delete("/gone").await });
+        let mut polls = 0;
+        while dep.manager.stats().chunks_flushed < 16 {
+            assert!(!delete.is_finished(), "the delete returned mid-flush");
+            assert!(client.exists("/gone").await.unwrap());
+            match client.create("/gone").await.map(|_| ()) {
+                Err(BbError::Exists(_)) => {}
+                other => panic!("expected Exists, got {other:?}"),
+            }
+            polls += 1;
+            sim.sleep(std::time::Duration::from_millis(100)).await;
+        }
+        assert!(polls > 10, "the flush outran the probe");
+        delete.await.unwrap();
+        assert!(!client.exists("/gone").await.unwrap());
+        assert_eq!(dep.manager.stats().chunks_lost, 0);
+        assert_eq!(dep.lustre.stored_bytes(), 0);
+        for server in &dep.kv_servers {
+            assert_eq!(server.store().len(), 0, "a copy outlived the file");
+        }
         dep.shutdown();
     });
 }

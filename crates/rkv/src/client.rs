@@ -702,22 +702,27 @@ impl KvClient {
         self.keyed(server_idx, &Request::Pin { key }).await
     }
 
-    /// Best-effort unpin of `key` on each of `servers`. Errors and misses
-    /// are swallowed: the only purpose is to let the LRU reclaim the item,
-    /// and an unreachable server will reap it by eviction anyway.
-    pub async fn unpin_on(&self, servers: &[usize], key: &[u8]) {
+    /// Unpin `key` on each of `servers`, so the LRU may reclaim the item.
+    /// A server without the key counts as done. Returns the servers that
+    /// did not answer: they still hold the item pinned, which eviction
+    /// never reclaims, so the caller owes them the unpin.
+    pub async fn unpin_on(&self, servers: &[usize], key: &[u8]) -> Vec<usize> {
         let req = Request::Unpin {
             key: Bytes::copy_from_slice(key),
         };
+        let mut missed = Vec::new();
         for &idx in servers {
-            let _ = self.keyed(idx, &req).await;
+            if self.keyed(idx, &req).await.is_err() {
+                missed.push(idx);
+            }
         }
+        missed
     }
 
     /// Remove `key` from each of `servers`, observed as one logical
-    /// delete; `Ok(true)` if any held it. An unreachable server may keep
-    /// a stale copy (reaped by expiry or eviction); the delete still
-    /// succeeds if any answered.
+    /// delete; `Ok(true)` if any held it. An unreachable server keeps its
+    /// copy (an unpinned one is reclaimed by expiry or eviction, a pinned
+    /// one is not); the delete still succeeds if any answered.
     pub async fn delete_on(&self, servers: &[usize], key: &[u8]) -> Result<bool, ClientError> {
         let t0 = self.stack.sim().now();
         let req = Request::Delete {
@@ -1496,15 +1501,21 @@ mod tests {
         let cl = client(&c, 2);
         let (owner, other) = (cl.route(b"pk").unwrap(), 1 - cl.route(b"pk").unwrap());
         let store = Rc::clone(c.servers[owner].store());
+        let fabric = Rc::clone(c.stack.fabric());
         c.sim.block_on(async move {
             cl.set(b"pk", Bytes::from_static(b"v"), 0, 0).await.unwrap();
             assert!(cl.pin_to(owner, b"pk").await.unwrap(), "live key must pin");
             assert!(!cl.pin_to(other, b"pk").await.unwrap(), "no copy there");
             assert!(!cl.pin_to(owner, b"absent").await.unwrap(), "missing key");
             assert_eq!(store.stats().pinned_items, 1);
-            // best-effort: the server without the key is skipped quietly
-            cl.unpin_on(&[other, owner], b"pk").await;
-            cl.unpin_on(&[owner], b"absent").await;
+            // a server without the key answers, so nothing is owed
+            assert!(cl.unpin_on(&[other, owner], b"pk").await.is_empty());
+            assert!(cl.unpin_on(&[owner], b"absent").await.is_empty());
+            assert_eq!(store.stats().pinned_items, 0);
+            // a server that cannot be asked is owed the unpin
+            assert!(cl.pin_to(owner, b"pk").await.unwrap());
+            fabric.set_up(NodeId(other as u32), false);
+            assert_eq!(cl.unpin_on(&[other, owner], b"pk").await, vec![other]);
             assert_eq!(store.stats().pinned_items, 0);
         });
     }

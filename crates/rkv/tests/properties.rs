@@ -538,7 +538,7 @@ proptest! {
                         )),
                         2 => out.push(Answer::Found(cl.delete_on(&[0], &key).await.unwrap())),
                         3 => out.push(Answer::Found(cl.pin_to(0, &key).await.unwrap())),
-                        4 => cl.unpin_on(&[0], &key).await,
+                        4 => assert!(cl.unpin_on(&[0], &key).await.is_empty()),
                         _ => {
                             let value = Bytes::from(vec![key[0]; len]);
                             cl.set(&key, value, 0, 0).await.unwrap();

@@ -189,7 +189,7 @@ pub async fn clean(
 ) -> Result<(), FsError> {
     let fs = fs_for(nodes[0]);
     for i in 0..cfg.files {
-        let _ = fs.delete(&cfg.path(i)).await;
+        fs.delete(&cfg.path(i)).await?;
     }
     Ok(())
 }

@@ -49,6 +49,8 @@ fn dfsio_roundtrip_verifies_on_all_five_systems() {
                 .unwrap();
             assert_eq!(r.bytes, 32 << 20);
             testdfsio::clean(&tb.nodes, &fs_for, &cfg).await.unwrap();
+            let left = fs_for(tb.nodes[0]).list(&cfg.dir).await.unwrap();
+            assert!(left.is_empty(), "{kind:?} kept {left:?}");
             tb.shutdown();
         });
     }
